@@ -85,10 +85,19 @@ def _read_predictions(path: str) -> tuple[list[int], list[str]]:
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
-            if reader.fieldnames is None or "label" not in reader.fieldnames:
+            if reader.fieldnames is None or not {"record_id", "label"} <= set(reader.fieldnames):
                 raise RareBayesError(f"{path} is not a classification file")
             for row in reader:
-                ids.append(int(row["record_id"]))
+                try:
+                    rid = int(row["record_id"])
+                except (TypeError, ValueError):
+                    rid = -1
+                if rid < 0:
+                    raise RareBayesError(
+                        f"{path} line {reader.line_num}: record_id "
+                        f"{row['record_id']!r} is not a non-negative integer"
+                    )
+                ids.append(rid)
                 labels.append(row["label"])
     except OSError as exc:
         raise RareBayesError(f"cannot read predictions {path}: {exc}") from exc

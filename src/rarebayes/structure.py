@@ -7,6 +7,16 @@ keeps the dependencies whose cumulative conditional-MI share reaches
 ``t_field``.  Pass 4 estimates the class prior, one CPT per selected
 node, and a per-node fallback table conditioned on the class alone.
 
+Passes 2-4 share one counting engine, :func:`_count_pass`.  Each pass
+only declares its count tables as axis tuples: ``("class", node)`` per
+candidate node in pass 2; ``("class", a, b)`` per rank-ordered pair of
+selected nodes in pass 3 (none when ``max_parents`` is 0); and in pass 4
+``("class",)`` for the prior, ``("class", node)`` per selected node for
+the fallbacks and ``("class", parent, node)`` per edge for the CPTs.
+The engine encodes and windows only the variables those tables name.
+Before pass 3 and pass 4 read any data, :func:`_check_budget` holds the
+pair tables, then the fallback and CPT tables, to ``max_model_cells``.
+
 The dataset is read exactly four times regardless of variable count or
 alphabet sizes; the model carries its :class:`PassStats` as proof.
 """
@@ -14,6 +24,7 @@ alphabet sizes; the model carries its :class:`PassStats` as proof.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -170,8 +181,19 @@ class NetworkModel:
 
     @staticmethod
     def from_doc(doc: dict) -> "NetworkModel":
-        if doc.get("format") != MODEL_FORMAT:
-            raise TrainingError(f"unrecognized model format {doc.get('format')!r}")
+        """Rebuild a model; a malformed document raises :class:`TrainingError`."""
+        fmt = doc.get("format") if isinstance(doc, dict) else None
+        if fmt != MODEL_FORMAT:
+            raise TrainingError(f"unrecognized model format {fmt!r}")
+        try:
+            return NetworkModel._from_v1_doc(doc)
+        except KeyError as exc:
+            raise TrainingError(f"model document lacks field {exc}") from exc
+        except (TypeError, ValueError, AttributeError) as exc:
+            raise TrainingError(f"malformed model document: {exc}") from exc
+
+    @staticmethod
+    def _from_v1_doc(doc: dict) -> "NetworkModel":
         s = doc["schema"]
         schema = Schema(
             class_var=s["class_var"],
@@ -236,7 +258,11 @@ def _cpt_from_doc(node: str, doc: dict) -> CPT:
 
 def load_model(path: str | Path) -> NetworkModel:
     with open(path, encoding="utf-8") as fh:
-        return NetworkModel.from_doc(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise TrainingError(f"{path} is not a model file: {exc}") from exc
+    return NetworkModel.from_doc(doc)
 
 
 # -- chunk encoding --------------------------------------------------------
@@ -278,13 +304,13 @@ class Encoder:
             (lut.get(v, -1) for v in col), dtype=np.int64, count=len(col)
         )
 
-    def encode_chunk(self, chunk: Chunk, with_class: bool = True):
-        var_codes = {
-            v.name: self.encode_var(v.name, chunk.columns[v.name])
-            for v in self.schema.field_vars
-        }
+    def encode_chunk(self, chunk: Chunk, names: Sequence[str] | None = None):
+        """Codes for the field variables ``names`` (default: all) and the class."""
+        if names is None:
+            names = [v.name for v in self.schema.field_vars]
+        var_codes = {name: self.encode_var(name, chunk.columns[name]) for name in names}
         class_codes = None
-        if with_class and self.schema.class_var in chunk.columns:
+        if self.schema.class_var in chunk.columns:
             class_codes = self.encode_class(chunk.columns[self.schema.class_var])
         groups = (
             chunk.columns.get(self.schema.group_key)
@@ -293,119 +319,82 @@ class Encoder:
         )
         return var_codes, class_codes, groups
 
-    def window_state(self) -> WindowState:
+    def window_state(self, names: Sequence[str] | None = None) -> WindowState:
+        """Lag tracker for the field variables ``names`` (default: all)."""
+        if names is None:
+            names = [v.name for v in self.schema.field_vars]
         return WindowState(
             schema=self.schema,
-            var_names=[v.name for v in self.schema.field_vars],
+            var_names=list(names),
             missing_codes=dict(self.missing),
         )
-
-
-def _node_columns(
-    encoder: Encoder, state: WindowState, var_codes: dict, groups
-) -> dict[str, np.ndarray]:
-    cols = dict(var_codes)
-    cols.update(state.lag_columns(var_codes, groups))
-    return cols
 
 
 # -- training passes -------------------------------------------------------
 
 
-def _prime_field_scores(
-    ds: CsvDataset, schema: Schema, enc: Encoder, chunk_rows: int
-) -> list[MIScore]:
-    """Pass 2: class-by-node joint counts and MI scores in declaration order."""
-    k = len(enc.class_lut)
-    candidates = [node_id(v, s) for v, s in node_order(schema)]
-    var_of = {node_id(v, s): v for v, s in node_order(schema)}
-    tables = {
-        node: np.zeros(k * enc.sizes[var_of[node]], dtype=np.int64)
-        for node in candidates
-    }
-    state = enc.window_state()
-    wanted = ds.schema_columns(schema, require_class=True)
-    for chunk in ds.iter_chunks(wanted, chunk_rows):
-        var_codes, class_codes, groups = enc.encode_chunk(chunk)
-        cols = _node_columns(enc, state, var_codes, groups)
-        mask = class_codes >= 0
-        cls = class_codes[mask]
-        for node in candidates:
-            a = enc.sizes[var_of[node]]
-            flat = cls * a + cols[node][mask]
-            tables[node] += np.bincount(flat, minlength=k * a)
-    scores = []
-    for node in candidates:
-        a = enc.sizes[var_of[node]]
-        joint = JointCounts(("class", node), tables[node].reshape(k, a))
-        scores.append(MIScore(subject=node, value=mutual_information(joint)))
-    return scores
+def _table_shape(enc: Encoder, table: tuple[str, ...]) -> tuple[int, ...]:
+    """Axis sizes of a count table: the class alphabet, then each node's."""
+    return (len(enc.class_lut),) + tuple(
+        enc.sizes[node_var_slot(node)[0]] for node in table[1:]
+    )
 
 
-def _plan_pairs(
-    schema: Schema, enc: Encoder, ranked: list[RankedField]
-) -> list[tuple[str, str]]:
-    """Rank-ordered selected-node pairs, guarded by the model cell budget."""
-    if schema.max_parents == 0:
-        return []
-    k = len(enc.class_lut)
-    var_of = {rf.node: rf.var for rf in ranked}
-    pairs = []
-    cells = 0
-    nodes = [rf.node for rf in ranked]
-    for i in range(len(nodes)):
-        for j in range(i + 1, len(nodes)):
-            a, b = nodes[i], nodes[j]
-            cells += k * enc.sizes[var_of[a]] * enc.sizes[var_of[b]]
-            if cells > schema.max_model_cells:
-                raise ModelSizeError(
-                    f"pairwise counts for ({a}, {b}) would exceed "
-                    f"max_model_cells={schema.max_model_cells}"
-                )
-            pairs.append((a, b))
-    return pairs
-
-
-def _pairwise_cmi(
+def _count_pass(
     ds: CsvDataset,
     schema: Schema,
     enc: Encoder,
-    ranked: list[RankedField],
+    tables: list[tuple[str, ...]],
     chunk_rows: int,
-) -> list[MIScore]:
-    """Pass 3: class-conditional pairwise counts over selected nodes.
+) -> dict[tuple[str, ...], np.ndarray]:
+    """One dataset pass filling a count table for each axis tuple in ``tables``.
 
-    Always consumes exactly one pass, even when there is nothing to count.
+    Each table is ``("class", node, ...)`` and comes back keyed by that
+    tuple, shaped by its axes' alphabet sizes.  Rows with an unknown class
+    are read but not counted.  Only the base variables the tables name are
+    encoded and windowed.  A pass with no tables still reads every chunk,
+    so each call is exactly one pass.
     """
-    k = len(enc.class_lut)
-    var_of = {rf.node: rf.var for rf in ranked}
-    pairs = _plan_pairs(schema, enc, ranked)
-    tables = {
-        (a, b): np.zeros(k * enc.sizes[var_of[a]] * enc.sizes[var_of[b]], dtype=np.int64)
-        for a, b in pairs
-    }
-    state = enc.window_state()
-    wanted = ds.schema_columns(schema, require_class=True)
+    counts = {table: np.zeros(_table_shape(enc, table), dtype=np.int64) for table in tables}
+    base = {node_var_slot(node)[0] for table in tables for node in table[1:]}
+    names = [v.name for v in schema.field_vars if v.name in base]
+    state = enc.window_state(names)
+    wanted = names + [schema.class_var]
+    if schema.group_key:
+        wanted.append(schema.group_key)
     for chunk in ds.iter_chunks(wanted, chunk_rows):
-        var_codes, class_codes, groups = enc.encode_chunk(chunk)
-        if not pairs:
+        if not tables:
             continue
-        cols = _node_columns(enc, state, var_codes, groups)
-        mask = class_codes >= 0
-        cls = class_codes[mask]
-        masked = {node: cols[node][mask] for node in var_of}
-        for a, b in pairs:
-            sa, sb = enc.sizes[var_of[a]], enc.sizes[var_of[b]]
-            flat = (cls * sa + masked[a]) * sb + masked[b]
-            tables[(a, b)] += np.bincount(flat, minlength=k * sa * sb)
-    scores = []
-    for a, b in pairs:
-        sa, sb = enc.sizes[var_of[a]], enc.sizes[var_of[b]]
-        joint = JointCounts(("class", a, b), tables[(a, b)].reshape(k, sa, sb))
-        scores.append(
-            MIScore(subject=(a, b), value=conditional_mutual_information(joint))
-        )
-    return scores
+        var_codes, class_codes, groups = enc.encode_chunk(chunk, names)
+        if names:
+            var_codes.update(state.lag_columns(var_codes, groups))
+        labelled = class_codes >= 0
+        for table, table_counts in counts.items():
+            flat = class_codes
+            for node, size in zip(table[1:], table_counts.shape[1:]):
+                flat = flat * size + var_codes[node]
+            table_counts += np.bincount(
+                flat[labelled], minlength=table_counts.size
+            ).reshape(table_counts.shape)
+    return counts
+
+
+def _check_budget(
+    schema: Schema,
+    enc: Encoder,
+    named_tables: dict[str, tuple[str, ...]],
+    counted_first: Sequence[tuple[str, ...]] = (),
+) -> None:
+    """Raise :class:`ModelSizeError` naming the first of ``named_tables`` that
+    takes the running cell total past ``max_model_cells``.  The cells of
+    ``counted_first`` open the total but cannot raise on their own."""
+    cells = sum(math.prod(_table_shape(enc, table)) for table in counted_first)
+    for name, table in named_tables.items():
+        cells += math.prod(_table_shape(enc, table))
+        if cells > schema.max_model_cells:
+            raise ModelSizeError(
+                f"{name} would exceed max_model_cells={schema.max_model_cells}"
+            )
 
 
 def select_dependencies(
@@ -450,60 +439,6 @@ def select_dependencies(
         if cum / total >= t_field:
             break
     return edges
-
-
-def _conditional_counts(
-    ds: CsvDataset,
-    schema: Schema,
-    enc: Encoder,
-    ranked: list[RankedField],
-    parents: dict[str, str | None],
-    chunk_rows: int,
-):
-    """Pass 4: class counts, CPT counts per node, fallback counts per node."""
-    k = len(enc.class_lut)
-    var_of = {rf.node: rf.var for rf in ranked}
-    class_counts = np.zeros(k, dtype=np.int64)
-    fb_counts = {
-        node: np.zeros((k, enc.sizes[var_of[node]]), dtype=np.int64)
-        for node in var_of
-    }
-    cpt_counts: dict[str, np.ndarray] = {}
-    budget = sum(arr.size for arr in fb_counts.values())
-    for node, parent in parents.items():
-        if parent is None:
-            continue
-        shape = (k, enc.sizes[var_of[parent]], enc.sizes[var_of[node]])
-        cpt_counts[node] = np.zeros(shape, dtype=np.int64)
-        budget += cpt_counts[node].size
-        if budget > schema.max_model_cells:
-            raise ModelSizeError(
-                f"CPT for node {node!r} would exceed "
-                f"max_model_cells={schema.max_model_cells}"
-            )
-    state = enc.window_state()
-    wanted = ds.schema_columns(schema, require_class=True)
-    for chunk in ds.iter_chunks(wanted, chunk_rows):
-        var_codes, class_codes, groups = enc.encode_chunk(chunk)
-        cols = _node_columns(enc, state, var_codes, groups)
-        mask = class_codes >= 0
-        cls = class_codes[mask]
-        class_counts += np.bincount(cls, minlength=k)
-        for node in var_of:
-            sa = enc.sizes[var_of[node]]
-            child = cols[node][mask]
-            fb_counts[node] += np.bincount(
-                cls * sa + child, minlength=k * sa
-            ).reshape(k, sa)
-            parent = parents.get(node)
-            if parent is not None:
-                sp = enc.sizes[var_of[parent]]
-                pcol = cols[parent][mask]
-                flat = (cls * sp + pcol) * sa + child
-                cpt_counts[node] += np.bincount(
-                    flat, minlength=k * sp * sa
-                ).reshape(k, sp, sa)
-    return class_counts, fb_counts, cpt_counts
 
 
 def _normalize_rows(child: str, parent: str | None, counts: np.ndarray, alpha: float) -> CPT:
@@ -577,27 +512,53 @@ def train(
         )
     enc = Encoder(schema, outcomes)
 
-    scores = _prime_field_scores(ds, schema, enc, chunk_rows)
+    counts = _count_pass(
+        ds, schema, enc, [("class", node_id(v, s)) for v, s in node_order(schema)], chunk_rows
+    )
+    scores = [
+        MIScore(subject=table[1], value=mutual_information(JointCounts(table, c)))
+        for table, c in counts.items()
+    ]
     selected = select_by_cumulative(scores, schema.t_prime)
     ranked = [
         RankedField(node=s.subject, var=node_var_slot(s.subject)[0],
                     slot=node_var_slot(s.subject)[1], mi=s.value)
         for s in selected
     ]
+    nodes = [rf.node for rf in ranked]
 
-    pair_scores = _pairwise_cmi(ds, schema, enc, ranked, chunk_rows)
-    edges = select_dependencies(
-        pair_scores, schema.t_field, [rf.node for rf in ranked], schema.max_parents
-    )
-    parents: dict[str, str | None] = {rf.node: None for rf in ranked}
+    pairs = {
+        f"pairwise counts for ({a}, {b})": ("class", a, b)
+        for i, a in enumerate(nodes)
+        for b in nodes[i + 1:]
+    } if schema.max_parents > 0 else {}
+    _check_budget(schema, enc, pairs)
+    counts = _count_pass(ds, schema, enc, list(pairs.values()), chunk_rows)
+    pair_scores = [
+        MIScore(subject=table[1:], value=conditional_mutual_information(JointCounts(table, c)))
+        for table, c in counts.items()
+    ]
+    edges = select_dependencies(pair_scores, schema.t_field, nodes, schema.max_parents)
+    parents: dict[str, str | None] = {node: None for node in nodes}
     for parent, child in edges:
         parents[child] = parent
 
-    class_counts, fb_counts, cpt_counts = _conditional_counts(
-        ds, schema, enc, ranked, parents, chunk_rows
+    fallback_tables = [("class", node) for node in nodes]
+    cpt_tables = {
+        f"CPT for node {node!r}": ("class", parent, node)
+        for node, parent in parents.items()
+        if parent is not None
+    }
+    _check_budget(schema, enc, cpt_tables, counted_first=fallback_tables)
+    counts = _count_pass(
+        ds, schema, enc, [("class",), *fallback_tables, *cpt_tables.values()], chunk_rows
     )
     cpts, fallbacks, prior = estimate_cpts(
-        cpt_counts, fb_counts, class_counts, parents, schema.smoothing
+        {table[2]: counts[table] for table in cpt_tables.values()},
+        {table[1]: counts[table] for table in fallback_tables},
+        counts[("class",)],
+        parents,
+        schema.smoothing,
     )
 
     return NetworkModel(

@@ -185,3 +185,64 @@ def test_classify_machine_output_stays_out_of_stderr(workdir, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("classify:")
+
+
+@pytest.mark.parametrize("corrupt", ["truncated", "no-schema"])
+def test_corrupt_model_file_is_runtime_error(workdir, tmp_path, capsys, corrupt):
+    text = (workdir / "model.json").read_text(encoding="utf-8")
+    if corrupt == "truncated":
+        text = text[: len(text) // 2]
+    else:
+        text = '{"format": "rarebayes-model-v1"}'
+    bad = tmp_path / "model.json"
+    bad.write_text(text, encoding="utf-8")
+    code = run([
+        "classify", "--model", str(bad),
+        "--data", str(workdir / "fixture" / "data.csv"),
+        "--out", str(tmp_path / "pred.csv"),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def _evaluate_ids(workdir, tmp_path, ids):
+    pred = tmp_path / "pred.csv"
+    pred.write_text("record_id,label\n" + "".join(f"{i},bad\n" for i in ids),
+                    encoding="utf-8")
+    report = tmp_path / "eval.json"
+    code = run([
+        "evaluate", "--pred", str(pred),
+        "--data", str(workdir / "fixture" / "data.csv"),
+        "--positive", "bad", "--out", str(report),
+    ])
+    return code, report
+
+
+@pytest.mark.parametrize("bad_id", ["abc", "1.5", "", "-1"])
+def test_evaluate_rejects_bad_record_id(workdir, tmp_path, capsys, bad_id):
+    code, _ = _evaluate_ids(workdir, tmp_path, ["0", bad_id])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "record_id" in err
+
+
+def test_evaluate_skips_ids_past_the_data(workdir, tmp_path, capsys):
+    pred = tmp_path / "pred.csv"
+    assert run([
+        "classify", "--model", str(workdir / "model.json"),
+        "--data", str(workdir / "fixture" / "data.csv"), "--out", str(pred),
+    ]) == 0
+    reports = []
+    for extra in ("", "3000,,,bad,\n99999,,,good,\n"):
+        with open(pred, "a", encoding="utf-8") as fh:
+            fh.write(extra)
+        reports.append(tmp_path / f"eval{len(reports)}.json")
+        assert run([
+            "evaluate", "--pred", str(pred),
+            "--data", str(workdir / "fixture" / "data.csv"),
+            "--positive", "bad", "--out", str(reports[-1]),
+        ]) == 0
+    first, second = (json.loads(r.read_text(encoding="utf-8")) for r in reports)
+    assert second["rows"] == first["rows"]
+    assert second["metadata"]["records"] == first["metadata"]["records"]
+    capsys.readouterr()

@@ -111,6 +111,69 @@ class TestTrain:
             assert p == counts[sym] / total
 
 
+THREE_CAT = parse_schema(
+    "class y\nvar a categorical\nvar b categorical\nvar c categorical\n"
+    "t_prime 1.0\nmax_parents 1\n"
+)
+
+
+def three_csv(tmp_path, n=400, seed=1):
+    rng = np.random.default_rng(seed)
+    lines = ["y,a,b,c"]
+    for _ in range(n):
+        bad = rng.random() < 0.25
+        a = "a1" if rng.random() < (0.7 if bad else 0.3) else "a0"
+        b = "b1" if rng.random() < (0.8 if a == "a1" else 0.35) else "b0"
+        c = "c1" if rng.random() < (0.6 if bad else 0.45) else "c0"
+        lines.append(f"{'bad' if bad else 'good'},{a},{b},{c}")
+    return write(tmp_path, "\n".join(lines) + "\n")
+
+
+def budget_totals(model):
+    """Cells the budget counts before pass 3 (pair tables) and pass 4
+    (fallback tables plus CPTs with a field parent; not the class vector)."""
+    k = len(model.class_symbols)
+    size = {rf.node: model.alphabet_size(rf.var) for rf in model.ranked_fields}
+    nodes = [rf.node for rf in model.ranked_fields]
+    pair_cells = sum(k * size[a] * size[b] for i, a in enumerate(nodes) for b in nodes[i + 1:])
+    cpt_cells = sum(k * size[n] for n in nodes) + sum(
+        k * size[p] * size[n] for n, p in model.parents.items() if p is not None
+    )
+    return pair_cells, cpt_cells
+
+
+class TestModelSizeBudget:
+    def test_pass3_budget_boundary(self, tmp_path):
+        path = three_csv(tmp_path)
+        model = train(THREE_CAT, CsvDataset(path))
+        pair_cells, cpt_cells = budget_totals(model)
+        assert pair_cells == 3 * 2 * 3 * 3
+        assert cpt_cells <= pair_cells     # so the pass-3 limit also admits pass 4
+        ds = CsvDataset(path)
+        train(THREE_CAT.with_overrides(max_model_cells=pair_cells), ds)
+        assert ds.stats.passes == 4
+        ds = CsvDataset(path)
+        last = tuple(rf.node for rf in model.ranked_fields[-2:])
+        with pytest.raises(ModelSizeError, match=rf"\({last[0]}, {last[1]}\).*={pair_cells - 1}"):
+            train(THREE_CAT.with_overrides(max_model_cells=pair_cells - 1), ds)
+        assert ds.stats.passes == 2
+
+    def test_pass4_budget_boundary(self, tmp_path):
+        path = small_csv(tmp_path)
+        model = train(TWO_CAT, CsvDataset(path))
+        child = [n for n, p in model.parents.items() if p is not None]
+        assert len(child) == 1
+        pair_cells, cpt_cells = budget_totals(model)
+        assert (pair_cells, cpt_cells) == (18, 2 * 3 + 2 * 3 + 18)
+        ds = CsvDataset(path)
+        train(TWO_CAT.with_overrides(max_model_cells=cpt_cells), ds)
+        assert ds.stats.passes == 4
+        ds = CsvDataset(path)
+        with pytest.raises(ModelSizeError, match=rf"node '{child[0]}'.*={cpt_cells - 1}"):
+            train(TWO_CAT.with_overrides(max_model_cells=cpt_cells - 1), ds)
+        assert ds.stats.passes == 3
+
+
 class TestModelFile:
     def test_round_trip_is_lossless(self, messy_model, tmp_path):
         path = tmp_path / "model.json"
@@ -263,3 +326,34 @@ class TestWindowedTraining:
         assert ds.stats.passes == 4
         nodes = {rf.node for rf in model.ranked_fields}
         assert nodes == {"a", node_id("a", 1)}
+
+    def test_chunk_size_does_not_change_model(self, tmp_path):
+        rng = np.random.default_rng(5)
+        lines = ["cust,y,a,b,x"]
+        last_a = {}
+        for _ in range(300):
+            g = f"g{rng.integers(6)}"
+            bad = rng.random() < (0.6 if last_a.get(g) == "a1" else 0.2)
+            a = "a1" if rng.random() < (0.7 if bad else 0.3) else rng.choice(["a0", "a2"])
+            last_a[g] = a
+            if rng.random() < 0.1:
+                a = "?"
+            b = "b1" if rng.random() < (0.8 if a == "a1" else 0.3) else "b0"
+            x = "?" if rng.random() < 0.1 else f"{rng.normal(1.0 if bad else 0.0):.4f}"
+            y = "?" if rng.random() < 0.1 else ("bad" if bad else "good")
+            lines.append(f"{g},{y},{a},{b},{x}")
+        path = write(tmp_path, "\n".join(lines) + "\n")
+        schema = parse_schema(
+            "class y\ngroup cust\nvar a categorical\nvar b categorical\n"
+            "var x continuous\nwindow 3\nt_prime 1.0\nmax_parents 2\n"
+        )
+        texts = []
+        for chunk_rows in (1, 2, 7, 65536):
+            ds = CsvDataset(path)
+            texts.append(train(schema, ds, seed=1, chunk_rows=chunk_rows).to_json_text())
+            assert ds.stats.passes == 4
+        assert texts[1:] == texts[:1] * 3
+        model = json.loads(texts[0])
+        assert any("@" in node for node in model["parents"])
+        assert any(parent and "@" in parent + child
+                   for child, parent in model["parents"].items())
