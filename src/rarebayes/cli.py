@@ -105,9 +105,8 @@ def _read_predictions(path: str) -> tuple[list[int], list[str]]:
 
 
 def _read_actuals(path: str, class_var: str) -> list[str]:
-    ds = CsvDataset(path)
-    ds.require_columns([class_var])
-    return [row[class_var] for row in ds.iter_rows()]
+    chunks = CsvDataset(path).iter_chunks([class_var])
+    return [label for chunk in chunks for label in chunk.columns[class_var]]
 
 
 def _cmd_evaluate(args) -> int:

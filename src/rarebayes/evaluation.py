@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Sequence
 
+import numpy as np
+
 from .errors import EvaluationError
 
 
@@ -171,21 +173,18 @@ def sweep(
         raise EvaluationError("grid thresholds must lie strictly inside (0, 1)")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise EvaluationError("grid thresholds must be strictly increasing")
-    is_pos = [a == positive for a in actuals]
+    # A NaN score is never >= t, so it ranks below every threshold.
+    scores = np.asarray(posteriors, dtype=np.float64)
+    scores = np.where(np.isnan(scores), -np.inf, scores)
+    order = np.argsort(scores)
+    # pos_below[i]: actual positives among the i lowest scores
+    pos_below = np.cumsum([0] + [actuals[i] == positive for i in order.tolist()])
     rows = []
-    for t in grid:
-        tp = fp = tn = fn = 0
-        for score, pos in zip(posteriors, is_pos):
-            if score >= t:
-                if pos:
-                    tp += 1
-                else:
-                    fp += 1
-            elif pos:
-                fn += 1
-            else:
-                tn += 1
-        rows.append(fcv(ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn), t))
+    for t, below in zip(grid, np.searchsorted(scores[order], grid).tolist()):
+        fn = int(pos_below[below])
+        tp = int(pos_below[-1]) - fn
+        counts = ConfusionCounts(tp=tp, fp=len(scores) - below - tp, tn=below - fn, fn=fn)
+        rows.append(fcv(counts, t))
     return rows
 
 

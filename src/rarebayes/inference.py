@@ -1,14 +1,20 @@
 """Class posteriors by direct factor multiplication, with degeneracy pruning.
 
-Evidence is incorporated in descending rank order.  A node is skipped
-when its value is MISSING, when its parent configuration row carries no
-training data (``unseen-config``), or when multiplying its likelihood
-would drive some class probability to exactly 1 (``pruned``) -- the
-pruned case behaves exactly as if the observation were missing.  The
-posterior is renormalized after every accepted node.
+One kernel, :func:`score_codes`, applies the update rule to a block of
+rows at once; :func:`posterior` is a batch of one and batch scoring runs
+it per chunk.  Evidence is incorporated in descending rank order.  A node
+is skipped when its value is MISSING, when its parent configuration row
+carries no training data (``unseen-config``), or when the renormalized
+candidate posterior would leave some class probability outside the open
+interval (0, 1) (``pruned``) -- that covers exact zeros and a class that
+floating point rounds to exactly 1.  A pruned node behaves exactly as if
+the observation were missing, so every posterior stays strictly inside
+(0, 1).  The posterior is renormalized after every accepted node.
 
-Batch scoring over a CSV uses the same arithmetic vectorized per chunk
-and matches :func:`posterior` bit for bit.  One batch-only leniency: a
+The kernel also returns an ``int8`` skip matrix, one column per ranked
+node, holding the index of the node's reason in :data:`SKIP_REASONS`
+(0 = incorporated).  Batch scoring reads, encodes and lags only the
+variables the model's nodes name.  One batch-only leniency: a
 categorical value never seen in training maps to MISSING instead of
 raising, since streams routinely grow new outcomes after training.
 """
@@ -25,11 +31,13 @@ import numpy as np
 from .dataio import MISSING, CsvDataset, as_dataset
 from .errors import ConfigError, EvidenceError
 from .structure import Encoder, NetworkModel
-from .windows import CaseRecord, node_var_slot, window_expand  # noqa: F401  (re-export)
+from .windows import CaseRecord, node_var_slot
 
 SKIP_MISSING = "missing"
 SKIP_PRUNED = "pruned"
 SKIP_UNSEEN = "unseen-config"
+# Skip-matrix code -> reason; code 0 marks an incorporated node.
+SKIP_REASONS = ("", SKIP_MISSING, SKIP_UNSEEN, SKIP_PRUNED)
 
 
 @dataclass
@@ -79,48 +87,82 @@ def symbolize(model: NetworkModel, record: dict[str, str]) -> dict[str, str]:
     return out
 
 
-def posterior(model: NetworkModel, case: CaseRecord) -> ClassPosterior:
-    """Single-case posterior; the reference implementation of the update rule."""
-    p = model.prior.copy()
-    skipped: list[tuple[str, str]] = []
-    order: list[str] = []
-    for rf in model.ranked_fields:
-        code = _symbol_code(model, rf.var, case.get(rf.node))
-        if code == model.missing_code(rf.var):
-            skipped.append((rf.node, SKIP_MISSING))
-            continue
+def score_codes(
+    model: NetworkModel, codes: dict[str, np.ndarray], n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The update rule for ``n`` rows given a code column per ranked node.
+
+    Returns the ``(n, classes)`` posteriors and the ``(n, ranked nodes)``
+    ``int8`` skip matrix whose entries index :data:`SKIP_REASONS`.
+    """
+    p = np.tile(model.prior, (n, 1))
+    skip = np.zeros((n, len(model.ranked_fields)), dtype=np.int8)
+    for j, rf in enumerate(model.ranked_fields):
+        child = codes[rf.node]
         parent = model.parents[rf.node]
         cpt = model.cpts[rf.node]
         if parent is None:
-            likelihood = cpt.probs[:, code]
-            row_unseen = bool(cpt.unseen.any())
+            likelihood = cpt.probs[:, child].T
+            unseen = np.full(n, bool(cpt.unseen.any()))
         else:
-            pvar = node_var_slot(parent)[0]
-            pcode = _symbol_code(model, pvar, case.get(parent))
-            if pcode == model.missing_code(pvar):
-                fb = model.fallbacks[rf.node]
-                likelihood = fb.probs[:, code]
-                row_unseen = bool(fb.unseen.any())
-            else:
-                likelihood = cpt.probs[:, pcode, code]
-                row_unseen = bool(cpt.unseen[:, pcode].any())
-        if row_unseen:
-            skipped.append((rf.node, SKIP_UNSEEN))
-            continue
-        nxt = p * likelihood
-        if int(np.count_nonzero(nxt > 0.0)) <= 1:
-            skipped.append((rf.node, SKIP_PRUNED))
-            continue
-        p = nxt / nxt.sum()
-        order.append(rf.node)
+            pcode = codes[parent]
+            pmiss = pcode == model.missing_code(node_var_slot(parent)[0])
+            fb = model.fallbacks[rf.node]
+            likelihood = np.where(
+                pmiss[:, None], fb.probs[:, child].T, cpt.probs[:, pcode, child].T
+            )
+            unseen = np.where(pmiss, bool(fb.unseen.any()), cpt.unseen[:, pcode].any(axis=0))
+        skip[unseen, j] = SKIP_REASONS.index(SKIP_UNSEEN)
+        skip[child == model.missing_code(rf.var), j] = SKIP_REASONS.index(SKIP_MISSING)
+        active = np.flatnonzero(skip[:, j] == 0)
+        cand = p[active] * likelihood[active]
+        with np.errstate(invalid="ignore"):
+            cand /= cand.sum(axis=1, keepdims=True)
+        inside = ((cand > 0.0) & (cand < 1.0)).all(axis=1)
+        skip[active[~inside], j] = SKIP_REASONS.index(SKIP_PRUNED)
+        p[active[inside]] = cand[inside]
+    return p, skip
+
+
+def posterior(model: NetworkModel, case: CaseRecord) -> ClassPosterior:
+    """Single-case posterior: :func:`score_codes` on a batch of one.
+
+    Raises :class:`EvidenceError` for the first ranked node, in rank order,
+    whose symbol is not in its variable's alphabet.
+    """
+    codes = {
+        rf.node: np.array([_symbol_code(model, rf.var, case.get(rf.node))])
+        for rf in model.ranked_fields
+    }
+    probs, skip = score_codes(model, codes, 1)
+    nodes = [rf.node for rf in model.ranked_fields]
     return ClassPosterior(
-        classes=model.class_symbols, probabilities=p, skipped=skipped, order=order
+        classes=model.class_symbols,
+        probabilities=probs[0],
+        skipped=[(node, SKIP_REASONS[c]) for node, c in zip(nodes, skip[0]) if c],
+        order=[node for node, c in zip(nodes, skip[0]) if not c],
     )
 
 
-def _negative_label(model: NetworkModel, positive: str, probs: np.ndarray) -> str:
-    rest = [(c, p) for c, p in zip(model.class_symbols, probs) if c != positive]
-    return max(rest, key=lambda cp: cp[1])[0]
+def _positive_index(model: NetworkModel, positive: str | None) -> tuple[str, int]:
+    """The positive class (default: the rare class) and its column."""
+    positive = positive or model.rare_class()
+    if positive not in model.class_symbols:
+        raise ConfigError(f"unknown positive class {positive!r}")
+    return positive, model.class_symbols.index(positive)
+
+
+def _check_threshold(threshold: float) -> None:
+    if not 0.0 <= threshold <= 1.0:
+        raise ConfigError(f"threshold must lie in [0, 1], got {threshold}")
+
+
+def _label_columns(probs: np.ndarray, pos_idx: int, threshold: float) -> np.ndarray:
+    """Class column per row: the positive class when its probability reaches
+    ``threshold``, else the likeliest other class (the first one on ties)."""
+    rest = probs.copy()
+    rest[:, pos_idx] = -np.inf
+    return np.where(probs[:, pos_idx] >= threshold, pos_idx, rest.argmax(axis=1))
 
 
 def classify(
@@ -130,18 +172,14 @@ def classify(
     positive: str | None = None,
 ) -> tuple[str, ClassPosterior]:
     """Label a case: positive iff P(positive | case) >= threshold."""
-    if not 0.0 <= threshold <= 1.0:
-        raise ConfigError(f"threshold must lie in [0, 1], got {threshold}")
-    positive = positive or model.rare_class()
-    if positive not in model.class_symbols:
-        raise ConfigError(f"unknown positive class {positive!r}")
+    _check_threshold(threshold)
+    _, pos_idx = _positive_index(model, positive)
     post = posterior(model, case)
-    if post.prob(positive) >= threshold:
-        return positive, post
-    return _negative_label(model, positive, post.probabilities), post
+    label = _label_columns(post.probabilities[None], pos_idx, threshold)[0]
+    return model.class_symbols[label], post
 
 
-# -- vectorized batch scoring ----------------------------------------------
+# -- batch scoring -----------------------------------------------------------
 
 
 @dataclass
@@ -150,7 +188,7 @@ class ScoredChunk:
 
     offset: int
     probabilities: np.ndarray           # (rows, classes)
-    skipped: list[list[str]]            # per row, "node:reason" entries
+    skipped: np.ndarray                 # (rows, ranked nodes) int8 skip matrix
     actuals: list[str] | None           # raw class column when present
 
 
@@ -162,65 +200,21 @@ def iter_scored(
 ) -> Iterator[ScoredChunk]:
     """Score every well-formed record of a CSV in file order.
 
-    The class column is optional here; when present its raw values ride
-    along so evaluation can line up with record ids.
+    The header must hold every schema column, but only the model's nodes
+    are read.  The class column is optional here; when present its raw
+    values ride along so evaluation can line up with record ids.
     """
     ds = as_dataset(data)
     schema = model.schema
+    ds.require_columns(ds.schema_columns(schema, require_class=False))
     enc = Encoder(schema, model.outcomes)
-    state = enc.window_state()
-    wanted = ds.schema_columns(schema, require_class=False)
-    k = len(model.class_symbols)
+    nodes = [rf.node for rf in model.ranked_fields]
     offset = 0
-    for chunk in ds.iter_chunks(wanted, chunk_rows):
-        var_codes, class_codes, groups = enc.encode_chunk(chunk)
-        cols = dict(var_codes)
-        cols.update(state.lag_columns(var_codes, groups))
-        n = chunk.size
-        p = np.tile(model.prior, (n, 1))
-        skipped: list[list[str]] = [[] for _ in range(n)]
-        for rf in model.ranked_fields:
-            child = cols[rf.node]
-            miss = child == model.missing_code(rf.var)
-            parent = model.parents[rf.node]
-            cpt = model.cpts[rf.node]
-            if parent is None:
-                likelihood = cpt.probs[:, child].T
-                unseen = np.full(n, bool(cpt.unseen.any()))
-            else:
-                pvar = node_var_slot(parent)[0]
-                pcode = cols[parent]
-                pmiss = pcode == model.missing_code(pvar)
-                likelihood = np.empty((n, k), dtype=np.float64)
-                unseen = np.zeros(n, dtype=bool)
-                if np.any(~pmiss):
-                    sel = ~pmiss
-                    likelihood[sel] = cpt.probs[:, pcode[sel], child[sel]].T
-                    unseen[sel] = cpt.unseen[:, pcode[sel]].any(axis=0)
-                if np.any(pmiss):
-                    fb = model.fallbacks[rf.node]
-                    likelihood[pmiss] = fb.probs[:, child[pmiss]].T
-                    unseen[pmiss] = bool(fb.unseen.any())
-            for i in np.nonzero(miss)[0]:
-                skipped[i].append(f"{rf.node}:{SKIP_MISSING}")
-            unseen &= ~miss
-            for i in np.nonzero(unseen)[0]:
-                skipped[i].append(f"{rf.node}:{SKIP_UNSEEN}")
-            active = np.nonzero(~miss & ~unseen)[0]
-            if active.size == 0:
-                continue
-            cand = p[active] * likelihood[active]
-            keep = (cand > 0.0).sum(axis=1) > 1
-            for i in active[~keep]:
-                skipped[i].append(f"{rf.node}:{SKIP_PRUNED}")
-            accepted = active[keep]
-            cand = cand[keep]
-            p[accepted] = cand / cand.sum(axis=1, keepdims=True)
-        actuals = chunk.columns.get(schema.class_var)
-        yield ScoredChunk(
-            offset=offset, probabilities=p, skipped=skipped, actuals=actuals
-        )
-        offset += n
+    for chunk, codes, _ in enc.node_chunks(ds, nodes, chunk_rows):
+        probs, skip = score_codes(model, codes, chunk.size)
+        yield ScoredChunk(offset=offset, probabilities=probs, skipped=skip,
+                          actuals=chunk.columns.get(schema.class_var))
+        offset += chunk.size
 
 
 def classify_file(
@@ -238,12 +232,9 @@ def classify_file(
     precision), label, skipped_nodes (semicolon-joined ``name:reason``).
     Returns a summary dict with row and label counts.
     """
-    if not 0.0 <= threshold <= 1.0:
-        raise ConfigError(f"threshold must lie in [0, 1], got {threshold}")
-    positive = positive or model.rare_class()
-    if positive not in model.class_symbols:
-        raise ConfigError(f"unknown positive class {positive!r}")
-    pos_idx = model.class_symbols.index(positive)
+    _check_threshold(threshold)
+    positive, pos_idx = _positive_index(model, positive)
+    nodes = [rf.node for rf in model.ranked_fields]
     rows = 0
     flagged = 0
     with open(out_path, "w", newline="", encoding="utf-8") as fh:
@@ -254,20 +245,21 @@ def classify_file(
             + ["label", "skipped_nodes"]
         )
         for scored in iter_scored(model, data, chunk_rows=chunk_rows):
-            probs = scored.probabilities
-            is_pos = probs[:, pos_idx] >= threshold
-            for i in range(probs.shape[0]):
-                if is_pos[i]:
-                    label = positive
-                else:
-                    label = _negative_label(model, positive, probs[i])
+            labels = _label_columns(scored.probabilities, pos_idx, threshold)
+            patterns, pattern_of = np.unique(scored.skipped, axis=0, return_inverse=True)
+            rendered = [
+                ";".join(f"{node}:{SKIP_REASONS[c]}" for node, c in zip(nodes, row) if c)
+                for row in patterns
+            ]
+            for i, (probs, label, pattern) in enumerate(
+                zip(scored.probabilities.tolist(), labels.tolist(), pattern_of.tolist())
+            ):
                 writer.writerow(
-                    [scored.offset + i]
-                    + [repr(float(v)) for v in probs[i]]
-                    + [label, ";".join(scored.skipped[i])]
+                    [scored.offset + i, *map(repr, probs),
+                     model.class_symbols[label], rendered[pattern]]
                 )
-            rows += probs.shape[0]
-            flagged += int(is_pos.sum())
+            rows += len(labels)
+            flagged += int((labels == pos_idx).sum())
     return {"rows": rows, "positive": positive, "flagged": flagged,
             "threshold": threshold}
 
@@ -284,12 +276,9 @@ def collect_scores(
     Requires the class column; records whose actual label is missing are
     dropped from both outputs.
     """
-    positive = positive or model.rare_class()
-    if positive not in model.class_symbols:
-        raise ConfigError(f"unknown positive class {positive!r}")
+    _, pos_idx = _positive_index(model, positive)
     ds = as_dataset(data)
     ds.require_columns([model.schema.class_var])
-    pos_idx = model.class_symbols.index(positive)
     scores: list[np.ndarray] = []
     actuals: list[str] = []
     for scored in iter_scored(model, ds, chunk_rows=chunk_rows):

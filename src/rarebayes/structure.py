@@ -13,7 +13,9 @@ candidate node in pass 2; ``("class", a, b)`` per rank-ordered pair of
 selected nodes in pass 3 (none when ``max_parents`` is 0); and in pass 4
 ``("class",)`` for the prior, ``("class", node)`` per selected node for
 the fallbacks and ``("class", parent, node)`` per edge for the CPTs.
-The engine encodes and windows only the variables those tables name.
+The engine reads through :meth:`Encoder.node_chunks`, the feed batch
+scoring shares: it encodes only the variables the tables name and lags
+only those named at a slot >= 1.
 Before pass 3 and pass 4 read any data, :func:`_check_budget` holds the
 pair tables, then the fallback and CPT tables, to ``max_model_cells``.
 
@@ -28,7 +30,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -319,15 +321,33 @@ class Encoder:
         )
         return var_codes, class_codes, groups
 
-    def window_state(self, names: Sequence[str] | None = None) -> WindowState:
-        """Lag tracker for the field variables ``names`` (default: all)."""
-        if names is None:
-            names = [v.name for v in self.schema.field_vars]
-        return WindowState(
-            schema=self.schema,
-            var_names=list(names),
-            missing_codes=dict(self.missing),
-        )
+    def node_chunks(
+        self, ds: CsvDataset, nodes: Iterable[str], chunk_rows: int
+    ) -> Iterator[tuple[Chunk, dict[str, np.ndarray], np.ndarray | None]]:
+        """One pass over ``ds``, yielding ``(chunk, codes, class_codes)`` per chunk.
+
+        ``codes`` holds a code column for every node in ``nodes``.  Only the
+        nodes' base variables are read and encoded, and only the variables
+        named at a slot >= 1 are lagged, so a model without lagged nodes
+        builds no lag columns.  The chunk carries the raw class column
+        whenever the file has one.
+        """
+        slots = [node_var_slot(node) for node in nodes]
+        base = {var for var, _ in slots}
+        lagged_base = {var for var, slot in slots if slot > 0}
+        names = [v.name for v in self.schema.field_vars if v.name in base]
+        lagged = [name for name in names if name in lagged_base]
+        state = WindowState(self.schema, lagged, dict(self.missing))
+        wanted = list(names)
+        if lagged and self.schema.group_key:
+            wanted.append(self.schema.group_key)
+        if self.schema.class_var in ds.header():
+            wanted.append(self.schema.class_var)
+        for chunk in ds.iter_chunks(wanted, chunk_rows):
+            codes, class_codes, groups = self.encode_chunk(chunk, names)
+            if lagged:
+                codes.update(state.lag_columns(codes, groups))
+            yield chunk, codes, class_codes
 
 
 # -- training passes -------------------------------------------------------
@@ -342,7 +362,6 @@ def _table_shape(enc: Encoder, table: tuple[str, ...]) -> tuple[int, ...]:
 
 def _count_pass(
     ds: CsvDataset,
-    schema: Schema,
     enc: Encoder,
     tables: list[tuple[str, ...]],
     chunk_rows: int,
@@ -351,28 +370,18 @@ def _count_pass(
 
     Each table is ``("class", node, ...)`` and comes back keyed by that
     tuple, shaped by its axes' alphabet sizes.  Rows with an unknown class
-    are read but not counted.  Only the base variables the tables name are
-    encoded and windowed.  A pass with no tables still reads every chunk,
-    so each call is exactly one pass.
+    are read but not counted.  Only the columns the tables name are read
+    (:meth:`Encoder.node_chunks`).  A pass with no tables still reads every
+    chunk, so each call is exactly one pass.
     """
     counts = {table: np.zeros(_table_shape(enc, table), dtype=np.int64) for table in tables}
-    base = {node_var_slot(node)[0] for table in tables for node in table[1:]}
-    names = [v.name for v in schema.field_vars if v.name in base]
-    state = enc.window_state(names)
-    wanted = names + [schema.class_var]
-    if schema.group_key:
-        wanted.append(schema.group_key)
-    for chunk in ds.iter_chunks(wanted, chunk_rows):
-        if not tables:
-            continue
-        var_codes, class_codes, groups = enc.encode_chunk(chunk, names)
-        if names:
-            var_codes.update(state.lag_columns(var_codes, groups))
+    nodes = {node for table in tables for node in table[1:]}
+    for _, codes, class_codes in enc.node_chunks(ds, nodes, chunk_rows):
         labelled = class_codes >= 0
         for table, table_counts in counts.items():
             flat = class_codes
             for node, size in zip(table[1:], table_counts.shape[1:]):
-                flat = flat * size + var_codes[node]
+                flat = flat * size + codes[node]
             table_counts += np.bincount(
                 flat[labelled], minlength=table_counts.size
             ).reshape(table_counts.shape)
@@ -513,7 +522,7 @@ def train(
     enc = Encoder(schema, outcomes)
 
     counts = _count_pass(
-        ds, schema, enc, [("class", node_id(v, s)) for v, s in node_order(schema)], chunk_rows
+        ds, enc, [("class", node_id(v, s)) for v, s in node_order(schema)], chunk_rows
     )
     scores = [
         MIScore(subject=table[1], value=mutual_information(JointCounts(table, c)))
@@ -533,7 +542,7 @@ def train(
         for b in nodes[i + 1:]
     } if schema.max_parents > 0 else {}
     _check_budget(schema, enc, pairs)
-    counts = _count_pass(ds, schema, enc, list(pairs.values()), chunk_rows)
+    counts = _count_pass(ds, enc, list(pairs.values()), chunk_rows)
     pair_scores = [
         MIScore(subject=table[1:], value=conditional_mutual_information(JointCounts(table, c)))
         for table, c in counts.items()
@@ -551,7 +560,7 @@ def train(
     }
     _check_budget(schema, enc, cpt_tables, counted_first=fallback_tables)
     counts = _count_pass(
-        ds, schema, enc, [("class",), *fallback_tables, *cpt_tables.values()], chunk_rows
+        ds, enc, [("class",), *fallback_tables, *cpt_tables.values()], chunk_rows
     )
     cpts, fallbacks, prior = estimate_cpts(
         {table[2]: counts[table] for table in cpt_tables.values()},

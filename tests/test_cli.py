@@ -205,6 +205,29 @@ def test_corrupt_model_file_is_runtime_error(workdir, tmp_path, capsys, corrupt)
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_classify_requires_unselected_field_columns(workdir, tmp_path, capsys):
+    # scoring reads only the model's nodes, but the header check covers
+    # every schema column
+    doc = json.loads((workdir / "model.json").read_text(encoding="utf-8"))
+    assert doc["ranked_fields"][-1]["node"] == "addon"
+    doc["ranked_fields"].pop()
+    for key in ("parents", "cpts", "fallbacks"):
+        del doc[key]["addon"]
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    with open(workdir / "fixture" / "data.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    drop = rows[0].index("addon")
+    data = tmp_path / "data.csv"
+    with open(data, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(row[:drop] + row[drop + 1:] for row in rows)
+    code = run(["classify", "--model", str(model), "--data", str(data),
+                "--out", str(tmp_path / "pred.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "addon" in err and "Traceback" not in err
+
+
 def _evaluate_ids(workdir, tmp_path, ids):
     pred = tmp_path / "pred.csv"
     pred.write_text("record_id,label\n" + "".join(f"{i},bad\n" for i in ids),

@@ -139,6 +139,44 @@ class TestSweep:
             assert a.fp >= b.fp and a.tp >= b.tp
             assert a.tp + a.fp + a.tn + a.fn == len(pairs)
 
+    @staticmethod
+    def naive_sweep(scores, actuals, positive, grid):
+        """Reference: count every record against every threshold."""
+        rows = []
+        for t in grid:
+            tp = fp = tn = fn = 0
+            for score, actual in zip(scores, actuals):
+                if score >= t:
+                    if actual == positive:
+                        tp += 1
+                    else:
+                        fp += 1
+                elif actual == positive:
+                    fn += 1
+                else:
+                    tn += 1
+            rows.append(fcv(ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn), t))
+        return rows
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.2, 0.5, 0.8, float("nan")])),
+                st.sampled_from(["b", "g", "x"]),
+            ),
+            min_size=2,
+            max_size=150,
+        ).filter(lambda pairs: {"b"} < {c for _, c in pairs}),
+        st.lists(st.floats(0.01, 0.99), min_size=1, max_size=6, unique=True),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_matches_naive_loop(self, pairs, grid):
+        scores = [s for s, _ in pairs]
+        actuals = [c for _, c in pairs]
+        grid = sorted(grid + [0.2, 0.5, 0.8])
+        grid = [t for i, t in enumerate(grid) if i == 0 or t > grid[i - 1]]
+        assert sweep(scores, actuals, "b", grid) == self.naive_sweep(scores, actuals, "b", grid)
+
 
 def test_csv_lines_layout():
     rows = sweep([0.6, 0.2], ["b", "g"], positive="b", grid=[0.5])

@@ -2,6 +2,8 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rarebayes import (
     EvidenceError,
@@ -16,10 +18,10 @@ from rarebayes import (
     window_expand,
 )
 from rarebayes.dataio import CsvDataset, PassStats
-from rarebayes.inference import iter_scored
+from rarebayes.inference import SKIP_REASONS, iter_scored, score_codes
 from rarebayes.outcomes import OutcomeTable, VariableOutcomes
 from rarebayes.structure import CPT, NetworkModel, RankedField
-from rarebayes.windows import CaseRecord
+from rarebayes.windows import CaseRecord, node_var_slot
 
 
 def toy_model(tables, prior=(0.1, 0.9), classes=("bad", "good"), parents=None,
@@ -65,6 +67,73 @@ def toy_model(tables, prior=(0.1, 0.9), classes=("bad", "good"), parents=None,
     )
 
 
+def oracle_posterior(model, case):
+    """Reference update rule: one case, one node at a time, plain floats.
+
+    Written independently of the scoring kernel; returns the probabilities,
+    the ``(node, reason)`` skip log and the incorporated nodes, in rank order.
+    """
+    p = model.prior.copy()
+    skipped = []
+    order = []
+    for rf in model.ranked_fields:
+        code = model.symbol_index[rf.var][case.get(rf.node)]
+        if code == model.missing_code(rf.var):
+            skipped.append((rf.node, "missing"))
+            continue
+        parent = model.parents[rf.node]
+        cpt = model.cpts[rf.node]
+        if parent is None:
+            likelihood, row_unseen = cpt.probs[:, code], bool(cpt.unseen.any())
+        else:
+            pvar = node_var_slot(parent)[0]
+            pcode = model.symbol_index[pvar][case.get(parent)]
+            if pcode == model.missing_code(pvar):
+                fb = model.fallbacks[rf.node]
+                likelihood, row_unseen = fb.probs[:, code], bool(fb.unseen.any())
+            else:
+                likelihood = cpt.probs[:, pcode, code]
+                row_unseen = bool(cpt.unseen[:, pcode].any())
+        if row_unseen:
+            skipped.append((rf.node, "unseen-config"))
+            continue
+        nxt = p * likelihood
+        total = nxt.sum()
+        # prune unless every class stays strictly inside (0, 1) after renormalizing
+        if total == 0.0 or not all(0.0 < float(x) / float(total) < 1.0 for x in nxt):
+            skipped.append((rf.node, "pruned"))
+            continue
+        p = nxt / total
+        order.append(rf.node)
+    return p, skipped, order
+
+
+def skip_log(model, skip_row):
+    """The (node, reason) log of one row of the kernel's skip matrix."""
+    return [(rf.node, SKIP_REASONS[c]) for rf, c in zip(model.ranked_fields, skip_row) if c]
+
+
+def assert_batch_matches_oracle(model, path):
+    """Every record of ``path`` scores bit for bit as the oracle scores its
+    window case, with the same skip log."""
+    schema = model.schema
+    scored = list(iter_scored(model, path))
+    batch = np.vstack([s.probabilities for s in scored])
+    skips = np.vstack([s.skipped for s in scored])
+    with open(path, newline="", encoding="utf-8") as fh:
+        records = [
+            {**symbolize(model, row), schema.class_var: row[schema.class_var],
+             **({schema.group_key: row[schema.group_key]} if schema.group_key else {})}
+            for row in csv.DictReader(fh)
+        ]
+    cases = list(window_expand(records, schema))
+    assert len(cases) == batch.shape[0]
+    for i, case in enumerate(cases):
+        probs, skipped, _ = oracle_posterior(model, case)
+        assert np.array_equal(batch[i], probs), f"row {i}"
+        assert skip_log(model, skips[i]) == skipped, f"row {i}"
+
+
 # P(x=1|good)=0.2, P(x=1|bad)=0.8 over symbols ("0","1",MISSING)
 X_TABLE = [[0.2, 0.8, 0.0], [0.8, 0.2, 0.0]]
 # P(y*=1|good)=0.0, P(y*=1|bad)=0.5: observing y*=1 forces P(bad)=1
@@ -108,6 +177,10 @@ class TestPosterior:
         model = toy_model({"x": X_TABLE})
         with pytest.raises(EvidenceError, match="'x'"):
             posterior(model, CaseRecord(values={"x": "purple"}))
+        # the first unknown symbol in rank order is the one reported
+        model = toy_model({"w": X_TABLE, "x": X_TABLE})
+        with pytest.raises(EvidenceError, match="'w'"):
+            posterior(model, CaseRecord(values={"x": "purple", "w": "red"}))
 
     def test_unseen_config_skipped(self):
         model = toy_model({"x": X_TABLE}, unseen={"x": [False, True]})
@@ -232,24 +305,10 @@ class TestWindowExpand:
 
 
 class TestBatchEquivalence:
-    """The vectorized scorer must match the single-case path bit for bit."""
+    """The scoring kernel must match the test oracle bit for bit."""
 
     def test_batch_matches_single_case(self, messy_bundle, messy_model):
-        model = messy_model
-        schema = messy_bundle.schema
-        batch = np.vstack(
-            [s.probabilities for s in iter_scored(model, messy_bundle.data_path)]
-        )
-        with open(messy_bundle.data_path, newline="", encoding="utf-8") as fh:
-            records = [
-                {**symbolize(model, row), schema.class_var: row[schema.class_var],
-                 **({schema.group_key: row[schema.group_key]} if schema.group_key else {})}
-                for row in csv.DictReader(fh)
-            ]
-        cases = list(window_expand(records, schema))
-        for i in range(0, len(cases), 37):
-            single = posterior(model, cases[i])
-            assert np.array_equal(batch[i], single.probabilities), f"row {i}"
+        assert_batch_matches_oracle(messy_model, messy_bundle.data_path)
 
     def test_batch_matches_single_case_windowed(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -271,17 +330,114 @@ class TestBatchEquivalence:
             "window 2\nt_prime 1.0\n"
         )
         model = train(schema, CsvDataset(path))
-        batch = np.vstack([s.probabilities for s in iter_scored(model, path)])
-        with open(path, newline="", encoding="utf-8") as fh:
-            records = [
-                {**symbolize(model, row), "y": row["y"], "cust": row["cust"]}
-                for row in csv.DictReader(fh)
-            ]
-        cases = list(window_expand(records, schema))
-        assert len(cases) == batch.shape[0]
-        for i in range(len(cases)):
-            single = posterior(model, cases[i])
-            assert np.array_equal(batch[i], single.probabilities), f"row {i}"
+        assert_batch_matches_oracle(model, path)
+
+    def test_lagged_node_without_its_slot_zero(self, tmp_path):
+        # y depends on the group's previous a, and on the current b only
+        rng = np.random.default_rng(21)
+        lines = ["cust,y,a,b"]
+        prev = {}
+        for _ in range(1500):
+            g = int(rng.integers(0, 200))
+            bad = rng.random() < (0.7 if prev.get(g) == "a1" else 0.1)
+            a = "a1" if rng.random() < 0.5 else "a0"
+            b = "b1" if rng.random() < (0.8 if bad else 0.3) else "b0"
+            prev[g] = a
+            lines.append(f"g{g:03d},{'bad' if bad else 'good'},"
+                         f"{'?' if rng.random() < 0.1 else a},{b}")
+        path = tmp_path / "lag.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        schema = parse_schema(
+            "class y\ngroup cust\nvar a categorical\nvar b categorical\n"
+            "window 3\nt_prime 0.9\n"
+        )
+        model = train(schema, CsvDataset(path))
+        nodes = [rf.node for rf in model.ranked_fields]
+        assert "a@1" in nodes and "a" not in nodes
+        outputs = []
+        for chunk_rows in (1, 7, 65536):
+            out = tmp_path / f"pred{chunk_rows}.csv"
+            classify_file(model, path, out, 0.5, chunk_rows=chunk_rows)
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert_batch_matches_oracle(model, path)
+
+
+@st.composite
+def random_models(draw):
+    """A toy model with random CPTs (exact zeros and extreme ratios
+    included), random field parents down the ranking, and cases over it."""
+    k = draw(st.integers(2, 3))
+    classes = tuple(f"c{i}" for i in range(k))
+    prior = np.asarray(draw(st.lists(st.integers(1, 10**6), min_size=k, max_size=k)),
+                       dtype=np.float64)
+    weights = st.sampled_from([0, 0, 1, 3, 1000, 10**9])
+
+    def rows(shape):
+        counts = np.asarray(
+            draw(st.lists(weights, min_size=int(np.prod(shape)), max_size=int(np.prod(shape)))),
+            dtype=np.float64,
+        ).reshape(shape)
+        totals = counts.sum(axis=-1)
+        with np.errstate(invalid="ignore"):
+            probs = np.where(totals[..., None] > 0, counts / totals[..., None], 0.0)
+        return probs, totals == 0
+
+    tables, fallbacks, unseen, parents, sizes = {}, {}, {}, {}, {}
+    for j in range(draw(st.integers(1, 4))):
+        var = f"x{j}"
+        sizes[var] = draw(st.integers(2, 4))
+        parent = draw(st.sampled_from([None] + list(tables)))
+        if parent is None:
+            tables[var], unseen[var] = rows((k, sizes[var]))
+        else:
+            parents[var] = parent
+            tables[var], unseen[var] = rows((k, sizes[parent], sizes[var]))
+            fallbacks[var] = rows((k, sizes[var]))[0]
+    model = toy_model(tables, prior=prior / prior.sum(), classes=classes, parents=parents,
+                      fallback_tables=fallbacks, unseen=unseen)
+    symbols = {var: model.outcomes.variables[var].symbols for var in tables}
+    cases = draw(st.lists(
+        st.fixed_dictionaries({var: st.sampled_from(sym) for var, sym in symbols.items()}),
+        min_size=1, max_size=12,
+    ))
+    return model, [CaseRecord(values=case) for case in cases]
+
+
+class TestPruningIsFloatSafe:
+    def test_saturated_factor_pruned(self, tmp_path):
+        # 20,000 good rows see each x*=b once; 20,000 bad rows are all b.
+        # The fourth b factor rounds P(bad) to exactly 1.0, so it is pruned.
+        table = [[0.0, 1.0, 0.0], [19_999 / 20_000, 1 / 20_000, 0.0]]
+        model = toy_model({f"x{i}": table for i in range(1, 5)}, prior=(0.5, 0.5))
+        case = CaseRecord(values={f"x{i}": "1" for i in range(1, 5)})
+        post = posterior(model, case)
+        assert post.skipped == [("x4", "pruned")]
+        assert post.order == ["x1", "x2", "x3"]
+        assert 0.0 < post.prob("good") < post.prob("bad") < 1.0
+        path = tmp_path / "b.csv"
+        path.write_text("y,x1,x2,x3,x4\n?,1,1,1,1\n", encoding="utf-8")
+        scored = next(iter_scored(model, path))
+        assert np.array_equal(scored.probabilities[0], post.probabilities)
+        assert skip_log(model, scored.skipped[0]) == [("x4", "pruned")]
+
+    @given(random_models())
+    @settings(max_examples=150, deadline=None)
+    def test_kernel_matches_oracle_and_stays_inside(self, drawn):
+        model, cases = drawn
+        codes = {
+            rf.node: np.array([model.symbol_index[rf.var][c.get(rf.node)] for c in cases])
+            for rf in model.ranked_fields
+        }
+        probs, skip = score_codes(model, codes, len(cases))
+        for i, case in enumerate(cases):
+            expect, skipped, order = oracle_posterior(model, case)
+            assert np.array_equal(probs[i], expect)
+            assert skip_log(model, skip[i]) == skipped
+            assert np.all((probs[i] > 0.0) & (probs[i] < 1.0))
+            post = posterior(model, case)
+            assert np.array_equal(post.probabilities, expect)
+            assert (post.skipped, post.order) == (skipped, order)
 
 
 class TestClassifyFile:
