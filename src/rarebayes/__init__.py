@@ -15,7 +15,7 @@ from .baselines import (
     qda_label,
     qda_score,
 )
-from .dataio import MISSING, Chunk, CsvDataset, PassStats, iterate_pass
+from .dataio import MISSING, Chunk, CsvDataset, PassStats
 from .errors import (
     CardinalityError,
     ConfigError,
@@ -76,7 +76,7 @@ from .synthgen import (
     analytic_posterior,
     generate,
 )
-from .windows import CaseRecord, window_expand
+from .windows import CaseRecord
 
 __version__ = "0.1.0"
 
@@ -134,7 +134,6 @@ __all__ = [
     "fit_discriminant",
     "format_schema",
     "generate",
-    "iterate_pass",
     "lda_label",
     "lda_score",
     "load_model",
@@ -149,5 +148,4 @@ __all__ = [
     "sweep",
     "symbolize",
     "train",
-    "window_expand",
 ]

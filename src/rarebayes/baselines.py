@@ -54,30 +54,6 @@ class DiscriminantModel:
     def cutoff(self) -> float:
         return math.log(self.n2 / self.n1)
 
-    def __post_init__(self):
-        self._inv = None
-        self._inv1 = None
-        self._inv2 = None
-        self._logdet_ratio = None
-
-    def _inverses(self):
-        if self.kind == LINEAR:
-            if self._inv is None:
-                self._inv = _safe_inverse(self.cov)
-            return self._inv
-        if self._inv1 is None:
-            self._inv1 = _safe_inverse(self.cov1)
-            self._inv2 = _safe_inverse(self.cov2)
-            s1 = np.linalg.slogdet(self.cov1)
-            s2 = np.linalg.slogdet(self.cov2)
-            self._logdet_ratio = float(s1.logabsdet - s2.logabsdet)
-        return self._inv1, self._inv2, self._logdet_ratio
-
-
-def _as_matrix(x: np.ndarray) -> np.ndarray:
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    return x
-
 
 def _class_cov(rows: np.ndarray, ridge: float) -> np.ndarray:
     centered = rows - rows.mean(axis=0)
@@ -94,10 +70,6 @@ def _check_spd(cov: np.ndarray, what: str) -> None:
         raise SingularCovarianceError(
             f"{what} covariance matrix is singular; pass a ridge to regularize"
         ) from None
-
-
-def _safe_inverse(cov: np.ndarray) -> np.ndarray:
-    return np.linalg.inv(cov)
 
 
 def fit_discriminant(
@@ -118,7 +90,7 @@ def fit_discriminant(
     """
     if kind not in (LINEAR, QUADRATIC):
         raise ConfigError(f"kind must be '{LINEAR}' or '{QUADRATIC}', got {kind!r}")
-    X = _as_matrix(features)
+    X = np.atleast_2d(np.asarray(features, dtype=np.float64))
     if X.shape[0] != len(labels):
         raise ValueError("features and labels must have the same length")
     uniq = sorted(set(labels))
@@ -175,14 +147,24 @@ def _check_query(model: DiscriminantModel, y: np.ndarray) -> np.ndarray:
     return y
 
 
+def _scores(model: DiscriminantModel, X: np.ndarray) -> np.ndarray:
+    """The model's discriminant score for every row of the (rows, dims) ``X``."""
+    if model.kind == LINEAR:
+        centered = X - 0.5 * (model.mean1 + model.mean2)
+        return centered @ np.linalg.inv(model.cov) @ (model.mean1 - model.mean2)
+    d1 = X - model.mean1
+    d2 = X - model.mean2
+    logdet_ratio = (np.linalg.slogdet(model.cov1).logabsdet
+                    - np.linalg.slogdet(model.cov2).logabsdet)
+    return (((d2 @ np.linalg.inv(model.cov2)) * d2).sum(axis=1)
+            - ((d1 @ np.linalg.inv(model.cov1)) * d1).sum(axis=1) + logdet_ratio)
+
+
 def lda_score(model: DiscriminantModel, y: np.ndarray) -> float:
     """L(Y) for a linear model; classify into population 2 iff L(Y) < cutoff."""
     if model.kind != LINEAR:
         raise ConfigError("lda_score requires a linear model")
-    y = _check_query(model, y)
-    inv = model._inverses()
-    centered = y - 0.5 * (model.mean1 + model.mean2)
-    return float(centered @ inv @ (model.mean1 - model.mean2))
+    return float(_scores(model, _check_query(model, y)[None])[0])
 
 
 def lda_label(model: DiscriminantModel, y: np.ndarray) -> str:
@@ -193,19 +175,21 @@ def qda_score(model: DiscriminantModel, y: np.ndarray) -> float:
     """Quadratic score; classify into population 1 iff it exceeds 2*cutoff."""
     if model.kind != QUADRATIC:
         raise ConfigError("qda_score requires a quadratic model")
-    y = _check_query(model, y)
-    inv1, inv2, logdet_ratio = model._inverses()
-    d2 = y - model.mean2
-    d1 = y - model.mean1
-    return float(d2 @ inv2 @ d2 - d1 @ inv1 @ d1 + logdet_ratio)
+    return float(_scores(model, _check_query(model, y)[None])[0])
 
 
 def qda_label(model: DiscriminantModel, y: np.ndarray) -> str:
     return model.label1 if qda_score(model, y) > 2.0 * model.cutoff else model.label2
 
 
-def score_label(model: DiscriminantModel, y: np.ndarray) -> str:
-    return lda_label(model, y) if model.kind == LINEAR else qda_label(model, y)
+def score_label(model: DiscriminantModel, X: np.ndarray) -> np.ndarray:
+    """The label of every row of the (rows, dims) matrix ``X``."""
+    scores = _scores(model, X)
+    if model.kind == LINEAR:
+        to_population2 = scores < model.cutoff
+    else:
+        to_population2 = ~(scores > 2.0 * model.cutoff)
+    return np.where(to_population2, model.label2, model.label1)
 
 
 # -- CSV plumbing ------------------------------------------------------------
@@ -340,7 +324,6 @@ def score_to_csv(
     ds = as_dataset(data)
     classes = sorted([model.label1, model.label2])
     rows = flagged = unscored = 0
-    rid = 0
     with open(out_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(
@@ -348,19 +331,16 @@ def score_to_csv(
         )
         for chunk in ds.iter_chunks(schema.var_names):
             X, miss = _feature_columns(schema, chunk.columns, model.one_hot_levels)
-            for i in range(chunk.size):
-                if miss[i]:
-                    label = model.label1
-                    note = "features:missing"
-                    unscored += 1
-                else:
-                    label = score_label(model, X[i])
-                    note = ""
-                probs = [1.0 if c == label else 0.0 for c in classes]
-                writer.writerow([rid] + [repr(p) for p in probs] + [label, note])
-                rid += 1
-                rows += 1
-                if label == model.label2:
-                    flagged += 1
+            labels = np.full(chunk.size, model.label1, dtype=object)
+            labels[~miss] = score_label(model, X[~miss])
+            writer.writerows(zip(
+                range(rows, rows + chunk.size),
+                *(np.where(labels == c, "1.0", "0.0") for c in classes),
+                labels,
+                np.where(miss, "features:missing", ""),
+            ))
+            rows += chunk.size
+            flagged += int((labels == model.label2).sum())
+            unscored += int(miss.sum())
     return {"rows": rows, "flagged": flagged, "unscored": unscored,
             "positive": model.label2}

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .errors import DatasetError
 from .schema import Schema
@@ -79,7 +79,11 @@ class CsvDataset:
         return cols
 
     def iter_rows(self) -> Iterator[dict[str, str]]:
-        """Yield well-formed rows as header-keyed dicts; count one pass at the end."""
+        """Yield well-formed rows as header-keyed dicts; count one pass at the end.
+
+        The package reads through :meth:`iter_chunks`; this row-wise reader
+        stays because ``perfbench/layertrace.py`` wraps it by name.
+        """
         header = self.header()
         width = len(header)
         rows = rejected = 0
@@ -140,18 +144,3 @@ def _to_chunk(buffer: list[list[str]], wanted: list[str], idx: list[int]) -> Chu
 def as_dataset(data: str | Path | CsvDataset) -> CsvDataset:
     return data if isinstance(data, CsvDataset) else CsvDataset(data)
 
-
-def iterate_pass(
-    dataset: CsvDataset,
-    schema: Schema,
-    visitor: Callable[[dict[str, str]], None],
-) -> PassStats:
-    """Run one complete pass, invoking ``visitor`` on every well-formed record.
-
-    The header must cover the class column and every field variable.
-    Returns the dataset's updated :class:`PassStats`.
-    """
-    dataset.require_columns(dataset.schema_columns(schema, require_class=True))
-    for record in dataset.iter_rows():
-        visitor(record)
-    return dataset.stats

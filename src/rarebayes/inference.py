@@ -235,6 +235,7 @@ def classify_file(
     _check_threshold(threshold)
     positive, pos_idx = _positive_index(model, positive)
     nodes = [rf.node for rf in model.ranked_fields]
+    symbols = np.array(model.class_symbols, dtype=object)
     rows = 0
     flagged = 0
     with open(out_path, "w", newline="", encoding="utf-8") as fh:
@@ -247,17 +248,16 @@ def classify_file(
         for scored in iter_scored(model, data, chunk_rows=chunk_rows):
             labels = _label_columns(scored.probabilities, pos_idx, threshold)
             patterns, pattern_of = np.unique(scored.skipped, axis=0, return_inverse=True)
-            rendered = [
+            rendered = np.array([
                 ";".join(f"{node}:{SKIP_REASONS[c]}" for node, c in zip(nodes, row) if c)
                 for row in patterns
-            ]
-            for i, (probs, label, pattern) in enumerate(
-                zip(scored.probabilities.tolist(), labels.tolist(), pattern_of.tolist())
-            ):
-                writer.writerow(
-                    [scored.offset + i, *map(repr, probs),
-                     model.class_symbols[label], rendered[pattern]]
-                )
+            ], dtype=object)
+            writer.writerows(zip(
+                range(scored.offset, scored.offset + len(labels)),
+                *(map(repr, col) for col in scored.probabilities.T.tolist()),
+                symbols[labels],
+                rendered[pattern_of],
+            ))
             rows += len(labels)
             flagged += int((labels == pos_idx).sum())
     return {"rows": rows, "positive": positive, "flagged": flagged,

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -135,24 +135,9 @@ class NetworkModel:
         Path(path).write_text(self.to_json_text(), encoding="utf-8")
 
     def _to_doc(self) -> dict:
-        sch = self.schema
         return {
             "format": MODEL_FORMAT,
-            "schema": {
-                "class_var": sch.class_var,
-                "field_vars": [
-                    {"name": v.name, "kind": v.kind, "discretizer": v.discretizer}
-                    for v in sch.field_vars
-                ],
-                "t_prime": sch.t_prime,
-                "t_field": sch.t_field,
-                "window": sch.window,
-                "group_key": sch.group_key,
-                "max_parents": sch.max_parents,
-                "max_bins": sch.max_bins,
-                "smoothing": sch.smoothing,
-                "max_model_cells": sch.max_model_cells,
-            },
+            "schema": asdict(self.schema),
             "seed": self.seed,
             "class_symbols": list(self.class_symbols),
             "prior": self.prior.tolist(),
@@ -174,11 +159,7 @@ class NetworkModel:
             "fallbacks": {
                 node: _cpt_to_doc(cpt) for node, cpt in self.fallbacks.items()
             },
-            "pass_stats": {
-                "passes": self.pass_stats.passes,
-                "rows": self.pass_stats.rows,
-                "rejected": self.pass_stats.rejected,
-            },
+            "pass_stats": asdict(self.pass_stats),
         }
 
     @staticmethod
@@ -197,21 +178,9 @@ class NetworkModel:
     @staticmethod
     def _from_v1_doc(doc: dict) -> "NetworkModel":
         s = doc["schema"]
-        schema = Schema(
-            class_var=s["class_var"],
-            field_vars=tuple(
-                VariableSpec(v["name"], v["kind"], v["discretizer"])
-                for v in s["field_vars"]
-            ),
-            t_prime=s["t_prime"],
-            t_field=s["t_field"],
-            window=s["window"],
-            group_key=s["group_key"],
-            max_parents=s["max_parents"],
-            max_bins=s["max_bins"],
-            smoothing=s["smoothing"],
-            max_model_cells=s["max_model_cells"],
-        )
+        kwargs = {f.name: s[f.name] for f in fields(Schema)}
+        kwargs["field_vars"] = tuple(VariableSpec(**v) for v in kwargs["field_vars"])
+        schema = Schema(**kwargs)
         outcomes = OutcomeTable(
             class_var=schema.class_var,
             class_symbols=tuple(doc["class_symbols"]),

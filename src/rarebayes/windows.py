@@ -6,14 +6,13 @@ group.  Predecessors past a group boundary (or the start of the data)
 are MISSING.  The class label always comes from the current record.
 
 A slot-0 node keeps the bare variable name; a lagged node is named
-``<var>@<s>``.
+``<var>@<s>``.  :class:`WindowState` builds the lagged code columns one
+chunk at a time, carrying each group's last w-1 codes across chunks.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -46,88 +45,63 @@ class CaseRecord:
     """One classification case: node id -> outcome symbol (absent = MISSING)."""
 
     values: dict[str, str]
-    label: str | None = None
-    record_id: int | None = None
-    group: str | None = None
 
     def get(self, node: str) -> str:
         return self.values.get(node, MISSING)
 
 
-def window_expand(
-    records: Iterable[dict[str, str]], schema: Schema
-) -> Iterator[CaseRecord]:
-    """Expand records (in file order) into window cases, one per record.
-
-    ``records`` must be sorted in temporal order within each group key.
-    Produces node values for every (field variable, slot) pair; slots
-    that reach past the group start are MISSING.
-    """
-    w = schema.window
-    names = [v.name for v in schema.field_vars]
-    history: dict[str, deque] = defaultdict(lambda: deque(maxlen=max(w - 1, 1)))
-    for rid, record in enumerate(records):
-        group = record.get(schema.group_key, "") if schema.group_key else ""
-        values = {name: record.get(name, MISSING) for name in names}
-        past = history[group] if w > 1 else None
-        if past is not None:
-            for s, prev in enumerate(reversed(past), start=1):
-                for name in names:
-                    values[node_id(name, s)] = prev[name]
-            for s in range(len(past) + 1, w):
-                for name in names:
-                    values[node_id(name, s)] = MISSING
-            past.append({name: values[name] for name in names})
-        label = record.get(schema.class_var)
-        if label == MISSING:
-            label = None
-        yield CaseRecord(
-            values=values,
-            label=label,
-            record_id=rid,
-            group=group if schema.group_key else None,
-        )
-
-
 @dataclass
 class WindowState:
-    """Chunk-friendly lag tracker for the vectorized pipelines.
+    """Lagged code columns for a file read chunk by chunk, in file order.
 
-    Keeps, per group, the integer codes of the last w-1 rows so lagged
-    node columns can be built across chunk boundaries.  Matches
-    :func:`window_expand` record for record.
+    Each group key gets an integer id in the first chunk that holds it.
+    For each lagged variable, ``_carry`` holds one row per group id with
+    the codes of the group's last w-1 records, oldest first; a new
+    group's row starts as MISSING codes, since slots before a group's
+    start are MISSING.
     """
 
     schema: Schema
     var_names: list[str]
     missing_codes: dict[str, int]
-    _history: dict[str, deque] = field(default_factory=dict)
+    _ids: dict[str, int] = field(default_factory=dict)
+    _carry: dict[str, np.ndarray] = field(default_factory=dict)
 
     def lag_columns(
         self, var_codes: dict[str, np.ndarray], groups: list[str] | None
     ) -> dict[str, np.ndarray]:
-        """Return code columns for every lagged node of this chunk."""
-        w = self.schema.window
-        if w == 1:
+        """Return code columns for every lagged node of this chunk.
+
+        Each present group's carry row is laid out ahead of the chunk and
+        the whole sequence is stable-sorted by group id, so slot s of a
+        chunk row is the element s places before it in that order.
+        """
+        lags = self.schema.window - 1
+        if lags == 0:
             return {}
         n = len(next(iter(var_codes.values())))
-        if groups is None:
-            groups = [""] * n
-        out = {
-            node_id(name, s): np.full(n, self.missing_codes[name], dtype=np.int64)
-            for name in self.var_names
-            for s in range(1, w)
-        }
-        hist = self._history
-        names = self.var_names
-        cols = [var_codes[name] for name in names]
-        for i in range(n):
-            past = hist.get(groups[i])
-            if past is None:
-                past = deque(maxlen=w - 1)
-                hist[groups[i]] = past
-            for s, prev in enumerate(reversed(past), start=1):
-                for j, name in enumerate(names):
-                    out[node_id(name, s)][i] = prev[j]
-            past.append(tuple(int(col[i]) for col in cols))
+        keys, inverse = np.unique(
+            np.asarray([""] * n if groups is None else groups), return_inverse=True
+        )
+        ids = self._ids
+        present = np.array([ids.setdefault(k, len(ids)) for k in keys.tolist()],
+                           dtype=np.int64)
+        seq_ids = np.concatenate([np.repeat(present, lags), present[inverse]])
+        order = np.argsort(seq_ids, kind="stable")
+        position = np.empty_like(order)
+        position[order] = np.arange(len(order))
+        rows = position[len(present) * lags:]
+        ends = np.searchsorted(seq_ids[order], present, side="right")
+        tails = ends[:, None] + np.arange(-lags, 0)
+        out = {}
+        for name in self.var_names:
+            carry = self._carry.get(name, np.empty((0, lags), dtype=np.int64))
+            if len(carry) < len(ids):
+                fresh = np.full((len(ids) - len(carry), lags), self.missing_codes[name])
+                carry = np.concatenate([carry, fresh])
+            seq = np.concatenate([carry[present].ravel(), var_codes[name]])[order]
+            for s in range(1, lags + 1):
+                out[node_id(name, s)] = seq[rows - s]
+            carry[present] = seq[tails]
+            self._carry[name] = carry
         return out

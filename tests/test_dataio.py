@@ -1,6 +1,6 @@
 import pytest
 
-from rarebayes import DatasetError, iterate_pass, parse_schema
+from rarebayes import DatasetError, parse_schema
 from rarebayes.dataio import CsvDataset
 
 SCHEMA = parse_schema("class y\nvar a categorical\nvar b categorical\n")
@@ -12,10 +12,24 @@ def write(tmp_path, text, name="data.csv"):
     return path
 
 
+def read_records(ds, chunk_rows=65536):
+    """One full pass over every column, after checking the header covers
+    SCHEMA; returns the rows as header-keyed dicts."""
+    ds.require_columns(ds.schema_columns(SCHEMA))
+    header = ds.header()
+    records = []
+    for chunk in ds.iter_chunks(header, chunk_rows):
+        records.extend(
+            dict(zip(header, row)) for row in zip(*(chunk.columns[c] for c in header))
+        )
+    return records
+
+
 def test_pass_accounting_clean_file(tmp_path):
     rows = "\n".join(f"g,v{i},w{i}" for i in range(1000))
     ds = CsvDataset(write(tmp_path, f"y,a,b\n{rows}\n"))
-    stats = iterate_pass(ds, SCHEMA, lambda record: None)
+    read_records(ds, chunk_rows=300)
+    stats = ds.stats
     assert (stats.passes, stats.rows, stats.rejected) == (1, 1000, 0)
 
 
@@ -24,20 +38,20 @@ def test_wrong_arity_rows_rejected(tmp_path):
     lines[3] = "g,only-two"            # arity 2
     lines[7] = "g,v,w,extra"           # arity 4
     ds = CsvDataset(write(tmp_path, "\n".join(lines) + "\n"))
-    stats = iterate_pass(ds, SCHEMA, lambda record: None)
-    assert (stats.rows, stats.rejected) == (8, 2)
+    read_records(ds)
+    assert (ds.stats.rows, ds.stats.rejected) == (8, 2)
 
 
 def test_header_missing_class_column(tmp_path):
     ds = CsvDataset(write(tmp_path, "a,b\nv,w\n"))
     with pytest.raises(DatasetError, match="y"):
-        iterate_pass(ds, SCHEMA, lambda record: None)
+        read_records(ds)
 
 
 def test_header_missing_field_column(tmp_path):
     ds = CsvDataset(write(tmp_path, "y,a\ng,v\n"))
     with pytest.raises(DatasetError, match="b"):
-        iterate_pass(ds, SCHEMA, lambda record: None)
+        read_records(ds)
 
 
 def test_unreadable_source():
@@ -48,39 +62,34 @@ def test_unreadable_source():
 
 def test_two_passes_visit_identical_sequences(tmp_path):
     ds = CsvDataset(write(tmp_path, "y,a,b\ng,1,2\nb,3,4\ng,5,6\n"))
-    first, second = [], []
-    iterate_pass(ds, SCHEMA, first.append)
-    iterate_pass(ds, SCHEMA, second.append)
+    first = read_records(ds)
+    second = read_records(ds, chunk_rows=2)
     assert first == second
     assert ds.stats.passes == 2
 
 
 def test_visitor_sees_full_records(tmp_path):
     ds = CsvDataset(write(tmp_path, "y,a,b,extra\ng,1,2,9\n"))
-    seen = []
-    iterate_pass(ds, SCHEMA, seen.append)
-    assert seen == [{"y": "g", "a": "1", "b": "2", "extra": "9"}]
+    assert read_records(ds) == [{"y": "g", "a": "1", "b": "2", "extra": "9"}]
 
 
 def test_quoted_fields_rfc4180(tmp_path):
     ds = CsvDataset(write(tmp_path, 'y,a,b\ng,"v,1","w""x"\n'))
-    seen = []
-    iterate_pass(ds, SCHEMA, seen.append)
+    seen = read_records(ds)
     assert seen[0]["a"] == "v,1"
     assert seen[0]["b"] == 'w"x'
 
 
 def test_blank_lines_skipped_silently(tmp_path):
     ds = CsvDataset(write(tmp_path, "y,a,b\ng,1,2\n\nb,3,4\n"))
-    stats = iterate_pass(ds, SCHEMA, lambda record: None)
-    assert (stats.rows, stats.rejected) == (2, 0)
+    assert len(read_records(ds)) == 2
+    assert (ds.stats.rows, ds.stats.rejected) == (2, 0)
 
 
 def test_chunked_matches_row_wise(tmp_path):
     text = "y,a,b\n" + "".join(f"g,v{i},w{i % 3}\n" for i in range(257))
     ds = CsvDataset(write(tmp_path, text))
-    rows = []
-    iterate_pass(ds, SCHEMA, rows.append)
+    rows = read_records(ds, chunk_rows=1)
     chunked_a = []
     for chunk in ds.iter_chunks(["a"], chunk_rows=100):
         chunked_a.extend(chunk.columns["a"])
@@ -90,7 +99,7 @@ def test_chunked_matches_row_wise(tmp_path):
 
 def test_abandoned_iteration_counts_no_pass(tmp_path):
     ds = CsvDataset(write(tmp_path, "y,a,b\ng,1,2\nb,3,4\n"))
-    it = ds.iter_rows()
+    it = ds.iter_chunks(["a"], chunk_rows=1)
     next(it)
     del it
     assert ds.stats.passes == 0

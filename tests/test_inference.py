@@ -15,13 +15,14 @@ from rarebayes import (
     posterior,
     symbolize,
     train,
-    window_expand,
 )
 from rarebayes.dataio import CsvDataset, PassStats
 from rarebayes.inference import SKIP_REASONS, iter_scored, score_codes
 from rarebayes.outcomes import OutcomeTable, VariableOutcomes
-from rarebayes.structure import CPT, NetworkModel, RankedField
-from rarebayes.windows import CaseRecord, node_var_slot
+from rarebayes.structure import CPT, Encoder, NetworkModel, RankedField
+from rarebayes.windows import CaseRecord, node_id, node_order, node_var_slot
+
+from window_oracle import WindowCase, window_expand
 
 
 def toy_model(tables, prior=(0.1, 0.9), classes=("bad", "good"), parents=None,
@@ -258,50 +259,92 @@ class TestClassify:
             classify(model, CaseRecord(values={}), 1.5)
 
 
+def expansions(records, schema, tmp_path):
+    """The window cases of ``records`` from each implementation, by name.
+
+    ``oracle`` is :func:`window_expand`; ``node_chunks@<rows>`` decodes the
+    code columns :meth:`Encoder.node_chunks` yields for every candidate
+    node when the same records are read from a CSV ``<rows>`` at a time.
+    """
+    columns = [schema.class_var] + ([schema.group_key] if schema.group_key else [])
+    columns += schema.var_names
+    path = tmp_path / "records.csv"
+    path.write_text(
+        "".join(",".join(row) + "\n"
+                for row in [columns] + [[r[c] for c in columns] for r in records]),
+        encoding="utf-8",
+    )
+
+    def alphabet(var):
+        return tuple(sorted({r[var] for r in records} - {MISSING}))
+
+    outcomes = OutcomeTable(
+        class_var=schema.class_var,
+        class_symbols=alphabet(schema.class_var),
+        variables={v: VariableOutcomes(symbols=alphabet(v) + (MISSING,))
+                   for v in schema.var_names},
+    )
+    nodes = [node_id(var, slot) for var, slot in node_order(schema)]
+    out = {"oracle": list(window_expand(records, schema))}
+    for chunk_rows in (1, 65536):
+        cases = []
+        chunks = Encoder(schema, outcomes).node_chunks(CsvDataset(path), nodes, chunk_rows)
+        for chunk, codes, class_codes in chunks:
+            for i in range(chunk.size):
+                values = {node: outcomes.symbols(node_var_slot(node)[0])[codes[node][i]]
+                          for node in nodes}
+                label = outcomes.class_symbols[class_codes[i]] if class_codes[i] >= 0 else None
+                cases.append(WindowCase(values=values, label=label))
+        out[f"node_chunks@{chunk_rows}"] = cases
+    return out
+
+
 class TestWindowExpand:
+    """Window spec cases, checked on the oracle and on the chunked feed."""
+
     SCHEMA = parse_schema("class y\ngroup g\nvar a categorical\nwindow 2\n")
 
-    def test_window_one_is_identity(self):
+    def test_window_one_is_identity(self, tmp_path):
         schema = parse_schema("class y\nvar a categorical\n")
         records = [{"y": "g", "a": "1"}, {"y": "b", "a": "2"}]
-        cases = list(window_expand(records, schema))
-        assert [c.values for c in cases] == [{"a": "1"}, {"a": "2"}]
-        assert [c.label for c in cases] == ["g", "b"]
+        for impl, cases in expansions(records, schema, tmp_path).items():
+            assert [c.values for c in cases] == [{"a": "1"}, {"a": "2"}], impl
+            assert [c.label for c in cases] == ["g", "b"], impl
 
-    def test_three_record_group_padding(self):
+    def test_three_record_group_padding(self, tmp_path):
         records = [
             {"g": "c1", "y": "g", "a": "r1"},
             {"g": "c1", "y": "g", "a": "r2"},
             {"g": "c1", "y": "b", "a": "r3"},
         ]
-        cases = list(window_expand(records, self.SCHEMA))
-        assert [c.values for c in cases] == [
-            {"a": "r1", "a@1": MISSING},
-            {"a": "r2", "a@1": "r1"},
-            {"a": "r3", "a@1": "r2"},
-        ]
+        for impl, cases in expansions(records, self.SCHEMA, tmp_path).items():
+            assert [c.values for c in cases] == [
+                {"a": "r1", "a@1": MISSING},
+                {"a": "r2", "a@1": "r1"},
+                {"a": "r3", "a@1": "r2"},
+            ], impl
 
-    def test_no_cross_group_leakage(self):
+    def test_no_cross_group_leakage(self, tmp_path):
         records = [
             {"g": "c1", "y": "g", "a": "r1"},
             {"g": "c2", "y": "g", "a": "r2"},
         ]
-        cases = list(window_expand(records, self.SCHEMA))
-        assert cases[1].values["a@1"] == MISSING
+        for impl, cases in expansions(records, self.SCHEMA, tmp_path).items():
+            assert cases[1].values["a@1"] == MISSING, impl
 
-    def test_interleaved_groups_use_group_predecessor(self):
+    def test_interleaved_groups_use_group_predecessor(self, tmp_path):
         records = [
             {"g": "c1", "y": "g", "a": "r1"},
             {"g": "c2", "y": "g", "a": "s1"},
             {"g": "c1", "y": "g", "a": "r2"},
         ]
-        cases = list(window_expand(records, self.SCHEMA))
-        assert cases[2].values["a@1"] == "r1"
+        for impl, cases in expansions(records, self.SCHEMA, tmp_path).items():
+            assert cases[2].values["a@1"] == "r1", impl
 
-    def test_missing_class_label_is_none(self):
+    def test_missing_class_label_is_none(self, tmp_path):
         schema = parse_schema("class y\nvar a categorical\n")
-        cases = list(window_expand([{"y": "?", "a": "1"}], schema))
-        assert cases[0].label is None
+        for impl, cases in expansions([{"y": "?", "a": "1"}], schema, tmp_path).items():
+            assert cases[0].label is None, impl
 
 
 class TestBatchEquivalence:
