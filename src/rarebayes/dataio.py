@@ -2,7 +2,11 @@
 
 Training reads the data several times; :class:`PassStats` on a
 :class:`CsvDataset` handle counts every complete iteration so the
-four-pass budget can be asserted rather than trusted.
+four-pass budget can be asserted rather than trusted.  The handle also
+holds every pass to its first complete one: a pass that opens the file
+at a different size or modification time, or that ends with different
+row or rejected-row counts, raises :class:`DatasetError`, so all passes
+of one training run see the same unchanged file.
 
 Data files are RFC-4180-style CSV with a header row.  The single
 missing-value token is ``?``.  Rows whose field count does not match the
@@ -12,6 +16,7 @@ header are counted as rejected and skipped; blank lines are ignored.
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
@@ -48,6 +53,9 @@ class CsvDataset:
         self.path = Path(path)
         self.stats = PassStats()
         self._header: list[str] | None = None
+        # (st_size, st_mtime_ns, rows, rejected) of the first complete pass;
+        # kept out of PassStats, which the model file records
+        self._first_pass: tuple[int, int, int, int] | None = None
 
     def header(self) -> list[str]:
         if self._header is None:
@@ -88,6 +96,7 @@ class CsvDataset:
         width = len(header)
         rows = rejected = 0
         with open(self.path, newline="", encoding="utf-8") as fh:
+            stat = self._begin_pass(fh)
             reader = csv.reader(fh)
             next(reader)
             for row in reader:
@@ -98,9 +107,7 @@ class CsvDataset:
                     continue
                 rows += 1
                 yield dict(zip(header, row))
-        self.stats.passes += 1
-        self.stats.rows = rows
-        self.stats.rejected = rejected
+        self._end_pass(stat, rows, rejected)
 
     def iter_chunks(
         self,
@@ -114,6 +121,7 @@ class CsvDataset:
         idx = [header.index(name) for name in wanted]
         rows = rejected = 0
         with open(self.path, newline="", encoding="utf-8") as fh:
+            stat = self._begin_pass(fh)
             reader = csv.reader(fh)
             next(reader)
             buffer: list[list[str]] = []
@@ -131,6 +139,30 @@ class CsvDataset:
             if buffer:
                 rows += len(buffer)
                 yield _to_chunk(buffer, wanted, idx)
+        self._end_pass(stat, rows, rejected)
+
+    def _begin_pass(self, fh) -> os.stat_result:
+        """Stat the opened file; raise if it differs from the first pass's."""
+        stat = os.fstat(fh.fileno())
+        first = self._first_pass
+        if first is not None and (stat.st_size, stat.st_mtime_ns) != first[:2]:
+            raise DatasetError(
+                f"{self.path} changed between passes: pass {self.stats.passes + 1} "
+                f"opened {stat.st_size} bytes modified at {stat.st_mtime_ns} ns, "
+                f"pass 1 read {first[0]} bytes modified at {first[1]} ns"
+            )
+        return stat
+
+    def _end_pass(self, stat: os.stat_result, rows: int, rejected: int) -> None:
+        """Count a complete pass; raise if its row counts differ from the first's."""
+        if self._first_pass is None:
+            self._first_pass = (stat.st_size, stat.st_mtime_ns, rows, rejected)
+        elif (rows, rejected) != self._first_pass[2:]:
+            raise DatasetError(
+                f"{self.path} changed between passes: pass {self.stats.passes + 1} "
+                f"read {rows} rows ({rejected} rejected), pass 1 read "
+                f"{self._first_pass[2]} rows ({self._first_pass[3]} rejected)"
+            )
         self.stats.passes += 1
         self.stats.rows = rows
         self.stats.rejected = rejected

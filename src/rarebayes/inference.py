@@ -24,7 +24,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -217,6 +217,25 @@ def iter_scored(
         offset += chunk.size
 
 
+def skip_strings(nodes: Sequence[str], skipped: np.ndarray) -> np.ndarray:
+    """The ``skipped_nodes`` cell of each row of an ``int8`` skip matrix:
+    semicolon-joined ``node:reason`` for its non-zero entries.
+
+    Rows are grouped by pattern by folding one column at a time into a
+    dense pattern id, which needs no row-wise sort and no width limit;
+    each distinct pattern is rendered once.
+    """
+    ids = np.zeros(len(skipped), dtype=np.int64)
+    for col in skipped.T:
+        _, ids = np.unique(ids * len(SKIP_REASONS) + col, return_inverse=True)
+    _, first = np.unique(ids, return_index=True)
+    rendered = np.array([
+        ";".join(f"{node}:{SKIP_REASONS[c]}" for node, c in zip(nodes, row) if c)
+        for row in skipped[first]
+    ], dtype=object)
+    return rendered[ids]
+
+
 def classify_file(
     model: NetworkModel,
     data: str | Path | CsvDataset,
@@ -247,16 +266,11 @@ def classify_file(
         )
         for scored in iter_scored(model, data, chunk_rows=chunk_rows):
             labels = _label_columns(scored.probabilities, pos_idx, threshold)
-            patterns, pattern_of = np.unique(scored.skipped, axis=0, return_inverse=True)
-            rendered = np.array([
-                ";".join(f"{node}:{SKIP_REASONS[c]}" for node, c in zip(nodes, row) if c)
-                for row in patterns
-            ], dtype=object)
             writer.writerows(zip(
                 range(scored.offset, scored.offset + len(labels)),
                 *(map(repr, col) for col in scored.probabilities.T.tolist()),
                 symbols[labels],
-                rendered[pattern_of],
+                skip_strings(nodes, scored.skipped),
             ))
             rows += len(labels)
             flagged += int((labels == pos_idx).sum())

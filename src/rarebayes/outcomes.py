@@ -4,6 +4,14 @@ Every variable gets a discrete outcome alphabet.  Categorical variables
 use their observed values; continuous variables are cut into bins by
 class-information gain (or equal-frequency quantiles).  Every alphabet
 ends with the MISSING symbol.
+
+Pass 1 codes the class column once per chunk, in first-seen order with
+MISSING as -1, and feeds each continuous variable's finite values from
+labelled rows, with those codes, to an array-backed reservoir: a float64
+value array and an integer code array.  After the pass the codes are
+renumbered to sorted class-symbol order, so entropy binning builds its
+one-hot columns in the same order, and so the same float sums and edges,
+as binning on the symbols themselves.
 """
 
 from __future__ import annotations
@@ -59,10 +67,16 @@ class OutcomeTable:
 
 
 class ReservoirSample:
-    """Fixed-capacity uniform sample of (value, class-label) pairs.
+    """Fixed-capacity uniform sample of (value, class-code) pairs.
 
-    Classic algorithm-R replacement; deterministic for a fixed seed and
-    input order, which makes the resulting bin edges reproducible.
+    Classic algorithm-R replacement (Vitter, *Random Sampling with a
+    Reservoir*, ACM TOMS 1985), applied a chunk at a time: ``values`` is a
+    float64 array and ``labels`` the matching integer class codes.  Each
+    :meth:`extend` fills free room by slice, then makes one
+    ``integers(0, arrivals)`` draw for the remaining items and applies the
+    hits as one masked assignment.  The sample is deterministic for a
+    fixed seed and input order, which makes the resulting bin edges
+    reproducible.
     """
 
     def __init__(self, capacity: int, seed: int):
@@ -71,33 +85,30 @@ class ReservoirSample:
         self.capacity = capacity
         self.seed = seed
         self._rng = np.random.default_rng(seed)
-        self.values: list[float] = []
-        self.labels: list[str] = []
+        self.values = np.empty(0, dtype=np.float64)
+        self.labels = np.empty(0, dtype=np.int64)
         self.seen = 0
 
-    def extend(self, values: np.ndarray, labels: Sequence[str]) -> None:
+    def extend(self, values: np.ndarray, labels: np.ndarray) -> None:
         n = len(values)
         if n == 0:
             return
-        start = 0
-        room = self.capacity - len(self.values)
-        if room > 0:
-            take = min(room, n)
-            self.values.extend(values[:take].tolist())
-            self.labels.extend(labels[:take])
-            start = take
-        if start < n:
+        take = min(self.capacity - len(self.values), n)
+        if take > 0:
+            self.values = np.concatenate([self.values, values[:take]])
+            self.labels = np.concatenate([self.labels, labels[:take]])
+        if take < n:
             # arrival index of each remaining item, 1-based over the whole stream
-            arrivals = np.arange(self.seen + start + 1, self.seen + n + 1)
+            arrivals = np.arange(self.seen + take + 1, self.seen + n + 1)
             slots = self._rng.integers(0, arrivals)
-            for offset, slot in zip(range(start, n), slots):
-                if slot < self.capacity:
-                    self.values[slot] = float(values[offset])
-                    self.labels[slot] = labels[offset]
+            hits = np.flatnonzero(slots < self.capacity)[::-1]
+            # a slot drawn twice keeps the later arrival, as the one-at-a-time
+            # algorithm would; fancy assignment promises no order for repeats
+            slots, last = np.unique(slots[hits], return_index=True)
+            src = take + hits[last]
+            self.values[slots] = values[src]
+            self.labels[slots] = labels[src]
         self.seen += n
-
-    def pairs(self) -> list[tuple[float, str]]:
-        return list(zip(self.values, self.labels))
 
 
 def _class_entropy(counts: np.ndarray) -> float:
@@ -152,27 +163,40 @@ def _best_split(values: np.ndarray, codes: np.ndarray, k: int, lo: int, hi: int)
     return float(gain[best]), edge, lo + b + 1
 
 
-def entropy_bins(samples: Iterable[tuple[float, str]], max_bins: int) -> tuple[float, ...]:
+def entropy_bins(
+    values: Sequence[float] | np.ndarray,
+    labels: Sequence | np.ndarray,
+    max_bins: int,
+) -> tuple[float, ...]:
     """Supervised binning by greedy recursive information-gain splitting.
 
-    Repeatedly splits the leaf interval with the highest remaining class
-    entropy at the candidate cut (midpoint between adjacent distinct
-    sorted values) that maximizes gain; stops at ``max_bins`` bins or
-    when no split has positive gain.  Returns strictly increasing edges.
+    ``values`` and ``labels`` are parallel: a number and its class per
+    sample.  Labels are integer class codes or class symbols; symbols are
+    coded in sorted order, so codes that follow the sorted symbols give
+    the same edges.  Repeatedly splits the leaf interval with the highest
+    remaining class entropy at the candidate cut (midpoint between
+    adjacent distinct sorted values) that maximizes gain (Fayyad & Irani,
+    *Multi-Interval Discretization of Continuous-Valued Attributes*,
+    IJCAI 1993); stops at ``max_bins`` bins or when no split has positive
+    gain.  Returns strictly increasing edges.
     """
     if max_bins < 1:
         raise ValueError("max_bins must be >= 1")
-    pairs = list(samples)
-    if not pairs:
+    values = np.asarray(values, dtype=np.float64)
+    labels = np.asarray(labels)
+    if values.size == 0:
         raise ValueError("entropy_bins requires at least one sample")
-    values = np.array([v for v, _ in pairs], dtype=np.float64)
-    label_list = sorted({c for _, c in pairs})
-    label_idx = {c: i for i, c in enumerate(label_list)}
-    codes = np.array([label_idx[c] for _, c in pairs], dtype=np.int64)
+    if labels.shape != values.shape:
+        raise ValueError("entropy_bins needs one label per value")
+    if labels.dtype.kind not in "iu":
+        _, labels = np.unique(labels, return_inverse=True)
+    # one-hot columns for the labels present only, in code order
+    present = np.bincount(labels) > 0
+    codes = (np.cumsum(present) - 1)[labels]
     order = np.argsort(values, kind="stable")
     values = values[order]
     codes = codes[order]
-    k = len(label_list)
+    k = int(present.sum())
 
     counts_all = np.bincount(codes, minlength=k).astype(np.float64)
     leaves = [_Leaf(0, len(values), _class_entropy(counts_all))]
@@ -258,7 +282,7 @@ def collect_outcomes(
     cat_vars = [v.name for v in schema.categorical_vars]
     cont_vars = [v.name for v in schema.continuous_vars]
     observed: dict[str, set[str]] = {name: set() for name in cat_vars}
-    class_observed: set[str] = set()
+    class_lut: dict[str, int] = {MISSING: -1}
     reservoirs = {
         name: ReservoirSample(reservoir_capacity, variable_seed(seed, name))
         for name in cont_vars
@@ -267,8 +291,13 @@ def collect_outcomes(
     wanted = dataset.schema_columns(schema, require_class=True)
     for chunk in dataset.iter_chunks(wanted):
         class_col = chunk.columns[schema.class_var]
-        class_observed.update(class_col)
-        class_ok = np.array([c != MISSING for c in class_col], dtype=bool)
+        # codes in first-seen order, stable across chunks; MISSING stays -1
+        for sym in sorted(set(class_col).difference(class_lut)):
+            class_lut[sym] = len(class_lut) - 1
+        class_codes = np.fromiter(
+            map(class_lut.__getitem__, class_col), dtype=np.int64, count=chunk.size
+        )
+        class_ok = class_codes >= 0
         for name in cat_vars:
             observed[name].update(chunk.columns[name])
             if len(observed[name]) > max_categories + 1:
@@ -279,10 +308,13 @@ def collect_outcomes(
             values = parse_float_column(chunk.columns[name])
             labeled = np.isfinite(values) & class_ok
             if labeled.any():
-                idx = np.nonzero(labeled)[0]
-                reservoirs[name].extend(values[idx], [class_col[i] for i in idx])
+                reservoirs[name].extend(values[labeled], class_codes[labeled])
 
-    class_observed.discard(MISSING)
+    first_seen = list(class_lut)[1:]
+    class_symbols = tuple(sorted(first_seen))
+    # reservoir labels carry first-seen codes; binning wants sorted-symbol codes
+    rank = {sym: i for i, sym in enumerate(class_symbols)}
+    to_sorted = np.array([rank[sym] for sym in first_seen], dtype=np.int64)
     variables: dict[str, VariableOutcomes] = {}
     for spec in schema.field_vars:
         if spec.kind == "categorical":
@@ -302,13 +334,13 @@ def collect_outcomes(
             elif spec.discretizer == "quantile":
                 edges = quantile_bins(res.values, schema.max_bins)
             else:
-                edges = entropy_bins(res.pairs(), schema.max_bins)
+                edges = entropy_bins(res.values, to_sorted[res.labels], schema.max_bins)
             symbols = tuple(bin_symbol(i) for i in range(len(edges) + 1)) + (MISSING,)
             variables[spec.name] = VariableOutcomes(symbols=symbols, edges=edges)
 
     return OutcomeTable(
         class_var=schema.class_var,
-        class_symbols=tuple(sorted(class_observed)),
+        class_symbols=class_symbols,
         variables=variables,
     )
 

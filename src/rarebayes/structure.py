@@ -29,6 +29,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -262,7 +263,7 @@ class Encoder:
             lut = self._luts[name]
             miss = self.missing[name]
             return np.fromiter(
-                (lut.get(v, miss) for v in col), dtype=np.int64, count=len(col)
+                map(lut.get, col, repeat(miss)), dtype=np.int64, count=len(col)
             )
         values = parse_float_column(col)
         codes = np.searchsorted(self._edges[name], values, side="right").astype(np.int64)
@@ -270,9 +271,8 @@ class Encoder:
         return codes
 
     def encode_class(self, col: list[str]) -> np.ndarray:
-        lut = self.class_lut
         return np.fromiter(
-            (lut.get(v, -1) for v in col), dtype=np.int64, count=len(col)
+            map(self.class_lut.get, col, repeat(-1)), dtype=np.int64, count=len(col)
         )
 
     def encode_chunk(self, chunk: Chunk, names: Sequence[str] | None = None):

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from rarebayes import DatasetError, parse_schema, structure
 from rarebayes.cli import run
 from rarebayes.synthgen import config_to_doc
 
@@ -269,3 +270,28 @@ def test_evaluate_skips_ids_past_the_data(workdir, tmp_path, capsys):
     assert second["rows"] == first["rows"]
     assert second["metadata"]["records"] == first["metadata"]["records"]
     capsys.readouterr()
+
+
+def test_file_changed_after_pass_one_is_runtime_error(workdir, tmp_path, monkeypatch, capsys):
+    data = tmp_path / "data.csv"
+    data.write_bytes((workdir / "fixture" / "data.csv").read_bytes())
+    real = structure.collect_outcomes
+
+    def collect_then_append(schema, dataset, **kwargs):
+        table = real(schema, dataset, **kwargs)
+        with open(data, "a", encoding="utf-8") as fh:
+            fh.write(data.read_text(encoding="utf-8").splitlines()[1] + "\n")
+        return table
+
+    monkeypatch.setattr(structure, "collect_outcomes", collect_then_append)
+    schema = parse_schema((workdir / "fixture" / "schema.txt").read_text(encoding="utf-8"))
+    with pytest.raises(DatasetError, match="changed between passes"):
+        structure.train(schema, data)
+    code = run([
+        "train", "--schema", str(workdir / "fixture" / "schema.txt"),
+        "--data", str(data), "--out", str(tmp_path / "m.json"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "changed between passes" in err
+    assert "Traceback" not in err

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from rarebayes import DatasetError, parse_schema
@@ -103,3 +105,15 @@ def test_abandoned_iteration_counts_no_pass(tmp_path):
     next(it)
     del it
     assert ds.stats.passes == 0
+
+
+def test_same_size_and_mtime_with_other_rows_raises(tmp_path):
+    path = write(tmp_path, "y,a,b\ng,1,2\nb,3,4\n")
+    ds = CsvDataset(path)
+    read_records(ds)
+    stat = path.stat()
+    # same byte count, but the last row now has the wrong arity
+    path.write_text("y,a,b\ng,1,2\nb,3,,\n", encoding="utf-8")
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    with pytest.raises(DatasetError, match="1 rejected"):
+        read_records(ds)

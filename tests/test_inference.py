@@ -17,7 +17,7 @@ from rarebayes import (
     train,
 )
 from rarebayes.dataio import CsvDataset, PassStats
-from rarebayes.inference import SKIP_REASONS, iter_scored, score_codes
+from rarebayes.inference import SKIP_REASONS, iter_scored, score_codes, skip_strings
 from rarebayes.outcomes import OutcomeTable, VariableOutcomes
 from rarebayes.structure import CPT, Encoder, NetworkModel, RankedField
 from rarebayes.windows import CaseRecord, node_id, node_order, node_var_slot
@@ -522,3 +522,23 @@ class TestClassifyFile:
         classify_file(model, novel, out, 0.5)
         row = list(csv.DictReader(open(out, newline="", encoding="utf-8")))[0]
         assert "a:missing" in row["skipped_nodes"]
+
+    @given(
+        st.integers(1, 40).flatmap(lambda width: st.lists(
+            st.lists(st.integers(0, len(SKIP_REASONS) - 1), min_size=width, max_size=width),
+            min_size=1,
+            max_size=50,
+        )),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_skip_strings_match_row_wise_unique(self, rows):
+        skipped = np.array(rows, dtype=np.int8)
+        nodes = [f"n{j}" for j in range(skipped.shape[1])]
+        # reference: group rows by a row-wise unique, render each pattern
+        patterns, pattern_of = np.unique(skipped, axis=0, return_inverse=True)
+        rendered = [
+            ";".join(f"{node}:{SKIP_REASONS[c]}" for node, c in zip(nodes, row) if c)
+            for row in patterns
+        ]
+        expected = [rendered[i] for i in pattern_of.reshape(-1)]
+        assert skip_strings(nodes, skipped).tolist() == expected

@@ -17,6 +17,8 @@ from rarebayes import (
 from rarebayes.dataio import CsvDataset
 from rarebayes.outcomes import ReservoirSample, bin_symbol, parse_float_column
 
+from reservoir_oracle import ListReservoir
+
 
 def write(tmp_path, text):
     path = tmp_path / "data.csv"
@@ -106,26 +108,27 @@ class TestEntropyBins:
 
         gains = {cut: gain_at(cut) for cut in (1.5, 2.5, 3.5)}
         assert max(gains, key=gains.get) == 2.5
-        assert entropy_bins(samples, max_bins=2) == (2.5,)
+        values, labels = zip(*samples)
+        assert entropy_bins(values, labels, max_bins=2) == (2.5,)
 
     def test_bin_budget_one_yields_no_edges(self):
-        assert entropy_bins([(1, "g"), (2, "b")], max_bins=1) == ()
+        assert entropy_bins([1, 2], ["g", "b"], max_bins=1) == ()
 
     def test_single_class_yields_no_edges(self):
-        assert entropy_bins([(1, "g"), (2, "g"), (3, "g")], max_bins=4) == ()
+        assert entropy_bins([1, 2, 3], ["g", "g", "g"], max_bins=4) == ()
 
     def test_constant_values_yield_no_edges(self):
-        assert entropy_bins([(5, "g"), (5, "b")], max_bins=4) == ()
+        assert entropy_bins([5, 5], ["g", "b"], max_bins=4) == ()
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
-            entropy_bins([], max_bins=2)
+            entropy_bins([], [], max_bins=2)
 
     def test_perfect_separation_zero_conditional_entropy(self):
         rng = np.random.default_rng(1)
         values = np.concatenate([rng.uniform(0, 1, 50), rng.uniform(2, 3, 50)])
         labels = ["g"] * 50 + ["b"] * 50
-        edges = entropy_bins(zip(values, labels), max_bins=2)
+        edges = entropy_bins(values, labels, max_bins=2)
         assert len(edges) == 1
         # conditional class entropy after the split must be exactly 0
         for side in (lambda v: v < edges[0], lambda v: v >= edges[0]):
@@ -142,13 +145,32 @@ class TestEntropyBins:
     )
     @settings(max_examples=120, deadline=None)
     def test_edges_strictly_increasing_within_budget(self, pairs, max_bins):
-        edges = entropy_bins([(float(v), c) for v, c in pairs], max_bins)
+        edges = entropy_bins([float(v) for v, _ in pairs], [c for _, c in pairs], max_bins)
         assert list(edges) == sorted(set(edges))
         assert len(edges) <= max_bins - 1
         # totality: every sample value lands in some bin of the alphabet
         symbols = {bin_symbol(i) for i in range(len(edges) + 1)}
         for v, _ in pairs:
             assert discretize(float(v), edges) in symbols
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(-20, 20), st.sampled_from(["g", "b", "c", "a"])),
+            min_size=1,
+            max_size=60,
+        ),
+        st.integers(1, 6),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_sorted_codes_give_the_symbols_edges(self, pairs, max_bins):
+        # codes index the sorted full alphabet, so absent labels leave gaps
+        alphabet = ["a", "b", "c", "g"]
+        values = [float(v) for v, _ in pairs]
+        labels = [c for _, c in pairs]
+        codes = np.array([alphabet.index(c) for c in labels], dtype=np.int64)
+        assert entropy_bins(values, codes, max_bins) == entropy_bins(
+            values, labels, max_bins
+        )
 
 
 class TestQuantileBins:
@@ -187,27 +209,65 @@ class TestDiscretize:
 class TestReservoir:
     def test_capacity_bound(self):
         res = ReservoirSample(capacity=10, seed=0)
-        res.extend(np.arange(100, dtype=float), ["g"] * 100)
+        res.extend(np.arange(100, dtype=float), np.zeros(100, dtype=np.int64))
         assert len(res.values) == 10
         assert res.seen == 100
 
     def test_deterministic_for_seed_and_order(self):
         def fill(seed):
             res = ReservoirSample(capacity=5, seed=seed)
-            res.extend(np.arange(50, dtype=float), [str(i % 2) for i in range(50)])
-            return res.pairs()
+            res.extend(np.arange(50, dtype=float), np.arange(50) % 2)
+            return list(zip(res.values.tolist(), res.labels.tolist()))
 
         assert fill(9) == fill(9)
         assert fill(9) != fill(10)
 
     def test_chunked_equals_single_shot(self):
         a = ReservoirSample(capacity=7, seed=3)
-        a.extend(np.arange(40, dtype=float), ["g"] * 40)
+        a.extend(np.arange(40, dtype=float), np.zeros(40, dtype=np.int64))
         b = ReservoirSample(capacity=7, seed=3)
         for lo in range(0, 40, 9):
             chunk = np.arange(lo, min(lo + 9, 40), dtype=float)
-            b.extend(chunk, ["g"] * len(chunk))
-        assert a.pairs() == b.pairs()
+            b.extend(chunk, np.zeros(len(chunk), dtype=np.int64))
+        assert a.values.tolist() == b.values.tolist()
+        assert a.labels.tolist() == b.labels.tolist()
+
+    @staticmethod
+    def _assert_matches(res, oracle):
+        assert res.values.tolist() == oracle.values
+        assert res.labels.tolist() == oracle.labels
+        assert res.seen == oracle.seen
+
+    @given(
+        capacity=st.integers(1, 40),
+        sizes=st.lists(st.integers(1, 30), min_size=1, max_size=8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_item_at_a_time_oracle(self, capacity, sizes, seed):
+        data_rng = np.random.default_rng(seed)
+        res = ReservoirSample(capacity, seed)
+        oracle = ListReservoir(capacity, seed)
+        for size in sizes:
+            values = data_rng.normal(size=size)
+            labels = data_rng.integers(0, 3, size=size)
+            res.extend(values, labels)
+            oracle.extend(values, labels.tolist())
+            self._assert_matches(res, oracle)
+
+    def test_slot_drawn_twice_keeps_later_arrival(self):
+        capacity, seed, n = 3, 5, 60
+        slots = np.random.default_rng(seed).integers(0, np.arange(capacity + 1, n + 1))
+        hit = slots[slots < capacity]
+        assert len(set(hit.tolist())) < len(hit)  # one extend repeats a slot
+        res = ReservoirSample(capacity, seed)
+        oracle = ListReservoir(capacity, seed)
+        values = np.arange(n, dtype=float)
+        res.extend(values[:capacity], np.arange(capacity))
+        oracle.extend(values[:capacity], list(range(capacity)))
+        res.extend(values[capacity:], np.arange(capacity, n))
+        oracle.extend(values[capacity:], list(range(capacity, n)))
+        self._assert_matches(res, oracle)
 
 
 def test_parse_float_column_garbage_to_nan():
