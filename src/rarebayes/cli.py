@@ -80,27 +80,27 @@ def _cmd_classify(args) -> int:
 
 
 def _read_predictions(path: str) -> tuple[list[int], list[str]]:
+    dataset = CsvDataset(path)
     ids: list[int] = []
     labels: list[str] = []
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or not {"record_id", "label"} <= set(reader.fieldnames):
-                raise RareBayesError(f"{path} is not a classification file")
-            for row in reader:
-                try:
-                    rid = int(row["record_id"])
-                except (TypeError, ValueError):
-                    rid = -1
-                if rid < 0:
-                    raise RareBayesError(
-                        f"{path} line {reader.line_num}: record_id "
-                        f"{row['record_id']!r} is not a non-negative integer"
-                    )
-                ids.append(rid)
-                labels.append(row["label"])
-    except OSError as exc:
-        raise RareBayesError(f"cannot read predictions {path}: {exc}") from exc
+    for chunk in dataset.iter_chunks(["record_id", "label"]):
+        for text in chunk.columns["record_id"]:
+            try:
+                rid = int(text)
+            except ValueError:
+                rid = -1
+            if rid < 0:
+                raise RareBayesError(
+                    f"{path} row {len(ids) + 1}: record_id {text!r} "
+                    "is not a non-negative integer"
+                )
+            ids.append(rid)
+        labels += chunk.columns["label"]
+    if dataset.stats.rejected:
+        raise RareBayesError(
+            f"{path}: {dataset.stats.rejected} row(s) rejected, "
+            "their field count differs from the header"
+        )
     return ids, labels
 
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
+from itertools import repeat
+from operator import eq
 from typing import Sequence
 
 import numpy as np
@@ -101,18 +103,13 @@ def confusion(
     unknown = seen - {positive, negative}
     if unknown:
         raise EvaluationError(f"unknown label(s): {sorted(unknown)}")
-    tp = fp = tn = fn = 0
-    for pred, act in zip(predictions, actuals):
-        if act == positive:
-            if pred == positive:
-                tp += 1
-            else:
-                fn += 1
-        else:
-            if pred == positive:
-                fp += 1
-            else:
-                tn += 1
+    n = len(actuals)
+    pred_pos = np.fromiter(map(eq, predictions, repeat(positive)), dtype=bool, count=n)
+    act_pos = np.fromiter(map(eq, actuals, repeat(positive)), dtype=bool, count=n)
+    tp = int(np.count_nonzero(pred_pos & act_pos))
+    fn = int(np.count_nonzero(act_pos)) - tp
+    fp = int(np.count_nonzero(pred_pos)) - tp
+    tn = n - tp - fn - fp
     return ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn)
 
 

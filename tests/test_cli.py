@@ -295,3 +295,44 @@ def test_file_changed_after_pass_one_is_runtime_error(workdir, tmp_path, monkeyp
     err = capsys.readouterr().err
     assert "error:" in err and "changed between passes" in err
     assert "Traceback" not in err
+
+
+def test_evaluate_rejects_file_without_record_id(workdir, tmp_path, capsys):
+    pred = tmp_path / "pred.csv"
+    pred.write_text("id,label\n0,bad\n", encoding="utf-8")
+    code = run([
+        "evaluate", "--pred", str(pred),
+        "--data", str(workdir / "fixture" / "data.csv"),
+        "--positive", "bad", "--out", str(tmp_path / "eval.json"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "record_id" in err and "Traceback" not in err
+
+
+def test_evaluate_rejects_short_prediction_row(workdir, tmp_path, capsys):
+    pred = tmp_path / "pred.csv"
+    pred.write_text("record_id,label\n0,bad\n1\n", encoding="utf-8")
+    code = run([
+        "evaluate", "--pred", str(pred),
+        "--data", str(workdir / "fixture" / "data.csv"),
+        "--positive", "bad", "--out", str(tmp_path / "eval.json"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "pred.csv" in err and "1 row(s) rejected" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "eval.json").exists()
+
+
+def test_non_utf8_data_is_runtime_error(workdir, tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    data.write_bytes((workdir / "fixture" / "data.csv").read_bytes() + b"\xff\n")
+    code = run([
+        "train", "--schema", str(workdir / "fixture" / "schema.txt"),
+        "--data", str(data), "--out", str(tmp_path / "m.json"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "data.csv is not UTF-8" in err
+    assert err.count("\n") == 1 and "Traceback" not in err

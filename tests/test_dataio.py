@@ -1,8 +1,13 @@
+import csv
+import io
 import os
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from rarebayes import DatasetError, parse_schema
+from rarebayes import DatasetError, dataio, parse_schema
 from rarebayes.dataio import CsvDataset
 
 SCHEMA = parse_schema("class y\nvar a categorical\nvar b categorical\n")
@@ -117,3 +122,118 @@ def test_same_size_and_mtime_with_other_rows_raises(tmp_path):
     os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
     with pytest.raises(DatasetError, match="1 rejected"):
         read_records(ds)
+
+
+
+def test_non_utf8_data_is_dataset_error(tmp_path):
+    path = tmp_path / "data.csv"
+    # the bad byte lies past the header's first read buffer
+    path.write_bytes(b"y,a,b\n" + b"g,1,2\n" * 5000 + b"g,\xff,3\n")
+    ds = CsvDataset(path)
+    assert ds.header() == ["y", "a", "b"]
+    with pytest.raises(DatasetError, match="data.csv is not UTF-8"):
+        read_records(ds)
+    path.write_bytes(b"y,\xff,b\ng,1,2\n")
+    with pytest.raises(DatasetError, match="data.csv is not UTF-8"):
+        CsvDataset(path).header()
+
+
+def test_oversized_quoted_field_is_dataset_error(tmp_path):
+    field = "x" * (csv.field_size_limit() + 1)
+    ds = CsvDataset(write(tmp_path, f'y,a,b\ng,1,2\ng,"{field}",3\n'))
+    with pytest.raises(DatasetError, match="data.csv is not readable CSV"):
+        read_records(ds)
+    ds = CsvDataset(write(tmp_path, f'y,"{field}",b\n', name="head.csv"))
+    with pytest.raises(DatasetError, match="head.csv is not readable CSV"):
+        ds.header()
+
+
+# --- the block reader against csv.reader --------------------------------
+
+CELL = st.text(alphabet='ab ,"\r\n\x0c\u2028', max_size=3)
+TERMINATOR = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+def oracle(path, wanted):
+    """csv.reader over the whole file: wanted columns, row and rejected counts."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        records = [row for row in reader if row]
+    good = [row for row in records if len(row) == len(header)]
+    columns = {name: [row[header.index(name)] for row in good] for name in wanted}
+    return columns, len(good), len(records) - len(good)
+
+
+def csv_line(cells):
+    out = io.StringIO()
+    csv.writer(out, lineterminator="").writerow(cells)
+    return out.getvalue()
+
+
+@st.composite
+def csv_files(draw):
+    """A header of 1-4 columns (sometimes quoted) over a body that is either
+    rows of mostly plain cells, with blank and ragged lines, or raw text."""
+    width = draw(st.integers(1, 4))
+    names = [f"c{i}" for i in range(width)]
+    if draw(st.booleans()):
+        head = csv_line(names)
+    else:
+        head = ",".join(f'"{name}"' for name in names)
+    text = head + draw(TERMINATOR)
+    if draw(st.booleans()):
+        text += draw(st.text(alphabet='ab,"\r\n\x0c\u2028', max_size=40))
+    else:
+        plain = st.sampled_from(["", "a", "b", "ab", "?", " a", "a\x0cb", "\u2028"])
+        cell = st.one_of(plain, plain, plain, CELL)
+        for _ in range(draw(st.integers(0, 12))):
+            kind = draw(st.sampled_from(["row", "row", "row", "blank", "ragged"]))
+            if kind == "blank":
+                line = ""
+            else:
+                n = width if kind == "row" else draw(
+                    st.sampled_from([k for k in (width - 1, width + 1) if k > 0]))
+                line = csv_line(draw(st.lists(cell, min_size=n, max_size=n)))
+            text += line + draw(TERMINATOR)
+        if draw(st.booleans()):
+            text = text.rstrip("\r\n")
+    wanted = draw(st.lists(st.sampled_from(names), unique=True))
+    return text, wanted
+
+
+@pytest.fixture(scope="module")
+def case_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("reader")
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    case=csv_files(),
+    chunk_rows=st.integers(1, 8),
+    block_chars=st.one_of(st.integers(1, 48), st.just(dataio._BLOCK_CHARS)),
+)
+@example(case=("c0\n\na\n\n\nb\n", ["c0"]), chunk_rows=1, block_chars=1)
+@example(case=("c0\r\na\r\nb\r\n", ["c0"]), chunk_rows=2, block_chars=4)
+@example(case=("c0,c1\na,b\nc\x0cd,e\u2028f\n", ["c1", "c0"]), chunk_rows=3,
+         block_chars=1 << 20)
+@example(case=('c0,c1\na,b\nc,d\n"e\nf",g\nh,i\n', ["c0"]), chunk_rows=2,
+         block_chars=5)
+@example(case=('"c0","c1"\na,b\nc\rd,e\n', ["c1"]), chunk_rows=1, block_chars=3)
+def test_reader_matches_csv_module(case_dir, case, chunk_rows, block_chars):
+    text, wanted = case
+    path = case_dir / "case.csv"
+    path.write_bytes(text.encode("utf-8"))
+    columns, rows, rejected = oracle(path, wanted)
+    ds = CsvDataset(path)
+    with mock.patch.object(dataio, "_BLOCK_CHARS", block_chars):
+        chunks = list(ds.iter_chunks(wanted, chunk_rows))
+    sizes = [chunk.size for chunk in chunks]
+    assert sizes == [chunk_rows] * (rows // chunk_rows) + (
+        [rows % chunk_rows] if rows % chunk_rows else [])
+    for chunk in chunks:
+        assert sorted(chunk.columns) == sorted(wanted)
+        assert all(len(col) == chunk.size for col in chunk.columns.values())
+    got = {name: [v for chunk in chunks for v in chunk.columns[name]] for name in wanted}
+    assert got == columns
+    assert (ds.stats.passes, ds.stats.rows, ds.stats.rejected) == (1, rows, rejected)

@@ -37,6 +37,32 @@ class TestConfusion:
         with pytest.raises(EvaluationError, match="ambiguous"):
             confusion(["b", "x"], ["b", "z"], positive="b")
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from("bg"), st.sampled_from("bg")), max_size=60),
+           st.sampled_from([None, "g"]))
+    def test_matches_pairwise_loop(self, pairs, negative):
+        predictions = [p for p, _ in pairs]
+        actuals = [a for _, a in pairs]
+        counts = confusion(predictions, actuals, positive="b", negative=negative)
+        assert counts == loop_confusion(predictions, actuals, positive="b")
+
+
+def loop_confusion(predictions, actuals, positive):
+    """Per-pair reference count for ``confusion`` on validated labels."""
+    tp = fp = tn = fn = 0
+    for pred, act in zip(predictions, actuals):
+        if act == positive:
+            if pred == positive:
+                tp += 1
+            else:
+                fn += 1
+        else:
+            if pred == positive:
+                fp += 1
+            else:
+                tn += 1
+    return ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn)
+
 
 class TestFcv:
     def test_capture_rate_from_published_counts(self):
