@@ -50,7 +50,6 @@ from .outcomes import (
     ReservoirSample,
     VariableOutcomes,
     collect_outcomes,
-    discretize,
     entropy_bins,
     quantile_bins,
 )
@@ -126,7 +125,6 @@ __all__ = [
     "conditional_mutual_information",
     "confusion",
     "default_grid",
-    "discretize",
     "entropy",
     "entropy_bins",
     "estimate_cpts",

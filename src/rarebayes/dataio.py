@@ -19,16 +19,18 @@ CSV Data Parsing for Big Data Analytics* (SIGMOD 2019).  It reads text
 blocks of ``_BLOCK_CHARS`` characters, each extended to the end of its
 last line.  A block takes the fast path when it has no ``"``, no lone
 ``\r`` (one not followed by ``\n``), and, once ``\r\n`` is folded to
-``\n`` and the block split on ``\n``, no empty line and exactly
-``width - 1`` commas on every line.  The fast path joins the lines with
-commas, splits once, and slices out only the wanted columns.
+``\n`` and the block split on ``\n``, no empty line, no line longer than
+``csv.field_size_limit()`` and exactly ``width - 1`` commas on every
+line.  The fast path joins the lines with commas, splits once, and
+slices out only the wanted columns.
 (``str.splitlines`` is not used: it also breaks on ``\x0c``, ``\u2028``
 and others, which ``csv`` keeps inside a field.)
 The rest falls back to ``csv.reader`` with the same blank-line and
 field-count rules:
 
-- a quote-free block with a blank, ragged or lone-``\r`` line is parsed by
-  ``csv.reader`` as one block;
+- a quote-free block with a blank, ragged, over-long or lone-``\r`` line
+  is parsed by ``csv.reader`` as one block, so a field longer than
+  ``csv.field_size_limit()`` raises :class:`DatasetError` on either path;
 - from the line holding the first ``"`` on (the header included), because
   a quoted field can span lines, ``csv.reader`` reads the rest of the file.
 
@@ -240,7 +242,8 @@ def _pieces(fh, width: int, idx: list[int], chunk_rows: int) -> Iterator[_Piece]
 
 
 def _block_piece(block: str, width: int, idx: list[int]) -> _Piece:
-    """Split a quote-free block of whole lines; ``csv.reader`` takes odd blocks."""
+    """Split a quote-free block of whole lines; ``csv.reader`` takes odd blocks,
+    including any with a line longer than ``csv.field_size_limit()``."""
     if "\r" in block:
         block = block.replace("\r\n", "\n")
     lines = block.split("\n")
@@ -249,6 +252,7 @@ def _block_piece(block: str, width: int, idx: list[int]) -> _Piece:
     if (
         "\r" in block
         or "" in lines
+        or max(map(len, lines), default=0) > csv.field_size_limit()
         or set(map(str.count, lines, repeat(","))) != {width - 1}
     ):
         return _csv_piece(list(csv.reader(io.StringIO(block, newline=""))), width, idx)

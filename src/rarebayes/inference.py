@@ -13,8 +13,11 @@ the observation were missing, so every posterior stays strictly inside
 
 The kernel also returns an ``int8`` skip matrix, one column per ranked
 node, holding the index of the node's reason in :data:`SKIP_REASONS`
-(0 = incorporated).  Batch scoring reads, encodes and lags only the
-variables the model's nodes name.  One batch-only leniency: a
+(0 = incorporated).  Every code comes from the model's one codebook,
+``model.encoder`` (:class:`~rarebayes.structure.Encoder`): symbols for
+:func:`posterior`, raw cells for :func:`symbolize` and batch scoring.
+Batch scoring reads, encodes and lags only the variables the model's
+nodes name.  One batch-only leniency: a
 categorical value never seen in training maps to MISSING instead of
 raising, since streams routinely grow new outcomes after training.
 """
@@ -30,7 +33,7 @@ import numpy as np
 
 from .dataio import MISSING, CsvDataset, as_dataset
 from .errors import ConfigError, EvidenceError
-from .structure import Encoder, NetworkModel
+from .structure import NetworkModel
 from .windows import CaseRecord, node_var_slot
 
 SKIP_MISSING = "missing"
@@ -58,7 +61,7 @@ class ClassPosterior:
 
 def _symbol_code(model: NetworkModel, var: str, symbol: str) -> int:
     try:
-        return model.symbol_index[var][symbol]
+        return model.encoder.codes[var][symbol]
     except KeyError:
         raise EvidenceError(
             f"value {symbol!r} is not in the alphabet of variable {var!r}"
@@ -66,24 +69,15 @@ def _symbol_code(model: NetworkModel, var: str, symbol: str) -> int:
 
 
 def symbolize(model: NetworkModel, record: dict[str, str]) -> dict[str, str]:
-    """Map a raw record to outcome symbols using the model's alphabets.
+    """Map a raw record to outcome symbols through ``model.encoder``.
 
     Continuous values are binned by the trained edges; categorical values
-    never seen in training become MISSING, mirroring the batch scorer.
+    never seen in training become MISSING, as in batch scoring.
     """
-    from .outcomes import discretize
-
     out: dict[str, str] = {}
     for spec in model.schema.field_vars:
-        raw = record.get(spec.name, MISSING)
-        if spec.kind == "continuous":
-            edges = model.outcomes.edges(spec.name) or ()
-            try:
-                out[spec.name] = discretize(raw, edges)
-            except ValueError:
-                out[spec.name] = MISSING
-        else:
-            out[spec.name] = raw if raw in model.symbol_index[spec.name] else MISSING
+        code = model.encoder.encode_var(spec.name, [record.get(spec.name, MISSING)])[0]
+        out[spec.name] = model.outcomes.symbols(spec.name)[code]
     return out
 
 
@@ -95,6 +89,7 @@ def score_codes(
     Returns the ``(n, classes)`` posteriors and the ``(n, ranked nodes)``
     ``int8`` skip matrix whose entries index :data:`SKIP_REASONS`.
     """
+    missing = model.encoder.missing
     p = np.tile(model.prior, (n, 1))
     skip = np.zeros((n, len(model.ranked_fields)), dtype=np.int8)
     for j, rf in enumerate(model.ranked_fields):
@@ -106,14 +101,14 @@ def score_codes(
             unseen = np.full(n, bool(cpt.unseen.any()))
         else:
             pcode = codes[parent]
-            pmiss = pcode == model.missing_code(node_var_slot(parent)[0])
+            pmiss = pcode == missing[node_var_slot(parent)[0]]
             fb = model.fallbacks[rf.node]
             likelihood = np.where(
                 pmiss[:, None], fb.probs[:, child].T, cpt.probs[:, pcode, child].T
             )
             unseen = np.where(pmiss, bool(fb.unseen.any()), cpt.unseen[:, pcode].any(axis=0))
         skip[unseen, j] = SKIP_REASONS.index(SKIP_UNSEEN)
-        skip[child == model.missing_code(rf.var), j] = SKIP_REASONS.index(SKIP_MISSING)
+        skip[child == missing[rf.var], j] = SKIP_REASONS.index(SKIP_MISSING)
         active = np.flatnonzero(skip[:, j] == 0)
         cand = p[active] * likelihood[active]
         with np.errstate(invalid="ignore"):
@@ -207,10 +202,9 @@ def iter_scored(
     ds = as_dataset(data)
     schema = model.schema
     ds.require_columns(ds.schema_columns(schema, require_class=False))
-    enc = Encoder(schema, model.outcomes)
     nodes = [rf.node for rf in model.ranked_fields]
     offset = 0
-    for chunk, codes, _ in enc.node_chunks(ds, nodes, chunk_rows):
+    for chunk, codes, _ in model.encoder.node_chunks(ds, nodes, chunk_rows):
         probs, skip = score_codes(model, codes, chunk.size)
         yield ScoredChunk(offset=offset, probabilities=probs, skipped=skip,
                           actuals=chunk.columns.get(schema.class_var))

@@ -17,15 +17,10 @@ as binning on the symbols themselves.
 from __future__ import annotations
 
 import hashlib
-import logging
-import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
-
-log = logging.getLogger(__name__)
 
 from .dataio import CsvDataset, MISSING
 from .errors import CardinalityError
@@ -240,20 +235,6 @@ def quantile_bins(values: Iterable[float], max_bins: int) -> tuple[float, ...]:
 
 def bin_symbol(index: int) -> str:
     return f"bin{index}"
-
-
-def discretize(value: float | str | None, edges: Sequence[float]) -> str:
-    """Map a number to its bin symbol.  Left-closed bins: bin j iff e_j <= v < e_{j+1}.
-
-    MISSING (or None, or NaN) maps to the MISSING symbol.
-    """
-    if value is None or value == MISSING:
-        return MISSING
-    v = float(value)
-    if math.isnan(v):
-        log.debug("NaN value treated as MISSING")
-        return MISSING
-    return bin_symbol(bisect_right(list(edges), v))
 
 
 def variable_seed(base_seed: int, name: str) -> int:

@@ -14,11 +14,14 @@ Recognized directives::
     max_bins <int>
     smoothing <float>
     max_model_cells <int>
+
+Variable names may not contain ``@``, which names lagged nodes
+(``<var>@<slot>``).  Every check names the offending line.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import SchemaError
 
@@ -31,16 +34,53 @@ DEFAULT_MAX_MODEL_CELLS = 10_000_000
 _KINDS = ("categorical", "continuous")
 _DISCRETIZERS = ("entropy", "quantile")
 
+# Schema knob -> (file-token parser, rule, the rule in words); the one
+# range check for schema files and model documents alike.
+_KNOBS = {
+    "t_prime": (float, lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"),
+    "t_field": (float, lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"),
+    "window": (int, lambda v: v >= 1, "must be >= 1"),
+    "max_parents": (int, lambda v: v >= 0, "must be >= 0"),
+    "max_bins": (int, lambda v: v >= 1, "must be >= 1"),
+    "smoothing": (float, lambda v: v >= 0, "must be >= 0"),
+    "max_model_cells": (int, lambda v: v >= 1, "must be >= 1"),
+}
+
+
+def _check_knob(name: str, value) -> None:
+    _, rule, words = _KNOBS[name]
+    if not rule(value):
+        raise SchemaError(f"{name} {words}, got {value}")
+
+
+def _claim_names(class_var: str | None, names: list[str], seen: set[str]) -> None:
+    """Add field ``names`` to ``seen``; raise on a repeat or a clash with the class."""
+    if class_var in seen:
+        raise SchemaError(f"class variable {class_var!r} also declared as a field")
+    for name in names:
+        if name in seen:
+            raise SchemaError(f"duplicate variable name {name!r}")
+        if name == class_var:
+            raise SchemaError(f"class variable {class_var!r} also declared as a field")
+        seen.add(name)
+
 
 @dataclass(frozen=True)
 class VariableSpec:
-    """One field variable: a name, a kind, and (if continuous) a discretizer."""
+    """One field variable: a name, a kind, and (if continuous) a discretizer.
+
+    A name may not hold ``@``, which separates a lagged node's slot.
+    """
 
     name: str
     kind: str
     discretizer: str | None = None
 
     def __post_init__(self):
+        if "@" in self.name:
+            raise SchemaError(
+                f"variable name {self.name!r} contains '@', which lagged node names use"
+            )
         if self.kind not in _KINDS:
             raise SchemaError(f"unknown kind {self.kind!r} for variable {self.name!r}")
         if self.kind == "continuous":
@@ -71,28 +111,11 @@ class Schema:
     max_model_cells: int = DEFAULT_MAX_MODEL_CELLS
 
     def __post_init__(self):
-        names = [v.name for v in self.field_vars]
-        if len(set(names)) != len(names):
-            dup = next(n for n in names if names.count(n) > 1)
-            raise SchemaError(f"duplicate variable name {dup!r}")
-        if self.class_var in names:
-            raise SchemaError(f"class variable {self.class_var!r} also declared as a field")
+        _claim_names(self.class_var, self.var_names, set())
         if not self.field_vars:
             raise SchemaError("schema declares no field variables")
-        if not 0.0 <= self.t_prime <= 1.0:
-            raise SchemaError(f"t_prime must lie in [0, 1], got {self.t_prime}")
-        if not 0.0 <= self.t_field <= 1.0:
-            raise SchemaError(f"t_field must lie in [0, 1], got {self.t_field}")
-        if self.window < 1:
-            raise SchemaError(f"window must be >= 1, got {self.window}")
-        if self.max_parents < 0:
-            raise SchemaError(f"max_parents must be >= 0, got {self.max_parents}")
-        if self.max_bins < 1:
-            raise SchemaError(f"max_bins must be >= 1, got {self.max_bins}")
-        if self.smoothing < 0:
-            raise SchemaError(f"smoothing must be >= 0, got {self.smoothing}")
-        if self.max_model_cells < 1:
-            raise SchemaError(f"max_model_cells must be >= 1, got {self.max_model_cells}")
+        for name in _KNOBS:
+            _check_knob(name, getattr(self, name))
 
     @property
     def var_names(self) -> list[str]:
@@ -112,44 +135,30 @@ class Schema:
     def categorical_vars(self) -> list[VariableSpec]:
         return [v for v in self.field_vars if v.kind == "categorical"]
 
-    def with_overrides(self, **kwargs) -> "Schema":
-        return replace(self, **kwargs)
 
-
-def _parse_float(token: str, what: str, lineno: int) -> float:
+def _parse_knob(name: str, token: str):
+    parse = _KNOBS[name][0]
     try:
-        return float(token)
+        value = parse(token)
     except ValueError:
-        raise SchemaError(f"{what} expects a number, got {token!r}", lineno) from None
-
-
-def _parse_int(token: str, what: str, lineno: int) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise SchemaError(f"{what} expects an integer, got {token!r}", lineno) from None
+        what = "an integer" if parse is int else "a number"
+        raise SchemaError(f"{name} expects {what}, got {token!r}") from None
+    _check_knob(name, value)
+    return value
 
 
 def parse_schema(text: str) -> Schema:
     """Parse schema-file contents into a :class:`Schema` with defaults applied.
 
-    Raises :class:`SchemaError` naming the offending line on duplicate
-    variables, unknown kinds, thresholds outside [0, 1], or window < 1.
+    Each line is checked as it is read, by the same rules
+    :class:`VariableSpec` and :class:`Schema` apply, so a
+    :class:`SchemaError` names the offending line: duplicate variables,
+    unknown kinds or discretizers, ``@`` in a name, and knobs out of range.
     """
     class_var: str | None = None
     fields: list[VariableSpec] = []
     seen: set[str] = set()
     options: dict[str, object] = {}
-
-    scalar_directives = {
-        "t_prime": ("t_prime", _parse_float),
-        "t_field": ("t_field", _parse_float),
-        "window": ("window", _parse_int),
-        "max_parents": ("max_parents", _parse_int),
-        "max_bins": ("max_bins", _parse_int),
-        "smoothing": ("smoothing", _parse_float),
-        "max_model_cells": ("max_model_cells", _parse_int),
-    }
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -157,57 +166,39 @@ def parse_schema(text: str) -> Schema:
             continue
         tokens = line.split()
         directive, args = tokens[0], tokens[1:]
-
-        if directive == "class":
-            if len(args) != 1:
-                raise SchemaError("class expects exactly one name", lineno)
-            if class_var is not None:
-                raise SchemaError("class declared twice", lineno)
-            class_var = args[0]
-        elif directive == "var":
-            if len(args) < 2:
-                raise SchemaError("var expects a name and a kind", lineno)
-            name, kind = args[0], args[1]
-            if name in seen or name == class_var:
-                raise SchemaError(f"duplicate variable name {name!r}", lineno)
-            seen.add(name)
-            if kind == "categorical":
-                if len(args) > 2:
-                    raise SchemaError(
-                        f"unexpected token {args[2]!r} after categorical variable", lineno
-                    )
-                fields.append(VariableSpec(name, "categorical"))
-            elif kind == "continuous":
-                discretizer = args[2] if len(args) > 2 else "entropy"
+        try:
+            if directive == "class":
+                if len(args) != 1:
+                    raise SchemaError("class expects exactly one name")
+                if class_var is not None:
+                    raise SchemaError("class declared twice")
+                class_var = args[0]
+                _claim_names(class_var, [], seen)
+            elif directive == "var":
+                if len(args) < 2:
+                    raise SchemaError("var expects a name and a kind")
                 if len(args) > 3:
-                    raise SchemaError(f"unexpected token {args[3]!r}", lineno)
-                if discretizer not in _DISCRETIZERS:
-                    raise SchemaError(f"unknown discretizer {discretizer!r}", lineno)
-                fields.append(VariableSpec(name, "continuous", discretizer))
+                    raise SchemaError(f"unexpected token {args[3]!r}")
+                name, kind = args[0], args[1]
+                default = "entropy" if kind == "continuous" else None
+                spec = VariableSpec(name, kind, args[2] if len(args) > 2 else default)
+                _claim_names(class_var, [name], seen)
+                fields.append(spec)
+            elif directive == "group":
+                if len(args) != 1:
+                    raise SchemaError("group expects exactly one column name")
+                options["group_key"] = args[0]
+            elif directive in _KNOBS:
+                if len(args) != 1:
+                    raise SchemaError(f"{directive} expects exactly one value")
+                options[directive] = _parse_knob(directive, args[0])
             else:
-                raise SchemaError(f"unknown kind {kind!r}", lineno)
-        elif directive == "group":
-            if len(args) != 1:
-                raise SchemaError("group expects exactly one column name", lineno)
-            options["group_key"] = args[0]
-        elif directive in scalar_directives:
-            if len(args) != 1:
-                raise SchemaError(f"{directive} expects exactly one value", lineno)
-            key, conv = scalar_directives[directive]
-            value = conv(args[0], directive, lineno)
-            # range checks here so the error names the offending line
-            if key in ("t_prime", "t_field") and not 0.0 <= value <= 1.0:
-                raise SchemaError(f"{directive} outside [0, 1]: {value}", lineno)
-            if key == "window" and value < 1:
-                raise SchemaError(f"window must be >= 1, got {value}", lineno)
-            options[key] = value
-        else:
-            raise SchemaError(f"unknown directive {directive!r}", lineno)
+                raise SchemaError(f"unknown directive {directive!r}")
+        except SchemaError as exc:
+            raise SchemaError(str(exc), lineno) from None
 
     if class_var is None:
         raise SchemaError("schema is missing a class directive")
-    if class_var in seen:
-        raise SchemaError(f"class variable {class_var!r} also declared as a field")
     return Schema(class_var=class_var, field_vars=tuple(fields), **options)  # type: ignore[arg-type]
 
 

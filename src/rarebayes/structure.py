@@ -7,6 +7,10 @@ keeps the dependencies whose cumulative conditional-MI share reaches
 ``t_field``.  Pass 4 estimates the class prior, one CPT per selected
 node, and a per-node fallback table conditioned on the class alone.
 
+:class:`Encoder` is the one codebook: training, batch scoring and the
+single-case path (through ``NetworkModel.encoder``) turn every raw cell
+and every outcome symbol into its integer code there.
+
 Passes 2-4 share one counting engine, :func:`_count_pass`.  Each pass
 only declares its count tables as axis tuples: ``("class", node)`` per
 candidate node in pass 2; ``("class", a, b)`` per rank-ordered pair of
@@ -101,21 +105,9 @@ class NetworkModel:
     pass_stats: PassStats
 
     @cached_property
-    def class_index(self) -> dict[str, int]:
-        return {sym: i for i, sym in enumerate(self.class_symbols)}
-
-    @cached_property
-    def symbol_index(self) -> dict[str, dict[str, int]]:
-        return {
-            var: {sym: i for i, sym in enumerate(vo.symbols)}
-            for var, vo in self.outcomes.variables.items()
-        }
-
-    def alphabet_size(self, var: str) -> int:
-        return len(self.outcomes.variables[var].symbols)
-
-    def missing_code(self, var: str) -> int:
-        return self.alphabet_size(var) - 1
+    def encoder(self) -> Encoder:
+        """The model's one codebook, built on first use."""
+        return Encoder(self.schema, self.outcomes)
 
     def rare_class(self) -> str:
         """The least-frequent class by prior; ties go to alphabet order."""
@@ -241,32 +233,40 @@ def load_model(path: str | Path) -> NetworkModel:
 
 
 class Encoder:
-    """Maps raw chunk columns to integer outcome codes (MISSING = last code)."""
+    """The model's one codebook: raw cells and outcome symbols to integer codes.
+
+    ``codes`` holds one ``{symbol: code}`` dict per field variable, the
+    bins of continuous variables included, with MISSING the last code.
+    A raw categorical cell outside the alphabet codes as MISSING.  A raw
+    continuous cell is binned left-closed by ``edges`` (bin j iff
+    e_j <= v < e_{j+1}); NaN, ``?``, blanks and unparsable text code as
+    MISSING.
+    """
 
     def __init__(self, schema: Schema, outcomes: OutcomeTable):
         self.schema = schema
-        self.outcomes = outcomes
         self.class_lut = {sym: i for i, sym in enumerate(outcomes.class_symbols)}
-        self.sizes = {v: len(o.symbols) for v, o in outcomes.variables.items()}
-        self.missing = {v: self.sizes[v] - 1 for v in self.sizes}
-        self._luts: dict[str, dict[str, int]] = {}
-        self._edges: dict[str, np.ndarray] = {}
-        for spec in schema.field_vars:
-            vo = outcomes.variables[spec.name]
-            if spec.kind == "categorical":
-                self._luts[spec.name] = {s: i for i, s in enumerate(vo.symbols)}
-            else:
-                self._edges[spec.name] = np.asarray(vo.edges or (), dtype=np.float64)
+        self.codes = {
+            var: {sym: i for i, sym in enumerate(vo.symbols)}
+            for var, vo in outcomes.variables.items()
+        }
+        self.sizes = {var: len(lut) for var, lut in self.codes.items()}
+        self.missing = {var: size - 1 for var, size in self.sizes.items()}
+        self.edges = {
+            spec.name: np.asarray(outcomes.edges(spec.name) or (), dtype=np.float64)
+            for spec in schema.continuous_vars
+        }
 
     def encode_var(self, name: str, col: list[str]) -> np.ndarray:
-        if name in self._luts:
-            lut = self._luts[name]
+        """Codes of one variable's raw cells."""
+        if name not in self.edges:
+            lut = self.codes[name]
             miss = self.missing[name]
             return np.fromiter(
                 map(lut.get, col, repeat(miss)), dtype=np.int64, count=len(col)
             )
         values = parse_float_column(col)
-        codes = np.searchsorted(self._edges[name], values, side="right").astype(np.int64)
+        codes = np.searchsorted(self.edges[name], values, side="right").astype(np.int64)
         codes[np.isnan(values)] = self.missing[name]
         return codes
 

@@ -1,4 +1,4 @@
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import pytest
@@ -28,7 +28,7 @@ def _bundle(config, out_dir, **schema_overrides) -> Bundle:
     result = generate(config, out_dir)
     schema = parse_schema(result.schema_path.read_text(encoding="utf-8"))
     if schema_overrides:
-        schema = schema.with_overrides(**schema_overrides)
+        schema = replace(schema, **schema_overrides)
     return Bundle(result=result, schema=schema)
 
 

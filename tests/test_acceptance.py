@@ -12,6 +12,7 @@ import math
 import time
 from collections import Counter
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 
@@ -150,7 +151,7 @@ def test_c05_posterior_oracle(tmp_path):
         fit = generate(indep_config(), tmp_path / "fit")
         held = generate(indep_config(n=20_000, seed=203), tmp_path / "held")
         schema = parse_schema(fit.schema_path.read_text(encoding="utf-8"))
-        schema = schema.with_overrides(max_parents=0, t_prime=1.0, max_bins=8)
+        schema = replace(schema, max_parents=0, t_prime=1.0, max_bins=8)
         model = train(schema, CsvDataset(fit.data_path), seed=5)
         bad_idx = model.class_symbols.index("bad")
         learned = np.concatenate(
@@ -175,7 +176,7 @@ def test_c05_posterior_oracle(tmp_path):
         )
         nb = generate(cfg, tmp_path / "nb")
         nb_schema = parse_schema(nb.schema_path.read_text(encoding="utf-8"))
-        nb_model = train(nb_schema.with_overrides(max_parents=0, t_prime=1.0),
+        nb_model = train(replace(nb_schema, max_parents=0, t_prime=1.0),
                          CsvDataset(nb.data_path))
         rows = list(csv.DictReader(open(nb.data_path, newline="", encoding="utf-8")))
         class_counts = Counter(r["class"] for r in rows)

@@ -166,6 +166,19 @@ def test_schema_parse_failure_is_runtime_error(workdir, tmp_path, capsys):
     assert "window" in capsys.readouterr().err
 
 
+def test_at_sign_in_variable_name_is_runtime_error(tmp_path, capsys):
+    schema = tmp_path / "schema.txt"
+    schema.write_text("class y\nvar x@1 categorical\n", encoding="utf-8")
+    data = tmp_path / "data.csv"
+    data.write_text("y,x@1\ngood,a\nbad,b\n", encoding="utf-8")
+    code = run(["train", "--schema", str(schema), "--data", str(data),
+                "--out", str(tmp_path / "m.json")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "line 2" in err and "'x@1'" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_bad_grid_is_runtime_error(workdir, capsys):
     code = run([
         "sweep", "--model", str(workdir / "model.json"),

@@ -148,6 +148,18 @@ def test_oversized_quoted_field_is_dataset_error(tmp_path):
         ds.header()
 
 
+def test_oversized_field_is_dataset_error_quoted_or_not(tmp_path):
+    field = "x" * 200_000
+    for name, cell in (("bare.csv", field), ("quoted.csv", f'"{field}"')):
+        ds = CsvDataset(write(tmp_path, f"y,a,b\ng,1,2\ng,{cell},3\n", name=name))
+        with pytest.raises(DatasetError, match=f"{name} is not readable CSV.*field limit"):
+            read_records(ds)
+    # a line past the limit whose fields all fit still reads
+    half = "x" * (csv.field_size_limit() // 2 + 1)
+    ds = CsvDataset(write(tmp_path, f"y,a,b\ng,{half},{half}\n", name="long.csv"))
+    assert read_records(ds) == [{"y": "g", "a": half, "b": half}]
+
+
 # --- the block reader against csv.reader --------------------------------
 
 CELL = st.text(alphabet='ab ,"\r\n\x0c\u2028', max_size=3)

@@ -1,4 +1,6 @@
 import csv
+import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from rarebayes import (
 )
 from rarebayes.dataio import CsvDataset, PassStats
 from rarebayes.inference import SKIP_REASONS, iter_scored, score_codes, skip_strings
-from rarebayes.outcomes import OutcomeTable, VariableOutcomes
+from rarebayes.outcomes import OutcomeTable, VariableOutcomes, bin_symbol
 from rarebayes.structure import CPT, Encoder, NetworkModel, RankedField
 from rarebayes.windows import CaseRecord, node_id, node_order, node_var_slot
 
@@ -26,17 +28,22 @@ from window_oracle import WindowCase, window_expand
 
 
 def toy_model(tables, prior=(0.1, 0.9), classes=("bad", "good"), parents=None,
-              fallback_tables=None, unseen=None):
-    """Hand-built binary model; tables[var] has shape (2, alphabet)."""
+              fallback_tables=None, unseen=None, edges=None):
+    """Hand-built binary model; tables[var] has shape (2, alphabet).
+
+    A variable named in ``edges`` is continuous, cut at its edges.
+    """
     variables = {}
     cpts = {}
     fallbacks = {}
     ranked = []
     parents = parents or {}
+    edges = edges or {}
     for i, (var, rows) in enumerate(tables.items()):
         rows = np.asarray(rows, dtype=np.float64)
-        symbols = tuple(str(s) for s in range(rows.shape[-1] - 1)) + (MISSING,)
-        variables[var] = VariableOutcomes(symbols=symbols)
+        labels = bin_symbol if var in edges else str
+        symbols = tuple(labels(s) for s in range(rows.shape[-1] - 1)) + (MISSING,)
+        variables[var] = VariableOutcomes(symbols=symbols, edges=edges.get(var))
         flags = np.asarray(
             unseen.get(var) if unseen and var in unseen
             else np.zeros(rows.shape[:-1], dtype=bool)
@@ -51,9 +58,9 @@ def toy_model(tables, prior=(0.1, 0.9), classes=("bad", "good"), parents=None,
             unseen=np.zeros(fb_rows.shape[:-1], dtype=bool),
         )
         ranked.append(RankedField(node=var, var=var, slot=0, mi=1.0 - 0.1 * i))
-    schema = parse_schema(
-        "class y\n" + "".join(f"var {v} categorical\n" for v in tables)
-    )
+    schema = parse_schema("class y\n" + "".join(
+        f"var {v} {'continuous' if v in edges else 'categorical'}\n" for v in tables
+    ))
     return NetworkModel(
         schema=schema,
         seed=0,
@@ -68,6 +75,43 @@ def toy_model(tables, prior=(0.1, 0.9), classes=("bad", "good"), parents=None,
     )
 
 
+def oracle_code(model, var, symbol):
+    """A symbol's code, read off the alphabet: its index, MISSING last."""
+    return model.outcomes.symbols(var).index(symbol)
+
+
+def oracle_missing(model, var):
+    return len(model.outcomes.symbols(var)) - 1
+
+
+def oracle_symbol(model, var, raw):
+    """Reference raw cell -> symbol rule, written apart from the Encoder.
+
+    A categorical cell outside the alphabet is MISSING.  A continuous cell
+    goes through ``float()`` and ``bisect_right`` over the edges (bin j iff
+    e_j <= v < e_{j+1}); ``?``, None, NaN and unparsable text are MISSING.
+    """
+    symbols = model.outcomes.symbols(var)
+    if model.schema.variable(var).kind == "categorical":
+        return raw if raw in symbols else MISSING
+    if raw is None or raw == MISSING:
+        return MISSING
+    try:
+        v = float(raw)
+    except ValueError:
+        return MISSING
+    if math.isnan(v):
+        return MISSING
+    return bin_symbol(bisect_right(model.outcomes.edges(var), v))
+
+
+def oracle_symbols(model, row):
+    return {
+        var: oracle_symbol(model, var, row.get(var, MISSING))
+        for var in model.schema.var_names
+    }
+
+
 def oracle_posterior(model, case):
     """Reference update rule: one case, one node at a time, plain floats.
 
@@ -78,8 +122,8 @@ def oracle_posterior(model, case):
     skipped = []
     order = []
     for rf in model.ranked_fields:
-        code = model.symbol_index[rf.var][case.get(rf.node)]
-        if code == model.missing_code(rf.var):
+        code = oracle_code(model, rf.var, case.get(rf.node))
+        if code == oracle_missing(model, rf.var):
             skipped.append((rf.node, "missing"))
             continue
         parent = model.parents[rf.node]
@@ -88,8 +132,8 @@ def oracle_posterior(model, case):
             likelihood, row_unseen = cpt.probs[:, code], bool(cpt.unseen.any())
         else:
             pvar = node_var_slot(parent)[0]
-            pcode = model.symbol_index[pvar][case.get(parent)]
-            if pcode == model.missing_code(pvar):
+            pcode = oracle_code(model, pvar, case.get(parent))
+            if pcode == oracle_missing(model, pvar):
                 fb = model.fallbacks[rf.node]
                 likelihood, row_unseen = fb.probs[:, code], bool(fb.unseen.any())
             else:
@@ -123,7 +167,7 @@ def assert_batch_matches_oracle(model, path):
     skips = np.vstack([s.skipped for s in scored])
     with open(path, newline="", encoding="utf-8") as fh:
         records = [
-            {**symbolize(model, row), schema.class_var: row[schema.class_var],
+            {**oracle_symbols(model, row), schema.class_var: row[schema.class_var],
              **({schema.group_key: row[schema.group_key]} if schema.group_key else {})}
             for row in csv.DictReader(fh)
         ]
@@ -406,10 +450,14 @@ class TestBatchEquivalence:
         assert_batch_matches_oracle(model, path)
 
 
+EDGE_VALUES = st.floats(-1e6, 1e6, allow_nan=False) | st.sampled_from([-1.5, 0.0, 0.5, 2.0])
+
+
 @st.composite
-def random_models(draw):
+def random_models(draw, continuous=False):
     """A toy model with random CPTs (exact zeros and extreme ratios
-    included), random field parents down the ranking, and cases over it."""
+    included), random field parents down the ranking, and cases over it.
+    With ``continuous``, each variable may be continuous with random edges."""
     k = draw(st.integers(2, 3))
     classes = tuple(f"c{i}" for i in range(k))
     prior = np.asarray(draw(st.lists(st.integers(1, 10**6), min_size=k, max_size=k)),
@@ -426,10 +474,15 @@ def random_models(draw):
             probs = np.where(totals[..., None] > 0, counts / totals[..., None], 0.0)
         return probs, totals == 0
 
-    tables, fallbacks, unseen, parents, sizes = {}, {}, {}, {}, {}
+    tables, fallbacks, unseen, parents, sizes, edges = {}, {}, {}, {}, {}, {}
     for j in range(draw(st.integers(1, 4))):
         var = f"x{j}"
-        sizes[var] = draw(st.integers(2, 4))
+        if continuous and draw(st.booleans()):
+            cuts = draw(st.lists(EDGE_VALUES, max_size=4, unique=True))
+            edges[var] = tuple(sorted(cuts))
+            sizes[var] = len(cuts) + 2
+        else:
+            sizes[var] = draw(st.integers(2, 4))
         parent = draw(st.sampled_from([None] + list(tables)))
         if parent is None:
             tables[var], unseen[var] = rows((k, sizes[var]))
@@ -438,13 +491,69 @@ def random_models(draw):
             tables[var], unseen[var] = rows((k, sizes[parent], sizes[var]))
             fallbacks[var] = rows((k, sizes[var]))[0]
     model = toy_model(tables, prior=prior / prior.sum(), classes=classes, parents=parents,
-                      fallback_tables=fallbacks, unseen=unseen)
+                      fallback_tables=fallbacks, unseen=unseen, edges=edges)
     symbols = {var: model.outcomes.variables[var].symbols for var in tables}
     cases = draw(st.lists(
         st.fixed_dictionaries({var: st.sampled_from(sym) for var, sym in symbols.items()}),
         min_size=1, max_size=12,
     ))
     return model, [CaseRecord(values=case) for case in cases]
+
+
+GARBAGE = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+                  max_size=4)
+
+
+def raw_cells(model, var):
+    """Raw cells for ``var``: its own symbols or numbers, bin boundaries,
+    MISSING spellings, infinities, padded numbers, unseen categories and
+    garbage."""
+    edges = model.outcomes.edges(var)
+    if edges is None:
+        return st.one_of(st.sampled_from(model.outcomes.symbols(var)),
+                         st.sampled_from(["", " 0", "new", "bin0"]), GARBAGE)
+    numbers = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+        edges or (0.0,))
+    return st.one_of(
+        numbers.map(repr),
+        numbers.map(lambda x: f" {x!r}\t"),
+        st.sampled_from(["?", "", " ", "nan", "-NaN", "inf", "-inf", "+Infinity",
+                         "1_000", "0x10", "bin0"]),
+        GARBAGE,
+    )
+
+
+@pytest.fixture(scope="module")
+def case_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("symbolize")
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn=random_models(continuous=True), data=st.data())
+def test_symbolize_matches_oracle_and_batch_scoring(case_dir, drawn, data):
+    """symbolize bins like the scalar oracle, and the posterior of its
+    symbols equals iter_scored's row for the same raw cells, bit for bit."""
+    model, _ = drawn
+    names = model.schema.var_names
+    rows = data.draw(st.lists(
+        st.fixed_dictionaries({var: raw_cells(model, var) for var in names}),
+        min_size=1, max_size=8,
+    ))
+    path = case_dir / "raw.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["y"] + names)
+        writer.writerows(["?"] + [row[var] for var in names] for row in rows)
+    scored = list(iter_scored(model, path))
+    batch = np.vstack([s.probabilities for s in scored])
+    skips = np.vstack([s.skipped for s in scored])
+    assert batch.shape[0] == len(rows)
+    for i, row in enumerate(rows):
+        symbols = symbolize(model, row)
+        assert symbols == oracle_symbols(model, row)
+        post = posterior(model, CaseRecord(values=symbols))
+        assert np.array_equal(post.probabilities, batch[i])
+        assert post.skipped == skip_log(model, skips[i])
 
 
 class TestPruningIsFloatSafe:
@@ -469,7 +578,7 @@ class TestPruningIsFloatSafe:
     def test_kernel_matches_oracle_and_stays_inside(self, drawn):
         model, cases = drawn
         codes = {
-            rf.node: np.array([model.symbol_index[rf.var][c.get(rf.node)] for c in cases])
+            rf.node: np.array([oracle_code(model, rf.var, c.get(rf.node)) for c in cases])
             for rf in model.ranked_fields
         }
         probs, skip = score_codes(model, codes, len(cases))

@@ -9,13 +9,20 @@ from rarebayes import (
     CardinalityError,
     MISSING,
     collect_outcomes,
-    discretize,
     entropy_bins,
     parse_schema,
     quantile_bins,
+    symbolize,
 )
-from rarebayes.dataio import CsvDataset
-from rarebayes.outcomes import ReservoirSample, bin_symbol, parse_float_column
+from rarebayes.dataio import CsvDataset, PassStats
+from rarebayes.outcomes import (
+    OutcomeTable,
+    ReservoirSample,
+    VariableOutcomes,
+    bin_symbol,
+    parse_float_column,
+)
+from rarebayes.structure import Encoder, NetworkModel
 
 from reservoir_oracle import ListReservoir
 
@@ -27,6 +34,29 @@ def write(tmp_path, text):
 
 
 MIXED = parse_schema("class y\nvar color categorical\nvar amount continuous entropy\n")
+BINNED = parse_schema("class y\nvar v continuous\n")
+
+
+def binned_outcomes(edges):
+    """Outcomes of :data:`BINNED`: ``v`` cut at ``edges``."""
+    symbols = tuple(bin_symbol(i) for i in range(len(edges) + 1)) + (MISSING,)
+    return OutcomeTable(
+        class_var="y", class_symbols=("b", "g"),
+        variables={"v": VariableOutcomes(symbols=symbols, edges=tuple(edges))},
+    )
+
+
+def binned_model(edges):
+    """A model of :data:`BINNED` with no ranked fields: enough to symbolize."""
+    return NetworkModel(
+        schema=BINNED, seed=0, class_symbols=("b", "g"), prior=np.array([0.5, 0.5]),
+        outcomes=binned_outcomes(edges), ranked_fields=[], parents={}, cpts={},
+        fallbacks={}, pass_stats=PassStats(),
+    )
+
+
+def bin_of(raw, edges):
+    return symbolize(binned_model(edges), {"v": raw})["v"]
 
 
 class TestCollectOutcomes:
@@ -148,10 +178,11 @@ class TestEntropyBins:
         edges = entropy_bins([float(v) for v, _ in pairs], [c for _, c in pairs], max_bins)
         assert list(edges) == sorted(set(edges))
         assert len(edges) <= max_bins - 1
-        # totality: every sample value lands in some bin of the alphabet
-        symbols = {bin_symbol(i) for i in range(len(edges) + 1)}
-        for v, _ in pairs:
-            assert discretize(float(v), edges) in symbols
+        # totality: the Encoder puts every sample value in a bin, never MISSING
+        codes = Encoder(BINNED, binned_outcomes(edges)).encode_var(
+            "v", [repr(float(v)) for v, _ in pairs]
+        )
+        assert ((codes >= 0) & (codes <= len(edges))).all()
 
     @given(
         st.lists(
@@ -188,22 +219,27 @@ class TestQuantileBins:
 
 
 class TestDiscretize:
+    """Binning of raw continuous cells, through :func:`symbolize`."""
+
     def test_below_only_edge(self):
-        assert discretize(1.0, (2.5,)) == "bin0"
+        assert bin_of("1.0", (2.5,)) == "bin0"
 
     def test_left_closed_boundary(self):
-        assert discretize(2.5, (2.5,)) == "bin1"
+        assert bin_of("2.5", (2.5,)) == "bin1"
 
     def test_no_edges_single_bin(self):
-        assert discretize(123.0, ()) == "bin0"
+        assert bin_of("123.0", ()) == "bin0"
 
     def test_missing_and_nan(self):
-        assert discretize(MISSING, (1.0,)) == MISSING
-        assert discretize(None, (1.0,)) == MISSING
-        assert discretize(float("nan"), (1.0,)) == MISSING
+        assert bin_of(MISSING, (1.0,)) == MISSING
+        assert bin_of(None, (1.0,)) == MISSING
+        assert bin_of("nan", (1.0,)) == MISSING
+        assert symbolize(binned_model((1.0,)), {}) == {"v": MISSING}
 
     def test_numeric_strings_accepted(self):
-        assert discretize("3.5", (2.5,)) == "bin1"
+        assert bin_of("3.5", (2.5,)) == "bin1"
+        assert bin_of(" 3.5\t", (2.5,)) == "bin1"
+        assert bin_of("-1e3", (2.5,)) == "bin0"
 
 
 class TestReservoir:

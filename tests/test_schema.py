@@ -72,6 +72,21 @@ def test_threshold_out_of_range():
         parse_schema("class y\nvar x categorical\nt_field -0.1\n")
 
 
+@pytest.mark.parametrize("line", [
+    "max_parents -1", "max_bins 0", "smoothing -1", "smoothing nan", "max_model_cells 0",
+])
+def test_knob_out_of_range_names_line(line):
+    with pytest.raises(SchemaError, match=f"line 3.*{line.split()[0]}"):
+        parse_schema(f"class y\nvar x categorical\n{line}\n")
+
+
+def test_at_sign_in_variable_name_rejected():
+    with pytest.raises(SchemaError, match="line 2.*'x@1'.*'@'"):
+        parse_schema("class y\nvar x@1 categorical\n")
+    with pytest.raises(SchemaError, match="'@'"):
+        VariableSpec("v@2", "continuous", "entropy")
+
+
 def test_unknown_kind():
     with pytest.raises(SchemaError, match="line 2.*unknown kind"):
         parse_schema("class y\nvar x ordinal\n")

@@ -1,5 +1,6 @@
 import json
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -47,7 +48,7 @@ class TestTrain:
 
     def test_four_passes_even_with_zero_parent_budget(self, tmp_path):
         ds = CsvDataset(small_csv(tmp_path))
-        train(TWO_CAT.with_overrides(max_parents=0), ds)
+        train(replace(TWO_CAT, max_parents=0), ds)
         assert ds.stats.passes == 4
 
     def test_ranking_non_increasing(self, recovery_model):
@@ -63,7 +64,7 @@ class TestTrain:
 
     def test_t_prime_zero_keeps_single_best_field(self, tmp_path):
         ds = CsvDataset(small_csv(tmp_path))
-        model = train(TWO_CAT.with_overrides(t_prime=0.0), ds)
+        model = train(replace(TWO_CAT, t_prime=0.0), ds)
         assert len(model.ranked_fields) == 1
         assert model.ranked_fields[0].node == "a"
 
@@ -87,7 +88,7 @@ class TestTrain:
     def test_model_size_guard_names_pair(self, tmp_path):
         ds = CsvDataset(small_csv(tmp_path))
         with pytest.raises(ModelSizeError, match=r"\(a, b\)|\(b, a\)"):
-            train(TWO_CAT.with_overrides(max_model_cells=10), ds)
+            train(replace(TWO_CAT, max_model_cells=10), ds)
 
     def test_unlabeled_rows_excluded_from_counts_but_visited(self, tmp_path):
         path = write(
@@ -133,7 +134,7 @@ def budget_totals(model):
     """Cells the budget counts before pass 3 (pair tables) and pass 4
     (fallback tables plus CPTs with a field parent; not the class vector)."""
     k = len(model.class_symbols)
-    size = {rf.node: model.alphabet_size(rf.var) for rf in model.ranked_fields}
+    size = {rf.node: len(model.outcomes.symbols(rf.var)) for rf in model.ranked_fields}
     nodes = [rf.node for rf in model.ranked_fields]
     pair_cells = sum(k * size[a] * size[b] for i, a in enumerate(nodes) for b in nodes[i + 1:])
     cpt_cells = sum(k * size[n] for n in nodes) + sum(
@@ -150,12 +151,12 @@ class TestModelSizeBudget:
         assert pair_cells == 3 * 2 * 3 * 3
         assert cpt_cells <= pair_cells     # so the pass-3 limit also admits pass 4
         ds = CsvDataset(path)
-        train(THREE_CAT.with_overrides(max_model_cells=pair_cells), ds)
+        train(replace(THREE_CAT, max_model_cells=pair_cells), ds)
         assert ds.stats.passes == 4
         ds = CsvDataset(path)
         last = tuple(rf.node for rf in model.ranked_fields[-2:])
         with pytest.raises(ModelSizeError, match=rf"\({last[0]}, {last[1]}\).*={pair_cells - 1}"):
-            train(THREE_CAT.with_overrides(max_model_cells=pair_cells - 1), ds)
+            train(replace(THREE_CAT, max_model_cells=pair_cells - 1), ds)
         assert ds.stats.passes == 2
 
     def test_pass4_budget_boundary(self, tmp_path):
@@ -166,11 +167,11 @@ class TestModelSizeBudget:
         pair_cells, cpt_cells = budget_totals(model)
         assert (pair_cells, cpt_cells) == (18, 2 * 3 + 2 * 3 + 18)
         ds = CsvDataset(path)
-        train(TWO_CAT.with_overrides(max_model_cells=cpt_cells), ds)
+        train(replace(TWO_CAT, max_model_cells=cpt_cells), ds)
         assert ds.stats.passes == 4
         ds = CsvDataset(path)
         with pytest.raises(ModelSizeError, match=rf"node '{child[0]}'.*={cpt_cells - 1}"):
-            train(TWO_CAT.with_overrides(max_model_cells=cpt_cells - 1), ds)
+            train(replace(TWO_CAT, max_model_cells=cpt_cells - 1), ds)
         assert ds.stats.passes == 3
 
 
@@ -296,7 +297,7 @@ class TestNaiveBayesOracle:
 
     def test_posteriors_match_raw_count_oracle(self, tmp_path):
         path = small_csv(tmp_path, n=600, seed=4)
-        schema = TWO_CAT.with_overrides(max_parents=0)
+        schema = replace(TWO_CAT, max_parents=0)
         model = train(schema, CsvDataset(path))
         scored = next(iter_scored(model, path))
         rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
