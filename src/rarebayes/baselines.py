@@ -264,7 +264,8 @@ def fit_from_csv(
 
     Rows with any missing feature or a missing class label are dropped
     (the count is reported on the model).  Population 2 is the positive
-    class, defaulting to the rarer label.
+    class, defaulting to the rarer label.  Each of the two classes needs
+    two kept rows, or :class:`ConfigError` is raised.
     """
     ds = as_dataset(data)
     ds.require_columns(ds.schema_columns(schema, require_class=True))
@@ -282,12 +283,14 @@ def fit_from_csv(
         keep = np.nonzero(~miss)[0]
         feature_rows.append(X[keep])
         labels.extend(cls[i] for i in keep)
-    X = np.vstack(feature_rows)
     uniq = sorted(set(labels))
     if len(uniq) != 2:
         raise ConfigError(f"baseline needs exactly 2 class values, got {uniq}")
+    counts = {u: labels.count(u) for u in uniq}
+    if min(counts.values()) < 2:
+        raise ConfigError(f"baseline needs at least 2 complete rows per class, got {counts}")
+    X = np.vstack(feature_rows)
     if positive is None:
-        counts = {u: labels.count(u) for u in uniq}
         positive = min(uniq, key=lambda u: (counts[u], uniq.index(u)))
     elif positive not in uniq:
         raise ConfigError(f"unknown positive class {positive!r}")

@@ -9,9 +9,14 @@ Pass 1 codes the class column once per chunk, in first-seen order with
 MISSING as -1, and feeds each continuous variable's finite values from
 labelled rows, with those codes, to an array-backed reservoir: a float64
 value array and an integer code array.  After the pass the codes are
-renumbered to sorted class-symbol order, so entropy binning builds its
-one-hot columns in the same order, and so the same float sums and edges,
-as binning on the symbols themselves.
+renumbered to sorted class-symbol order, so entropy binning counts its
+classes in the same columns, and so gives the same edges, as binning on
+the symbols themselves.
+
+Entropy binning sorts a variable's sample once and builds one integer
+prefix-count table over it: row ``i`` holds the class counts of the
+first ``i`` sorted samples.  Every leaf's class counts, and every
+candidate cut's left-side counts, are differences of two of its rows.
 """
 
 from __future__ import annotations
@@ -106,56 +111,12 @@ class ReservoirSample:
         self.seen += n
 
 
-def _class_entropy(counts: np.ndarray) -> float:
-    total = counts.sum()
-    if total == 0:
-        return 0.0
-    p = counts[counts > 0] / total
-    return float(-(p * np.log2(p)).sum())
-
-
-class _Leaf:
-    __slots__ = ("lo", "hi", "entropy", "splittable")
-
-    def __init__(self, lo: int, hi: int, entropy: float):
-        self.lo = lo
-        self.hi = hi
-        self.entropy = entropy
-        self.splittable = True
-
-
-def _best_split(values: np.ndarray, codes: np.ndarray, k: int, lo: int, hi: int):
-    """Best information-gain cut inside values[lo:hi] (sorted ascending).
-
-    Returns (gain, edge, split_index) or None when no cut exists.  Ties
-    in gain resolve to the leftmost candidate cut.
-    """
-    seg_vals = values[lo:hi]
-    n = hi - lo
-    boundaries = np.nonzero(seg_vals[1:] != seg_vals[:-1])[0]  # cut after index b
-    if boundaries.size == 0:
-        return None
-    onehot = np.zeros((n, k), dtype=np.float64)
-    onehot[np.arange(n), codes[lo:hi]] = 1.0
-    prefix = np.cumsum(onehot, axis=0)
-    total = prefix[-1]
-    left = prefix[boundaries]
-    right = total - left
-    n_left = boundaries + 1
-    n_right = n - n_left
-
-    def h(rows: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            p = rows / sizes[:, None]
-            t = np.where(p > 0, p * np.log2(p), 0.0)
-        return -t.sum(axis=1)
-
-    parent = _class_entropy(total)
-    gain = parent - (n_left / n) * h(left, n_left) - (n_right / n) * h(right, n_right)
-    best = int(np.argmax(gain))
-    b = int(boundaries[best])
-    edge = (float(seg_vals[b]) + float(seg_vals[b + 1])) / 2.0
-    return float(gain[best]), edge, lo + b + 1
+def _entropy(counts: np.ndarray) -> np.ndarray:
+    """Class entropy in bits of each row of a class-count matrix."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = counts / counts.sum(axis=1, keepdims=True)
+        t = np.where(p > 0, p * np.log2(p), 0.0)
+    return -t.sum(axis=1)
 
 
 def entropy_bins(
@@ -169,11 +130,18 @@ def entropy_bins(
     sample.  Labels are integer class codes or class symbols; symbols are
     coded in sorted order, so codes that follow the sorted symbols give
     the same edges.  Repeatedly splits the leaf interval with the highest
-    remaining class entropy at the candidate cut (midpoint between
-    adjacent distinct sorted values) that maximizes gain (Fayyad & Irani,
-    *Multi-Interval Discretization of Continuous-Valued Attributes*,
-    IJCAI 1993); stops at ``max_bins`` bins or when no split has positive
-    gain.  Returns strictly increasing edges.
+    remaining class entropy (the leftmost on ties) at the candidate cut
+    (midpoint between adjacent distinct sorted values) that maximizes
+    gain, the leftmost on ties (Fayyad & Irani, *Multi-Interval
+    Discretization of Continuous-Valued Attributes*, IJCAI 1993); stops
+    at ``max_bins`` bins or when no split has positive gain.  Returns
+    strictly increasing edges.
+
+    Counts come from one integer prefix-count table over the stably
+    sorted sample: leaf ``[lo, hi)`` counts ``prefix[hi] - prefix[lo]``,
+    and a cut at row ``c`` (a row where the sorted value changes) leaves
+    ``prefix[c] - prefix[lo]`` on its left.  One row-wise entropy scores
+    leaves and cuts alike.
     """
     if max_bins < 1:
         raise ValueError("max_bins must be >= 1")
@@ -185,34 +153,39 @@ def entropy_bins(
         raise ValueError("entropy_bins needs one label per value")
     if labels.dtype.kind not in "iu":
         _, labels = np.unique(labels, return_inverse=True)
-    # one-hot columns for the labels present only, in code order
+    # count columns for the labels present only, in code order
     present = np.bincount(labels) > 0
     codes = (np.cumsum(present) - 1)[labels]
     order = np.argsort(values, kind="stable")
     values = values[order]
     codes = codes[order]
-    k = int(present.sum())
+    n, k = len(values), int(present.sum())
+    prefix = np.zeros((n + 1, k), dtype=np.int64)
+    np.cumsum(codes[:, None] == np.arange(k), axis=0, out=prefix[1:])
+    cuts = np.flatnonzero(values[1:] != values[:-1]) + 1
 
-    counts_all = np.bincount(codes, minlength=k).astype(np.float64)
-    leaves = [_Leaf(0, len(values), _class_entropy(counts_all))]
+    # splittable leaves (lo, hi) -> class entropy
+    leaves = {(0, n): _entropy(prefix[n:])[0]}
     edges: list[float] = []
-    while len(leaves) < max_bins:
-        candidates = [lf for lf in leaves if lf.splittable]
-        if not candidates:
-            break
+    while leaves and len(edges) + 1 < max_bins:
         # highest remaining entropy first; ties go to the leftmost leaf
-        leaf = max(candidates, key=lambda lf: (lf.entropy, -lf.lo))
-        split = _best_split(values, codes, k, leaf.lo, leaf.hi)
-        if split is None or split[0] <= 0:
-            leaf.splittable = False
+        lo, hi = max(leaves, key=lambda leaf: (leaves[leaf], -leaf[0]))
+        parent = leaves.pop((lo, hi))
+        first, stop = np.searchsorted(cuts, (lo + 1, hi))
+        inner = cuts[first:stop]
+        if inner.size == 0:
             continue
-        _, edge, mid = split
-        left_counts = np.bincount(codes[leaf.lo:mid], minlength=k).astype(np.float64)
-        right_counts = np.bincount(codes[mid:leaf.hi], minlength=k).astype(np.float64)
-        leaves.remove(leaf)
-        leaves.append(_Leaf(leaf.lo, mid, _class_entropy(left_counts)))
-        leaves.append(_Leaf(mid, leaf.hi, _class_entropy(right_counts)))
-        edges.append(edge)
+        h_left = _entropy(prefix[inner] - prefix[lo])
+        h_right = _entropy(prefix[hi] - prefix[inner])
+        size = hi - lo
+        gain = parent - (inner - lo) / size * h_left - (hi - inner) / size * h_right
+        best = int(np.argmax(gain))
+        if gain[best] <= 0:
+            continue
+        mid = int(inner[best])
+        edges.append((float(values[mid - 1]) + float(values[mid])) / 2.0)
+        leaves[(lo, mid)] = h_left[best]
+        leaves[(mid, hi)] = h_right[best]
     return tuple(sorted(edges))
 
 
@@ -327,19 +300,23 @@ def collect_outcomes(
 
 
 def parse_float_column(col: list[str]) -> np.ndarray:
-    """Parse raw strings to float64; '?' / blanks / garbage become NaN."""
+    """Parse raw cells to float64; '?' / '' / None / garbage become NaN.
+
+    Only the empty string counts as blank, so a numeric cell such as
+    ``0.0`` keeps its value.
+    """
     try:
         return np.array(
-            [x if x and x != MISSING else "nan" for x in col], dtype=np.float64
+            [x if x != "" and x != MISSING else "nan" for x in col], dtype=np.float64
         )
     except ValueError:
         out = np.empty(len(col), dtype=np.float64)
         for i, x in enumerate(col):
-            if not x or x == MISSING:
+            if x == "" or x == MISSING:
                 out[i] = np.nan
             else:
                 try:
                     out[i] = float(x)
-                except ValueError:
+                except (TypeError, ValueError):
                     out[i] = np.nan
         return out

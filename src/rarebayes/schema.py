@@ -65,6 +65,11 @@ def _claim_names(class_var: str | None, names: list[str], seen: set[str]) -> Non
         seen.add(name)
 
 
+def _check_group(class_var: str | None, group_key: str | None) -> None:
+    if group_key is not None and group_key == class_var:
+        raise SchemaError(f"group column {group_key!r} is the class column; lags would leak it")
+
+
 @dataclass(frozen=True)
 class VariableSpec:
     """One field variable: a name, a kind, and (if continuous) a discretizer.
@@ -112,6 +117,7 @@ class Schema:
 
     def __post_init__(self):
         _claim_names(self.class_var, self.var_names, set())
+        _check_group(self.class_var, self.group_key)
         if not self.field_vars:
             raise SchemaError("schema declares no field variables")
         for name in _KNOBS:
@@ -152,8 +158,8 @@ def parse_schema(text: str) -> Schema:
 
     Each line is checked as it is read, by the same rules
     :class:`VariableSpec` and :class:`Schema` apply, so a
-    :class:`SchemaError` names the offending line: duplicate variables,
-    unknown kinds or discretizers, ``@`` in a name, and knobs out of range.
+    :class:`SchemaError` names the offending line: duplicate variables, unknown
+    kinds or discretizers, ``@`` in a name, grouping by the class, knobs out of range.
     """
     class_var: str | None = None
     fields: list[VariableSpec] = []
@@ -194,6 +200,7 @@ def parse_schema(text: str) -> Schema:
                 options[directive] = _parse_knob(directive, args[0])
             else:
                 raise SchemaError(f"unknown directive {directive!r}")
+            _check_group(class_var, options.get("group_key"))  # whichever comes second
         except SchemaError as exc:
             raise SchemaError(str(exc), lineno) from None
 

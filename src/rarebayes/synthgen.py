@@ -465,6 +465,9 @@ def config_to_doc(cfg: GenConfig) -> dict:
 
 
 def config_from_doc(doc: dict) -> GenConfig:
+    """Build a GenConfig from its JSON document; a malformed one raises ConfigError."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"generator config must be a JSON object, got {type(doc).__name__}")
     try:
         return GenConfig(
             n=doc["n"],
@@ -525,11 +528,17 @@ def config_from_doc(doc: dict) -> GenConfig:
         )
     except KeyError as exc:
         raise ConfigError(f"generator config is missing key {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigError(f"generator config holds a malformed value: {exc}") from None
 
 
 def load_config(path: str | Path) -> GenConfig:
     with open(path, encoding="utf-8") as fh:
-        return config_from_doc(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise ConfigError(f"generator config {path} is not valid JSON: {exc}") from None
+    return config_from_doc(doc)
 
 
 def load_truth(path: str | Path) -> TruthModel:

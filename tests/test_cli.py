@@ -349,3 +349,26 @@ def test_non_utf8_data_is_runtime_error(workdir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "data.csv is not UTF-8" in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("gen", "nope", "is not valid JSON"),
+    ("gen", "[]", "must be a JSON object, got list"),
+    ("gen", '{"n": "x"}', "malformed value"),
+    ("baseline", "y,a\n", "exactly 2 class values, got []"),
+    ("baseline", "y,a\ngood,1\ngood,2\ngood,3\nbad,4\n", "at least 2 complete rows"),
+])
+def test_malformed_input_is_runtime_error(tmp_path, capsys, command, text, message):
+    path = tmp_path / "input"
+    path.write_text(text, encoding="utf-8")
+    if command == "gen":
+        argv = ["gen", "--config", str(path), "--out", str(tmp_path / "out")]
+    else:
+        schema = tmp_path / "schema.txt"
+        schema.write_text("class y\nvar a continuous\n", encoding="utf-8")
+        argv = ["baseline", "--kind", "linear", "--schema", str(schema),
+                "--data", str(path), "--out", str(tmp_path / "out.csv")]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert err.count("\n") == 1 and "Traceback" not in err

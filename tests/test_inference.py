@@ -506,8 +506,8 @@ GARBAGE = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characte
 
 def raw_cells(model, var):
     """Raw cells for ``var``: its own symbols or numbers, bin boundaries,
-    MISSING spellings, infinities, padded numbers, unseen categories and
-    garbage."""
+    MISSING spellings, infinities, padded numbers, unseen categories,
+    garbage, and a float ``0.0`` cell, which is a number, not a blank."""
     edges = model.outcomes.edges(var)
     if edges is None:
         return st.one_of(st.sampled_from(model.outcomes.symbols(var)),
@@ -519,6 +519,7 @@ def raw_cells(model, var):
         numbers.map(lambda x: f" {x!r}\t"),
         st.sampled_from(["?", "", " ", "nan", "-NaN", "inf", "-inf", "+Infinity",
                          "1_000", "0x10", "bin0"]),
+        st.just(0.0),
         GARBAGE,
     )
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rarebayes import (
@@ -24,6 +24,7 @@ from rarebayes.outcomes import (
 )
 from rarebayes.structure import Encoder, NetworkModel
 
+import binning_oracle
 from reservoir_oracle import ListReservoir
 
 
@@ -202,6 +203,36 @@ class TestEntropyBins:
         assert entropy_bins(values, codes, max_bins) == entropy_bins(
             values, labels, max_bins
         )
+
+
+@st.composite
+def binning_samples(draw):
+    """Values with tied and constant runs, and labels from 1-4 classes."""
+    k = draw(st.integers(1, 4))
+    spread = draw(st.integers(0, 8))  # 0: every value the same
+    value = st.integers(0, spread).map(float)
+    if spread and draw(st.booleans()):
+        value |= st.floats(-1e6, 1e6, allow_nan=False)
+    pairs = draw(st.lists(st.tuples(value, st.integers(0, k - 1)), min_size=1, max_size=80))
+    values = [v for v, _ in pairs]
+    codes = np.array([c for _, c in pairs], dtype=np.int64)
+    return values, codes
+
+
+@given(binning_samples(), st.booleans(), st.integers(1, 20))
+# two cuts tie in gain: the leftmost (0.5) wins
+@example(([0.0, 1.0, 2.0], np.array([0, 1, 0])), False, 2)
+# both halves tie in entropy: the leftmost leaf is split first
+@example(([float(v) for v in range(8)], np.array([0, 1, 0, 0, 1, 1, 0, 1])), True, 3)
+@settings(max_examples=400, deadline=None)
+def test_prefix_table_bins_match_leaf_oracle(sample, as_symbols, max_bins):
+    """The prefix-count table gives the leaf-at-a-time oracle's edges, bit
+    for bit: same leaf order, same leftmost tie-breaks, same midpoints."""
+    values, codes = sample
+    labels = np.array(["a", "b", "c", "d"])[codes] if as_symbols else codes
+    edges = entropy_bins(values, labels, max_bins)
+    assert edges == binning_oracle.entropy_bins(values, labels, max_bins)
+    assert all(type(e) is float for e in edges)
 
 
 class TestQuantileBins:

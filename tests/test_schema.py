@@ -110,6 +110,18 @@ def test_class_also_declared_as_field():
         parse_schema("var y categorical\nclass y\n")
 
 
+@pytest.mark.parametrize("text, line", [
+    ("class y\nvar x categorical\ngroup y\n", 3),
+    ("group y\nvar x categorical\nclass y\n", 3),  # class directive second
+])
+def test_group_by_class_column_names_line(text, line):
+    with pytest.raises(SchemaError, match=f"line {line}: group column 'y' is the class"):
+        parse_schema(text)
+    with pytest.raises(SchemaError, match="is the class column"):
+        Schema(class_var="y", field_vars=(VariableSpec("x", "categorical"),),
+               group_key="y")
+
+
 def test_categorical_with_discretizer_rejected():
     with pytest.raises(SchemaError, match="line 2"):
         parse_schema("class y\nvar x categorical entropy\n")
