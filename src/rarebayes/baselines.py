@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataio import MISSING, CsvDataset, as_dataset
+from .dataio import MISSING, CsvDataset, as_dataset, csv_cell, write_rows
 from .errors import ConfigError, SingularCovarianceError
 from .outcomes import parse_float_column
 from .schema import Schema
@@ -327,23 +327,28 @@ def score_to_csv(
     ds = as_dataset(data)
     classes = sorted([model.label1, model.label2])
     rows = flagged = unscored = 0
+    # every cell but the record id is one of a few strings, quoted once
+    # and shared by all rows
+    label_cells = np.array([csv_cell(model.label1), csv_cell(model.label2)], dtype=object)
+    indicator = np.array(["0.0", "1.0"], dtype=object)
+    skip_cells = np.array(["", csv_cell("features:missing")], dtype=object)
     with open(out_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
+        csv.writer(fh).writerow(
             ["record_id"] + [f"p_{c}" for c in classes] + ["label", "skipped_nodes"]
         )
         for chunk in ds.iter_chunks(schema.var_names):
             X, miss = _feature_columns(schema, chunk.columns, model.one_hot_levels)
-            labels = np.full(chunk.size, model.label1, dtype=object)
-            labels[~miss] = score_label(model, X[~miss])
-            writer.writerows(zip(
-                range(rows, rows + chunk.size),
-                *(np.where(labels == c, "1.0", "0.0") for c in classes),
-                labels,
-                np.where(miss, "features:missing", ""),
-            ))
+            to2 = np.zeros(chunk.size, dtype=np.intp)
+            to2[~miss] = score_label(model, X[~miss]) == model.label2
+            is_class = {model.label1: 1 - to2, model.label2: to2}
+            write_rows(fh, [
+                map(str, range(rows, rows + chunk.size)),
+                *(indicator[is_class[c]].tolist() for c in classes),
+                label_cells[to2].tolist(),
+                skip_cells[miss.astype(np.intp)].tolist(),
+            ])
             rows += chunk.size
-            flagged += int((labels == model.label2).sum())
+            flagged += int(to2.sum())
             unscored += int(miss.sum())
     return {"rows": rows, "flagged": flagged, "unscored": unscored,
             "positive": model.label2}

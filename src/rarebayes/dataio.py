@@ -37,6 +37,12 @@ field-count rules:
 Either way the wanted columns collect in pending lists that are cut into
 chunks of exactly ``chunk_rows`` rows, so the chunk split, on which
 reservoir sampling's random draws depend, does not depend on the path.
+
+:func:`write_rows` is the one bulk writer.  Output files are in
+``csv.writer``'s default dialect (minimal quoting, ``\r\n`` line ends),
+but the cells arrive already formatted: :func:`csv_cell` quotes a value
+as ``csv.writer`` would, so callers quote each distinct value of a small
+alphabet once, and numbers, which never need quoting, are not scanned.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ import os
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DatasetError
 from .schema import Schema
@@ -59,6 +65,9 @@ DEFAULT_CHUNK_ROWS = 65536
 # Characters per text block on the quote-free fast path; each block is
 # extended to the next line end.
 _BLOCK_CHARS = 1 << 17
+
+# Rows joined per write by write_rows, which bounds the text held at once.
+_WRITE_ROWS = 4096
 
 
 @dataclass
@@ -275,3 +284,28 @@ def _csv_piece(records: list[list[str]], width: int, idx: list[int]) -> _Piece:
 def as_dataset(data: str | Path | CsvDataset) -> CsvDataset:
     return data if isinstance(data, CsvDataset) else CsvDataset(data)
 
+
+def csv_cell(text: str) -> str:
+    """``text`` as ``csv.writer``'s default dialect writes it in a row of
+    two or more cells: quoted and with ``"`` doubled when it must be."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow((text, ""))
+    return buf.getvalue()[:-3]  # the empty last cell's "," and the "\r\n"
+
+
+def write_rows(fh, columns: Sequence[Iterable[str]]) -> None:
+    """Write rows of pre-formatted cells, given column by column, as
+    ``csv.writer(fh).writerows`` would write the unquoted values.
+
+    Cells must already be quoted by :func:`csv_cell` where needed.  The
+    columns are consumed lazily and must be equally long; ``_WRITE_ROWS``
+    rows are joined per ``fh.write``.
+    """
+    lines = map(",".join, zip(*columns, strict=True))
+    if len(columns) == 1:
+        # csv.writer quotes a row that is one empty cell, which would
+        # otherwise read back as a blank line
+        lines = (line or '""' for line in lines)
+    while batch := list(islice(lines, _WRITE_ROWS)):
+        batch.append("")
+        fh.write("\r\n".join(batch))

@@ -8,6 +8,7 @@ Counts are exact integers; only the presentation rounds, half-up.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from itertools import repeat
@@ -135,6 +136,10 @@ def fcv(counts: ConfusionCounts, threshold: float) -> FCVRow:
 
 def default_grid(start: float = 0.10, stop: float = 0.90, step: float = 0.05) -> list[float]:
     """Threshold grid built by integer stepping to dodge float drift."""
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise EvaluationError(
+            f"grid start, stop and step must be finite, got {start}:{stop}:{step}"
+        )
     if step <= 0:
         raise EvaluationError(f"grid step must be positive, got {step}")
     grid = []

@@ -11,6 +11,13 @@ floating point rounds to exactly 1.  A pruned node behaves exactly as if
 the observation were missing, so every posterior stays strictly inside
 (0, 1).  The posterior is renormalized after every accepted node.
 
+The update is masked rather than gathered: for each ranked node the
+kernel forms the renormalized candidate ``p * likelihood`` for every row,
+sets the node's skip column from the missing, unseen and pruning masks,
+and keeps the candidate only where that column is 0.  Each row goes
+through the same arithmetic as when scored alone, so posteriors and skip
+codes do not depend on the batch.
+
 The kernel also returns an ``int8`` skip matrix, one column per ranked
 node, holding the index of the node's reason in :data:`SKIP_REASONS`
 (0 = incorporated).  Every code comes from the model's one codebook,
@@ -31,7 +38,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .dataio import MISSING, CsvDataset, as_dataset
+from .dataio import MISSING, CsvDataset, as_dataset, csv_cell, write_rows
 from .errors import ConfigError, EvidenceError
 from .structure import NetworkModel
 from .windows import CaseRecord, node_var_slot
@@ -41,6 +48,9 @@ SKIP_PRUNED = "pruned"
 SKIP_UNSEEN = "unseen-config"
 # Skip-matrix code -> reason; code 0 marks an incorporated node.
 SKIP_REASONS = ("", SKIP_MISSING, SKIP_UNSEEN, SKIP_PRUNED)
+_MISSING_CODE, _UNSEEN_CODE, _PRUNED_CODE = map(
+    SKIP_REASONS.index, (SKIP_MISSING, SKIP_UNSEEN, SKIP_PRUNED)
+)
 
 
 @dataclass
@@ -97,25 +107,25 @@ def score_codes(
         parent = model.parents[rf.node]
         cpt = model.cpts[rf.node]
         if parent is None:
-            likelihood = cpt.probs[:, child].T
-            unseen = np.full(n, bool(cpt.unseen.any()))
+            likelihood = cpt.probs.T[child]
+            unseen = bool(cpt.unseen.any())
         else:
             pcode = codes[parent]
             pmiss = pcode == missing[node_var_slot(parent)[0]]
             fb = model.fallbacks[rf.node]
             likelihood = np.where(
-                pmiss[:, None], fb.probs[:, child].T, cpt.probs[:, pcode, child].T
+                pmiss[:, None], fb.probs.T[child], cpt.probs.T[child, pcode]
             )
-            unseen = np.where(pmiss, bool(fb.unseen.any()), cpt.unseen[:, pcode].any(axis=0))
-        skip[unseen, j] = SKIP_REASONS.index(SKIP_UNSEEN)
-        skip[child == missing[rf.var], j] = SKIP_REASONS.index(SKIP_MISSING)
-        active = np.flatnonzero(skip[:, j] == 0)
-        cand = p[active] * likelihood[active]
-        with np.errstate(invalid="ignore"):
+            unseen = np.where(pmiss, bool(fb.unseen.any()), cpt.unseen.any(axis=0)[pcode])
+        cand = p * likelihood
+        with np.errstate(divide="ignore", invalid="ignore"):
             cand /= cand.sum(axis=1, keepdims=True)
         inside = ((cand > 0.0) & (cand < 1.0)).all(axis=1)
-        skip[active[~inside], j] = SKIP_REASONS.index(SKIP_PRUNED)
-        p[active[inside]] = cand[inside]
+        skip[:, j] = np.where(
+            child == missing[rf.var], _MISSING_CODE,
+            np.where(unseen, _UNSEEN_CODE, np.where(inside, 0, _PRUNED_CODE)),
+        )
+        p = np.where((skip[:, j] == 0)[:, None], cand, p)
     return p, skip
 
 
@@ -211,23 +221,41 @@ def iter_scored(
         offset += chunk.size
 
 
+def _skip_patterns(nodes: Sequence[str], skipped: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """The distinct rows of an ``int8`` skip matrix, each rendered once as
+    semicolon-joined ``node:reason`` for its non-zero entries, and the
+    index of each row's pattern.
+
+    Each row gets a dense pattern id, folded in over blocks of columns:
+    the previous id and the block's entries as base-4 digits make one
+    ``int64`` key, so one ``np.unique`` per block of up to 31 columns
+    replaces any row-wise sort.
+    """
+    n, width = skipped.shape
+    ids = np.zeros(n, dtype=np.int64)
+    first = np.zeros(min(n, 1), dtype=np.intp)
+    col = 0
+    while col < width:
+        # ids < len(first) <= 2**bits, so ids * 4**w + digits < 2**63
+        bits = (len(first) - 1).bit_length()
+        w = min(width - col, (63 - bits) // 2)
+        digits = skipped[:, col:col + w].astype(np.int64) @ (4 ** np.arange(w, dtype=np.int64))
+        _, first, ids = np.unique(
+            ids * 4 ** w + digits, return_index=True, return_inverse=True
+        )
+        col += w
+    rendered = [
+        ";".join(f"{node}:{SKIP_REASONS[c]}" for node, c in zip(nodes, row) if c)
+        for row in skipped[first].tolist()
+    ]
+    return rendered, ids
+
+
 def skip_strings(nodes: Sequence[str], skipped: np.ndarray) -> np.ndarray:
     """The ``skipped_nodes`` cell of each row of an ``int8`` skip matrix:
-    semicolon-joined ``node:reason`` for its non-zero entries.
-
-    Rows are grouped by pattern by folding one column at a time into a
-    dense pattern id, which needs no row-wise sort and no width limit;
-    each distinct pattern is rendered once.
-    """
-    ids = np.zeros(len(skipped), dtype=np.int64)
-    for col in skipped.T:
-        _, ids = np.unique(ids * len(SKIP_REASONS) + col, return_inverse=True)
-    _, first = np.unique(ids, return_index=True)
-    rendered = np.array([
-        ";".join(f"{node}:{SKIP_REASONS[c]}" for node, c in zip(nodes, row) if c)
-        for row in skipped[first]
-    ], dtype=object)
-    return rendered[ids]
+    semicolon-joined ``node:reason`` for its non-zero entries."""
+    rendered, ids = _skip_patterns(nodes, skipped)
+    return np.array(rendered, dtype=object)[ids]
 
 
 def classify_file(
@@ -248,24 +276,24 @@ def classify_file(
     _check_threshold(threshold)
     positive, pos_idx = _positive_index(model, positive)
     nodes = [rf.node for rf in model.ranked_fields]
-    symbols = np.array(model.class_symbols, dtype=object)
+    symbols = np.array(list(map(csv_cell, model.class_symbols)), dtype=object)
     rows = 0
     flagged = 0
     with open(out_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
+        csv.writer(fh).writerow(
             ["record_id"]
             + [f"p_{c}" for c in model.class_symbols]
             + ["label", "skipped_nodes"]
         )
         for scored in iter_scored(model, data, chunk_rows=chunk_rows):
             labels = _label_columns(scored.probabilities, pos_idx, threshold)
-            writer.writerows(zip(
-                range(scored.offset, scored.offset + len(labels)),
+            rendered, pattern = _skip_patterns(nodes, scored.skipped)
+            write_rows(fh, [
+                map(str, range(scored.offset, scored.offset + len(labels))),
                 *(map(repr, col) for col in scored.probabilities.T.tolist()),
-                symbols[labels],
-                skip_strings(nodes, scored.skipped),
-            ))
+                symbols[labels].tolist(),
+                np.array(list(map(csv_cell, rendered)), dtype=object)[pattern].tolist(),
+            ])
             rows += len(labels)
             flagged += int((labels == pos_idx).sum())
     return {"rows": rows, "positive": positive, "flagged": flagged,

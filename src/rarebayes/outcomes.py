@@ -227,11 +227,12 @@ def collect_outcomes(
     """Build every variable's outcome alphabet in exactly one dataset pass.
 
     Categorical alphabets are the observed values plus MISSING, capped at
-    ``max_categories``.  Continuous variables keep a class-labeled
-    reservoir (per-variable, capacity ``reservoir_capacity``) and are cut
-    by their declared discretizer afterwards.  Records whose class value
-    is missing still contribute categorical outcomes but are excluded
-    from the supervised reservoirs.
+    ``max_categories``; so is the class alphabet, checked per chunk before
+    any reservoir or binning table is sized by it.  Continuous variables
+    keep a class-labeled reservoir (per-variable, capacity
+    ``reservoir_capacity``) and are cut by their declared discretizer
+    afterwards.  Records whose class value is missing still contribute
+    categorical outcomes but are excluded from the supervised reservoirs.
     """
     cat_vars = [v.name for v in schema.categorical_vars]
     cont_vars = [v.name for v in schema.continuous_vars]
@@ -248,6 +249,11 @@ def collect_outcomes(
         # codes in first-seen order, stable across chunks; MISSING stays -1
         for sym in sorted(set(class_col).difference(class_lut)):
             class_lut[sym] = len(class_lut) - 1
+        if len(class_lut) - 1 > max_categories:
+            raise CardinalityError(
+                f"class variable {schema.class_var!r} exceeds "
+                f"{max_categories} distinct outcomes"
+            )
         class_codes = np.fromiter(
             map(class_lut.__getitem__, class_col), dtype=np.int64, count=chunk.size
         )

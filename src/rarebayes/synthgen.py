@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dataio import MISSING
+from .dataio import MISSING, csv_cell, write_rows
 from .errors import ConfigError, EvidenceError
 from .schema import Schema, VariableSpec, format_schema
 
@@ -295,15 +295,15 @@ def analytic_posterior(truth: TruthModel, record: Mapping[str, object]) -> dict[
 
 
 def _sample_columns(cfg: GenConfig, rng: np.random.Generator):
-    """Draw every column vectorized; draw order is fixed by config order."""
+    """Draw every column vectorized; draw order is fixed by config order.
+
+    Categorical columns and the class column hold outcome codes.
+    """
     n = cfg.n
-    neg, pos = cfg.class_labels
     is_pos = rng.random(n) < cfg.positive_rate
     class_codes = is_pos.astype(np.int64)
-    class_col = np.where(is_pos, pos, neg)
 
     columns: dict[str, np.ndarray] = {}
-    cat_codes: dict[str, np.ndarray] = {}
     for spec in cfg.categorical:
         codes = np.zeros(n, dtype=np.int64)
         k = len(spec.outcomes)
@@ -312,8 +312,7 @@ def _sample_columns(cfg: GenConfig, rng: np.random.Generator):
             m = int(mask.sum())
             if m:
                 codes[mask] = rng.choice(k, size=m, p=np.asarray(spec.dist[label]))
-        cat_codes[spec.name] = codes
-        columns[spec.name] = np.asarray(spec.outcomes, dtype=object)[codes]
+        columns[spec.name] = codes
     for spec in cfg.continuous:
         vals = np.zeros(n, dtype=np.float64)
         for ci, label in enumerate(cfg.class_labels):
@@ -324,7 +323,7 @@ def _sample_columns(cfg: GenConfig, rng: np.random.Generator):
         columns[spec.name] = vals
     for spec in cfg.dependent:
         parent = next(s for s in cfg.categorical if s.name == spec.parent)
-        pcodes = cat_codes[spec.parent]
+        pcodes = columns[spec.parent]
         codes = np.zeros(n, dtype=np.int64)
         k = len(spec.outcomes)
         for ci, label in enumerate(cfg.class_labels):
@@ -335,11 +334,12 @@ def _sample_columns(cfg: GenConfig, rng: np.random.Generator):
                     codes[mask] = rng.choice(
                         k, size=m, p=np.asarray(spec.dist[label][po])
                     )
-        columns[spec.name] = np.asarray(spec.outcomes, dtype=object)[codes]
+        columns[spec.name] = codes
     for spec in cfg.noise:
         if spec.is_categorical:
-            codes = rng.choice(len(spec.outcomes), size=n, p=np.asarray(spec.dist))
-            columns[spec.name] = np.asarray(spec.outcomes, dtype=object)[codes]
+            columns[spec.name] = rng.choice(
+                len(spec.outcomes), size=n, p=np.asarray(spec.dist)
+            )
         else:
             columns[spec.name] = rng.normal(spec.mean, spec.sd, size=n)
 
@@ -348,7 +348,12 @@ def _sample_columns(cfg: GenConfig, rng: np.random.Generator):
         else np.zeros(n, dtype=bool)
         for spec in cfg.all_vars
     }
-    return class_col, columns, missing_masks
+    return class_codes, columns, missing_masks
+
+
+def _outcome_cells(outcomes: Sequence) -> np.ndarray:
+    """Each outcome's CSV cell, quoted once and shared by every row."""
+    return np.array([csv_cell(str(o)) for o in outcomes], dtype=object)
 
 
 def _format_column(spec, values: np.ndarray, missing: np.ndarray) -> list[str]:
@@ -356,13 +361,11 @@ def _format_column(spec, values: np.ndarray, missing: np.ndarray) -> list[str]:
         isinstance(spec, NoiseSpec) and not spec.is_categorical
     )
     if continuous:
-        out = [f"{v:.6f}" for v in values]
+        out = np.array(list(map("{:.6f}".format, values.tolist())), dtype=object)
     else:
-        out = [str(v) for v in values]
-    if missing.any():
-        for i in np.nonzero(missing)[0]:
-            out[i] = MISSING
-    return out
+        out = _outcome_cells(spec.outcomes)[values]
+    out[missing] = MISSING
+    return out.tolist()
 
 
 def generate(config: GenConfig, out_dir: str | Path) -> GenResult:
@@ -370,7 +373,7 @@ def generate(config: GenConfig, out_dir: str | Path) -> GenResult:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(config.seed)
-    class_col, columns, missing_masks = _sample_columns(config, rng)
+    class_codes, columns, missing_masks = _sample_columns(config, rng)
 
     header: list[str] = []
     cells: list[list[str]] = []
@@ -379,16 +382,15 @@ def generate(config: GenConfig, out_dir: str | Path) -> GenResult:
         header.append(config.group.name)
         cells.append([f"g{i // rpg:06d}" for i in range(config.n)])
     header.append(config.class_var)
-    cells.append([str(v) for v in class_col])
+    cells.append(_outcome_cells(config.class_labels)[class_codes].tolist())
     for spec in config.all_vars:
         header.append(spec.name)
         cells.append(_format_column(spec, columns[spec.name], missing_masks[spec.name]))
 
     data_path = out / "data.csv"
     with open(data_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(zip(*cells))
+        csv.writer(fh).writerow(header)
+        write_rows(fh, cells)
 
     schema_path = out / "schema.txt"
     schema_path.write_text(format_schema(config.to_schema()), encoding="utf-8")

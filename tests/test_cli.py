@@ -189,6 +189,20 @@ def test_bad_grid_is_runtime_error(workdir, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("grid", ["0:1:nan", "0:inf:0.1", "nan:1:0.1"])
+def test_non_finite_grid_is_runtime_error(workdir, capsys, grid):
+    # a non-finite bound or step used to append thresholds without end
+    code = run([
+        "sweep", "--model", str(workdir / "model.json"),
+        "--data", str(workdir / "fixture" / "data.csv"),
+        "--grid", grid, "--out", str(workdir / "x.json"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "finite" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_classify_machine_output_stays_out_of_stderr(workdir, capsys):
     pred = workdir / "pred_clean.csv"
     run([

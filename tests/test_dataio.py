@@ -7,8 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rarebayes import DatasetError, dataio, parse_schema
+from rarebayes import DatasetError, classify_file, dataio, generate, parse_schema, train
+from rarebayes.baselines import fit_from_csv, score_to_csv
 from rarebayes.dataio import CsvDataset
+from rarebayes.synthgen import CategoricalSpec, ContinuousSpec, GenConfig
 
 SCHEMA = parse_schema("class y\nvar a categorical\nvar b categorical\n")
 
@@ -249,3 +251,68 @@ def test_reader_matches_csv_module(case_dir, case, chunk_rows, block_chars):
     got = {name: [v for chunk in chunks for v in chunk.columns[name]] for name in wanted}
     assert got == columns
     assert (ds.stats.passes, ds.stats.rows, ds.stats.rejected) == (1, rows, rejected)
+
+
+# --- the bulk writer against csv.writer ---------------------------------
+
+WRITER_CELL = st.one_of(st.just(""), st.text(alphabet=' ab,"\r\n\u00e9\u2028', max_size=5))
+
+
+@st.composite
+def cell_rows(draw):
+    width = draw(st.integers(1, 6))
+    row = st.lists(WRITER_CELL, min_size=width, max_size=width)
+    return draw(st.lists(row, min_size=1, max_size=60))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=cell_rows(), batch_rows=st.integers(1, 70))
+@example(rows=[[""]], batch_rows=1)
+@example(rows=[["a"], [""], ['"']], batch_rows=2)
+@example(rows=[["", ""], [" ", "a,b"]], batch_rows=1)
+def test_write_rows_matches_csv_writer(rows, batch_rows):
+    expected = io.StringIO()
+    csv.writer(expected).writerows(rows)
+    got = io.StringIO()
+    with mock.patch.object(dataio, "_WRITE_ROWS", batch_rows):
+        dataio.write_rows(got, [map(dataio.csv_cell, col) for col in zip(*rows)])
+    assert got.getvalue() == expected.getvalue()
+
+
+def test_output_files_quote_like_csv_writer(tmp_path):
+    """Class symbols, outcomes and a variable name that need quoting come
+    out of every writer as csv.writer writes the rows read back."""
+    good, bad = "go od", 'ba,"d"'
+    name = 'c,"1" x'
+    config = GenConfig(
+        n=600, seed=5, class_labels=(good, bad), positive_rate=0.3,
+        categorical=(CategoricalSpec(
+            name, ("a b", "x,y", 'q"r'),
+            {good: (0.7, 0.2, 0.1), bad: (0.1, 0.2, 0.7)}, missing_rate=0.1,
+        ),),
+        continuous=(
+            ContinuousSpec("v 1", {good: 0.0, bad: 1.5}, {good: 1.0, bad: 2.0}),
+            ContinuousSpec("w,2", {good: 1.0, bad: -1.0}, {good: 1.0, bad: 0.5}),
+        ),
+    )
+    data = generate(config, tmp_path / "fixture").data_path
+    schema = config.to_schema()
+    pred = tmp_path / "pred.csv"
+    classify_file(train(schema, data, seed=1), data, pred, 0.5)
+    base = tmp_path / "base.csv"
+    score_to_csv(fit_from_csv(schema, data, "quadratic"), schema, data, base)
+    read = {}
+    for path in (data, pred, base):
+        with open(path, newline="", encoding="utf-8") as fh:
+            read[path] = list(csv.reader(fh))
+        again = io.StringIO()
+        csv.writer(again).writerows(read[path])
+        assert path.read_bytes().decode("utf-8") == again.getvalue()
+    header, *rows = read[data]
+    assert {row[header.index(name)] for row in rows} == {"a b", "x,y", 'q"r', "?"}
+    assert {row[0] for row in rows} == {good, bad}
+    for path in (pred, base):
+        header, *rows = read[path]
+        assert header == ["record_id", f"p_{bad}", f"p_{good}", "label", "skipped_nodes"]
+        assert {row[3] for row in rows} == {good, bad}
+    assert f"{name}:missing" in {row[4] for row in read[pred][1:]}

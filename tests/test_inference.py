@@ -652,3 +652,29 @@ class TestClassifyFile:
         ]
         expected = [rendered[i] for i in pattern_of.reshape(-1)]
         assert skip_strings(nodes, skipped).tolist() == expected
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_skip_strings_beyond_one_key_block(self, data):
+        # wider than the 31 base-4 digits of one int64 key; rows repeat a few
+        # base patterns, some with one entry changed, so that rows that agree
+        # on the first key block can differ in a later one
+        width = data.draw(st.integers(31, 100))
+        digit = st.integers(0, len(SKIP_REASONS) - 1)
+        bases = data.draw(st.lists(
+            st.lists(digit, min_size=width, max_size=width), min_size=1, max_size=4))
+        rows = []
+        for _ in range(data.draw(st.integers(1, 50))):
+            row = list(data.draw(st.sampled_from(bases)))
+            if data.draw(st.booleans()):
+                row[data.draw(st.integers(0, width - 1))] = data.draw(digit)
+            rows.append(row)
+        skipped = np.array(rows, dtype=np.int8)
+        nodes = [f"n{j}" for j in range(width)]
+        patterns, pattern_of = np.unique(skipped, axis=0, return_inverse=True)
+        rendered = [
+            ";".join(f"{node}:{SKIP_REASONS[c]}" for node, c in zip(nodes, row) if c)
+            for row in patterns
+        ]
+        expected = [rendered[i] for i in pattern_of.reshape(-1)]
+        assert skip_strings(nodes, skipped).tolist() == expected

@@ -13,6 +13,7 @@ from rarebayes import (
     parse_schema,
     quantile_bins,
     symbolize,
+    train,
 )
 from rarebayes.dataio import CsvDataset, PassStats
 from rarebayes.outcomes import (
@@ -92,6 +93,16 @@ class TestCollectOutcomes:
         ds = write(tmp_path, "y,color,amount\n" + rows)
         with pytest.raises(CardinalityError, match="color"):
             collect_outcomes(MIXED, ds, max_categories=10)
+
+    @pytest.mark.parametrize("schema_text", [
+        "class y\nvar color categorical\n",
+        "class y\nvar color categorical\nvar amount continuous entropy\n",
+    ], ids=["categorical-only", "with-continuous"])
+    def test_class_alphabet_capped(self, tmp_path, schema_text):
+        rows = "".join(f"c{i % 5},a,{i}\n" for i in range(50))
+        ds = write(tmp_path, "y,color,amount\n" + rows)
+        with pytest.raises(CardinalityError, match="class variable 'y'"):
+            train(parse_schema(schema_text), ds, max_categories=3)
 
     def test_all_missing_continuous_column(self, tmp_path):
         ds = write(tmp_path, "y,color,amount\ng,a,?\nb,b,?\n")
