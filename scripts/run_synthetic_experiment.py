@@ -14,13 +14,14 @@ Usage:
 import argparse
 import csv
 import sys
+from itertools import compress
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from rarebayes import confusion, fcv, parse_schema, train
 from rarebayes.baselines import fit_from_csv, score_to_csv
-from rarebayes.dataio import CsvDataset, MISSING
+from rarebayes.dataio import CsvDataset, missing_mask
 from rarebayes.evaluation import volume_ratio
 from rarebayes.inference import collect_scores
 from rarebayes.synthgen import (
@@ -121,16 +122,14 @@ def main() -> None:
     table = [("ideal", "0.00% [0]", f"100.00% [{n_bad}]", "0:1"),
              ("do nothing", "0.00% [0]", "0.00% [0]", volume_ratio(0, 0))]
 
+    all_actuals = read_actuals(period2.data_path)
+    labelled = list(compress(range(len(all_actuals)), ~missing_mask(all_actuals)))
     for kind in ("linear", "quadratic"):
         baseline = fit_from_csv(schema, period1.data_path, kind)
         pred_path = args.out / f"baseline_{kind}.csv"
         score_to_csv(baseline, schema, period2.data_path, pred_path)
         by_id = labels_from_pred_csv(pred_path)
-        paired = [
-            (by_id[i], actual)
-            for i, actual in enumerate(read_actuals(period2.data_path))
-            if actual != MISSING and i in by_id
-        ]
+        paired = [(by_id[i], all_actuals[i]) for i in labelled if i in by_id]
         table.append((kind, *fcv_cells([p for p, _ in paired],
                                        [a for _, a in paired])))
 

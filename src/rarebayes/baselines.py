@@ -12,22 +12,26 @@ population 1, QDA in population 2.
 
 Only continuous variables participate by default; an optional one-hot
 expansion of categorical variables exists but is off, since large
-alphabets produce mostly-empty indicator columns.
+alphabets produce mostly-empty indicator columns.  A row is complete when
+no feature cell and no class cell is MISSING by the one rule in
+:mod:`rarebayes.dataio`.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import compress
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .dataio import MISSING, CsvDataset, as_dataset, csv_cell, write_rows
+from .dataio import MISSING_CELLS, CsvDataset, as_dataset, csv_cell, missing_mask
+from .dataio import parse_float_column, write_rows
 from .errors import ConfigError, SingularCovarianceError
-from .outcomes import parse_float_column
 from .schema import Schema
 
 LINEAR = "linear"
@@ -202,30 +206,22 @@ def _feature_columns(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Build the (rows, dims) matrix and a per-row any-missing mask."""
     blocks: list[np.ndarray] = []
-    missing_mask: np.ndarray | None = None
-    n = len(next(iter(columns.values())))
-
-    def add_missing(mask: np.ndarray):
-        nonlocal missing_mask
-        missing_mask = mask if missing_mask is None else (missing_mask | mask)
-
+    missing = np.zeros(len(next(iter(columns.values()))), dtype=bool)
     for spec in schema.field_vars:
         if spec.kind == "continuous":
             vals = parse_float_column(columns[spec.name])
-            add_missing(~np.isfinite(vals))
+            missing |= np.isnan(vals)
             blocks.append(vals[:, None])
         elif spec.name in one_hot_levels:
             col = columns[spec.name]
-            add_missing(np.array([v == MISSING for v in col], dtype=bool))
+            missing |= missing_mask(col)
             for level in one_hot_levels[spec.name]:
                 blocks.append(
                     np.array([1.0 if v == level else 0.0 for v in col])[:, None]
                 )
     if not blocks:
         raise ConfigError("no continuous variables available for the baseline")
-    if missing_mask is None:
-        missing_mask = np.zeros(n, dtype=bool)
-    return np.hstack(blocks), missing_mask
+    return np.hstack(blocks), missing
 
 
 def _one_hot_training_levels(schema: Schema, data: CsvDataset) -> dict[str, list[str]]:
@@ -234,17 +230,15 @@ def _one_hot_training_levels(schema: Schema, data: CsvDataset) -> dict[str, list
     Dropping one level per variable keeps the indicator block from being
     perfectly collinear.
     """
-    from collections import Counter
-
     if not schema.categorical_vars:
         return {}
     counters: dict[str, Counter] = {v.name: Counter() for v in schema.categorical_vars}
     for chunk in data.iter_chunks([v.name for v in schema.categorical_vars]):
         for name, counter in counters.items():
-            counter.update(v for v in chunk.columns[name] if v != MISSING)
+            counter.update(chunk.columns[name])
     levels = {}
     for name, counter in counters.items():
-        ordered = sorted(counter)
+        ordered = sorted(counter.keys() - MISSING_CELLS)
         if len(ordered) >= 2:
             drop = max(ordered, key=lambda v: (counter[v], v))
             levels[name] = [v for v in ordered if v != drop]
@@ -278,11 +272,10 @@ def fit_from_csv(
     for chunk in ds.iter_chunks(names):
         X, miss = _feature_columns(schema, chunk.columns, one_hot_levels)
         cls = chunk.columns[schema.class_var]
-        miss = miss | np.array([c == MISSING for c in cls], dtype=bool)
+        miss = miss | missing_mask(cls)
         dropped += int(miss.sum())
-        keep = np.nonzero(~miss)[0]
-        feature_rows.append(X[keep])
-        labels.extend(cls[i] for i in keep)
+        feature_rows.append(X[~miss])
+        labels.extend(compress(cls, ~miss))
     uniq = sorted(set(labels))
     if len(uniq) != 2:
         raise ConfigError(f"baseline needs exactly 2 class values, got {uniq}")

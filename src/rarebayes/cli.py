@@ -12,10 +12,11 @@ import argparse
 import csv
 import json
 import sys
+from itertools import compress, repeat
 from pathlib import Path
 
 from . import baselines, evaluation, inference, structure, synthgen
-from .dataio import MISSING, CsvDataset
+from .dataio import MISSING, CsvDataset, missing_mask
 from .errors import RareBayesError
 from .schema import parse_schema
 
@@ -111,16 +112,14 @@ def _read_actuals(path: str, class_var: str) -> list[str]:
 
 def _cmd_evaluate(args) -> int:
     ids, predictions = _read_predictions(args.pred)
-    actuals_all = _read_actuals(args.data, args.class_var)
-    pairs = [
-        (predictions[i], actuals_all[rid])
-        for i, rid in enumerate(ids)
-        if rid < len(actuals_all) and actuals_all[rid] != MISSING
-    ]
-    if not pairs:
+    # an id past the data pairs with the MISSING cell appended last
+    actuals = _read_actuals(args.data, args.class_var) + [MISSING]
+    paired = list(map(actuals.__getitem__, map(min, ids, repeat(len(actuals) - 1))))
+    keep = ~missing_mask(paired)
+    if not keep.any():
         raise RareBayesError("no prediction/actual pairs to evaluate")
-    preds = [p for p, _ in pairs]
-    acts = [a for _, a in pairs]
+    preds = list(compress(predictions, keep))
+    acts = list(compress(paired, keep))
     counts = evaluation.confusion(preds, acts, args.positive)
     row = evaluation.fcv(counts, args.threshold)
     report = evaluation.rows_to_report(
@@ -129,7 +128,7 @@ def _cmd_evaluate(args) -> int:
             "predictions": str(args.pred),
             "dataset": str(args.data),
             "positive": args.positive,
-            "records": len(pairs),
+            "records": len(acts),
         },
     )
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")

@@ -8,9 +8,18 @@ at a different size or modification time, or that ends with different
 row or rejected-row counts, raises :class:`DatasetError`, so all passes
 of one training run see the same unchanged file.
 
-Data files are RFC-4180-style CSV in UTF-8 with a header row.  The single
-missing-value token is ``?``.  Rows whose field count does not match the
-header are counted as rejected and skipped; blank lines are ignored.
+Data files are RFC-4180-style CSV in UTF-8 with a header row.  Rows
+whose field count does not match the header are counted as rejected and
+skipped; blank lines are ignored.
+
+The one missing-cell rule, which every training pass, scorer and
+baseline applies, lives here.  A class or field cell is MISSING when it
+is ``?`` or empty (:func:`missing_mask`).  A continuous cell is also
+MISSING when it does not parse to a finite float: garbage, ``nan`` and
+``±inf``; :func:`parse_float_column`, the one float parser, returns NaN
+for each.  Entropy cuts are defined over finite values only (Fayyad &
+Irani, IJCAI 1993), so a non-finite number can only be MISSING.  Group
+keys are opaque identifiers: a ``?`` or empty key is a group like any other.
 
 :meth:`CsvDataset.iter_chunks` is the one reader.  It speculates that the
 file holds no quotes, as in Mühlbauer et al., *Instant Loading for Main
@@ -55,10 +64,14 @@ from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from .errors import DatasetError
 from .schema import Schema
 
 MISSING = "?"
+# Raw class or field cells that are MISSING: the token and the empty cell.
+MISSING_CELLS = frozenset((MISSING, ""))
 
 DEFAULT_CHUNK_ROWS = 65536
 
@@ -309,3 +322,29 @@ def write_rows(fh, columns: Sequence[Iterable[str]]) -> None:
     while batch := list(islice(lines, _WRITE_ROWS)):
         batch.append("")
         fh.write("\r\n".join(batch))
+
+
+def missing_mask(col: Sequence[str]) -> np.ndarray:
+    """True where a raw class or field cell is MISSING."""
+    return np.fromiter(map(MISSING_CELLS.__contains__, col), dtype=bool, count=len(col))
+
+
+def parse_float_column(col: Sequence[str]) -> np.ndarray:
+    """Raw continuous cells as float64, NaN for every MISSING cell; a column
+    holding garbage falls back to ``float()`` per cell."""
+    try:
+        # the MISSING_CELLS, compared directly: hashing each fresh cell costs more
+        values = np.array(
+            [x if x != "" and x != MISSING else "nan" for x in col], dtype=np.float64
+        )
+    except (TypeError, ValueError):
+        values = np.fromiter(map(_to_float, col), dtype=np.float64, count=len(col))
+    values[~np.isfinite(values)] = np.nan
+    return values
+
+
+def _to_float(cell) -> float:
+    try:
+        return float(cell)
+    except (TypeError, ValueError):
+        return np.nan

@@ -180,7 +180,8 @@ def sweep(
     scores = np.where(np.isnan(scores), -np.inf, scores)
     order = np.argsort(scores)
     # pos_below[i]: actual positives among the i lowest scores
-    pos_below = np.cumsum([0] + [actuals[i] == positive for i in order.tolist()])
+    pos_below = np.cumsum(np.array(actuals, dtype=object)[order] == positive)
+    pos_below = np.concatenate(([0], pos_below))
     rows = []
     for t, below in zip(grid, np.searchsorted(scores[order], grid).tolist()):
         fn = int(pos_below[below])

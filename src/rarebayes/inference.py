@@ -33,12 +33,13 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .dataio import MISSING, CsvDataset, as_dataset, csv_cell, write_rows
+from .dataio import MISSING, CsvDataset, as_dataset, csv_cell, missing_mask, write_rows
 from .errors import ConfigError, EvidenceError
 from .structure import NetworkModel
 from .windows import CaseRecord, node_var_slot
@@ -319,9 +320,9 @@ def collect_scores(
     actuals: list[str] = []
     for scored in iter_scored(model, ds, chunk_rows=chunk_rows):
         assert scored.actuals is not None
-        keep = np.array([a != MISSING for a in scored.actuals], dtype=bool)
+        keep = ~missing_mask(scored.actuals)
         scores.append(scored.probabilities[keep, pos_idx])
-        actuals.extend(a for a in scored.actuals if a != MISSING)
+        actuals.extend(compress(scored.actuals, keep))
     if not scores:
         return np.empty(0), []
     return np.concatenate(scores), actuals

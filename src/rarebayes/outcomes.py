@@ -3,15 +3,17 @@
 Every variable gets a discrete outcome alphabet.  Categorical variables
 use their observed values; continuous variables are cut into bins by
 class-information gain (or equal-frequency quantiles).  Every alphabet
-ends with the MISSING symbol.
+ends with the MISSING symbol.  Which raw cells are MISSING is decided by
+the one rule in :mod:`rarebayes.dataio`: no alphabet, class or reservoir
+holds a missing cell.
 
 Pass 1 codes the class column once per chunk, in first-seen order with
-MISSING as -1, and feeds each continuous variable's finite values from
-labelled rows, with those codes, to an array-backed reservoir: a float64
-value array and an integer code array.  After the pass the codes are
-renumbered to sorted class-symbol order, so entropy binning counts its
-classes in the same columns, and so gives the same edges, as binning on
-the symbols themselves.
+MISSING as -1, and feeds each continuous variable's non-missing values
+from labelled rows, with those codes, to an array-backed reservoir: a
+float64 value array and an integer code array.  After the pass the codes
+are renumbered to sorted class-symbol order, so entropy binning counts
+its classes in the same columns, and so gives the same edges, as binning
+on the symbols themselves.
 
 Entropy binning sorts a variable's sample once and builds one integer
 prefix-count table over it: row ``i`` holds the class counts of the
@@ -23,11 +25,12 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dataio import CsvDataset, MISSING
+from .dataio import MISSING, MISSING_CELLS, CsvDataset, parse_float_column
 from .errors import CardinalityError
 from .schema import Schema
 
@@ -237,7 +240,7 @@ def collect_outcomes(
     cat_vars = [v.name for v in schema.categorical_vars]
     cont_vars = [v.name for v in schema.continuous_vars]
     observed: dict[str, set[str]] = {name: set() for name in cat_vars}
-    class_lut: dict[str, int] = {MISSING: -1}
+    class_lut: dict[str, int] = {}
     reservoirs = {
         name: ReservoirSample(reservoir_capacity, variable_seed(seed, name))
         for name in cont_vars
@@ -246,31 +249,32 @@ def collect_outcomes(
     wanted = dataset.schema_columns(schema, require_class=True)
     for chunk in dataset.iter_chunks(wanted):
         class_col = chunk.columns[schema.class_var]
-        # codes in first-seen order, stable across chunks; MISSING stays -1
-        for sym in sorted(set(class_col).difference(class_lut)):
-            class_lut[sym] = len(class_lut) - 1
-        if len(class_lut) - 1 > max_categories:
+        # codes in first-seen order, stable across chunks; MISSING is -1
+        for sym in sorted(set(class_col).difference(class_lut, MISSING_CELLS)):
+            class_lut[sym] = len(class_lut)
+        if len(class_lut) > max_categories:
             raise CardinalityError(
                 f"class variable {schema.class_var!r} exceeds "
                 f"{max_categories} distinct outcomes"
             )
         class_codes = np.fromiter(
-            map(class_lut.__getitem__, class_col), dtype=np.int64, count=chunk.size
+            map(class_lut.get, class_col, repeat(-1)), dtype=np.int64, count=chunk.size
         )
         class_ok = class_codes >= 0
         for name in cat_vars:
             observed[name].update(chunk.columns[name])
-            if len(observed[name]) > max_categories + 1:
+            observed[name].difference_update(MISSING_CELLS)
+            if len(observed[name]) > max_categories:
                 raise CardinalityError(
                     f"variable {name!r} exceeds {max_categories} distinct outcomes"
                 )
         for name in cont_vars:
             values = parse_float_column(chunk.columns[name])
-            labeled = np.isfinite(values) & class_ok
+            labeled = ~np.isnan(values) & class_ok
             if labeled.any():
                 reservoirs[name].extend(values[labeled], class_codes[labeled])
 
-    first_seen = list(class_lut)[1:]
+    first_seen = list(class_lut)
     class_symbols = tuple(sorted(first_seen))
     # reservoir labels carry first-seen codes; binning wants sorted-symbol codes
     rank = {sym: i for i, sym in enumerate(class_symbols)}
@@ -278,14 +282,8 @@ def collect_outcomes(
     variables: dict[str, VariableOutcomes] = {}
     for spec in schema.field_vars:
         if spec.kind == "categorical":
-            vals = observed[spec.name]
-            vals.discard(MISSING)
-            if len(vals) > max_categories:
-                raise CardinalityError(
-                    f"variable {spec.name!r} exceeds {max_categories} distinct outcomes"
-                )
             variables[spec.name] = VariableOutcomes(
-                symbols=tuple(sorted(vals)) + (MISSING,)
+                symbols=tuple(sorted(observed[spec.name])) + (MISSING,)
             )
         else:
             res = reservoirs[spec.name]
@@ -304,25 +302,3 @@ def collect_outcomes(
         variables=variables,
     )
 
-
-def parse_float_column(col: list[str]) -> np.ndarray:
-    """Parse raw cells to float64; '?' / '' / None / garbage become NaN.
-
-    Only the empty string counts as blank, so a numeric cell such as
-    ``0.0`` keeps its value.
-    """
-    try:
-        return np.array(
-            [x if x != "" and x != MISSING else "nan" for x in col], dtype=np.float64
-        )
-    except ValueError:
-        out = np.empty(len(col), dtype=np.float64)
-        for i, x in enumerate(col):
-            if x == "" or x == MISSING:
-                out[i] = np.nan
-            else:
-                try:
-                    out[i] = float(x)
-                except (TypeError, ValueError):
-                    out[i] = np.nan
-        return out

@@ -39,7 +39,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .dataio import Chunk, CsvDataset, PassStats, as_dataset
+from .dataio import MISSING_CELLS, Chunk, CsvDataset, PassStats, as_dataset
+from .dataio import parse_float_column
 from .errors import ModelSizeError, TrainingError
 from .infometrics import (
     JointCounts,
@@ -48,12 +49,7 @@ from .infometrics import (
     mutual_information,
     select_by_cumulative,
 )
-from .outcomes import (
-    OutcomeTable,
-    VariableOutcomes,
-    collect_outcomes,
-    parse_float_column,
-)
+from .outcomes import OutcomeTable, VariableOutcomes, collect_outcomes
 from .schema import Schema, VariableSpec
 from .windows import WindowState, node_id, node_order, node_var_slot
 
@@ -73,10 +69,6 @@ class CPT:
     parent: str | None
     probs: np.ndarray
     unseen: np.ndarray
-
-    @property
-    def cells(self) -> int:
-        return int(self.probs.size)
 
 
 @dataclass(frozen=True)
@@ -112,12 +104,6 @@ class NetworkModel:
     def rare_class(self) -> str:
         """The least-frequent class by prior; ties go to alphabet order."""
         return self.class_symbols[int(np.argmin(self.prior))]
-
-    @property
-    def total_cells(self) -> int:
-        return sum(c.cells for c in self.cpts.values()) + sum(
-            c.cells for c in self.fallbacks.values()
-        )
 
     # -- persistence ------------------------------------------------------
 
@@ -237,21 +223,23 @@ class Encoder:
 
     ``codes`` holds one ``{symbol: code}`` dict per field variable, the
     bins of continuous variables included, with MISSING the last code.
-    A raw categorical cell outside the alphabet codes as MISSING.  A raw
-    continuous cell is binned left-closed by ``edges`` (bin j iff
-    e_j <= v < e_{j+1}); NaN, ``?``, blanks and unparsable text code as
-    MISSING.
+    Every cell that :mod:`rarebayes.dataio`'s missing-cell rule calls
+    MISSING codes as MISSING, even in a model whose alphabet holds ``""``.
+    A raw categorical cell outside the alphabet codes as MISSING too.  A
+    raw continuous cell is binned left-closed by ``edges`` (bin j iff
+    e_j <= v < e_{j+1}).
     """
 
     def __init__(self, schema: Schema, outcomes: OutcomeTable):
         self.schema = schema
         self.class_lut = {sym: i for i, sym in enumerate(outcomes.class_symbols)}
+        self.sizes = {var: len(vo.symbols) for var, vo in outcomes.variables.items()}
+        self.missing = {var: size - 1 for var, size in self.sizes.items()}
         self.codes = {
             var: {sym: i for i, sym in enumerate(vo.symbols)}
+            | dict.fromkeys(MISSING_CELLS, self.missing[var])
             for var, vo in outcomes.variables.items()
         }
-        self.sizes = {var: len(lut) for var, lut in self.codes.items()}
-        self.missing = {var: size - 1 for var, size in self.sizes.items()}
         self.edges = {
             spec.name: np.asarray(outcomes.edges(spec.name) or (), dtype=np.float64)
             for spec in schema.continuous_vars

@@ -1,8 +1,10 @@
 import csv
 import io
+import math
 import os
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -316,3 +318,40 @@ def test_output_files_quote_like_csv_writer(tmp_path):
         assert header == ["record_id", f"p_{bad}", f"p_{good}", "label", "skipped_nodes"]
         assert {row[3] for row in rows} == {good, bad}
     assert f"{name}:missing" in {row[4] for row in read[pred][1:]}
+
+
+def test_missing_cell_rule():
+    """``?`` and the empty cell are MISSING; nothing else is, not even a
+    blank-looking or ``nan`` category."""
+    cells = ["?", "", " ", "a", "??", "nan", "inf", "0"]
+    assert dataio.missing_mask(cells).tolist() == [True, True] + [False] * 6
+    assert dataio.missing_mask([]).shape == (0,)
+
+
+NUMBER_TEXT = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**6, 10**6).map(lambda i: f" {i}\t"),
+    st.sampled_from(["?", "", " ", "nan", "-NaN", "inf", "-inf", "+Infinity", "1e999",
+                     "-1e999", "1_000", "0x10", "abc", "1,5"]),
+)
+
+
+def oracle_float(cell):
+    """A continuous cell's value by the rule: ``float()`` when that gives a
+    finite number, else NaN (MISSING)."""
+    try:
+        value = float(cell)
+    except (TypeError, ValueError):
+        return math.nan
+    return value if math.isfinite(value) else math.nan
+
+
+@given(st.lists(NUMBER_TEXT, max_size=30))
+@settings(max_examples=300, deadline=None)
+def test_parse_float_column_matches_rule(col):
+    """Both parse paths (the whole-column one, and the per-cell one that a
+    garbage cell forces) give the rule's value for every cell."""
+    out = dataio.parse_float_column(col)
+    assert out.dtype == np.float64 and out.shape == (len(col),)
+    expect = np.array([oracle_float(cell) for cell in col], dtype=np.float64)
+    assert np.array_equal(out, expect, equal_nan=True)

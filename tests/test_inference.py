@@ -89,7 +89,8 @@ def oracle_symbol(model, var, raw):
 
     A categorical cell outside the alphabet is MISSING.  A continuous cell
     goes through ``float()`` and ``bisect_right`` over the edges (bin j iff
-    e_j <= v < e_{j+1}); ``?``, None, NaN and unparsable text are MISSING.
+    e_j <= v < e_{j+1}); ``?``, None, NaN, infinities and unparsable text
+    are MISSING.
     """
     symbols = model.outcomes.symbols(var)
     if model.schema.variable(var).kind == "categorical":
@@ -100,7 +101,7 @@ def oracle_symbol(model, var, raw):
         v = float(raw)
     except ValueError:
         return MISSING
-    if math.isnan(v):
+    if not math.isfinite(v):
         return MISSING
     return bin_symbol(bisect_right(model.outcomes.edges(var), v))
 

@@ -15,14 +15,8 @@ from rarebayes import (
     symbolize,
     train,
 )
-from rarebayes.dataio import CsvDataset, PassStats
-from rarebayes.outcomes import (
-    OutcomeTable,
-    ReservoirSample,
-    VariableOutcomes,
-    bin_symbol,
-    parse_float_column,
-)
+from rarebayes.dataio import CsvDataset, PassStats, parse_float_column
+from rarebayes.outcomes import OutcomeTable, ReservoirSample, VariableOutcomes, bin_symbol
 from rarebayes.structure import Encoder, NetworkModel
 
 import binning_oracle
@@ -349,6 +343,6 @@ class TestReservoir:
 
 
 def test_parse_float_column_garbage_to_nan():
-    out = parse_float_column(["1.5", "?", "", "abc", "2"])
+    out = parse_float_column(["1.5", "?", "", "abc", "2", "inf", "-inf", "nan"])
     assert out[0] == 1.5 and out[4] == 2.0
-    assert np.isnan(out[1]) and np.isnan(out[2]) and np.isnan(out[3])
+    assert np.isnan(out[[1, 2, 3, 5, 6, 7]]).all()
