@@ -252,13 +252,6 @@ def _skip_patterns(nodes: Sequence[str], skipped: np.ndarray) -> tuple[list[str]
     return rendered, ids
 
 
-def skip_strings(nodes: Sequence[str], skipped: np.ndarray) -> np.ndarray:
-    """The ``skipped_nodes`` cell of each row of an ``int8`` skip matrix:
-    semicolon-joined ``node:reason`` for its non-zero entries."""
-    rendered, ids = _skip_patterns(nodes, skipped)
-    return np.array(rendered, dtype=object)[ids]
-
-
 def classify_file(
     model: NetworkModel,
     data: str | Path | CsvDataset,

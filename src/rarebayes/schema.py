@@ -15,8 +15,12 @@ Recognized directives::
     smoothing <float>
     max_model_cells <int>
 
-Variable names may not contain ``@``, which names lagged nodes
+Variable, class and group names are single tokens without whitespace,
+and variable names may not contain ``@``, which names lagged nodes
 (``<var>@<slot>``).  Every check names the offending line.
+
+The JSON documents the package writes store each dataclass as its
+fields (``dataclasses.asdict``); :func:`from_json` is the one step back.
 """
 
 from __future__ import annotations
@@ -65,6 +69,11 @@ def _claim_names(class_var: str | None, names: list[str], seen: set[str]) -> Non
         seen.add(name)
 
 
+def _check_token(what: str, name: str) -> None:
+    if name.split() != [name]:
+        raise SchemaError(f"{what} {name!r} must be one token without whitespace")
+
+
 def _check_group(class_var: str | None, group_key: str | None) -> None:
     if group_key is not None and group_key == class_var:
         raise SchemaError(f"group column {group_key!r} is the class column; lags would leak it")
@@ -74,7 +83,8 @@ def _check_group(class_var: str | None, group_key: str | None) -> None:
 class VariableSpec:
     """One field variable: a name, a kind, and (if continuous) a discretizer.
 
-    A name may not hold ``@``, which separates a lagged node's slot.
+    A name may not hold whitespace, or ``@``, which separates a lagged
+    node's slot.
     """
 
     name: str
@@ -82,6 +92,7 @@ class VariableSpec:
     discretizer: str | None = None
 
     def __post_init__(self):
+        _check_token("variable name", self.name)
         if "@" in self.name:
             raise SchemaError(
                 f"variable name {self.name!r} contains '@', which lagged node names use"
@@ -116,6 +127,9 @@ class Schema:
     max_model_cells: int = DEFAULT_MAX_MODEL_CELLS
 
     def __post_init__(self):
+        _check_token("class name", self.class_var)
+        if self.group_key is not None:
+            _check_token("group name", self.group_key)
         _claim_names(self.class_var, self.var_names, set())
         _check_group(self.class_var, self.group_key)
         if not self.field_vars:
@@ -140,6 +154,20 @@ class Schema:
     @property
     def categorical_vars(self) -> list[VariableSpec]:
         return [v for v in self.field_vars if v.kind == "categorical"]
+
+
+def from_json(value):
+    """A decoded JSON value with every list made a tuple.
+
+    A document written with ``asdict`` decodes as ``Spec(**from_json(doc))``,
+    with each nested spec rebuilt the same way; ``null`` stays ``None``, and
+    an unknown key is a ``TypeError``.
+    """
+    if isinstance(value, list):
+        return tuple(map(from_json, value))
+    if isinstance(value, dict):
+        return {key: from_json(item) for key, item in value.items()}
+    return value
 
 
 def _parse_knob(name: str, token: str):

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import repeat
 from pathlib import Path
@@ -50,7 +50,7 @@ from .infometrics import (
     select_by_cumulative,
 )
 from .outcomes import OutcomeTable, VariableOutcomes, collect_outcomes
-from .schema import Schema, VariableSpec
+from .schema import Schema, VariableSpec, from_json
 from .windows import WindowState, node_id, node_order, node_var_slot
 
 MODEL_FORMAT = "rarebayes-model-v1"
@@ -121,16 +121,9 @@ class NetworkModel:
             "class_symbols": list(self.class_symbols),
             "prior": self.prior.tolist(),
             "outcomes": {
-                var: {
-                    "symbols": list(vo.symbols),
-                    "edges": list(vo.edges) if vo.edges is not None else None,
-                }
-                for var, vo in self.outcomes.variables.items()
+                var: asdict(vo) for var, vo in self.outcomes.variables.items()
             },
-            "ranked_fields": [
-                {"node": rf.node, "var": rf.var, "slot": rf.slot, "mi": rf.mi}
-                for rf in self.ranked_fields
-            ],
+            "ranked_fields": [asdict(rf) for rf in self.ranked_fields],
             "parents": {node: self.parents[node] for node in self.parents},
             "cpts": {
                 node: _cpt_to_doc(cpt) for node, cpt in self.cpts.items()
@@ -156,37 +149,67 @@ class NetworkModel:
 
     @staticmethod
     def _from_v1_doc(doc: dict) -> "NetworkModel":
-        s = doc["schema"]
-        kwargs = {f.name: s[f.name] for f in fields(Schema)}
-        kwargs["field_vars"] = tuple(VariableSpec(**v) for v in kwargs["field_vars"])
-        schema = Schema(**kwargs)
+        s = from_json(doc["schema"])
+        field_vars = tuple(VariableSpec(**v) for v in s["field_vars"])
+        schema = Schema(**{**s, "field_vars": field_vars})
         outcomes = OutcomeTable(
             class_var=schema.class_var,
             class_symbols=tuple(doc["class_symbols"]),
             variables={
-                var: VariableOutcomes(
-                    symbols=tuple(o["symbols"]),
-                    edges=tuple(o["edges"]) if o["edges"] is not None else None,
-                )
-                for var, o in doc["outcomes"].items()
+                var: VariableOutcomes(**from_json(o)) for var, o in doc["outcomes"].items()
             },
         )
-        stats = PassStats(**doc["pass_stats"])
-        return NetworkModel(
+        model = NetworkModel(
             schema=schema,
             seed=doc["seed"],
-            class_symbols=tuple(doc["class_symbols"]),
+            class_symbols=outcomes.class_symbols,
             prior=np.array(doc["prior"], dtype=np.float64),
             outcomes=outcomes,
-            ranked_fields=[
-                RankedField(rf["node"], rf["var"], rf["slot"], rf["mi"])
-                for rf in doc["ranked_fields"]
-            ],
+            ranked_fields=[RankedField(**rf) for rf in doc["ranked_fields"]],
             parents=dict(doc["parents"]),
             cpts={n: _cpt_from_doc(n, d) for n, d in doc["cpts"].items()},
             fallbacks={n: _cpt_from_doc(n, d) for n, d in doc["fallbacks"].items()},
-            pass_stats=stats,
+            pass_stats=PassStats(**doc["pass_stats"]),
         )
+        _check_tables(model)
+        return model
+
+
+def _check_tables(model: NetworkModel) -> None:
+    """Raise :class:`TrainingError` unless every table fits the alphabets and
+    nodes it is read with: scoring would otherwise broadcast a wrong shape."""
+    k = len(model.class_symbols)
+    sizes = {var: len(vo.symbols) for var, vo in model.outcomes.variables.items()}
+    if set(sizes) != set(model.schema.var_names):
+        raise TrainingError("model alphabets do not match the schema's field variables")
+    if model.prior.shape != (k,):
+        raise TrainingError(f"prior has shape {model.prior.shape}, expected ({k},)")
+    var_of = {}
+    for rf in model.ranked_fields:
+        var, slot = node_var_slot(rf.node)
+        if (var not in sizes or slot not in range(model.schema.window)
+                or node_id(var, slot) != rf.node or (rf.var, rf.slot) != (var, slot)):
+            raise TrainingError(
+                f"ranked node {rf.node!r} is not a schema variable at a valid slot"
+            )
+        var_of[rf.node] = rf.var
+    if not set(model.parents) == set(model.cpts) == set(model.fallbacks) == set(var_of):
+        raise TrainingError("parents, CPTs and fallbacks must cover exactly the ranked nodes")
+    for node, parent in model.parents.items():
+        if parent is not None and parent not in var_of:
+            raise TrainingError(f"parent {parent!r} of node {node!r} is not a ranked node")
+        axes = () if parent is None else (sizes[var_of[parent]],)
+        for what, cpt, shape in (
+            ("CPT", model.cpts[node], (k, *axes, sizes[var_of[node]])),
+            ("fallback", model.fallbacks[node], (k, sizes[var_of[node]])),
+        ):
+            if cpt.probs.shape != shape or cpt.unseen.shape != shape[:-1]:
+                raise TrainingError(f"{what} for node {node!r} does not have shape {shape}")
+            if cpt.parent != (parent if what == "CPT" else None):
+                raise TrainingError(f"{what} for node {node!r} names the wrong parent")
+    tables = [model.prior, *(c.probs for c in (*model.cpts.values(), *model.fallbacks.values()))]
+    if not all(((t >= 0.0) & (t <= 1.0)).all() for t in tables):
+        raise TrainingError("model probabilities must be finite and lie in [0, 1]")
 
 
 def _cpt_to_doc(cpt: CPT) -> dict:

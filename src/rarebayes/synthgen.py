@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -23,9 +23,15 @@ import numpy as np
 
 from .dataio import MISSING, csv_cell, write_rows
 from .errors import ConfigError, EvidenceError
-from .schema import Schema, VariableSpec, format_schema
+from .schema import Schema, VariableSpec, format_schema, from_json
 
+TRUTH_FORMAT = "rarebayes-truth-v1"
 _PMF_TOL = 1e-9
+
+
+def _check_count(name: str, value, least: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def _check_pmf(pmf: Sequence[float], what: str) -> tuple[float, ...]:
@@ -104,8 +110,10 @@ class GenConfig:
     group: GroupSpec | None = None
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ConfigError("n must be >= 1")
+        _check_count("n", self.n, 1)
+        _check_count("seed", self.seed, 0)
+        if self.group is not None:
+            _check_count("records_per_group", self.group.records_per_group, 1)
         if not 0.0 < self.positive_rate < 1.0:
             raise ConfigError(f"positive_rate must lie in (0, 1), got {self.positive_rate}")
         if len(self.class_labels) != 2 or len(set(self.class_labels)) != 2:
@@ -115,6 +123,11 @@ class GenConfig:
             raise ConfigError("variable names must be unique")
         if self.class_var in names:
             raise ConfigError("class_var collides with a variable name")
+        for spec in self.all_vars:
+            if not 0.0 <= spec.missing_rate <= 1.0:
+                raise ConfigError(
+                    f"{spec.name}: missing_rate must lie in [0, 1], got {spec.missing_rate}"
+                )
         cat_names = {s.name for s in self.categorical}
         for spec in self.categorical:
             for label in self.class_labels:
@@ -149,8 +162,7 @@ class GenConfig:
                     raise ConfigError(f"{spec.name}: pmf length mismatch")
             elif spec.sd is None or spec.sd <= 0:
                 raise ConfigError(f"{spec.name}: sd must be positive")
-        if self.group is not None and self.group.records_per_group < 1:
-            raise ConfigError("records_per_group must be >= 1")
+        self.to_schema()  # a name the schema file cannot hold raises SchemaError
 
     @property
     def all_vars(self) -> list:
@@ -192,11 +204,15 @@ class TruthModel:
         return self.config.prior
 
     def to_doc(self) -> dict:
-        return {"format": "rarebayes-truth-v1", "config": config_to_doc(self.config)}
+        return {"format": TRUTH_FORMAT, "config": config_to_doc(self.config)}
 
     @staticmethod
     def from_doc(doc: dict) -> "TruthModel":
-        return TruthModel(config=config_from_doc(doc["config"]))
+        """Rebuild a truth model; a malformed document raises :class:`ConfigError`."""
+        fmt = doc.get("format") if isinstance(doc, dict) else None
+        if fmt != TRUTH_FORMAT:
+            raise ConfigError(f"unrecognized truth format {fmt!r}")
+        return TruthModel(config=config_from_doc(doc.get("config")))
 
 
 @dataclass(frozen=True)
@@ -408,141 +424,50 @@ def generate(config: GenConfig, out_dir: str | Path) -> GenResult:
 
 # -- config (de)serialization ------------------------------------------------
 
+# A config document is ``asdict(cfg)``: each dataclass's fields, in order.
+_SPEC_LISTS = {
+    "categorical": CategoricalSpec,
+    "continuous": ContinuousSpec,
+    "dependent": DependentSpec,
+    "noise": NoiseSpec,
+}
+
 
 def config_to_doc(cfg: GenConfig) -> dict:
-    return {
-        "n": cfg.n,
-        "seed": cfg.seed,
-        "class_var": cfg.class_var,
-        "class_labels": list(cfg.class_labels),
-        "positive_rate": cfg.positive_rate,
-        "categorical": [
-            {
-                "name": s.name,
-                "outcomes": list(s.outcomes),
-                "dist": {k: list(v) for k, v in s.dist.items()},
-                "missing_rate": s.missing_rate,
-            }
-            for s in cfg.categorical
-        ],
-        "continuous": [
-            {
-                "name": s.name,
-                "mean": dict(s.mean),
-                "sd": dict(s.sd),
-                "missing_rate": s.missing_rate,
-            }
-            for s in cfg.continuous
-        ],
-        "dependent": [
-            {
-                "name": s.name,
-                "parent": s.parent,
-                "outcomes": list(s.outcomes),
-                "dist": {
-                    c: {po: list(pmf) for po, pmf in by_parent.items()}
-                    for c, by_parent in s.dist.items()
-                },
-                "missing_rate": s.missing_rate,
-            }
-            for s in cfg.dependent
-        ],
-        "noise": [
-            {
-                "name": s.name,
-                "outcomes": list(s.outcomes) if s.outcomes is not None else None,
-                "dist": list(s.dist) if s.dist is not None else None,
-                "mean": s.mean,
-                "sd": s.sd,
-                "missing_rate": s.missing_rate,
-            }
-            for s in cfg.noise
-        ],
-        "group": (
-            {"name": cfg.group.name, "records_per_group": cfg.group.records_per_group}
-            if cfg.group
-            else None
-        ),
-    }
+    return asdict(cfg)
 
 
 def config_from_doc(doc: dict) -> GenConfig:
-    """Build a GenConfig from its JSON document; a malformed one raises ConfigError."""
+    """Build a GenConfig from its JSON document; a malformed one raises ConfigError.
+
+    Absent keys take the dataclasses' defaults; an unknown key is an error.
+    """
     if not isinstance(doc, dict):
         raise ConfigError(f"generator config must be a JSON object, got {type(doc).__name__}")
     try:
-        return GenConfig(
-            n=doc["n"],
-            seed=doc.get("seed", 0),
-            class_var=doc.get("class_var", "class"),
-            class_labels=tuple(doc.get("class_labels", ("good", "bad"))),
-            positive_rate=doc.get("positive_rate", 0.1),
-            categorical=tuple(
-                CategoricalSpec(
-                    name=s["name"],
-                    outcomes=tuple(s["outcomes"]),
-                    dist={k: tuple(v) for k, v in s["dist"].items()},
-                    missing_rate=s.get("missing_rate", 0.0),
-                )
-                for s in doc.get("categorical", ())
-            ),
-            continuous=tuple(
-                ContinuousSpec(
-                    name=s["name"],
-                    mean=dict(s["mean"]),
-                    sd=dict(s["sd"]),
-                    missing_rate=s.get("missing_rate", 0.0),
-                )
-                for s in doc.get("continuous", ())
-            ),
-            dependent=tuple(
-                DependentSpec(
-                    name=s["name"],
-                    parent=s["parent"],
-                    outcomes=tuple(s["outcomes"]),
-                    dist={
-                        c: {po: tuple(pmf) for po, pmf in by_parent.items()}
-                        for c, by_parent in s["dist"].items()
-                    },
-                    missing_rate=s.get("missing_rate", 0.0),
-                )
-                for s in doc.get("dependent", ())
-            ),
-            noise=tuple(
-                NoiseSpec(
-                    name=s["name"],
-                    outcomes=tuple(s["outcomes"]) if s.get("outcomes") else None,
-                    dist=tuple(s["dist"]) if s.get("dist") else None,
-                    mean=s.get("mean"),
-                    sd=s.get("sd"),
-                    missing_rate=s.get("missing_rate", 0.0),
-                )
-                for s in doc.get("noise", ())
-            ),
-            group=(
-                GroupSpec(
-                    name=doc["group"].get("name", "grp"),
-                    records_per_group=doc["group"].get("records_per_group", 1),
-                )
-                if doc.get("group")
-                else None
-            ),
-        )
+        kwargs = from_json(doc)
+        for key, spec in _SPEC_LISTS.items():
+            kwargs[key] = tuple(spec(**s) for s in kwargs.get(key, ()))
+        if kwargs.get("group") is not None:
+            kwargs["group"] = GroupSpec(**kwargs["group"])
+        return GenConfig(**kwargs)
     except KeyError as exc:
         raise ConfigError(f"generator config is missing key {exc}") from None
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError, ConfigError) as exc:
         raise ConfigError(f"generator config holds a malformed value: {exc}") from None
 
 
-def load_config(path: str | Path) -> GenConfig:
+def _load_json(path: str | Path, what: str):
     with open(path, encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            return json.load(fh)
         except ValueError as exc:
-            raise ConfigError(f"generator config {path} is not valid JSON: {exc}") from None
-    return config_from_doc(doc)
+            raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from None
+
+
+def load_config(path: str | Path) -> GenConfig:
+    return config_from_doc(_load_json(path, "generator config"))
 
 
 def load_truth(path: str | Path) -> TruthModel:
-    with open(path, encoding="utf-8") as fh:
-        return TruthModel.from_doc(json.load(fh))
+    return TruthModel.from_doc(_load_json(path, "truth file"))

@@ -215,13 +215,25 @@ def test_classify_machine_output_stays_out_of_stderr(workdir, capsys):
     assert captured.err.startswith("classify:")
 
 
-@pytest.mark.parametrize("corrupt", ["truncated", "no-schema"])
+@pytest.mark.parametrize("corrupt", ["truncated", "no-schema", "class-row-dropped",
+                                     "one-entry-prior", "unknown-var"])
 def test_corrupt_model_file_is_runtime_error(workdir, tmp_path, capsys, corrupt):
     text = (workdir / "model.json").read_text(encoding="utf-8")
+    doc = json.loads(text)
     if corrupt == "truncated":
         text = text[: len(text) // 2]
-    else:
+    elif corrupt == "no-schema":
         text = '{"format": "rarebayes-model-v1"}'
+    else:
+        # numpy would broadcast the first two, and the third raised KeyError
+        node = doc["ranked_fields"][0]["node"]
+        if corrupt == "class-row-dropped":
+            doc["cpts"][node]["probs"].pop()
+        elif corrupt == "one-entry-prior":
+            doc["prior"] = [1.0]
+        else:
+            doc["ranked_fields"][0]["var"] = "nosuch"
+        text = json.dumps(doc)
     bad = tmp_path / "model.json"
     bad.write_text(text, encoding="utf-8")
     code = run([
@@ -230,7 +242,9 @@ def test_corrupt_model_file_is_runtime_error(workdir, tmp_path, capsys, corrupt)
         "--out", str(tmp_path / "pred.csv"),
     ])
     assert code == 1
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "pred.csv").exists()
 
 
 def test_classify_requires_unselected_field_columns(workdir, tmp_path, capsys):
@@ -369,6 +383,21 @@ def test_non_utf8_data_is_runtime_error(workdir, tmp_path, capsys):
     ("gen", "nope", "is not valid JSON"),
     ("gen", "[]", "must be a JSON object, got list"),
     ("gen", '{"n": "x"}', "malformed value"),
+    ("gen", '{"n": 2.5}', "n must be an integer >= 1, got 2.5"),
+    ("gen", '{"n": true}', "n must be an integer >= 1, got True"),
+    ("gen", '{"n": 10, "seed": "x"}', "seed must be an integer >= 0, got 'x'"),
+    ("gen", '{"n": 10, "seed": -1}', "seed must be an integer >= 0, got -1"),
+    ("gen", '{"n": 10, "group": {"records_per_group": 1.5}}',
+     "records_per_group must be an integer >= 1, got 1.5"),
+    ("gen", '{"n": 10, "noise": [{"name": "z", "mean": 0, "sd": 1, "missing_rate": 2}]}',
+     "z: missing_rate must lie in [0, 1], got 2"),
+    ("gen", '{"n": 10, "noise": [{"name": "z", "mean": 0, "sd": 1, "missing_rate": -1}]}',
+     "z: missing_rate must lie in [0, 1], got -1"),
+    ("gen", '{"n": 10, "class_var": "my class", "noise": [{"name": "z", "mean": 0, "sd": 1}]}',
+     "class name 'my class' must be one token without whitespace"),
+    ("gen", '{"n": 10, "noise": [{"name": "z 1", "mean": 0, "sd": 1}]}',
+     "variable name 'z 1' must be one token without whitespace"),
+    ("gen", '{"n": 10, "postive_rate": 0.4}', "unexpected keyword argument 'postive_rate'"),
     ("baseline", "y,a\n", "exactly 2 class values, got []"),
     ("baseline", "y,a\ngood,1\ngood,2\ngood,3\nbad,4\n", "at least 2 complete rows"),
 ])
@@ -383,6 +412,7 @@ def test_malformed_input_is_runtime_error(tmp_path, capsys, command, text, messa
         argv = ["baseline", "--kind", "linear", "--schema", str(schema),
                 "--data", str(path), "--out", str(tmp_path / "out.csv")]
     assert run(argv) == 1
+    assert not (tmp_path / "out").exists()  # gen fails before it writes a file
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
     assert err.count("\n") == 1 and "Traceback" not in err

@@ -285,7 +285,7 @@ def test_output_files_quote_like_csv_writer(tmp_path):
     """Class symbols, outcomes and a variable name that need quoting come
     out of every writer as csv.writer writes the rows read back."""
     good, bad = "go od", 'ba,"d"'
-    name = 'c,"1" x'
+    name = 'c,"1"x'
     config = GenConfig(
         n=600, seed=5, class_labels=(good, bad), positive_rate=0.3,
         categorical=(CategoricalSpec(
@@ -293,7 +293,7 @@ def test_output_files_quote_like_csv_writer(tmp_path):
             {good: (0.7, 0.2, 0.1), bad: (0.1, 0.2, 0.7)}, missing_rate=0.1,
         ),),
         continuous=(
-            ContinuousSpec("v 1", {good: 0.0, bad: 1.5}, {good: 1.0, bad: 2.0}),
+            ContinuousSpec("v;1", {good: 0.0, bad: 1.5}, {good: 1.0, bad: 2.0}),
             ContinuousSpec("w,2", {good: 1.0, bad: -1.0}, {good: 1.0, bad: 0.5}),
         ),
     )

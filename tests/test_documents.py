@@ -1,0 +1,272 @@
+"""JSON documents: pinned bytes, round trips, and malformed documents.
+
+Every document the package writes is its dataclasses' fields
+(``asdict``) and reads back through ``Spec(**doc)``.  The digests pin
+``truth.json`` for each fixture config and one trained model file byte
+for byte.
+"""
+
+import hashlib
+import json
+import re
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rarebayes import ConfigError, TrainingError, generate, parse_schema, train
+from rarebayes.cli import run
+from rarebayes.structure import NetworkModel
+from rarebayes.synthgen import (
+    CategoricalSpec,
+    ContinuousSpec,
+    DependentSpec,
+    GenConfig,
+    GroupSpec,
+    NoiseSpec,
+    config_from_doc,
+    config_to_doc,
+    load_config,
+    load_truth,
+)
+
+from fixture_configs import big_config, indep_config, messy_config, recovery_config
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+TRUTH_SHA256 = {
+    recovery_config: "178a4ede65eee8d580f1ac1da61b5ff56a77317e4583425e9a08a8a0bea28151",
+    indep_config: "c2c547091d1b490120efb158c2b2bc76de312c56584bbcea4f5ec18867fe2dda",
+    messy_config: "38e6aa95e443bf0210ed211cfd50df5572738661c7b468e7d30e1106bf69a6f5",
+    big_config: "b8a98fa502fd3ae0929edf580e2b0debf72bb303e25122f3333f81eea22ebba5",
+}
+# Also pins the MI scores, which come from numpy's log.
+MODEL_SHA256 = "7c72eaaff84dc7fc49d4015bf1cbc00d6771f54312110187e8179da1c5f024e4"
+
+
+def sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def model_path(tmp_path_factory) -> Path:
+    """A trained model with one field-to-field edge (plan -> addon)."""
+    root = tmp_path_factory.mktemp("doc-model")
+    fixture = generate(messy_config(n=1500, seed=31), root / "fixture")
+    schema = parse_schema(fixture.schema_path.read_text(encoding="utf-8"))
+    path = root / "model.json"
+    train(schema, fixture.data_path, seed=3).save(path)
+    return path
+
+
+class TestPinnedBytes:
+    @pytest.mark.parametrize("config", list(TRUTH_SHA256), ids=lambda f: f.__name__)
+    def test_truth_file(self, tmp_path, config):
+        assert sha256(generate(config(n=200), tmp_path).truth_path) == TRUTH_SHA256[config]
+
+    def test_model_file(self, model_path):
+        assert sha256(model_path) == MODEL_SHA256
+
+
+# -- generator configs -------------------------------------------------------
+
+
+@st.composite
+def gen_configs(draw) -> GenConfig:
+    labels = tuple(draw(st.lists(st.sampled_from(["good", "bad", "a b", "x,y", "q"]),
+                                 min_size=2, max_size=2, unique=True)))
+    names = iter(f"v{i}" for i in range(1000))
+    rates = st.floats(0.0, 1.0)
+    reals = st.floats(-1e6, 1e6, allow_nan=False)
+    spreads = st.floats(1e-3, 1e3)
+
+    def outcomes() -> tuple[str, ...]:
+        return tuple(f"o{i}" for i in range(draw(st.integers(1, 4))))
+
+    def pmf(k: int) -> tuple[float, ...]:
+        weights = draw(st.lists(st.integers(1, 9), min_size=k, max_size=k))
+        return tuple(w / sum(weights) for w in weights)
+
+    categorical = []
+    for _ in range(draw(st.integers(1, 3))):
+        outs = outcomes()
+        categorical.append(CategoricalSpec(
+            next(names), outs, {c: pmf(len(outs)) for c in labels}, draw(rates)))
+    continuous = [
+        ContinuousSpec(next(names), {c: draw(reals) for c in labels},
+                       {c: draw(spreads) for c in labels}, draw(rates))
+        for _ in range(draw(st.integers(0, 2)))
+    ]
+    dependent = []
+    for _ in range(draw(st.integers(0, 2))):
+        parent = draw(st.sampled_from(categorical))
+        outs = outcomes()
+        dist = {c: {po: pmf(len(outs)) for po in parent.outcomes} for c in labels}
+        dependent.append(DependentSpec(next(names), parent.name, outs, dist, draw(rates)))
+    noise = []
+    for _ in range(draw(st.integers(0, 2))):
+        if draw(st.booleans()):
+            outs = outcomes()
+            noise.append(NoiseSpec(next(names), outcomes=outs, dist=pmf(len(outs)),
+                                   missing_rate=draw(rates)))
+        else:
+            noise.append(NoiseSpec(next(names), mean=draw(reals), sd=draw(spreads),
+                                   missing_rate=draw(rates)))
+    group = draw(st.none() | st.builds(GroupSpec, st.sampled_from(["grp", "acct"]),
+                                       st.integers(1, 50)))
+    return GenConfig(
+        n=draw(st.integers(1, 10**6)),
+        seed=draw(st.integers(0, 2**63)),
+        class_var=draw(st.sampled_from(["class", "y"])),
+        class_labels=labels,
+        positive_rate=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        categorical=tuple(categorical),
+        continuous=tuple(continuous),
+        dependent=tuple(dependent),
+        noise=tuple(noise),
+        group=group,
+    )
+
+
+@given(gen_configs())
+@settings(max_examples=150, deadline=None)
+def test_config_json_round_trip(cfg):
+    assert config_from_doc(json.loads(json.dumps(config_to_doc(cfg)))) == cfg
+
+
+def test_absent_keys_take_the_dataclass_defaults():
+    doc = {"n": 5, "noise": [{"name": "z", "mean": 0.0, "sd": 1.0}], "group": {}}
+    assert config_from_doc(doc) == GenConfig(
+        n=5, noise=(NoiseSpec("z", mean=0.0, sd=1.0),), group=GroupSpec()
+    )
+
+
+@pytest.mark.parametrize("where", ["top", "categorical", "continuous", "dependent",
+                                   "noise", "group"])
+def test_unknown_key_is_runtime_error(tmp_path, capsys, where):
+    cfg = replace(messy_config(n=50), noise=(NoiseSpec("z", mean=0.0, sd=1.0),))
+    doc = config_to_doc(cfg)
+    target = doc if where == "top" else doc["group"] if where == "group" else doc[where][0]
+    target["typo"] = 0.5
+    path = tmp_path / "gen.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run(["gen", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "unexpected keyword argument 'typo'" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_readme_minimal_config_generates(tmp_path, capsys):
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"A\s+minimal `gen\.json`:\s*```json\n(.*?)```", text, re.S)
+    assert block, "README lost its minimal gen.json example"
+    path = tmp_path / "gen.json"
+    path.write_text(block.group(1), encoding="utf-8")
+    assert run(["gen", "--config", str(path), "--out", str(tmp_path / "fixture")]) == 0
+    assert capsys.readouterr().err.startswith("gen: wrote")
+    truth = load_truth(tmp_path / "fixture" / "truth.json")
+    assert truth.config == load_config(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"format": "x"}', "unrecognized truth format 'x'"),
+    ("[]", "unrecognized truth format None"),
+    ("nope", "is not valid JSON"),
+    ('{"format": "rarebayes-truth-v1"}', "must be a JSON object, got NoneType"),
+    ('{"format": "rarebayes-truth-v1", "config": {"n": 0}}', "n must be an integer >= 1"),
+])
+def test_malformed_truth_file_is_config_error(tmp_path, text, message):
+    path = tmp_path / "truth.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_truth(path)
+
+
+# -- model files -------------------------------------------------------------
+
+
+def _drop_class_row(doc):
+    doc["cpts"]["hub"]["probs"].pop()
+
+
+def _one_entry_prior(doc):
+    doc["prior"] = [1.0]
+
+
+def _unknown_var(doc):
+    doc["ranked_fields"][0]["var"] = "nosuch"
+
+
+def _slot_past_window(doc):
+    rf = doc["ranked_fields"][0]
+    for key in ("parents", "cpts", "fallbacks"):
+        doc[key]["hub@1"] = doc[key].pop("hub")
+    rf["node"], rf["slot"] = "hub@1", 1
+
+
+def _unranked_parent(doc):
+    doc["parents"]["addon"] = doc["cpts"]["addon"]["parent"] = "hub@0"
+
+
+def _nodes_disagree(doc):
+    del doc["fallbacks"]["plan"]
+
+
+def _fallback_shape(doc):
+    for row in doc["fallbacks"]["addon"]["probs"]:
+        row.pop()
+
+
+def _unseen_shape(doc):
+    doc["cpts"]["addon"]["unseen"] = [False, False]
+
+
+def _wrong_parent(doc):
+    doc["fallbacks"]["addon"]["parent"] = "plan"
+
+
+def _probability_above_one(doc):
+    doc["cpts"]["addon"]["probs"][0][0][0] = 1.5
+
+
+def _nan_probability(doc):
+    doc["fallbacks"]["bill"]["probs"][1][0] = float("nan")
+
+
+def _lost_alphabet(doc):
+    del doc["outcomes"]["bill"]
+
+
+def _unknown_ranked_key(doc):
+    doc["ranked_fields"][1]["score"] = 0.0
+
+
+def _unknown_outcomes_key(doc):
+    doc["outcomes"]["plan"]["bins"] = None
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_drop_class_row, "CPT for node 'hub' does not have shape (2, 4)"),
+    (_one_entry_prior, "prior has shape (1,), expected (2,)"),
+    (_unknown_var, "ranked node 'hub' is not a schema variable at a valid slot"),
+    (_slot_past_window, "ranked node 'hub@1' is not a schema variable at a valid slot"),
+    (_unranked_parent, "parent 'hub@0' of node 'addon' is not a ranked node"),
+    (_nodes_disagree, "must cover exactly the ranked nodes"),
+    (_fallback_shape, "fallback for node 'addon' does not have shape (2, 3)"),
+    (_unseen_shape, "CPT for node 'addon' does not have shape (2, 3, 3)"),
+    (_wrong_parent, "fallback for node 'addon' names the wrong parent"),
+    (_probability_above_one, "finite and lie in [0, 1]"),
+    (_nan_probability, "finite and lie in [0, 1]"),
+    (_lost_alphabet, "alphabets do not match the schema"),
+    (_unknown_ranked_key, "unexpected keyword argument 'score'"),
+    (_unknown_outcomes_key, "unexpected keyword argument 'bins'"),
+])
+def test_malformed_model_is_training_error(model_path, corrupt, message):
+    doc = json.loads(model_path.read_text(encoding="utf-8"))
+    NetworkModel.from_doc(json.loads(json.dumps(doc)))  # the intact document loads
+    corrupt(doc)
+    with pytest.raises(TrainingError, match=re.escape(message)):
+        NetworkModel.from_doc(doc)

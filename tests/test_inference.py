@@ -19,11 +19,12 @@ from rarebayes import (
     train,
 )
 from rarebayes.dataio import CsvDataset, PassStats
-from rarebayes.inference import SKIP_REASONS, iter_scored, score_codes, skip_strings
+from rarebayes.inference import SKIP_REASONS, iter_scored, score_codes
 from rarebayes.outcomes import OutcomeTable, VariableOutcomes, bin_symbol
 from rarebayes.structure import CPT, Encoder, NetworkModel, RankedField
 from rarebayes.windows import CaseRecord, node_id, node_order, node_var_slot
 
+from skip_oracle import skip_strings
 from window_oracle import WindowCase, window_expand
 
 

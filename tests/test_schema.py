@@ -87,6 +87,18 @@ def test_at_sign_in_variable_name_rejected():
         VariableSpec("v@2", "continuous", "entropy")
 
 
+@pytest.mark.parametrize("name", ["a b", " a", "a\t", "a b", ""])
+def test_whitespace_in_names_rejected(name):
+    # the line format splits on whitespace, so such a name cannot round-trip
+    x = (VariableSpec("x", "categorical"),)
+    with pytest.raises(SchemaError, match="variable name .*without whitespace"):
+        VariableSpec(name, "categorical")
+    with pytest.raises(SchemaError, match="class name .*without whitespace"):
+        Schema(class_var=name, field_vars=x)
+    with pytest.raises(SchemaError, match="group name .*without whitespace"):
+        Schema(class_var="y", field_vars=x, group_key=name)
+
+
 def test_unknown_kind():
     with pytest.raises(SchemaError, match="line 2.*unknown kind"):
         parse_schema("class y\nvar x ordinal\n")
