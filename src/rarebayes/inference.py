@@ -1,13 +1,16 @@
 """Class posteriors by direct factor multiplication, with degeneracy pruning.
 
 One kernel, :func:`score_codes`, applies the update rule to a block of
-rows at once; :func:`posterior` is a batch of one and batch scoring runs
-it per chunk.  Evidence is incorporated in descending rank order.  A node
-is skipped when its value is MISSING, when its parent configuration row
-carries no training data (``unseen-config``), or when the renormalized
-candidate posterior would leave some class probability outside the open
-interval (0, 1) (``pruned``) -- that covers exact zeros and a class that
-floating point rounds to exactly 1.  A pruned node behaves exactly as if
+rows at once; :func:`posterior` is a batch of one.  Batch scoring gives
+each row of a chunk a dense id over its ranked nodes' codes
+(:func:`_dense_ids`), scores and formats each distinct configuration
+once, and expands the results through the rows' ids.  Evidence is
+incorporated in descending rank order.  A node is skipped when its value
+is MISSING, when its parent configuration row carries no training data
+(``unseen-config``), or when the renormalized candidate posterior would
+leave some class probability outside the open interval (0, 1)
+(``pruned``) -- that covers exact zeros and a class that floating point
+rounds to exactly 1.  A pruned node behaves exactly as if
 the observation were missing, so every posterior stays strictly inside
 (0, 1).  The posterior is renormalized after every accepted node.
 
@@ -35,7 +38,7 @@ import csv
 from dataclasses import dataclass
 from itertools import compress
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -190,12 +193,52 @@ def classify(
 
 @dataclass
 class ScoredChunk:
-    """Scores for one block of records, ids starting at ``offset``."""
+    """Scores for one block of records, ids starting at ``offset``.
+
+    The kernel ran once per distinct node configuration; ``inverse``
+    gives each row its configuration, and the per-row views expand
+    through it.
+    """
 
     offset: int
-    probabilities: np.ndarray           # (rows, classes)
-    skipped: np.ndarray                 # (rows, ranked nodes) int8 skip matrix
+    config_probabilities: np.ndarray    # (configurations, classes)
+    config_skipped: np.ndarray          # (configurations, ranked nodes) int8 skip matrix
+    inverse: np.ndarray                 # (rows,) configuration of each row
     actuals: list[str] | None           # raw class column when present
+
+    @property
+    def probabilities(self) -> np.ndarray:
+        """(rows, classes) posteriors."""
+        return self.config_probabilities[self.inverse]
+
+    @property
+    def skipped(self) -> np.ndarray:
+        """(rows, ranked nodes) ``int8`` skip matrix."""
+        return self.config_skipped[self.inverse]
+
+
+def _dense_ids(
+    n: int, columns: Iterable[np.ndarray], radices: Iterable[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Dense ids for ``n`` rows given as integer ``columns``, column j holding
+    values in ``range(radices[j])``; each radix times ``n`` must fit in 2**63.
+
+    Returns ``(first, inverse)``: the first row of each distinct row and
+    each row's id, equal rows sharing an id.  The columns fold into one
+    ``int64`` key as mixed-radix digits; whenever the next digit could push
+    the key past 2**63, one ``np.unique`` renumbers the keys densely, so no
+    row-wise sort is needed however wide the rows are.
+    """
+    key = np.zeros(n, dtype=np.int64)
+    bound = 1                           # key < bound, in Python ints
+    for col, radix in zip(columns, radices, strict=True):
+        if bound * radix > 2 ** 63:
+            distinct, key = np.unique(key, return_inverse=True)
+            bound = len(distinct)
+        key = key * radix + col
+        bound *= radix
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    return first, inverse
 
 
 def iter_scored(
@@ -208,16 +251,23 @@ def iter_scored(
 
     The header must hold every schema column, but only the model's nodes
     are read.  The class column is optional here; when present its raw
-    values ride along so evaluation can line up with record ids.
+    values ride along so evaluation can line up with record ids.  Each
+    chunk's distinct node configurations are scored once; the kernel's
+    rows do not depend on their batch, so this changes no result.
     """
     ds = as_dataset(data)
     schema = model.schema
     ds.require_columns(ds.schema_columns(schema, require_class=False))
     nodes = [rf.node for rf in model.ranked_fields]
+    radices = [model.encoder.sizes[rf.var] for rf in model.ranked_fields]
     offset = 0
     for chunk, codes, _ in model.encoder.node_chunks(ds, nodes, chunk_rows):
-        probs, skip = score_codes(model, codes, chunk.size)
-        yield ScoredChunk(offset=offset, probabilities=probs, skipped=skip,
+        first, inverse = _dense_ids(chunk.size, [codes[node] for node in nodes], radices)
+        probs, skip = score_codes(
+            model, {node: codes[node][first] for node in nodes}, len(first)
+        )
+        yield ScoredChunk(offset=offset, config_probabilities=probs,
+                          config_skipped=skip, inverse=inverse,
                           actuals=chunk.columns.get(schema.class_var))
         offset += chunk.size
 
@@ -225,26 +275,9 @@ def iter_scored(
 def _skip_patterns(nodes: Sequence[str], skipped: np.ndarray) -> tuple[list[str], np.ndarray]:
     """The distinct rows of an ``int8`` skip matrix, each rendered once as
     semicolon-joined ``node:reason`` for its non-zero entries, and the
-    index of each row's pattern.
-
-    Each row gets a dense pattern id, folded in over blocks of columns:
-    the previous id and the block's entries as base-4 digits make one
-    ``int64`` key, so one ``np.unique`` per block of up to 31 columns
-    replaces any row-wise sort.
-    """
+    index of each row's pattern."""
     n, width = skipped.shape
-    ids = np.zeros(n, dtype=np.int64)
-    first = np.zeros(min(n, 1), dtype=np.intp)
-    col = 0
-    while col < width:
-        # ids < len(first) <= 2**bits, so ids * 4**w + digits < 2**63
-        bits = (len(first) - 1).bit_length()
-        w = min(width - col, (63 - bits) // 2)
-        digits = skipped[:, col:col + w].astype(np.int64) @ (4 ** np.arange(w, dtype=np.int64))
-        _, first, ids = np.unique(
-            ids * 4 ** w + digits, return_index=True, return_inverse=True
-        )
-        col += w
+    first, ids = _dense_ids(n, skipped.T, [len(SKIP_REASONS)] * width)
     rendered = [
         ";".join(f"{node}:{SKIP_REASONS[c]}" for node, c in zip(nodes, row) if c)
         for row in skipped[first].tolist()
@@ -280,16 +313,22 @@ def classify_file(
             + ["label", "skipped_nodes"]
         )
         for scored in iter_scored(model, data, chunk_rows=chunk_rows):
-            labels = _label_columns(scored.probabilities, pos_idx, threshold)
-            rendered, pattern = _skip_patterns(nodes, scored.skipped)
-            write_rows(fh, [
-                map(str, range(scored.offset, scored.offset + len(labels))),
-                *(map(repr, col) for col in scored.probabilities.T.tolist()),
+            # one "p_…,label,skipped_nodes" tail per distinct configuration
+            labels = _label_columns(scored.config_probabilities, pos_idx, threshold)
+            rendered, pattern = _skip_patterns(nodes, scored.config_skipped)
+            tails = np.array(list(map(",".join, zip(
+                *(map(repr, col) for col in scored.config_probabilities.T.tolist()),
                 symbols[labels].tolist(),
                 np.array(list(map(csv_cell, rendered)), dtype=object)[pattern].tolist(),
+            ))), dtype=object)
+            n = len(scored.inverse)
+            write_rows(fh, [
+                map(str, range(scored.offset, scored.offset + n)),
+                tails[scored.inverse].tolist(),
             ])
-            rows += len(labels)
-            flagged += int((labels == pos_idx).sum())
+            rows += n
+            weight = np.bincount(scored.inverse, minlength=len(labels))
+            flagged += int(weight[labels == pos_idx].sum())
     return {"rows": rows, "positive": positive, "flagged": flagged,
             "threshold": threshold}
 
@@ -314,7 +353,7 @@ def collect_scores(
     for scored in iter_scored(model, ds, chunk_rows=chunk_rows):
         assert scored.actuals is not None
         keep = ~missing_mask(scored.actuals)
-        scores.append(scored.probabilities[keep, pos_idx])
+        scores.append(scored.config_probabilities[scored.inverse[keep], pos_idx])
         actuals.extend(compress(scored.actuals, keep))
     if not scores:
         return np.empty(0), []

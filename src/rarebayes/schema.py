@@ -15,9 +15,10 @@ Recognized directives::
     smoothing <float>
     max_model_cells <int>
 
-Variable, class and group names are single tokens without whitespace,
-and variable names may not contain ``@``, which names lagged nodes
-(``<var>@<slot>``).  Every check names the offending line.
+Variable, class and group names are single tokens without whitespace
+or ``#``, and variable names may not contain ``@``, which names lagged
+nodes (``<var>@<slot>``).  The group column is neither the class nor a
+field variable.  Every check names the offending line.
 
 The JSON documents the package writes store each dataclass as its
 fields (``dataclasses.asdict``); :func:`from_json` is the one step back.
@@ -26,6 +27,7 @@ fields (``dataclasses.asdict``); :func:`from_json` is the one step back.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Collection
 
 from .errors import SchemaError
 
@@ -72,19 +74,25 @@ def _claim_names(class_var: str | None, names: list[str], seen: set[str]) -> Non
 def _check_token(what: str, name: str) -> None:
     if name.split() != [name]:
         raise SchemaError(f"{what} {name!r} must be one token without whitespace")
+    if "#" in name:
+        raise SchemaError(f"{what} {name!r} contains '#', which starts a schema-file comment")
 
 
-def _check_group(class_var: str | None, group_key: str | None) -> None:
-    if group_key is not None and group_key == class_var:
+def _check_group(class_var: str | None, group_key: str | None, fields: Collection[str]) -> None:
+    if group_key is None:
+        return
+    if group_key == class_var:
         raise SchemaError(f"group column {group_key!r} is the class column; lags would leak it")
+    if group_key in fields:
+        raise SchemaError(f"group column {group_key!r} is also a field variable")
 
 
 @dataclass(frozen=True)
 class VariableSpec:
     """One field variable: a name, a kind, and (if continuous) a discretizer.
 
-    A name may not hold whitespace, or ``@``, which separates a lagged
-    node's slot.
+    A name may not hold whitespace, ``#``, which starts a schema-file
+    comment, or ``@``, which separates a lagged node's slot.
     """
 
     name: str
@@ -131,7 +139,7 @@ class Schema:
         if self.group_key is not None:
             _check_token("group name", self.group_key)
         _claim_names(self.class_var, self.var_names, set())
-        _check_group(self.class_var, self.group_key)
+        _check_group(self.class_var, self.group_key, self.var_names)
         if not self.field_vars:
             raise SchemaError("schema declares no field variables")
         for name in _KNOBS:
@@ -187,7 +195,8 @@ def parse_schema(text: str) -> Schema:
     Each line is checked as it is read, by the same rules
     :class:`VariableSpec` and :class:`Schema` apply, so a
     :class:`SchemaError` names the offending line: duplicate variables, unknown
-    kinds or discretizers, ``@`` in a name, grouping by the class, knobs out of range.
+    kinds or discretizers, ``@`` in a name, grouping by the class or a
+    field, knobs out of range.
     """
     class_var: str | None = None
     fields: list[VariableSpec] = []
@@ -228,7 +237,7 @@ def parse_schema(text: str) -> Schema:
                 options[directive] = _parse_knob(directive, args[0])
             else:
                 raise SchemaError(f"unknown directive {directive!r}")
-            _check_group(class_var, options.get("group_key"))  # whichever comes second
+            _check_group(class_var, options.get("group_key"), seen)  # whichever comes second
         except SchemaError as exc:
             raise SchemaError(str(exc), lineno) from None
 

@@ -20,8 +20,10 @@ the fallbacks and ``("class", parent, node)`` per edge for the CPTs.
 The engine reads through :meth:`Encoder.node_chunks`, the feed batch
 scoring shares: it encodes only the variables the tables name and lags
 only those named at a slot >= 1.
-Before pass 3 and pass 4 read any data, :func:`_check_budget` holds the
-pair tables, then the fallback and CPT tables, to ``max_model_cells``.
+Each of passes 2-4 is held to ``max_model_cells`` before it reads any
+data: pass 2's class × field tables (classes × ``window`` × the summed
+alphabet sizes), then through :func:`_check_budget` the pair tables, then
+the fallback and CPT tables.
 
 The dataset is read exactly four times regardless of variable count or
 alphabet sizes; the model carries its :class:`PassStats` as proof.
@@ -500,6 +502,13 @@ def train(
             f"got {len(outcomes.class_symbols)}"
         )
     enc = Encoder(schema, outcomes)
+    # pass 2 counts every field at every window slot; sized before any node is named
+    pass2_cells = len(enc.class_lut) * schema.window * sum(enc.sizes.values())
+    if pass2_cells > schema.max_model_cells:
+        raise ModelSizeError(
+            f"pass-2 class × field tables over window {schema.window} "
+            f"({pass2_cells} cells) would exceed max_model_cells={schema.max_model_cells}"
+        )
 
     counts = _count_pass(
         ds, enc, [("class", node_id(v, s)) for v, s in node_order(schema)], chunk_rows

@@ -398,6 +398,10 @@ def test_non_utf8_data_is_runtime_error(workdir, tmp_path, capsys):
     ("gen", '{"n": 10, "noise": [{"name": "z 1", "mean": 0, "sd": 1}]}',
      "variable name 'z 1' must be one token without whitespace"),
     ("gen", '{"n": 10, "postive_rate": 0.4}', "unexpected keyword argument 'postive_rate'"),
+    ("gen", '{"n": 10, "noise": [{"name": "a#b", "mean": 0, "sd": 1}]}',
+     "variable name 'a#b' contains '#'"),
+    ("gen", '{"n": 10, "noise": [{"name": "a", "mean": 0, "sd": 1}], "group": {"name": "a"}}',
+     "group column 'a' is also a field variable"),
     ("baseline", "y,a\n", "exactly 2 class values, got []"),
     ("baseline", "y,a\ngood,1\ngood,2\ngood,3\nbad,4\n", "at least 2 complete rows"),
 ])

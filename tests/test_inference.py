@@ -19,7 +19,7 @@ from rarebayes import (
     train,
 )
 from rarebayes.dataio import CsvDataset, PassStats
-from rarebayes.inference import SKIP_REASONS, iter_scored, score_codes
+from rarebayes.inference import SKIP_REASONS, _dense_ids, iter_scored, score_codes
 from rarebayes.outcomes import OutcomeTable, VariableOutcomes, bin_symbol
 from rarebayes.structure import CPT, Encoder, NetworkModel, RankedField
 from rarebayes.windows import CaseRecord, node_id, node_order, node_var_slot
@@ -557,6 +557,110 @@ def test_symbolize_matches_oracle_and_batch_scoring(case_dir, drawn, data):
         post = posterior(model, CaseRecord(values=symbols))
         assert np.array_equal(post.probabilities, batch[i])
         assert post.skipped == skip_log(model, skips[i])
+
+
+@pytest.fixture(scope="module")
+def dup_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("duplicates")
+
+
+def write_cases(path, model, cases):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["y"] + model.schema.var_names)
+        writer.writerows(["?"] + [case.get(var) for var in model.schema.var_names]
+                         for case in cases)
+
+
+def line_tails(path):
+    """Each output line without its record id."""
+    lines = path.read_text(encoding="utf-8").splitlines()[1:]
+    return [line.split(",", 1)[1] for line in lines]
+
+
+@settings(max_examples=100, deadline=None)
+@given(drawn=random_models(), data=st.data())
+def test_duplicated_rows_score_as_a_batch_of_one(dup_dir, drawn, data):
+    """In a batch of duplicated and permuted cases, every row's posterior
+    and skip row equal ``posterior`` on its case alone, bit for bit, and
+    every written line equals that case's line in a file without
+    duplicates, whatever the chunk size."""
+    model, cases = drawn
+    distinct = list({tuple(c.values.items()): c for c in cases}.values())
+    picks = data.draw(st.lists(st.integers(0, len(distinct) - 1),
+                               min_size=1, max_size=40))
+    chunk_rows = data.draw(st.sampled_from([1, 3, 65536]))
+    batch = [distinct[k] for k in picks]
+    once, many = dup_dir / "once.csv", dup_dir / "many.csv"
+    write_cases(once, model, distinct)
+    write_cases(many, model, batch)
+    scored = list(iter_scored(model, many, chunk_rows=chunk_rows))
+    probs = np.vstack([s.probabilities for s in scored])
+    skips = np.vstack([s.skipped for s in scored])
+    assert len(probs) == len(batch)
+    for i, case in enumerate(batch):
+        post = posterior(model, case)
+        assert np.array_equal(probs[i], post.probabilities), f"row {i}"
+        assert skip_log(model, skips[i]) == post.skipped, f"row {i}"
+    classify_file(model, once, dup_dir / "once.out", 0.5)
+    summary = classify_file(model, many, dup_dir / "many.out", 0.5, chunk_rows=chunk_rows)
+    expected = line_tails(dup_dir / "once.out")
+    got = line_tails(dup_dir / "many.out")
+    assert got == [expected[k] for k in picks]
+    labels = [tail.split(",")[len(model.class_symbols)] for tail in got]
+    assert summary["flagged"] == labels.count(model.rare_class())
+
+
+def assert_same_partition(ids, oracle):
+    """``ids`` and ``oracle`` group the rows alike: the pairs of labels
+    they give each row form a one-to-one map."""
+    pairs = set(zip(ids.tolist(), oracle.tolist()))
+    assert len(pairs) == len(set(ids.tolist())) == len(set(oracle.tolist()))
+
+
+@st.composite
+def code_matrices(draw):
+    """Rows over random radices (wide ones included, so the radix product
+    can pass 2**63), repeating a few base rows with one entry changed, so
+    rows that agree on a prefix of columns can differ later."""
+    radices = draw(st.lists(
+        st.sampled_from([1, 2, 3, 4, 17, 10_001, 2**31, 2**40]), min_size=1, max_size=40))
+    entry = [st.integers(0, r - 1) for r in radices]
+    bases = draw(st.lists(st.tuples(*entry), min_size=1, max_size=4))
+    rows = []
+    for _ in range(draw(st.integers(1, 50))):
+        row = list(draw(st.sampled_from(bases)))
+        if draw(st.booleans()):
+            j = draw(st.integers(0, len(radices) - 1))
+            row[j] = draw(entry[j])
+        rows.append(row)
+    return np.array(rows, dtype=np.int64), radices
+
+
+class TestDenseIds:
+    @given(code_matrices())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_row_wise_unique(self, drawn):
+        matrix, radices = drawn
+        first, ids = _dense_ids(len(matrix), matrix.T, radices)
+        _, oracle = np.unique(matrix, axis=0, return_inverse=True)
+        assert_same_partition(ids, oracle.reshape(-1))
+        # first[k] is the earliest row with id k
+        assert [int(np.flatnonzero(ids == k)[0]) for k in range(len(first))] == first.tolist()
+
+    def test_radix_product_past_int64(self):
+        # 2**40 * 2**40 passes 2**63: the rows differ only after the fold renumbers
+        matrix = np.array([[5, 2**40 - 1, 0], [5, 2**40 - 1, 1], [5, 2**40 - 1, 0],
+                           [5, 0, 1]], dtype=np.int64)
+        radices = [2**40, 2**40, 2]
+        first, ids = _dense_ids(len(matrix), matrix.T, radices)
+        assert math.prod(radices) > 2**63
+        assert_same_partition(ids, np.array([0, 1, 0, 2]))
+        assert sorted(first.tolist()) == [0, 1, 3]
+
+    def test_no_columns_is_one_configuration(self):
+        first, ids = _dense_ids(3, [], [])
+        assert first.tolist() == [0] and ids.tolist() == [0, 0, 0]
 
 
 class TestPruningIsFloatSafe:

@@ -99,6 +99,18 @@ def test_whitespace_in_names_rejected(name):
         Schema(class_var="y", field_vars=x, group_key=name)
 
 
+@pytest.mark.parametrize("name", ["a#b", "#", "a#"])
+def test_hash_in_names_rejected(name):
+    # format_schema would write the name into a line parse_schema cuts at '#'
+    x = (VariableSpec("x", "categorical"),)
+    with pytest.raises(SchemaError, match="variable name .*'#'"):
+        VariableSpec(name, "categorical")
+    with pytest.raises(SchemaError, match="class name .*'#'"):
+        Schema(class_var=name, field_vars=x)
+    with pytest.raises(SchemaError, match="group name .*'#'"):
+        Schema(class_var="y", field_vars=x, group_key=name)
+
+
 def test_unknown_kind():
     with pytest.raises(SchemaError, match="line 2.*unknown kind"):
         parse_schema("class y\nvar x ordinal\n")
@@ -175,3 +187,16 @@ def test_format_schema_round_trip():
         "t_prime 0.5\nwindow 2\nsmoothing 1.0\n"
     )
     assert parse_schema(format_schema(s)) == s
+
+
+@pytest.mark.parametrize("text, line", [
+    ("class y\nvar a categorical\nvar b categorical\ngroup a\n", 4),
+    ("class y\ngroup b\nvar a categorical\nvar b continuous\n", 4),  # var second
+])
+def test_group_named_like_a_field_names_line(text, line):
+    # the generator would write a header holding two columns of that name
+    with pytest.raises(SchemaError, match=f"line {line}: group column '.' is also a field"):
+        parse_schema(text)
+    with pytest.raises(SchemaError, match="group column 'a' is also a field variable"):
+        Schema(class_var="y", field_vars=(VariableSpec("a", "categorical"),),
+               group_key="a")

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -87,8 +88,9 @@ class TestTrain:
 
     def test_model_size_guard_names_pair(self, tmp_path):
         ds = CsvDataset(small_csv(tmp_path))
+        # 12 admits pass 2's 2 x (3 + 3) cells but not the 2 x 3 x 3 pair table
         with pytest.raises(ModelSizeError, match=r"\(a, b\)|\(b, a\)"):
-            train(replace(TWO_CAT, max_model_cells=10), ds)
+            train(replace(TWO_CAT, max_model_cells=12), ds)
 
     def test_unlabeled_rows_excluded_from_counts_but_visited(self, tmp_path):
         path = write(
@@ -144,6 +146,32 @@ def budget_totals(model):
 
 
 class TestModelSizeBudget:
+    def test_pass2_budget_boundary(self, tmp_path):
+        path = small_csv(tmp_path)
+        pass2_cells = 2 * (3 + 3)  # classes x (a0, a1, MISSING) + (b0, b1, MISSING)
+        ds = CsvDataset(path)
+        with pytest.raises(ModelSizeError, match=r"\(a, b\)"):  # past pass 2
+            train(replace(TWO_CAT, max_model_cells=pass2_cells), ds)
+        assert ds.stats.passes == 2
+        ds = CsvDataset(path)
+        with pytest.raises(ModelSizeError, match=rf"pass-2 .*window 1 .*={pass2_cells - 1}"):
+            train(replace(TWO_CAT, max_model_cells=pass2_cells - 1), ds)
+        assert ds.stats.passes == 1
+
+    def test_huge_window_fails_before_naming_nodes(self, tmp_path):
+        # window x fields nodes would not fit in memory; the budget is
+        # arithmetic on the alphabet sizes, so training fails after pass 1
+        ds = CsvDataset(small_csv(tmp_path, n=20))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ModelSizeError, match="window 1000000000 .*max_model_cells"):
+                train(replace(TWO_CAT, window=1_000_000_000), ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ds.stats.passes == 1
+        assert peak < 16 * 2**20
+
     def test_pass3_budget_boundary(self, tmp_path):
         path = three_csv(tmp_path)
         model = train(THREE_CAT, CsvDataset(path))

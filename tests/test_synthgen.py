@@ -9,6 +9,7 @@ from rarebayes import (
     EvidenceError,
     JointCounts,
     MISSING,
+    SchemaError,
     analytic_posterior,
     generate,
     mutual_information,
@@ -119,6 +120,16 @@ class TestGenerate:
     def test_noise_spec_shape_validated(self):
         with pytest.raises(ConfigError, match="outcomes\\+dist or mean\\+sd"):
             tiny_config(noise=(NoiseSpec("z", outcomes=("u",), dist=(1.0,), mean=0.0, sd=1.0),))
+
+    @pytest.mark.parametrize("overrides, message", [
+        # parse_schema would cut the schema.txt line at the '#'
+        ({"noise": (NoiseSpec("a#b", mean=0.0, sd=1.0),)}, "'a#b' contains '#'"),
+        # the data header would hold two columns named "x"
+        ({"group": GroupSpec("x", 2)}, "group column 'x' is also a field variable"),
+    ])
+    def test_name_the_schema_file_cannot_hold_rejected(self, overrides, message):
+        with pytest.raises(SchemaError, match=message):
+            tiny_config(**overrides)
 
     def test_dependent_parent_must_be_categorical(self):
         with pytest.raises(ConfigError, match="parent"):
