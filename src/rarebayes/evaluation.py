@@ -219,13 +219,20 @@ def rows_to_report(
 SWEEP_CSV_HEADER = ["threshold", "F_pct", "C_pct", "V", "TP", "FP", "TN", "FN", "accuracy"]
 
 
+def threshold_label(t: float) -> str:
+    """Two decimals (``0.10``) when they read back as ``t``, else ``repr(t)``,
+    so distinct thresholds of a fine grid keep distinct labels."""
+    label = f"{t:.2f}"
+    return label if float(label) == t else repr(t)
+
+
 def rows_to_csv_lines(rows: Sequence[FCVRow]) -> list[list[str]]:
     """Sweep rows as CSV cells (formatted percentages, exact counts)."""
     out = [list(SWEEP_CSV_HEADER)]
     for r in rows:
         out.append(
             [
-                f"{r.threshold:.2f}",
+                threshold_label(r.threshold),
                 r.f_pct_str(),
                 r.c_pct_str(),
                 r.volume,

@@ -19,6 +19,11 @@ Entropy binning sorts a variable's sample once and builds one integer
 prefix-count table over it: row ``i`` holds the class counts of the
 first ``i`` sorted samples.  Every leaf's class counts, and every
 candidate cut's left-side counts, are differences of two of its rows.
+The candidate cuts are the boundary points only (Fayyad & Irani, *On the
+Handling of Continuous-Valued Attributes in Decision Tree Generation*,
+Machine Learning 1992): a cut between two runs of tied values that are
+both pure in the same class can never be the leftmost best cut, so it is
+dropped once, before the first split.
 """
 
 from __future__ import annotations
@@ -140,11 +145,24 @@ def entropy_bins(
     at ``max_bins`` bins or when no split has positive gain.  Returns
     strictly increasing edges.
 
-    Counts come from one integer prefix-count table over the stably
-    sorted sample: leaf ``[lo, hi)`` counts ``prefix[hi] - prefix[lo]``,
-    and a cut at row ``c`` (a row where the sorted value changes) leaves
+    Counts come from one integer prefix-count table over the sorted
+    sample: leaf ``[lo, hi)`` counts ``prefix[hi] - prefix[lo]``, and a
+    cut at row ``c`` (a row where the sorted value changes) leaves
     ``prefix[c] - prefix[lo]`` on its left.  One row-wise entropy scores
-    leaves and cuts alike.
+    leaves and cuts alike.  Rows are read only where the value changes,
+    so the order of tied values, and with it the sort's stability, never
+    shows.
+
+    Only boundary points are scored: cuts whose two adjacent groups of
+    tied values are not both pure in the same class.  Moving a cut
+    through a run of same-class groups shifts samples of one class from
+    one side to the other, and along that line the weighted child
+    entropy is strictly concave (unless the whole leaf is one class, when
+    no cut gains).  So a cut inside the run gains strictly less than the
+    better end of the run, an end that is a boundary point or the leaf's
+    own edge, and the leftmost best cut is always a boundary point
+    (Fayyad & Irani, Machine Learning 1992).  Leaves split only at group
+    boundaries, so one filter over the whole sample serves every leaf.
     """
     if max_bins < 1:
         raise ValueError("max_bins must be >= 1")
@@ -159,13 +177,19 @@ def entropy_bins(
     # count columns for the labels present only, in code order
     present = np.bincount(labels) > 0
     codes = (np.cumsum(present) - 1)[labels]
-    order = np.argsort(values, kind="stable")
+    order = np.argsort(values)
     values = values[order]
     codes = codes[order]
     n, k = len(values), int(present.sum())
     prefix = np.zeros((n + 1, k), dtype=np.int64)
     np.cumsum(codes[:, None] == np.arange(k), axis=0, out=prefix[1:])
-    cuts = np.flatnonzero(values[1:] != values[:-1]) + 1
+    starts = np.flatnonzero(np.r_[True, values[1:] != values[:-1]])
+    # keep the boundary points: drop a cut between two groups pure in one class
+    low = np.minimum.reduceat(codes, starts)
+    high = np.maximum.reduceat(codes, starts)
+    pure = low == high
+    same_pure = pure[:-1] & pure[1:] & (low[:-1] == low[1:])
+    cuts = starts[1:][~same_pure]
 
     # splittable leaves (lo, hi) -> class entropy
     leaves = {(0, n): _entropy(prefix[n:])[0]}
@@ -192,11 +216,15 @@ def entropy_bins(
     return tuple(sorted(edges))
 
 
-def quantile_bins(values: Iterable[float], max_bins: int) -> tuple[float, ...]:
+def quantile_bins(
+    values: Iterable[float] | np.ndarray, max_bins: int
+) -> tuple[float, ...]:
     """Equal-frequency edges at the i/max_bins quantiles, duplicates dropped."""
     if max_bins < 1:
         raise ValueError("max_bins must be >= 1")
-    arr = np.asarray(list(values), dtype=np.float64)
+    if not isinstance(values, np.ndarray):
+        values = list(values)
+    arr = np.asarray(values, dtype=np.float64)
     arr = arr[np.isfinite(arr)]
     if arr.size == 0:
         raise ValueError("quantile_bins requires at least one sample")

@@ -213,6 +213,28 @@ def test_csv_lines_layout():
     assert lines[1][4] == "1"
 
 
+def test_fine_grid_csv_keeps_every_threshold_apart():
+    grid = default_grid(0.1, 0.2, 0.005)
+    rows = sweep([0.6, 0.2], ["b", "g"], positive="b", grid=grid)
+    labels = [line[0] for line in rows_to_csv_lines(rows)[1:]]
+    assert len(labels) == len(set(labels)) == 21
+    assert [float(label) for label in labels] == grid
+    assert labels[:4] == ["0.10", "0.105", "0.11", "0.115"]
+
+
+def test_default_grid_csv_lines_pinned():
+    rows = sweep([0.6, 0.2, 0.95, 0.4], ["b", "g", "b", "g"], positive="b")
+    lines = rows_to_csv_lines(rows)
+    assert [line[0] for line in lines[1:]] == [
+        "0.10", "0.15", "0.20", "0.25", "0.30", "0.35", "0.40", "0.45", "0.50",
+        "0.55", "0.60", "0.65", "0.70", "0.75", "0.80", "0.85", "0.90",
+    ]
+    assert lines[1] == [
+        "0.10", "100.00", "100.00", "1.0:1", "2", "2", "0", "0", "0.500000"]
+    assert lines[-1] == [
+        "0.90", "0.00", "50.00", "0:1", "1", "0", "2", "1", "0.750000"]
+
+
 def test_negative_counts_rejected():
     with pytest.raises(ValueError):
         ConfusionCounts(tp=-1, fp=0, tn=0, fn=0)

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rarebayes import MISSING, parse_schema, symbolize, train
+from rarebayes.dataio import MISSING_CELLS, parse_float_column
 from rarebayes.baselines import fit_from_csv
 from rarebayes.cli import run
 from rarebayes.outcomes import OutcomeTable, VariableOutcomes
@@ -176,3 +177,52 @@ def test_missing_spellings_give_identical_outputs(rows):
         expect = pipeline_outputs(root, rows)
         assert pipeline_outputs(root, respell(rows)) == expect
     assert expect[0][0][0] in (0, 1)
+
+
+def float_or_nan(cell):
+    """Per-cell oracle: ``float()``, with MISSING cells, garbage and
+    non-finite numbers all NaN."""
+    if cell in MISSING_CELLS:
+        return math.nan
+    try:
+        value = float(cell)
+    except ValueError:
+        return math.nan
+    return value if math.isfinite(value) else math.nan
+
+
+NUMBER_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.from_regex(
+        r"[-+]?[0-9]{1,20}(\.[0-9]{0,25})?([eE][-+]?[0-9]{1,3})?", fullmatch=True
+    ),
+    st.sampled_from(("-0.0", "0", "nan", "inf", "-inf", "1e400", " 1.5 ", "1_000")),
+)
+MISSING_CELL = st.sampled_from(sorted(MISSING_CELLS))
+GARBAGE_CELLS = st.one_of(
+    st.sampled_from(("abc", "1,5", "0x1p3", "nan(1)", "  ")), st.text(max_size=4)
+)
+
+
+@st.composite
+def float_columns(draw):
+    """Numbers only, numbers with MISSING cells, or also garbage: one mode
+    per parse path of :func:`parse_float_column`."""
+    mode = draw(st.sampled_from(("numbers", "missing", "garbage")))
+    cell = NUMBER_CELLS
+    if mode != "numbers":
+        cell |= MISSING_CELL
+    if mode == "garbage":
+        cell |= GARBAGE_CELLS
+    return draw(st.lists(cell, min_size=1, max_size=30))
+
+
+@given(float_columns())
+@settings(max_examples=300, deadline=None)
+def test_parse_float_column_matches_per_cell_oracle(col):
+    values = parse_float_column(col)
+    expected = np.array([float_or_nan(cell) for cell in col], dtype=np.float64)
+    nan = np.isnan(expected)
+    assert np.array_equal(np.isnan(values), nan)
+    # bit for bit, so the sign of -0.0 counts
+    assert np.array_equal(values[~nan].view(np.uint64), expected[~nan].view(np.uint64))

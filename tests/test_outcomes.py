@@ -15,6 +15,7 @@ from rarebayes import (
     symbolize,
     train,
 )
+from rarebayes import outcomes
 from rarebayes.dataio import CsvDataset, PassStats, parse_float_column
 from rarebayes.outcomes import OutcomeTable, ReservoirSample, VariableOutcomes, bin_symbol
 from rarebayes.structure import Encoder, NetworkModel
@@ -212,8 +213,15 @@ class TestEntropyBins:
 
 @st.composite
 def binning_samples(draw):
-    """Values with tied and constant runs, and labels from 1-4 classes."""
+    """Values with tied and constant runs, and labels from 1-4 classes.
+
+    Half the samples are class-correlated: long single-class runs of up to
+    400 sorted samples, some values tied and a few labels flipped, so most
+    cuts lie between groups pure in one class and are no boundary points.
+    """
     k = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        return draw(class_runs(k))
     spread = draw(st.integers(0, 8))  # 0: every value the same
     value = st.integers(0, spread).map(float)
     if spread and draw(st.booleans()):
@@ -221,6 +229,22 @@ def binning_samples(draw):
     pairs = draw(st.lists(st.tuples(value, st.integers(0, k - 1)), min_size=1, max_size=80))
     values = [v for v, _ in pairs]
     codes = np.array([c for _, c in pairs], dtype=np.int64)
+    return values, codes
+
+
+@st.composite
+def class_runs(draw, k):
+    """Sorted values in single-class runs, with ties and a few flipped labels."""
+    runs = draw(st.lists(
+        st.tuples(st.integers(1, 400), st.integers(0, k - 1)), min_size=1, max_size=6
+    ))
+    codes = np.concatenate([np.full(size, c, dtype=np.int64) for size, c in runs])
+    n = len(codes)
+    flips = draw(st.lists(st.integers(0, n - 1), max_size=5))
+    codes[flips] = draw(st.integers(0, k - 1))
+    tie = draw(st.integers(1, 3))
+    scale = draw(st.sampled_from([1.0, 0.1, 1e-3, 7.25]))
+    values = [(i // tie) * scale for i in range(n)]
     return values, codes
 
 
@@ -240,6 +264,38 @@ def test_prefix_table_bins_match_leaf_oracle(sample, as_symbols, max_bins):
     assert all(type(e) is float for e in edges)
 
 
+@given(binning_samples(), st.integers(1, 20), st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_bins_do_not_depend_on_sample_order(sample, max_bins, rnd):
+    """Shuffled (value, label) pairs give the same edges: the order in which
+    the unstable sort leaves tied values never shows."""
+    values, codes = sample
+    order = list(range(len(values)))
+    rnd.shuffle(order)
+    shuffled_values = [values[i] for i in order]
+    shuffled_codes = codes[order]
+    assert entropy_bins(shuffled_values, shuffled_codes, max_bins) == entropy_bins(
+        values, codes, max_bins
+    )
+
+
+def test_only_boundary_points_are_scored(monkeypatch):
+    """Two pure class halves have one boundary point: a handful of count
+    rows reach the entropy, not one per distinct value."""
+    scored = []
+    entropy_rows = outcomes._entropy
+
+    def counting_entropy(counts):
+        scored.append(len(counts))
+        return entropy_rows(counts)
+
+    monkeypatch.setattr(outcomes, "_entropy", counting_entropy)
+    values = np.arange(10_000, dtype=np.float64)
+    labels = (values >= 5_000).astype(np.int64)
+    assert entropy_bins(values, labels, max_bins=8) == (4999.5,)
+    assert sum(scored) <= 5
+
+
 class TestQuantileBins:
     def test_equal_frequency_edges(self):
         edges = quantile_bins(range(100), 4)
@@ -252,6 +308,12 @@ class TestQuantileBins:
 
     def test_single_bin(self):
         assert quantile_bins([1.0, 2.0], 1) == ()
+
+    def test_array_and_iterables_give_the_same_edges(self):
+        values = np.random.default_rng(4).normal(size=200)
+        edges = quantile_bins(values, 5)
+        assert quantile_bins(values.tolist(), 5) == edges
+        assert quantile_bins(iter(values.tolist()), 5) == edges
 
 
 class TestDiscretize:
