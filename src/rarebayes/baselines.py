@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataio import MISSING_CELLS, CsvDataset, as_dataset, csv_cell, missing_mask
+from .dataio import MISSING_CELLS, Chunk, CsvDataset, as_dataset, csv_cell, missing_mask
 from .dataio import parse_float_column, write_rows
 from .errors import ConfigError, SingularCovarianceError
 from .schema import Schema
@@ -199,14 +199,21 @@ def score_label(model: DiscriminantModel, X: np.ndarray) -> np.ndarray:
 # -- CSV plumbing ------------------------------------------------------------
 
 
+def _used_columns(schema: Schema, one_hot_levels: dict[str, list[str]]) -> list[str]:
+    """The field columns a baseline reads: continuous and one-hot categorical."""
+    return [spec.name for spec in schema.field_vars
+            if spec.kind == "continuous" or spec.name in one_hot_levels]
+
+
 def _feature_columns(
     schema: Schema,
-    columns: dict[str, list[str]],
+    block: Chunk,
     one_hot_levels: dict[str, list[str]],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Build the (rows, dims) matrix and a per-row any-missing mask."""
+    """Build a block's (rows, dims) matrix and a per-row any-missing mask."""
+    columns = block.columns
     blocks: list[np.ndarray] = []
-    missing = np.zeros(len(next(iter(columns.values()))), dtype=bool)
+    missing = np.zeros(block.size, dtype=bool)
     for spec in schema.field_vars:
         if spec.kind == "continuous":
             vals = parse_float_column(columns[spec.name])
@@ -233,9 +240,14 @@ def _one_hot_training_levels(schema: Schema, data: CsvDataset) -> dict[str, list
     if not schema.categorical_vars:
         return {}
     counters: dict[str, Counter] = {v.name: Counter() for v in schema.categorical_vars}
-    for chunk in data.iter_chunks([v.name for v in schema.categorical_vars]):
+
+    def count(block: Chunk) -> dict:
         for name, counter in counters.items():
-            counter.update(chunk.columns[name])
+            counter.update(block.columns[name])
+        return {}
+
+    for _ in data.iter_chunks(list(counters), decode=count):
+        pass
     levels = {}
     for name, counter in counters.items():
         ordered = sorted(counter.keys() - MISSING_CELLS)
@@ -268,14 +280,18 @@ def fit_from_csv(
     feature_rows: list[np.ndarray] = []
     labels: list[str] = []
     dropped = 0
-    names = [schema.class_var] + schema.var_names
-    for chunk in ds.iter_chunks(names):
-        X, miss = _feature_columns(schema, chunk.columns, one_hot_levels)
-        cls = chunk.columns[schema.class_var]
-        miss = miss | missing_mask(cls)
+
+    def decode(block: Chunk) -> dict:
+        X, miss = _feature_columns(schema, block, one_hot_levels)
+        cls = block.columns[schema.class_var]
+        return {"X": X, "missing": miss | missing_mask(cls), "labels": cls}
+
+    names = [schema.class_var] + _used_columns(schema, one_hot_levels)
+    for chunk in ds.iter_chunks(names, decode=decode):
+        miss = chunk.columns["missing"]
         dropped += int(miss.sum())
-        feature_rows.append(X[~miss])
-        labels.extend(compress(cls, ~miss))
+        feature_rows.append(chunk.columns["X"][~miss])
+        labels.extend(compress(chunk.columns["labels"], ~miss))
     uniq = sorted(set(labels))
     if len(uniq) != 2:
         raise ConfigError(f"baseline needs exactly 2 class values, got {uniq}")
@@ -318,6 +334,7 @@ def score_to_csv(
     indicators since discriminant rules emit labels, not probabilities.
     """
     ds = as_dataset(data)
+    ds.require_columns(schema.var_names)
     classes = sorted([model.label1, model.label2])
     rows = flagged = unscored = 0
     # every cell but the record id is one of a few strings, quoted once
@@ -329,8 +346,13 @@ def score_to_csv(
         csv.writer(fh).writerow(
             ["record_id"] + [f"p_{c}" for c in classes] + ["label", "skipped_nodes"]
         )
-        for chunk in ds.iter_chunks(schema.var_names):
-            X, miss = _feature_columns(schema, chunk.columns, model.one_hot_levels)
+        def decode(block: Chunk) -> dict:
+            X, miss = _feature_columns(schema, block, model.one_hot_levels)
+            return {"X": X, "missing": miss}
+
+        used = _used_columns(schema, model.one_hot_levels)
+        for chunk in ds.iter_chunks(used, decode=decode):
+            X, miss = chunk.columns["X"], chunk.columns["missing"]
             to2 = np.zeros(chunk.size, dtype=np.intp)
             to2[~miss] = score_label(model, X[~miss]) == model.label2
             is_class = {model.label1: 1 - to2, model.label2: to2}

@@ -15,6 +15,8 @@ import sys
 from itertools import compress, repeat
 from pathlib import Path
 
+import numpy as np
+
 from . import baselines, evaluation, inference, structure, synthgen
 from .dataio import MISSING, CsvDataset, missing_mask
 from .errors import RareBayesError
@@ -85,17 +87,26 @@ def _read_predictions(path: str) -> tuple[list[int], list[str]]:
     ids: list[int] = []
     labels: list[str] = []
     for chunk in dataset.iter_chunks(["record_id", "label"]):
-        for text in chunk.columns["record_id"]:
-            try:
-                rid = int(text)
-            except ValueError:
-                rid = -1
-            if rid < 0:
-                raise RareBayesError(
-                    f"{path} row {len(ids) + 1}: record_id {text!r} "
-                    "is not a non-negative integer"
-                )
-            ids.append(rid)
+        col = chunk.columns["record_id"]
+        try:
+            parsed = np.array(col, dtype=np.int64)
+        except (ValueError, OverflowError):
+            parsed = None
+        if parsed is not None and (parsed >= 0).all():
+            ids += parsed.tolist()
+        else:
+            # per row, int() names the first bad row and takes ids past int64
+            for text in col:
+                try:
+                    rid = int(text)
+                except ValueError:
+                    rid = -1
+                if rid < 0:
+                    raise RareBayesError(
+                        f"{path} row {len(ids) + 1}: record_id {text!r} "
+                        "is not a non-negative integer"
+                    )
+                ids.append(rid)
         labels += chunk.columns["label"]
     if dataset.stats.rejected:
         raise RareBayesError(

@@ -31,26 +31,33 @@ file holds no quotes, as in Mühlbauer et al., *Instant Loading for Main
 Memory Databases* (PVLDB 2013), and Ge et al., *Speculative Distributed
 CSV Data Parsing for Big Data Analytics* (SIGMOD 2019).  It reads text
 blocks of ``_BLOCK_CHARS`` characters, each extended to the end of its
-last line.  A block takes the fast path when it has no ``"``, no lone
-``\r`` (one not followed by ``\n``), and, once ``\r\n`` is folded to
-``\n`` and the block split on ``\n``, no empty line, no line longer than
-``csv.field_size_limit()`` and exactly ``width - 1`` commas on every
-line.  The fast path joins the lines with commas, splits once, and
-slices out only the wanted columns.
+last line.  A block ending in ``\r\n`` is split on ``\r\n``, any other
+on ``\n``.  It takes the fast path when it holds no ``"``, no ``\r`` or
+``\n`` that is not part of the line end it was split on, no empty line,
+no line longer than ``csv.field_size_limit()`` and exactly ``width - 1``
+commas on every line.  The fast path joins the lines with commas, splits
+once, and slices out only the wanted columns.
 (``str.splitlines`` is not used: it also breaks on ``\x0c``, ``\u2028``
 and others, which ``csv`` keeps inside a field.)
 The rest falls back to ``csv.reader`` with the same blank-line and
 field-count rules:
 
-- a quote-free block with a blank, ragged, over-long or lone-``\r`` line
-  is parsed by ``csv.reader`` as one block, so a field longer than
-  ``csv.field_size_limit()`` raises :class:`DatasetError` on either path;
+- a quote-free block with a blank, ragged or over-long line, or a stray
+  line end, is parsed by ``csv.reader`` as one block, so a field longer
+  than ``csv.field_size_limit()`` raises :class:`DatasetError` on either
+  path;
 - from the line holding the first ``"`` on (the header included), because
-  a quoted field can span lines, ``csv.reader`` reads the rest of the file.
+  a quoted field can span lines, ``csv.reader`` reads the rest of the
+  file, ``_CSV_ROWS`` records at a time.
 
-Either way the wanted columns collect in pending lists that are cut into
-chunks of exactly ``chunk_rows`` rows, so the chunk split, on which
-reservoir sampling's random draws depend, does not depend on the path.
+Each block's wanted cells go through the caller's decoder as soon as the
+block is split, while they are still in cache, so raw cells never outlive
+their block: a pass holds one block of ``str`` cells and the decoded
+columns (8 bytes a cell for codes and floats) of one chunk, not a chunk
+of ``str`` cells.  Decoded blocks are joined and cut into chunks of
+exactly ``chunk_rows`` rows, so the chunk split, on which reservoir
+sampling's random draws depend, depends neither on the path nor on the
+block size.
 
 :func:`write_rows` is the one bulk writer.  Output files are in
 ``csv.writer``'s default dialect (minimal quoting, ``\r\n`` line ends),
@@ -67,7 +74,7 @@ import os
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -84,6 +91,9 @@ DEFAULT_CHUNK_ROWS = 65536
 # extended to the next line end.
 _BLOCK_CHARS = 1 << 17
 
+# Records per piece once csv.reader reads the rest of a file.
+_CSV_ROWS = 1024
+
 # Rows joined per write by write_rows, which bounds the text held at once.
 _WRITE_ROWS = 4096
 
@@ -99,10 +109,19 @@ class PassStats:
 
 @dataclass
 class Chunk:
-    """A block of parsed rows, column-major: column name -> list of raw strings."""
+    """A block of parsed rows, column-major.
 
-    columns: dict[str, list[str]]
+    ``columns`` maps each wanted column name to its raw ``str`` cells, or
+    holds what the reader's decoder made of them.
+    """
+
+    columns: dict[str, Any]
     size: int
+
+
+# A decoder maps a block of raw rows to a dict whose values are arrays
+# (one row per element along axis 0), lists, None, or dicts of these.
+Decoder = Callable[[Chunk], dict[str, Any]]
 
 
 class CsvDataset:
@@ -176,40 +195,47 @@ class CsvDataset:
         self,
         wanted: list[str],
         chunk_rows: int = DEFAULT_CHUNK_ROWS,
+        decode: Decoder | None = None,
     ) -> Iterator[Chunk]:
         """Yield column-major chunks of the requested columns; count one pass.
 
-        Every chunk holds exactly ``chunk_rows`` rows but the last.
+        Every chunk holds exactly ``chunk_rows`` rows but the last.  Without
+        ``decode`` its columns are lists of raw cells.  With it, each block
+        of raw rows goes through ``decode`` as soon as it is split, and the
+        chunk's ``columns`` are the decoded blocks joined: arrays
+        concatenated, lists chained, dicts joined key by key.
         """
         header = self.header()
         self.require_columns(wanted)
         idx = [header.index(name) for name in wanted]
-        pending: list[list[str]] = [[] for _ in idx]
+        parts: list[dict[str, Any]] = []
         held = rows = rejected = 0
         with open(self.path, newline="", encoding="utf-8") as fh:
             stat = self._begin_pass(fh)
             try:
-                for size, columns, dropped in _pieces(fh, len(header), idx, chunk_rows):
+                for size, columns, dropped in _pieces(fh, len(header), idx):
                     rejected += dropped
+                    if not size:
+                        continue
+                    block = dict(zip(wanted, columns))
+                    parts.append(block if decode is None else decode(Chunk(block, size)))
                     held += size
-                    for col, part in zip(pending, columns):
-                        col.extend(part)
-                    while held >= chunk_rows:
-                        yield Chunk(
-                            {name: col[:chunk_rows] for name, col in zip(wanted, pending)},
-                            chunk_rows,
-                        )
-                        for col in pending:
-                            del col[:chunk_rows]
-                        held -= chunk_rows
-                        rows += chunk_rows
+                    if held < chunk_rows:
+                        continue
+                    joined = _join(parts)
+                    whole = held - held % chunk_rows
+                    for start in range(0, whole, chunk_rows):
+                        yield Chunk(_take(joined, start, start + chunk_rows), chunk_rows)
+                    held -= whole
+                    rows += whole
+                    parts = [_take(joined, whole, whole + held)] if held else []
             except UnicodeDecodeError as exc:
                 raise DatasetError(f"{self.path} is not UTF-8 text: {exc}") from exc
             except csv.Error as exc:
                 raise DatasetError(f"{self.path} is not readable CSV: {exc}") from exc
             if held:
                 rows += held
-                yield Chunk(dict(zip(wanted, pending)), held)
+                yield Chunk(_join(parts), held)
         self._end_pass(stat, rows, rejected)
 
     def _begin_pass(self, fh) -> os.stat_result:
@@ -242,7 +268,7 @@ class CsvDataset:
 _Piece = tuple[int, list[list[str]], int]
 
 
-def _pieces(fh, width: int, idx: list[int], chunk_rows: int) -> Iterator[_Piece]:
+def _pieces(fh, width: int, idx: list[int]) -> Iterator[_Piece]:
     """Parse the rows after the header as (rows, wanted columns, rejected) pieces.
 
     Reads text blocks of ``_BLOCK_CHARS`` that end on a line end; from the
@@ -252,7 +278,7 @@ def _pieces(fh, width: int, idx: list[int], chunk_rows: int) -> Iterator[_Piece]
         fh.seek(0)
         reader = csv.reader(fh)
         next(reader)
-        yield from _csv_pieces(reader, width, idx, chunk_rows)
+        yield from _csv_pieces(reader, width, idx)
         return
     while block := fh.read(_BLOCK_CHARS):
         if block[-1] != "\n":
@@ -264,20 +290,24 @@ def _pieces(fh, width: int, idx: list[int], chunk_rows: int) -> Iterator[_Piece]
         cut = block.rfind("\n", 0, quote) + 1
         yield _block_piece(block[:cut], width, idx)
         reader = csv.reader(chain(io.StringIO(block[cut:], newline=""), fh))
-        yield from _csv_pieces(reader, width, idx, chunk_rows)
+        yield from _csv_pieces(reader, width, idx)
         return
 
 
 def _block_piece(block: str, width: int, idx: list[int]) -> _Piece:
     """Split a quote-free block of whole lines; ``csv.reader`` takes odd blocks,
     including any with a line longer than ``csv.field_size_limit()``."""
-    if "\r" in block:
-        block = block.replace("\r\n", "\n")
-    lines = block.split("\n")
+    if block.endswith("\r\n"):
+        lines = block.split("\r\n")
+        # every \r and \n must belong to a \r\n line end
+        stray = block.count("\r") != len(lines) - 1 or block.count("\n") != len(lines) - 1
+    else:
+        lines = block.split("\n")
+        stray = "\r" in block
     if lines[-1] == "":
         lines.pop()
     if (
-        "\r" in block
+        stray
         or "" in lines
         or max(map(len, lines), default=0) > csv.field_size_limit()
         or set(map(str.count, lines, repeat(","))) != {width - 1}
@@ -287,8 +317,8 @@ def _block_piece(block: str, width: int, idx: list[int]) -> _Piece:
     return len(lines), [flat[i::width] for i in idx], 0
 
 
-def _csv_pieces(reader, width: int, idx: list[int], chunk_rows: int) -> Iterator[_Piece]:
-    while records := list(islice(reader, chunk_rows)):
+def _csv_pieces(reader, width: int, idx: list[int]) -> Iterator[_Piece]:
+    while records := list(islice(reader, _CSV_ROWS)):
         yield _csv_piece(records, width, idx)
 
 
@@ -297,6 +327,25 @@ def _csv_piece(records: list[list[str]], width: int, idx: list[int]) -> _Piece:
     good = [row for row in records if len(row) == width]
     rejected = len(records) - len(good) - records.count([])
     return len(good), [[row[i] for row in good] for i in idx], rejected
+
+
+def _join(parts: list) -> Any:
+    """One decoded value from the decoded blocks ``parts``, in order."""
+    first = parts[0]
+    if isinstance(first, dict):
+        return {key: _join([part[key] for part in parts]) for key in first}
+    if first is None or len(parts) == 1:
+        return first
+    if isinstance(first, np.ndarray):
+        return np.concatenate(parts)
+    return list(chain.from_iterable(parts))
+
+
+def _take(part: Any, start: int, stop: int) -> Any:
+    """Rows ``start:stop`` of a decoded value."""
+    if isinstance(part, dict):
+        return {key: _take(value, start, stop) for key, value in part.items()}
+    return None if part is None else part[start:stop]
 
 
 def as_dataset(data: str | Path | CsvDataset) -> CsvDataset:

@@ -7,10 +7,12 @@ ends with the MISSING symbol.  Which raw cells are MISSING is decided by
 the one rule in :mod:`rarebayes.dataio`: no alphabet, class or reservoir
 holds a missing cell.
 
-Pass 1 codes the class column once per chunk, in first-seen order with
-MISSING as -1, and feeds each continuous variable's non-missing values
-from labelled rows, with those codes, to an array-backed reservoir: a
-float64 value array and an integer code array.  After the pass the codes
+Pass 1 decodes each block of rows as the reader splits it: it grows the
+categorical alphabets, parses the continuous cells, and codes the class
+column in first-seen order with MISSING as -1.  Per chunk it then feeds
+each continuous variable's non-missing values from labelled rows, with
+those codes, to an array-backed reservoir: a float64 value array and an
+integer code array.  After the pass the codes
 are renumbered to sorted class-symbol order, so entropy binning counts
 its classes in the same columns, and so gives the same edges, as binning
 on the symbols themselves.
@@ -35,7 +37,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dataio import MISSING, MISSING_CELLS, CsvDataset, parse_float_column
+from .dataio import MISSING, MISSING_CELLS, Chunk, CsvDataset, parse_float_column
 from .errors import CardinalityError
 from .schema import Schema
 
@@ -274,10 +276,10 @@ def collect_outcomes(
         for name in cont_vars
     }
 
-    wanted = dataset.schema_columns(schema, require_class=True)
-    for chunk in dataset.iter_chunks(wanted):
-        class_col = chunk.columns[schema.class_var]
-        # codes in first-seen order, stable across chunks; MISSING is -1
+    def decode(block: Chunk) -> dict[str, np.ndarray]:
+        """Class codes and continuous values of a block; alphabets grow here."""
+        class_col = block.columns[schema.class_var]
+        # codes in first-seen order, stable across blocks; MISSING is -1
         for sym in sorted(set(class_col).difference(class_lut, MISSING_CELLS)):
             class_lut[sym] = len(class_lut)
         if len(class_lut) > max_categories:
@@ -285,19 +287,25 @@ def collect_outcomes(
                 f"class variable {schema.class_var!r} exceeds "
                 f"{max_categories} distinct outcomes"
             )
-        class_codes = np.fromiter(
-            map(class_lut.get, class_col, repeat(-1)), dtype=np.int64, count=chunk.size
-        )
-        class_ok = class_codes >= 0
         for name in cat_vars:
-            observed[name].update(chunk.columns[name])
+            observed[name].update(block.columns[name])
             observed[name].difference_update(MISSING_CELLS)
             if len(observed[name]) > max_categories:
                 raise CardinalityError(
                     f"variable {name!r} exceeds {max_categories} distinct outcomes"
                 )
+        decoded = {name: parse_float_column(block.columns[name]) for name in cont_vars}
+        decoded[schema.class_var] = np.fromiter(
+            map(class_lut.get, class_col, repeat(-1)), dtype=np.int64, count=block.size
+        )
+        return decoded
+
+    wanted = dataset.schema_columns(schema, require_class=True)
+    for chunk in dataset.iter_chunks(wanted, decode=decode):
+        class_codes = chunk.columns[schema.class_var]
+        class_ok = class_codes >= 0
         for name in cont_vars:
-            values = parse_float_column(chunk.columns[name])
+            values = chunk.columns[name]
             labeled = ~np.isnan(values) & class_ok
             if labeled.any():
                 reservoirs[name].extend(values[labeled], class_codes[labeled])

@@ -311,8 +311,10 @@ class Encoder:
         ``codes`` holds a code column for every node in ``nodes``.  Only the
         nodes' base variables are read and encoded, and only the variables
         named at a slot >= 1 are lagged, so a model without lagged nodes
-        builds no lag columns.  The chunk carries the raw class column
-        whenever the file has one.
+        builds no lag columns.  The reader hands each block to
+        :meth:`encode_chunk` as soon as it is split; lags are built per
+        chunk.  The chunk carries the raw class column whenever the file
+        has one.
         """
         slots = [node_var_slot(node) for node in nodes]
         base = {var for var, _ in slots}
@@ -323,13 +325,22 @@ class Encoder:
         wanted = list(names)
         if lagged and self.schema.group_key:
             wanted.append(self.schema.group_key)
-        if self.schema.class_var in ds.header():
-            wanted.append(self.schema.class_var)
-        for chunk in ds.iter_chunks(wanted, chunk_rows):
-            codes, class_codes, groups = self.encode_chunk(chunk, names)
+        class_var = self.schema.class_var
+        if class_var in ds.header():
+            wanted.append(class_var)
+
+        def decode(block: Chunk) -> dict:
+            codes, class_codes, groups = self.encode_chunk(block, names)
+            return {"codes": codes, "class": class_codes, "groups": groups,
+                    "actuals": block.columns.get(class_var)}
+
+        for chunk in ds.iter_chunks(wanted, chunk_rows, decode):
+            decoded = chunk.columns
+            codes = decoded["codes"]
             if lagged:
-                codes.update(state.lag_columns(codes, groups))
-            yield chunk, codes, class_codes
+                codes.update(state.lag_columns(codes, decoded["groups"]))
+            actuals = {} if decoded["actuals"] is None else {class_var: decoded["actuals"]}
+            yield Chunk(actuals, chunk.size), codes, decoded["class"]
 
 
 # -- training passes -------------------------------------------------------

@@ -377,7 +377,9 @@ def _format_column(spec, values: np.ndarray, missing: np.ndarray) -> list[str]:
         isinstance(spec, NoiseSpec) and not spec.is_categorical
     )
     if continuous:
-        out = np.array(list(map("{:.6f}".format, values.tolist())), dtype=object)
+        # one %-format over the whole column; the trailing "" is dropped
+        text = ("%.6f\n" * len(values) % tuple(values.tolist())).split("\n")[:-1]
+        out = np.array(text, dtype=object)
     else:
         out = _outcome_cells(spec.outcomes)[values]
     out[missing] = MISSING

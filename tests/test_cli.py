@@ -291,6 +291,28 @@ def test_evaluate_rejects_bad_record_id(workdir, tmp_path, capsys, bad_id):
     assert err.startswith("error:") and "record_id" in err
 
 
+@pytest.mark.parametrize("bad_id", ["x7", "-3", "1e3"])
+def test_bad_record_id_message_names_its_row(workdir, tmp_path, capsys, bad_id):
+    code, _ = _evaluate_ids(workdir, tmp_path, ["0", "1", bad_id, "-4"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / 'pred.csv'} row 3: record_id {bad_id!r} "
+        "is not a non-negative integer\n"
+    )
+
+
+def test_record_id_past_int64_pairs_with_missing(workdir, tmp_path, capsys):
+    """An id numpy's int64 cannot hold is still an id past the data."""
+    ids = [str(i) for i in range(500)]
+    code, report = _evaluate_ids(workdir, tmp_path, ids)
+    assert code == 0
+    plain = json.loads(report.read_text(encoding="utf-8"))
+    code, report = _evaluate_ids(workdir, tmp_path, ids + [str(2 ** 70)])
+    assert code == 0
+    assert json.loads(report.read_text(encoding="utf-8"))["rows"] == plain["rows"]
+    capsys.readouterr()
+
+
 def test_evaluate_skips_ids_past_the_data(workdir, tmp_path, capsys):
     pred = tmp_path / "pred.csv"
     assert run([

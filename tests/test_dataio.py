@@ -2,6 +2,7 @@ import csv
 import io
 import math
 import os
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -13,6 +14,8 @@ from rarebayes import DatasetError, classify_file, dataio, generate, parse_schem
 from rarebayes.baselines import fit_from_csv, score_to_csv
 from rarebayes.dataio import CsvDataset
 from rarebayes.synthgen import CategoricalSpec, ContinuousSpec, GenConfig
+
+from fixture_configs import messy_config
 
 SCHEMA = parse_schema("class y\nvar a categorical\nvar b categorical\n")
 
@@ -223,36 +226,93 @@ def case_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("reader")
 
 
+def decode_rows(wanted):
+    """A test decoder: each row's wanted cells as a tuple (a list column) and
+    their summed length (an ``int64`` column)."""
+    def decode(block):
+        rows = [tuple(block.columns[name][i] for name in wanted) for i in range(block.size)]
+        return {"chars": np.array([sum(map(len, row)) for row in rows], dtype=np.int64),
+                "rows": rows}
+    return decode
+
+
 @settings(max_examples=400, deadline=None)
 @given(
     case=csv_files(),
     chunk_rows=st.integers(1, 8),
     block_chars=st.one_of(st.integers(1, 48), st.just(dataio._BLOCK_CHARS)),
+    csv_rows=st.one_of(st.integers(1, 4), st.just(dataio._CSV_ROWS)),
+    decoded=st.booleans(),
 )
-@example(case=("c0\n\na\n\n\nb\n", ["c0"]), chunk_rows=1, block_chars=1)
-@example(case=("c0\r\na\r\nb\r\n", ["c0"]), chunk_rows=2, block_chars=4)
+@example(case=("c0\n\na\n\n\nb\n", ["c0"]), chunk_rows=1, block_chars=1,
+         csv_rows=1, decoded=False)
+@example(case=("c0\r\na\r\nb\r\n", ["c0"]), chunk_rows=2, block_chars=4,
+         csv_rows=1, decoded=True)
 @example(case=("c0,c1\na,b\nc\x0cd,e\u2028f\n", ["c1", "c0"]), chunk_rows=3,
-         block_chars=1 << 20)
+         block_chars=1 << 20, csv_rows=1024, decoded=False)
 @example(case=('c0,c1\na,b\nc,d\n"e\nf",g\nh,i\n', ["c0"]), chunk_rows=2,
-         block_chars=5)
-@example(case=('"c0","c1"\na,b\nc\rd,e\n', ["c1"]), chunk_rows=1, block_chars=3)
-def test_reader_matches_csv_module(case_dir, case, chunk_rows, block_chars):
+         block_chars=5, csv_rows=1, decoded=True)
+@example(case=('"c0","c1"\na,b\nc\rd,e\n', ["c1"]), chunk_rows=1, block_chars=3,
+         csv_rows=2, decoded=False)
+@example(case=("c0,c1\r\na,b\r\nc\nd,e\r\nf,g\r\n", ["c0", "c1"]), chunk_rows=2,
+         block_chars=1 << 20, csv_rows=1024, decoded=True)
+@example(case=("c0,c1\r\na,b\r\nc,d\re,f\r\n", ["c1"]), chunk_rows=8,
+         block_chars=1 << 20, csv_rows=1024, decoded=True)
+def test_reader_matches_csv_module(case_dir, case, chunk_rows, block_chars, csv_rows,
+                                   decoded):
+    """Raw and decoded chunks hold the csv.reader oracle's rows, cut at
+    exactly ``chunk_rows`` whatever the block sizes."""
     text, wanted = case
     path = case_dir / "case.csv"
     path.write_bytes(text.encode("utf-8"))
     columns, rows, rejected = oracle(path, wanted)
     ds = CsvDataset(path)
-    with mock.patch.object(dataio, "_BLOCK_CHARS", block_chars):
-        chunks = list(ds.iter_chunks(wanted, chunk_rows))
+    with (mock.patch.object(dataio, "_BLOCK_CHARS", block_chars),
+          mock.patch.object(dataio, "_CSV_ROWS", csv_rows)):
+        chunks = list(ds.iter_chunks(wanted, chunk_rows,
+                                     decode_rows(wanted) if decoded else None))
     sizes = [chunk.size for chunk in chunks]
     assert sizes == [chunk_rows] * (rows // chunk_rows) + (
         [rows % chunk_rows] if rows % chunk_rows else [])
-    for chunk in chunks:
-        assert sorted(chunk.columns) == sorted(wanted)
-        assert all(len(col) == chunk.size for col in chunk.columns.values())
-    got = {name: [v for chunk in chunks for v in chunk.columns[name]] for name in wanted}
-    assert got == columns
+    if decoded:
+        expected = list(zip(*(columns[name] for name in wanted))) if wanted else [()] * rows
+        for chunk in chunks:
+            assert sorted(chunk.columns) == ["chars", "rows"]
+            assert chunk.columns["chars"].dtype == np.int64
+            assert len(chunk.columns["chars"]) == len(chunk.columns["rows"]) == chunk.size
+        assert [row for chunk in chunks for row in chunk.columns["rows"]] == expected
+        assert np.concatenate([np.zeros(0, np.int64)] + [
+            chunk.columns["chars"] for chunk in chunks]).tolist() == [
+            sum(map(len, row)) for row in expected]
+    else:
+        for chunk in chunks:
+            assert sorted(chunk.columns) == sorted(wanted)
+            assert all(len(col) == chunk.size for col in chunk.columns.values())
+        got = {name: [v for chunk in chunks for v in chunk.columns[name]] for name in wanted}
+        assert got == columns
     assert (ds.stats.passes, ds.stats.rows, ds.stats.rejected) == (1, rows, rejected)
+
+
+def test_outputs_do_not_depend_on_block_size(tmp_path):
+    """The model file and the classification file are the same bytes
+    whatever the block size, on a fixture with missing continuous cells
+    and lagged nodes from a ``window 3`` group."""
+    config = messy_config(n=1500)
+    data = generate(config, tmp_path / "fixture").data_path
+    # t_prime 1.0 keeps every candidate node, the lagged ones included
+    schema = replace(config.to_schema(), window=3, t_prime=1.0)
+    outputs = {}
+    for block_chars in (64, 4096, dataio._BLOCK_CHARS):
+        model_path = tmp_path / f"model{block_chars}.json"
+        pred = tmp_path / f"pred{block_chars}.csv"
+        with mock.patch.object(dataio, "_BLOCK_CHARS", block_chars):
+            model = train(schema, data, seed=1)
+            model.save(model_path)
+            classify_file(model, data, pred, 0.5)
+        outputs[block_chars] = (model_path.read_bytes(), pred.read_bytes())
+    assert any(rf.slot > 0 for rf in model.ranked_fields)
+    assert b",?," in data.read_bytes() or b",?\r\n" in data.read_bytes()
+    assert len(set(outputs.values())) == 1
 
 
 # --- the bulk writer against csv.writer ---------------------------------

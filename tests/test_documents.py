@@ -2,8 +2,8 @@
 
 Every document the package writes is its dataclasses' fields
 (``asdict``) and reads back through ``Spec(**doc)``.  The digests pin
-``truth.json`` for each fixture config and one trained model file byte
-for byte.
+``truth.json`` and ``data.csv`` for each fixture config and one trained
+model file byte for byte.
 """
 
 import hashlib
@@ -42,6 +42,12 @@ TRUTH_SHA256 = {
     messy_config: "38e6aa95e443bf0210ed211cfd50df5572738661c7b468e7d30e1106bf69a6f5",
     big_config: "b8a98fa502fd3ae0929edf580e2b0debf72bb303e25122f3333f81eea22ebba5",
 }
+DATA_SHA256 = {
+    recovery_config: "ad9cdf2d68de227393544acf336ea747a660cc92f671ce0703bffe05014e9dbc",
+    indep_config: "a762844aa5b7df3183d3526d38cab664eef43a6b7d3807eea5fcbdcdc001c21d",
+    messy_config: "9f2d3e21864efde4df63cb4168fb5a8bbf90af63e28529dcddf3f5c5761c3b4a",
+    big_config: "b25e763df1b26c5d395c1c99a776f5f20b13e7e323e089ac8663023a7650fde0",
+}
 # Also pins the MI scores, which come from numpy's log.
 MODEL_SHA256 = "7c72eaaff84dc7fc49d4015bf1cbc00d6771f54312110187e8179da1c5f024e4"
 
@@ -65,6 +71,10 @@ class TestPinnedBytes:
     @pytest.mark.parametrize("config", list(TRUTH_SHA256), ids=lambda f: f.__name__)
     def test_truth_file(self, tmp_path, config):
         assert sha256(generate(config(n=200), tmp_path).truth_path) == TRUTH_SHA256[config]
+
+    @pytest.mark.parametrize("config", list(DATA_SHA256), ids=lambda f: f.__name__)
+    def test_data_file(self, tmp_path, config):
+        assert sha256(generate(config(n=200), tmp_path).data_path) == DATA_SHA256[config]
 
     def test_model_file(self, model_path):
         assert sha256(model_path) == MODEL_SHA256

@@ -11,6 +11,7 @@ from rarebayes import (
     ModelSizeError,
     TrainingError,
     estimate_cpts,
+    generate,
     load_model,
     parse_schema,
     select_dependencies,
@@ -18,6 +19,9 @@ from rarebayes import (
 )
 from rarebayes.dataio import CsvDataset
 from rarebayes.inference import iter_scored
+from rarebayes.outcomes import collect_outcomes
+from rarebayes.structure import Encoder, _count_pass
+from rarebayes.synthgen import CategoricalSpec, ContinuousSpec, GenConfig
 from rarebayes.windows import node_id
 
 
@@ -201,6 +205,47 @@ class TestModelSizeBudget:
         with pytest.raises(ModelSizeError, match=rf"node '{child[0]}'.*={cpt_cells - 1}"):
             train(replace(TWO_CAT, max_model_cells=cpt_cells - 1), ds)
         assert ds.stats.passes == 3
+
+
+def wide_csv(tmp_path):
+    """20,000 rows of 10 categorical and 10 continuous variables, 2 % missing."""
+    config = GenConfig(
+        n=20_000, seed=7,
+        categorical=tuple(
+            CategoricalSpec(f"c{i}", ("x", "y", "z"),
+                            {"good": (0.5, 0.3, 0.2), "bad": (0.2, 0.3, 0.5)},
+                            missing_rate=0.02)
+            for i in range(10)),
+        continuous=tuple(
+            ContinuousSpec(f"v{i}", {"good": 0.0, "bad": 1.0},
+                           {"good": 1.0, "bad": 1.0}, missing_rate=0.02)
+            for i in range(10)),
+    )
+    return config.to_schema(), generate(config, tmp_path / "wide").data_path
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and its ``tracemalloc`` peak in bytes."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_training_pass_working_set(tmp_path):
+    """A pass keeps decoded columns, not a chunk of ``str`` cells: on this
+    2.4 MB file pass 1 peaks at about 7 MiB and pass 2 at about 8 MiB,
+    where holding the chunk's raw cells took 20 and 19 MiB."""
+    schema, path = wide_csv(tmp_path)
+    ds = CsvDataset(path)
+    outcomes, pass1 = traced_peak(collect_outcomes, schema, ds)
+    tables = [("class", node_id(v.name, 0)) for v in schema.field_vars]
+    _, pass2 = traced_peak(_count_pass, ds, Encoder(schema, outcomes), tables, 65536)
+    assert ds.stats.passes == 2
+    assert pass1 < 12 * 2**20
+    assert pass2 < 12 * 2**20
 
 
 class TestModelFile:
