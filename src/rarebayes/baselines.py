@@ -257,6 +257,33 @@ def _one_hot_training_levels(schema: Schema, data: CsvDataset) -> dict[str, list
     return levels
 
 
+def _complete_rows(
+    schema: Schema, ds: CsvDataset, one_hot_levels: dict[str, list[str]]
+) -> tuple[np.ndarray, list[str], int]:
+    """The feature matrix and class labels of the rows with no MISSING
+    feature or class cell, and how many rows were dropped.  Each chunk
+    keeps only its complete rows, and the rows of a file of one chunk are
+    not copied again; a file with no rows gives a 0 x 0 matrix."""
+    feature_rows: list[np.ndarray] = []
+    labels: list[str] = []
+    dropped = 0
+
+    def decode(block: Chunk) -> dict:
+        X, miss = _feature_columns(schema, block, one_hot_levels)
+        cls = block.columns[schema.class_var]
+        return {"X": X, "missing": miss | missing_mask(cls), "labels": cls}
+
+    names = [schema.class_var] + _used_columns(schema, one_hot_levels)
+    for chunk in ds.iter_chunks(names, decode=decode):
+        miss = chunk.columns["missing"]
+        dropped += int(miss.sum())
+        feature_rows.append(chunk.columns["X"][~miss])
+        labels.extend(compress(chunk.columns["labels"], ~miss))
+    if len(feature_rows) == 1:
+        return feature_rows[0], labels, dropped
+    return np.vstack(feature_rows or [np.empty((0, 0))]), labels, dropped
+
+
 def fit_from_csv(
     schema: Schema,
     data: str | Path | CsvDataset,
@@ -276,29 +303,13 @@ def fit_from_csv(
     ds = as_dataset(data)
     ds.require_columns(ds.schema_columns(schema, require_class=True))
     one_hot_levels = _one_hot_training_levels(schema, ds) if one_hot else {}
-
-    feature_rows: list[np.ndarray] = []
-    labels: list[str] = []
-    dropped = 0
-
-    def decode(block: Chunk) -> dict:
-        X, miss = _feature_columns(schema, block, one_hot_levels)
-        cls = block.columns[schema.class_var]
-        return {"X": X, "missing": miss | missing_mask(cls), "labels": cls}
-
-    names = [schema.class_var] + _used_columns(schema, one_hot_levels)
-    for chunk in ds.iter_chunks(names, decode=decode):
-        miss = chunk.columns["missing"]
-        dropped += int(miss.sum())
-        feature_rows.append(chunk.columns["X"][~miss])
-        labels.extend(compress(chunk.columns["labels"], ~miss))
+    X, labels, dropped = _complete_rows(schema, ds, one_hot_levels)
     uniq = sorted(set(labels))
     if len(uniq) != 2:
         raise ConfigError(f"baseline needs exactly 2 class values, got {uniq}")
     counts = {u: labels.count(u) for u in uniq}
     if min(counts.values()) < 2:
         raise ConfigError(f"baseline needs at least 2 complete rows per class, got {counts}")
-    X = np.vstack(feature_rows)
     if positive is None:
         positive = min(uniq, key=lambda u: (counts[u], uniq.index(u)))
     elif positive not in uniq:

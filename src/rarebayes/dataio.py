@@ -53,11 +53,13 @@ field-count rules:
 Each block's wanted cells go through the caller's decoder as soon as the
 block is split, while they are still in cache, so raw cells never outlive
 their block: a pass holds one block of ``str`` cells and the decoded
-columns (8 bytes a cell for codes and floats) of one chunk, not a chunk
-of ``str`` cells.  Decoded blocks are joined and cut into chunks of
-exactly ``chunk_rows`` rows, so the chunk split, on which reservoir
-sampling's random draws depend, depends neither on the path nor on the
-block size.
+columns (mostly one-byte codes, 8-byte floats in pass 1) of one chunk,
+not a chunk of ``str`` cells.  Decoded blocks are joined and cut into
+chunks of exactly ``chunk_rows`` rows, so the chunk split, on which
+reservoir sampling's random draws depend, depends neither on the path nor
+on the block size.  The decoded blocks are dropped once joined, before
+the caller gets a chunk, so they and their join are never alive together
+while the caller works.
 
 :func:`write_rows` is the one bulk writer.  Output files are in
 ``csv.writer``'s default dialect (minimal quoting, ``\r\n`` line ends),
@@ -219,23 +221,27 @@ class CsvDataset:
                         continue
                     block = dict(zip(wanted, columns))
                     parts.append(block if decode is None else decode(Chunk(block, size)))
+                    del block, columns  # raw cells do not outlive their block
                     held += size
                     if held < chunk_rows:
                         continue
                     joined = _join(parts)
                     whole = held - held % chunk_rows
-                    for start in range(0, whole, chunk_rows):
-                        yield Chunk(_take(joined, start, start + chunk_rows), chunk_rows)
                     held -= whole
                     rows += whole
+                    # the blocks go once joined, before the caller gets a chunk
                     parts = [_take(joined, whole, whole + held)] if held else []
+                    for start in range(0, whole, chunk_rows):
+                        yield Chunk(_take(joined, start, start + chunk_rows), chunk_rows)
             except UnicodeDecodeError as exc:
                 raise DatasetError(f"{self.path} is not UTF-8 text: {exc}") from exc
             except csv.Error as exc:
                 raise DatasetError(f"{self.path} is not readable CSV: {exc}") from exc
             if held:
                 rows += held
-                yield Chunk(_join(parts), held)
+                last = Chunk(_join(parts), held)
+                del parts
+                yield last
         self._end_pass(stat, rows, rejected)
 
     def _begin_pass(self, fh) -> os.stat_result:

@@ -204,7 +204,7 @@ class ScoredChunk:
     config_probabilities: np.ndarray    # (configurations, classes)
     config_skipped: np.ndarray          # (configurations, ranked nodes) int8 skip matrix
     inverse: np.ndarray                 # (rows,) configuration of each row
-    actuals: list[str] | None           # raw class column when present
+    actuals: list[str] | None           # raw class column when asked for
 
     @property
     def probabilities(self) -> np.ndarray:
@@ -246,30 +246,31 @@ def iter_scored(
     data: str | Path | CsvDataset,
     *,
     chunk_rows: int = 65536,
+    actuals: bool = False,
 ) -> Iterator[ScoredChunk]:
     """Score every well-formed record of a CSV in file order.
 
     The header must hold every schema column, but only the model's nodes
-    are read.  The class column is optional here; when present its raw
+    are read, and the class column only with ``actuals``: then its raw
     values ride along so evaluation can line up with record ids.  Each
     chunk's distinct node configurations are scored once; the kernel's
     rows do not depend on their batch, so this changes no result.
     """
     ds = as_dataset(data)
     schema = model.schema
-    ds.require_columns(ds.schema_columns(schema, require_class=False))
+    ds.require_columns(ds.schema_columns(schema, require_class=actuals))
     nodes = [rf.node for rf in model.ranked_fields]
     radices = [model.encoder.sizes[rf.var] for rf in model.ranked_fields]
     offset = 0
-    for chunk, codes, _ in model.encoder.node_chunks(ds, nodes, chunk_rows):
-        first, inverse = _dense_ids(chunk.size, [codes[node] for node in nodes], radices)
+    chunks = model.encoder.node_chunks(ds, nodes, chunk_rows, "raw" if actuals else None)
+    for n, codes, raw in chunks:
+        first, inverse = _dense_ids(n, [codes[node] for node in nodes], radices)
         probs, skip = score_codes(
             model, {node: codes[node][first] for node in nodes}, len(first)
         )
         yield ScoredChunk(offset=offset, config_probabilities=probs,
-                          config_skipped=skip, inverse=inverse,
-                          actuals=chunk.columns.get(schema.class_var))
-        offset += chunk.size
+                          config_skipped=skip, inverse=inverse, actuals=raw)
+        offset += n
 
 
 def _skip_patterns(nodes: Sequence[str], skipped: np.ndarray) -> tuple[list[str], np.ndarray]:
@@ -346,12 +347,9 @@ def collect_scores(
     dropped from both outputs.
     """
     _, pos_idx = _positive_index(model, positive)
-    ds = as_dataset(data)
-    ds.require_columns([model.schema.class_var])
     scores: list[np.ndarray] = []
     actuals: list[str] = []
-    for scored in iter_scored(model, ds, chunk_rows=chunk_rows):
-        assert scored.actuals is not None
+    for scored in iter_scored(model, data, chunk_rows=chunk_rows, actuals=True):
         keep = ~missing_mask(scored.actuals)
         scores.append(scored.config_probabilities[scored.inverse[keep], pos_idx])
         actuals.extend(compress(scored.actuals, keep))

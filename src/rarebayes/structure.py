@@ -37,7 +37,7 @@ from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import repeat
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -253,6 +253,14 @@ class Encoder:
     A raw categorical cell outside the alphabet codes as MISSING too.  A
     raw continuous cell is binned left-closed by ``edges`` (bin j iff
     e_j <= v < e_{j+1}).
+
+    A variable's codes come in ``dtypes[var]``, the narrowest unsigned
+    dtype that holds its alphabet, MISSING included (``uint8`` up to 256
+    symbols, ``uint16`` up to 65,536), as column stores keep dictionary
+    codes (Abadi, Madden & Ferreira, SIGMOD 2006).  Class codes stay
+    ``int64``, since an unknown class codes as -1.  Arithmetic on field
+    codes must start from an ``int64`` operand: a Python int does not
+    widen a ``uint8`` array, so ``codes * k`` would wrap.
     """
 
     def __init__(self, schema: Schema, outcomes: OutcomeTable):
@@ -260,6 +268,7 @@ class Encoder:
         self.class_lut = {sym: i for i, sym in enumerate(outcomes.class_symbols)}
         self.sizes = {var: len(vo.symbols) for var, vo in outcomes.variables.items()}
         self.missing = {var: size - 1 for var, size in self.sizes.items()}
+        self.dtypes = {var: np.min_scalar_type(miss) for var, miss in self.missing.items()}
         self.codes = {
             var: {sym: i for i, sym in enumerate(vo.symbols)}
             | dict.fromkeys(MISSING_CELLS, self.missing[var])
@@ -276,10 +285,12 @@ class Encoder:
             lut = self.codes[name]
             miss = self.missing[name]
             return np.fromiter(
-                map(lut.get, col, repeat(miss)), dtype=np.int64, count=len(col)
+                map(lut.get, col, repeat(miss)), dtype=self.dtypes[name], count=len(col)
             )
         values = parse_float_column(col)
-        codes = np.searchsorted(self.edges[name], values, side="right").astype(np.int64)
+        codes = np.searchsorted(self.edges[name], values, side="right").astype(
+            self.dtypes[name]
+        )
         codes[np.isnan(values)] = self.missing[name]
         return codes
 
@@ -289,7 +300,8 @@ class Encoder:
         )
 
     def encode_chunk(self, chunk: Chunk, names: Sequence[str] | None = None):
-        """Codes for the field variables ``names`` (default: all) and the class."""
+        """Codes for the field variables ``names`` (default: all), the class
+        codes when the chunk holds the class column, and the group keys."""
         if names is None:
             names = [v.name for v in self.schema.field_vars]
         var_codes = {name: self.encode_var(name, chunk.columns[name]) for name in names}
@@ -304,17 +316,19 @@ class Encoder:
         return var_codes, class_codes, groups
 
     def node_chunks(
-        self, ds: CsvDataset, nodes: Iterable[str], chunk_rows: int
-    ) -> Iterator[tuple[Chunk, dict[str, np.ndarray], np.ndarray | None]]:
-        """One pass over ``ds``, yielding ``(chunk, codes, class_codes)`` per chunk.
+        self, ds: CsvDataset, nodes: Iterable[str], chunk_rows: int, labels: str | None = None
+    ) -> Iterator[tuple[int, dict[str, np.ndarray], Any]]:
+        """One pass over ``ds``, yielding ``(rows, codes, class column)`` per chunk.
 
         ``codes`` holds a code column for every node in ``nodes``.  Only the
         nodes' base variables are read and encoded, and only the variables
         named at a slot >= 1 are lagged, so a model without lagged nodes
         builds no lag columns.  The reader hands each block to
         :meth:`encode_chunk` as soon as it is split; lags are built per
-        chunk.  The chunk carries the raw class column whenever the file
-        has one.
+        chunk.  The class column is read only when ``labels`` asks for it:
+        ``"codes"`` yields its class codes (the training passes), ``"raw"``
+        its raw cells (the actual labels a threshold sweep compares), and
+        ``None`` yields None in its place.
         """
         slots = [node_var_slot(node) for node in nodes]
         base = {var for var, _ in slots}
@@ -326,21 +340,21 @@ class Encoder:
         if lagged and self.schema.group_key:
             wanted.append(self.schema.group_key)
         class_var = self.schema.class_var
-        if class_var in ds.header():
+        if labels is not None:
             wanted.append(class_var)
 
         def decode(block: Chunk) -> dict:
+            raw = block.columns.pop(class_var) if labels == "raw" else None
             codes, class_codes, groups = self.encode_chunk(block, names)
-            return {"codes": codes, "class": class_codes, "groups": groups,
-                    "actuals": block.columns.get(class_var)}
+            return {"codes": codes, "labels": class_codes if raw is None else raw,
+                    "groups": groups}
 
         for chunk in ds.iter_chunks(wanted, chunk_rows, decode):
             decoded = chunk.columns
             codes = decoded["codes"]
             if lagged:
                 codes.update(state.lag_columns(codes, decoded["groups"]))
-            actuals = {} if decoded["actuals"] is None else {class_var: decoded["actuals"]}
-            yield Chunk(actuals, chunk.size), codes, decoded["class"]
+            yield chunk.size, codes, decoded["labels"]
 
 
 # -- training passes -------------------------------------------------------
@@ -369,7 +383,7 @@ def _count_pass(
     """
     counts = {table: np.zeros(_table_shape(enc, table), dtype=np.int64) for table in tables}
     nodes = {node for table in tables for node in table[1:]}
-    for _, codes, class_codes in enc.node_chunks(ds, nodes, chunk_rows):
+    for _, codes, class_codes in enc.node_chunks(ds, nodes, chunk_rows, "codes"):
         labelled = class_codes >= 0
         for table, table_counts in counts.items():
             flat = class_codes

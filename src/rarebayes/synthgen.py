@@ -21,6 +21,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import dataio
 from .dataio import MISSING, csv_cell, write_rows
 from .errors import ConfigError, EvidenceError
 from .schema import Schema, VariableSpec, format_schema, from_json
@@ -387,28 +388,35 @@ def _format_column(spec, values: np.ndarray, missing: np.ndarray) -> list[str]:
 
 
 def generate(config: GenConfig, out_dir: str | Path) -> GenResult:
-    """Write data.csv, schema.txt, and truth.json under ``out_dir``."""
+    """Write data.csv, schema.txt, and truth.json under ``out_dir``.
+
+    Every column is drawn first, in one fixed order; the cells are then
+    formatted and written ``dataio._WRITE_ROWS`` rows at a time, so the
+    text of only one block of rows is held at once.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(config.seed)
     class_codes, columns, missing_masks = _sample_columns(config, rng)
 
-    header: list[str] = []
-    cells: list[list[str]] = []
+    header = [config.class_var] + [spec.name for spec in config.all_vars]
     if config.group is not None:
-        rpg = config.group.records_per_group
-        header.append(config.group.name)
-        cells.append([f"g{i // rpg:06d}" for i in range(config.n)])
-    header.append(config.class_var)
-    cells.append(_outcome_cells(config.class_labels)[class_codes].tolist())
-    for spec in config.all_vars:
-        header.append(spec.name)
-        cells.append(_format_column(spec, columns[spec.name], missing_masks[spec.name]))
-
+        header.insert(0, config.group.name)
+    class_cells = _outcome_cells(config.class_labels)
     data_path = out / "data.csv"
     with open(data_path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(header)
-        write_rows(fh, cells)
+        for lo in range(0, config.n, dataio._WRITE_ROWS):
+            hi = min(lo + dataio._WRITE_ROWS, config.n)
+            cells = [class_cells[class_codes[lo:hi]].tolist()]
+            if config.group is not None:
+                rpg = config.group.records_per_group
+                cells.insert(0, [f"g{i // rpg:06d}" for i in range(lo, hi)])
+            cells += [
+                _format_column(spec, columns[spec.name][lo:hi], missing_masks[spec.name][lo:hi])
+                for spec in config.all_vars
+            ]
+            write_rows(fh, cells)
 
     schema_path = out / "schema.txt"
     schema_path.write_text(format_schema(config.to_schema()), encoding="utf-8")

@@ -58,7 +58,8 @@ class WindowState:
     For each lagged variable, ``_carry`` holds one row per group id with
     the codes of the group's last w-1 records, oldest first; a new
     group's row starts as MISSING codes, since slots before a group's
-    start are MISSING.
+    start are MISSING.  Carry rows, fresh rows and lag columns keep the
+    dtype of the variable's code column, so narrow codes stay narrow.
     """
 
     schema: Schema
@@ -95,11 +96,13 @@ class WindowState:
         tails = ends[:, None] + np.arange(-lags, 0)
         out = {}
         for name in self.var_names:
-            carry = self._carry.get(name, np.empty((0, lags), dtype=np.int64))
+            codes = var_codes[name]
+            carry = self._carry.get(name, np.empty((0, lags), dtype=codes.dtype))
             if len(carry) < len(ids):
-                fresh = np.full((len(ids) - len(carry), lags), self.missing_codes[name])
+                fresh = np.full((len(ids) - len(carry), lags), self.missing_codes[name],
+                                dtype=codes.dtype)
                 carry = np.concatenate([carry, fresh])
-            seq = np.concatenate([carry[present].ravel(), var_codes[name]])[order]
+            seq = np.concatenate([carry[present].ravel(), codes])[order]
             for s in range(1, lags + 1):
                 out[node_id(name, s)] = seq[rows - s]
             carry[present] = seq[tails]

@@ -2,6 +2,7 @@ import csv
 import io
 import math
 import os
+import weakref
 from dataclasses import replace
 from unittest import mock
 
@@ -291,6 +292,27 @@ def test_reader_matches_csv_module(case_dir, case, chunk_rows, block_chars, csv_
         got = {name: [v for chunk in chunks for v in chunk.columns[name]] for name in wanted}
         assert got == columns
     assert (ds.stats.passes, ds.stats.rows, ds.stats.rejected) == (1, rows, rejected)
+
+
+@pytest.mark.parametrize("chunk_rows", [300, 65536])
+def test_decoded_blocks_released_once_joined(tmp_path, chunk_rows):
+    """When a chunk reaches the caller, no decoded block it was joined
+    from is still alive, the last chunk's included."""
+    path = write(tmp_path, "a\n" + "".join(f"{i}\n" for i in range(1000)))
+    blocks = []
+
+    def decode(block):
+        arr = np.array(block.columns["a"], dtype=np.int64)
+        blocks.append(weakref.ref(arr))
+        return {"a": arr}
+
+    got = []
+    with mock.patch.object(dataio, "_BLOCK_CHARS", 64):
+        for chunk in CsvDataset(path).iter_chunks(["a"], chunk_rows, decode):
+            assert len(blocks) > 2
+            assert all(ref() is None for ref in blocks)
+            got += chunk.columns["a"].tolist()
+    assert got == list(range(1000))
 
 
 def test_outputs_do_not_depend_on_block_size(tmp_path):

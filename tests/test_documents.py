@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rarebayes import ConfigError, TrainingError, generate, parse_schema, train
+from rarebayes import ConfigError, TrainingError, dataio, generate, parse_schema, train
 from rarebayes.cli import run
 from rarebayes.structure import NetworkModel
 from rarebayes.synthgen import (
@@ -48,6 +48,8 @@ DATA_SHA256 = {
     messy_config: "9f2d3e21864efde4df63cb4168fb5a8bbf90af63e28529dcddf3f5c5761c3b4a",
     big_config: "b25e763df1b26c5d395c1c99a776f5f20b13e7e323e089ac8663023a7650fde0",
 }
+# messy_config at n = 10,000 spans three of write_rows' 4,096-row blocks.
+BLOCKS_DATA_SHA256 = "dac536088dd9b560137b879ed5ef2b7ad177f483eac3fd697bc2f93504498300"
 # Also pins the MI scores, which come from numpy's log.
 MODEL_SHA256 = "7c72eaaff84dc7fc49d4015bf1cbc00d6771f54312110187e8179da1c5f024e4"
 
@@ -75,6 +77,11 @@ class TestPinnedBytes:
     @pytest.mark.parametrize("config", list(DATA_SHA256), ids=lambda f: f.__name__)
     def test_data_file(self, tmp_path, config):
         assert sha256(generate(config(n=200), tmp_path).data_path) == DATA_SHA256[config]
+
+    def test_data_file_across_write_blocks(self, tmp_path):
+        assert 10_000 > 2 * dataio._WRITE_ROWS
+        data_path = generate(messy_config(n=10_000), tmp_path).data_path
+        assert sha256(data_path) == BLOCKS_DATA_SHA256
 
     def test_model_file(self, model_path):
         assert sha256(model_path) == MODEL_SHA256

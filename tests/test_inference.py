@@ -334,9 +334,10 @@ def expansions(records, schema, tmp_path):
     out = {"oracle": list(window_expand(records, schema))}
     for chunk_rows in (1, 65536):
         cases = []
-        chunks = Encoder(schema, outcomes).node_chunks(CsvDataset(path), nodes, chunk_rows)
-        for chunk, codes, class_codes in chunks:
-            for i in range(chunk.size):
+        chunks = Encoder(schema, outcomes).node_chunks(
+            CsvDataset(path), nodes, chunk_rows, "codes")
+        for n, codes, class_codes in chunks:
+            for i in range(n):
                 values = {node: outcomes.symbols(node_var_slot(node)[0])[codes[node][i]]
                           for node in nodes}
                 label = outcomes.class_symbols[class_codes[i]] if class_codes[i] >= 0 else None

@@ -1,3 +1,4 @@
+import bisect
 import json
 import tracemalloc
 from collections import Counter
@@ -17,12 +18,14 @@ from rarebayes import (
     select_dependencies,
     train,
 )
-from rarebayes.dataio import CsvDataset
+from rarebayes.dataio import MISSING, CsvDataset
 from rarebayes.inference import iter_scored
 from rarebayes.outcomes import collect_outcomes
 from rarebayes.structure import Encoder, _count_pass
-from rarebayes.synthgen import CategoricalSpec, ContinuousSpec, GenConfig
-from rarebayes.windows import node_id
+from rarebayes.synthgen import CategoricalSpec, ContinuousSpec, GenConfig, GroupSpec
+from rarebayes.windows import node_id, node_order, node_var_slot
+
+from window_oracle import window_expand
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -207,9 +210,9 @@ class TestModelSizeBudget:
         assert ds.stats.passes == 3
 
 
-def wide_csv(tmp_path):
+def wide_config(group=None):
     """20,000 rows of 10 categorical and 10 continuous variables, 2 % missing."""
-    config = GenConfig(
+    return GenConfig(
         n=20_000, seed=7,
         categorical=tuple(
             CategoricalSpec(f"c{i}", ("x", "y", "z"),
@@ -220,7 +223,12 @@ def wide_csv(tmp_path):
             ContinuousSpec(f"v{i}", {"good": 0.0, "bad": 1.0},
                            {"good": 1.0, "bad": 1.0}, missing_rate=0.02)
             for i in range(10)),
+        group=group,
     )
+
+
+def wide_csv(tmp_path, group=None):
+    config = wide_config(group)
     return config.to_schema(), generate(config, tmp_path / "wide").data_path
 
 
@@ -236,8 +244,9 @@ def traced_peak(fn, *args):
 
 def test_training_pass_working_set(tmp_path):
     """A pass keeps decoded columns, not a chunk of ``str`` cells: on this
-    2.4 MB file pass 1 peaks at about 7 MiB and pass 2 at about 8 MiB,
-    where holding the chunk's raw cells took 20 and 19 MiB."""
+    2.4 MB file pass 1 peaks at about 6.5 MiB and pass 2, on one-byte
+    codes, at about 2 MiB, where holding the chunk's raw cells took 20
+    and 19 MiB."""
     schema, path = wide_csv(tmp_path)
     ds = CsvDataset(path)
     outcomes, pass1 = traced_peak(collect_outcomes, schema, ds)
@@ -246,6 +255,108 @@ def test_training_pass_working_set(tmp_path):
     assert ds.stats.passes == 2
     assert pass1 < 12 * 2**20
     assert pass2 < 12 * 2**20
+
+
+def test_window_pass_working_set(tmp_path):
+    """Pass 2 of a ``window 3`` schema over 8-record groups counts 60
+    candidate nodes from one-byte codes: about 4 MiB on the file above,
+    where ``int64`` codes, lag columns and carries, with the decoded blocks
+    held while the chunk was joined, took 18 MiB."""
+    schema, path = wide_csv(tmp_path, GroupSpec("g", 8))
+    schema = replace(schema, window=3)
+    ds = CsvDataset(path)
+    enc = Encoder(schema, collect_outcomes(schema, ds))
+    tables = [("class", node_id(v, s)) for v, s in node_order(schema)]
+    assert len(tables) == 60
+    assert set(enc.dtypes.values()) == {np.dtype(np.uint8)}
+    _, peak = traced_peak(_count_pass, ds, enc, tables, 65536)
+    assert peak < 8 * 2**20
+
+
+def test_generate_working_set(tmp_path):
+    """``generate`` formats and writes a block of rows at a time: about
+    9 MiB for the 20,000-row file above, where formatting the whole table
+    before writing took 21 MiB."""
+    _, peak = traced_peak(generate, wide_config(GroupSpec("g", 8)), tmp_path / "gen")
+    assert peak < 13 * 2**20
+
+
+# Categoricals whose alphabets, MISSING included, hold 255, 256 and 257
+# symbols, and a continuous variable cut into max_bins = 255 bins.
+BOUNDARY = parse_schema(
+    "class y\ngroup g\nvar a categorical\nvar b categorical\nvar c categorical\n"
+    "var v continuous quantile\nmax_bins 255\nwindow 2\n"
+)
+BOUNDARY_OBSERVED = {"a": 254, "b": 255, "c": 256}
+
+
+def boundary_records(n=3000, seed=5):
+    """Rows of 37 interleaved groups; every symbol occurs, 2 % of the field
+    cells are ``?`` or empty and 2 % of the class cells ``?``."""
+    rng = np.random.default_rng(seed)
+    columns = {"y": rng.choice(["good", "bad"], n, p=[0.8, 0.2]).astype(object),
+               "g": np.array([f"g{i % 37}" for i in range(n)], dtype=object)}
+    for var, k in BOUNDARY_OBSERVED.items():
+        symbols = np.array([f"{var}{i:03d}" for i in range(k)], dtype=object)
+        columns[var] = symbols[rng.permutation(n) % k]
+    columns["v"] = np.array([f"{x:.6f}" for x in rng.normal(size=n)], dtype=object)
+    columns["y"][rng.random(n) < 0.02] = MISSING
+    for var in ("a", "b", "c", "v"):
+        columns[var][rng.random(n) < 0.02] = rng.choice([MISSING, ""])
+    return [{name: str(col[i]) for name, col in columns.items()} for i in range(n)]
+
+
+def test_codes_at_dtype_boundaries(tmp_path):
+    """Codes and lag columns at the ``uint8``/``uint16`` boundaries equal a
+    dict oracle and the record-at-a-time window oracle, and pass counts a
+    per-row count: no code wraps in the narrow dtypes."""
+    records = boundary_records()
+    names = list(records[0])
+    path = write(tmp_path, "".join(
+        ",".join(row) + "\n" for row in [names] + [[r[c] for c in names] for r in records]))
+    ds = CsvDataset(path)
+    outcomes = collect_outcomes(BOUNDARY, ds)
+    enc = Encoder(BOUNDARY, outcomes)
+    assert enc.sizes == {"a": 255, "b": 256, "c": 257, "v": 256}
+    assert enc.dtypes == {"a": np.uint8, "b": np.uint8, "c": np.uint16, "v": np.uint8}
+
+    lut = {var: {sym: i for i, sym in enumerate(outcomes.symbols(var))} for var in enc.sizes}
+    edges = outcomes.edges("v")
+
+    def oracle(var, cell):
+        if cell in (MISSING, ""):
+            return enc.sizes[var] - 1
+        return bisect.bisect_right(edges, float(cell)) if var == "v" else lut[var][cell]
+
+    for var in enc.sizes:
+        col = [r[var] for r in records]
+        codes = enc.encode_var(var, col)
+        assert codes.dtype == enc.dtypes[var]
+        assert codes.tolist() == [oracle(var, cell) for cell in col]
+
+    nodes = [node_id(var, slot) for var, slot in node_order(BOUNDARY)]
+    cases = list(window_expand(records, BOUNDARY))
+    want = {node: [oracle(node_var_slot(node)[0], case.get(node)) for case in cases]
+            for node in nodes}
+    assert max(want["b@1"]) == 255 and max(want["c@1"]) == 256
+    for chunk_rows in (700, 65536):
+        got = {node: [] for node in nodes}
+        for _, codes, _ in enc.node_chunks(ds, nodes, chunk_rows):
+            for node in nodes:
+                assert codes[node].dtype == enc.dtypes[node_var_slot(node)[0]]
+                got[node] += codes[node].tolist()
+        assert got == want
+
+    tables = [("class", node) for node in nodes]
+    tables += [("class", "c", "c@1"), ("class", "b@1", "v"), ("class", "c@1", "a", "b")]
+    counts = _count_pass(ds, enc, tables, 700)
+    for table in tables:
+        expected = np.zeros_like(counts[table])
+        for i, case in enumerate(cases):
+            if case.label is not None:
+                cell = (enc.class_lut[case.label],) + tuple(want[n][i] for n in table[1:])
+                expected[cell] += 1
+        assert (counts[table] == expected).all(), table
 
 
 class TestModelFile:
