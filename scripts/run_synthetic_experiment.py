@@ -22,8 +22,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from rarebayes import confusion, fcv, parse_schema, train
 from rarebayes.baselines import fit_from_csv, score_to_csv
 from rarebayes.dataio import CsvDataset, missing_mask
-from rarebayes.evaluation import volume_ratio
-from rarebayes.inference import collect_scores
+from rarebayes.evaluation import sweep_rows, volume_ratio
+from rarebayes.inference import count_scores
 from rarebayes.synthgen import (
     CategoricalSpec,
     ContinuousSpec,
@@ -82,7 +82,10 @@ def fcv_cells(predictions, actuals):
     counts = confusion(predictions, actuals, positive="bad", negative="good")
     if counts.tp + counts.fn == 0 or counts.fp + counts.tn == 0:
         raise SystemExit("test period lacks one of the classes; re-seed")
-    row = fcv(counts, 0.0)
+    return row_cells(fcv(counts, 0.0))
+
+
+def row_cells(row):
     return (
         f"{row.f_pct_str()}% [{row.fp}]",
         f"{row.c_pct_str()}% [{row.tp}]",
@@ -115,9 +118,11 @@ def main() -> None:
         arrow = f"   parent: {parent}" if parent else ""
         print(f"  {rf.node:<16} {rf.mi:.4f} bits{arrow}")
 
-    scores, actuals = collect_scores(model, period2.data_path)
-    n_bad = sum(1 for a in actuals if a == "bad")
-    n_good = len(actuals) - n_bad
+    thresholds = [0.5, 0.7]
+    counts = count_scores(model, period2.data_path, thresholds, "bad")
+    n_good, n_bad = counts.sum(axis=0).tolist()
+    if not n_good or not n_bad:
+        raise SystemExit("test period lacks one of the classes; re-seed")
 
     table = [("ideal", "0.00% [0]", f"100.00% [{n_bad}]", "0:1"),
              ("do nothing", "0.00% [0]", "0.00% [0]", volume_ratio(0, 0))]
@@ -133,10 +138,8 @@ def main() -> None:
         table.append((kind, *fcv_cells([p for p, _ in paired],
                                        [a for _, a in paired])))
 
-    for threshold in (0.5, 0.7):
-        predictions = ["bad" if s >= threshold else "good" for s in scores]
-        table.append((f"network (>= {int(threshold * 100)}%)",
-                      *fcv_cells(predictions, actuals)))
+    for threshold, row in zip(thresholds, sweep_rows(counts, thresholds)):
+        table.append((f"network (>= {int(threshold * 100)}%)", *row_cells(row)))
 
     print(f"\ntest period: {n_good} good / {n_bad} bad records")
     print(f"{'method':<18} {'F':>18} {'C':>18} {'V':>8}")

@@ -33,7 +33,6 @@ from .inference import (
     ClassPosterior,
     classify,
     classify_file,
-    collect_scores,
     posterior,
     symbolize,
 )
@@ -121,7 +120,6 @@ __all__ = [
     "classify",
     "classify_file",
     "collect_outcomes",
-    "collect_scores",
     "conditional_mutual_information",
     "confusion",
     "default_grid",

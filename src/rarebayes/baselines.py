@@ -23,14 +23,13 @@ import csv
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import compress
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .dataio import MISSING_CELLS, Chunk, CsvDataset, as_dataset, csv_cell, missing_mask
-from .dataio import parse_float_column, write_rows
+from .dataio import MISSING_CELLS, Chunk, ClassCodes, CsvDataset, as_dataset, csv_cell
+from .dataio import missing_mask, parse_float_column, write_rows
 from .errors import ConfigError, SingularCovarianceError
 from .schema import Schema
 
@@ -60,8 +59,10 @@ class DiscriminantModel:
 
 
 def _class_cov(rows: np.ndarray, ridge: float) -> np.ndarray:
-    centered = rows - rows.mean(axis=0)
-    cov = centered.T @ centered / (rows.shape[0] - 1)
+    """The covariance of ``rows``, which it centres in place: callers pass
+    their own per-class copy and take its mean first."""
+    rows -= rows.mean(axis=0)
+    cov = rows.T @ rows / (rows.shape[0] - 1)
     if ridge > 0:
         cov = cov + ridge * np.eye(cov.shape[0])
     return cov
@@ -74,6 +75,13 @@ def _check_spd(cov: np.ndarray, what: str) -> None:
         raise SingularCovarianceError(
             f"{what} covariance matrix is singular; pass a ridge to regularize"
         ) from None
+
+
+def _check_args(kind: str, ridge: float) -> None:
+    if kind not in (LINEAR, QUADRATIC):
+        raise ConfigError(f"kind must be '{LINEAR}' or '{QUADRATIC}', got {kind!r}")
+    if not (math.isfinite(ridge) and ridge >= 0):
+        raise ConfigError(f"ridge must be a finite number >= 0, got {ridge}")
 
 
 def fit_discriminant(
@@ -92,33 +100,46 @@ def fit_discriminant(
     class; raises :class:`SingularCovarianceError` on a singular
     covariance unless a positive ``ridge`` is supplied.
     """
-    if kind not in (LINEAR, QUADRATIC):
-        raise ConfigError(f"kind must be '{LINEAR}' or '{QUADRATIC}', got {kind!r}")
+    _check_args(kind, ridge)
     X = np.atleast_2d(np.asarray(features, dtype=np.float64))
     if X.shape[0] != len(labels):
         raise ValueError("features and labels must have the same length")
-    uniq = sorted(set(labels))
+    coder = ClassCodes(missing=())
+    codes = coder(labels)
+    uniq = sorted(coder.labels)
     if len(uniq) != 2:
         raise ValueError(f"need exactly 2 label values, got {uniq}")
     if classes is None:
-        counts = {u: sum(1 for l in labels if l == u) for u in uniq}
+        counts = dict(zip(coder.labels, np.bincount(codes).tolist()))
         label2 = min(uniq, key=lambda u: (counts[u], uniq.index(u)))
         label1 = next(u for u in uniq if u != label2)
     else:
         label1, label2 = classes
         if set(classes) != set(uniq):
             raise ValueError(f"classes {classes} do not match labels {uniq}")
-    lab = np.asarray(labels, dtype=object)
-    rows1 = X[lab == label1]
-    rows2 = X[lab == label2]
+    rows1 = X[codes == coder.index[label1]]
+    rows2 = X[codes == coder.index[label2]]
     if rows1.shape[0] < 2 or rows2.shape[0] < 2:
         raise ValueError("need at least 2 samples per class")
-    names = feature_names or [f"f{i}" for i in range(X.shape[1])]
+    return _fit_classes(rows1, rows2, (label1, label2), kind, ridge,
+                        feature_names or [f"f{i}" for i in range(X.shape[1])])
+
+
+def _fit_classes(
+    rows1: np.ndarray,
+    rows2: np.ndarray,
+    classes: tuple[str, str],
+    kind: str,
+    ridge: float,
+    feature_names: list[str],
+) -> DiscriminantModel:
+    """Fit from each population's own copy of its rows, which the
+    covariances centre in place."""
     model = DiscriminantModel(
         kind=kind,
-        feature_names=names,
-        label1=label1,
-        label2=label2,
+        feature_names=feature_names,
+        label1=classes[0],
+        label2=classes[1],
         mean1=rows1.mean(axis=0),
         mean2=rows2.mean(axis=0),
         n1=rows1.shape[0],
@@ -259,29 +280,32 @@ def _one_hot_training_levels(schema: Schema, data: CsvDataset) -> dict[str, list
 
 def _complete_rows(
     schema: Schema, ds: CsvDataset, one_hot_levels: dict[str, list[str]]
-) -> tuple[np.ndarray, list[str], int]:
-    """The feature matrix and class labels of the rows with no MISSING
-    feature or class cell, and how many rows were dropped.  Each chunk
-    keeps only its complete rows, and the rows of a file of one chunk are
-    not copied again; a file with no rows gives a 0 x 0 matrix."""
+) -> tuple[np.ndarray, np.ndarray, list[str], int]:
+    """The feature matrix and class codes of the rows with no MISSING
+    feature or class cell, the labels the codes index, and how many rows
+    were dropped.  Each chunk keeps only its complete rows, and the rows of
+    a file of one chunk are not copied again; a file with no rows gives a
+    0 x 0 matrix."""
     feature_rows: list[np.ndarray] = []
-    labels: list[str] = []
+    codes: list[np.ndarray] = []
+    coder = ClassCodes()
     dropped = 0
 
     def decode(block: Chunk) -> dict:
         X, miss = _feature_columns(schema, block, one_hot_levels)
-        cls = block.columns[schema.class_var]
-        return {"X": X, "missing": miss | missing_mask(cls), "labels": cls}
+        cls = coder(block.columns[schema.class_var])
+        return {"X": X, "missing": miss | (cls < 0), "codes": cls}
 
     names = [schema.class_var] + _used_columns(schema, one_hot_levels)
     for chunk in ds.iter_chunks(names, decode=decode):
-        miss = chunk.columns["missing"]
-        dropped += int(miss.sum())
-        feature_rows.append(chunk.columns["X"][~miss])
-        labels.extend(compress(chunk.columns["labels"], ~miss))
+        keep = ~chunk.columns["missing"]
+        dropped += chunk.size - int(keep.sum())
+        feature_rows.append(chunk.columns["X"][keep])
+        codes.append(chunk.columns["codes"][keep])
     if len(feature_rows) == 1:
-        return feature_rows[0], labels, dropped
-    return np.vstack(feature_rows or [np.empty((0, 0))]), labels, dropped
+        return feature_rows[0], codes[0], coder.labels, dropped
+    X = np.vstack(feature_rows or [np.empty((0, 0))])
+    return X, np.concatenate(codes or [np.empty(0, dtype=np.int8)]), coder.labels, dropped
 
 
 def fit_from_csv(
@@ -298,16 +322,19 @@ def fit_from_csv(
     Rows with any missing feature or a missing class label are dropped
     (the count is reported on the model).  Population 2 is the positive
     class, defaulting to the rarer label.  Each of the two classes needs
-    two kept rows, or :class:`ConfigError` is raised.
+    two kept rows, or :class:`ConfigError` is raised.  The full matrix is
+    released once each class has its own copy of its rows.
     """
+    _check_args(kind, ridge)
     ds = as_dataset(data)
     ds.require_columns(ds.schema_columns(schema, require_class=True))
     one_hot_levels = _one_hot_training_levels(schema, ds) if one_hot else {}
-    X, labels, dropped = _complete_rows(schema, ds, one_hot_levels)
-    uniq = sorted(set(labels))
+    X, codes, labels, dropped = _complete_rows(schema, ds, one_hot_levels)
+    kept = np.bincount(codes, minlength=len(labels)).tolist()
+    uniq = sorted(label for label, n in zip(labels, kept) if n)
     if len(uniq) != 2:
         raise ConfigError(f"baseline needs exactly 2 class values, got {uniq}")
-    counts = {u: labels.count(u) for u in uniq}
+    counts = {u: kept[labels.index(u)] for u in uniq}
     if min(counts.values()) < 2:
         raise ConfigError(f"baseline needs at least 2 complete rows per class, got {counts}")
     if positive is None:
@@ -323,10 +350,10 @@ def fit_from_csv(
             feature_names.extend(
                 f"{spec.name}={level}" for level in one_hot_levels[spec.name]
             )
-    model = fit_discriminant(
-        X, labels, kind, classes=(negative, positive), ridge=ridge,
-        feature_names=feature_names,
-    )
+    rows1 = X[codes == labels.index(negative)]
+    rows2 = X[codes == labels.index(positive)]
+    del X
+    model = _fit_classes(rows1, rows2, (negative, positive), kind, ridge, feature_names)
     model.dropped_rows = dropped
     model.one_hot_levels = one_hot_levels
     return model
@@ -358,14 +385,15 @@ def score_to_csv(
             ["record_id"] + [f"p_{c}" for c in classes] + ["label", "skipped_nodes"]
         )
         def decode(block: Chunk) -> dict:
+            # scored per block, so a block's feature matrix goes with it
             X, miss = _feature_columns(schema, block, model.one_hot_levels)
-            return {"X": X, "missing": miss}
+            to2 = np.zeros(block.size, dtype=np.intp)
+            to2[~miss] = score_label(model, X[~miss]) == model.label2
+            return {"to2": to2, "missing": miss}
 
         used = _used_columns(schema, model.one_hot_levels)
         for chunk in ds.iter_chunks(used, decode=decode):
-            X, miss = chunk.columns["X"], chunk.columns["missing"]
-            to2 = np.zeros(chunk.size, dtype=np.intp)
-            to2[~miss] = score_label(model, X[~miss]) == model.label2
+            to2, miss = chunk.columns["to2"], chunk.columns["missing"]
             is_class = {model.label1: 1 - to2, model.label2: to2}
             write_rows(fh, [
                 map(str, range(rows, rows + chunk.size)),

@@ -12,14 +12,11 @@ import argparse
 import csv
 import json
 import sys
-from itertools import compress, repeat
 from pathlib import Path
 
-import numpy as np
-
 from . import baselines, evaluation, inference, structure, synthgen
-from .dataio import MISSING, CsvDataset, missing_mask
-from .errors import RareBayesError
+from .dataio import CsvDataset
+from .errors import ConfigError, RareBayesError
 from .schema import parse_schema
 
 
@@ -42,7 +39,10 @@ def _parse_grid(spec: str) -> list[float]:
         raise RareBayesError(
             f"grid must look like start:stop:step, got {spec!r}"
         ) from None
-    return evaluation.default_grid(start, stop, step)
+    grid = evaluation.default_grid(start, stop, step)
+    if not grid:
+        raise ConfigError(f"grid {spec!r} holds no threshold: start is past stop")
+    return grid
 
 
 def _cmd_gen(args) -> int:
@@ -82,56 +82,10 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _read_predictions(path: str) -> tuple[list[int], list[str]]:
-    dataset = CsvDataset(path)
-    ids: list[int] = []
-    labels: list[str] = []
-    for chunk in dataset.iter_chunks(["record_id", "label"]):
-        col = chunk.columns["record_id"]
-        try:
-            parsed = np.array(col, dtype=np.int64)
-        except (ValueError, OverflowError):
-            parsed = None
-        if parsed is not None and (parsed >= 0).all():
-            ids += parsed.tolist()
-        else:
-            # per row, int() names the first bad row and takes ids past int64
-            for text in col:
-                try:
-                    rid = int(text)
-                except ValueError:
-                    rid = -1
-                if rid < 0:
-                    raise RareBayesError(
-                        f"{path} row {len(ids) + 1}: record_id {text!r} "
-                        "is not a non-negative integer"
-                    )
-                ids.append(rid)
-        labels += chunk.columns["label"]
-    if dataset.stats.rejected:
-        raise RareBayesError(
-            f"{path}: {dataset.stats.rejected} row(s) rejected, "
-            "their field count differs from the header"
-        )
-    return ids, labels
-
-
-def _read_actuals(path: str, class_var: str) -> list[str]:
-    chunks = CsvDataset(path).iter_chunks([class_var])
-    return [label for chunk in chunks for label in chunk.columns[class_var]]
-
-
 def _cmd_evaluate(args) -> int:
-    ids, predictions = _read_predictions(args.pred)
-    # an id past the data pairs with the MISSING cell appended last
-    actuals = _read_actuals(args.data, args.class_var) + [MISSING]
-    paired = list(map(actuals.__getitem__, map(min, ids, repeat(len(actuals) - 1))))
-    keep = ~missing_mask(paired)
-    if not keep.any():
-        raise RareBayesError("no prediction/actual pairs to evaluate")
-    preds = list(compress(predictions, keep))
-    acts = list(compress(paired, keep))
-    counts = evaluation.confusion(preds, acts, args.positive)
+    counts, records = evaluation.evaluate_files(
+        args.pred, args.data, args.positive, args.class_var
+    )
     row = evaluation.fcv(counts, args.threshold)
     report = evaluation.rows_to_report(
         [row],
@@ -139,7 +93,7 @@ def _cmd_evaluate(args) -> int:
             "predictions": str(args.pred),
             "dataset": str(args.data),
             "positive": args.positive,
-            "records": len(acts),
+            "records": records,
         },
     )
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
@@ -153,9 +107,10 @@ def _cmd_evaluate(args) -> int:
 def _cmd_sweep(args) -> int:
     model = structure.load_model(args.model)
     grid = _parse_grid(args.grid)
-    scores, actuals = inference.collect_scores(model, args.data, args.positive)
+    table = inference.count_scores(model, args.data, grid, args.positive)
+    rows = evaluation.sweep_rows(table, grid)
+    records = int(table.sum())
     positive = args.positive or model.rare_class()
-    rows = evaluation.sweep(scores, actuals, positive, grid)
     report = evaluation.rows_to_report(
         rows,
         metadata={
@@ -163,7 +118,7 @@ def _cmd_sweep(args) -> int:
             "dataset": str(args.data),
             "positive": positive,
             "grid": grid,
-            "records": len(actuals),
+            "records": records,
         },
     )
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
@@ -171,7 +126,7 @@ def _cmd_sweep(args) -> int:
         with open(args.csv, "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh).writerows(evaluation.rows_to_csv_lines(rows))
     _say(
-        f"sweep: wrote {args.out} thresholds={len(rows)} records={len(actuals)} "
+        f"sweep: wrote {args.out} thresholds={len(rows)} records={records} "
         f"positive={positive}"
     )
     return 0

@@ -20,6 +20,8 @@ MISSING when it does not parse to a finite float: garbage, ``nan`` and
 for each.  Entropy cuts are defined over finite values only (Fayyad &
 Irani, IJCAI 1993), so a non-finite number can only be MISSING.  Group
 keys are opaque identifiers: a ``?`` or empty key is a group like any other.
+Where a class cell is compared rather than looked up in a model,
+:class:`ClassCodes` turns it into a small integer code, -1 when MISSING.
 
 :func:`parse_float_column` parses the whole column at once first, so a
 column with no missing cell is touched once.  It substitutes ``nan`` for
@@ -74,7 +76,7 @@ import csv
 import io
 import os
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import chain, compress, islice, repeat
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -387,6 +389,35 @@ def write_rows(fh, columns: Sequence[Iterable[str]]) -> None:
 def missing_mask(col: Sequence[str]) -> np.ndarray:
     """True where a raw class or field cell is MISSING."""
     return np.fromiter(map(MISSING_CELLS.__contains__, col), dtype=bool, count=len(col))
+
+
+class ClassCodes:
+    """Small integer codes for raw class cells, through one dict per run.
+
+    Each label gets the next code the first time it is seen, so
+    ``labels[code]`` reads a code back; a cell in ``missing`` (by default
+    the MISSING cells) codes -1.  Codes come in the narrowest signed dtype
+    that holds them (``int8`` for up to 126 labels).  A reader's decoder calls
+    it on each block, so raw class cells never outlive their block.
+    """
+
+    def __init__(self, missing: Iterable[str] = MISSING_CELLS):
+        self.labels: list[str] = []
+        self.index: dict[str, int] = dict.fromkeys(missing, -1)
+
+    def __call__(self, col: Sequence[str]) -> np.ndarray:
+        index = self.index
+        codes = np.fromiter(map(index.get, col, repeat(-2)), dtype=self.dtype, count=len(col))
+        if (codes == -2).any():
+            for label in dict.fromkeys(compress(col, codes == -2)):
+                index[label] = len(self.labels)
+                self.labels.append(label)
+            codes = np.fromiter(map(index.get, col), dtype=self.dtype, count=len(col))
+        return codes
+
+    @property
+    def dtype(self) -> np.dtype:
+        return np.min_scalar_type(-2 - len(self.labels))
 
 
 def parse_float_column(col: Sequence[str]) -> np.ndarray:

@@ -4,6 +4,17 @@ F is the percentage of actual-negative records falsely flagged positive
 (100*FP/N), C the percentage of actual positives captured (100*TP/P),
 and V the volume ratio of false to true positives formatted ``x.x:1``.
 Counts are exact integers; only the presentation rounds, half-up.
+
+Every count comes from one engine, :func:`count_table`: a small integer
+table of records per (bucket, actual is positive), from which
+:func:`table_counts` reads the confusion counts at each cut as prefix
+sums.  A threshold sweep's buckets are how many grid thresholds a
+record's score reaches (:func:`grid_buckets`); a confusion's two buckets
+are "predicted negative" and "predicted positive".  The ``evaluate``
+command (:func:`evaluate_files`) and the ``sweep`` command
+(:func:`~rarebayes.inference.count_scores`) fill the table a chunk at a
+time from small integer class codes, so neither holds an object per
+record; :func:`confusion` and :func:`sweep` fill it from label lists.
 """
 
 from __future__ import annotations
@@ -17,6 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .dataio import Chunk, ClassCodes, CsvDataset
 from .errors import EvaluationError
 
 
@@ -80,6 +92,36 @@ def volume_ratio(fp: int, tp: int) -> str:
     return f"{ratio.quantize(Decimal('0.1'), rounding=ROUND_HALF_UP)}:1"
 
 
+def _check_labels(seen: set[str], positive: str, negative: str | None = None) -> None:
+    """Raise unless ``seen`` holds at most ``positive`` and one negative label,
+    ``negative`` when given, else the single non-positive label present."""
+    others = seen - {positive}
+    if negative is None:
+        if len(others) > 1:
+            raise EvaluationError(f"ambiguous negative label among {sorted(others)}")
+        negative = next(iter(others), None)
+    unknown = seen - {positive, negative}
+    if unknown:
+        raise EvaluationError(f"unknown label(s): {sorted(unknown)}")
+
+
+def count_table(buckets: np.ndarray, positive: np.ndarray, levels: int) -> np.ndarray:
+    """The counting engine: a ``(levels, 2)`` table of rows per (bucket,
+    actual is positive), for integer ``buckets`` in ``range(levels)``."""
+    flat = np.asarray(buckets, dtype=np.intp) * 2 + positive
+    return np.bincount(flat, minlength=2 * levels).reshape(levels, 2)
+
+
+def table_counts(table: np.ndarray) -> list[ConfusionCounts]:
+    """Confusion counts at each cut ``j`` in ``1 .. levels - 1`` of a count
+    table, flagging the rows whose bucket is at least ``j``: TN and FN are
+    prefix sums of the table, TP and FP what the totals leave."""
+    below = np.cumsum(table, axis=0).tolist()
+    negatives, positives = below[-1]
+    return [ConfusionCounts(tp=positives - fn, fp=negatives - tn, tn=tn, fn=fn)
+            for tn, fn in below[:-1]]
+
+
 def confusion(
     predictions: Sequence[str],
     actuals: Sequence[str],
@@ -89,29 +131,22 @@ def confusion(
     """Standard cell counts with an explicit positive class.
 
     Labels must be two-valued; when ``negative`` is omitted it is
-    inferred as the single non-positive label present.
+    inferred as the single non-positive label present.  The counts are a
+    two-bucket :func:`count_table`, bucket 1 holding the predicted positives.
     """
     if len(predictions) != len(actuals):
         raise EvaluationError(
             f"{len(predictions)} predictions vs {len(actuals)} actuals"
         )
-    seen = set(predictions) | set(actuals)
-    others = seen - {positive}
-    if negative is None:
-        if len(others) > 1:
-            raise EvaluationError(f"ambiguous negative label among {sorted(others)}")
-        negative = next(iter(others), None)
-    unknown = seen - {positive, negative}
-    if unknown:
-        raise EvaluationError(f"unknown label(s): {sorted(unknown)}")
-    n = len(actuals)
-    pred_pos = np.fromiter(map(eq, predictions, repeat(positive)), dtype=bool, count=n)
-    act_pos = np.fromiter(map(eq, actuals, repeat(positive)), dtype=bool, count=n)
-    tp = int(np.count_nonzero(pred_pos & act_pos))
-    fn = int(np.count_nonzero(act_pos)) - tp
-    fp = int(np.count_nonzero(pred_pos)) - tp
-    tn = n - tp - fn - fp
-    return ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn)
+    _check_labels(set(predictions) | set(actuals), positive, negative)
+    table = count_table(
+        _is_positive(predictions, positive), _is_positive(actuals, positive), 2
+    )
+    return table_counts(table)[0]
+
+
+def _is_positive(labels: Sequence[str], positive: str) -> np.ndarray:
+    return np.fromiter(map(eq, labels, repeat(positive)), dtype=bool, count=len(labels))
 
 
 def fcv(counts: ConfusionCounts, threshold: float) -> FCVRow:
@@ -153,6 +188,26 @@ def default_grid(start: float = 0.10, stop: float = 0.90, step: float = 0.05) ->
     return grid
 
 
+def grid_buckets(scores: np.ndarray, grid: Sequence[float]) -> np.ndarray:
+    """How many thresholds of the increasing ``grid`` each score reaches
+    (score >= threshold).  A NaN score ranks below every threshold."""
+    scores = np.where(np.isnan(scores), -np.inf, scores)
+    return np.searchsorted(np.asarray(grid, dtype=np.float64), scores, side="right")
+
+
+def sweep_rows(table: np.ndarray, grid: Sequence[float]) -> list[FCVRow]:
+    """One FCVRow per threshold from a ``(len(grid) + 1, 2)`` count table of
+    :func:`grid_buckets`.  The table must count at least one record, and
+    the grid must be strictly increasing inside (0, 1)."""
+    if not table.any():
+        raise EvaluationError("sweep needs at least one scored record")
+    if any(not 0.0 < t < 1.0 for t in grid):
+        raise EvaluationError("grid thresholds must lie strictly inside (0, 1)")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise EvaluationError("grid thresholds must be strictly increasing")
+    return [fcv(counts, t) for counts, t in zip(table_counts(table), grid)]
+
+
 def sweep(
     posteriors: Sequence[float],
     actuals: Sequence[str],
@@ -162,7 +217,8 @@ def sweep(
     """One FCVRow per threshold using the >=-threshold rule, ordered by threshold.
 
     The grid must be strictly increasing inside (0, 1); the default is
-    0.10 to 0.90 in steps of 0.05.
+    0.10 to 0.90 in steps of 0.05.  The rows come from one
+    :func:`count_table` over the records' :func:`grid_buckets`.
     """
     if len(posteriors) == 0 or len(actuals) == 0:
         raise EvaluationError("sweep needs at least one scored record")
@@ -171,23 +227,98 @@ def sweep(
             f"{len(posteriors)} posteriors vs {len(actuals)} actuals"
         )
     grid = list(grid) if grid is not None else default_grid()
-    if any(not 0.0 < t < 1.0 for t in grid):
-        raise EvaluationError("grid thresholds must lie strictly inside (0, 1)")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise EvaluationError("grid thresholds must be strictly increasing")
-    # A NaN score is never >= t, so it ranks below every threshold.
-    scores = np.asarray(posteriors, dtype=np.float64)
-    scores = np.where(np.isnan(scores), -np.inf, scores)
-    order = np.argsort(scores)
-    # pos_below[i]: actual positives among the i lowest scores
-    pos_below = np.cumsum(np.array(actuals, dtype=object)[order] == positive)
-    pos_below = np.concatenate(([0], pos_below))
-    rows = []
-    for t, below in zip(grid, np.searchsorted(scores[order], grid).tolist()):
-        fn = int(pos_below[below])
-        tp = int(pos_below[-1]) - fn
-        counts = ConfusionCounts(tp=tp, fp=len(scores) - below - tp, tn=below - fn, fn=fn)
-        rows.append(fcv(counts, t))
+    buckets = grid_buckets(np.asarray(posteriors, dtype=np.float64), grid)
+    table = count_table(buckets, _is_positive(actuals, positive), len(grid) + 1)
+    return sweep_rows(table, grid)
+
+
+def evaluate_files(
+    pred_path: str, data_path: str, positive: str, class_var: str = "class"
+) -> tuple[ConfusionCounts, int]:
+    """Confusion counts of a classification file against a dataset's class
+    column, and how many records they pair.
+
+    The prediction with record id i pairs with data row i; one whose id is
+    past the data, or whose actual label is MISSING, is dropped.  The class
+    column is read once into one small code per data row, with a MISSING
+    code appended for ids past the data; the predictions are then counted
+    chunk by chunk into a two-bucket :func:`count_table`, so no per-record
+    object is held.
+    """
+    dataset = CsvDataset(pred_path)
+    # a predictions header that cannot be evaluated is reported before the
+    # data file is read
+    dataset.require_columns(["record_id", "label"])
+    act_coder = ClassCodes()
+
+    def decode_class(block: Chunk) -> dict:
+        return {"codes": act_coder(block.columns[class_var])}
+
+    chunks = CsvDataset(data_path).iter_chunks([class_var], decode=decode_class)
+    actual = np.concatenate([chunk.columns["codes"] for chunk in chunks]
+                            + [np.array([-1], dtype=act_coder.dtype)])
+    # a predicted label is a label, never MISSING
+    pred_coder = ClassCodes(missing=())
+    bad: list[str] = []
+
+    def decode(block: Chunk) -> dict:
+        return {"rows": _id_rows(block.columns["record_id"], len(actual) - 1, bad),
+                "labels": pred_coder(block.columns["label"])}
+
+    table = np.zeros((2, 2), dtype=np.int64)
+    seen_pred: set[int] = set()
+    seen_act: set[int] = set()
+    offset = 0
+    for chunk in dataset.iter_chunks(["record_id", "label"], decode=decode):
+        rows = chunk.columns["rows"]
+        # the decoder noted the first bad id; it is raised with its chunk,
+        # once every block of that chunk has been read
+        if bad and (rows < 0).any():
+            raise EvaluationError(
+                f"{pred_path} row {offset + int(np.argmax(rows < 0)) + 1}: "
+                f"record_id {bad[0]!r} is not a non-negative integer"
+            )
+        offset += chunk.size
+        act = actual[rows]
+        keep = act >= 0
+        pred, act = chunk.columns["labels"][keep], act[keep]
+        seen_pred.update(np.flatnonzero(np.bincount(pred)).tolist())
+        seen_act.update(np.flatnonzero(np.bincount(act)).tolist())
+        table += count_table(pred == pred_coder.index.get(positive, -2),
+                             act == act_coder.index.get(positive, -2), 2)
+    if dataset.stats.rejected:
+        raise EvaluationError(
+            f"{pred_path}: {dataset.stats.rejected} row(s) rejected, "
+            "their field count differs from the header"
+        )
+    records = int(table.sum())
+    if not records:
+        raise EvaluationError("no prediction/actual pairs to evaluate")
+    _check_labels({pred_coder.labels[c] for c in seen_pred}
+                 | {act_coder.labels[c] for c in seen_act}, positive)
+    return table_counts(table)[0], records
+
+
+def _id_rows(col: list[str], n: int, bad: list[str]) -> np.ndarray:
+    """The class-code row of each record id: the id, or ``n`` for an id past
+    the data, or -1 for a cell that is not a non-negative integer, the first
+    of which is appended to ``bad``."""
+    try:
+        ids = np.array(col, dtype=np.int64)
+    except (ValueError, OverflowError):
+        ids = None
+    if ids is not None and (ids >= 0).all():
+        return np.minimum(ids, n)
+    # per cell, int() takes ids past int64
+    rows = np.empty(len(col), dtype=np.int64)
+    for i, text in enumerate(col):
+        try:
+            rid = int(text)
+        except ValueError:
+            rid = -1
+        if rid < 0 and not bad:
+            bad.append(text)
+        rows[i] = min(rid, n) if rid >= 0 else -1
     return rows
 
 

@@ -36,14 +36,15 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from itertools import compress
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .dataio import MISSING, CsvDataset, as_dataset, csv_cell, missing_mask, write_rows
+from .dataio import MISSING, MISSING_CELLS, CsvDataset, as_dataset, csv_cell, write_rows
 from .errors import ConfigError, EvidenceError
+from .evaluation import count_table, grid_buckets
 from .structure import NetworkModel
 from .windows import CaseRecord, node_var_slot
 
@@ -204,7 +205,7 @@ class ScoredChunk:
     config_probabilities: np.ndarray    # (configurations, classes)
     config_skipped: np.ndarray          # (configurations, ranked nodes) int8 skip matrix
     inverse: np.ndarray                 # (rows,) configuration of each row
-    actuals: list[str] | None           # raw class column when asked for
+    actuals: np.ndarray | None          # (rows,) int8 1 positive, 0 other, -1 MISSING
 
     @property
     def probabilities(self) -> np.ndarray:
@@ -246,23 +247,26 @@ def iter_scored(
     data: str | Path | CsvDataset,
     *,
     chunk_rows: int = 65536,
-    actuals: bool = False,
+    positive: str | None = None,
 ) -> Iterator[ScoredChunk]:
     """Score every well-formed record of a CSV in file order.
 
     The header must hold every schema column, but only the model's nodes
-    are read, and the class column only with ``actuals``: then its raw
-    values ride along so evaluation can line up with record ids.  Each
-    chunk's distinct node configurations are scored once; the kernel's
-    rows do not depend on their batch, so this changes no result.
+    are read, and the class column only with ``positive``: then each
+    chunk's ``actuals`` codes its records' actual labels 1 for
+    ``positive``, 0 for any other label (one never seen in training
+    included) and -1 for MISSING.  Each chunk's distinct node
+    configurations are scored once; the kernel's rows do not depend on
+    their batch, so this changes no result.
     """
     ds = as_dataset(data)
     schema = model.schema
-    ds.require_columns(ds.schema_columns(schema, require_class=actuals))
+    ds.require_columns(ds.schema_columns(schema, require_class=positive is not None))
     nodes = [rf.node for rf in model.ranked_fields]
     radices = [model.encoder.sizes[rf.var] for rf in model.ranked_fields]
     offset = 0
-    chunks = model.encoder.node_chunks(ds, nodes, chunk_rows, "raw" if actuals else None)
+    labels = None if positive is None else _positive_codes(positive)
+    chunks = model.encoder.node_chunks(ds, nodes, chunk_rows, labels)
     for n, codes, raw in chunks:
         first, inverse = _dense_ids(n, [codes[node] for node in nodes], radices)
         probs, skip = score_codes(
@@ -334,25 +338,39 @@ def classify_file(
             "threshold": threshold}
 
 
-def collect_scores(
+def _positive_codes(positive: str):
+    """Class-cell coder for :func:`iter_scored`: 1 for ``positive``, 0 for any
+    other label and -1 for MISSING."""
+    lut = dict.fromkeys(MISSING_CELLS, -1)
+    lut[positive] = 1
+
+    def code(col: list[str]) -> np.ndarray:
+        return np.fromiter(map(lut.get, col, repeat(0)), dtype=np.int8, count=len(col))
+
+    return code
+
+
+def count_scores(
     model: NetworkModel,
     data: str | Path | CsvDataset,
+    grid: Sequence[float],
     positive: str | None = None,
     *,
     chunk_rows: int = 65536,
-) -> tuple[np.ndarray, list[str]]:
-    """P(positive) per record plus the actual labels, for threshold sweeps.
+) -> np.ndarray:
+    """A threshold sweep's count table: records per (grid bucket, actual is
+    positive), ``(len(grid) + 1, 2)``, for :func:`~rarebayes.evaluation.sweep_rows`.
 
-    Requires the class column; records whose actual label is missing are
-    dropped from both outputs.
+    Requires the class column; records whose actual label is MISSING are
+    not counted.  Each chunk's distinct configurations are bucketed once
+    by their P(positive) (:func:`~rarebayes.evaluation.grid_buckets`) and
+    the chunk's rows counted through their configuration, so no
+    per-record object is held.
     """
-    _, pos_idx = _positive_index(model, positive)
-    scores: list[np.ndarray] = []
-    actuals: list[str] = []
-    for scored in iter_scored(model, data, chunk_rows=chunk_rows, actuals=True):
-        keep = ~missing_mask(scored.actuals)
-        scores.append(scored.config_probabilities[scored.inverse[keep], pos_idx])
-        actuals.extend(compress(scored.actuals, keep))
-    if not scores:
-        return np.empty(0), []
-    return np.concatenate(scores), actuals
+    positive, pos_idx = _positive_index(model, positive)
+    table = np.zeros((len(grid) + 1, 2), dtype=np.int64)
+    for scored in iter_scored(model, data, chunk_rows=chunk_rows, positive=positive):
+        buckets = grid_buckets(scored.config_probabilities[:, pos_idx], grid)
+        keep = scored.actuals >= 0
+        table += count_table(buckets[scored.inverse[keep]], scored.actuals[keep], len(grid) + 1)
+    return table

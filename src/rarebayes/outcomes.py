@@ -31,6 +31,7 @@ dropped once, before the first split.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Iterable, Sequence
@@ -212,10 +213,21 @@ def entropy_bins(
         if gain[best] <= 0:
             continue
         mid = int(inner[best])
-        edges.append((float(values[mid - 1]) + float(values[mid])) / 2.0)
+        edges.append(_cut(float(values[mid - 1]), float(values[mid])))
         leaves[(lo, mid)] = h_left[best]
         leaves[(mid, hi)] = h_right[best]
     return tuple(sorted(edges))
+
+
+def _cut(a: float, b: float) -> float:
+    """The edge between adjacent distinct sample values ``a < b``: their
+    midpoint (halves summed when ``a + b`` overflows), or ``b`` when the
+    midpoint rounds to ``a``, as it does between adjacent floats.  So
+    ``a < edge <= b``, and each value bins on its own side of the cut."""
+    mid = (a + b) / 2.0
+    if math.isinf(mid):
+        mid = a / 2.0 + b / 2.0
+    return mid if mid > a else b
 
 
 def quantile_bins(

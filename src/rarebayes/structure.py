@@ -37,7 +37,7 @@ from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import repeat
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -299,15 +299,21 @@ class Encoder:
             map(self.class_lut.get, col, repeat(-1)), dtype=np.int64, count=len(col)
         )
 
-    def encode_chunk(self, chunk: Chunk, names: Sequence[str] | None = None):
+    def encode_chunk(
+        self,
+        chunk: Chunk,
+        names: Sequence[str] | None = None,
+        labels: Callable[[list[str]], np.ndarray] | None = None,
+    ):
         """Codes for the field variables ``names`` (default: all), the class
-        codes when the chunk holds the class column, and the group keys."""
+        column's codes by ``labels`` (default: :meth:`encode_class`) when the
+        chunk holds the class column, and the group keys."""
         if names is None:
             names = [v.name for v in self.schema.field_vars]
         var_codes = {name: self.encode_var(name, chunk.columns[name]) for name in names}
         class_codes = None
         if self.schema.class_var in chunk.columns:
-            class_codes = self.encode_class(chunk.columns[self.schema.class_var])
+            class_codes = (labels or self.encode_class)(chunk.columns[self.schema.class_var])
         groups = (
             chunk.columns.get(self.schema.group_key)
             if self.schema.group_key
@@ -316,19 +322,25 @@ class Encoder:
         return var_codes, class_codes, groups
 
     def node_chunks(
-        self, ds: CsvDataset, nodes: Iterable[str], chunk_rows: int, labels: str | None = None
-    ) -> Iterator[tuple[int, dict[str, np.ndarray], Any]]:
-        """One pass over ``ds``, yielding ``(rows, codes, class column)`` per chunk.
+        self,
+        ds: CsvDataset,
+        nodes: Iterable[str],
+        chunk_rows: int,
+        labels: Callable[[list[str]], np.ndarray] | None = None,
+    ) -> Iterator[tuple[int, dict[str, np.ndarray], np.ndarray | None]]:
+        """One pass over ``ds``, yielding ``(rows, codes, class codes)`` per chunk.
 
         ``codes`` holds a code column for every node in ``nodes``.  Only the
         nodes' base variables are read and encoded, and only the variables
         named at a slot >= 1 are lagged, so a model without lagged nodes
         builds no lag columns.  The reader hands each block to
         :meth:`encode_chunk` as soon as it is split; lags are built per
-        chunk.  The class column is read only when ``labels`` asks for it:
-        ``"codes"`` yields its class codes (the training passes), ``"raw"``
-        its raw cells (the actual labels a threshold sweep compares), and
-        ``None`` yields None in its place.
+        chunk.  The class column is read only when ``labels`` is given, and
+        each block's class cells are coded by it, so they never outlive
+        their block: :meth:`encode_class` gives the training passes their
+        class codes, and a threshold sweep codes 1 for its positive class,
+        0 for any other label and -1 for MISSING.  Without ``labels`` the
+        class codes are None.
         """
         slots = [node_var_slot(node) for node in nodes]
         base = {var for var, _ in slots}
@@ -339,15 +351,12 @@ class Encoder:
         wanted = list(names)
         if lagged and self.schema.group_key:
             wanted.append(self.schema.group_key)
-        class_var = self.schema.class_var
         if labels is not None:
-            wanted.append(class_var)
+            wanted.append(self.schema.class_var)
 
         def decode(block: Chunk) -> dict:
-            raw = block.columns.pop(class_var) if labels == "raw" else None
-            codes, class_codes, groups = self.encode_chunk(block, names)
-            return {"codes": codes, "labels": class_codes if raw is None else raw,
-                    "groups": groups}
+            codes, class_codes, groups = self.encode_chunk(block, names, labels)
+            return {"codes": codes, "labels": class_codes, "groups": groups}
 
         for chunk in ds.iter_chunks(wanted, chunk_rows, decode):
             decoded = chunk.columns
@@ -383,7 +392,7 @@ def _count_pass(
     """
     counts = {table: np.zeros(_table_shape(enc, table), dtype=np.int64) for table in tables}
     nodes = {node for table in tables for node in table[1:]}
-    for _, codes, class_codes in enc.node_chunks(ds, nodes, chunk_rows, "codes"):
+    for _, codes, class_codes in enc.node_chunks(ds, nodes, chunk_rows, enc.encode_class):
         labelled = class_codes >= 0
         for table, table_counts in counts.items():
             flat = class_codes

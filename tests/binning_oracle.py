@@ -10,6 +10,7 @@ other, edge for edge.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -63,7 +64,12 @@ def _best_split(values: np.ndarray, codes: np.ndarray, k: int, lo: int, hi: int)
     gain = parent - (n_left / n) * h(left, n_left) - (n_right / n) * h(right, n_right)
     best = int(np.argmax(gain))
     b = int(boundaries[best])
-    edge = (float(seg_vals[b]) + float(seg_vals[b + 1])) / 2.0
+    low, high = float(seg_vals[b]), float(seg_vals[b + 1])
+    edge = (low + high) / 2.0
+    if math.isinf(edge):
+        edge = low / 2.0 + high / 2.0
+    # a midpoint that rounds to the lower value (adjacent floats) cuts at the upper
+    edge = edge if edge > low else high
     return float(gain[best]), edge, lo + b + 1
 
 

@@ -203,6 +203,34 @@ def test_non_finite_grid_is_runtime_error(workdir, capsys, grid):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_empty_grid_is_runtime_error(workdir, tmp_path, capsys):
+    # a start past the stop used to write a report with no rows
+    code = run([
+        "sweep", "--model", str(workdir / "model.json"),
+        "--data", str(workdir / "fixture" / "data.csv"),
+        "--grid", "0.5:0.4:0.1", "--out", str(tmp_path / "x.json"),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: grid '0.5:0.4:0.1' holds no threshold: start is past stop\n")
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("ridge", ["-1", "nan", "inf"])
+def test_bad_ridge_is_runtime_error(workdir, tmp_path, capsys, ridge):
+    # a negative or NaN ridge used to run as if it were 0
+    code = run([
+        "baseline", "--kind", "quadratic",
+        "--schema", str(workdir / "fixture" / "schema.txt"),
+        "--data", str(workdir / "fixture" / "data.csv"),
+        "--ridge", ridge, "--out", str(tmp_path / "b.csv"),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: ridge must be a finite number >= 0, got {float(ridge)}\n")
+    assert not (tmp_path / "b.csv").exists()
+
+
 def test_classify_machine_output_stays_out_of_stderr(workdir, capsys):
     pred = workdir / "pred_clean.csv"
     run([
@@ -301,6 +329,19 @@ def test_bad_record_id_message_names_its_row(workdir, tmp_path, capsys, bad_id):
     )
 
 
+def test_bad_record_id_past_the_first_chunk_names_its_row(workdir, tmp_path, capsys):
+    """The reader decodes 128 KiB blocks and counts 65,536-row chunks; a
+    bad id in a later block of a later chunk still names its row."""
+    ids = [str(i) for i in range(70_000)]
+    ids[66_000] = "x66"
+    code, _ = _evaluate_ids(workdir, tmp_path, ids)
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / 'pred.csv'} row 66001: record_id 'x66' "
+        "is not a non-negative integer\n"
+    )
+
+
 def test_record_id_past_int64_pairs_with_missing(workdir, tmp_path, capsys):
     """An id numpy's int64 cannot hold is still an id past the data."""
     ids = [str(i) for i in range(500)]
@@ -371,6 +412,23 @@ def test_evaluate_rejects_file_without_record_id(workdir, tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "record_id" in err and "Traceback" not in err
+
+
+def test_evaluate_reports_prediction_header_before_data(workdir, tmp_path, capsys):
+    """With both files bad, the predictions header is reported, as when the
+    predictions were read first."""
+    pred = tmp_path / "pred.csv"
+    pred.write_text("id,label\n0,bad\n", encoding="utf-8")
+    data = tmp_path / "data.csv"
+    data.write_text("a,b\n1,2\n", encoding="utf-8")
+    code = run([
+        "evaluate", "--pred", str(pred), "--data", str(data),
+        "--positive", "bad", "--out", str(tmp_path / "eval.json"),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {pred} header lacks required column(s): record_id\n"
+    )
 
 
 def test_evaluate_rejects_short_prediction_row(workdir, tmp_path, capsys):

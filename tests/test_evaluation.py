@@ -1,10 +1,22 @@
+import csv
+import tempfile
+from itertools import compress
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rarebayes import ConfusionCounts, EvaluationError, confusion, default_grid, fcv, sweep
-from rarebayes.evaluation import format_pct, rows_to_csv_lines, volume_ratio
+from rarebayes import dataio
+from rarebayes.dataio import CsvDataset, missing_mask
+from rarebayes.evaluation import evaluate_files, format_pct, rows_to_csv_lines, sweep_rows
+from rarebayes.evaluation import volume_ratio
+from rarebayes.inference import count_scores, iter_scored
+
+from evaluation_oracle import confusion_oracle, evaluate_oracle, sweep_oracle
 
 
 class TestConfusion:
@@ -238,3 +250,112 @@ def test_default_grid_csv_lines_pinned():
 def test_negative_counts_rejected():
     with pytest.raises(ValueError):
         ConfusionCounts(tp=-1, fp=0, tn=0, fn=0)
+
+
+# -- the count table against the list-based oracles ---------------------------
+
+# labels a file may hold: the positive "b", negatives, and both MISSING cells
+LABELS = ["b", "g", "x", "?", ""]
+
+
+def outcome(fn, *args):
+    """``fn(*args)``, or the message of the EvaluationError it raises."""
+    try:
+        return fn(*args)
+    except EvaluationError as exc:
+        return f"EvaluationError: {exc}"
+
+
+def label_pool():
+    """A few of LABELS, so that many draws are two-valued."""
+    return st.lists(st.sampled_from(LABELS), min_size=1, max_size=3, unique=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.sampled_from([None, "g", "x"]), st.booleans())
+def test_confusion_matches_list_oracle(data, negative, short):
+    pool = data.draw(label_pool())
+    pairs = data.draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(pool)),
+                               max_size=40))
+    predictions = [p for p, _ in pairs]
+    actuals = [a for _, a in pairs][: len(pairs) - short]
+    assert outcome(confusion, predictions, actuals, "b", negative) == outcome(
+        confusion_oracle, predictions, actuals, "b", negative)
+
+
+GRID_POINTS = [0.2, 0.5, 0.8]
+SCORES = st.one_of(st.floats(0.0, 1.0), st.sampled_from(GRID_POINTS + [0.0, 1.0, float("nan")]))
+GRIDS = st.one_of(
+    st.none(),
+    st.lists(st.one_of(st.floats(0.01, 0.99), st.sampled_from(GRID_POINTS)),
+             max_size=6, unique=True).map(sorted),
+    st.lists(st.sampled_from(GRID_POINTS + [0.0, 1.0]), max_size=4),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(SCORES, st.sampled_from(LABELS)), max_size=80), GRIDS, st.booleans())
+def test_sweep_matches_list_oracle(pairs, grid, short):
+    """NaN scores, scores tied with a grid point, labels that are neither
+    positive nor one negative, and invalid grids."""
+    scores = [p for p, _ in pairs]
+    actuals = [a for _, a in pairs][: len(pairs) - short]
+    assert outcome(sweep, scores, actuals, "b", grid) == outcome(
+        sweep_oracle, scores, actuals, "b", grid)
+
+
+ID_CELLS = st.one_of(
+    st.integers(0, 30).map(str),
+    st.sampled_from([str(2**63 - 1), str(2**63), str(2**63 + 5), str(2**70), " 4", "+2"]),
+)
+BAD_ID_CELLS = st.sampled_from(["abc", "-1", "1.5", "", "-" + "9" * 25])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from([8, 1 << 17]))
+def test_evaluate_files_matches_list_oracle(data, block_chars):
+    """Ids past the data and past 2**63, MISSING actuals, labels unseen in
+    training, bad ids in any block, and every label error."""
+    pool = data.draw(label_pool())
+    class_cells = data.draw(st.lists(st.sampled_from(LABELS), max_size=30))
+    preds = data.draw(st.lists(st.tuples(ID_CELLS, st.sampled_from(pool)), max_size=40))
+    bad = data.draw(st.none() | st.tuples(st.integers(0, 40), BAD_ID_CELLS))
+    if bad is not None:
+        preds.insert(bad[0], (bad[1], pool[0]))
+    positive = data.draw(st.sampled_from(["b", "g"]))
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(dataio, "_BLOCK_CHARS", block_chars):
+        pred_path, data_path = Path(tmp) / "pred.csv", Path(tmp) / "data.csv"
+        data_path.write_text("n,class\n" + "".join(
+            f"{i},{cell}\n" for i, cell in enumerate(class_cells)), encoding="utf-8")
+        pred_path.write_text("record_id,label\n" + "".join(
+            f"{rid},{label}\n" for rid, label in preds), encoding="utf-8")
+        got = outcome(evaluate_files, str(pred_path), str(data_path), positive, "class")
+        want = outcome(evaluate_oracle, str(pred_path), [rid for rid, _ in preds],
+                       [label for _, label in preds], class_cells, positive)
+    assert got == want
+
+
+@pytest.mark.parametrize("chunk_rows", [7, 65536])
+def test_count_scores_matches_list_oracle(messy_bundle, messy_model, tmp_path, chunk_rows):
+    """The sweep's per-chunk table over configurations equals the sorted
+    per-record sweep, with MISSING actuals and a label unseen in training,
+    on a grid that holds an exact posterior."""
+    with open(messy_bundle.data_path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    col = rows[0].index(messy_bundle.schema.class_var)
+    for i, row in enumerate(rows[1:]):
+        row[col] = {0: "?", 1: "", 2: "churned"}.get(i % 9, row[col])
+    path = tmp_path / "data.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+    positive = messy_model.rare_class()
+    pos = messy_model.class_symbols.index(positive)
+    probs = np.concatenate([s.probabilities[:, pos] for s in iter_scored(messy_model, path)])
+    cells = [row[col] for row in rows[1:]]
+    keep = ~missing_mask(cells)
+    grid = sorted({0.1, 0.5, 0.9, float(probs[keep][0])})
+    want = sweep_oracle(probs[keep], list(compress(cells, keep)), positive, grid)
+    table = count_scores(messy_model, CsvDataset(path), grid, chunk_rows=chunk_rows)
+    assert sweep_rows(table, grid) == want
+    assert int(table.sum()) == int(keep.sum())

@@ -332,10 +332,10 @@ def expansions(records, schema, tmp_path):
     )
     nodes = [node_id(var, slot) for var, slot in node_order(schema)]
     out = {"oracle": list(window_expand(records, schema))}
+    enc = Encoder(schema, outcomes)
     for chunk_rows in (1, 65536):
         cases = []
-        chunks = Encoder(schema, outcomes).node_chunks(
-            CsvDataset(path), nodes, chunk_rows, "codes")
+        chunks = enc.node_chunks(CsvDataset(path), nodes, chunk_rows, enc.encode_class)
         for n, codes, class_codes in chunks:
             for i in range(n):
                 values = {node: outcomes.symbols(node_var_slot(node)[0])[codes[node][i]]

@@ -279,6 +279,22 @@ def test_bins_do_not_depend_on_sample_order(sample, max_bins, rnd):
     )
 
 
+@pytest.mark.parametrize("values", [
+    [-5e-324, 0.0, 5e-324],  # subnormal midpoints round to 0.0
+    [1.0, math.nextafter(1.0, 2.0)],  # adjacent floats: the midpoint rounds down
+    [1.6e308, 1.7e308],  # the sum overflows
+    [-1.7e308, 1.7e308],
+])
+def test_edges_separate_adjacent_values(values):
+    """Every cut between alternating classes is an edge strictly above the
+    lower value and at most the upper one, so each value bins alone."""
+    edges = entropy_bins(values, np.arange(len(values)) % 2, len(values))
+    assert len(edges) == len(values) - 1
+    assert all(math.isfinite(e) for e in edges)
+    assert np.searchsorted(edges, values, side="right").tolist() == list(range(len(values)))
+    assert edges == binning_oracle.entropy_bins(values, np.arange(len(values)) % 2, len(values))
+
+
 def test_only_boundary_points_are_scored(monkeypatch):
     """Two pure class halves have one boundary point: a handful of count
     rows reach the entropy, not one per distinct value."""

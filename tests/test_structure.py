@@ -11,6 +11,7 @@ from rarebayes import (
     MIScore,
     ModelSizeError,
     TrainingError,
+    default_grid,
     estimate_cpts,
     generate,
     load_model,
@@ -18,8 +19,10 @@ from rarebayes import (
     select_dependencies,
     train,
 )
+from rarebayes.baselines import fit_from_csv, score_to_csv
+from rarebayes.cli import run
 from rarebayes.dataio import MISSING, CsvDataset
-from rarebayes.inference import iter_scored
+from rarebayes.inference import count_scores, iter_scored
 from rarebayes.outcomes import collect_outcomes
 from rarebayes.structure import Encoder, _count_pass
 from rarebayes.synthgen import CategoricalSpec, ContinuousSpec, GenConfig, GroupSpec
@@ -279,6 +282,55 @@ def test_generate_working_set(tmp_path):
     before writing took 21 MiB."""
     _, peak = traced_peak(generate, wide_config(GroupSpec("g", 8)), tmp_path / "gen")
     assert peak < 13 * 2**20
+
+
+@pytest.fixture(scope="module")
+def wide_run(tmp_path_factory):
+    """The file above, a model trained on it and its classification file."""
+    tmp_path = tmp_path_factory.mktemp("wide_run")
+    schema, path = wide_csv(tmp_path)
+    model = train(schema, CsvDataset(path), seed=1)
+    model.save(tmp_path / "model.json")
+    assert run(["classify", "--model", str(tmp_path / "model.json"), "--data", str(path),
+                "--out", str(tmp_path / "pred.csv")]) == 0
+    return schema, path, model, tmp_path
+
+
+def test_evaluate_working_set(wide_run, capsys):
+    """``evaluate`` holds one class code per data row and counts the
+    predictions chunk by chunk: about 1.5 MiB here, where lists of every
+    id and label, paired per row, took 4.3 MiB."""
+    _, path, _, tmp_path = wide_run
+    code, peak = traced_peak(run, [
+        "evaluate", "--pred", str(tmp_path / "pred.csv"), "--data", str(path),
+        "--positive", "bad", "--out", str(tmp_path / "eval.json")])
+    assert code == 0
+    assert peak < 2.5 * 2**20
+    capsys.readouterr()
+
+
+def test_sweep_working_set(wide_run):
+    """A sweep counts each chunk's rows into its table: about 1.6 MiB in
+    2,048-row chunks, where a score and a label ``str`` kept per record
+    for one sort took 2.8 MiB."""
+    _, path, model, _ = wide_run
+    grid = default_grid()
+    table, peak = traced_peak(lambda: count_scores(model, path, grid, chunk_rows=2048))
+    assert int(table.sum()) == 20_000
+    assert peak < 2.2 * 2**20
+
+
+def test_baseline_working_set(wide_run):
+    """The QDA fit takes each class's own copy of its rows and centres it
+    in place, about 3.1 MiB here, where the full matrix, both class copies
+    and their centred copies took 4.8 MiB.  Scoring drops each block's
+    feature matrix once the block is scored: 1.6 MiB, where a chunk's
+    matrix took 7.0 MiB."""
+    schema, path, _, tmp_path = wide_run
+    qda, fit_peak = traced_peak(fit_from_csv, schema, path, "quadratic")
+    _, score_peak = traced_peak(score_to_csv, qda, schema, path, tmp_path / "qda.csv")
+    assert fit_peak < 4 * 2**20
+    assert score_peak < 3.5 * 2**20
 
 
 # Categoricals whose alphabets, MISSING included, hold 255, 256 and 257
