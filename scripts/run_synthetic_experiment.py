@@ -93,13 +93,13 @@ def row_cells(row):
     )
 
 
-def main() -> None:
+def main(argv: list[str] | None = None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", type=Path, default=Path("experiment_out"))
     ap.add_argument("--train-rows", type=int, default=60_000)
     ap.add_argument("--test-rows", type=int, default=80_000)
     ap.add_argument("--seed", type=int, default=2024)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     args.out.mkdir(parents=True, exist_ok=True)
     period1 = generate(experiment_config(args.train_rows, args.seed),

@@ -83,6 +83,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    inference.check_threshold(args.threshold)
     counts, records = evaluation.evaluate_files(
         args.pred, args.data, args.positive, args.class_var
     )
@@ -188,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--class-var", default="class",
                    help="name of the class column in --data (default: class)")
     p.add_argument("--threshold", type=float, default=0.5,
-                   help="threshold recorded in the report row")
+                   help="threshold recorded in the report row, in [0, 1]")
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("sweep", help="F/C/V rows over a threshold grid")

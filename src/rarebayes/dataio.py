@@ -34,20 +34,27 @@ Memory Databases* (PVLDB 2013), and Ge et al., *Speculative Distributed
 CSV Data Parsing for Big Data Analytics* (SIGMOD 2019).  It reads text
 blocks of ``_BLOCK_CHARS`` characters, each extended to the end of its
 last line.  A block ending in ``\r\n`` is split on ``\r\n``, any other
-on ``\n``.  It takes the fast path when it holds no ``"``, no ``\r`` or
-``\n`` that is not part of the line end it was split on, no empty line,
-no line longer than ``csv.field_size_limit()`` and exactly ``width - 1``
-commas on every line.  The fast path joins the lines with commas, splits
-once, and slices out only the wanted columns.
+on ``\n``.  The fast path joins the lines with ``",\n"`` and splits once
+on ``,``; that one split also checks the block's line structure.  Each
+inserted ``\n`` follows an inserted comma, so it starts a cell and no
+cell holds two.  So when the ``n`` lines give exactly ``n * width``
+cells, the ``n - 1`` inserted ``\n`` are the only ones and all of them
+sit in the cells at ``width, 2 * width, ...``, line ``k`` starts at cell
+``k * width`` and every line has exactly ``width`` fields.  The block
+takes the fast path when that holds, it has no ``"``, no ``\r`` is left
+after the split, and no line is empty or longer than
+``csv.field_size_limit()``.  It then splits each line as ``csv.reader``
+would.  The wanted columns are sliced out of the one split; column 0
+carries the inserted ``\n`` and is stripped of them only when wanted.
 (``str.splitlines`` is not used: it also breaks on ``\x0c``, ``\u2028``
 and others, which ``csv`` keeps inside a field.)
 The rest falls back to ``csv.reader`` with the same blank-line and
 field-count rules:
 
 - a quote-free block with a blank, ragged or over-long line, or a stray
-  line end, is parsed by ``csv.reader`` as one block, so a field longer
-  than ``csv.field_size_limit()`` raises :class:`DatasetError` on either
-  path;
+  or mixed line end, is parsed by ``csv.reader`` as one block, so a field
+  longer than ``csv.field_size_limit()`` raises :class:`DatasetError` on
+  either path;
 - from the line holding the first ``"`` on (the header included), because
   a quoted field can span lines, ``csv.reader`` reads the rest of the
   file, ``_CSV_ROWS`` records at a time.
@@ -303,26 +310,35 @@ def _pieces(fh, width: int, idx: list[int]) -> Iterator[_Piece]:
 
 
 def _block_piece(block: str, width: int, idx: list[int]) -> _Piece:
-    """Split a quote-free block of whole lines; ``csv.reader`` takes odd blocks,
-    including any with a line longer than ``csv.field_size_limit()``."""
-    if block.endswith("\r\n"):
-        lines = block.split("\r\n")
-        # every \r and \n must belong to a \r\n line end
-        stray = block.count("\r") != len(lines) - 1 or block.count("\n") != len(lines) - 1
-    else:
-        lines = block.split("\n")
-        stray = "\r" in block
+    r"""Split a quote-free block of whole lines; ``csv.reader`` takes odd blocks.
+
+    The lines are joined with ``",\n"`` and split once on ``,``.  Each
+    ``\n`` marker so inserted follows a comma, so it starts a cell and no
+    cell holds two.  The block is accepted when it has ``n * width`` cells,
+    its ``n - 1`` markers are its only ``\n`` and all sit in the cells at
+    ``width, 2 * width, ...``, no ``\r`` is left, and no line is blank or
+    longer than ``csv.field_size_limit()``.  Then line ``k`` starts at cell
+    ``k * width``, so every line has exactly ``width`` fields and ``csv``
+    would split it the same way.  Column 0 carries the markers; it is
+    stripped of them only when it is wanted.
+    """
+    lines = block.split("\r\n" if block.endswith("\r\n") else "\n")
     if lines[-1] == "":
         lines.pop()
+    n = len(lines)
+    text = ",\n".join(lines)
+    flat = text.split(",")
+    starts = "".join(flat[::width])  # column 0: the first cell and the n - 1 markers
     if (
-        stray
+        len(flat) != n * width
+        or "\r" in text
+        or starts.count("\n") != n - 1
+        or text.count("\n") != n - 1
         or "" in lines
         or max(map(len, lines), default=0) > csv.field_size_limit()
-        or set(map(str.count, lines, repeat(","))) != {width - 1}
     ):
         return _csv_piece(list(csv.reader(io.StringIO(block, newline=""))), width, idx)
-    flat = ",".join(lines).split(",")
-    return len(lines), [flat[i::width] for i in idx], 0
+    return n, [starts.split("\n") if i == 0 else flat[i::width] for i in idx], 0
 
 
 def _csv_pieces(reader, width: int, idx: list[int]) -> Iterator[_Piece]:

@@ -162,7 +162,8 @@ def _positive_index(model: NetworkModel, positive: str | None) -> tuple[str, int
     return positive, model.class_symbols.index(positive)
 
 
-def _check_threshold(threshold: float) -> None:
+def check_threshold(threshold: float) -> None:
+    """Raise unless ``0 <= threshold <= 1``, which NaN fails."""
     if not 0.0 <= threshold <= 1.0:
         raise ConfigError(f"threshold must lie in [0, 1], got {threshold}")
 
@@ -182,7 +183,7 @@ def classify(
     positive: str | None = None,
 ) -> tuple[str, ClassPosterior]:
     """Label a case: positive iff P(positive | case) >= threshold."""
-    _check_threshold(threshold)
+    check_threshold(threshold)
     _, pos_idx = _positive_index(model, positive)
     post = posterior(model, case)
     label = _label_columns(post.probabilities[None], pos_idx, threshold)[0]
@@ -305,7 +306,7 @@ def classify_file(
     precision), label, skipped_nodes (semicolon-joined ``name:reason``).
     Returns a summary dict with row and label counts.
     """
-    _check_threshold(threshold)
+    check_threshold(threshold)
     positive, pos_idx = _positive_index(model, positive)
     nodes = [rf.node for rf in model.ranked_fields]
     symbols = np.array(list(map(csv_cell, model.class_symbols)), dtype=object)

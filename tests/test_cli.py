@@ -231,6 +231,23 @@ def test_bad_ridge_is_runtime_error(workdir, tmp_path, capsys, ridge):
     assert not (tmp_path / "b.csv").exists()
 
 
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-0.1", "1.5"])
+def test_evaluate_threshold_outside_unit_interval_is_runtime_error(tmp_path, capsys,
+                                                                   threshold):
+    # NaN used to reach the report as the invalid JSON token NaN; the other
+    # values were recorded as given, though classify rejects them all.  The
+    # files do not exist: the threshold is checked before either is read.
+    code = run([
+        "evaluate", "--pred", str(tmp_path / "pred.csv"),
+        "--data", str(tmp_path / "data.csv"), "--positive", "bad",
+        "--threshold", threshold, "--out", str(tmp_path / "e.json"),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: threshold must lie in [0, 1], got {float(threshold)}\n")
+    assert not (tmp_path / "e.json").exists()
+
+
 def test_classify_machine_output_stays_out_of_stderr(workdir, capsys):
     pred = workdir / "pred_clean.csv"
     run([

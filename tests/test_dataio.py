@@ -259,6 +259,28 @@ def decode_rows(wanted):
          block_chars=1 << 20, csv_rows=1024, decoded=True)
 @example(case=("c0,c1\r\na,b\r\nc,d\re,f\r\n", ["c1"]), chunk_rows=8,
          block_chars=1 << 20, csv_rows=1024, decoded=True)
+# ragged lines whose field counts cancel: the block's comma count is right
+@example(case=("c0,c1\r\na,b,c\r\nd\r\ne,f\r\n", ["c1"]), chunk_rows=8,
+         block_chars=1 << 20, csv_rows=1024, decoded=False)
+# a bare \n in a \r\n block, with every marker where a line should start
+@example(case=("c0,c1\r\na,b,\nx\r\nd\r\n", ["c1"]), chunk_rows=8,
+         block_chars=1 << 20, csv_rows=1024, decoded=False)
+@example(case=("c0,c1\r\na,b\nc\r\nd,e\r\n", ["c0", "c1"]), chunk_rows=8,
+         block_chars=1 << 20, csv_rows=1024, decoded=False)
+# a lone \r
+@example(case=("c0,c1\na\rb,c\n", ["c0", "c1"]), chunk_rows=8,
+         block_chars=1 << 20, csv_rows=1024, decoded=False)
+# a blank line in a one-column file
+@example(case=("c0\na\n\nb\n", ["c0"]), chunk_rows=8,
+         block_chars=1 << 20, csv_rows=1024, decoded=False)
+# a last block with no line end
+@example(case=("c0,c1\r\na,b\r\nc,d", ["c0", "c1"]), chunk_rows=8,
+         block_chars=1 << 20, csv_rows=1024, decoded=False)
+@example(case=("c0,c1\na,b\nc,d", ["c0"]), chunk_rows=8,
+         block_chars=1 << 20, csv_rows=1024, decoded=True)
+# the fast path, reading the column that carries its line-start markers
+@example(case=("c0,c1,c2\r\na,b,c\r\n?,,e\r\nf,g,h\r\n", ["c2", "c0"]), chunk_rows=2,
+         block_chars=1 << 20, csv_rows=1024, decoded=False)
 def test_reader_matches_csv_module(case_dir, case, chunk_rows, block_chars, csv_rows,
                                    decoded):
     """Raw and decoded chunks hold the csv.reader oracle's rows, cut at
@@ -292,6 +314,27 @@ def test_reader_matches_csv_module(case_dir, case, chunk_rows, block_chars, csv_
         got = {name: [v for chunk in chunks for v in chunk.columns[name]] for name in wanted}
         assert got == columns
     assert (ds.stats.passes, ds.stats.rows, ds.stats.rejected) == (1, rows, rejected)
+
+
+@pytest.mark.parametrize("line_end", ["\r\n", "\n"])
+def test_generated_files_take_the_fast_path(tmp_path, line_end):
+    r"""A generated file (``\r\n`` line ends) and a ``\n`` copy of it are
+    read without ``csv.reader``, every column as the csv module reads it.
+    The equivalence property cannot see a fast path that never fires."""
+    data = generate(messy_config(n=3000), tmp_path / "fixture").data_path
+    raw = data.read_bytes()
+    assert raw.count(b"\r\n") == 3001 and b'"' not in raw
+    path = tmp_path / "data.csv"
+    path.write_bytes(raw.replace(b"\r\n", line_end.encode()))
+    ds = CsvDataset(path)
+    wanted = ds.header()
+    columns, rows, rejected = oracle(path, wanted)
+    with (mock.patch.object(dataio, "_BLOCK_CHARS", 4096),  # about 20 blocks
+          mock.patch.object(dataio, "_csv_piece", wraps=dataio._csv_piece) as slow):
+        chunks = list(ds.iter_chunks(wanted, 1000))
+    got = {name: [v for chunk in chunks for v in chunk.columns[name]] for name in wanted}
+    assert slow.call_count == 0
+    assert (got, rows, rejected) == (columns, 3000, 0)
 
 
 @pytest.mark.parametrize("chunk_rows", [300, 65536])

@@ -460,8 +460,10 @@ EDGE_VALUES = st.floats(-1e6, 1e6, allow_nan=False) | st.sampled_from([-1.5, 0.0
 def random_models(draw, continuous=False):
     """A toy model with random CPTs (exact zeros and extreme ratios
     included), random field parents down the ranking, and cases over it.
-    With ``continuous``, each variable may be continuous with random edges."""
-    k = draw(st.integers(2, 3))
+    With ``continuous``, each variable may be continuous with random edges.
+    Up to 10 classes: numpy sums 8 or more terms of a row pairwise, so the
+    class-sum order the kernel and the oracle must share only shows there."""
+    k = draw(st.integers(2, 10))
     classes = tuple(f"c{i}" for i in range(k))
     prior = np.asarray(draw(st.lists(st.integers(1, 10**6), min_size=k, max_size=k)),
                        dtype=np.float64)
