@@ -2,35 +2,40 @@
 """End-to-end comparison on synthetic rare-event data.
 
 Generates a training period and a later testing period from the same
-ground-truth network, trains the Bayesian network classifier, fits
-linear and quadratic discriminant baselines, and prints an F/C/V table
-(false-classification rate of good records, capture rate of bad
-records, and their volume ratio) for each method.
+ground-truth network and runs the paper's comparison through the
+``rarebayes`` commands, each by ``rarebayes.cli.run``:
+
+    gen       once per period, from a config JSON written here
+    train     on period 1
+    baseline  --kind linear and --kind quadratic, fit on period 1
+              (--train), scoring period 2
+    classify  period 2 at --threshold 0.5 and 0.7
+    evaluate  --positive bad, once per prediction file
+
+It prints an F/C/V table (false-classification rate of good records,
+capture rate of bad records, and their volume ratio) for each method,
+read from the ``evaluate`` reports; the header lines read the model file.
+A command that fails stops the script with its name.
 
 Usage:
     python scripts/run_synthetic_experiment.py --out /tmp/experiment
 """
 
 import argparse
-import csv
+import json
 import sys
-from itertools import compress
+from dataclasses import asdict
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from rarebayes import confusion, fcv, parse_schema, train
-from rarebayes.baselines import fit_from_csv, score_to_csv
-from rarebayes.dataio import CsvDataset, missing_mask
-from rarebayes.evaluation import sweep_rows, volume_ratio
-from rarebayes.inference import count_scores
+from rarebayes import cli
 from rarebayes.synthgen import (
     CategoricalSpec,
     ContinuousSpec,
     DependentSpec,
     GenConfig,
     NoiseSpec,
-    generate,
 )
 
 
@@ -68,29 +73,11 @@ def experiment_config(n: int, seed: int) -> GenConfig:
     )
 
 
-def read_actuals(path: Path) -> list[str]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        return [row["class"] for row in csv.DictReader(fh)]
-
-
-def labels_from_pred_csv(path: Path) -> dict[int, str]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        return {int(r["record_id"]): r["label"] for r in csv.DictReader(fh)}
-
-
-def fcv_cells(predictions, actuals):
-    counts = confusion(predictions, actuals, positive="bad", negative="good")
-    if counts.tp + counts.fn == 0 or counts.fp + counts.tn == 0:
-        raise SystemExit("test period lacks one of the classes; re-seed")
-    return row_cells(fcv(counts, 0.0))
-
-
-def row_cells(row):
-    return (
-        f"{row.f_pct_str()}% [{row.fp}]",
-        f"{row.c_pct_str()}% [{row.tp}]",
-        row.volume,
-    )
+def rarebayes(command: str, *args) -> None:
+    """Run one CLI command; its own ``error:`` line is already on stderr."""
+    code = cli.run([command, *map(str, args)])
+    if code:
+        raise SystemExit(f"rarebayes {command} failed (exit {code})")
 
 
 def main(argv: list[str] | None = None) -> None:
@@ -101,46 +88,55 @@ def main(argv: list[str] | None = None) -> None:
     ap.add_argument("--seed", type=int, default=2024)
     args = ap.parse_args(argv)
 
-    args.out.mkdir(parents=True, exist_ok=True)
-    period1 = generate(experiment_config(args.train_rows, args.seed),
-                       args.out / "period1")
-    period2 = generate(experiment_config(args.test_rows, args.seed + 1),
-                       args.out / "period2")
-    schema = parse_schema(period1.schema_path.read_text(encoding="utf-8"))
+    out = args.out
+    out.mkdir(parents=True, exist_ok=True)
+    for period, rows, seed in ((1, args.train_rows, args.seed),
+                               (2, args.test_rows, args.seed + 1)):
+        config = out / f"period{period}.json"
+        config.write_text(json.dumps(asdict(experiment_config(rows, seed))),
+                          encoding="utf-8")
+        rarebayes("gen", "--config", config, "--out", out / f"period{period}")
+    schema = out / "period1" / "schema.txt"
+    train_data, test_data = out / "period1" / "data.csv", out / "period2" / "data.csv"
 
-    ds = CsvDataset(period1.data_path)
-    model = train(schema, ds, seed=args.seed)
-    model.save(args.out / "model.json")
-    print(f"trained in {ds.stats.passes} passes over {ds.stats.rows} rows")
+    model_path = out / "model.json"
+    rarebayes("train", "--schema", schema, "--data", train_data, "--out", model_path,
+              "--seed", args.seed)
+    model = json.loads(model_path.read_text(encoding="utf-8"))
+    stats = model["pass_stats"]
+    print(f"trained in {stats['passes']} passes over {stats['rows']} rows")
     print("selected fields (descending MI):")
-    for rf in model.ranked_fields:
-        parent = model.parents[rf.node]
+    for rf in model["ranked_fields"]:
+        parent = model["parents"][rf["node"]]
         arrow = f"   parent: {parent}" if parent else ""
-        print(f"  {rf.node:<16} {rf.mi:.4f} bits{arrow}")
+        print(f"  {rf['node']:<16} {rf['mi']:.4f} bits{arrow}")
 
-    thresholds = [0.5, 0.7]
-    counts = count_scores(model, period2.data_path, thresholds, "bad")
-    n_good, n_bad = counts.sum(axis=0).tolist()
-    if not n_good or not n_bad:
-        raise SystemExit("test period lacks one of the classes; re-seed")
-
-    table = [("ideal", "0.00% [0]", f"100.00% [{n_bad}]", "0:1"),
-             ("do nothing", "0.00% [0]", "0.00% [0]", volume_ratio(0, 0))]
-
-    all_actuals = read_actuals(period2.data_path)
-    labelled = list(compress(range(len(all_actuals)), ~missing_mask(all_actuals)))
+    methods = []  # (table row, predictions file, evaluate flags)
     for kind in ("linear", "quadratic"):
-        baseline = fit_from_csv(schema, period1.data_path, kind)
-        pred_path = args.out / f"baseline_{kind}.csv"
-        score_to_csv(baseline, schema, period2.data_path, pred_path)
-        by_id = labels_from_pred_csv(pred_path)
-        paired = [(by_id[i], all_actuals[i]) for i in labelled if i in by_id]
-        table.append((kind, *fcv_cells([p for p, _ in paired],
-                                       [a for _, a in paired])))
+        pred = out / f"baseline_{kind}.csv"
+        rarebayes("baseline", "--kind", kind, "--schema", schema, "--train", train_data,
+                  "--data", test_data, "--out", pred)
+        methods.append((kind, pred, ()))
+    for threshold in (0.5, 0.7):
+        pred = out / f"network_{int(threshold * 100)}.csv"
+        rarebayes("classify", "--model", model_path, "--data", test_data,
+                  "--threshold", threshold, "--positive", "bad", "--out", pred)
+        methods.append((f"network (>= {int(threshold * 100)}%)", pred,
+                        ("--threshold", threshold)))
 
-    for threshold, row in zip(thresholds, sweep_rows(counts, thresholds)):
-        table.append((f"network (>= {int(threshold * 100)}%)", *row_cells(row)))
+    table = []
+    for name, pred, flags in methods:
+        report = pred.with_suffix(".report.json")
+        rarebayes("evaluate", "--pred", pred, "--data", test_data, "--positive", "bad",
+                  *flags, "--out", report)
+        r = json.loads(report.read_text(encoding="utf-8"))["rows"][0]
+        table.append((name, f"{r['F_pct_str']}% [{r['FP']}]",
+                      f"{r['C_pct_str']}% [{r['TP']}]", r["V"]))
 
+    # every report pairs the same labelled test records
+    n_good, n_bad = r["FP"] + r["TN"], r["TP"] + r["FN"]
+    table[:0] = [("ideal", "0.00% [0]", f"100.00% [{n_bad}]", "0:1"),
+                 ("do nothing", "0.00% [0]", "0.00% [0]", "0:1")]
     print(f"\ntest period: {n_good} good / {n_bad} bad records")
     print(f"{'method':<18} {'F':>18} {'C':>18} {'V':>8}")
     for name, f_cell, c_cell, v_cell in table:

@@ -185,30 +185,36 @@ def _scores(model: DiscriminantModel, X: np.ndarray) -> np.ndarray:
             - ((d1 @ np.linalg.inv(model.cov1)) * d1).sum(axis=1) + logdet_ratio)
 
 
+def _check_kind(model: DiscriminantModel, kind: str, what: str) -> None:
+    if model.kind != kind:
+        raise ConfigError(f"{what} requires a {kind} model")
+
+
 def lda_score(model: DiscriminantModel, y: np.ndarray) -> float:
     """L(Y) for a linear model; classify into population 2 iff L(Y) < cutoff."""
-    if model.kind != LINEAR:
-        raise ConfigError("lda_score requires a linear model")
+    _check_kind(model, LINEAR, "lda_score")
     return float(_scores(model, _check_query(model, y)[None])[0])
 
 
 def lda_label(model: DiscriminantModel, y: np.ndarray) -> str:
-    return model.label2 if lda_score(model, y) < model.cutoff else model.label1
+    _check_kind(model, LINEAR, "lda_label")
+    return str(score_label(model, _check_query(model, y)[None])[0])
 
 
 def qda_score(model: DiscriminantModel, y: np.ndarray) -> float:
     """Quadratic score; classify into population 1 iff it exceeds 2*cutoff."""
-    if model.kind != QUADRATIC:
-        raise ConfigError("qda_score requires a quadratic model")
+    _check_kind(model, QUADRATIC, "qda_score")
     return float(_scores(model, _check_query(model, y)[None])[0])
 
 
 def qda_label(model: DiscriminantModel, y: np.ndarray) -> str:
-    return model.label1 if qda_score(model, y) > 2.0 * model.cutoff else model.label2
+    _check_kind(model, QUADRATIC, "qda_label")
+    return str(score_label(model, _check_query(model, y)[None])[0])
 
 
 def score_label(model: DiscriminantModel, X: np.ndarray) -> np.ndarray:
-    """The label of every row of the (rows, dims) matrix ``X``."""
+    """The label of every row of the (rows, dims) matrix ``X``, by the
+    boundary rules in the module docstring."""
     scores = _scores(model, X)
     if model.kind == LINEAR:
         to_population2 = scores < model.cutoff
@@ -232,21 +238,20 @@ def _feature_columns(
     one_hot_levels: dict[str, list[str]],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Build a block's (rows, dims) matrix and a per-row any-missing mask."""
-    columns = block.columns
     blocks: list[np.ndarray] = []
     missing = np.zeros(block.size, dtype=bool)
-    for spec in schema.field_vars:
-        if spec.kind == "continuous":
-            vals = parse_float_column(columns[spec.name])
-            missing |= np.isnan(vals)
-            blocks.append(vals[:, None])
-        elif spec.name in one_hot_levels:
-            col = columns[spec.name]
+    for name in _used_columns(schema, one_hot_levels):
+        col = block.columns[name]
+        if name in one_hot_levels:
             missing |= missing_mask(col)
-            for level in one_hot_levels[spec.name]:
+            for level in one_hot_levels[name]:
                 blocks.append(
                     np.array([1.0 if v == level else 0.0 for v in col])[:, None]
                 )
+        else:
+            vals = parse_float_column(col)
+            missing |= np.isnan(vals)
+            blocks.append(vals[:, None])
     if not blocks:
         raise ConfigError("no continuous variables available for the baseline")
     return np.hstack(blocks), missing
@@ -342,14 +347,12 @@ def fit_from_csv(
     elif positive not in uniq:
         raise ConfigError(f"unknown positive class {positive!r}")
     negative = next(u for u in uniq if u != positive)
-    feature_names = []
-    for spec in schema.field_vars:
-        if spec.kind == "continuous":
-            feature_names.append(spec.name)
-        elif spec.name in one_hot_levels:
-            feature_names.extend(
-                f"{spec.name}={level}" for level in one_hot_levels[spec.name]
-            )
+    feature_names = [
+        feature
+        for name in _used_columns(schema, one_hot_levels)
+        for feature in ([f"{name}={level}" for level in one_hot_levels[name]]
+                        if name in one_hot_levels else [name])
+    ]
     rows1 = X[codes == labels.index(negative)]
     rows2 = X[codes == labels.index(positive)]
     del X

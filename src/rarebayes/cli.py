@@ -29,6 +29,8 @@ def _load_schema(path: str):
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise RareBayesError(f"cannot read schema file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise RareBayesError(f"{path} is not UTF-8 text: {exc}") from exc
     return parse_schema(text)
 
 

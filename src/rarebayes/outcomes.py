@@ -33,12 +33,11 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dataio import MISSING, MISSING_CELLS, Chunk, CsvDataset, parse_float_column
+from .dataio import MISSING, MISSING_CELLS, Chunk, ClassCodes, CsvDataset, parse_float_column
 from .errors import CardinalityError
 from .schema import Schema
 
@@ -282,7 +281,7 @@ def collect_outcomes(
     cat_vars = [v.name for v in schema.categorical_vars]
     cont_vars = [v.name for v in schema.continuous_vars]
     observed: dict[str, set[str]] = {name: set() for name in cat_vars}
-    class_lut: dict[str, int] = {}
+    class_coder = ClassCodes()
     reservoirs = {
         name: ReservoirSample(reservoir_capacity, variable_seed(seed, name))
         for name in cont_vars
@@ -290,11 +289,9 @@ def collect_outcomes(
 
     def decode(block: Chunk) -> dict[str, np.ndarray]:
         """Class codes and continuous values of a block; alphabets grow here."""
-        class_col = block.columns[schema.class_var]
         # codes in first-seen order, stable across blocks; MISSING is -1
-        for sym in sorted(set(class_col).difference(class_lut, MISSING_CELLS)):
-            class_lut[sym] = len(class_lut)
-        if len(class_lut) > max_categories:
+        class_codes = class_coder(block.columns[schema.class_var])
+        if len(class_coder.labels) > max_categories:
             raise CardinalityError(
                 f"class variable {schema.class_var!r} exceeds "
                 f"{max_categories} distinct outcomes"
@@ -307,9 +304,7 @@ def collect_outcomes(
                     f"variable {name!r} exceeds {max_categories} distinct outcomes"
                 )
         decoded = {name: parse_float_column(block.columns[name]) for name in cont_vars}
-        decoded[schema.class_var] = np.fromiter(
-            map(class_lut.get, class_col, repeat(-1)), dtype=np.int64, count=block.size
-        )
+        decoded[schema.class_var] = class_codes
         return decoded
 
     wanted = dataset.schema_columns(schema, require_class=True)
@@ -322,7 +317,7 @@ def collect_outcomes(
             if labeled.any():
                 reservoirs[name].extend(values[labeled], class_codes[labeled])
 
-    first_seen = list(class_lut)
+    first_seen = class_coder.labels
     class_symbols = tuple(sorted(first_seen))
     # reservoir labels carry first-seen codes; binning wants sorted-symbol codes
     rank = {sym: i for i, sym in enumerate(class_symbols)}

@@ -476,6 +476,20 @@ def test_non_utf8_data_is_runtime_error(workdir, tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["train", "baseline"])
+def test_non_utf8_schema_is_runtime_error(workdir, tmp_path, capsys, command):
+    schema = tmp_path / "schema.txt"
+    schema.write_bytes(b"\xff\xfe")
+    data = str(workdir / "fixture" / "data.csv")
+    args = ["--kind", "linear"] if command == "baseline" else []
+    code = run([command, *args, "--schema", str(schema), "--data", data,
+                "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {schema} is not UTF-8 text")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command, text, message", [
     ("gen", "nope", "is not valid JSON"),
     ("gen", "[]", "must be a JSON object, got list"),

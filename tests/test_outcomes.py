@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from rarebayes import (
     symbolize,
     train,
 )
-from rarebayes import outcomes
+from rarebayes import dataio, outcomes
 from rarebayes.dataio import CsvDataset, PassStats, parse_float_column
 from rarebayes.outcomes import OutcomeTable, ReservoirSample, VariableOutcomes, bin_symbol
 from rarebayes.structure import Encoder, NetworkModel
@@ -117,6 +118,28 @@ class TestCollectOutcomes:
         t4 = collect_outcomes(MIXED, ds1, seed=43, reservoir_capacity=100)
         assert t1.edges("amount") == t2.edges("amount")
         assert t3.edges("amount") == t4.edges("amount")
+
+    def test_class_codes_renumbered_to_sorted_symbols(self, tmp_path):
+        # "z" and "m" open the file (reverse-sorted) and "a" is first seen in
+        # a later block, so pass 1's first-seen codes are z=0, m=1, a=2.  On
+        # this sample the two best cuts (1.5 and 4.5) tie in exact arithmetic,
+        # so rounding, and with it the class order of the entropy sums, picks
+        # one; the last assert keeps the sample one where the order shows.
+        rows = [("z", 1), ("m", 1), ("z", 7), ("m", 1), ("z", 2), ("m", 0),
+                ("z", 5), ("z", 7), ("z", 7), ("z", 5)]
+        rows += [("a", v) for v in (4, 2, 6, 4, 0, 4, 0)]
+        values = [float(v) for _, v in rows]
+        symbols = [y for y, _ in rows]
+        ds = write(tmp_path, "y,v\n" + "".join(f"{y},{v}\n" for y, v in rows))
+        schema = parse_schema("class y\nmax_bins 2\nvar v continuous entropy\n")
+        with mock.patch.object(dataio, "_BLOCK_CHARS", 32):
+            table = collect_outcomes(schema, ds, reservoir_capacity=len(rows))
+        assert table.class_symbols == ("a", "m", "z")
+        expected = entropy_bins(values, symbols, schema.max_bins)
+        assert table.edges("v") == expected
+        first_seen = ["z", "m", "a"]
+        assert entropy_bins(values, [first_seen.index(y) for y in symbols],
+                            schema.max_bins) != expected
 
 
 class TestEntropyBins:
