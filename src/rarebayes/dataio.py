@@ -5,8 +5,10 @@ Training reads the data several times; :class:`PassStats` on a
 four-pass budget can be asserted rather than trusted.  The handle also
 holds every pass to its first complete one: a pass that opens the file
 at a different size or modification time, or that ends with different
-row or rejected-row counts, raises :class:`DatasetError`, so all passes
-of one training run see the same unchanged file.
+row or rejected-row counts or a different CRC-32 of the bytes it read
+(the header and any ``csv.reader`` tail included), raises
+:class:`DatasetError`, so all passes of one training run see the same
+unchanged file.
 
 Data files are RFC-4180-style CSV in UTF-8 with a header row.  Rows
 whose field count does not match the header are counted as rejected and
@@ -31,13 +33,15 @@ cell only when the column also holds garbage.
 :meth:`CsvDataset.iter_chunks` is the one reader.  It speculates that the
 file holds no quotes, as in Mühlbauer et al., *Instant Loading for Main
 Memory Databases* (PVLDB 2013), and Ge et al., *Speculative Distributed
-CSV Data Parsing for Big Data Analytics* (SIGMOD 2019).  It reads text
-blocks of ``_BLOCK_CHARS`` characters, each extended to the end of its
-last line.  A block ending in ``\r\n`` is split on ``\r\n``, any other
-on ``\n``.  The fast path joins the lines with ``",\n"`` and splits once
-on ``,``; that one split also checks the block's line structure.  Each
-inserted ``\n`` follows an inserted comma, so it starts a cell and no
-cell holds two.  So when the ``n`` lines give exactly ``n * width``
+CSV Data Parsing for Big Data Analytics* (SIGMOD 2019).  It opens the
+file in binary and reads blocks of ``_BLOCK_BYTES`` bytes, each extended
+to the next ``\n`` byte and decoded from UTF-8 once; a ``\n`` byte is
+never part of a multi-byte sequence, so every block decodes whole.  A
+block ending in ``\r\n`` is split on ``\r\n``, any other on ``\n``.
+The fast path joins the lines with ``",\n"`` and splits once on ``,``;
+that one split also checks the block's line structure.  Each inserted
+``\n`` follows an inserted comma, so it starts a cell and no cell holds
+two.  So when the ``n`` lines give exactly ``n * width``
 cells, the ``n - 1`` inserted ``\n`` are the only ones and all of them
 sit in the cells at ``width, 2 * width, ...``, line ``k`` starts at cell
 ``k * width`` and every line has exactly ``width`` fields.  The block
@@ -57,7 +61,10 @@ field-count rules:
   either path;
 - from the line holding the first ``"`` on (the header included), because
   a quoted field can span lines, ``csv.reader`` reads the rest of the
-  file, ``_CSV_ROWS`` records at a time.
+  file, ``_CSV_ROWS`` records at a time, from the same decoded blocks;
+- a header line holding a ``\r`` other than its line end's sends the
+  whole file to ``csv.reader``, which ends a record there, where a byte
+  ``readline`` does not.
 
 Each block's wanted cells go through the caller's decoder as soon as the
 block is split, while they are still in cache, so raw cells never outlive
@@ -82,6 +89,7 @@ from __future__ import annotations
 import csv
 import io
 import os
+import zlib
 from dataclasses import dataclass
 from itertools import chain, compress, islice, repeat
 from pathlib import Path
@@ -98,9 +106,9 @@ MISSING_CELLS = frozenset((MISSING, ""))
 
 DEFAULT_CHUNK_ROWS = 65536
 
-# Characters per text block on the quote-free fast path; each block is
-# extended to the next line end.
-_BLOCK_CHARS = 1 << 17
+# Bytes per block read; each block is extended to the next line end and
+# decoded once.
+_BLOCK_BYTES = 1 << 17
 
 # Records per piece once csv.reader reads the rest of a file.
 _CSV_ROWS = 1024
@@ -142,9 +150,10 @@ class CsvDataset:
         self.path = Path(path)
         self.stats = PassStats()
         self._header: list[str] | None = None
-        # (st_size, st_mtime_ns, rows, rejected) of the first complete pass;
-        # kept out of PassStats, which the model file records
-        self._first_pass: tuple[int, int, int, int] | None = None
+        # (st_size, st_mtime_ns, rows, rejected, CRC-32 of the bytes read) of
+        # the first complete pass; kept out of PassStats, which the model
+        # file records
+        self._first_pass: tuple[int, int, int, int, int] | None = None
 
     def header(self) -> list[str]:
         if self._header is None:
@@ -182,25 +191,13 @@ class CsvDataset:
     def iter_rows(self) -> Iterator[dict[str, str]]:
         """Yield well-formed rows as header-keyed dicts; count one pass at the end.
 
-        The package reads through :meth:`iter_chunks`; this row-wise reader
+        The package reads through :meth:`iter_chunks`, which this wraps; it
         stays because ``perfbench/layertrace.py`` wraps it by name.
         """
         header = self.header()
-        width = len(header)
-        rows = rejected = 0
-        with open(self.path, newline="", encoding="utf-8") as fh:
-            stat = self._begin_pass(fh)
-            reader = csv.reader(fh)
-            next(reader)
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != width:
-                    rejected += 1
-                    continue
-                rows += 1
-                yield dict(zip(header, row))
-        self._end_pass(stat, rows, rejected)
+        for chunk in self.iter_chunks(header):
+            columns = [chunk.columns[name] for name in header]
+            yield from (dict(zip(header, row)) for row in zip(*columns))
 
     def iter_chunks(
         self,
@@ -221,10 +218,11 @@ class CsvDataset:
         idx = [header.index(name) for name in wanted]
         parts: list[dict[str, Any]] = []
         held = rows = rejected = 0
-        with open(self.path, newline="", encoding="utf-8") as fh:
+        with open(self.path, "rb") as fh:
             stat = self._begin_pass(fh)
+            reader = _ByteReader(fh)
             try:
-                for size, columns, dropped in _pieces(fh, len(header), idx):
+                for size, columns, dropped in _pieces(reader, len(header), idx):
                     rejected += dropped
                     if not size:
                         continue
@@ -251,7 +249,7 @@ class CsvDataset:
                 last = Chunk(_join(parts), held)
                 del parts
                 yield last
-        self._end_pass(stat, rows, rejected)
+        self._end_pass(stat, rows, rejected, reader.crc)
 
     def _begin_pass(self, fh) -> os.stat_result:
         """Stat the opened file; raise if it differs from the first pass's."""
@@ -265,48 +263,94 @@ class CsvDataset:
             )
         return stat
 
-    def _end_pass(self, stat: os.stat_result, rows: int, rejected: int) -> None:
-        """Count a complete pass; raise if its row counts differ from the first's."""
-        if self._first_pass is None:
-            self._first_pass = (stat.st_size, stat.st_mtime_ns, rows, rejected)
-        elif (rows, rejected) != self._first_pass[2:]:
+    def _end_pass(self, stat: os.stat_result, rows: int, rejected: int, crc: int) -> None:
+        """Count a complete pass; raise if its row counts or the checksum of
+        the bytes it read differ from the first's."""
+        first = self._first_pass
+        if first is None:
+            self._first_pass = (stat.st_size, stat.st_mtime_ns, rows, rejected, crc)
+        elif (rows, rejected) != first[2:4]:
             raise DatasetError(
                 f"{self.path} changed between passes: pass {self.stats.passes + 1} "
                 f"read {rows} rows ({rejected} rejected), pass 1 read "
-                f"{self._first_pass[2]} rows ({self._first_pass[3]} rejected)"
+                f"{first[2]} rows ({first[3]} rejected)"
+            )
+        elif crc != first[4]:
+            raise DatasetError(
+                f"{self.path} changed between passes: pass {self.stats.passes + 1} "
+                f"read bytes with CRC-32 {crc:08x}, pass 1 read {first[4]:08x}"
             )
         self.stats.passes += 1
         self.stats.rows = rows
         self.stats.rejected = rejected
 
 
+class _ByteReader:
+    r"""A binary file read as UTF-8 text blocks that end on a line end.
+
+    ``crc`` is the running CRC-32 of every byte read so far.  Each block of
+    ``_BLOCK_BYTES`` is extended to the next ``\n`` and decoded once; a
+    ``\n`` byte is never part of a multi-byte UTF-8 sequence, so a block
+    of a valid file always decodes whole.
+    """
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.crc = 0
+
+    def _checked(self, data: bytes) -> str:
+        self.crc = zlib.crc32(data, self.crc)
+        return data.decode("utf-8")
+
+    def line(self) -> str:
+        r"""The next line, up to and including its ``\n``."""
+        return self._checked(self.fh.readline())
+
+    def blocks(self) -> Iterator[str]:
+        """The rest of the file, block by block."""
+        fh = self.fh
+        while data := fh.read(_BLOCK_BYTES):
+            if data[-1] != 0x0A:
+                data += fh.readline()
+            text = self._checked(data)
+            del data  # the bytes go before the caller splits the text
+            yield text
+
+
 _Piece = tuple[int, list[list[str]], int]
 
 
-def _pieces(fh, width: int, idx: list[int]) -> Iterator[_Piece]:
-    """Parse the rows after the header as (rows, wanted columns, rejected) pieces.
+def _pieces(reader: _ByteReader, width: int, idx: list[int]) -> Iterator[_Piece]:
+    r"""Parse the rows after the header as (rows, wanted columns, rejected) pieces.
 
-    Reads text blocks of ``_BLOCK_CHARS`` that end on a line end; from the
-    first ``"`` on, ``csv.reader`` reads the rest of the file.
+    Reads text blocks of ``_BLOCK_BYTES`` that end on a line end; from the
+    first ``"`` on, ``csv.reader`` reads the rest of the file.  A header
+    holding a ``"``, or a ``\r`` other than its line end's, sends the whole
+    file to ``csv.reader``: ``csv`` ends a record at a lone ``\r``, which a
+    byte ``readline`` reads past.
     """
-    if '"' in fh.readline():
-        fh.seek(0)
-        reader = csv.reader(fh)
-        next(reader)
-        yield from _csv_pieces(reader, width, idx)
+    head = reader.line()
+    blocks = reader.blocks()
+    if '"' in head or "\r" in head.removesuffix("\r\n"):
+        records = csv.reader(_lines(chain([head], blocks)))
+        next(records)
+        yield from _csv_pieces(records, width, idx)
         return
-    while block := fh.read(_BLOCK_CHARS):
-        if block[-1] != "\n":
-            block += fh.readline()
+    for block in blocks:
         quote = block.find('"')
         if quote < 0:
             yield _block_piece(block, width, idx)
             continue
         cut = block.rfind("\n", 0, quote) + 1
         yield _block_piece(block[:cut], width, idx)
-        reader = csv.reader(chain(io.StringIO(block[cut:], newline=""), fh))
-        yield from _csv_pieces(reader, width, idx)
+        yield from _csv_pieces(csv.reader(_lines(chain([block[cut:]], blocks))), width, idx)
         return
+
+
+def _lines(texts: Iterable[str]) -> Iterator[str]:
+    r"""The lines of ``texts`` as a text file opened with ``newline=""`` reads
+    them; every text but the last ends in ``\n``, so no line spans two."""
+    return chain.from_iterable(io.StringIO(text, newline="") for text in texts)
 
 
 def _block_piece(block: str, width: int, idx: list[int]) -> _Piece:

@@ -140,12 +140,19 @@ def entropy_bins(
     sample.  Labels are integer class codes or class symbols; symbols are
     coded in sorted order, so codes that follow the sorted symbols give
     the same edges.  Repeatedly splits the leaf interval with the highest
-    remaining class entropy (the leftmost on ties) at the candidate cut
-    (midpoint between adjacent distinct sorted values) that maximizes
-    gain, the leftmost on ties (Fayyad & Irani, *Multi-Interval
-    Discretization of Continuous-Valued Attributes*, IJCAI 1993); stops
-    at ``max_bins`` bins or when no split has positive gain.  Returns
-    strictly increasing edges.
+    remaining class entropy at the candidate cut (midpoint between
+    adjacent distinct sorted values) that maximizes gain (Fayyad & Irani,
+    *Multi-Interval Discretization of Continuous-Valued Attributes*,
+    IJCAI 1993); stops at ``max_bins`` bins or when no split has positive
+    gain.  Returns strictly increasing edges.
+
+    Both choices compare computed floats: the largest computed entropy
+    or gain wins, and the leftmost wins among bit-equal ones.  Two cuts
+    whose gains tie in real arithmetic can differ by rounding, and then
+    the class order of the entropy sums picks the winner, so the edges
+    can depend on the order of the class codes.  Pass 1 codes classes in
+    sorted-symbol order, so its edges never depend on the order in which
+    classes are first seen.
 
     Counts come from one integer prefix-count table over the sorted
     sample: leaf ``[lo, hi)`` counts ``prefix[hi] - prefix[lo]``, and a
@@ -160,11 +167,12 @@ def entropy_bins(
     through a run of same-class groups shifts samples of one class from
     one side to the other, and along that line the weighted child
     entropy is strictly concave (unless the whole leaf is one class, when
-    no cut gains).  So a cut inside the run gains strictly less than the
-    better end of the run, an end that is a boundary point or the leaf's
-    own edge, and the leftmost best cut is always a boundary point
-    (Fayyad & Irani, Machine Learning 1992).  Leaves split only at group
-    boundaries, so one filter over the whole sample serves every leaf.
+    no cut gains).  So in real arithmetic a cut inside the run gains
+    strictly less than the better end of the run, an end that is a
+    boundary point or the leaf's own edge, and the best cut is always a
+    boundary point (Fayyad & Irani, Machine Learning 1992).  Leaves split
+    only at group boundaries, so one filter over the whole sample serves
+    every leaf.
     """
     if max_bins < 1:
         raise ValueError("max_bins must be >= 1")

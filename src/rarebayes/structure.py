@@ -257,7 +257,9 @@ class Encoder:
     A variable's codes come in ``dtypes[var]``, the narrowest unsigned
     dtype that holds its alphabet, MISSING included (``uint8`` up to 256
     symbols, ``uint16`` up to 65,536), as column stores keep dictionary
-    codes (Abadi, Madden & Ferreira, SIGMOD 2006).  Class codes stay
+    codes (Abadi, Madden & Ferreira, SIGMOD 2006).  ``ascii_tables``
+    holds, per categorical variable, a 128-entry table of the code of each
+    ASCII character read as a one-character cell.  Class codes stay
     ``int64``, since an unknown class codes as -1.  Arithmetic on field
     codes must start from an ``int64`` operand: a Python int does not
     widen a ``uint8`` array, so ``codes * k`` would wrap.
@@ -278,10 +280,30 @@ class Encoder:
             spec.name: np.asarray(outcomes.edges(spec.name) or (), dtype=np.float64)
             for spec in schema.continuous_vars
         }
+        self.ascii_tables: dict[str, np.ndarray] = {}
+        for var, codes in self.codes.items():
+            if var not in self.edges:
+                table = np.full(128, self.missing[var], dtype=self.dtypes[var])
+                for sym, code in codes.items():
+                    if len(sym) == 1 and sym.isascii():
+                        table[ord(sym)] = code
+                self.ascii_tables[var] = table
 
     def encode_var(self, name: str, col: list[str]) -> np.ndarray:
-        """Codes of one variable's raw cells."""
+        """Codes of one variable's raw cells.
+
+        A categorical column whose cells are all one ASCII character, as
+        Y/N flags are, is coded from its raw bytes through a 128-entry
+        table (every other character codes MISSING); any other column
+        looks each cell up in the codes dict.  Both give the same codes.
+        """
         if name not in self.edges:
+            try:
+                text = "".join(col)
+            except TypeError:  # a non-str cell: the length test sends it to the dict
+                text = ""
+            if len(text) == len(col) and text.isascii() and all(col):
+                return self.ascii_tables[name][np.frombuffer(text.encode("ascii"), np.uint8)]
             lut = self.codes[name]
             miss = self.missing[name]
             return np.fromiter(
@@ -389,17 +411,30 @@ def _count_pass(
     are read but not counted.  Only the columns the tables name are read
     (:meth:`Encoder.node_chunks`).  A pass with no tables still reads every
     chunk, so each call is exactly one pass.
+
+    Per chunk, the labelled rows of the class and node columns are gathered
+    once (not at all when every row is labelled), and the ``class × first
+    node`` index is computed once for each run of tables that share it, as
+    pass 3's pair tables do; one such prefix is alive at a time.
     """
     counts = {table: np.zeros(_table_shape(enc, table), dtype=np.int64) for table in tables}
     nodes = {node for table in tables for node in table[1:]}
     for _, codes, class_codes in enc.node_chunks(ds, nodes, chunk_rows, enc.encode_class):
         labelled = class_codes >= 0
+        if not labelled.all():
+            class_codes = class_codes[labelled]
+            codes = {node: codes[node][labelled] for node in nodes}
+        head = prefix = None
         for table, table_counts in counts.items():
-            flat = class_codes
-            for node, size in zip(table[1:], table_counts.shape[1:]):
+            if table[:2] != head:
+                head = table[:2]
+                prefix = (class_codes * table_counts.shape[1] + codes[head[1]]
+                          if len(head) == 2 else class_codes)
+            flat = prefix
+            for node, size in zip(table[2:], table_counts.shape[2:]):
                 flat = flat * size + codes[node]
             table_counts += np.bincount(
-                flat[labelled], minlength=table_counts.size
+                flat, minlength=table_counts.size
             ).reshape(table_counts.shape)
     return counts
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rarebayes import DatasetError, classify_file, dataio, generate, parse_schema, train
+from rarebayes import DatasetError, classify_file, dataio, generate, parse_schema, structure, train
 from rarebayes.baselines import fit_from_csv, score_to_csv
 from rarebayes.dataio import CsvDataset
 from rarebayes.synthgen import CategoricalSpec, ContinuousSpec, GenConfig
@@ -80,7 +80,8 @@ def test_two_passes_visit_identical_sequences(tmp_path):
     first = read_records(ds)
     second = read_records(ds, chunk_rows=2)
     assert first == second
-    assert ds.stats.passes == 2
+    assert list(ds.iter_rows()) == first
+    assert ds.stats.passes == 3
 
 
 def test_visitor_sees_full_records(tmp_path):
@@ -130,6 +131,42 @@ def test_same_size_and_mtime_with_other_rows_raises(tmp_path):
     os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
     with pytest.raises(DatasetError, match="1 rejected"):
         read_records(ds)
+
+
+@pytest.mark.parametrize("quoted", [False, True])
+def test_same_size_mtime_and_rows_with_other_cells_raises(tmp_path, quoted):
+    """A cell rewritten to another of the same length, with the mtime put
+    back, leaves size, mtime and row counts as they were; the checksum of
+    the bytes read still tells the passes apart, on the block path and on
+    the csv.reader path alike."""
+    head = '"y",a,b' if quoted else "y,a,b"
+    path = write(tmp_path, f"{head}\ng,1,2\nb,3,4\n")
+    ds = CsvDataset(path)
+    read_records(ds)
+    stat = path.stat()
+    path.write_text(f"{head}\ng,1,2\nb,5,4\n", encoding="utf-8")
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    with pytest.raises(DatasetError, match="changed between passes: pass 2 read bytes"):
+        read_records(ds)
+    assert ds.stats.passes == 1
+
+
+def test_training_rejects_a_cell_rewritten_between_passes(tmp_path):
+    """``train`` raises when one cell changes after pass 1 and the file
+    keeps its size and mtime."""
+    path = write(tmp_path, "y,a,b\n" + "g,1,2\nb,3,4\n" * 50)
+    real_count_pass = structure._count_pass
+
+    def rewrite_then_count(ds, *args):
+        stat = path.stat()
+        path.write_text("y,a,b\n" + "g,1,2\nb,3,4\n" * 49 + "g,1,2\nb,3,5\n",
+                        encoding="utf-8")
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        return real_count_pass(ds, *args)
+
+    with (mock.patch.object(structure, "_count_pass", rewrite_then_count),
+          pytest.raises(DatasetError, match="pass 2 read bytes with CRC-32")):
+        train(SCHEMA, path, seed=1)
 
 
 
@@ -241,7 +278,7 @@ def decode_rows(wanted):
 @given(
     case=csv_files(),
     chunk_rows=st.integers(1, 8),
-    block_chars=st.one_of(st.integers(1, 48), st.just(dataio._BLOCK_CHARS)),
+    block_chars=st.one_of(st.integers(1, 48), st.just(dataio._BLOCK_BYTES)),
     csv_rows=st.one_of(st.integers(1, 4), st.just(dataio._CSV_ROWS)),
     decoded=st.booleans(),
 )
@@ -281,6 +318,15 @@ def decode_rows(wanted):
 # the fast path, reading the column that carries its line-start markers
 @example(case=("c0,c1,c2\r\na,b,c\r\n?,,e\r\nf,g,h\r\n", ["c2", "c0"]), chunk_rows=2,
          block_chars=1 << 20, csv_rows=1024, decoded=False)
+# a lone \r inside the header line, where csv ends the header record
+@example(case=("c0,c1\rx,y\na,b\n", ["c1"]), chunk_rows=8,
+         block_chars=1 << 20, csv_rows=1024, decoded=False)
+# multi-byte characters cut by 1-byte blocks
+@example(case=("c0,c1\n\u00e9,b\nc,\u20ac\u2028\n", ["c0", "c1"]), chunk_rows=1,
+         block_chars=1, csv_rows=1, decoded=False)
+# a header that starts with a UTF-8 byte order mark, which stays in its first name
+@example(case=("\ufeffc0,c1\r\na,b\r\n", ["c1"]), chunk_rows=8,
+         block_chars=1 << 20, csv_rows=1024, decoded=True)
 def test_reader_matches_csv_module(case_dir, case, chunk_rows, block_chars, csv_rows,
                                    decoded):
     """Raw and decoded chunks hold the csv.reader oracle's rows, cut at
@@ -290,7 +336,7 @@ def test_reader_matches_csv_module(case_dir, case, chunk_rows, block_chars, csv_
     path.write_bytes(text.encode("utf-8"))
     columns, rows, rejected = oracle(path, wanted)
     ds = CsvDataset(path)
-    with (mock.patch.object(dataio, "_BLOCK_CHARS", block_chars),
+    with (mock.patch.object(dataio, "_BLOCK_BYTES", block_chars),
           mock.patch.object(dataio, "_CSV_ROWS", csv_rows)):
         chunks = list(ds.iter_chunks(wanted, chunk_rows,
                                      decode_rows(wanted) if decoded else None))
@@ -329,7 +375,7 @@ def test_generated_files_take_the_fast_path(tmp_path, line_end):
     ds = CsvDataset(path)
     wanted = ds.header()
     columns, rows, rejected = oracle(path, wanted)
-    with (mock.patch.object(dataio, "_BLOCK_CHARS", 4096),  # about 20 blocks
+    with (mock.patch.object(dataio, "_BLOCK_BYTES", 4096),  # about 20 blocks
           mock.patch.object(dataio, "_csv_piece", wraps=dataio._csv_piece) as slow):
         chunks = list(ds.iter_chunks(wanted, 1000))
     got = {name: [v for chunk in chunks for v in chunk.columns[name]] for name in wanted}
@@ -350,7 +396,7 @@ def test_decoded_blocks_released_once_joined(tmp_path, chunk_rows):
         return {"a": arr}
 
     got = []
-    with mock.patch.object(dataio, "_BLOCK_CHARS", 64):
+    with mock.patch.object(dataio, "_BLOCK_BYTES", 64):
         for chunk in CsvDataset(path).iter_chunks(["a"], chunk_rows, decode):
             assert len(blocks) > 2
             assert all(ref() is None for ref in blocks)
@@ -367,10 +413,10 @@ def test_outputs_do_not_depend_on_block_size(tmp_path):
     # t_prime 1.0 keeps every candidate node, the lagged ones included
     schema = replace(config.to_schema(), window=3, t_prime=1.0)
     outputs = {}
-    for block_chars in (64, 4096, dataio._BLOCK_CHARS):
+    for block_chars in (64, 4096, dataio._BLOCK_BYTES):
         model_path = tmp_path / f"model{block_chars}.json"
         pred = tmp_path / f"pred{block_chars}.csv"
-        with mock.patch.object(dataio, "_BLOCK_CHARS", block_chars):
+        with mock.patch.object(dataio, "_BLOCK_BYTES", block_chars):
             model = train(schema, data, seed=1)
             model.save(model_path)
             classify_file(model, data, pred, 0.5)

@@ -324,7 +324,7 @@ def test_evaluate_files_matches_list_oracle(data, block_chars):
         preds.insert(bad[0], (bad[1], pool[0]))
     positive = data.draw(st.sampled_from(["b", "g"]))
     with tempfile.TemporaryDirectory() as tmp, \
-            mock.patch.object(dataio, "_BLOCK_CHARS", block_chars):
+            mock.patch.object(dataio, "_BLOCK_BYTES", block_chars):
         pred_path, data_path = Path(tmp) / "pred.csv", Path(tmp) / "data.csv"
         data_path.write_text("n,class\n" + "".join(
             f"{i},{cell}\n" for i, cell in enumerate(class_cells)), encoding="utf-8")

@@ -15,11 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rarebayes import MISSING, parse_schema, symbolize, train
-from rarebayes.dataio import MISSING_CELLS, parse_float_column
+from rarebayes.dataio import MISSING_CELLS, PassStats, parse_float_column
 from rarebayes.baselines import fit_from_csv
 from rarebayes.cli import run
 from rarebayes.outcomes import OutcomeTable, VariableOutcomes
-from rarebayes.structure import Encoder
+from rarebayes.structure import Encoder, NetworkModel
 
 SCHEMA_TEXT = "class y\nvar c categorical\nvar x continuous\nvar z continuous\n"
 NON_FINITE = ("inf", "-inf", "nan", "+Infinity", "-NaN", "1e999")
@@ -119,6 +119,51 @@ def test_encoder_codes_blank_as_missing_in_an_old_alphabet():
     enc = Encoder(schema, outcomes)
     assert enc.encode_var("c", ["", "a", MISSING, "new"]).tolist() == [2, 1, 2, 2]
     assert enc.sizes["c"] == 3
+
+
+# Categorical symbols: one ASCII character, longer, non-ASCII single
+# characters and the old blank outcome.
+SYMBOLS = ("a", "b", "Y", "0", "ab", "\u00e9", "\u2028", "")
+CELLS = st.one_of(st.sampled_from(SYMBOLS + (MISSING, "N", "ba")), st.text(max_size=2))
+NOT_STR = st.one_of(st.none(), st.integers(0, 9), st.just(b"a"), st.just(1.5))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    symbols=st.lists(st.sampled_from(SYMBOLS), unique=True),
+    padding=st.sampled_from([0, 300]),
+    col=st.one_of(st.lists(st.sampled_from(["a", "b", "Y", "N", MISSING])), st.lists(CELLS)),
+    other=st.tuples(st.integers(0, 30), NOT_STR),
+)
+def test_encode_var_matches_dict_lookup(symbols, padding, col, other):
+    """Both categorical coding paths, the byte table for columns of one
+    ASCII character per cell and the dict for the rest, give the dict
+    rule's codes in its dtype, for alphabets on both sides of the
+    ``uint8``/``uint16`` boundary; a cell that is not a ``str`` codes
+    MISSING, in a column and through :func:`symbolize`."""
+    schema = parse_schema("class y\nvar c categorical\n")
+    alphabet = (*symbols, *(f"s{i}" for i in range(padding)), MISSING)
+    outcomes = OutcomeTable(class_var="y", class_symbols=("bad", "good"),
+                            variables={"c": VariableOutcomes(symbols=alphabet)})
+    enc = Encoder(schema, outcomes)
+    miss = len(alphabet) - 1
+    dtype = np.uint8 if miss < 256 else np.uint16
+
+    def expect(cells):
+        return [alphabet.index(cell) if isinstance(cell, str) and cell in alphabet
+                and cell not in MISSING_CELLS else miss for cell in cells]
+
+    at, cell = other
+    for cells in (col, col[:at] + [cell] + col[at:]):
+        got = enc.encode_var("c", cells)
+        assert got.dtype == dtype and got.shape == (len(cells),)
+        assert got.tolist() == expect(cells)
+    model = NetworkModel(
+        schema=schema, seed=0, class_symbols=("bad", "good"), prior=np.array([0.5, 0.5]),
+        outcomes=outcomes, ranked_fields=[], parents={}, cpts={}, fallbacks={},
+        pass_stats=PassStats(),
+    )
+    assert symbolize(model, {"c": cell}) == {"c": MISSING}
 
 
 # a continuous cell: a finite number 4 times in 5, else ``?`` or non-finite text

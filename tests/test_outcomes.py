@@ -132,7 +132,7 @@ class TestCollectOutcomes:
         symbols = [y for y, _ in rows]
         ds = write(tmp_path, "y,v\n" + "".join(f"{y},{v}\n" for y, v in rows))
         schema = parse_schema("class y\nmax_bins 2\nvar v continuous entropy\n")
-        with mock.patch.object(dataio, "_BLOCK_CHARS", 32):
+        with mock.patch.object(dataio, "_BLOCK_BYTES", 32):
             table = collect_outcomes(schema, ds, reservoir_capacity=len(rows))
         assert table.class_symbols == ("a", "m", "z")
         expected = entropy_bins(values, symbols, schema.max_bins)
