@@ -44,6 +44,7 @@ def _parse_grid(spec: str) -> list[float]:
     grid = evaluation.default_grid(start, stop, step)
     if not grid:
         raise ConfigError(f"grid {spec!r} holds no threshold: start is past stop")
+    evaluation.check_grid(grid)
     return grid
 
 
@@ -108,8 +109,8 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    model = structure.load_model(args.model)
     grid = _parse_grid(args.grid)
+    model = structure.load_model(args.model)
     table = inference.count_scores(model, args.data, grid, args.positive)
     rows = evaluation.sweep_rows(table, grid)
     records = int(table.sum())

@@ -70,12 +70,12 @@ Each block's wanted cells go through the caller's decoder as soon as the
 block is split, while they are still in cache, so raw cells never outlive
 their block: a pass holds one block of ``str`` cells and the decoded
 columns (mostly one-byte codes, 8-byte floats in pass 1) of one chunk,
-not a chunk of ``str`` cells.  Decoded blocks are joined and cut into
-chunks of exactly ``chunk_rows`` rows, so the chunk split, on which
-reservoir sampling's random draws depend, depends neither on the path nor
-on the block size.  The decoded blocks are dropped once joined, before
-the caller gets a chunk, so they and their join are never alive together
-while the caller works.
+not a chunk of ``str`` cells.  Whole decoded blocks are joined into a
+chunk once they hold at least ``_CHUNK_ROWS`` rows.  Where a chunk ends
+changes no result: window lags carry across chunk ends, and pass 1's
+reservoirs make one draw per arrival, in turn from one generator.  The
+decoded blocks are dropped once joined, before the caller gets a chunk,
+so they and their join are never alive together while the caller works.
 
 :func:`write_rows` is the one bulk writer.  Output files are in
 ``csv.writer``'s default dialect (minimal quoting, ``\r\n`` line ends),
@@ -104,7 +104,8 @@ MISSING = "?"
 # Raw class or field cells that are MISSING: the token and the empty cell.
 MISSING_CELLS = frozenset((MISSING, ""))
 
-DEFAULT_CHUNK_ROWS = 65536
+# Rows a reader's chunk holds at least, the last chunk excepted.
+_CHUNK_ROWS = 65536
 
 # Bytes per block read; each block is extended to the next line end and
 # decoded once.
@@ -199,15 +200,11 @@ class CsvDataset:
             columns = [chunk.columns[name] for name in header]
             yield from (dict(zip(header, row)) for row in zip(*columns))
 
-    def iter_chunks(
-        self,
-        wanted: list[str],
-        chunk_rows: int = DEFAULT_CHUNK_ROWS,
-        decode: Decoder | None = None,
-    ) -> Iterator[Chunk]:
+    def iter_chunks(self, wanted: list[str], decode: Decoder | None = None) -> Iterator[Chunk]:
         """Yield column-major chunks of the requested columns; count one pass.
 
-        Every chunk holds exactly ``chunk_rows`` rows but the last.  Without
+        A chunk is whole blocks joined once they hold at least
+        ``_CHUNK_ROWS`` rows; the last chunk holds the rest.  Without
         ``decode`` its columns are lists of raw cells.  With it, each block
         of raw rows goes through ``decode`` as soon as it is split, and the
         chunk's ``columns`` are the decoded blocks joined: arrays
@@ -230,25 +227,19 @@ class CsvDataset:
                     parts.append(block if decode is None else decode(Chunk(block, size)))
                     del block, columns  # raw cells do not outlive their block
                     held += size
-                    if held < chunk_rows:
-                        continue
-                    joined = _join(parts)
-                    whole = held - held % chunk_rows
-                    held -= whole
-                    rows += whole
-                    # the blocks go once joined, before the caller gets a chunk
-                    parts = [_take(joined, whole, whole + held)] if held else []
-                    for start in range(0, whole, chunk_rows):
-                        yield Chunk(_take(joined, start, start + chunk_rows), chunk_rows)
+                    if held >= _CHUNK_ROWS:
+                        rows += held
+                        # the blocks go once joined, before the caller gets a chunk
+                        chunk, parts, held = Chunk(_join(parts), held), [], 0
+                        yield chunk
             except UnicodeDecodeError as exc:
                 raise DatasetError(f"{self.path} is not UTF-8 text: {exc}") from exc
             except csv.Error as exc:
                 raise DatasetError(f"{self.path} is not readable CSV: {exc}") from exc
             if held:
                 rows += held
-                last = Chunk(_join(parts), held)
-                del parts
-                yield last
+                chunk, parts = Chunk(_join(parts), held), []
+                yield chunk
         self._end_pass(stat, rows, rejected, reader.crc)
 
     def _begin_pass(self, fh) -> os.stat_result:
@@ -407,13 +398,6 @@ def _join(parts: list) -> Any:
     if isinstance(first, np.ndarray):
         return np.concatenate(parts)
     return list(chain.from_iterable(parts))
-
-
-def _take(part: Any, start: int, stop: int) -> Any:
-    """Rows ``start:stop`` of a decoded value."""
-    if isinstance(part, dict):
-        return {key: _take(value, start, stop) for key, value in part.items()}
-    return None if part is None else part[start:stop]
 
 
 def as_dataset(data: str | Path | CsvDataset) -> CsvDataset:

@@ -188,6 +188,15 @@ def default_grid(start: float = 0.10, stop: float = 0.90, step: float = 0.05) ->
     return grid
 
 
+def check_grid(grid: Sequence[float]) -> None:
+    """Raise :class:`EvaluationError` unless the thresholds of ``grid`` lie
+    strictly inside (0, 1) and strictly increase."""
+    if any(not 0.0 < t < 1.0 for t in grid):
+        raise EvaluationError("grid thresholds must lie strictly inside (0, 1)")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise EvaluationError("grid thresholds must be strictly increasing")
+
+
 def grid_buckets(scores: np.ndarray, grid: Sequence[float]) -> np.ndarray:
     """How many thresholds of the increasing ``grid`` each score reaches
     (score >= threshold).  A NaN score ranks below every threshold."""
@@ -201,10 +210,7 @@ def sweep_rows(table: np.ndarray, grid: Sequence[float]) -> list[FCVRow]:
     the grid must be strictly increasing inside (0, 1)."""
     if not table.any():
         raise EvaluationError("sweep needs at least one scored record")
-    if any(not 0.0 < t < 1.0 for t in grid):
-        raise EvaluationError("grid thresholds must lie strictly inside (0, 1)")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise EvaluationError("grid thresholds must be strictly increasing")
+    check_grid(grid)
     return [fcv(counts, t) for counts, t in zip(table_counts(table), grid)]
 
 

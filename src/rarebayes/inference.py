@@ -247,7 +247,6 @@ def iter_scored(
     model: NetworkModel,
     data: str | Path | CsvDataset,
     *,
-    chunk_rows: int = 65536,
     positive: str | None = None,
 ) -> Iterator[ScoredChunk]:
     """Score every well-formed record of a CSV in file order.
@@ -267,7 +266,7 @@ def iter_scored(
     radices = [model.encoder.sizes[rf.var] for rf in model.ranked_fields]
     offset = 0
     labels = None if positive is None else _positive_codes(positive)
-    chunks = model.encoder.node_chunks(ds, nodes, chunk_rows, labels)
+    chunks = model.encoder.node_chunks(ds, nodes, labels)
     for n, codes, raw in chunks:
         first, inverse = _dense_ids(n, [codes[node] for node in nodes], radices)
         probs, skip = score_codes(
@@ -297,8 +296,6 @@ def classify_file(
     out_path: str | Path,
     threshold: float,
     positive: str | None = None,
-    *,
-    chunk_rows: int = 65536,
 ) -> dict:
     """Score a CSV and write the classification file.
 
@@ -318,7 +315,7 @@ def classify_file(
             + [f"p_{c}" for c in model.class_symbols]
             + ["label", "skipped_nodes"]
         )
-        for scored in iter_scored(model, data, chunk_rows=chunk_rows):
+        for scored in iter_scored(model, data):
             # one "p_…,label,skipped_nodes" tail per distinct configuration
             labels = _label_columns(scored.config_probabilities, pos_idx, threshold)
             rendered, pattern = _skip_patterns(nodes, scored.config_skipped)
@@ -356,8 +353,6 @@ def count_scores(
     data: str | Path | CsvDataset,
     grid: Sequence[float],
     positive: str | None = None,
-    *,
-    chunk_rows: int = 65536,
 ) -> np.ndarray:
     """A threshold sweep's count table: records per (grid bucket, actual is
     positive), ``(len(grid) + 1, 2)``, for :func:`~rarebayes.evaluation.sweep_rows`.
@@ -370,7 +365,7 @@ def count_scores(
     """
     positive, pos_idx = _positive_index(model, positive)
     table = np.zeros((len(grid) + 1, 2), dtype=np.int64)
-    for scored in iter_scored(model, data, chunk_rows=chunk_rows, positive=positive):
+    for scored in iter_scored(model, data, positive=positive):
         buckets = grid_buckets(scored.config_probabilities[:, pos_idx], grid)
         keep = scored.actuals >= 0
         table += count_table(buckets[scored.inverse[keep]], scored.actuals[keep], len(grid) + 1)

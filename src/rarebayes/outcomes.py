@@ -9,10 +9,13 @@ holds a missing cell.
 
 Pass 1 decodes each block of rows as the reader splits it: it grows the
 categorical alphabets, parses the continuous cells, and codes the class
-column in first-seen order with MISSING as -1.  Per chunk it then feeds
-each continuous variable's non-missing values from labelled rows, with
-those codes, to an array-backed reservoir: a float64 value array and an
-integer code array.  After the pass the codes
+column in first-seen order with MISSING as -1; a categorical alphabet
+or the class alphabet past ``MAX_CATEGORIES`` outcomes raises.  Per chunk
+it then feeds each continuous variable's non-missing values from
+labelled rows, with those codes, to an array-backed reservoir of
+``RESERVOIR_CAPACITY`` entries: a float64 value array and an integer
+code array.  The reservoir makes one draw per arrival, so its sample
+does not depend on where the chunks end.  After the pass the codes
 are renumbered to sorted class-symbol order, so entropy binning counts
 its classes in the same columns, and so gives the same edges, as binning
 on the symbols themselves.
@@ -41,8 +44,10 @@ from .dataio import MISSING, MISSING_CELLS, Chunk, ClassCodes, CsvDataset, parse
 from .errors import CardinalityError
 from .schema import Schema
 
-DEFAULT_RESERVOIR_CAPACITY = 100_000
-DEFAULT_MAX_CATEGORIES = 10_000
+# Pass 1's sizes: labelled values kept per continuous variable, and the
+# most distinct outcomes a categorical variable or the class may have.
+RESERVOIR_CAPACITY = 100_000
+MAX_CATEGORIES = 10_000
 
 
 @dataclass(frozen=True)
@@ -84,9 +89,11 @@ class ReservoirSample:
     float64 array and ``labels`` the matching integer class codes.  Each
     :meth:`extend` fills free room by slice, then makes one
     ``integers(0, arrivals)`` draw for the remaining items and applies the
-    hits as one masked assignment.  The sample is deterministic for a
-    fixed seed and input order, which makes the resulting bin edges
-    reproducible.
+    hits as one masked assignment.  That is one draw per arrival, taken
+    in turn from the generator's stream, so the sample depends on the
+    seed and the input order but not on how the input is split into
+    :meth:`extend` calls, and the resulting bin edges do not depend on
+    where the reader's chunks end.
     """
 
     def __init__(self, capacity: int, seed: int):
@@ -273,16 +280,14 @@ def collect_outcomes(
     dataset: CsvDataset,
     *,
     seed: int = 0,
-    reservoir_capacity: int = DEFAULT_RESERVOIR_CAPACITY,
-    max_categories: int = DEFAULT_MAX_CATEGORIES,
 ) -> OutcomeTable:
     """Build every variable's outcome alphabet in exactly one dataset pass.
 
     Categorical alphabets are the observed values plus MISSING, capped at
-    ``max_categories``; so is the class alphabet, checked per chunk before
+    ``MAX_CATEGORIES``; so is the class alphabet, checked per block before
     any reservoir or binning table is sized by it.  Continuous variables
     keep a class-labeled reservoir (per-variable, capacity
-    ``reservoir_capacity``) and are cut by their declared discretizer
+    ``RESERVOIR_CAPACITY``) and are cut by their declared discretizer
     afterwards.  Records whose class value is missing still contribute
     categorical outcomes but are excluded from the supervised reservoirs.
     """
@@ -291,7 +296,7 @@ def collect_outcomes(
     observed: dict[str, set[str]] = {name: set() for name in cat_vars}
     class_coder = ClassCodes()
     reservoirs = {
-        name: ReservoirSample(reservoir_capacity, variable_seed(seed, name))
+        name: ReservoirSample(RESERVOIR_CAPACITY, variable_seed(seed, name))
         for name in cont_vars
     }
 
@@ -299,17 +304,17 @@ def collect_outcomes(
         """Class codes and continuous values of a block; alphabets grow here."""
         # codes in first-seen order, stable across blocks; MISSING is -1
         class_codes = class_coder(block.columns[schema.class_var])
-        if len(class_coder.labels) > max_categories:
+        if len(class_coder.labels) > MAX_CATEGORIES:
             raise CardinalityError(
                 f"class variable {schema.class_var!r} exceeds "
-                f"{max_categories} distinct outcomes"
+                f"{MAX_CATEGORIES} distinct outcomes"
             )
         for name in cat_vars:
             observed[name].update(block.columns[name])
             observed[name].difference_update(MISSING_CELLS)
-            if len(observed[name]) > max_categories:
+            if len(observed[name]) > MAX_CATEGORIES:
                 raise CardinalityError(
-                    f"variable {name!r} exceeds {max_categories} distinct outcomes"
+                    f"variable {name!r} exceeds {MAX_CATEGORIES} distinct outcomes"
                 )
         decoded = {name: parse_float_column(block.columns[name]) for name in cont_vars}
         decoded[schema.class_var] = class_codes

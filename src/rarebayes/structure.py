@@ -324,18 +324,13 @@ class Encoder:
     def encode_chunk(
         self,
         chunk: Chunk,
-        names: Sequence[str] | None = None,
-        labels: Callable[[list[str]], np.ndarray] | None = None,
+        names: Sequence[str],
+        labels: Callable[[list[str]], np.ndarray] | None,
     ):
-        """Codes for the field variables ``names`` (default: all), the class
-        column's codes by ``labels`` (default: :meth:`encode_class`) when the
-        chunk holds the class column, and the group keys."""
-        if names is None:
-            names = [v.name for v in self.schema.field_vars]
+        """Codes for the field variables ``names``, the class column's codes
+        by ``labels`` (None without ``labels``), and the group keys."""
         var_codes = {name: self.encode_var(name, chunk.columns[name]) for name in names}
-        class_codes = None
-        if self.schema.class_var in chunk.columns:
-            class_codes = (labels or self.encode_class)(chunk.columns[self.schema.class_var])
+        class_codes = None if labels is None else labels(chunk.columns[self.schema.class_var])
         groups = (
             chunk.columns.get(self.schema.group_key)
             if self.schema.group_key
@@ -347,7 +342,6 @@ class Encoder:
         self,
         ds: CsvDataset,
         nodes: Iterable[str],
-        chunk_rows: int,
         labels: Callable[[list[str]], np.ndarray] | None = None,
     ) -> Iterator[tuple[int, dict[str, np.ndarray], np.ndarray | None]]:
         """One pass over ``ds``, yielding ``(rows, codes, class codes)`` per chunk.
@@ -380,7 +374,7 @@ class Encoder:
             codes, class_codes, groups = self.encode_chunk(block, names, labels)
             return {"codes": codes, "labels": class_codes, "groups": groups}
 
-        for chunk in ds.iter_chunks(wanted, chunk_rows, decode):
+        for chunk in ds.iter_chunks(wanted, decode):
             decoded = chunk.columns
             codes = decoded["codes"]
             if lagged:
@@ -402,7 +396,6 @@ def _count_pass(
     ds: CsvDataset,
     enc: Encoder,
     tables: list[tuple[str, ...]],
-    chunk_rows: int,
 ) -> dict[tuple[str, ...], np.ndarray]:
     """One dataset pass filling a count table for each axis tuple in ``tables``.
 
@@ -419,7 +412,7 @@ def _count_pass(
     """
     counts = {table: np.zeros(_table_shape(enc, table), dtype=np.int64) for table in tables}
     nodes = {node for table in tables for node in table[1:]}
-    for _, codes, class_codes in enc.node_chunks(ds, nodes, chunk_rows, enc.encode_class):
+    for _, codes, class_codes in enc.node_chunks(ds, nodes, enc.encode_class):
         labelled = class_codes >= 0
         if not labelled.all():
             class_codes = class_codes[labelled]
@@ -545,9 +538,6 @@ def train(
     data: str | Path | CsvDataset,
     *,
     seed: int = 0,
-    reservoir_capacity: int = 100_000,
-    max_categories: int = 10_000,
-    chunk_rows: int = 65536,
 ) -> NetworkModel:
     """Train a network in exactly four dataset passes.
 
@@ -558,13 +548,7 @@ def train(
     ds = as_dataset(data)
     ds.require_columns(ds.schema_columns(schema, require_class=True))
 
-    outcomes = collect_outcomes(
-        schema,
-        ds,
-        seed=seed,
-        reservoir_capacity=reservoir_capacity,
-        max_categories=max_categories,
-    )
+    outcomes = collect_outcomes(schema, ds, seed=seed)
     if len(outcomes.class_symbols) < 2:
         raise TrainingError(
             f"class column {schema.class_var!r} needs >= 2 observed outcomes, "
@@ -579,9 +563,7 @@ def train(
             f"({pass2_cells} cells) would exceed max_model_cells={schema.max_model_cells}"
         )
 
-    counts = _count_pass(
-        ds, enc, [("class", node_id(v, s)) for v, s in node_order(schema)], chunk_rows
-    )
+    counts = _count_pass(ds, enc, [("class", node_id(v, s)) for v, s in node_order(schema)])
     scores = [
         MIScore(subject=table[1], value=mutual_information(JointCounts(table, c)))
         for table, c in counts.items()
@@ -600,7 +582,7 @@ def train(
         for b in nodes[i + 1:]
     } if schema.max_parents > 0 else {}
     _check_budget(schema, enc, pairs)
-    counts = _count_pass(ds, enc, list(pairs.values()), chunk_rows)
+    counts = _count_pass(ds, enc, list(pairs.values()))
     pair_scores = [
         MIScore(subject=table[1:], value=conditional_mutual_information(JointCounts(table, c)))
         for table, c in counts.items()
@@ -617,9 +599,7 @@ def train(
         if parent is not None
     }
     _check_budget(schema, enc, cpt_tables, counted_first=fallback_tables)
-    counts = _count_pass(
-        ds, enc, [("class",), *fallback_tables, *cpt_tables.values()], chunk_rows
-    )
+    counts = _count_pass(ds, enc, [("class",), *fallback_tables, *cpt_tables.values()])
     cpts, fallbacks, prior = estimate_cpts(
         {table[2]: counts[table] for table in cpt_tables.values()},
         {table[1]: counts[table] for table in fallback_tables},

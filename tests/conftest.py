@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from rarebayes import dataio, outcomes
 from rarebayes.dataio import CsvDataset
 from rarebayes.schema import Schema, parse_schema
 from rarebayes.structure import NetworkModel, train
@@ -30,6 +31,25 @@ def _bundle(config, out_dir, **schema_overrides) -> Bundle:
     if schema_overrides:
         schema = replace(schema, **schema_overrides)
     return Bundle(result=result, schema=schema)
+
+
+@pytest.fixture
+def sizes(monkeypatch):
+    """Set the reader's and pass 1's size constants for the rest of a test:
+    ``sizes(chunk_rows=7, block_bytes=1)`` and so on.  One-byte blocks end
+    at every line, so each block holds at most one row."""
+    constants = {
+        "chunk_rows": (dataio, "_CHUNK_ROWS"),
+        "block_bytes": (dataio, "_BLOCK_BYTES"),
+        "reservoir_capacity": (outcomes, "RESERVOIR_CAPACITY"),
+        "max_categories": (outcomes, "MAX_CATEGORIES"),
+    }
+
+    def set_sizes(**values: int) -> None:
+        for key, value in values.items():
+            monkeypatch.setattr(*constants[key], value)
+
+    return set_sizes
 
 
 @pytest.fixture(scope="session")

@@ -203,6 +203,23 @@ def test_non_finite_grid_is_runtime_error(workdir, capsys, grid):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("grid, message", [
+    ("0:0.9:0.1", "grid thresholds must lie strictly inside (0, 1)"),
+    ("0.1:0.1000000002:6e-11", "grid thresholds must be strictly increasing"),
+])
+def test_invalid_grid_fails_before_reading_data(workdir, tmp_path, capsys, grid, message):
+    # the grid used to be checked only once the whole file was scored, so a
+    # missing data file hid the grid error
+    code = run([
+        "sweep", "--model", str(workdir / "model.json"),
+        "--data", str(tmp_path / "absent.csv"),
+        "--grid", grid, "--out", str(tmp_path / "x.json"),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_empty_grid_is_runtime_error(workdir, tmp_path, capsys):
     # a start past the stop used to write a report with no rows
     code = run([

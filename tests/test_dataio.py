@@ -27,23 +27,24 @@ def write(tmp_path, text, name="data.csv"):
     return path
 
 
-def read_records(ds, chunk_rows=65536):
+def read_records(ds):
     """One full pass over every column, after checking the header covers
     SCHEMA; returns the rows as header-keyed dicts."""
     ds.require_columns(ds.schema_columns(SCHEMA))
     header = ds.header()
     records = []
-    for chunk in ds.iter_chunks(header, chunk_rows):
+    for chunk in ds.iter_chunks(header):
         records.extend(
             dict(zip(header, row)) for row in zip(*(chunk.columns[c] for c in header))
         )
     return records
 
 
-def test_pass_accounting_clean_file(tmp_path):
+def test_pass_accounting_clean_file(tmp_path, sizes):
     rows = "\n".join(f"g,v{i},w{i}" for i in range(1000))
     ds = CsvDataset(write(tmp_path, f"y,a,b\n{rows}\n"))
-    read_records(ds, chunk_rows=300)
+    sizes(chunk_rows=300, block_bytes=1)
+    read_records(ds)
     stats = ds.stats
     assert (stats.passes, stats.rows, stats.rejected) == (1, 1000, 0)
 
@@ -75,10 +76,11 @@ def test_unreadable_source():
         ds.header()
 
 
-def test_two_passes_visit_identical_sequences(tmp_path):
+def test_two_passes_visit_identical_sequences(tmp_path, sizes):
     ds = CsvDataset(write(tmp_path, "y,a,b\ng,1,2\nb,3,4\ng,5,6\n"))
     first = read_records(ds)
-    second = read_records(ds, chunk_rows=2)
+    sizes(chunk_rows=2, block_bytes=1)
+    second = read_records(ds)
     assert first == second
     assert list(ds.iter_rows()) == first
     assert ds.stats.passes == 3
@@ -102,20 +104,23 @@ def test_blank_lines_skipped_silently(tmp_path):
     assert (ds.stats.rows, ds.stats.rejected) == (2, 0)
 
 
-def test_chunked_matches_row_wise(tmp_path):
+def test_chunked_matches_row_wise(tmp_path, sizes):
     text = "y,a,b\n" + "".join(f"g,v{i},w{i % 3}\n" for i in range(257))
     ds = CsvDataset(write(tmp_path, text))
-    rows = read_records(ds, chunk_rows=1)
+    sizes(chunk_rows=1, block_bytes=1)
+    rows = read_records(ds)
     chunked_a = []
-    for chunk in ds.iter_chunks(["a"], chunk_rows=100):
+    sizes(chunk_rows=100)
+    for chunk in ds.iter_chunks(["a"]):
         chunked_a.extend(chunk.columns["a"])
     assert chunked_a == [r["a"] for r in rows]
     assert ds.stats.passes == 2
 
 
-def test_abandoned_iteration_counts_no_pass(tmp_path):
+def test_abandoned_iteration_counts_no_pass(tmp_path, sizes):
     ds = CsvDataset(write(tmp_path, "y,a,b\ng,1,2\nb,3,4\n"))
-    it = ds.iter_chunks(["a"], chunk_rows=1)
+    sizes(chunk_rows=1, block_bytes=1)
+    it = ds.iter_chunks(["a"])
     next(it)
     del it
     assert ds.stats.passes == 0
@@ -329,20 +334,21 @@ def decode_rows(wanted):
          block_chars=1 << 20, csv_rows=1024, decoded=True)
 def test_reader_matches_csv_module(case_dir, case, chunk_rows, block_chars, csv_rows,
                                    decoded):
-    """Raw and decoded chunks hold the csv.reader oracle's rows, cut at
-    exactly ``chunk_rows`` whatever the block sizes."""
+    """Raw and decoded chunks hold the csv.reader oracle's rows, and every
+    chunk but the last holds at least ``chunk_rows`` of them, whatever the
+    block sizes."""
     text, wanted = case
     path = case_dir / "case.csv"
     path.write_bytes(text.encode("utf-8"))
     columns, rows, rejected = oracle(path, wanted)
     ds = CsvDataset(path)
     with (mock.patch.object(dataio, "_BLOCK_BYTES", block_chars),
-          mock.patch.object(dataio, "_CSV_ROWS", csv_rows)):
-        chunks = list(ds.iter_chunks(wanted, chunk_rows,
-                                     decode_rows(wanted) if decoded else None))
+          mock.patch.object(dataio, "_CSV_ROWS", csv_rows),
+          mock.patch.object(dataio, "_CHUNK_ROWS", chunk_rows)):
+        chunks = list(ds.iter_chunks(wanted, decode_rows(wanted) if decoded else None))
     sizes = [chunk.size for chunk in chunks]
-    assert sizes == [chunk_rows] * (rows // chunk_rows) + (
-        [rows % chunk_rows] if rows % chunk_rows else [])
+    assert sum(sizes) == rows and all(sizes)
+    assert all(size >= chunk_rows for size in sizes[:-1])
     if decoded:
         expected = list(zip(*(columns[name] for name in wanted))) if wanted else [()] * rows
         for chunk in chunks:
@@ -363,7 +369,7 @@ def test_reader_matches_csv_module(case_dir, case, chunk_rows, block_chars, csv_
 
 
 @pytest.mark.parametrize("line_end", ["\r\n", "\n"])
-def test_generated_files_take_the_fast_path(tmp_path, line_end):
+def test_generated_files_take_the_fast_path(tmp_path, sizes, line_end):
     r"""A generated file (``\r\n`` line ends) and a ``\n`` copy of it are
     read without ``csv.reader``, every column as the csv module reads it.
     The equivalence property cannot see a fast path that never fires."""
@@ -375,16 +381,17 @@ def test_generated_files_take_the_fast_path(tmp_path, line_end):
     ds = CsvDataset(path)
     wanted = ds.header()
     columns, rows, rejected = oracle(path, wanted)
+    sizes(chunk_rows=1000)
     with (mock.patch.object(dataio, "_BLOCK_BYTES", 4096),  # about 20 blocks
           mock.patch.object(dataio, "_csv_piece", wraps=dataio._csv_piece) as slow):
-        chunks = list(ds.iter_chunks(wanted, 1000))
+        chunks = list(ds.iter_chunks(wanted))
     got = {name: [v for chunk in chunks for v in chunk.columns[name]] for name in wanted}
     assert slow.call_count == 0
     assert (got, rows, rejected) == (columns, 3000, 0)
 
 
 @pytest.mark.parametrize("chunk_rows", [300, 65536])
-def test_decoded_blocks_released_once_joined(tmp_path, chunk_rows):
+def test_decoded_blocks_released_once_joined(tmp_path, sizes, chunk_rows):
     """When a chunk reaches the caller, no decoded block it was joined
     from is still alive, the last chunk's included."""
     path = write(tmp_path, "a\n" + "".join(f"{i}\n" for i in range(1000)))
@@ -396,8 +403,9 @@ def test_decoded_blocks_released_once_joined(tmp_path, chunk_rows):
         return {"a": arr}
 
     got = []
+    sizes(chunk_rows=chunk_rows)
     with mock.patch.object(dataio, "_BLOCK_BYTES", 64):
-        for chunk in CsvDataset(path).iter_chunks(["a"], chunk_rows, decode):
+        for chunk in CsvDataset(path).iter_chunks(["a"], decode):
             assert len(blocks) > 2
             assert all(ref() is None for ref in blocks)
             got += chunk.columns["a"].tolist()

@@ -337,7 +337,8 @@ def test_evaluate_files_matches_list_oracle(data, block_chars):
 
 
 @pytest.mark.parametrize("chunk_rows", [7, 65536])
-def test_count_scores_matches_list_oracle(messy_bundle, messy_model, tmp_path, chunk_rows):
+def test_count_scores_matches_list_oracle(messy_bundle, messy_model, tmp_path, sizes,
+                                         chunk_rows):
     """The sweep's per-chunk table over configurations equals the sorted
     per-record sweep, with MISSING actuals and a label unseen in training,
     on a grid that holds an exact posterior."""
@@ -356,6 +357,7 @@ def test_count_scores_matches_list_oracle(messy_bundle, messy_model, tmp_path, c
     keep = ~missing_mask(cells)
     grid = sorted({0.1, 0.5, 0.9, float(probs[keep][0])})
     want = sweep_oracle(probs[keep], list(compress(cells, keep)), positive, grid)
-    table = count_scores(messy_model, CsvDataset(path), grid, chunk_rows=chunk_rows)
+    sizes(chunk_rows=chunk_rows, block_bytes=1)
+    table = count_scores(messy_model, CsvDataset(path), grid)
     assert sweep_rows(table, grid) == want
     assert int(table.sum()) == int(keep.sum())

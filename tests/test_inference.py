@@ -1,6 +1,7 @@
 import csv
 import math
 from bisect import bisect_right
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from rarebayes import (
     symbolize,
     train,
 )
+from rarebayes import dataio
 from rarebayes.dataio import CsvDataset, PassStats
 from rarebayes.inference import SKIP_REASONS, _dense_ids, iter_scored, score_codes
 from rarebayes.outcomes import OutcomeTable, VariableOutcomes, bin_symbol
@@ -310,7 +312,8 @@ def expansions(records, schema, tmp_path):
 
     ``oracle`` is :func:`window_expand`; ``node_chunks@<rows>`` decodes the
     code columns :meth:`Encoder.node_chunks` yields for every candidate
-    node when the same records are read from a CSV ``<rows>`` at a time.
+    node when the same records are read from a CSV ``<rows>`` at a time
+    (one row per block).
     """
     columns = [schema.class_var] + ([schema.group_key] if schema.group_key else [])
     columns += schema.var_names
@@ -335,7 +338,9 @@ def expansions(records, schema, tmp_path):
     enc = Encoder(schema, outcomes)
     for chunk_rows in (1, 65536):
         cases = []
-        chunks = enc.node_chunks(CsvDataset(path), nodes, chunk_rows, enc.encode_class)
+        with (mock.patch.object(dataio, "_CHUNK_ROWS", chunk_rows),
+              mock.patch.object(dataio, "_BLOCK_BYTES", 1)):
+            chunks = list(enc.node_chunks(CsvDataset(path), nodes, enc.encode_class))
         for n, codes, class_codes in chunks:
             for i in range(n):
                 values = {node: outcomes.symbols(node_var_slot(node)[0])[codes[node][i]]
@@ -422,7 +427,7 @@ class TestBatchEquivalence:
         model = train(schema, CsvDataset(path))
         assert_batch_matches_oracle(model, path)
 
-    def test_lagged_node_without_its_slot_zero(self, tmp_path):
+    def test_lagged_node_without_its_slot_zero(self, tmp_path, sizes):
         # y depends on the group's previous a, and on the current b only
         rng = np.random.default_rng(21)
         lines = ["cust,y,a,b"]
@@ -447,7 +452,8 @@ class TestBatchEquivalence:
         outputs = []
         for chunk_rows in (1, 7, 65536):
             out = tmp_path / f"pred{chunk_rows}.csv"
-            classify_file(model, path, out, 0.5, chunk_rows=chunk_rows)
+            sizes(chunk_rows=chunk_rows, block_bytes=1)
+            classify_file(model, path, out, 0.5)
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
         assert_batch_matches_oracle(model, path)
@@ -597,7 +603,10 @@ def test_duplicated_rows_score_as_a_batch_of_one(dup_dir, drawn, data):
     once, many = dup_dir / "once.csv", dup_dir / "many.csv"
     write_cases(once, model, distinct)
     write_cases(many, model, batch)
-    scored = list(iter_scored(model, many, chunk_rows=chunk_rows))
+    with (mock.patch.object(dataio, "_CHUNK_ROWS", chunk_rows),
+          mock.patch.object(dataio, "_BLOCK_BYTES", 1)):
+        scored = list(iter_scored(model, many))
+        summary = classify_file(model, many, dup_dir / "many.out", 0.5)
     probs = np.vstack([s.probabilities for s in scored])
     skips = np.vstack([s.skipped for s in scored])
     assert len(probs) == len(batch)
@@ -606,7 +615,6 @@ def test_duplicated_rows_score_as_a_batch_of_one(dup_dir, drawn, data):
         assert np.array_equal(probs[i], post.probabilities), f"row {i}"
         assert skip_log(model, skips[i]) == post.skipped, f"row {i}"
     classify_file(model, once, dup_dir / "once.out", 0.5)
-    summary = classify_file(model, many, dup_dir / "many.out", 0.5, chunk_rows=chunk_rows)
     expected = line_tails(dup_dir / "once.out")
     got = line_tails(dup_dir / "many.out")
     assert got == [expected[k] for k in picks]

@@ -1,5 +1,4 @@
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +15,7 @@ from rarebayes import (
     symbolize,
     train,
 )
-from rarebayes import dataio, outcomes
+from rarebayes import outcomes
 from rarebayes.dataio import CsvDataset, PassStats, parse_float_column
 from rarebayes.outcomes import OutcomeTable, ReservoirSample, VariableOutcomes, bin_symbol
 from rarebayes.structure import Encoder, NetworkModel
@@ -84,28 +83,30 @@ class TestCollectOutcomes:
         table = collect_outcomes(MIXED, ds)
         assert table.class_symbols == ("b", "g")
 
-    def test_cardinality_cap(self, tmp_path):
+    def test_cardinality_cap(self, tmp_path, sizes):
         rows = "".join(f"g,v{i},1\n" for i in range(30))
         ds = write(tmp_path, "y,color,amount\n" + rows)
+        sizes(max_categories=10)
         with pytest.raises(CardinalityError, match="color"):
-            collect_outcomes(MIXED, ds, max_categories=10)
+            collect_outcomes(MIXED, ds)
 
     @pytest.mark.parametrize("schema_text", [
         "class y\nvar color categorical\n",
         "class y\nvar color categorical\nvar amount continuous entropy\n",
     ], ids=["categorical-only", "with-continuous"])
-    def test_class_alphabet_capped(self, tmp_path, schema_text):
+    def test_class_alphabet_capped(self, tmp_path, sizes, schema_text):
         rows = "".join(f"c{i % 5},a,{i}\n" for i in range(50))
         ds = write(tmp_path, "y,color,amount\n" + rows)
+        sizes(max_categories=3)
         with pytest.raises(CardinalityError, match="class variable 'y'"):
-            train(parse_schema(schema_text), ds, max_categories=3)
+            train(parse_schema(schema_text), ds)
 
     def test_all_missing_continuous_column(self, tmp_path):
         ds = write(tmp_path, "y,color,amount\ng,a,?\nb,b,?\n")
         table = collect_outcomes(MIXED, ds)
         assert table.edges("amount") == ()
 
-    def test_supervised_bins_deterministic_for_seed(self, tmp_path):
+    def test_supervised_bins_deterministic_for_seed(self, tmp_path, sizes):
         rng = np.random.default_rng(0)
         rows = "".join(
             f"{'g' if rng.random() < 0.8 else 'b'},a,{rng.normal():.4f}\n"
@@ -114,12 +115,13 @@ class TestCollectOutcomes:
         ds1 = write(tmp_path, "y,color,amount\n" + rows)
         t1 = collect_outcomes(MIXED, ds1, seed=42)
         t2 = collect_outcomes(MIXED, ds1, seed=42)
-        t3 = collect_outcomes(MIXED, ds1, seed=43, reservoir_capacity=100)
-        t4 = collect_outcomes(MIXED, ds1, seed=43, reservoir_capacity=100)
+        sizes(reservoir_capacity=100)
+        t3 = collect_outcomes(MIXED, ds1, seed=43)
+        t4 = collect_outcomes(MIXED, ds1, seed=43)
         assert t1.edges("amount") == t2.edges("amount")
         assert t3.edges("amount") == t4.edges("amount")
 
-    def test_class_codes_renumbered_to_sorted_symbols(self, tmp_path):
+    def test_class_codes_renumbered_to_sorted_symbols(self, tmp_path, sizes):
         # "z" and "m" open the file (reverse-sorted) and "a" is first seen in
         # a later block, so pass 1's first-seen codes are z=0, m=1, a=2.  On
         # this sample the two best cuts (1.5 and 4.5) tie in exact arithmetic,
@@ -132,8 +134,8 @@ class TestCollectOutcomes:
         symbols = [y for y, _ in rows]
         ds = write(tmp_path, "y,v\n" + "".join(f"{y},{v}\n" for y, v in rows))
         schema = parse_schema("class y\nmax_bins 2\nvar v continuous entropy\n")
-        with mock.patch.object(dataio, "_BLOCK_BYTES", 32):
-            table = collect_outcomes(schema, ds, reservoir_capacity=len(rows))
+        sizes(block_bytes=32, reservoir_capacity=len(rows))
+        table = collect_outcomes(schema, ds)
         assert table.class_symbols == ("a", "m", "z")
         expected = entropy_bins(values, symbols, schema.max_bins)
         assert table.edges("v") == expected
@@ -427,6 +429,33 @@ class TestReservoir:
             res.extend(values, labels)
             oracle.extend(values, labels.tolist())
             self._assert_matches(res, oracle)
+
+    @given(
+        n=st.integers(1, 300),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_sample_does_not_depend_on_the_split(self, n, seed, data):
+        """Any split of the input into ``extend`` calls, empty ones and cuts
+        at the fill boundary included, gives the sample of one ``extend``:
+        algorithm R makes one draw per arrival, in turn from the generator's
+        stream.  So the reader may end its chunks anywhere."""
+        capacity = data.draw(st.integers(1, n + 1), label="capacity")
+        near_fill = st.sampled_from([capacity - 1, capacity, capacity + 1])
+        cuts = data.draw(st.lists(near_fill | st.integers(0, n), max_size=8), label="cuts")
+        data_rng = np.random.default_rng(seed)
+        values = data_rng.normal(size=n)
+        labels = data_rng.integers(0, 3, size=n)
+        whole = ReservoirSample(capacity, seed)
+        whole.extend(values, labels)
+        split = ReservoirSample(capacity, seed)
+        bounds = [0, *sorted(min(cut, n) for cut in cuts), n]
+        for lo, hi in zip(bounds, bounds[1:]):
+            split.extend(values[lo:hi], labels[lo:hi])
+        assert split.values.tolist() == whole.values.tolist()
+        assert split.labels.tolist() == whole.labels.tolist()
+        assert split.seen == whole.seen == n
 
     def test_slot_drawn_twice_keeps_later_arrival(self):
         capacity, seed, n = 3, 5, 60

@@ -11,6 +11,7 @@ from rarebayes import (
     MIScore,
     ModelSizeError,
     TrainingError,
+    classify_file,
     default_grid,
     estimate_cpts,
     generate,
@@ -254,7 +255,7 @@ def test_training_pass_working_set(tmp_path):
     ds = CsvDataset(path)
     outcomes, pass1 = traced_peak(collect_outcomes, schema, ds)
     tables = [("class", node_id(v.name, 0)) for v in schema.field_vars]
-    _, pass2 = traced_peak(_count_pass, ds, Encoder(schema, outcomes), tables, 65536)
+    _, pass2 = traced_peak(_count_pass, ds, Encoder(schema, outcomes), tables)
     assert ds.stats.passes == 2
     assert pass1 < 12 * 2**20
     assert pass2 < 12 * 2**20
@@ -272,7 +273,7 @@ def test_window_pass_working_set(tmp_path):
     tables = [("class", node_id(v, s)) for v, s in node_order(schema)]
     assert len(tables) == 60
     assert set(enc.dtypes.values()) == {np.dtype(np.uint8)}
-    _, peak = traced_peak(_count_pass, ds, enc, tables, 65536)
+    _, peak = traced_peak(_count_pass, ds, enc, tables)
     assert peak < 8 * 2**20
 
 
@@ -309,13 +310,14 @@ def test_evaluate_working_set(wide_run, capsys):
     capsys.readouterr()
 
 
-def test_sweep_working_set(wide_run):
-    """A sweep counts each chunk's rows into its table: about 1.6 MiB in
-    2,048-row chunks, where a score and a label ``str`` kept per record
-    for one sort took 2.8 MiB."""
+def test_sweep_working_set(wide_run, sizes):
+    """A sweep counts each chunk's rows into its table: about 1.7 MiB in
+    chunks of at least 2,048 rows, where a score and a label ``str`` kept
+    per record for one sort took 2.8 MiB."""
     _, path, model, _ = wide_run
     grid = default_grid()
-    table, peak = traced_peak(lambda: count_scores(model, path, grid, chunk_rows=2048))
+    sizes(chunk_rows=2048)
+    table, peak = traced_peak(lambda: count_scores(model, path, grid))
     assert int(table.sum()) == 20_000
     assert peak < 2.2 * 2**20
 
@@ -358,7 +360,7 @@ def boundary_records(n=3000, seed=5):
     return [{name: str(col[i]) for name, col in columns.items()} for i in range(n)]
 
 
-def test_codes_at_dtype_boundaries(tmp_path):
+def test_codes_at_dtype_boundaries(tmp_path, sizes):
     """Codes and lag columns at the ``uint8``/``uint16`` boundaries equal a
     dict oracle and the record-at-a-time window oracle, and pass counts a
     per-row count: no code wraps in the narrow dtypes."""
@@ -393,7 +395,8 @@ def test_codes_at_dtype_boundaries(tmp_path):
     assert max(want["b@1"]) == 255 and max(want["c@1"]) == 256
     for chunk_rows in (700, 65536):
         got = {node: [] for node in nodes}
-        for _, codes, _ in enc.node_chunks(ds, nodes, chunk_rows):
+        sizes(chunk_rows=chunk_rows, block_bytes=1)
+        for _, codes, _ in enc.node_chunks(ds, nodes):
             for node in nodes:
                 assert codes[node].dtype == enc.dtypes[node_var_slot(node)[0]]
                 got[node] += codes[node].tolist()
@@ -401,7 +404,8 @@ def test_codes_at_dtype_boundaries(tmp_path):
 
     tables = [("class", node) for node in nodes]
     tables += [("class", "c", "c@1"), ("class", "b@1", "v"), ("class", "c@1", "a", "b")]
-    counts = _count_pass(ds, enc, tables, 700)
+    sizes(chunk_rows=700)
+    counts = _count_pass(ds, enc, tables)
     for table in tables:
         expected = np.zeros_like(counts[table])
         for i, case in enumerate(cases):
@@ -564,10 +568,14 @@ class TestWindowedTraining:
         nodes = {rf.node for rf in model.ranked_fields}
         assert nodes == {"a", node_id("a", 1)}
 
-    def test_chunk_size_does_not_change_model(self, tmp_path):
+    def test_chunk_size_does_not_change_model(self, tmp_path, sizes):
+        """The model, classification and sweep are the same whatever the
+        chunk size, with a reservoir that overflows, so that pass 1's
+        replacement draws span chunk ends."""
         rng = np.random.default_rng(5)
         lines = ["cust,y,a,b,x"]
         last_a = {}
+        labelled_x = 0
         for _ in range(300):
             g = f"g{rng.integers(6)}"
             bad = rng.random() < (0.6 if last_a.get(g) == "a1" else 0.2)
@@ -579,17 +587,27 @@ class TestWindowedTraining:
             x = "?" if rng.random() < 0.1 else f"{rng.normal(1.0 if bad else 0.0):.4f}"
             y = "?" if rng.random() < 0.1 else ("bad" if bad else "good")
             lines.append(f"{g},{y},{a},{b},{x}")
+            labelled_x += x != "?" and y != "?"
         path = write(tmp_path, "\n".join(lines) + "\n")
         schema = parse_schema(
             "class y\ngroup cust\nvar a categorical\nvar b categorical\n"
             "var x continuous\nwindow 3\nt_prime 1.0\nmax_parents 2\n"
         )
-        texts = []
+        sizes(reservoir_capacity=100)
+        assert labelled_x > 2 * 100
+        texts, scored = [], []
         for chunk_rows in (1, 2, 7, 65536):
+            sizes(chunk_rows=chunk_rows, block_bytes=1)
             ds = CsvDataset(path)
-            texts.append(train(schema, ds, seed=1, chunk_rows=chunk_rows).to_json_text())
+            trained = train(schema, ds, seed=1)
+            texts.append(trained.to_json_text())
             assert ds.stats.passes == 4
+            pred = tmp_path / f"pred{chunk_rows}.csv"
+            classify_file(trained, path, pred, 0.5)
+            scored.append((pred.read_bytes(),
+                           count_scores(trained, path, default_grid()).tolist()))
         assert texts[1:] == texts[:1] * 3
+        assert scored[1:] == scored[:1] * 3
         model = json.loads(texts[0])
         assert any("@" in node for node in model["parents"])
         assert any(parent and "@" in parent + child
