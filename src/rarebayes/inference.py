@@ -17,9 +17,13 @@ the observation were missing, so every posterior stays strictly inside
 The update is masked rather than gathered: for each ranked node the
 kernel forms the renormalized candidate ``p * likelihood`` for every row,
 sets the node's skip column from the missing, unseen and pruning masks,
-and keeps the candidate only where that column is 0.  Each row goes
-through the same arithmetic as when scored alone, so posteriors and skip
-codes do not depend on the batch.
+and keeps the candidate only where that column is 0.  The kernel holds
+``p`` class-major, one contiguous row per class, so the class sum and the
+pruning test run along whole rows; it returns the transposed view.  Each
+row's classes are summed in the order numpy sums one row of
+``(rows, classes)`` -- one after another below 8 classes, pairwise from 8
+on -- so each row goes through the same arithmetic as when scored alone,
+and posteriors and skip codes do not depend on the batch.
 
 The kernel also returns an ``int8`` skip matrix, one column per ranked
 node, holding the index of the node's reason in :data:`SKIP_REASONS`
@@ -96,6 +100,15 @@ def symbolize(model: NetworkModel, record: dict[str, str]) -> dict[str, str]:
     return out
 
 
+def _class_sum(p: np.ndarray) -> np.ndarray:
+    """Column sums of a class-major ``(classes, n)`` array, each added in the
+    order numpy sums one row of ``p.T``: one class after another below 8
+    classes, pairwise from 8 on."""
+    if len(p) < 8:
+        return p.sum(axis=0)
+    return np.ascontiguousarray(p.T).sum(axis=1)
+
+
 def score_codes(
     model: NetworkModel, codes: dict[str, np.ndarray], n: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -105,33 +118,31 @@ def score_codes(
     ``int8`` skip matrix whose entries index :data:`SKIP_REASONS`.
     """
     missing = model.encoder.missing
-    p = np.tile(model.prior, (n, 1))
+    p = np.repeat(model.prior[:, None], n, axis=1)
     skip = np.zeros((n, len(model.ranked_fields)), dtype=np.int8)
     for j, rf in enumerate(model.ranked_fields):
         child = codes[rf.node]
         parent = model.parents[rf.node]
         cpt = model.cpts[rf.node]
         if parent is None:
-            likelihood = cpt.probs.T[child]
+            likelihood = cpt.probs[:, child]
             unseen = bool(cpt.unseen.any())
         else:
             pcode = codes[parent]
             pmiss = pcode == missing[node_var_slot(parent)[0]]
             fb = model.fallbacks[rf.node]
-            likelihood = np.where(
-                pmiss[:, None], fb.probs.T[child], cpt.probs.T[child, pcode]
-            )
+            likelihood = np.where(pmiss, fb.probs[:, child], cpt.probs[:, pcode, child])
             unseen = np.where(pmiss, bool(fb.unseen.any()), cpt.unseen.any(axis=0)[pcode])
         cand = p * likelihood
         with np.errstate(divide="ignore", invalid="ignore"):
-            cand /= cand.sum(axis=1, keepdims=True)
-        inside = ((cand > 0.0) & (cand < 1.0)).all(axis=1)
+            cand /= _class_sum(cand)
+        inside = np.logical_and.reduce((cand > 0.0) & (cand < 1.0), axis=0)
         skip[:, j] = np.where(
             child == missing[rf.var], _MISSING_CODE,
             np.where(unseen, _UNSEEN_CODE, np.where(inside, 0, _PRUNED_CODE)),
         )
-        p = np.where((skip[:, j] == 0)[:, None], cand, p)
-    return p, skip
+        p = np.where(skip[:, j] == 0, cand, p)
+    return p.T, skip
 
 
 def posterior(model: NetworkModel, case: CaseRecord) -> ClassPosterior:
@@ -229,7 +240,9 @@ def _dense_ids(
     each row's id, equal rows sharing an id.  The columns fold into one
     ``int64`` key as mixed-radix digits; whenever the next digit could push
     the key past 2**63, one ``np.unique`` renumbers the keys densely, so no
-    row-wise sort is needed however wide the rows are.
+    row-wise sort is needed however wide the rows are.  The final key takes
+    one unstable sort, and each id's first row is the least row index
+    carrying it, by ``np.minimum.at``.
     """
     key = np.zeros(n, dtype=np.int64)
     bound = 1                           # key < bound, in Python ints
@@ -239,7 +252,9 @@ def _dense_ids(
             bound = len(distinct)
         key = key * radix + col
         bound *= radix
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    distinct, inverse = np.unique(key, return_inverse=True)
+    first = np.full(len(distinct), n, dtype=np.intp)
+    np.minimum.at(first, inverse, np.arange(n))
     return first, inverse
 
 

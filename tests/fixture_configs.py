@@ -1,8 +1,11 @@
 """Generator configs shared by the unit and acceptance suites.
 
 Effect sizes are deliberately large so the statistical assertions have
-vanishing flake rates at the fixture sample sizes.
+vanishing flake rates at the fixture sample sizes.  :func:`gen_configs`
+draws random valid configs for the property tests.
 """
+
+from hypothesis import strategies as st
 
 from rarebayes.synthgen import (
     CategoricalSpec,
@@ -145,3 +148,61 @@ def big_config(n: int = 1_000_000, seed: int = 404) -> GenConfig:
     )
     return GenConfig(n=n, seed=seed, categorical=cats, continuous=conts,
                      dependent=deps, noise=noise)
+
+
+@st.composite
+def gen_configs(draw, sizes=st.integers(1, 10**6)) -> GenConfig:
+    """A random valid generator config with ``n`` drawn from ``sizes``."""
+    labels = tuple(draw(st.lists(st.sampled_from(["good", "bad", "a b", "x,y", "q"]),
+                                 min_size=2, max_size=2, unique=True)))
+    names = iter(f"v{i}" for i in range(1000))
+    rates = st.floats(0.0, 1.0)
+    reals = st.floats(-1e6, 1e6, allow_nan=False)
+    spreads = st.floats(1e-3, 1e3)
+
+    def outcomes() -> tuple[str, ...]:
+        return tuple(f"o{i}" for i in range(draw(st.integers(1, 4))))
+
+    def pmf(k: int) -> tuple[float, ...]:
+        weights = draw(st.lists(st.integers(1, 9), min_size=k, max_size=k))
+        return tuple(w / sum(weights) for w in weights)
+
+    categorical = []
+    for _ in range(draw(st.integers(1, 3))):
+        outs = outcomes()
+        categorical.append(CategoricalSpec(
+            next(names), outs, {c: pmf(len(outs)) for c in labels}, draw(rates)))
+    continuous = [
+        ContinuousSpec(next(names), {c: draw(reals) for c in labels},
+                       {c: draw(spreads) for c in labels}, draw(rates))
+        for _ in range(draw(st.integers(0, 2)))
+    ]
+    dependent = []
+    for _ in range(draw(st.integers(0, 2))):
+        parent = draw(st.sampled_from(categorical))
+        outs = outcomes()
+        dist = {c: {po: pmf(len(outs)) for po in parent.outcomes} for c in labels}
+        dependent.append(DependentSpec(next(names), parent.name, outs, dist, draw(rates)))
+    noise = []
+    for _ in range(draw(st.integers(0, 2))):
+        if draw(st.booleans()):
+            outs = outcomes()
+            noise.append(NoiseSpec(next(names), outcomes=outs, dist=pmf(len(outs)),
+                                   missing_rate=draw(rates)))
+        else:
+            noise.append(NoiseSpec(next(names), mean=draw(reals), sd=draw(spreads),
+                                   missing_rate=draw(rates)))
+    group = draw(st.none() | st.builds(GroupSpec, st.sampled_from(["grp", "acct"]),
+                                       st.integers(1, 50)))
+    return GenConfig(
+        n=draw(sizes),
+        seed=draw(st.integers(0, 2**63)),
+        class_var=draw(st.sampled_from(["class", "y"])),
+        class_labels=labels,
+        positive_rate=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        categorical=tuple(categorical),
+        continuous=tuple(continuous),
+        dependent=tuple(dependent),
+        noise=tuple(noise),
+        group=group,
+    )

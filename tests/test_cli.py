@@ -2,12 +2,14 @@ import csv
 import json
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rarebayes import DatasetError, parse_schema, structure
 from rarebayes.cli import run
 from rarebayes.synthgen import config_to_doc
 
-from fixture_configs import messy_config
+from fixture_configs import gen_configs, messy_config
 
 
 @pytest.fixture(scope="module")
@@ -66,39 +68,55 @@ def test_classify_then_evaluate(workdir, capsys):
     assert "V" in row and row["V"].endswith(":1")
 
 
-def test_sweep_equals_classify_plus_evaluate(workdir):
-    sweep_report = workdir / "sweep.json"
+@given(cfg=gen_configs(sizes=st.integers(20, 200)), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_sweep_equals_classify_plus_evaluate(tmp_path_factory, cfg, data):
+    """On a random generated dataset, classify + evaluate at any threshold of
+    the default grid gives sweep's row for it, and every written posterior
+    lies strictly inside (0, 1)."""
+    root = tmp_path_factory.mktemp("sweep-vs-classify")
+    config_path = root / "gen.json"
+    config_path.write_text(json.dumps(config_to_doc(cfg)), encoding="utf-8")
+    assert run(["gen", "--config", str(config_path), "--out", str(root / "fixture")]) == 0
+    data_path = str(root / "fixture" / "data.csv")
+    with open(data_path, newline="", encoding="utf-8") as fh:
+        assume(len({row[cfg.class_var] for row in csv.DictReader(fh)}) == 2)
+    assert run(["train", "--schema", str(root / "fixture" / "schema.txt"),
+                "--data", data_path, "--out", str(root / "model.json")]) == 0
+    positive = data.draw(st.sampled_from(cfg.class_labels))
+    assert run(["sweep", "--model", str(root / "model.json"), "--data", data_path,
+                "--positive", positive, "--out", str(root / "sweep.json")]) == 0
+    sweep = json.loads((root / "sweep.json").read_text(encoding="utf-8"))
+    row = data.draw(st.sampled_from(sweep["rows"]))
+    pred = root / "pred.csv"
+    assert run(["classify", "--model", str(root / "model.json"), "--data", data_path,
+                "--positive", positive, "--threshold", repr(row["threshold"]),
+                "--out", str(pred)]) == 0
+    assert run(["evaluate", "--pred", str(pred), "--data", data_path,
+                "--positive", positive, "--class-var", cfg.class_var,
+                "--threshold", repr(row["threshold"]), "--out", str(root / "eval.json")]) == 0
+    report = json.loads((root / "eval.json").read_text(encoding="utf-8"))
+    assert report["metadata"]["records"] == sweep["metadata"]["records"] == cfg.n
+    single = report["rows"][0]
+    for key in ("threshold", "TP", "FP", "TN", "FN", "F_pct", "C_pct", "V"):
+        assert single[key] == row[key], key
+    with open(pred, newline="", encoding="utf-8") as fh:
+        probs = [float(v) for r in csv.DictReader(fh) for k, v in r.items()
+                 if k.startswith("p_")]
+    assert len(probs) == 2 * cfg.n
+    assert all(0.0 < v < 1.0 for v in probs)
+
+
+def test_sweep_csv_column_layout(workdir):
     assert run([
         "sweep", "--model", str(workdir / "model.json"),
         "--data", str(workdir / "fixture" / "data.csv"),
         "--grid", "0.30:0.70:0.20",
-        "--out", str(sweep_report),
+        "--out", str(workdir / "sweep.json"),
         "--csv", str(workdir / "sweep.csv"),
     ]) == 0
-    doc = json.loads(sweep_report.read_text(encoding="utf-8"))
+    doc = json.loads((workdir / "sweep.json").read_text(encoding="utf-8"))
     assert [r["threshold"] for r in doc["rows"]] == [0.3, 0.5, 0.7]
-
-    for row in doc["rows"]:
-        t = row["threshold"]
-        pred = workdir / f"chk{t}.csv"
-        report = workdir / f"chk{t}.json"
-        assert run([
-            "classify", "--model", str(workdir / "model.json"),
-            "--data", str(workdir / "fixture" / "data.csv"),
-            "--threshold", str(t), "--out", str(pred),
-        ]) == 0
-        assert run([
-            "evaluate", "--pred", str(pred),
-            "--data", str(workdir / "fixture" / "data.csv"),
-            "--positive", "bad", "--threshold", str(t),
-            "--out", str(report),
-        ]) == 0
-        single = json.loads(report.read_text(encoding="utf-8"))["rows"][0]
-        for key in ("TP", "FP", "TN", "FN", "F_pct", "C_pct", "V"):
-            assert single[key] == row[key], (t, key)
-
-
-def test_sweep_csv_column_layout(workdir):
     with open(workdir / "sweep.csv", newline="", encoding="utf-8") as fh:
         header = next(csv.reader(fh))
     assert header == ["threshold", "F_pct", "C_pct", "V", "TP", "FP", "TN", "FN", "accuracy"]

@@ -2,8 +2,9 @@
 
 Every document the package writes is its dataclasses' fields
 (``asdict``) and reads back through ``Spec(**doc)``.  The digests pin
-``truth.json`` and ``data.csv`` for each fixture config and one trained
-model file byte for byte.
+``truth.json`` and ``data.csv`` for each fixture config, one trained
+model file, and that model's classification file and sweep rows on its
+own training data, byte for byte.
 """
 
 import hashlib
@@ -14,15 +15,11 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from rarebayes import ConfigError, TrainingError, dataio, generate, parse_schema, train
 from rarebayes.cli import run
 from rarebayes.structure import NetworkModel
 from rarebayes.synthgen import (
-    CategoricalSpec,
-    ContinuousSpec,
-    DependentSpec,
     GenConfig,
     GroupSpec,
     NoiseSpec,
@@ -32,7 +29,13 @@ from rarebayes.synthgen import (
     load_truth,
 )
 
-from fixture_configs import big_config, indep_config, messy_config, recovery_config
+from fixture_configs import (
+    big_config,
+    gen_configs,
+    indep_config,
+    messy_config,
+    recovery_config,
+)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -52,6 +55,10 @@ DATA_SHA256 = {
 BLOCKS_DATA_SHA256 = "dac536088dd9b560137b879ed5ef2b7ad177f483eac3fd697bc2f93504498300"
 # Also pins the MI scores, which come from numpy's log.
 MODEL_SHA256 = "7c72eaaff84dc7fc49d4015bf1cbc00d6771f54312110187e8179da1c5f024e4"
+# classify and sweep at their default threshold and grid, with the model above;
+# the sweep digest is of the report's rows, since its metadata holds paths.
+PRED_SHA256 = "11f8fd66f0747ca220c9ecfbb8c958f951abc02acedc1b06145bac49ec479a30"
+SWEEP_ROWS_SHA256 = "d5df7fc58b96a91d9a0d307c52ccfceb0f26e348b40015b7d0357beba78238af"
 
 
 def sha256(path: Path) -> str:
@@ -60,7 +67,8 @@ def sha256(path: Path) -> str:
 
 @pytest.fixture(scope="module")
 def model_path(tmp_path_factory) -> Path:
-    """A trained model with one field-to-field edge (plan -> addon)."""
+    """A trained model with one field-to-field edge (plan -> addon), next to
+    its training data in ``fixture/data.csv``."""
     root = tmp_path_factory.mktemp("doc-model")
     fixture = generate(messy_config(n=1500, seed=31), root / "fixture")
     schema = parse_schema(fixture.schema_path.read_text(encoding="utf-8"))
@@ -86,65 +94,23 @@ class TestPinnedBytes:
     def test_model_file(self, model_path):
         assert sha256(model_path) == MODEL_SHA256
 
+    def test_prediction_file(self, model_path, tmp_path):
+        pred = tmp_path / "pred.csv"
+        assert run(["classify", "--model", str(model_path),
+                    "--data", str(model_path.parent / "fixture" / "data.csv"),
+                    "--out", str(pred)]) == 0
+        assert sha256(pred) == PRED_SHA256
+
+    def test_sweep_rows(self, model_path, tmp_path):
+        report = tmp_path / "sweep.json"
+        assert run(["sweep", "--model", str(model_path),
+                    "--data", str(model_path.parent / "fixture" / "data.csv"),
+                    "--out", str(report)]) == 0
+        rows = json.loads(report.read_text(encoding="utf-8"))["rows"]
+        assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == SWEEP_ROWS_SHA256
+
 
 # -- generator configs -------------------------------------------------------
-
-
-@st.composite
-def gen_configs(draw) -> GenConfig:
-    labels = tuple(draw(st.lists(st.sampled_from(["good", "bad", "a b", "x,y", "q"]),
-                                 min_size=2, max_size=2, unique=True)))
-    names = iter(f"v{i}" for i in range(1000))
-    rates = st.floats(0.0, 1.0)
-    reals = st.floats(-1e6, 1e6, allow_nan=False)
-    spreads = st.floats(1e-3, 1e3)
-
-    def outcomes() -> tuple[str, ...]:
-        return tuple(f"o{i}" for i in range(draw(st.integers(1, 4))))
-
-    def pmf(k: int) -> tuple[float, ...]:
-        weights = draw(st.lists(st.integers(1, 9), min_size=k, max_size=k))
-        return tuple(w / sum(weights) for w in weights)
-
-    categorical = []
-    for _ in range(draw(st.integers(1, 3))):
-        outs = outcomes()
-        categorical.append(CategoricalSpec(
-            next(names), outs, {c: pmf(len(outs)) for c in labels}, draw(rates)))
-    continuous = [
-        ContinuousSpec(next(names), {c: draw(reals) for c in labels},
-                       {c: draw(spreads) for c in labels}, draw(rates))
-        for _ in range(draw(st.integers(0, 2)))
-    ]
-    dependent = []
-    for _ in range(draw(st.integers(0, 2))):
-        parent = draw(st.sampled_from(categorical))
-        outs = outcomes()
-        dist = {c: {po: pmf(len(outs)) for po in parent.outcomes} for c in labels}
-        dependent.append(DependentSpec(next(names), parent.name, outs, dist, draw(rates)))
-    noise = []
-    for _ in range(draw(st.integers(0, 2))):
-        if draw(st.booleans()):
-            outs = outcomes()
-            noise.append(NoiseSpec(next(names), outcomes=outs, dist=pmf(len(outs)),
-                                   missing_rate=draw(rates)))
-        else:
-            noise.append(NoiseSpec(next(names), mean=draw(reals), sd=draw(spreads),
-                                   missing_rate=draw(rates)))
-    group = draw(st.none() | st.builds(GroupSpec, st.sampled_from(["grp", "acct"]),
-                                       st.integers(1, 50)))
-    return GenConfig(
-        n=draw(st.integers(1, 10**6)),
-        seed=draw(st.integers(0, 2**63)),
-        class_var=draw(st.sampled_from(["class", "y"])),
-        class_labels=labels,
-        positive_rate=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
-        categorical=tuple(categorical),
-        continuous=tuple(continuous),
-        dependent=tuple(dependent),
-        noise=tuple(noise),
-        group=group,
-    )
 
 
 @given(gen_configs())

@@ -691,6 +691,20 @@ class TestPruningIsFloatSafe:
         assert np.array_equal(scored.probabilities[0], post.probabilities)
         assert skip_log(model, scored.skipped[0]) == [("x4", "pruned")]
 
+    def test_nine_classes_sum_pairwise(self):
+        # numpy sums a row of 8 or more classes pairwise; here that order
+        # and one class after another round the class sum differently.  A
+        # batch of one would hide the difference: its one column is contiguous.
+        table = [[1.0, 0.0, 0.0]] + [[1e-16, 1.0 - 1e-16, 0.0]] * 8
+        model = toy_model({"x": table}, prior=[1 / 9] * 9,
+                          classes=tuple(f"c{i}" for i in range(9)))
+        case = CaseRecord(values={"x": "0"})
+        expect, skipped, _ = oracle_posterior(model, case)
+        assert skipped == []
+        probs, _ = score_codes(model, {"x": np.array([0, 0])}, 2)
+        assert np.array_equal(probs, [expect, expect])
+        assert np.array_equal(posterior(model, case).probabilities, expect)
+
     @given(random_models())
     @settings(max_examples=150, deadline=None)
     def test_kernel_matches_oracle_and_stays_inside(self, drawn):
