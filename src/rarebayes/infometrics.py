@@ -110,11 +110,14 @@ def conditional_mutual_information(joint: JointCounts, base: float = 2.0) -> flo
 
 
 def select_by_cumulative(scores: Sequence[MIScore], t: float) -> list[MIScore]:
-    """Greedy cumulative-fraction selection used for both training thresholds.
+    """Greedy cumulative-fraction selection of fields (the ``t_prime`` threshold).
 
     Sorts scores descending (stable, so ties keep their input order),
     then accumulates until cumulative/total >= ``t``.  Zero or negative
-    scores are never selected; an all-zero list selects nothing.
+    scores are never selected; an all-zero list selects nothing.  Edge
+    selection (``t_field``) keeps its own loop,
+    :func:`structure.select_dependencies`, because it also skips pairs
+    whose child has no parent slot left.
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"threshold must lie in [0, 1], got {t}")

@@ -6,6 +6,23 @@ exact network is returned as a :class:`TruthModel` so tests can compare
 learned posteriors against :func:`analytic_posterior`, which uses the
 true densities rather than bins.
 
+Each variable spec answers three questions, and validation, sampling,
+the schema, the CSV cells and the oracle ask nothing else of it:
+
+- ``continuous``: whether its values are normal draws (written as
+  numbers) or outcome codes (written as names).  It is a class attribute
+  or property, never a field, so the config document is unchanged.
+- ``laws(cfg)``: its conditional laws in draw order, each
+  ``(what, cell, law)``.  ``law`` is a pmf over ``outcomes`` or a
+  ``(mean, sd)`` pair; ``cell`` is the rows it draws, as
+  ``(column, code)`` conditions; ``what`` names it in error messages.
+  :class:`CategoricalSpec` and :class:`ContinuousSpec` have one law per
+  class, :class:`DependentSpec` one per class and parent outcome (class
+  outer), and :class:`NoiseSpec` one over all rows.
+- ``likelihood(cfg, value, record, label)``: the probability or density
+  of an observed ``value`` given the class ``label``.  A dependent child
+  whose parent is missing from ``record`` sums over the parent's outcomes.
+
 Output is byte-identical for identical (config, seed): the dataset CSV,
 a matching schema file, and the truth document.
 """
@@ -35,13 +52,45 @@ def _check_count(name: str, value, least: int) -> None:
         raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
-def _check_pmf(pmf: Sequence[float], what: str) -> tuple[float, ...]:
-    pmf = tuple(float(x) for x in pmf)
+def _check_law(spec, what: str, law) -> None:
+    """Raise ConfigError unless ``law`` is a valid law for ``spec``."""
+    if spec.continuous:
+        mean, sd = law
+        if sd is None or sd <= 0:
+            raise ConfigError(f"{what}: sd must be positive")
+        if not (isinstance(mean, (int, float)) and math.isfinite(mean) and math.isfinite(sd)):
+            raise ConfigError(f"{what}: mean and sd must be finite numbers")
+        return
+    outcomes = spec.outcomes
+    if not isinstance(outcomes, (list, tuple)) or not all(isinstance(o, str) for o in outcomes) \
+            or len(set(outcomes)) != len(outcomes) \
+            or any(o in dataio.MISSING_CELLS for o in outcomes):
+        raise ConfigError(f"{spec.name}: outcomes must be a list of distinct names, "
+                          f"none of them '' or {MISSING!r}, got {outcomes!r}")
+    if not isinstance(law, (list, tuple)):
+        raise ConfigError(f"{what}: pmf must be a list of probabilities, got {law!r}")
+    pmf = tuple(float(x) for x in law)
     if any(x < 0 for x in pmf):
         raise ConfigError(f"{what}: probabilities must be nonnegative")
-    if abs(sum(pmf) - 1.0) > _PMF_TOL:
+    if not abs(sum(pmf) - 1.0) <= _PMF_TOL:  # a NaN fails this too
         raise ConfigError(f"{what}: probabilities sum to {sum(pmf)}, expected 1")
-    return pmf
+    if len(pmf) != len(outcomes):
+        raise ConfigError(f"{what}: pmf length mismatch")
+
+
+def _outcome_index(spec, value) -> int:
+    if value not in spec.outcomes:
+        raise EvidenceError(f"{spec.name}: unknown outcome {value!r}")
+    return spec.outcomes.index(value)
+
+
+def _normal_pdf(x: float, mean: float, sd: float) -> float:
+    z = (x - mean) / sd
+    return math.exp(-0.5 * z * z) / (sd * math.sqrt(2.0 * math.pi))
+
+
+def _is_missing(value) -> bool:
+    return value is None or value == MISSING or (isinstance(value, float) and math.isnan(value))
 
 
 @dataclass(frozen=True)
@@ -53,6 +102,15 @@ class CategoricalSpec:
     dist: Mapping[str, Sequence[float]]      # class label -> pmf over outcomes
     missing_rate: float = 0.0
 
+    continuous = False
+
+    def laws(self, cfg: GenConfig):
+        for ci, label in enumerate(cfg.class_labels):
+            yield f"{self.name}/{label}", ((cfg.class_var, ci),), self.dist[label]
+
+    def likelihood(self, cfg: GenConfig, value, record, label: str) -> float:
+        return self.dist[label][_outcome_index(self, value)]
+
 
 @dataclass(frozen=True)
 class ContinuousSpec:
@@ -62,6 +120,16 @@ class ContinuousSpec:
     mean: Mapping[str, float]
     sd: Mapping[str, float]
     missing_rate: float = 0.0
+
+    continuous = True
+
+    def laws(self, cfg: GenConfig):
+        for ci, label in enumerate(cfg.class_labels):
+            yield f"{self.name}/{label}", ((cfg.class_var, ci),), \
+                (self.mean[label], self.sd[label])
+
+    def likelihood(self, cfg: GenConfig, value, record, label: str) -> float:
+        return _normal_pdf(float(value), self.mean[label], self.sd[label])
 
 
 @dataclass(frozen=True)
@@ -73,6 +141,31 @@ class DependentSpec:
     outcomes: tuple[str, ...]
     dist: Mapping[str, Mapping[str, Sequence[float]]]  # class -> parent outcome -> pmf
     missing_rate: float = 0.0
+
+    continuous = False
+
+    def _parent_spec(self, cfg: GenConfig) -> CategoricalSpec:
+        for spec in cfg.categorical:
+            if spec.name == self.parent:
+                return spec
+        raise ConfigError(f"{self.name}: parent {self.parent!r} is not a categorical variable")
+
+    def laws(self, cfg: GenConfig):
+        parent = self._parent_spec(cfg)
+        for ci, label in enumerate(cfg.class_labels):
+            for pi, po in enumerate(parent.outcomes):
+                yield f"{self.name}/{label}/{po}", \
+                    ((cfg.class_var, ci), (self.parent, pi)), self.dist[label][po]
+
+    def likelihood(self, cfg: GenConfig, value, record, label: str) -> float:
+        idx = _outcome_index(self, value)
+        parent = self._parent_spec(cfg)
+        pvalue = record.get(self.parent)
+        if _is_missing(pvalue):
+            return sum(parent.likelihood(cfg, po, record, label) * self.dist[label][po][idx]
+                       for po in parent.outcomes)
+        _outcome_index(parent, pvalue)
+        return self.dist[label][pvalue][idx]
 
 
 @dataclass(frozen=True)
@@ -87,8 +180,18 @@ class NoiseSpec:
     missing_rate: float = 0.0
 
     @property
-    def is_categorical(self) -> bool:
-        return self.outcomes is not None
+    def continuous(self) -> bool:
+        return self.mean is not None or self.sd is not None
+
+    def laws(self, cfg: GenConfig):
+        if self.continuous == (self.outcomes is not None or self.dist is not None):
+            raise ConfigError(f"{self.name}: declare either outcomes+dist or mean+sd")
+        yield self.name, (), (self.mean, self.sd) if self.continuous else self.dist
+
+    def likelihood(self, cfg: GenConfig, value, record, label: str) -> float:
+        if self.continuous:
+            return _normal_pdf(float(value), self.mean, self.sd)
+        return self.dist[_outcome_index(self, value)]
 
 
 @dataclass(frozen=True)
@@ -129,40 +232,9 @@ class GenConfig:
                 raise ConfigError(
                     f"{spec.name}: missing_rate must lie in [0, 1], got {spec.missing_rate}"
                 )
-        cat_names = {s.name for s in self.categorical}
-        for spec in self.categorical:
-            for label in self.class_labels:
-                pmf = _check_pmf(spec.dist[label], f"{spec.name}/{label}")
-                if len(pmf) != len(spec.outcomes):
-                    raise ConfigError(f"{spec.name}/{label}: pmf length mismatch")
-        for spec in self.continuous:
-            for label in self.class_labels:
-                if spec.sd[label] <= 0:
-                    raise ConfigError(f"{spec.name}/{label}: sd must be positive")
-        for spec in self.dependent:
-            if spec.parent not in cat_names:
-                raise ConfigError(
-                    f"{spec.name}: parent {spec.parent!r} is not a categorical variable"
-                )
-            parent = next(s for s in self.categorical if s.name == spec.parent)
-            for label in self.class_labels:
-                for po in parent.outcomes:
-                    pmf = _check_pmf(spec.dist[label][po], f"{spec.name}/{label}/{po}")
-                    if len(pmf) != len(spec.outcomes):
-                        raise ConfigError(f"{spec.name}/{label}/{po}: pmf length mismatch")
-        for spec in self.noise:
-            cat = spec.outcomes is not None or spec.dist is not None
-            cont = spec.mean is not None or spec.sd is not None
-            if cat == cont:
-                raise ConfigError(
-                    f"{spec.name}: declare either outcomes+dist or mean+sd"
-                )
-            if cat:
-                pmf = _check_pmf(spec.dist, spec.name)  # type: ignore[arg-type]
-                if len(pmf) != len(spec.outcomes):     # type: ignore[arg-type]
-                    raise ConfigError(f"{spec.name}: pmf length mismatch")
-            elif spec.sd is None or spec.sd <= 0:
-                raise ConfigError(f"{spec.name}: sd must be positive")
+        for spec in self.all_vars:
+            for what, _, law in spec.laws(self):
+                _check_law(spec, what, law)
         self.to_schema()  # a name the schema file cannot hold raises SchemaError
 
     @property
@@ -176,20 +248,13 @@ class GenConfig:
         return {neg: 1.0 - self.positive_rate, pos: self.positive_rate}
 
     def to_schema(self) -> Schema:
-        fields = []
-        for spec in self.all_vars:
-            if isinstance(spec, (CategoricalSpec, DependentSpec)):
-                fields.append(VariableSpec(spec.name, "categorical"))
-            elif isinstance(spec, ContinuousSpec):
-                fields.append(VariableSpec(spec.name, "continuous", "entropy"))
-            else:
-                if spec.is_categorical:
-                    fields.append(VariableSpec(spec.name, "categorical"))
-                else:
-                    fields.append(VariableSpec(spec.name, "continuous", "entropy"))
         return Schema(
             class_var=self.class_var,
-            field_vars=tuple(fields),
+            field_vars=tuple(
+                VariableSpec(s.name, "continuous", "entropy") if s.continuous
+                else VariableSpec(s.name, "categorical")
+                for s in self.all_vars
+            ),
             group_key=self.group.name if self.group else None,
         )
 
@@ -224,11 +289,6 @@ class GenResult:
     truth: TruthModel
 
 
-def _normal_pdf(x: float, mean: float, sd: float) -> float:
-    z = (x - mean) / sd
-    return math.exp(-0.5 * z * z) / (sd * math.sqrt(2.0 * math.pi))
-
-
 def analytic_posterior(truth: TruthModel, record: Mapping[str, object]) -> dict[str, float]:
     """Exact Bayes posterior under the generative network.
 
@@ -239,68 +299,12 @@ def analytic_posterior(truth: TruthModel, record: Mapping[str, object]) -> dict[
     cfg = truth.config
     labels = cfg.class_labels
     weights = {label: cfg.prior[label] for label in labels}
-
-    def is_missing(value) -> bool:
-        if value is None or value == MISSING:
-            return True
-        if isinstance(value, float) and math.isnan(value):
-            return True
-        return False
-
-    def as_float(value) -> float:
-        return float(value)
-
-    cat_specs = {s.name: s for s in cfg.categorical}
-    for spec in cfg.categorical:
+    for spec in cfg.all_vars:
         value = record.get(spec.name)
-        if is_missing(value):
+        if _is_missing(value):
             continue
-        if value not in spec.outcomes:
-            raise EvidenceError(f"{spec.name}: unknown outcome {value!r}")
-        idx = spec.outcomes.index(value)
         for label in labels:
-            weights[label] *= spec.dist[label][idx]
-    for spec in cfg.continuous:
-        value = record.get(spec.name)
-        if is_missing(value):
-            continue
-        x = as_float(value)
-        for label in labels:
-            weights[label] *= _normal_pdf(x, spec.mean[label], spec.sd[label])
-    for spec in cfg.dependent:
-        value = record.get(spec.name)
-        if is_missing(value):
-            continue
-        if value not in spec.outcomes:
-            raise EvidenceError(f"{spec.name}: unknown outcome {value!r}")
-        idx = spec.outcomes.index(value)
-        parent = cat_specs[spec.parent]
-        pvalue = record.get(spec.parent)
-        for label in labels:
-            if is_missing(pvalue):
-                lk = sum(
-                    parent.dist[label][pi] * spec.dist[label][po][idx]
-                    for pi, po in enumerate(parent.outcomes)
-                )
-            else:
-                if pvalue not in parent.outcomes:
-                    raise EvidenceError(f"{spec.parent}: unknown outcome {pvalue!r}")
-                lk = spec.dist[label][pvalue][idx]
-            weights[label] *= lk
-    for spec in cfg.noise:
-        value = record.get(spec.name)
-        if is_missing(value):
-            continue
-        if spec.is_categorical:
-            if value not in spec.outcomes:
-                raise EvidenceError(f"{spec.name}: unknown outcome {value!r}")
-            idx = spec.outcomes.index(value)
-            for label in labels:
-                weights[label] *= spec.dist[idx]
-        else:
-            x = as_float(value)
-            for label in labels:
-                weights[label] *= _normal_pdf(x, spec.mean, spec.sd)
+            weights[label] *= spec.likelihood(cfg, value, record, label)
 
     total = sum(weights.values())
     if total == 0:
@@ -320,45 +324,18 @@ def _sample_columns(cfg: GenConfig, rng: np.random.Generator):
     is_pos = rng.random(n) < cfg.positive_rate
     class_codes = is_pos.astype(np.int64)
 
-    columns: dict[str, np.ndarray] = {}
-    for spec in cfg.categorical:
-        codes = np.zeros(n, dtype=np.int64)
-        k = len(spec.outcomes)
-        for ci, label in enumerate(cfg.class_labels):
-            mask = class_codes == ci
+    columns: dict[str, np.ndarray] = {cfg.class_var: class_codes}
+    for spec in cfg.all_vars:
+        column = np.zeros(n, dtype=np.float64 if spec.continuous else np.int64)
+        for _, cell, law in spec.laws(cfg):
+            mask = np.ones(n, dtype=bool)
+            for var, code in cell:
+                mask &= columns[var] == code
             m = int(mask.sum())
             if m:
-                codes[mask] = rng.choice(k, size=m, p=np.asarray(spec.dist[label]))
-        columns[spec.name] = codes
-    for spec in cfg.continuous:
-        vals = np.zeros(n, dtype=np.float64)
-        for ci, label in enumerate(cfg.class_labels):
-            mask = class_codes == ci
-            m = int(mask.sum())
-            if m:
-                vals[mask] = rng.normal(spec.mean[label], spec.sd[label], size=m)
-        columns[spec.name] = vals
-    for spec in cfg.dependent:
-        parent = next(s for s in cfg.categorical if s.name == spec.parent)
-        pcodes = columns[spec.parent]
-        codes = np.zeros(n, dtype=np.int64)
-        k = len(spec.outcomes)
-        for ci, label in enumerate(cfg.class_labels):
-            for pi, po in enumerate(parent.outcomes):
-                mask = (class_codes == ci) & (pcodes == pi)
-                m = int(mask.sum())
-                if m:
-                    codes[mask] = rng.choice(
-                        k, size=m, p=np.asarray(spec.dist[label][po])
-                    )
-        columns[spec.name] = codes
-    for spec in cfg.noise:
-        if spec.is_categorical:
-            columns[spec.name] = rng.choice(
-                len(spec.outcomes), size=n, p=np.asarray(spec.dist)
-            )
-        else:
-            columns[spec.name] = rng.normal(spec.mean, spec.sd, size=n)
+                column[mask] = rng.normal(*law, size=m) if spec.continuous \
+                    else rng.choice(len(law), size=m, p=np.asarray(law))
+        columns[spec.name] = column
 
     missing_masks = {
         spec.name: (rng.random(n) < spec.missing_rate) if spec.missing_rate > 0
@@ -374,10 +351,7 @@ def _outcome_cells(outcomes: Sequence) -> np.ndarray:
 
 
 def _format_column(spec, values: np.ndarray, missing: np.ndarray) -> list[str]:
-    continuous = isinstance(spec, ContinuousSpec) or (
-        isinstance(spec, NoiseSpec) and not spec.is_categorical
-    )
-    if continuous:
+    if spec.continuous:
         # one %-format over the whole column; the trailing "" is dropped
         text = ("%.6f\n" * len(values) % tuple(values.tolist())).split("\n")[:-1]
         out = np.array(text, dtype=object)

@@ -1,5 +1,9 @@
+import contextlib
 import csv
+import io
 import json
+import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -74,6 +78,8 @@ def test_sweep_equals_classify_plus_evaluate(tmp_path_factory, cfg, data):
     """On a random generated dataset, classify + evaluate at any threshold of
     the default grid gives sweep's row for it, and every written posterior
     lies strictly inside (0, 1)."""
+    # a rate near 0 or 1 leaves most 20-200 row datasets with one class
+    cfg = replace(cfg, positive_rate=data.draw(st.floats(0.2, 0.8)))
     root = tmp_path_factory.mktemp("sweep-vs-classify")
     config_path = root / "gen.json"
     config_path.write_text(json.dumps(config_to_doc(cfg)), encoding="utf-8")
@@ -548,6 +554,20 @@ def test_non_utf8_schema_is_runtime_error(workdir, tmp_path, capsys, command):
      "variable name 'a#b' contains '#'"),
     ("gen", '{"n": 10, "noise": [{"name": "a", "mean": 0, "sd": 1}], "group": {"name": "a"}}',
      "group column 'a' is also a field variable"),
+    ("gen", '{"n": 10, "noise": [{"name": "z", "outcomes": ["a", "a"], "dist": [0.5, 0.5]}]}',
+     "z: outcomes must be a list of distinct names, none of them '' or '?', got ('a', 'a')"),
+    ("gen", '{"n": 10, "noise": [{"name": "z", "outcomes": ["", "b"], "dist": [0.5, 0.5]}]}',
+     "z: outcomes must be a list of distinct names, none of them '' or '?', got ('', 'b')"),
+    ("gen", '{"n": 10, "categorical": [{"name": "x", "outcomes": ["a", "?"], '
+            '"dist": {"good": [0.5, 0.5], "bad": [0.5, 0.5]}}]}',
+     "x: outcomes must be a list of distinct names"),
+    ("gen", '{"n": 10, "categorical": [{"name": "x", "outcomes": ["a", "b", "a"], '
+            '"dist": {"good": [0.2, 0.3, 0.5], "bad": [0.5, 0.3, 0.2]}}]}',
+     "x: outcomes must be a list of distinct names"),
+    ("gen", '{"n": 10, "noise": [{"name": "z", "outcomes": ["a"], "dist": "1"}]}',
+     "z: pmf must be a list of probabilities, got '1'"),
+    ("gen", '{"n": 10, "noise": [{"name": "z", "sd": 1}]}',
+     "z: mean and sd must be finite numbers"),
     ("baseline", "y,a\n", "exactly 2 class values, got []"),
     ("baseline", "y,a\ngood,1\ngood,2\ngood,3\nbad,4\n", "at least 2 complete rows"),
 ])
@@ -566,3 +586,36 @@ def test_malformed_input_is_runtime_error(tmp_path, capsys, command, text, messa
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def _number_paths(doc, path=()):
+    """The key path of every number in a decoded config document."""
+    if isinstance(doc, dict | list):
+        for key, item in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            yield from _number_paths(item, path + (key,))
+    elif isinstance(doc, int | float) and not isinstance(doc, bool):
+        yield path
+
+
+@given(cfg=gen_configs(sizes=st.integers(1, 50)), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_gen_rejects_a_non_finite_or_negative_number(tmp_path_factory, cfg, data):
+    """One number of a valid config made NaN, infinite or, unless it is a
+    mean, negative: gen exits 1 with one error line and writes nothing."""
+    doc = json.loads(json.dumps(config_to_doc(cfg)))
+    path = data.draw(st.sampled_from(list(_number_paths(doc))))
+    bad = st.sampled_from([math.nan, math.inf, -math.inf])
+    if "mean" not in path:
+        bad |= st.floats(max_value=-1e-9, allow_infinity=False)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = data.draw(bad)
+    root = tmp_path_factory.mktemp("bad-number")
+    (root / "gen.json").write_text(json.dumps(doc), encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run(["gen", "--config", str(root / "gen.json"), "--out", str(root / "out")])
+    assert code == 1
+    assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
+    assert not (root / "out").exists()

@@ -208,6 +208,41 @@ class TestAnalyticPosterior:
         assert analytic_posterior(self.TRUTH, {"x": MISSING})["bad"] == pytest.approx(0.1)
         assert analytic_posterior(self.TRUTH, {"x": None})["bad"] == pytest.approx(0.1)
 
+    def test_posterior_bits_pinned(self):
+        """Every spec kind, a marginalized child, and the three missing forms:
+        the exact floats, so a reordering of the factors shows."""
+        cfg = tiny_config(
+            categorical=(CategoricalSpec("p", ("0", "1", "2"),
+                                         {"good": (0.7, 0.2, 0.1), "bad": (0.15, 0.35, 0.5)}),),
+            continuous=(ContinuousSpec("y", {"good": 0.0, "bad": 1.3},
+                                       {"good": 1.0, "bad": 0.7}),),
+            dependent=(DependentSpec("d", "p", ("q0", "q1"), {
+                "good": {"0": (0.9, 0.1), "1": (0.4, 0.6), "2": (0.25, 0.75)},
+                "bad": {"0": (0.7, 0.3), "1": (0.3, 0.7), "2": (0.05, 0.95)},
+            }),),
+            noise=(NoiseSpec("zc", outcomes=("u", "v"), dist=(0.3, 0.7)),
+                   NoiseSpec("zn", mean=2.0, sd=3.0)),
+        )
+        truth = TruthModel(config=cfg)
+        marginal = "{'good': 0.7571428571428572, 'bad': 0.24285714285714285}"
+        cases = [
+            ({"p": "1", "y": 0.4, "d": "q1", "zc": "v", "zn": 1.5},
+             "{'good': 0.8668412437642286, 'bad': 0.13315875623577153}"),
+            ({"p": "2", "y": "-0.75", "d": "q0", "zc": "u", "zn": "7.25"},
+             "{'good': 0.9971213898864937, 'bad': 0.002878610113506379}"),
+            ({"d": "q1"}, marginal),
+            ({"p": None, "y": None, "d": "q0", "zc": None, "zn": None},
+             "{'good': 0.9656934306569344, 'bad': 0.034306569343065696}"),
+            ({"p": MISSING, "y": MISSING, "d": "q1", "zc": MISSING, "zn": MISSING}, marginal),
+            ({"p": math.nan, "y": math.nan, "d": "q1", "zc": math.nan, "zn": math.nan},
+             marginal),
+            ({"zc": "u", "zn": -4.0},
+             "{'good': 0.8999999999999999, 'bad': 0.09999999999999999}"),
+            ({}, "{'good': 0.9, 'bad': 0.1}"),
+        ]
+        for record, expect in cases:
+            assert repr(analytic_posterior(truth, record)) == expect, record
+
 
 class TestLearnedVsTruthConvergence:
     def test_posterior_error_shrinks_with_sample_size(
