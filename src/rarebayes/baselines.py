@@ -12,9 +12,9 @@ population 1, QDA in population 2.
 
 Only continuous variables participate by default; an optional one-hot
 expansion of categorical variables exists but is off, since large
-alphabets produce mostly-empty indicator columns.  A row is complete when
-no feature cell and no class cell is MISSING by the one rule in
-:mod:`rarebayes.dataio`.
+alphabets produce mostly-empty indicator columns.  The fit keeps the
+complete rows of each class, split as each chunk is read: rows with no
+feature or class cell MISSING by the one rule in :mod:`rarebayes.dataio`.
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ def fit_discriminant(
         raise ValueError(f"need exactly 2 label values, got {uniq}")
     if classes is None:
         counts = dict(zip(coder.labels, np.bincount(codes).tolist()))
-        label2 = min(uniq, key=lambda u: (counts[u], uniq.index(u)))
+        label2 = min(uniq, key=counts.get)
         label1 = next(u for u in uniq if u != label2)
     else:
         label1, label2 = classes
@@ -283,34 +283,32 @@ def _one_hot_training_levels(schema: Schema, data: CsvDataset) -> dict[str, list
     return levels
 
 
-def _complete_rows(
+def _class_rows(
     schema: Schema, ds: CsvDataset, one_hot_levels: dict[str, list[str]]
-) -> tuple[np.ndarray, np.ndarray, list[str], int]:
-    """The feature matrix and class codes of the rows with no MISSING
-    feature or class cell, the labels the codes index, and how many rows
-    were dropped.  Each chunk keeps only its complete rows, and the rows of
-    a file of one chunk are not copied again; a file with no rows gives a
-    0 x 0 matrix."""
-    feature_rows: list[np.ndarray] = []
-    codes: list[np.ndarray] = []
+) -> tuple[dict[str, np.ndarray], int]:
+    """Each class label's complete rows (no MISSING feature or class cell),
+    in file order, and how many rows were dropped.  Each chunk's rows are
+    split by class as it arrives; a label whose rows all come from one
+    chunk keeps that part without another copy.  Every part is an array of
+    its own, never a view, since the fit centres it in place."""
+    parts: dict[str, list[np.ndarray]] = {}
     coder = ClassCodes()
     dropped = 0
 
     def decode(block: Chunk) -> dict:
         X, miss = _feature_columns(schema, block, one_hot_levels)
         cls = coder(block.columns[schema.class_var])
-        return {"X": X, "missing": miss | (cls < 0), "codes": cls}
+        cls[miss] = -1
+        return {"X": X, "codes": cls}
 
     names = [schema.class_var] + _used_columns(schema, one_hot_levels)
     for chunk in ds.iter_chunks(names, decode=decode):
-        keep = ~chunk.columns["missing"]
-        dropped += chunk.size - int(keep.sum())
-        feature_rows.append(chunk.columns["X"][keep])
-        codes.append(chunk.columns["codes"][keep])
-    if len(feature_rows) == 1:
-        return feature_rows[0], codes[0], coder.labels, dropped
-    X = np.vstack(feature_rows or [np.empty((0, 0))])
-    return X, np.concatenate(codes or [np.empty(0, dtype=np.int8)]), coder.labels, dropped
+        X, codes = chunk.columns["X"], chunk.columns["codes"]
+        dropped += int((codes < 0).sum())
+        for c in np.unique(codes[codes >= 0]).tolist():
+            parts.setdefault(coder.labels[c], []).append(X[codes == c])
+    rows = {label: p[0] if len(p) == 1 else np.concatenate(p) for label, p in parts.items()}
+    return rows, dropped
 
 
 def fit_from_csv(
@@ -327,23 +325,22 @@ def fit_from_csv(
     Rows with any missing feature or a missing class label are dropped
     (the count is reported on the model).  Population 2 is the positive
     class, defaulting to the rarer label.  Each of the two classes needs
-    two kept rows, or :class:`ConfigError` is raised.  The full matrix is
-    released once each class has its own copy of its rows.
+    two kept rows, or :class:`ConfigError` is raised.  Rows are gathered
+    by class as they are read; no matrix of both classes is built.
     """
     _check_args(kind, ridge)
     ds = as_dataset(data)
     ds.require_columns(ds.schema_columns(schema, require_class=True))
     one_hot_levels = _one_hot_training_levels(schema, ds) if one_hot else {}
-    X, codes, labels, dropped = _complete_rows(schema, ds, one_hot_levels)
-    kept = np.bincount(codes, minlength=len(labels)).tolist()
-    uniq = sorted(label for label, n in zip(labels, kept) if n)
+    rows, dropped = _class_rows(schema, ds, one_hot_levels)
+    uniq = sorted(rows)
     if len(uniq) != 2:
         raise ConfigError(f"baseline needs exactly 2 class values, got {uniq}")
-    counts = {u: kept[labels.index(u)] for u in uniq}
+    counts = {u: len(rows[u]) for u in uniq}
     if min(counts.values()) < 2:
         raise ConfigError(f"baseline needs at least 2 complete rows per class, got {counts}")
     if positive is None:
-        positive = min(uniq, key=lambda u: (counts[u], uniq.index(u)))
+        positive = min(uniq, key=counts.get)
     elif positive not in uniq:
         raise ConfigError(f"unknown positive class {positive!r}")
     negative = next(u for u in uniq if u != positive)
@@ -353,10 +350,8 @@ def fit_from_csv(
         for feature in ([f"{name}={level}" for level in one_hot_levels[name]]
                         if name in one_hot_levels else [name])
     ]
-    rows1 = X[codes == labels.index(negative)]
-    rows2 = X[codes == labels.index(positive)]
-    del X
-    model = _fit_classes(rows1, rows2, (negative, positive), kind, ridge, feature_names)
+    model = _fit_classes(rows[negative], rows[positive], (negative, positive), kind, ridge,
+                         feature_names)
     model.dropped_rows = dropped
     model.one_hot_levels = one_hot_levels
     return model

@@ -23,7 +23,8 @@ for each.  Entropy cuts are defined over finite values only (Fayyad &
 Irani, IJCAI 1993), so a non-finite number can only be MISSING.  Group
 keys are opaque identifiers: a ``?`` or empty key is a group like any other.
 Where a class cell is compared rather than looked up in a model,
-:class:`ClassCodes` turns it into a small integer code, -1 when MISSING.
+:class:`ClassCodes` turns it into a small integer code, -1 when MISSING;
+group keys become integer ids the same way, with no cell MISSING.
 
 :func:`parse_float_column` parses the whole column at once first, so a
 column with no missing cell is touched once.  It substitutes ``nan`` for
@@ -436,13 +437,14 @@ def missing_mask(col: Sequence[str]) -> np.ndarray:
 
 
 class ClassCodes:
-    """Small integer codes for raw class cells, through one dict per run.
+    """Small integer codes for raw class cells or group keys, one dict per run.
 
     Each label gets the next code the first time it is seen, so
     ``labels[code]`` reads a code back; a cell in ``missing`` (by default
-    the MISSING cells) codes -1.  Codes come in the narrowest signed dtype
-    that holds them (``int8`` for up to 126 labels).  A reader's decoder calls
-    it on each block, so raw class cells never outlive their block.
+    the MISSING cells, none for group keys) codes -1.  Codes come in the
+    narrowest signed dtype that holds them (``int8`` for up to 126 labels).
+    A reader's decoder calls it on each block, so raw cells never outlive
+    their block.
     """
 
     def __init__(self, missing: Iterable[str] = MISSING_CELLS):

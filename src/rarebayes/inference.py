@@ -353,9 +353,8 @@ def classify_file(
 
 def _positive_codes(positive: str):
     """Class-cell coder for :func:`iter_scored`: 1 for ``positive``, 0 for any
-    other label and -1 for MISSING."""
-    lut = dict.fromkeys(MISSING_CELLS, -1)
-    lut[positive] = 1
+    other label and -1 for MISSING, even when ``positive`` is a MISSING cell."""
+    lut = {positive: 1} | dict.fromkeys(MISSING_CELLS, -1)
 
     def code(col: list[str]) -> np.ndarray:
         return np.fromiter(map(lut.get, col, repeat(0)), dtype=np.int8, count=len(col))

@@ -41,7 +41,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .dataio import MISSING_CELLS, Chunk, CsvDataset, PassStats, as_dataset
+from .dataio import MISSING_CELLS, Chunk, ClassCodes, CsvDataset, PassStats, as_dataset
 from .dataio import parse_float_column
 from .errors import ModelSizeError, TrainingError
 from .infometrics import (
@@ -326,17 +326,15 @@ class Encoder:
         chunk: Chunk,
         names: Sequence[str],
         labels: Callable[[list[str]], np.ndarray] | None,
+        groups: Callable[[list[str]], np.ndarray] | None,
     ):
         """Codes for the field variables ``names``, the class column's codes
-        by ``labels`` (None without ``labels``), and the group keys."""
+        by ``labels`` and the group keys' ids by ``groups`` (each None
+        without its coder)."""
         var_codes = {name: self.encode_var(name, chunk.columns[name]) for name in names}
         class_codes = None if labels is None else labels(chunk.columns[self.schema.class_var])
-        groups = (
-            chunk.columns.get(self.schema.group_key)
-            if self.schema.group_key
-            else None
-        )
-        return var_codes, class_codes, groups
+        group_ids = None if groups is None else groups(chunk.columns[self.schema.group_key])
+        return var_codes, class_codes, group_ids
 
     def node_chunks(
         self,
@@ -349,14 +347,14 @@ class Encoder:
         ``codes`` holds a code column for every node in ``nodes``.  Only the
         nodes' base variables are read and encoded, and only the variables
         named at a slot >= 1 are lagged, so a model without lagged nodes
-        builds no lag columns.  The reader hands each block to
-        :meth:`encode_chunk` as soon as it is split; lags are built per
-        chunk.  The class column is read only when ``labels`` is given, and
-        each block's class cells are coded by it, so they never outlive
-        their block: :meth:`encode_class` gives the training passes their
-        class codes, and a threshold sweep codes 1 for its positive class,
-        0 for any other label and -1 for MISSING.  Without ``labels`` the
-        class codes are None.
+        builds no lag columns and reads no group key.  The reader hands each
+        block to :meth:`encode_chunk` as soon as it is split, so no raw cell
+        outlives its block; lags are built per chunk.  Group keys become ids
+        from one :class:`~rarebayes.dataio.ClassCodes` per pass with no
+        missing cell.  The class column is read only when ``labels`` is
+        given, and codes by it: :meth:`encode_class` for the training passes;
+        a threshold sweep codes 1 for its positive class, 0 for any other
+        label and -1 for MISSING.  Without ``labels`` the class codes are None.
         """
         slots = [node_var_slot(node) for node in nodes]
         base = {var for var, _ in slots}
@@ -365,14 +363,15 @@ class Encoder:
         lagged = [name for name in names if name in lagged_base]
         state = WindowState(self.schema, lagged, dict(self.missing))
         wanted = list(names)
-        if lagged and self.schema.group_key:
+        groups = ClassCodes(missing=()) if lagged and self.schema.group_key else None
+        if groups is not None:
             wanted.append(self.schema.group_key)
         if labels is not None:
             wanted.append(self.schema.class_var)
 
         def decode(block: Chunk) -> dict:
-            codes, class_codes, groups = self.encode_chunk(block, names, labels)
-            return {"codes": codes, "labels": class_codes, "groups": groups}
+            codes, class_codes, group_ids = self.encode_chunk(block, names, labels, groups)
+            return {"codes": codes, "labels": class_codes, "groups": group_ids}
 
         for chunk in ds.iter_chunks(wanted, decode):
             decoded = chunk.columns
@@ -432,16 +431,10 @@ def _count_pass(
     return counts
 
 
-def _check_budget(
-    schema: Schema,
-    enc: Encoder,
-    named_tables: dict[str, tuple[str, ...]],
-    counted_first: Sequence[tuple[str, ...]] = (),
-) -> None:
+def _check_budget(schema: Schema, enc: Encoder, named_tables: dict[str, tuple[str, ...]]):
     """Raise :class:`ModelSizeError` naming the first of ``named_tables`` that
-    takes the running cell total past ``max_model_cells``.  The cells of
-    ``counted_first`` open the total but cannot raise on their own."""
-    cells = sum(math.prod(_table_shape(enc, table)) for table in counted_first)
+    takes the running cell total past ``max_model_cells``."""
+    cells = 0
     for name, table in named_tables.items():
         cells += math.prod(_table_shape(enc, table))
         if cells > schema.max_model_cells:
@@ -518,13 +511,15 @@ def estimate_cpts(
     whose raw total is zero are flagged unseen regardless of smoothing.
     The prior is the unsmoothed empirical class frequency.
     """
-    cpts: dict[str, CPT] = {}
-    for node, parent in parents.items():
-        counts = cpt_counts[node] if parent is not None else fallback_counts[node]
-        cpts[node] = _normalize_rows(node, parent, counts, smoothing)
     fallbacks = {
         node: _normalize_rows(node, None, fallback_counts[node], smoothing)
         for node in parents
+    }
+    # a parentless node's CPT is its fallback table
+    cpts = {
+        node: fallbacks[node] if parent is None
+        else _normalize_rows(node, parent, cpt_counts[node], smoothing)
+        for node, parent in parents.items()
     }
     total = class_counts.sum()
     if total == 0:
@@ -592,17 +587,18 @@ def train(
     for parent, child in edges:
         parents[child] = parent
 
-    fallback_tables = [("class", node) for node in nodes]
+    # the fallbacks' cells sum to at most pass 2's, so only a CPT can raise
+    fallback_tables = {f"fallback for node {node!r}": ("class", node) for node in nodes}
     cpt_tables = {
         f"CPT for node {node!r}": ("class", parent, node)
         for node, parent in parents.items()
         if parent is not None
     }
-    _check_budget(schema, enc, cpt_tables, counted_first=fallback_tables)
-    counts = _count_pass(ds, enc, [("class",), *fallback_tables, *cpt_tables.values()])
+    _check_budget(schema, enc, fallback_tables | cpt_tables)
+    counts = _count_pass(ds, enc, [("class",), *fallback_tables.values(), *cpt_tables.values()])
     cpts, fallbacks, prior = estimate_cpts(
         {table[2]: counts[table] for table in cpt_tables.values()},
-        {table[1]: counts[table] for table in fallback_tables},
+        {table[1]: counts[table] for table in fallback_tables.values()},
         counts[("class",)],
         parents,
         schema.smoothing,

@@ -89,8 +89,15 @@ def _normal_pdf(x: float, mean: float, sd: float) -> float:
     return math.exp(-0.5 * z * z) / (sd * math.sqrt(2.0 * math.pi))
 
 
-def _is_missing(value) -> bool:
-    return value is None or value == MISSING or (isinstance(value, float) and math.isnan(value))
+def _is_missing(spec, value) -> bool:
+    """The reader's missing rule for an oracle value of ``spec``: None, a
+    float NaN, a MISSING cell, or, for a continuous spec, a value that
+    :func:`~rarebayes.dataio.parse_float_column` reads as NaN."""
+    if value is None or isinstance(value, str) and value in dataio.MISSING_CELLS:
+        return True
+    if spec.continuous:
+        value = dataio.parse_float_column([value])[0]
+    return isinstance(value, float) and math.isnan(value)
 
 
 @dataclass(frozen=True)
@@ -161,7 +168,7 @@ class DependentSpec:
         idx = _outcome_index(self, value)
         parent = self._parent_spec(cfg)
         pvalue = record.get(self.parent)
-        if _is_missing(pvalue):
+        if _is_missing(parent, pvalue):
             return sum(parent.likelihood(cfg, po, record, label) * self.dist[label][po][idx]
                        for po in parent.outcomes)
         _outcome_index(parent, pvalue)
@@ -294,14 +301,15 @@ def analytic_posterior(truth: TruthModel, record: Mapping[str, object]) -> dict[
 
     Continuous evidence uses the true normal densities.  A dependent
     child whose parent is missing is marginalized over the parent's
-    class-conditional distribution.  Missing values contribute nothing.
+    class-conditional distribution.  A value missing by the reader's rule
+    (:func:`_is_missing`) contributes nothing.
     """
     cfg = truth.config
     labels = cfg.class_labels
     weights = {label: cfg.prior[label] for label in labels}
     for spec in cfg.all_vars:
         value = record.get(spec.name)
-        if _is_missing(value):
+        if _is_missing(spec, value):
             continue
         for label in labels:
             weights[label] *= spec.likelihood(cfg, value, record, label)

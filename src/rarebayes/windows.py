@@ -7,7 +7,8 @@ are MISSING.  The class label always comes from the current record.
 
 A slot-0 node keeps the bare variable name; a lagged node is named
 ``<var>@<s>``.  :class:`WindowState` builds the lagged code columns one
-chunk at a time, carrying each group's last w-1 codes across chunks.
+chunk at a time from integer group ids, carrying each group's last w-1
+codes across chunks.
 """
 
 from __future__ import annotations
@@ -54,40 +55,37 @@ class CaseRecord:
 class WindowState:
     """Lagged code columns for a file read chunk by chunk, in file order.
 
-    Each group key gets an integer id in the first chunk that holds it.
-    For each lagged variable, ``_carry`` holds one row per group id with
-    the codes of the group's last w-1 records, oldest first; a new
-    group's row starts as MISSING codes, since slots before a group's
-    start are MISSING.  Carry rows, fresh rows and lag columns keep the
-    dtype of the variable's code column, so narrow codes stay narrow.
+    Group keys arrive as integer ids from the reader's decoder.  For each
+    lagged variable, ``_carry`` holds one row per group id with the codes
+    of the group's last w-1 records, oldest first; a new group's row
+    starts as MISSING codes, since slots before a group's start are
+    MISSING.  Carry rows, fresh rows and lag columns keep the dtype of the
+    variable's code column, so narrow codes stay narrow.
     """
 
     schema: Schema
     var_names: list[str]
     missing_codes: dict[str, int]
-    _ids: dict[str, int] = field(default_factory=dict)
     _carry: dict[str, np.ndarray] = field(default_factory=dict)
 
     def lag_columns(
-        self, var_codes: dict[str, np.ndarray], groups: list[str] | None
+        self, var_codes: dict[str, np.ndarray], groups: np.ndarray | None
     ) -> dict[str, np.ndarray]:
         """Return code columns for every lagged node of this chunk.
 
-        Each present group's carry row is laid out ahead of the chunk and
-        the whole sequence is stable-sorted by group id, so slot s of a
-        chunk row is the element s places before it in that order.
+        ``groups`` holds each row's group id (None: one group).  Each present
+        group's carry row is laid out ahead of the chunk and the whole
+        sequence is stable-sorted by group id, so slot s of a chunk row is
+        the element s places before it in that order, whatever the ids.
         """
         lags = self.schema.window - 1
         if lags == 0:
             return {}
-        n = len(next(iter(var_codes.values())))
-        keys, inverse = np.unique(
-            np.asarray([""] * n if groups is None else groups), return_inverse=True
-        )
-        ids = self._ids
-        present = np.array([ids.setdefault(k, len(ids)) for k in keys.tolist()],
-                           dtype=np.int64)
-        seq_ids = np.concatenate([np.repeat(present, lags), present[inverse]])
+        if groups is None:
+            groups = np.zeros(len(next(iter(var_codes.values()))), dtype=np.int8)
+        present = np.unique(groups)
+        size = int(present[-1]) + 1
+        seq_ids = np.concatenate([np.repeat(present, lags), groups])
         order = np.argsort(seq_ids, kind="stable")
         position = np.empty_like(order)
         position[order] = np.arange(len(order))
@@ -98,8 +96,8 @@ class WindowState:
         for name in self.var_names:
             codes = var_codes[name]
             carry = self._carry.get(name, np.empty((0, lags), dtype=codes.dtype))
-            if len(carry) < len(ids):
-                fresh = np.full((len(ids) - len(carry), lags), self.missing_codes[name],
+            if len(carry) < size:
+                fresh = np.full((size - len(carry), lags), self.missing_codes[name],
                                 dtype=codes.dtype)
                 carry = np.concatenate([carry, fresh])
             seq = np.concatenate([carry[present].ravel(), codes])[order]

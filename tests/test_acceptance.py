@@ -178,7 +178,8 @@ def test_c05_posterior_oracle(tmp_path):
         nb_schema = parse_schema(nb.schema_path.read_text(encoding="utf-8"))
         nb_model = train(replace(nb_schema, max_parents=0, t_prime=1.0),
                          CsvDataset(nb.data_path))
-        rows = list(csv.DictReader(open(nb.data_path, newline="", encoding="utf-8")))
+        with open(nb.data_path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
         class_counts = Counter(r["class"] for r in rows)
         cell = Counter((r["class"], var, r[var]) for r in rows for var in ("plan", "region"))
         assert min(cell.values()) > 0 and len(cell) == 10, "fixture must fill every cell"

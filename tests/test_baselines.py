@@ -206,7 +206,8 @@ class TestCsvPlumbing:
         model = fit_from_csv(self.SCHEMA, path, "quadratic")
         out = tmp_path / "pred.csv"
         summary = score_to_csv(model, self.SCHEMA, path, out)
-        rows = list(csv.DictReader(open(out, newline="", encoding="utf-8")))
+        with open(out, newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
         assert summary["rows"] == len(rows) == 120
         assert list(rows[0]) == ["record_id", "p_bad", "p_good", "label", "skipped_nodes"]
         unscored = [r for r in rows if r["skipped_nodes"] == "features:missing"]

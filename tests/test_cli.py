@@ -113,6 +113,33 @@ def test_sweep_equals_classify_plus_evaluate(tmp_path_factory, cfg, data):
     assert all(0.0 < v < 1.0 for v in probs)
 
 
+@pytest.mark.parametrize("cell", ["", "?"])
+def test_sweep_drops_blank_actuals_when_the_positive_class_is_blank(
+        workdir, tmp_path, capsys, cell):
+    """A model whose rarer class is a MISSING cell, as one saved before blank
+    cells were missing may be, still drops the rows whose class cell is
+    MISSING.  They used to count as positives; dropped, no actual is
+    positive, so the rates are undefined."""
+    doc = json.loads((workdir / "model.json").read_text(encoding="utf-8"))
+    rare = min(zip(doc["prior"], doc["class_symbols"]))[1]
+    doc["class_symbols"] = [cell if c == rare else c for c in doc["class_symbols"]]
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    with open(workdir / "fixture" / "data.csv", newline="", encoding="utf-8") as fh:
+        header, *rows = list(csv.reader(fh))
+    y = header.index(doc["schema"]["class_var"])
+    for row in rows[::20]:
+        row[y] = cell
+    data = tmp_path / "data.csv"
+    with open(data, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([header, *rows])
+    assert run(["sweep", "--model", str(model), "--data", str(data),
+                "--out", str(tmp_path / "sweep.json")]) == 1
+    labelled = len(rows) - len(rows[::20])
+    assert capsys.readouterr().err == (
+        f"error: rates undefined: 0 actual positives, {labelled} actual negatives\n")
+
+
 def test_sweep_csv_column_layout(workdir):
     assert run([
         "sweep", "--model", str(workdir / "model.json"),
@@ -138,7 +165,8 @@ def test_baseline_command(workdir, capsys):
     ])
     assert code == 0
     assert "kind=quadratic" in capsys.readouterr().err
-    rows = list(csv.DictReader(open(out, newline="", encoding="utf-8")))
+    with open(out, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
     assert len(rows) == 3000
     assert set(rows[0]) == {"record_id", "p_bad", "p_good", "label", "skipped_nodes"}
 

@@ -156,23 +156,30 @@ def test_same_size_mtime_and_rows_with_other_cells_raises(tmp_path, quoted):
     assert ds.stats.passes == 1
 
 
-def test_training_rejects_a_cell_rewritten_between_passes(tmp_path):
+@pytest.mark.parametrize("schema, rows, rewritten", [
+    # a field cell
+    (SCHEMA, "g,1,2\nb,3,4\n", "g,1,2\nb,3,5\n"),
+    # a class cell, to a label pass 1 never saw
+    (SCHEMA, "g,1,2\nb,3,4\n", "g,1,2\nx,3,4\n"),
+    # a group key, to a new key, where the group key is read in every pass
+    (parse_schema("class y\ngroup a\nvar b categorical\nwindow 2\n"),
+     "g,1,2\nb,3,4\n", "g,1,2\nb,5,4\n"),
+], ids=["field", "class", "group"])
+def test_training_rejects_a_cell_rewritten_between_passes(tmp_path, schema, rows, rewritten):
     """``train`` raises when one cell changes after pass 1 and the file
     keeps its size and mtime."""
-    path = write(tmp_path, "y,a,b\n" + "g,1,2\nb,3,4\n" * 50)
+    path = write(tmp_path, "y,a,b\n" + rows * 50)
     real_count_pass = structure._count_pass
 
     def rewrite_then_count(ds, *args):
         stat = path.stat()
-        path.write_text("y,a,b\n" + "g,1,2\nb,3,4\n" * 49 + "g,1,2\nb,3,5\n",
-                        encoding="utf-8")
+        path.write_text("y,a,b\n" + rows * 49 + rewritten, encoding="utf-8")
         os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
         return real_count_pass(ds, *args)
 
     with (mock.patch.object(structure, "_count_pass", rewrite_then_count),
           pytest.raises(DatasetError, match="pass 2 read bytes with CRC-32")):
-        train(SCHEMA, path, seed=1)
-
+        train(schema, path, seed=1)
 
 
 def test_non_utf8_data_is_dataset_error(tmp_path):

@@ -761,7 +761,8 @@ class TestClassifyFile:
         novel.write_text("y,a,b\ngood,NEW_VALUE,b0\n", encoding="utf-8")
         out = tmp_path / "out.csv"
         classify_file(model, novel, out, 0.5)
-        row = list(csv.DictReader(open(out, newline="", encoding="utf-8")))[0]
+        with open(out, newline="", encoding="utf-8") as fh:
+            row = next(csv.DictReader(fh))
         assert "a:missing" in row["skipped_nodes"]
 
     @given(

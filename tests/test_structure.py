@@ -3,9 +3,12 @@ import json
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rarebayes import (
     MIScore,
@@ -25,10 +28,12 @@ from rarebayes.cli import run
 from rarebayes.dataio import MISSING, CsvDataset
 from rarebayes.inference import count_scores, iter_scored
 from rarebayes.outcomes import collect_outcomes
+from rarebayes import structure
 from rarebayes.structure import Encoder, _count_pass
 from rarebayes.synthgen import CategoricalSpec, ContinuousSpec, GenConfig, GroupSpec
 from rarebayes.windows import node_id, node_order, node_var_slot
 
+from fixture_configs import gen_configs
 from window_oracle import window_expand
 
 
@@ -612,3 +617,38 @@ class TestWindowedTraining:
         assert any("@" in node for node in model["parents"])
         assert any(parent and "@" in parent + child
                    for child, parent in model["parents"].items())
+
+
+@settings(max_examples=40, deadline=None)
+@given(cfg=gen_configs(sizes=st.integers(30, 400)), rate=st.floats(0.2, 0.8),
+       window=st.integers(1, 3), max_parents=st.integers(0, 1))
+def test_pass4_tables_repeat_earlier_passes(tmp_path_factory, cfg, rate, window, max_parents):
+    """With at most one parent, every pass-4 table is one an earlier pass
+    already counted, bit for bit: each fallback is its pass-2 ``("class",
+    node)`` table, each CPT its pass-3 pair table, and the prior any pass-2
+    table summed over its node axis."""
+    root = tmp_path_factory.mktemp("pass4")
+    # a rate off the extremes, so that most draws observe both classes
+    fixture = generate(replace(cfg, positive_rate=rate), root)
+    schema = replace(parse_schema(fixture.schema_path.read_text(encoding="utf-8")),
+                     window=window, max_parents=max_parents)
+    passes = []
+    real_count_pass = structure._count_pass
+
+    def recording_count_pass(*args):
+        passes.append(real_count_pass(*args))
+        return passes[-1]
+
+    with mock.patch.object(structure, "_count_pass", recording_count_pass):
+        try:
+            train(schema, fixture.data_path, seed=cfg.seed % 1000)
+        except TrainingError:
+            assume(False)  # fewer than two classes observed
+    pass2, pass3, pass4 = passes
+    for table, counts in pass4.items():
+        if len(table) == 1:
+            wants = [c.sum(axis=1) for c in pass2.values()]
+        else:
+            wants = [(pass2 if len(table) == 2 else pass3)[table]]
+        for want in wants:
+            assert counts.dtype == want.dtype and np.array_equal(counts, want), table

@@ -208,6 +208,34 @@ class TestAnalyticPosterior:
         assert analytic_posterior(self.TRUTH, {"x": MISSING})["bad"] == pytest.approx(0.1)
         assert analytic_posterior(self.TRUTH, {"x": None})["bad"] == pytest.approx(0.1)
 
+    @pytest.mark.parametrize("record, same_as", [
+        ({"p": "", "y": 0.4}, {"y": 0.4}),            # used to raise EvidenceError
+        ({"p": "1", "y": ""}, {"p": "1"}),            # used to raise ValueError
+        ({"p": "1", "y": "x7"}, {"p": "1"}),          # used to raise ValueError
+        ({"p": "1", "y": "nan"}, {"p": "1"}),         # used to give NaN posteriors
+        ({"p": "1", "y": "inf"}, {"p": "1"}),         # used to give the prior
+        ({"p": "1", "y": "-inf"}, {"p": "1"}),
+        ({"p": "1", "y": math.inf}, {"p": "1"}),
+        ({"d": "q1", "p": ""}, {"d": "q1"}),          # a parent missing as a blank cell
+        ({"d": "q1", "p": MISSING, "y": "inf"}, {"d": "q1"}),
+    ])
+    def test_reader_missing_cells_contribute_nothing(self, record, same_as):
+        """The oracle calls a value missing where the reader does: a blank or
+        ``?`` cell, and a continuous cell that does not parse to a finite
+        number; a dependent child's parent follows the same rule."""
+        cfg = tiny_config(
+            categorical=(CategoricalSpec("p", ("0", "1"),
+                                         {"good": (0.7, 0.3), "bad": (0.2, 0.8)}),),
+            continuous=(ContinuousSpec("y", {"good": 0.0, "bad": 1.3},
+                                       {"good": 1.0, "bad": 0.7}),),
+            dependent=(DependentSpec("d", "p", ("q0", "q1"), {
+                "good": {"0": (0.9, 0.1), "1": (0.4, 0.6)},
+                "bad": {"0": (0.7, 0.3), "1": (0.3, 0.7)},
+            }),),
+        )
+        truth = TruthModel(config=cfg)
+        assert analytic_posterior(truth, record) == analytic_posterior(truth, same_as)
+
     def test_posterior_bits_pinned(self):
         """Every spec kind, a marginalized child, and the three missing forms:
         the exact floats, so a reordering of the factors shows."""
@@ -253,14 +281,10 @@ class TestLearnedVsTruthConvergence:
         from rarebayes.structure import train
 
         held = indep_eval_bundle
-        exact = np.array(
-            [
-                analytic_posterior(held.result.truth, row)["bad"]
-                for row in csv.DictReader(
-                    open(held.data_path, newline="", encoding="utf-8")
-                )
-            ]
-        )
+        with open(held.data_path, newline="", encoding="utf-8") as fh:
+            exact = np.array(
+                [analytic_posterior(held.result.truth, row)["bad"] for row in csv.DictReader(fh)]
+            )
 
         def mae(model):
             bad = model.class_symbols.index("bad")

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rarebayes import MISSING, parse_schema
+from rarebayes.dataio import ClassCodes
 from rarebayes.windows import WindowState, node_id
 
 from window_oracle import window_expand
@@ -19,7 +20,8 @@ def chunked_streams(draw):
     """A window size, grouped or ungrouped records, and a split into chunks."""
     window = draw(st.integers(2, 4))
     grouped = draw(st.booleans())
-    groups = [f"g{i}" for i in range(draw(st.integers(1, 5)))]
+    # a blank or "?" key is a group like any other
+    groups = ["g0", "", MISSING, "g1", "g2"][:draw(st.integers(1, 5))]
     records = draw(st.lists(
         st.fixed_dictionaries({
             "y": st.just("c"),
@@ -43,9 +45,10 @@ def test_lag_columns_match_oracle(stream):
     schema, records, bounds = stream
     codes = {v: np.array([SYMBOLS.index(r[v]) for r in records]) for v in LAGGED}
     state = WindowState(schema, list(LAGGED), {v: SYMBOLS.index(MISSING) for v in LAGGED})
+    group_ids = ClassCodes(missing=())  # as the reader's decoder codes group keys
     chunks = []
     for lo, hi in zip(bounds, bounds[1:]):
-        groups = [r["g"] for r in records[lo:hi]] if schema.group_key else None
+        groups = group_ids([r["g"] for r in records[lo:hi]]) if schema.group_key else None
         chunks.append(state.lag_columns({v: codes[v][lo:hi] for v in LAGGED}, groups))
     lagged = [node_id(v, s) for v in LAGGED for s in range(1, schema.window)]
     assert all(sorted(out) == sorted(lagged) for out in chunks)
