@@ -182,11 +182,11 @@ class CsvDataset:
             )
 
     def schema_columns(self, schema: Schema, require_class: bool = True) -> list[str]:
-        """Columns a pass needs: fields, group key, and (usually) the class."""
+        """Columns a pass needs: fields, group key, and with ``require_class`` the class."""
         cols = list(schema.var_names)
         if schema.group_key:
             cols.append(schema.group_key)
-        if require_class or schema.class_var in self.header():
+        if require_class:
             cols.append(schema.class_var)
         return cols
 

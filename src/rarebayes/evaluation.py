@@ -5,7 +5,8 @@ F is the percentage of actual-negative records falsely flagged positive
 and V the volume ratio of false to true positives formatted ``x.x:1``.
 Counts are exact integers; only the presentation rounds, half-up.
 
-Every count comes from one engine, :func:`count_table`: a small integer
+Every count comes from the package's one counting engine,
+:func:`~rarebayes.infometrics.count_table`: a small integer
 table of records per (bucket, actual is positive), from which
 :func:`table_counts` reads the confusion counts at each cut as prefix
 sums.  A threshold sweep's buckets are how many grid thresholds a
@@ -30,6 +31,7 @@ import numpy as np
 
 from .dataio import Chunk, ClassCodes, CsvDataset
 from .errors import EvaluationError
+from .infometrics import count_table
 
 
 @dataclass(frozen=True)
@@ -105,13 +107,6 @@ def _check_labels(seen: set[str], positive: str, negative: str | None = None) ->
         raise EvaluationError(f"unknown label(s): {sorted(unknown)}")
 
 
-def count_table(buckets: np.ndarray, positive: np.ndarray, levels: int) -> np.ndarray:
-    """The counting engine: a ``(levels, 2)`` table of rows per (bucket,
-    actual is positive), for integer ``buckets`` in ``range(levels)``."""
-    flat = np.asarray(buckets, dtype=np.intp) * 2 + positive
-    return np.bincount(flat, minlength=2 * levels).reshape(levels, 2)
-
-
 def table_counts(table: np.ndarray) -> list[ConfusionCounts]:
     """Confusion counts at each cut ``j`` in ``1 .. levels - 1`` of a count
     table, flagging the rows whose bucket is at least ``j``: TN and FN are
@@ -132,7 +127,7 @@ def confusion(
 
     Labels must be two-valued; when ``negative`` is omitted it is
     inferred as the single non-positive label present.  The counts are a
-    two-bucket :func:`count_table`, bucket 1 holding the predicted positives.
+    two-bucket count table, bucket 1 holding the predicted positives.
     """
     if len(predictions) != len(actuals):
         raise EvaluationError(
@@ -140,7 +135,7 @@ def confusion(
         )
     _check_labels(set(predictions) | set(actuals), positive, negative)
     table = count_table(
-        _is_positive(predictions, positive), _is_positive(actuals, positive), 2
+        [_is_positive(predictions, positive), _is_positive(actuals, positive)], (2, 2)
     )
     return table_counts(table)[0]
 
@@ -223,8 +218,8 @@ def sweep(
     """One FCVRow per threshold using the >=-threshold rule, ordered by threshold.
 
     The grid must be strictly increasing inside (0, 1); the default is
-    0.10 to 0.90 in steps of 0.05.  The rows come from one
-    :func:`count_table` over the records' :func:`grid_buckets`.
+    0.10 to 0.90 in steps of 0.05.  The rows come from one count table
+    over the records' :func:`grid_buckets`.
     """
     if len(posteriors) == 0 or len(actuals) == 0:
         raise EvaluationError("sweep needs at least one scored record")
@@ -234,7 +229,7 @@ def sweep(
         )
     grid = list(grid) if grid is not None else default_grid()
     buckets = grid_buckets(np.asarray(posteriors, dtype=np.float64), grid)
-    table = count_table(buckets, _is_positive(actuals, positive), len(grid) + 1)
+    table = count_table([buckets, _is_positive(actuals, positive)], (len(grid) + 1, 2))
     return sweep_rows(table, grid)
 
 
@@ -248,7 +243,7 @@ def evaluate_files(
     past the data, or whose actual label is MISSING, is dropped.  The class
     column is read once into one small code per data row, with a MISSING
     code appended for ids past the data; the predictions are then counted
-    chunk by chunk into a two-bucket :func:`count_table`, so no per-record
+    chunk by chunk into a two-bucket count table, so no per-record
     object is held.
     """
     dataset = CsvDataset(pred_path)
@@ -290,8 +285,8 @@ def evaluate_files(
         pred, act = chunk.columns["labels"][keep], act[keep]
         seen_pred.update(np.flatnonzero(np.bincount(pred)).tolist())
         seen_act.update(np.flatnonzero(np.bincount(act)).tolist())
-        table += count_table(pred == pred_coder.index.get(positive, -2),
-                             act == act_coder.index.get(positive, -2), 2)
+        table += count_table([pred == pred_coder.index.get(positive, -2),
+                              act == act_coder.index.get(positive, -2)], (2, 2))
     if dataset.stats.rejected:
         raise EvaluationError(
             f"{pred_path}: {dataset.stats.rejected} row(s) rejected, "

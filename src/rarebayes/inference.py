@@ -48,7 +48,8 @@ import numpy as np
 
 from .dataio import MISSING, MISSING_CELLS, CsvDataset, as_dataset, csv_cell, write_rows
 from .errors import ConfigError, EvidenceError
-from .evaluation import count_table, grid_buckets
+from .evaluation import grid_buckets
+from .infometrics import count_table
 from .structure import NetworkModel
 from .windows import CaseRecord, node_var_slot
 
@@ -382,5 +383,5 @@ def count_scores(
     for scored in iter_scored(model, data, positive=positive):
         buckets = grid_buckets(scored.config_probabilities[:, pos_idx], grid)
         keep = scored.actuals >= 0
-        table += count_table(buckets[scored.inverse[keep]], scored.actuals[keep], len(grid) + 1)
+        table += count_table([buckets[scored.inverse[keep]], scored.actuals[keep]], table.shape)
     return table

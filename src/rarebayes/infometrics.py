@@ -1,4 +1,4 @@
-"""Entropy, mutual information, conditional MI, and cumulative-threshold selection.
+"""The counting engine, entropy, MI, conditional MI, and cumulative selection.
 
 All quantities are computed from empirical (maximum-likelihood) cell
 frequencies in bits (log base 2).  Selection depends only on score order
@@ -7,12 +7,24 @@ and ratios of sums, so it is invariant to the logarithm base.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 _SUM_TOL = 1e-9
+
+
+def count_table(columns: Sequence[np.ndarray], shape: Sequence[int]) -> np.ndarray:
+    """The package's one counting engine: rows per cell of ``shape``, column j
+    holding integer codes in ``range(shape[j])``.  The columns fold mixed-radix,
+    axis 0 most significant, from an ``intp`` operand, so ``uint8``, ``uint16``
+    and ``bool`` codes cannot wrap; one ``np.bincount`` counts every cell."""
+    flat = np.asarray(columns[0], dtype=np.intp)
+    for col, size in zip(columns[1:], shape[1:], strict=True):
+        flat = flat * size + col
+    return np.bincount(flat, minlength=math.prod(shape)).reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -52,7 +64,7 @@ class MIScore:
     value: float
 
 
-def entropy(dist: Sequence[float], base: float = 2.0) -> float:
+def entropy(dist: Sequence[float]) -> float:
     """Shannon entropy of a probability vector, with 0*log(0) == 0.
 
     Entries must be nonnegative and sum to 1 within 1e-9.
@@ -63,20 +75,20 @@ def entropy(dist: Sequence[float], base: float = 2.0) -> float:
     if abs(p.sum() - 1.0) > _SUM_TOL:
         raise ValueError(f"probabilities sum to {p.sum()!r}, expected 1")
     nz = p[p > 0]
-    return float(-(nz * (np.log(nz) / np.log(base))).sum())
+    return float(-(nz * (np.log(nz) / np.log(2.0))).sum())
 
 
-def _mi_from_array(counts: np.ndarray, base: float) -> float:
+def _mi_from_array(counts: np.ndarray) -> float:
     n = counts.sum()
     p = counts / n
     px = p.sum(axis=1, keepdims=True)
     py = p.sum(axis=0, keepdims=True)
     mask = p > 0
     ratio = p[mask] / (px @ py)[mask]
-    return float((p[mask] * (np.log(ratio) / np.log(base))).sum())
+    return float((p[mask] * (np.log(ratio) / np.log(2.0))).sum())
 
 
-def mutual_information(joint: JointCounts, base: float = 2.0) -> float:
+def mutual_information(joint: JointCounts) -> float:
     """MI between the two axes of a 2-way joint, from empirical frequencies.
 
     Zero-count cells contribute nothing.  Raises on an empty joint.
@@ -85,10 +97,10 @@ def mutual_information(joint: JointCounts, base: float = 2.0) -> float:
         raise ValueError("mutual_information expects a 2-way joint")
     if joint.total == 0:
         raise ValueError("mutual_information of an empty joint is undefined")
-    return _mi_from_array(joint.counts.astype(np.float64), base)
+    return _mi_from_array(joint.counts.astype(np.float64))
 
 
-def conditional_mutual_information(joint: JointCounts, base: float = 2.0) -> float:
+def conditional_mutual_information(joint: JointCounts) -> float:
     """MI between axes 1 and 2 averaged over the conditioning axis 0.
 
     CMI = sum_c p(c) * MI(axis1; axis2 | c), each inner MI from the
@@ -105,7 +117,7 @@ def conditional_mutual_information(joint: JointCounts, base: float = 2.0) -> flo
         slice_total = slice_.sum()
         if slice_total == 0:
             continue
-        cmi += (slice_total / total) * _mi_from_array(slice_, base)
+        cmi += (slice_total / total) * _mi_from_array(slice_)
     return float(cmi)
 
 

@@ -320,7 +320,8 @@ def collect_outcomes(
         decoded[schema.class_var] = class_codes
         return decoded
 
-    wanted = dataset.schema_columns(schema, require_class=True)
+    # the group key is not decoded here, so it is not read either
+    wanted = [*schema.var_names, schema.class_var]
     for chunk in dataset.iter_chunks(wanted, decode=decode):
         class_codes = chunk.columns[schema.class_var]
         class_ok = class_codes >= 0

@@ -11,15 +11,17 @@ node, and a per-node fallback table conditioned on the class alone.
 single-case path (through ``NetworkModel.encoder``) turn every raw cell
 and every outcome symbol into its integer code there.
 
-Passes 2-4 share one counting engine, :func:`_count_pass`.  Each pass
-only declares its count tables as axis tuples: ``("class", node)`` per
-candidate node in pass 2; ``("class", a, b)`` per rank-ordered pair of
-selected nodes in pass 3 (none when ``max_parents`` is 0); and in pass 4
-``("class",)`` for the prior, ``("class", node)`` per selected node for
-the fallbacks and ``("class", parent, node)`` per edge for the CPTs.
-The engine reads through :meth:`Encoder.node_chunks`, the feed batch
-scoring shares: it encodes only the variables the tables name and lags
-only those named at a slot >= 1.
+Passes 2-4 count through :func:`_count_pass` and the one counting engine,
+:func:`~rarebayes.infometrics.count_table`.  Each pass only declares its
+count tables as axis tuples: ``("class", node)`` per candidate node in
+pass 2; ``("class", a, b)`` per rank-ordered pair of selected nodes in
+pass 3 (none when ``max_parents`` is 0); and in pass 4 ``("class",)``
+for the prior, ``("class", node)`` per selected node for the fallbacks
+and ``("class", parent, node)`` per edge for the CPTs.  A row of unknown
+class is counted in a discard row past the last class, then cut off.
+A pass reads through :meth:`Encoder.node_chunks`, the feed batch scoring
+shares: it encodes only the variables the tables name and lags only
+those named at a slot >= 1.
 Each of passes 2-4 is held to ``max_model_cells`` before it reads any
 data: pass 2's class × field tables (classes × ``window`` × the summed
 alphabet sizes), then through :func:`_check_budget` the pair tables, then
@@ -48,6 +50,7 @@ from .infometrics import (
     JointCounts,
     MIScore,
     conditional_mutual_information,
+    count_table,
     mutual_information,
     select_by_cumulative,
 )
@@ -138,52 +141,65 @@ class NetworkModel:
 
     @staticmethod
     def from_doc(doc: dict) -> "NetworkModel":
-        """Rebuild a model; a malformed document raises :class:`TrainingError`."""
+        """Rebuild a model; a malformed document raises :class:`TrainingError`,
+        and so does one whose tables or alphabets the codebook cannot hold."""
         fmt = doc.get("format") if isinstance(doc, dict) else None
         if fmt != MODEL_FORMAT:
             raise TrainingError(f"unrecognized model format {fmt!r}")
         try:
-            return NetworkModel._from_v1_doc(doc)
+            s = from_json(doc["schema"])
+            field_vars = tuple(VariableSpec(**v) for v in s["field_vars"])
+            schema = Schema(**{**s, "field_vars": field_vars})
+            outcomes = OutcomeTable(
+                class_var=schema.class_var,
+                class_symbols=tuple(doc["class_symbols"]),
+                variables={
+                    var: VariableOutcomes(**from_json(o)) for var, o in doc["outcomes"].items()
+                },
+            )
+            model = NetworkModel(
+                schema=schema,
+                seed=doc["seed"],
+                class_symbols=outcomes.class_symbols,
+                prior=np.array(doc["prior"], dtype=np.float64),
+                outcomes=outcomes,
+                ranked_fields=[RankedField(**rf) for rf in doc["ranked_fields"]],
+                parents=dict(doc["parents"]),
+                cpts={n: _cpt_from_doc(n, d) for n, d in doc["cpts"].items()},
+                fallbacks={n: _cpt_from_doc(n, d) for n, d in doc["fallbacks"].items()},
+                pass_stats=PassStats(**doc["pass_stats"]),
+            )
+            _check_tables(model)
+            model.encoder  # built now, so a codebook it cannot hold fails here
         except KeyError as exc:
             raise TrainingError(f"model document lacks field {exc}") from exc
         except (TypeError, ValueError, AttributeError) as exc:
             raise TrainingError(f"malformed model document: {exc}") from exc
-
-    @staticmethod
-    def _from_v1_doc(doc: dict) -> "NetworkModel":
-        s = from_json(doc["schema"])
-        field_vars = tuple(VariableSpec(**v) for v in s["field_vars"])
-        schema = Schema(**{**s, "field_vars": field_vars})
-        outcomes = OutcomeTable(
-            class_var=schema.class_var,
-            class_symbols=tuple(doc["class_symbols"]),
-            variables={
-                var: VariableOutcomes(**from_json(o)) for var, o in doc["outcomes"].items()
-            },
-        )
-        model = NetworkModel(
-            schema=schema,
-            seed=doc["seed"],
-            class_symbols=outcomes.class_symbols,
-            prior=np.array(doc["prior"], dtype=np.float64),
-            outcomes=outcomes,
-            ranked_fields=[RankedField(**rf) for rf in doc["ranked_fields"]],
-            parents=dict(doc["parents"]),
-            cpts={n: _cpt_from_doc(n, d) for n, d in doc["cpts"].items()},
-            fallbacks={n: _cpt_from_doc(n, d) for n, d in doc["fallbacks"].items()},
-            pass_stats=PassStats(**doc["pass_stats"]),
-        )
-        _check_tables(model)
         return model
 
 
 def _check_tables(model: NetworkModel) -> None:
-    """Raise :class:`TrainingError` unless every table fits the alphabets and
-    nodes it is read with: scoring would otherwise broadcast a wrong shape."""
+    """Raise :class:`TrainingError` unless the codebook can hold the
+    alphabets and every table fits the alphabets and nodes it is read with:
+    scoring would otherwise code cells wrongly or broadcast a wrong shape."""
     k = len(model.class_symbols)
     sizes = {var: len(vo.symbols) for var, vo in model.outcomes.variables.items()}
     if set(sizes) != set(model.schema.var_names):
         raise TrainingError("model alphabets do not match the schema's field variables")
+    alphabets = [model.class_symbols, *(vo.symbols for vo in model.outcomes.variables.values())]
+    if not all(isinstance(sym, str) for symbols in alphabets for sym in symbols):
+        raise TrainingError("model outcome symbols must be strings")
+    if len(set(model.class_symbols)) != k:
+        raise TrainingError(f"class symbols {list(model.class_symbols)} are not distinct")
+    for spec in model.schema.continuous_vars:
+        vo = model.outcomes.variables[spec.name]
+        # an infinite cut is allowed: a legacy model may hold one
+        if (not all(type(e) in (int, float) and not math.isnan(e) for e in vo.edges)
+                or len(vo.symbols) != len(vo.edges) + 2):
+            raise TrainingError(
+                f"variable {spec.name!r} needs numeric, non-NaN bin edges, "
+                f"two fewer than its {len(vo.symbols)} symbols"
+            )
     if model.prior.shape != (k,):
         raise TrainingError(f"prior has shape {model.prior.shape}, expected ({k},)")
     var_of = {}
@@ -399,36 +415,22 @@ def _count_pass(
     """One dataset pass filling a count table for each axis tuple in ``tables``.
 
     Each table is ``("class", node, ...)`` and comes back keyed by that
-    tuple, shaped by its axes' alphabet sizes.  Rows with an unknown class
-    are read but not counted.  Only the columns the tables name are read
+    tuple, shaped by its axes' alphabet sizes; each chunk adds one
+    :func:`~rarebayes.infometrics.count_table` to it.  Rows with an unknown
+    class are read but not counted: they go to a discard class ``k`` whose
+    row is cut off.  Only the columns the tables name are read
     (:meth:`Encoder.node_chunks`).  A pass with no tables still reads every
     chunk, so each call is exactly one pass.
-
-    Per chunk, the labelled rows of the class and node columns are gathered
-    once (not at all when every row is labelled), and the ``class × first
-    node`` index is computed once for each run of tables that share it, as
-    pass 3's pair tables do; one such prefix is alive at a time.
     """
-    counts = {table: np.zeros(_table_shape(enc, table), dtype=np.int64) for table in tables}
+    k = len(enc.class_lut)
+    counts = {t: np.zeros((k + 1, *_table_shape(enc, t)[1:]), dtype=np.int64) for t in tables}
     nodes = {node for table in tables for node in table[1:]}
     for _, codes, class_codes in enc.node_chunks(ds, nodes, enc.encode_class):
-        labelled = class_codes >= 0
-        if not labelled.all():
-            class_codes = class_codes[labelled]
-            codes = {node: codes[node][labelled] for node in nodes}
-        head = prefix = None
+        class_codes = np.where(class_codes < 0, k, class_codes)
         for table, table_counts in counts.items():
-            if table[:2] != head:
-                head = table[:2]
-                prefix = (class_codes * table_counts.shape[1] + codes[head[1]]
-                          if len(head) == 2 else class_codes)
-            flat = prefix
-            for node, size in zip(table[2:], table_counts.shape[2:]):
-                flat = flat * size + codes[node]
-            table_counts += np.bincount(
-                flat, minlength=table_counts.size
-            ).reshape(table_counts.shape)
-    return counts
+            columns = [class_codes, *(codes[node] for node in table[1:])]
+            table_counts += count_table(columns, table_counts.shape)
+    return {table: table_counts[:k] for table, table_counts in counts.items()}
 
 
 def _check_budget(schema: Schema, enc: Encoder, named_tables: dict[str, tuple[str, ...]]):

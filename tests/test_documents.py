@@ -231,6 +231,30 @@ def _unknown_outcomes_key(doc):
     doc["outcomes"]["plan"]["bins"] = None
 
 
+def _text_edges(doc):
+    doc["outcomes"]["bill"]["edges"] = ["a"]
+
+
+def _integer_symbol(doc):
+    doc["outcomes"]["hub"]["symbols"][0] = 3
+
+
+def _repeated_class_symbol(doc):
+    doc["class_symbols"] = ["bad", "bad"]
+
+
+def _integer_class_symbol(doc):
+    doc["class_symbols"][0] = 5
+
+
+def _nan_edge(doc):
+    doc["outcomes"]["bill"] = {"symbols": ["bin0", "bin1", "?"], "edges": [float("nan")]}
+
+
+def _edges_short_of_symbols(doc):
+    doc["outcomes"]["bill"]["edges"] = [1.0]
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (_drop_class_row, "CPT for node 'hub' does not have shape (2, 4)"),
     (_one_entry_prior, "prior has shape (1,), expected (2,)"),
@@ -246,6 +270,12 @@ def _unknown_outcomes_key(doc):
     (_lost_alphabet, "alphabets do not match the schema"),
     (_unknown_ranked_key, "unexpected keyword argument 'score'"),
     (_unknown_outcomes_key, "unexpected keyword argument 'bins'"),
+    (_text_edges, "variable 'bill' needs numeric, non-NaN bin edges"),
+    (_integer_symbol, "model outcome symbols must be strings"),
+    (_repeated_class_symbol, "class symbols ['bad', 'bad'] are not distinct"),
+    (_integer_class_symbol, "model outcome symbols must be strings"),
+    (_nan_edge, "variable 'bill' needs numeric, non-NaN bin edges, two fewer than its 3"),
+    (_edges_short_of_symbols, "two fewer than its 17 symbols"),
 ])
 def test_malformed_model_is_training_error(model_path, corrupt, message):
     doc = json.loads(model_path.read_text(encoding="utf-8"))

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from rarebayes import (
     mutual_information,
     select_by_cumulative,
 )
+from rarebayes.infometrics import count_table
 
 
 # -- independent oracles (direct summation, no shared code paths) -----------
@@ -218,10 +220,8 @@ class TestSelectByCumulative:
             MIScore(f"v{i}", mutual_information(JointCounts(("c", "x"), j)))
             for i, j in enumerate(joints)
         ]
-        nats = [
-            MIScore(f"v{i}", mutual_information(JointCounts(("c", "x"), j), base=math.e))
-            for i, j in enumerate(joints)
-        ]
+        # a change of logarithm base scales every score by one constant
+        nats = [MIScore(s.subject, s.value * math.log(2.0)) for s in bits]
         for t in (0.0, 0.25, 0.5, 0.75, 0.95, 1.0):
             chosen_bits = {s.subject for s in select_by_cumulative(bits, t)}
             chosen_nats = {s.subject for s in select_by_cumulative(nats, t)}
@@ -235,3 +235,36 @@ def test_joint_counts_validation():
         JointCounts(("a",), [1, 2])
     with pytest.raises(ValueError):
         JointCounts(("a", "b", "c"), [[1, 2], [0, 1]])
+
+
+# -- the counting engine -----------------------------------------------------
+
+# bool axes hold at most two values; the others are wide enough that a fold
+# kept in a uint8 or uint16 operand would wrap
+CODE_DTYPES = (np.uint8, np.uint16, np.int64, np.bool_)
+
+
+@st.composite
+def code_columns(draw):
+    """1-4 integer code columns of one drawn length (0 included) and the
+    table shape they index, size-1 axes included."""
+    dtypes = draw(st.lists(st.sampled_from(CODE_DTYPES), min_size=1, max_size=4))
+    shape = tuple(draw(st.integers(1, 2 if dt is np.bool_ else 24)) for dt in dtypes)
+    n = draw(st.integers(0, 80))
+    columns = [
+        np.array(draw(st.lists(st.integers(0, size - 1), min_size=n, max_size=n)), dtype=dt)
+        for size, dt in zip(shape, dtypes)
+    ]
+    return columns, shape
+
+
+@given(code_columns())
+@settings(max_examples=200, deadline=None)
+def test_count_table_matches_a_per_row_counter(drawn):
+    columns, shape = drawn
+    expected = np.zeros(shape, dtype=np.int64)
+    for cell, count in Counter(zip(*(col.tolist() for col in columns))).items():
+        expected[tuple(map(int, cell))] = count
+    table = count_table(columns, shape)
+    assert table.shape == shape
+    np.testing.assert_array_equal(table, expected)
