@@ -13,8 +13,9 @@ population 1, QDA in population 2.
 Only continuous variables participate by default; an optional one-hot
 expansion of categorical variables exists but is off, since large
 alphabets produce mostly-empty indicator columns.  The fit keeps the
-complete rows of each class, split as each chunk is read: rows with no
-feature or class cell MISSING by the one rule in :mod:`rarebayes.dataio`.
+complete rows of each class in one growing buffer per class, appended as
+each chunk is read: rows with no feature or class cell MISSING by the
+one rule in :mod:`rarebayes.dataio`.
 """
 
 from __future__ import annotations
@@ -287,11 +288,18 @@ def _class_rows(
     schema: Schema, ds: CsvDataset, one_hot_levels: dict[str, list[str]]
 ) -> tuple[dict[str, np.ndarray], int]:
     """Each class label's complete rows (no MISSING feature or class cell),
-    in file order, and how many rows were dropped.  Each chunk's rows are
-    split by class as it arrives; a label whose rows all come from one
-    chunk keeps that part without another copy.  Every part is an array of
-    its own, never a view, since the fit centres it in place."""
-    parts: dict[str, list[np.ndarray]] = {}
+    in file order, and how many rows were dropped.
+
+    Each class code keeps one buffer.  Its first part, a mask gather that
+    owns its data, becomes the buffer, so a class read in one chunk is
+    never copied again; each later part is appended after growing the
+    buffer by half in place with ``resize``, which a realloc may do without
+    copying.  The buffers are trimmed to their rows at the end.  No view of
+    a buffer is taken before its last resize, which would leave the view
+    dangling; every buffer is an array of its own, since the fit centres it
+    in place."""
+    buffers: dict[int, np.ndarray] = {}
+    filled: dict[int, int] = {}
     coder = ClassCodes()
     dropped = 0
 
@@ -306,9 +314,19 @@ def _class_rows(
         X, codes = chunk.columns["X"], chunk.columns["codes"]
         dropped += int((codes < 0).sum())
         for c in np.unique(codes[codes >= 0]).tolist():
-            parts.setdefault(coder.labels[c], []).append(X[codes == c])
-    rows = {label: p[0] if len(p) == 1 else np.concatenate(p) for label, p in parts.items()}
-    return rows, dropped
+            part = X[codes == c]
+            if c not in buffers:
+                buffers[c], filled[c] = part, len(part)
+                continue
+            buf, n = buffers[c], filled[c]
+            if n + len(part) > len(buf):
+                buf.resize((max(n + len(part), len(buf) * 3 // 2), X.shape[1]),
+                           refcheck=False)
+            buf[n:n + len(part)] = part
+            filled[c] = n + len(part)
+    for c, buf in buffers.items():
+        buf.resize((filled[c], buf.shape[1]), refcheck=False)
+    return {coder.labels[c]: buf for c, buf in buffers.items()}, dropped
 
 
 def fit_from_csv(

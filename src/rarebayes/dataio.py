@@ -8,7 +8,10 @@ at a different size or modification time, or that ends with different
 row or rejected-row counts or a different CRC-32 of the bytes it read
 (the header and any ``csv.reader`` tail included), raises
 :class:`DatasetError`, so all passes of one training run see the same
-unchanged file.
+unchanged file.  Every pass also parses the header row it reads and
+raises unless it equals the cached :meth:`CsvDataset.header` that the
+wanted columns were indexed by, and a column a pass requires may occur
+only once in the header.
 
 Data files are RFC-4180-style CSV in UTF-8 with a header row.  Rows
 whose field count does not match the header are counted as rejected and
@@ -180,6 +183,11 @@ class CsvDataset:
             raise DatasetError(
                 f"{self.path} header lacks required column(s): {', '.join(missing)}"
             )
+        repeated = [n for n in dict.fromkeys(names) if header.count(n) > 1]
+        if repeated:
+            raise DatasetError(
+                f"{self.path} header repeats required column(s): {', '.join(repeated)}"
+            )
 
     def schema_columns(self, schema: Schema, require_class: bool = True) -> list[str]:
         """Columns a pass needs: fields, group key, and with ``require_class`` the class."""
@@ -220,7 +228,7 @@ class CsvDataset:
             stat = self._begin_pass(fh)
             reader = _ByteReader(fh)
             try:
-                for size, columns, dropped in _pieces(reader, len(header), idx):
+                for size, columns, dropped in _pieces(reader, header, idx):
                     rejected += dropped
                     if not size:
                         continue
@@ -312,22 +320,26 @@ class _ByteReader:
 _Piece = tuple[int, list[list[str]], int]
 
 
-def _pieces(reader: _ByteReader, width: int, idx: list[int]) -> Iterator[_Piece]:
+def _pieces(reader: _ByteReader, header: list[str], idx: list[int]) -> Iterator[_Piece]:
     r"""Parse the rows after the header as (rows, wanted columns, rejected) pieces.
 
-    Reads text blocks of ``_BLOCK_BYTES`` that end on a line end; from the
-    first ``"`` on, ``csv.reader`` reads the rest of the file.  A header
-    holding a ``"``, or a ``\r`` other than its line end's, sends the whole
-    file to ``csv.reader``: ``csv`` ends a record at a lone ``\r``, which a
-    byte ``readline`` reads past.
+    The header row read is parsed as ``csv.reader`` would and must equal
+    ``header``, the one the columns were indexed by, or
+    :class:`DatasetError` is raised.  Reads text blocks of ``_BLOCK_BYTES``
+    that end on a line end; from the first ``"`` on, ``csv.reader`` reads
+    the rest of the file.  A header holding a ``"``, or a ``\r`` other than
+    its line end's, sends the whole file to ``csv.reader``: ``csv`` ends a
+    record at a lone ``\r``, which a byte ``readline`` reads past.
     """
     head = reader.line()
     blocks = reader.blocks()
+    width = len(header)
     if '"' in head or "\r" in head.removesuffix("\r\n"):
         records = csv.reader(_lines(chain([head], blocks)))
-        next(records)
+        _check_header(reader, next(records, None), header)
         yield from _csv_pieces(records, width, idx)
         return
+    _check_header(reader, head.removesuffix("\n").removesuffix("\r").split(","), header)
     for block in blocks:
         quote = block.find('"')
         if quote < 0:
@@ -337,6 +349,14 @@ def _pieces(reader: _ByteReader, width: int, idx: list[int]) -> Iterator[_Piece]
         yield _block_piece(block[:cut], width, idx)
         yield from _csv_pieces(csv.reader(_lines(chain([block[cut:]], blocks))), width, idx)
         return
+
+
+def _check_header(reader: _ByteReader, row: list[str] | None, header: list[str]) -> None:
+    if row != header:
+        raise DatasetError(
+            f"{reader.fh.name} changed: its header row reads {row}, "
+            f"but the columns were found in {header}"
+        )
 
 
 def _lines(texts: Iterable[str]) -> Iterator[str]:

@@ -13,12 +13,14 @@ column in first-seen order with MISSING as -1; a categorical alphabet
 or the class alphabet past ``MAX_CATEGORIES`` outcomes raises.  Per chunk
 it then feeds each continuous variable's non-missing values from
 labelled rows, with those codes, to an array-backed reservoir of
-``RESERVOIR_CAPACITY`` entries: a float64 value array and an integer
-code array.  The reservoir makes one draw per arrival, so its sample
-does not depend on where the chunks end.  After the pass the codes
-are renumbered to sorted class-symbol order, so entropy binning counts
-its classes in the same columns, and so gives the same edges, as binning
-on the symbols themselves.
+``RESERVOIR_CAPACITY`` entries: a float64 value array and an ``int16``
+code array, the signed dtype that ``MAX_CATEGORIES`` bounds, fixed when
+the reservoir is built.  The reservoir makes one draw per arrival, so
+its sample does not depend on where the chunks end.  The last chunk is
+released when the pass ends, before any variable is binned.  After the
+pass the codes are renumbered to sorted class-symbol order, so entropy
+binning counts its classes in the same columns, and so gives the same
+edges, as binning on the symbols themselves.
 
 Entropy binning sorts a variable's sample once and builds one integer
 prefix-count table over it: row ``i`` holds the class counts of the
@@ -86,7 +88,8 @@ class ReservoirSample:
 
     Classic algorithm-R replacement (Vitter, *Random Sampling with a
     Reservoir*, ACM TOMS 1985), applied a chunk at a time: ``values`` is a
-    float64 array and ``labels`` the matching integer class codes.  Each
+    float64 array and ``labels`` the matching class codes, in the signed
+    dtype that ``MAX_CATEGORIES`` bounds (``int16`` for 10,000).  Each
     :meth:`extend` fills free room by slice, then makes one
     ``integers(0, arrivals)`` draw for the remaining items and applies the
     hits as one masked assignment.  That is one draw per arrival, taken
@@ -103,7 +106,10 @@ class ReservoirSample:
         self.seed = seed
         self._rng = np.random.default_rng(seed)
         self.values = np.empty(0, dtype=np.float64)
-        self.labels = np.empty(0, dtype=np.int64)
+        # the narrowest signed dtype for every class code the cap allows, read
+        # now: a block's codes come in the narrowest dtype for the labels seen
+        # so far, which a later, larger code would overflow
+        self.labels = np.empty(0, dtype=np.min_scalar_type(-MAX_CATEGORIES))
         self.seen = 0
 
     def extend(self, values: np.ndarray, labels: np.ndarray) -> None:
@@ -113,7 +119,7 @@ class ReservoirSample:
         take = min(self.capacity - len(self.values), n)
         if take > 0:
             self.values = np.concatenate([self.values, values[:take]])
-            self.labels = np.concatenate([self.labels, labels[:take]])
+            self.labels = np.concatenate([self.labels, labels[:take]], dtype=self.labels.dtype)
         if take < n:
             # arrival index of each remaining item, 1-based over the whole stream
             arrivals = np.arange(self.seen + take + 1, self.seen + n + 1)
@@ -275,6 +281,21 @@ def variable_seed(base_seed: int, name: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+def _fill_reservoirs(
+    chunks: Iterable[Chunk], class_var: str, reservoirs: dict[str, ReservoirSample]
+) -> None:
+    """Feed each reservoir the non-missing values of labelled rows, chunk by
+    chunk.  The last chunk goes on return, before any binning."""
+    for chunk in chunks:
+        class_codes = chunk.columns[class_var]
+        class_ok = class_codes >= 0
+        for name, reservoir in reservoirs.items():
+            values = chunk.columns[name]
+            labeled = ~np.isnan(values) & class_ok
+            if labeled.any():
+                reservoir.extend(values[labeled], class_codes[labeled])
+
+
 def collect_outcomes(
     schema: Schema,
     dataset: CsvDataset,
@@ -322,14 +343,7 @@ def collect_outcomes(
 
     # the group key is not decoded here, so it is not read either
     wanted = [*schema.var_names, schema.class_var]
-    for chunk in dataset.iter_chunks(wanted, decode=decode):
-        class_codes = chunk.columns[schema.class_var]
-        class_ok = class_codes >= 0
-        for name in cont_vars:
-            values = chunk.columns[name]
-            labeled = ~np.isnan(values) & class_ok
-            if labeled.any():
-                reservoirs[name].extend(values[labeled], class_codes[labeled])
+    _fill_reservoirs(dataset.iter_chunks(wanted, decode=decode), schema.class_var, reservoirs)
 
     first_seen = class_coder.labels
     class_symbols = tuple(sorted(first_seen))

@@ -227,3 +227,21 @@ class TestCsvPlumbing:
         path.write_text("y,cat\ngood,m\ngood,f\nbad,m\nbad,f\n", encoding="utf-8")
         with pytest.raises(ConfigError, match="continuous"):
             fit_from_csv(schema, path, "linear")
+
+    @pytest.mark.parametrize("kind", ["linear", "quadratic"])
+    @pytest.mark.parametrize("chunk_rows", [1, 7, 50])
+    def test_fit_does_not_depend_on_chunk_size(self, tmp_path, sizes, kind, chunk_rows):
+        """Each class's rows are appended to one buffer as the chunks come,
+        so a fit over many chunks has the rows, in order, and so the bits
+        of the in-memory fit over the complete rows of the whole file."""
+        path = self.write_data(tmp_path, n=300, missing_every=10)
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = [r for r in csv.DictReader(fh) if r["u"] != "?"]
+        features = np.array([[float(r["u"]), float(r["v"])] for r in rows])
+        expected = fit_discriminant(features, [r["y"] for r in rows], kind,
+                                    classes=("good", "bad"), feature_names=["u", "v"])
+        sizes(chunk_rows=chunk_rows, block_bytes=1)
+        model = fit_from_csv(self.SCHEMA, path, kind)
+        assert (model.n1, model.n2, model.dropped_rows) == (expected.n1, expected.n2, 30)
+        for name in ("mean1", "mean2", "cov", "cov1", "cov2"):
+            assert np.array_equal(getattr(model, name), getattr(expected, name)), name

@@ -647,3 +647,20 @@ def test_gen_rejects_a_non_finite_or_negative_number(tmp_path_factory, cfg, data
     assert code == 1
     assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
     assert not (root / "out").exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    # a header-only file: pass 1 reads no chunk, so none is left to release
+    ("class,a\n", "error: class column 'class' needs >= 2 observed outcomes, got 0\n"),
+    # a required column named twice is ambiguous, so neither copy is used
+    ("class,a,a\ng,x,y\nb,y,x\n", "header repeats required column(s): a\n"),
+], ids=["header-only", "repeated-column"])
+def test_train_rejects_a_file_it_cannot_learn_from(tmp_path, capsys, text, message):
+    (tmp_path / "data.csv").write_text(text, encoding="utf-8")
+    (tmp_path / "schema.txt").write_text("class class\nvar a categorical\n", encoding="utf-8")
+    assert run(["train", "--schema", str(tmp_path / "schema.txt"),
+                "--data", str(tmp_path / "data.csv"), "--out", str(tmp_path / "m.json")]) == 1
+    assert not (tmp_path / "m.json").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.endswith(message)
+    assert err.count("\n") == 1 and "Traceback" not in err

@@ -126,6 +126,32 @@ def test_abandoned_iteration_counts_no_pass(tmp_path, sizes):
     assert ds.stats.passes == 0
 
 
+@pytest.mark.parametrize("quoted", [False, True])
+def test_pass_reading_another_header_raises(tmp_path, quoted):
+    """A pass indexes the columns by the header read first, so a file whose
+    header changed before the pass raises rather than reading another
+    column's cells, on the block path and on the csv.reader path alike."""
+    path = write(tmp_path, "a,b\n1,x\n2,y\n")
+    ds = CsvDataset(path)
+    assert ds.header() == ["a", "b"]
+    head = '"b",a' if quoted else "b,a"
+    path.write_text(f"{head}\nx,1\ny,2\n", encoding="utf-8")
+    with pytest.raises(DatasetError, match=r"header row reads \['b', 'a'\]"):
+        list(ds.iter_chunks(["a"]))
+    assert ds.stats.passes == 0
+
+
+def test_header_repeating_a_required_column_raises(tmp_path):
+    """A required column named twice is an error; a repeated column no pass
+    requires is read past."""
+    ds = CsvDataset(write(tmp_path, "y,a,a,b,c,c\ng,1,2,3,4,5\n"))
+    with pytest.raises(DatasetError, match="repeats required column.s.: a$"):
+        ds.require_columns(["y", "a", "b", "a"])
+    ds.require_columns(["y", "b"])
+    assert [chunk.columns for chunk in ds.iter_chunks(["b", "y"])] == [
+        {"b": ["3"], "y": ["g"]}]
+
+
 def test_same_size_and_mtime_with_other_rows_raises(tmp_path):
     path = write(tmp_path, "y,a,b\ng,1,2\nb,3,4\n")
     ds = CsvDataset(path)

@@ -143,6 +143,23 @@ class TestCollectOutcomes:
         assert entropy_bins(values, [first_seen.index(y) for y in symbols],
                             schema.max_bins) != expected
 
+    def test_class_codes_past_127_keep_their_labels(self, tmp_path, sizes):
+        """The first chunks hold 20 classes, so their codes come as ``int8``;
+        300 more follow once the reservoir is full.  A code past 127 that
+        replaces a reservoir entry must keep its class, so the edges equal
+        those of a one-chunk read, whose codes are wide from the start."""
+        rng = np.random.default_rng(3)
+        labels = [f"c{i:02d}" for i in rng.integers(0, 20, 200)]
+        labels += [f"d{i:03d}" for i in range(300)]
+        values = [int(y[1:]) + 0.5 * rng.random() for y in labels]
+        ds = write(tmp_path, "y,v\n" + "".join(f"{y},{v!r}\n" for y, v in zip(labels, values)))
+        schema = parse_schema("class y\nmax_bins 12\nvar v continuous entropy\n")
+        sizes(reservoir_capacity=150)
+        whole = collect_outcomes(schema, ds).edges("v")
+        sizes(chunk_rows=64, block_bytes=1)
+        assert collect_outcomes(schema, ds).edges("v") == whole
+        assert len(whole) == 11
+
 
 class TestEntropyBins:
     def test_single_best_cut(self):

@@ -253,16 +253,17 @@ def traced_peak(fn, *args):
 
 def test_training_pass_working_set(tmp_path):
     """A pass keeps decoded columns, not a chunk of ``str`` cells: on this
-    2.4 MB file pass 1 peaks at about 6.5 MiB and pass 2, on one-byte
+    2.4 MB file pass 1 peaks at about 3.7 MiB and pass 2, on one-byte
     codes, at about 2 MiB, where holding the chunk's raw cells took 20
-    and 19 MiB."""
+    and 19 MiB.  Pass 1 took 6.3 MiB while it kept ``int64`` reservoir
+    labels and held its last chunk through binning."""
     schema, path = wide_csv(tmp_path)
     ds = CsvDataset(path)
     outcomes, pass1 = traced_peak(collect_outcomes, schema, ds)
     tables = [("class", node_id(v.name, 0)) for v in schema.field_vars]
     _, pass2 = traced_peak(_count_pass, ds, Encoder(schema, outcomes), tables)
     assert ds.stats.passes == 2
-    assert pass1 < 12 * 2**20
+    assert pass1 < 5 * 2**20
     assert pass2 < 12 * 2**20
 
 
@@ -329,7 +330,7 @@ def test_sweep_working_set(wide_run, sizes):
 
 def test_baseline_working_set(wide_run):
     """The QDA fit takes each class's own copy of its rows and centres it
-    in place, about 3.1 MiB here, where the full matrix, both class copies
+    in place, about 3.9 MiB here, where the full matrix, both class copies
     and their centred copies took 4.8 MiB.  Scoring drops each block's
     feature matrix once the block is scored: 1.6 MiB, where a chunk's
     matrix took 7.0 MiB."""
@@ -338,6 +339,17 @@ def test_baseline_working_set(wide_run):
     _, score_peak = traced_peak(score_to_csv, qda, schema, path, tmp_path / "qda.csv")
     assert fit_peak < 4 * 2**20
     assert score_peak < 3.5 * 2**20
+
+
+def test_baseline_fit_working_set_across_chunks(wide_run, sizes):
+    """Read in chunks of at least 2,048 rows, the fit appends each class's
+    rows to one buffer per class: about 1.8 MiB here, where each class's
+    parts and their concatenation, alive together, took 2.6 MiB."""
+    schema, path, _, _ = wide_run
+    sizes(chunk_rows=2048, block_bytes=4096)
+    qda, peak = traced_peak(fit_from_csv, schema, path, "quadratic")
+    assert qda.n1 + qda.n2 + qda.dropped_rows == 20_000
+    assert peak < 2.25 * 2**20
 
 
 # Categoricals whose alphabets, MISSING included, hold 255, 256 and 257
