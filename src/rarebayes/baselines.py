@@ -20,7 +20,6 @@ one rule in :mod:`rarebayes.dataio`.
 
 from __future__ import annotations
 
-import csv
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -29,9 +28,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataio import MISSING_CELLS, Chunk, ClassCodes, CsvDataset, as_dataset, csv_cell
+from .dataio import MISSING_CELLS, Chunk, ClassCodes, CsvDataset, as_dataset, csv_cell, csv_output
 from .dataio import missing_mask, parse_float_column, write_rows
 from .errors import ConfigError, SingularCovarianceError
+from .evaluation import prediction_header
 from .schema import Schema
 
 LINEAR = "linear"
@@ -391,31 +391,26 @@ def score_to_csv(
     ds.require_columns(schema.var_names)
     classes = sorted([model.label1, model.label2])
     rows = flagged = unscored = 0
-    # every cell but the record id is one of a few strings, quoted once
-    # and shared by all rows
-    label_cells = np.array([csv_cell(model.label1), csv_cell(model.label2)], dtype=object)
-    indicator = np.array(["0.0", "1.0"], dtype=object)
-    skip_cells = np.array(["", csv_cell("features:missing")], dtype=object)
-    with open(out_path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(
-            ["record_id"] + [f"p_{c}" for c in classes] + ["label", "skipped_nodes"]
-        )
-        def decode(block: Chunk) -> dict:
-            # scored per block, so a block's feature matrix goes with it
-            X, miss = _feature_columns(schema, block, model.one_hot_levels)
-            to2 = np.zeros(block.size, dtype=np.intp)
-            to2[~miss] = score_label(model, X[~miss]) == model.label2
-            return {"to2": to2, "missing": miss}
+    # each (label, skipped) row ending rendered once, picked by to2 + 2 * missing
+    tails = np.array([
+        ",".join([*("1.0" if c == label else "0.0" for c in classes), csv_cell(label), skip])
+        for skip in ("", csv_cell("features:missing"))
+        for label in (model.label1, model.label2)
+    ], dtype=object)
 
-        used = _used_columns(schema, model.one_hot_levels)
-        for chunk in ds.iter_chunks(used, decode=decode):
+    def decode(block: Chunk) -> dict:
+        # scored per block, so a block's feature matrix goes with it
+        X, miss = _feature_columns(schema, block, model.one_hot_levels)
+        to2 = np.zeros(block.size, dtype=np.intp)
+        to2[~miss] = score_label(model, X[~miss]) == model.label2
+        return {"to2": to2, "missing": miss}
+
+    with csv_output(out_path, prediction_header(classes)) as fh:
+        for chunk in ds.iter_chunks(_used_columns(schema, model.one_hot_levels), decode=decode):
             to2, miss = chunk.columns["to2"], chunk.columns["missing"]
-            is_class = {model.label1: 1 - to2, model.label2: to2}
             write_rows(fh, [
                 map(str, range(rows, rows + chunk.size)),
-                *(indicator[is_class[c]].tolist() for c in classes),
-                label_cells[to2].tolist(),
-                skip_cells[miss.astype(np.intp)].tolist(),
+                tails[to2 + 2 * miss].tolist(),
             ])
             rows += chunk.size
             flagged += int(to2.sum())

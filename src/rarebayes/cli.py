@@ -9,13 +9,12 @@ outputs.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
 
 from . import baselines, evaluation, inference, structure, synthgen
-from .dataio import CsvDataset
+from .dataio import CsvDataset, csv_output, write_rows
 from .errors import ConfigError, RareBayesError
 from .schema import parse_schema
 
@@ -114,7 +113,7 @@ def _cmd_sweep(args) -> int:
     table = inference.count_scores(model, args.data, grid, args.positive)
     rows = evaluation.sweep_rows(table, grid)
     records = int(table.sum())
-    positive = args.positive or model.rare_class()
+    positive = model.rare_class() if args.positive is None else args.positive
     report = evaluation.rows_to_report(
         rows,
         metadata={
@@ -127,8 +126,9 @@ def _cmd_sweep(args) -> int:
     )
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     if args.csv:
-        with open(args.csv, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerows(evaluation.rows_to_csv_lines(rows))
+        header, *lines = evaluation.rows_to_csv_lines(rows)
+        with csv_output(args.csv, header) as fh:
+            write_rows(fh, list(zip(*lines)))
     _say(
         f"sweep: wrote {args.out} thresholds={len(rows)} records={records} "
         f"positive={positive}"

@@ -8,14 +8,16 @@ at a different size or modification time, or that ends with different
 row or rejected-row counts or a different CRC-32 of the bytes it read
 (the header and any ``csv.reader`` tail included), raises
 :class:`DatasetError`, so all passes of one training run see the same
-unchanged file.  Every pass also parses the header row it reads and
-raises unless it equals the cached :meth:`CsvDataset.header` that the
-wanted columns were indexed by, and a column a pass requires may occur
-only once in the header.
+unchanged file.  :meth:`CsvDataset.header` reads the header row with
+the same byte reader and the same header rule as every pass, and every
+pass raises unless the header it reads equals that one, which the
+wanted columns were indexed by; a column a pass requires may occur only
+once in the header.
 
-Data files are RFC-4180-style CSV in UTF-8 with a header row.  Rows
-whose field count does not match the header are counted as rejected and
-skipped; blank lines are ignored.
+Data files are RFC-4180-style CSV in UTF-8 with a header row; a file
+whose first line is blank or that is empty has none.  Rows whose field
+count does not match the header are counted as rejected and skipped;
+blank lines are ignored.
 
 The one missing-cell rule, which every training pass, scorer and
 baseline applies, lives here.  A class or field cell is MISSING when it
@@ -63,12 +65,13 @@ field-count rules:
   or mixed line end, is parsed by ``csv.reader`` as one block, so a field
   longer than ``csv.field_size_limit()`` raises :class:`DatasetError` on
   either path;
-- from the line holding the first ``"`` on (the header included), because
-  a quoted field can span lines, ``csv.reader`` reads the rest of the
-  file, ``_CSV_ROWS`` records at a time, from the same decoded blocks;
-- a header line holding a ``\r`` other than its line end's sends the
-  whole file to ``csv.reader``, which ends a record there, where a byte
-  ``readline`` does not.
+- from the line holding the first ``"`` on, because a quoted field can
+  span lines, ``csv.reader`` reads the rest of the file, ``_CSV_ROWS``
+  records at a time, from the same decoded blocks;
+- the header rule: a header line holding a ``"``, a ``\r`` other than
+  its line end's (``csv`` ends a record there, a byte ``readline`` does
+  not) or more than ``csv.field_size_limit()`` characters sends the whole
+  file to ``csv.reader``; any other is split on ``,``.
 
 Each block's wanted cells go through the caller's decoder as soon as the
 block is split, while they are still in cache, so raw cells never outlive
@@ -81,11 +84,15 @@ reservoirs make one draw per arrival, in turn from one generator.  The
 decoded blocks are dropped once joined, before the caller gets a chunk,
 so they and their join are never alive together while the caller works.
 
-:func:`write_rows` is the one bulk writer.  Output files are in
-``csv.writer``'s default dialect (minimal quoting, ``\r\n`` line ends),
-but the cells arrive already formatted: :func:`csv_cell` quotes a value
-as ``csv.writer`` would, so callers quote each distinct value of a small
-alphabet once, and numbers, which never need quoting, are not scanned.
+Every output CSV -- ``gen``'s data file, ``sweep --csv``, and the
+prediction files of ``classify`` and ``baseline``, which share one format
+(:func:`rarebayes.evaluation.prediction_header`) -- is opened by
+:func:`csv_output`, which writes its header row, and its body is written
+by :func:`write_rows`, all in ``csv.writer``'s default dialect (minimal
+quoting, ``\r\n`` line ends).  The cells arrive already formatted:
+:func:`csv_cell` quotes a value as ``csv.writer`` would, so callers quote
+each distinct value of a small alphabet once, and numbers, which never
+need quoting, are not scanned.
 """
 
 from __future__ import annotations
@@ -94,10 +101,11 @@ import csv
 import io
 import os
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain, compress, islice, repeat
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -162,19 +170,25 @@ class CsvDataset:
 
     def header(self) -> list[str]:
         if self._header is None:
-            try:
-                with open(self.path, newline="", encoding="utf-8") as fh:
-                    row = next(csv.reader(fh), None)
-            except OSError as exc:
-                raise DatasetError(f"cannot read {self.path}: {exc}") from exc
-            except UnicodeDecodeError as exc:
-                raise DatasetError(f"{self.path} is not UTF-8 text: {exc}") from exc
-            except csv.Error as exc:
-                raise DatasetError(f"{self.path} is not readable CSV: {exc}") from exc
+            with self._reading() as reader:
+                row, _ = reader.header()
             if not row:
                 raise DatasetError(f"{self.path} has no header row")
             self._header = row
         return self._header
+
+    @contextmanager
+    def _reading(self) -> Iterator[_ByteReader]:
+        """The file as a :class:`_ByteReader`; any read error is a :class:`DatasetError`."""
+        try:
+            with open(self.path, "rb") as fh:
+                yield _ByteReader(fh)
+        except OSError as exc:
+            raise DatasetError(f"cannot read {self.path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise DatasetError(f"{self.path} is not UTF-8 text: {exc}") from exc
+        except csv.Error as exc:
+            raise DatasetError(f"{self.path} is not readable CSV: {exc}") from exc
 
     def require_columns(self, names: list[str]) -> None:
         header = self.header()
@@ -224,27 +238,21 @@ class CsvDataset:
         idx = [header.index(name) for name in wanted]
         parts: list[dict[str, Any]] = []
         held = rows = rejected = 0
-        with open(self.path, "rb") as fh:
-            stat = self._begin_pass(fh)
-            reader = _ByteReader(fh)
-            try:
-                for size, columns, dropped in _pieces(reader, header, idx):
-                    rejected += dropped
-                    if not size:
-                        continue
-                    block = dict(zip(wanted, columns))
-                    parts.append(block if decode is None else decode(Chunk(block, size)))
-                    del block, columns  # raw cells do not outlive their block
-                    held += size
-                    if held >= _CHUNK_ROWS:
-                        rows += held
-                        # the blocks go once joined, before the caller gets a chunk
-                        chunk, parts, held = Chunk(_join(parts), held), [], 0
-                        yield chunk
-            except UnicodeDecodeError as exc:
-                raise DatasetError(f"{self.path} is not UTF-8 text: {exc}") from exc
-            except csv.Error as exc:
-                raise DatasetError(f"{self.path} is not readable CSV: {exc}") from exc
+        with self._reading() as reader:
+            stat = self._begin_pass(reader.fh)
+            for size, columns, dropped in _pieces(reader, header, idx):
+                rejected += dropped
+                if not size:
+                    continue
+                block = dict(zip(wanted, columns))
+                parts.append(block if decode is None else decode(Chunk(block, size)))
+                del block, columns  # raw cells do not outlive their block
+                held += size
+                if held >= _CHUNK_ROWS:
+                    rows += held
+                    # the blocks go once joined, before the caller gets a chunk
+                    chunk, parts, held = Chunk(_join(parts), held), [], 0
+                    yield chunk
             if held:
                 rows += held
                 chunk, parts = Chunk(_join(parts), held), []
@@ -286,7 +294,7 @@ class CsvDataset:
 
 
 class _ByteReader:
-    r"""A binary file read as UTF-8 text blocks that end on a line end.
+    r"""A binary file read as UTF-8 text: its header, then blocks that end on a line end.
 
     ``crc`` is the running CRC-32 of every byte read so far.  Each block of
     ``_BLOCK_BYTES`` is extended to the next ``\n`` and decoded once; a
@@ -302,9 +310,18 @@ class _ByteReader:
         self.crc = zlib.crc32(data, self.crc)
         return data.decode("utf-8")
 
-    def line(self) -> str:
-        r"""The next line, up to and including its ``\n``."""
-        return self._checked(self.fh.readline())
+    def header(self) -> tuple[list[str] | None, Iterator[list[str]] | None]:
+        r"""The first record as ``csv.reader`` parses it (None if blank or absent),
+        and the ``csv.reader`` reading on if the line holds a ``"`` (a quoted
+        name can span lines), a ``\r`` before its line end (``csv`` ends a
+        record there, ``readline`` does not) or more than
+        ``csv.field_size_limit()`` characters; any other line is split on ``,``."""
+        head = self._checked(self.fh.readline())
+        line = head.removesuffix("\n").removesuffix("\r")
+        if '"' in line or "\r" in line or len(line) > csv.field_size_limit():
+            records = csv.reader(_lines(chain([head], self.blocks())))
+            return next(records, None), records
+        return (line.split(",") if line else None), None
 
     def blocks(self) -> Iterator[str]:
         """The rest of the file, block by block."""
@@ -321,25 +338,17 @@ _Piece = tuple[int, list[list[str]], int]
 
 
 def _pieces(reader: _ByteReader, header: list[str], idx: list[int]) -> Iterator[_Piece]:
-    r"""Parse the rows after the header as (rows, wanted columns, rejected) pieces.
+    """Parse the rows after the header as (rows, wanted columns, rejected) pieces.
 
-    The header row read is parsed as ``csv.reader`` would and must equal
-    ``header``, the one the columns were indexed by, or
-    :class:`DatasetError` is raised.  Reads text blocks of ``_BLOCK_BYTES``
-    that end on a line end; from the first ``"`` on, ``csv.reader`` reads
-    the rest of the file.  A header holding a ``"``, or a ``\r`` other than
-    its line end's, sends the whole file to ``csv.reader``: ``csv`` ends a
-    record at a lone ``\r``, which a byte ``readline`` reads past.
+    The header row read must equal ``header``, the one the columns were
+    indexed by, or :class:`DatasetError` is raised.  Reads text blocks of
+    ``_BLOCK_BYTES`` that end on a line end; ``csv.reader`` reads the rest
+    of the file from the first ``"`` on, or from the header.
     """
-    head = reader.line()
-    blocks = reader.blocks()
+    row, records = reader.header()
+    _check_header(reader, row, header)
     width = len(header)
-    if '"' in head or "\r" in head.removesuffix("\r\n"):
-        records = csv.reader(_lines(chain([head], blocks)))
-        _check_header(reader, next(records, None), header)
-        yield from _csv_pieces(records, width, idx)
-        return
-    _check_header(reader, head.removesuffix("\n").removesuffix("\r").split(","), header)
+    blocks = reader.blocks() if records is None else ()
     for block in blocks:
         quote = block.find('"')
         if quote < 0:
@@ -347,8 +356,10 @@ def _pieces(reader: _ByteReader, header: list[str], idx: list[int]) -> Iterator[
             continue
         cut = block.rfind("\n", 0, quote) + 1
         yield _block_piece(block[:cut], width, idx)
-        yield from _csv_pieces(csv.reader(_lines(chain([block[cut:]], blocks))), width, idx)
-        return
+        records = csv.reader(_lines(chain([block[cut:]], blocks)))
+        break
+    if records is not None:
+        yield from _csv_pieces(records, width, idx)
 
 
 def _check_header(reader: _ByteReader, row: list[str] | None, header: list[str]) -> None:
@@ -431,6 +442,15 @@ def csv_cell(text: str) -> str:
     buf = io.StringIO()
     csv.writer(buf).writerow((text, ""))
     return buf.getvalue()[:-3]  # the empty last cell's "," and the "\r\n"
+
+
+@contextmanager
+def csv_output(path: str | Path, header: Sequence[str]) -> Iterator[TextIO]:
+    """``path`` opened for :func:`write_rows` in UTF-8 with ``newline=""``,
+    its header row written."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        write_rows(fh, [[csv_cell(name)] for name in header])
+        yield fh
 
 
 def write_rows(fh, columns: Sequence[Iterable[str]]) -> None:

@@ -164,18 +164,41 @@ def fcv(counts: ConfusionCounts, threshold: float) -> FCVRow:
     )
 
 
+# Decimals every grid threshold is rounded to, and the most thresholds a
+# grid may hold.
+GRID_DECIMALS = 10
+MAX_GRID_THRESHOLDS = 100_000
+
+
 def default_grid(start: float = 0.10, stop: float = 0.90, step: float = 0.05) -> list[float]:
-    """Threshold grid built by integer stepping to dodge float drift."""
+    """Threshold grid built by integer stepping to dodge float drift.
+
+    Before any threshold is built, :class:`EvaluationError` is raised when
+    the first two would round to the same ``GRID_DECIMALS`` decimals, or
+    when the grid would hold more than ``MAX_GRID_THRESHOLDS``.
+    """
     if not all(map(math.isfinite, (start, stop, step))):
         raise EvaluationError(
             f"grid start, stop and step must be finite, got {start}:{stop}:{step}"
         )
     if step <= 0:
         raise EvaluationError(f"grid step must be positive, got {step}")
+    first = round(start, GRID_DECIMALS)
+    if first <= stop + 1e-9 and round(start + step, GRID_DECIMALS) == first:
+        raise EvaluationError(
+            f"grid step {step} is too small: consecutive thresholds round to "
+            f"the same {GRID_DECIMALS} decimals"
+        )
+    # (stop + 1e-9 - start) / step is the last threshold's index, give or
+    # take the rounding
+    if (stop + 1e-9 - start) / step >= MAX_GRID_THRESHOLDS:
+        raise EvaluationError(
+            f"grid {start}:{stop}:{step} holds more than {MAX_GRID_THRESHOLDS} thresholds"
+        )
     grid = []
     i = 0
     while True:
-        t = round(start + i * step, 10)
+        t = round(start + i * step, GRID_DECIMALS)
         if t > stop + 1e-9:
             break
         grid.append(t)
@@ -231,6 +254,12 @@ def sweep(
     buckets = grid_buckets(np.asarray(posteriors, dtype=np.float64), grid)
     table = count_table([buckets, _is_positive(actuals, positive)], (len(grid) + 1, 2))
     return sweep_rows(table, grid)
+
+
+def prediction_header(classes: Sequence[str]) -> list[str]:
+    """The prediction file's header, as ``classify`` and ``baseline`` write it
+    and :func:`evaluate_files` reads it."""
+    return ["record_id", *(f"p_{c}" for c in classes), "label", "skipped_nodes"]
 
 
 def evaluate_files(
@@ -360,19 +389,8 @@ def threshold_label(t: float) -> str:
 
 def rows_to_csv_lines(rows: Sequence[FCVRow]) -> list[list[str]]:
     """Sweep rows as CSV cells (formatted percentages, exact counts)."""
-    out = [list(SWEEP_CSV_HEADER)]
-    for r in rows:
-        out.append(
-            [
-                threshold_label(r.threshold),
-                r.f_pct_str(),
-                r.c_pct_str(),
-                r.volume,
-                str(r.tp),
-                str(r.fp),
-                str(r.tn),
-                str(r.fn),
-                f"{r.accuracy:.6f}",
-            ]
-        )
-    return out
+    return [list(SWEEP_CSV_HEADER)] + [
+        [threshold_label(r.threshold), r.f_pct_str(), r.c_pct_str(), r.volume,
+         *map(str, (r.tp, r.fp, r.tn, r.fn)), f"{r.accuracy:.6f}"]
+        for r in rows
+    ]

@@ -38,7 +38,6 @@ raising, since streams routinely grow new outcomes after training.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
@@ -46,9 +45,9 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .dataio import MISSING, MISSING_CELLS, CsvDataset, as_dataset, csv_cell, write_rows
+from .dataio import MISSING, MISSING_CELLS, CsvDataset, as_dataset, csv_cell, csv_output, write_rows
 from .errors import ConfigError, EvidenceError
-from .evaluation import grid_buckets
+from .evaluation import grid_buckets, prediction_header
 from .infometrics import count_table
 from .structure import NetworkModel
 from .windows import CaseRecord, node_var_slot
@@ -168,7 +167,8 @@ def posterior(model: NetworkModel, case: CaseRecord) -> ClassPosterior:
 
 def _positive_index(model: NetworkModel, positive: str | None) -> tuple[str, int]:
     """The positive class (default: the rare class) and its column."""
-    positive = positive or model.rare_class()
+    if positive is None:
+        positive = model.rare_class()
     if positive not in model.class_symbols:
         raise ConfigError(f"unknown positive class {positive!r}")
     return positive, model.class_symbols.index(positive)
@@ -325,12 +325,7 @@ def classify_file(
     symbols = np.array(list(map(csv_cell, model.class_symbols)), dtype=object)
     rows = 0
     flagged = 0
-    with open(out_path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(
-            ["record_id"]
-            + [f"p_{c}" for c in model.class_symbols]
-            + ["label", "skipped_nodes"]
-        )
+    with csv_output(out_path, prediction_header(model.class_symbols)) as fh:
         for scored in iter_scored(model, data):
             # one "p_…,label,skipped_nodes" tail per distinct configuration
             labels = _label_columns(scored.config_probabilities, pos_idx, threshold)

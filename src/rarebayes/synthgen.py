@@ -29,7 +29,6 @@ a matching schema file, and the truth document.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -39,7 +38,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import dataio
-from .dataio import MISSING, csv_cell, write_rows
+from .dataio import MISSING, csv_cell, csv_output, write_rows
 from .errors import ConfigError, EvidenceError
 from .schema import Schema, VariableSpec, format_schema, from_json
 
@@ -386,8 +385,7 @@ def generate(config: GenConfig, out_dir: str | Path) -> GenResult:
         header.insert(0, config.group.name)
     class_cells = _outcome_cells(config.class_labels)
     data_path = out / "data.csv"
-    with open(data_path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(header)
+    with csv_output(data_path, header) as fh:
         for lo in range(0, config.n, dataio._WRITE_ROWS):
             hi = min(lo + dataio._WRITE_ROWS, config.n)
             cells = [class_cells[class_codes[lo:hi]].tolist()]

@@ -133,11 +133,13 @@ def test_sweep_drops_blank_actuals_when_the_positive_class_is_blank(
     data = tmp_path / "data.csv"
     with open(data, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows([header, *rows])
-    assert run(["sweep", "--model", str(model), "--data", str(data),
-                "--out", str(tmp_path / "sweep.json")]) == 1
     labelled = len(rows) - len(rows[::20])
-    assert capsys.readouterr().err == (
-        f"error: rates undefined: 0 actual positives, {labelled} actual negatives\n")
+    # the rare class by default, and by name: --positive "" names a "" class
+    for positive in ([], ["--positive", cell]):
+        assert run(["sweep", "--model", str(model), "--data", str(data),
+                    "--out", str(tmp_path / "sweep.json"), *positive]) == 1
+        assert capsys.readouterr().err == (
+            f"error: rates undefined: 0 actual positives, {labelled} actual negatives\n")
 
 
 def test_sweep_csv_column_layout(workdir):
@@ -258,6 +260,12 @@ def test_non_finite_grid_is_runtime_error(workdir, capsys, grid):
 @pytest.mark.parametrize("grid, message", [
     ("0:0.9:0.1", "grid thresholds must lie strictly inside (0, 1)"),
     ("0.1:0.1000000002:6e-11", "grid thresholds must be strictly increasing"),
+    # these used to append thresholds until memory ran out
+    ("0.1:0.9:1e-11",
+     "grid step 1e-11 is too small: consecutive thresholds round to the same 10 decimals"),
+    ("0:1:1e-300",
+     "grid step 1e-300 is too small: consecutive thresholds round to the same 10 decimals"),
+    ("0.1:0.9:1e-6", "grid 0.1:0.9:1e-06 holds more than 100000 thresholds"),
 ])
 def test_invalid_grid_fails_before_reading_data(workdir, tmp_path, capsys, grid, message):
     # the grid used to be checked only once the whole file was scored, so a
@@ -283,6 +291,24 @@ def test_empty_grid_is_runtime_error(workdir, tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: grid '0.5:0.4:0.1' holds no threshold: start is past stop\n")
     assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("command", ["classify", "sweep", "baseline"])
+def test_blank_positive_is_an_unknown_class(workdir, tmp_path, capsys, command):
+    # classify and sweep used to read an empty --positive as "the rare class"
+    data = str(workdir / "fixture" / "data.csv")
+    out = str(tmp_path / "out")
+    argv = {
+        "classify": ["classify", "--model", str(workdir / "model.json"), "--data", data,
+                     "--out", out],
+        "sweep": ["sweep", "--model", str(workdir / "model.json"), "--data", data,
+                  "--out", out],
+        "baseline": ["baseline", "--kind", "linear", "--data", data, "--out", out,
+                     "--schema", str(workdir / "fixture" / "schema.txt")],
+    }[command]
+    assert run(argv + ["--positive", ""]) == 1
+    assert capsys.readouterr().err == "error: unknown positive class ''\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("ridge", ["-1", "nan", "inf"])

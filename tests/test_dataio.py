@@ -467,6 +467,57 @@ def test_outputs_do_not_depend_on_block_size(tmp_path):
     assert len(set(outputs.values())) == 1
 
 
+# --- the header against csv.reader --------------------------------------
+
+HEADER_NAME = st.text(alphabet='ab ,"\r\n\ufeff', max_size=4)
+
+
+@st.composite
+def first_lines(draw):
+    r"""A file's start: a header of names (quoted by csv.writer where a
+    name holds ``,``, ``"``, ``\n`` or ``\r``), raw text, a blank line or
+    nothing, after an optional BOM, with a ``\n``, ``\r\n`` or lone
+    ``\r`` line end or none, then an optional next line."""
+    kind = draw(st.sampled_from(["names", "names", "raw", "blank", "empty"]))
+    if kind == "empty":
+        return ""
+    text = "\ufeff" if draw(st.booleans()) else ""
+    if kind == "names":
+        text += csv_line(draw(st.lists(HEADER_NAME, min_size=1, max_size=4)))
+    elif kind == "raw":
+        text += draw(st.text(alphabet='ab,"\r\n', max_size=10))
+    text += draw(st.sampled_from(["\n", "\r\n", "\r", ""]))
+    return text + draw(st.sampled_from(["", "a,b\n", '"x\ny",z\r\n', "\n"]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=first_lines())
+@example(text="")
+@example(text="\n")
+@example(text="\r\na,b\n")
+@example(text="a,b")
+@example(text="\ufeffa,b\r\nc,d\r\n")
+@example(text='"a\r\nb",c\r\nd,e\r\n')
+@example(text="a\rb,c\n")
+def test_header_matches_csv_module(case_dir, text):
+    """``header()`` is the first record ``csv.reader`` reads, and a file
+    whose first record is empty or absent has no header row; a pass then
+    reads that same header."""
+    path = case_dir / "head.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with open(path, newline="", encoding="utf-8") as fh:
+        record = next(csv.reader(fh), None)
+    ds = CsvDataset(path)
+    if not record:
+        with pytest.raises(DatasetError, match="head.csv has no header row"):
+            ds.header()
+        return
+    assert ds.header() == record
+    for _ in ds.iter_chunks([]):
+        pass
+    assert ds.stats.passes == 1
+
+
 # --- the bulk writer against csv.writer ---------------------------------
 
 WRITER_CELL = st.one_of(st.just(""), st.text(alphabet=' ab,"\r\n\u00e9\u2028', max_size=5))

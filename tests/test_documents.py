@@ -3,8 +3,9 @@
 Every document the package writes is its dataclasses' fields
 (``asdict``) and reads back through ``Spec(**doc)``.  The digests pin
 ``truth.json`` and ``data.csv`` for each fixture config, one trained
-model file, and that model's classification file and sweep rows on its
-own training data, byte for byte.
+model file, and that model's classification file, sweep rows and sweep
+CSV on its own training data, and both baseline files on that data, byte
+for byte.
 """
 
 import hashlib
@@ -59,6 +60,13 @@ MODEL_SHA256 = "7c72eaaff84dc7fc49d4015bf1cbc00d6771f54312110187e8179da1c5f024e4
 # the sweep digest is of the report's rows, since its metadata holds paths.
 PRED_SHA256 = "11f8fd66f0747ca220c9ecfbb8c958f951abc02acedc1b06145bac49ec479a30"
 SWEEP_ROWS_SHA256 = "d5df7fc58b96a91d9a0d307c52ccfceb0f26e348b40015b7d0357beba78238af"
+# sweep --csv, and each baseline kind fitted and scored on the model's
+# training data; both kinds leave rows unscored there.
+SWEEP_CSV_SHA256 = "8aaa0115619645932f0d2596169f6af84dd814b01b7415f08523e1adfc09a39e"
+BASELINE_SHA256 = {
+    "quadratic": "c6ae9f05dfff34379f86dae13c027cbd1612e68830cb95dce446b9f09efa3d60",
+    "linear": "0c70a134900af966366504c67ee3b539ebe7e951afde916156ca70462ad1e592",
+}
 
 
 def sha256(path: Path) -> str:
@@ -108,6 +116,21 @@ class TestPinnedBytes:
                     "--out", str(report)]) == 0
         rows = json.loads(report.read_text(encoding="utf-8"))["rows"]
         assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == SWEEP_ROWS_SHA256
+
+    def test_sweep_csv_file(self, model_path, tmp_path):
+        table = tmp_path / "sweep.csv"
+        assert run(["sweep", "--model", str(model_path),
+                    "--data", str(model_path.parent / "fixture" / "data.csv"),
+                    "--out", str(tmp_path / "sweep.json"), "--csv", str(table)]) == 0
+        assert sha256(table) == SWEEP_CSV_SHA256
+
+    @pytest.mark.parametrize("kind", list(BASELINE_SHA256))
+    def test_baseline_file(self, model_path, tmp_path, kind):
+        fixture = model_path.parent / "fixture"
+        pred = tmp_path / "baseline.csv"
+        assert run(["baseline", "--kind", kind, "--schema", str(fixture / "schema.txt"),
+                    "--data", str(fixture / "data.csv"), "--out", str(pred)]) == 0
+        assert sha256(pred) == BASELINE_SHA256[kind]
 
 
 # -- generator configs -------------------------------------------------------

@@ -300,6 +300,15 @@ class TestClassify:
         model = toy_model({"x": X_TABLE})
         with pytest.raises(ConfigError, match="positive"):
             classify(model, CaseRecord(values={}), 0.5, positive="fraudulent")
+        with pytest.raises(ConfigError, match="unknown positive class ''"):
+            classify(model, CaseRecord(values={}), 0.5, positive="")
+
+    def test_blank_positive_names_a_blank_class(self):
+        # an empty positive is a class name, not "the rare class"
+        model = toy_model({"x": X_TABLE}, prior=(0.9, 0.1), classes=("", "good"))
+        assert model.rare_class() == "good"
+        label, _ = classify(model, CaseRecord(values={}), 0.05, positive="")
+        assert label == ""
 
     def test_threshold_range_checked(self):
         model = toy_model({"x": X_TABLE})
