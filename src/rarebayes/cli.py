@@ -1,36 +1,24 @@
 """Command-line surface: gen / train / classify / evaluate / sweep / baseline.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error.  Human-readable
-summaries go to stderr; machine output goes to files (or stdout when no
-output path applies).  Identical inputs and flags produce byte-identical
-outputs.
+summaries go to stderr; machine output goes only to the files named on the
+command line, each opened by :mod:`rarebayes.dataio`.  Identical inputs and
+flags produce byte-identical outputs.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from pathlib import Path
 
 from . import baselines, evaluation, inference, structure, synthgen
-from .dataio import CsvDataset, csv_output, write_rows
+from .dataio import CsvDataset, csv_output, json_text, output, read_text, write_rows
 from .errors import ConfigError, RareBayesError
 from .schema import parse_schema
 
 
 def _say(message: str) -> None:
     print(message, file=sys.stderr)
-
-
-def _load_schema(path: str):
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise RareBayesError(f"cannot read schema file {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise RareBayesError(f"{path} is not UTF-8 text: {exc}") from exc
-    return parse_schema(text)
 
 
 def _parse_grid(spec: str) -> list[float]:
@@ -58,7 +46,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    schema = _load_schema(args.schema)
+    schema = parse_schema(read_text(args.schema))
     dataset = CsvDataset(args.data)
     model = structure.train(schema, dataset, seed=args.seed)
     model.save(args.out)
@@ -99,7 +87,8 @@ def _cmd_evaluate(args) -> int:
             "records": records,
         },
     )
-    Path(args.out).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    with output(args.out) as fh:
+        fh.write(json_text(report))
     _say(
         f"evaluate: wrote {args.out} F={row.f_pct_str()}% [{row.fp}] "
         f"C={row.c_pct_str()}% [{row.tp}] V={row.volume}"
@@ -124,11 +113,12 @@ def _cmd_sweep(args) -> int:
             "records": records,
         },
     )
-    Path(args.out).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-    if args.csv:
-        header, *lines = evaluation.rows_to_csv_lines(rows)
-        with csv_output(args.csv, header) as fh:
-            write_rows(fh, list(zip(*lines)))
+    with output(args.out) as fh:
+        fh.write(json_text(report))
+        if args.csv:  # both are written in full before either replaces its path
+            header, *lines = evaluation.rows_to_csv_lines(rows)
+            with csv_output(args.csv, header) as csv_fh:
+                write_rows(csv_fh, list(zip(*lines)))
     _say(
         f"sweep: wrote {args.out} thresholds={len(rows)} records={records} "
         f"positive={positive}"
@@ -137,7 +127,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
-    schema = _load_schema(args.schema)
+    schema = parse_schema(read_text(args.schema))
     train_path = args.train or args.data
     model = baselines.fit_from_csv(
         schema,
@@ -228,9 +218,6 @@ def run(argv: list[str]) -> int:
     try:
         return args.func(args)
     except RareBayesError as exc:
-        _say(f"error: {exc}")
-        return 1
-    except OSError as exc:
         _say(f"error: {exc}")
         return 1
 

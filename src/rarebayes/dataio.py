@@ -84,6 +84,12 @@ reservoirs make one draw per arrival, in turn from one generator.  The
 decoded blocks are dropped once joined, before the caller gets a chunk,
 so they and their join are never alive together while the caller works.
 
+Every file a command reads or writes is opened here: a whole document by
+:func:`read_text`, with the CSV passes' error mapping, and every output by
+:func:`output`, JSON as :func:`json_text`.  An output appears whole, only
+on success: a sibling ``.<name>.<pid>.tmp`` replaces the path once written,
+so a failed command leaves an existing output untouched, a killed one may
+leave the sibling, and a previous file's hard links and mode are not kept.
 Every output CSV -- ``gen``'s data file, ``sweep --csv``, and the
 prediction files of ``classify`` and ``baseline``, which share one format
 (:func:`rarebayes.evaluation.prediction_header`) -- is opened by
@@ -99,6 +105,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import os
 import zlib
 from contextlib import contextmanager
@@ -170,25 +177,12 @@ class CsvDataset:
 
     def header(self) -> list[str]:
         if self._header is None:
-            with self._reading() as reader:
-                row, _ = reader.header()
+            with _file_errors(self.path), open(self.path, "rb") as fh:
+                row, _ = _ByteReader(fh).header()
             if not row:
                 raise DatasetError(f"{self.path} has no header row")
             self._header = row
         return self._header
-
-    @contextmanager
-    def _reading(self) -> Iterator[_ByteReader]:
-        """The file as a :class:`_ByteReader`; any read error is a :class:`DatasetError`."""
-        try:
-            with open(self.path, "rb") as fh:
-                yield _ByteReader(fh)
-        except OSError as exc:
-            raise DatasetError(f"cannot read {self.path}: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise DatasetError(f"{self.path} is not UTF-8 text: {exc}") from exc
-        except csv.Error as exc:
-            raise DatasetError(f"{self.path} is not readable CSV: {exc}") from exc
 
     def require_columns(self, names: list[str]) -> None:
         header = self.header()
@@ -238,8 +232,9 @@ class CsvDataset:
         idx = [header.index(name) for name in wanted]
         parts: list[dict[str, Any]] = []
         held = rows = rejected = 0
-        with self._reading() as reader:
-            stat = self._begin_pass(reader.fh)
+        with _file_errors(self.path), open(self.path, "rb") as fh:
+            reader = _ByteReader(fh)
+            stat = self._begin_pass(fh)
             for size, columns, dropped in _pieces(reader, header, idx):
                 rejected += dropped
                 if not size:
@@ -432,6 +427,55 @@ def _join(parts: list) -> Any:
     return list(chain.from_iterable(parts))
 
 
+@contextmanager
+def _file_errors(path: str | Path, verb: str = "read") -> Iterator[None]:
+    """Raise an error reading (or writing) ``path`` in the block as a :class:`DatasetError`."""
+    try:
+        yield
+    except OSError as exc:
+        raise DatasetError(f"cannot {verb} {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{path} is not UTF-8 text: {exc}") from exc
+    except csv.Error as exc:
+        raise DatasetError(f"{path} is not readable CSV: {exc}") from exc
+
+
+def read_text(path: str | Path) -> str:
+    """The whole UTF-8 document at ``path``."""
+    with _file_errors(path):
+        return Path(path).read_text(encoding="utf-8")
+
+
+def output_dir(path: str | Path) -> Path:
+    """``path`` made a directory, with any missing parents."""
+    with _file_errors(path, "write"):
+        Path(path).mkdir(parents=True, exist_ok=True)
+    return Path(path)
+
+
+@contextmanager
+def output(path: str | Path) -> Iterator[TextIO]:
+    """A new UTF-8 file beside ``path`` that replaces it if the block ends normally."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    if path.is_dir():  # found now, not at the replace after all the work
+        raise DatasetError(f"cannot write {path}: Is a directory")
+    with _file_errors(path, "write"):
+        fh = open(tmp, "x", newline="", encoding="utf-8")  # a sibling left by a killed run stays
+        try:
+            with fh:
+                yield fh
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+
+
+def json_text(doc: Any) -> str:
+    """``doc`` as the text of a JSON output file."""
+    return json.dumps(doc, indent=2) + "\n"
+
+
 def as_dataset(data: str | Path | CsvDataset) -> CsvDataset:
     return data if isinstance(data, CsvDataset) else CsvDataset(data)
 
@@ -446,9 +490,8 @@ def csv_cell(text: str) -> str:
 
 @contextmanager
 def csv_output(path: str | Path, header: Sequence[str]) -> Iterator[TextIO]:
-    """``path`` opened for :func:`write_rows` in UTF-8 with ``newline=""``,
-    its header row written."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    """:func:`output` at ``path`` for :func:`write_rows`, its header row written."""
+    with output(path) as fh:
         write_rows(fh, [[csv_cell(name)] for name in header])
         yield fh
 

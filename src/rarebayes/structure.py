@@ -44,7 +44,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .dataio import MISSING_CELLS, Chunk, ClassCodes, CsvDataset, PassStats, as_dataset
-from .dataio import parse_float_column
+from .dataio import json_text, output, parse_float_column, read_text
 from .errors import ModelSizeError, TrainingError
 from .infometrics import (
     JointCounts,
@@ -113,10 +113,11 @@ class NetworkModel:
     # -- persistence ------------------------------------------------------
 
     def to_json_text(self) -> str:
-        return json.dumps(self._to_doc(), indent=2) + "\n"
+        return json_text(self._to_doc())
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json_text(), encoding="utf-8")
+        with output(path) as fh:
+            fh.write(self.to_json_text())
 
     def _to_doc(self) -> dict:
         return {
@@ -248,11 +249,10 @@ def _cpt_from_doc(node: str, doc: dict) -> CPT:
 
 
 def load_model(path: str | Path) -> NetworkModel:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:
-            raise TrainingError(f"{path} is not a model file: {exc}") from exc
+    try:
+        doc = json.loads(read_text(path))
+    except ValueError as exc:
+        raise TrainingError(f"{path} is not a model file: {exc}") from exc
     return NetworkModel.from_doc(doc)
 
 

@@ -38,7 +38,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import dataio
-from .dataio import MISSING, csv_cell, csv_output, write_rows
+from .dataio import MISSING, csv_cell, csv_output, json_text, output, output_dir, read_text, write_rows
 from .errors import ConfigError, EvidenceError
 from .schema import Schema, VariableSpec, format_schema, from_json
 
@@ -375,8 +375,7 @@ def generate(config: GenConfig, out_dir: str | Path) -> GenResult:
     formatted and written ``dataio._WRITE_ROWS`` rows at a time, so the
     text of only one block of rows is held at once.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = output_dir(out_dir)
     rng = np.random.default_rng(config.seed)
     class_codes, columns, missing_masks = _sample_columns(config, rng)
 
@@ -384,8 +383,14 @@ def generate(config: GenConfig, out_dir: str | Path) -> GenResult:
     if config.group is not None:
         header.insert(0, config.group.name)
     class_cells = _outcome_cells(config.class_labels)
-    data_path = out / "data.csv"
-    with csv_output(data_path, header) as fh:
+    truth = TruthModel(config=config)
+    result = GenResult(data_path=out / "data.csv", schema_path=out / "schema.txt",
+                       truth_path=out / "truth.json", truth=truth)
+    # all three are written in full before any of them replaces its path
+    with (output(result.schema_path) as schema_fh, output(result.truth_path) as truth_fh,
+          csv_output(result.data_path, header) as fh):
+        schema_fh.write(format_schema(config.to_schema()))
+        truth_fh.write(json_text(truth.to_doc()))
         for lo in range(0, config.n, dataio._WRITE_ROWS):
             hi = min(lo + dataio._WRITE_ROWS, config.n)
             cells = [class_cells[class_codes[lo:hi]].tolist()]
@@ -397,19 +402,7 @@ def generate(config: GenConfig, out_dir: str | Path) -> GenResult:
                 for spec in config.all_vars
             ]
             write_rows(fh, cells)
-
-    schema_path = out / "schema.txt"
-    schema_path.write_text(format_schema(config.to_schema()), encoding="utf-8")
-
-    truth = TruthModel(config=config)
-    truth_path = out / "truth.json"
-    truth_path.write_text(
-        json.dumps(truth.to_doc(), indent=2) + "\n", encoding="utf-8"
-    )
-    return GenResult(
-        data_path=data_path, schema_path=schema_path, truth_path=truth_path,
-        truth=truth,
-    )
+    return result
 
 
 # -- config (de)serialization ------------------------------------------------
@@ -448,11 +441,10 @@ def config_from_doc(doc: dict) -> GenConfig:
 
 
 def _load_json(path: str | Path, what: str):
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except ValueError as exc:
-            raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from None
+    try:
+        return json.loads(read_text(path))
+    except ValueError as exc:
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from None
 
 
 def load_config(path: str | Path) -> GenConfig:

@@ -6,7 +6,7 @@ import math
 from dataclasses import replace
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from rarebayes import DatasetError, parse_schema, structure
@@ -690,3 +690,136 @@ def test_train_rejects_a_file_it_cannot_learn_from(tmp_path, capsys, text, messa
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.endswith(message)
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+# --- the file boundary: every output whole, every file error typed ----------
+
+
+def _outputs(command, root):
+    """The argv tail naming ``command``'s outputs under ``root``, and their paths."""
+    if command == "sweep --csv":
+        paths = [root / "sweep.json", root / "sweep.csv"]
+        return ["--out", str(paths[0]), "--csv", str(paths[1])], paths
+    return ["--out", str(root / "out.csv")], [root / "out.csv"]
+
+
+def _command_argv(command, workdir, data):
+    """``command`` reading ``data``; ``baseline`` fits on the clean fixture."""
+    fixture = workdir / "fixture"
+    if command == "baseline":
+        return ["baseline", "--kind", "quadratic", "--schema", str(fixture / "schema.txt"),
+                "--train", str(fixture / "data.csv"), "--data", str(data)]
+    return [command.split()[0], "--model", str(workdir / "model.json"), "--data", str(data)]
+
+
+@given(command=st.sampled_from(["classify", "baseline", "sweep --csv"]),
+       row=st.integers(1, 300), preplaced=st.booleans())
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_a_run_that_fails_mid_pass_leaves_its_outputs_as_they_were(
+        workdir, tmp_path_factory, sizes, command, row, preplaced):
+    """One ``\\xff`` byte at a drawn row of a 300-row file, read in one-line
+    blocks and 7-row chunks so rows before it are scored first: the run
+    exits 1 with one error line, every output path is as it was before
+    the run, absent or still holding the same bytes, and no ``.tmp``
+    sibling is left."""
+    sizes(chunk_rows=7, block_bytes=1)
+    root = tmp_path_factory.mktemp("mid-pass")
+    lines = (workdir / "fixture" / "data.csv").read_bytes().split(b"\r\n")[:301]
+    lines[row] = b"\xff" + lines[row]
+    data = root / "data.csv"
+    data.write_bytes(b"\r\n".join(lines) + b"\r\n")
+    tail, paths = _outputs(command, root)
+    for path in paths if preplaced else ():
+        path.write_bytes(b"previous " + path.name.encode())
+    before = {path: path.read_bytes() if preplaced else None for path in paths}
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run(_command_argv(command, workdir, data) + tail)
+    assert code == 1
+    assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
+    assert "is not UTF-8 text" in err.getvalue()
+    assert {path: path.read_bytes() if path.exists() else None for path in paths} == before
+    assert list(root.glob(".*.tmp")) == []
+
+
+@pytest.mark.parametrize("command", ["classify", "baseline"])
+def test_output_named_as_its_own_input_replaces_it_after_the_read(workdir, tmp_path, command):
+    """``--out`` naming ``--data``: the whole input is read, then replaced by
+    the predictions the same run writes to a separate path."""
+    data = tmp_path / "data.csv"
+    data.write_bytes((workdir / "fixture" / "data.csv").read_bytes())
+    if command == "baseline":
+        argv = ["baseline", "--kind", "linear",
+                "--schema", str(workdir / "fixture" / "schema.txt"), "--data", str(data)]
+    else:
+        argv = ["classify", "--model", str(workdir / "model.json"), "--data", str(data)]
+    assert run(argv + ["--out", str(tmp_path / "pred.csv")]) == 0
+    assert run(argv + ["--out", str(data)]) == 0
+    assert data.read_bytes() == (tmp_path / "pred.csv").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "pred.csv"]
+
+
+def _file_error_argv(workdir, root, case):
+    """The argv of ``case``, with ``root / "bad"`` as the file it cannot use."""
+    fixture = workdir / "fixture"
+    bad = str(root / "bad")
+    model = str(workdir / "model.json")
+    data = str(fixture / "data.csv")
+    schema = str(fixture / "schema.txt")
+    out = str(root / "out")
+    missing_dir = str(root / "no-such-dir" / "out")
+    return {
+        "classify --model": ["classify", "--model", bad, "--data", data, "--out", out],
+        "sweep --model": ["sweep", "--model", bad, "--data", data, "--out", out],
+        "gen --config": ["gen", "--config", bad, "--out", out],
+        "train --schema": ["train", "--schema", bad, "--data", data, "--out", out],
+        "gen --out": ["gen", "--config", str(workdir / "gen.json"), "--out", bad],
+        "train --out dir": ["train", "--schema", schema, "--data", data, "--out", bad],
+        "sweep --out dir": ["sweep", "--model", model, "--data", data, "--out", bad,
+                            "--csv", out],
+        "train --out": ["train", "--schema", schema, "--data", data, "--out", missing_dir],
+        "classify --out": ["classify", "--model", model, "--data", data, "--out", missing_dir],
+        "evaluate --out": ["evaluate", "--pred", str(root / "pred.csv"), "--data", data,
+                           "--positive", "bad", "--out", missing_dir],
+        "sweep --out": ["sweep", "--model", model, "--data", data, "--out", missing_dir],
+        "sweep --csv": ["sweep", "--model", model, "--data", data, "--out", out,
+                        "--csv", missing_dir],
+        "baseline --out": ["baseline", "--kind", "linear", "--schema", schema, "--data", data,
+                           "--out", missing_dir],
+    }[case]
+
+
+@pytest.mark.parametrize("case, bad, message", [
+    *((case, bad, "cannot read")
+      for case in ["classify --model", "sweep --model", "gen --config", "train --schema"]
+      for bad in ["missing", "directory"]),
+    ("gen --out", "file", "cannot write"),
+    ("train --out dir", "directory", "cannot write"),
+    ("sweep --out dir", "directory", "cannot write"),
+    *((case, None, "cannot write")
+      for case in ["train --out", "classify --out", "evaluate --out", "sweep --out",
+                   "sweep --csv", "baseline --out"]),
+])
+def test_a_file_that_cannot_be_used_is_one_error_line(
+        workdir, tmp_path, capsys, case, bad, message):
+    """A missing path, a directory or a file where the other must go, and an
+    output inside a missing directory: exit 1 with one ``error: cannot read``
+    or ``error: cannot write`` line naming the path, and no output left, not
+    even ``sweep``'s CSV when its report path is a directory."""
+    if bad == "directory":
+        (tmp_path / "bad").mkdir()
+    elif bad == "file":
+        (tmp_path / "bad").write_text("a file\n", encoding="utf-8")
+    if case == "evaluate --out":
+        assert run(["classify", "--model", str(workdir / "model.json"),
+                    "--data", str(workdir / "fixture" / "data.csv"),
+                    "--out", str(tmp_path / "pred.csv")]) == 0
+        capsys.readouterr()
+    argv = _file_error_argv(workdir, tmp_path, case)
+    path = tmp_path / ("no-such-dir/out" if bad is None else "bad")
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message} {path}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "out").exists() and list(tmp_path.glob("**/.*.tmp")) == []

@@ -2,6 +2,8 @@ import csv
 import io
 import math
 import os
+import re
+import stat
 import weakref
 from dataclasses import replace
 from unittest import mock
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 from rarebayes import DatasetError, classify_file, dataio, generate, parse_schema, structure, train
 from rarebayes.baselines import fit_from_csv, score_to_csv
 from rarebayes.dataio import CsvDataset
-from rarebayes.synthgen import CategoricalSpec, ContinuousSpec, GenConfig
+from rarebayes.synthgen import CategoricalSpec, ContinuousSpec, GenConfig, load_config, load_truth
 
 from fixture_configs import messy_config
 
@@ -581,6 +583,92 @@ def test_output_files_quote_like_csv_writer(tmp_path):
         assert header == ["record_id", f"p_{bad}", f"p_{good}", "label", "skipped_nodes"]
         assert {row[3] for row in rows} == {good, bad}
     assert f"{name}:missing" in {row[4] for row in read[pred][1:]}
+
+
+# --- outputs appear whole, only on success; file errors are typed --------
+
+
+@pytest.mark.parametrize("preplaced", [False, True], ids=["absent", "preplaced"])
+@pytest.mark.parametrize("exc", [ValueError("bad value"), KeyboardInterrupt(),
+                                 OSError(28, "No space left on device")],
+                         ids=["ValueError", "KeyboardInterrupt", "OSError"])
+def test_output_commits_nothing_when_its_block_raises(tmp_path, preplaced, exc):
+    """Whatever the block raises, KeyboardInterrupt included, the path is
+    left as it was and no sibling remains; an OSError is a DatasetError."""
+    path = tmp_path / "out.csv"
+    if preplaced:
+        path.write_bytes(b"previous\r\n")
+    raised = (pytest.raises(DatasetError, match=f"cannot write {re.escape(str(path))}: ")
+              if isinstance(exc, OSError) else pytest.raises(type(exc)))
+    with raised:
+        with dataio.output(path) as fh:
+            fh.write("partial\r\n" * 1000)
+            fh.flush()
+            raise exc
+    assert os.listdir(tmp_path) == (["out.csv"] if preplaced else [])
+    assert not preplaced or path.read_bytes() == b"previous\r\n"
+
+
+def test_output_replaces_its_path_once_whole(tmp_path):
+    """The text is written as given, without line-end translation, and the
+    path keeps its old bytes until the block ends; the new file has the
+    mode a fresh ``open(path, "w")`` gives, not the old file's."""
+    path = tmp_path / "out.csv"
+    path.write_bytes(b"previous\r\n")
+    path.chmod(0o600)
+    with dataio.output(path) as fh:
+        fh.write("a,b\r\nc\n")
+        fh.flush()
+        assert path.read_bytes() == b"previous\r\n"
+    assert path.read_bytes() == b"a,b\r\nc\n"
+    assert os.listdir(tmp_path) == ["out.csv"]
+    fresh = tmp_path / "fresh"
+    fresh.touch()
+    assert stat.S_IMODE(path.stat().st_mode) == stat.S_IMODE(fresh.stat().st_mode)
+
+
+def test_output_leaves_a_sibling_it_did_not_make(tmp_path):
+    """A sibling left by a killed run of the same pid is neither overwritten
+    nor removed: the write fails, naming it, and the path is untouched."""
+    path = tmp_path / "out.csv"
+    path.write_bytes(b"previous\r\n")
+    stale = tmp_path / f".out.csv.{os.getpid()}.tmp"
+    stale.write_bytes(b"killed")
+    with pytest.raises(DatasetError, match=f"cannot write .*{re.escape(stale.name)}"):
+        with dataio.output(path) as fh:
+            fh.write("new")
+    assert (path.read_bytes(), stale.read_bytes()) == (b"previous\r\n", b"killed")
+
+
+@pytest.mark.parametrize("call, bad, message", [
+    *((call, bad, "cannot read")
+      for call in ["load_model", "load_config", "load_truth"]
+      for bad in ["missing", "directory"]),
+    *((call, "not-utf8", "is not UTF-8 text")
+      for call in ["load_model", "load_config", "load_truth"]),
+    ("generate", "file", "cannot write"),
+])
+def test_library_file_errors_are_dataset_errors(tmp_path, call, bad, message):
+    """The loaders and ``generate`` raise DatasetError naming the path, not
+    an OSError or UnicodeDecodeError."""
+    path = tmp_path / "bad"
+    if bad == "directory":
+        path.mkdir()
+    elif bad == "file":
+        path.write_text("a file\n", encoding="utf-8")
+    elif bad == "not-utf8":
+        path.write_bytes(b'{"n": "\xff"}')
+    functions = {
+        "load_model": structure.load_model,
+        "load_config": load_config,
+        "load_truth": load_truth,
+        "generate": lambda out: generate(messy_config(n=10), out),
+    }
+    with pytest.raises(DatasetError) as info:
+        functions[call](path)
+    text = str(info.value)
+    assert text.startswith(f"{message} {path}: " if message.startswith("cannot")
+                           else f"{path} {message}: ")
 
 
 def test_missing_cell_rule():
