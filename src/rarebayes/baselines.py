@@ -10,26 +10,23 @@ and Y goes to population 1 when it exceeds 2*ln(n2/n1).  Both boundary
 rules follow the inequalities literally: LDA keeps the boundary in
 population 1, QDA in population 2.
 
-Only continuous variables participate by default; an optional one-hot
-expansion of categorical variables exists but is off, since large
-alphabets produce mostly-empty indicator columns.  The fit keeps the
-complete rows of each class in one growing buffer per class, appended as
-each chunk is read: rows with no feature or class cell MISSING by the
-one rule in :mod:`rarebayes.dataio`.
+Only the schema's continuous variables take part, in schema order.  The
+fit keeps the complete rows of each class in one growing buffer per
+class, appended as each chunk is read: rows with no feature or class cell
+MISSING by the one rule in :mod:`rarebayes.dataio`.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .dataio import MISSING_CELLS, Chunk, ClassCodes, CsvDataset, as_dataset, csv_cell, csv_output
-from .dataio import missing_mask, parse_float_column, write_rows
+from .dataio import Chunk, ClassCodes, CsvDataset, as_dataset, csv_cell, csv_output
+from .dataio import parse_float_column, write_rows
 from .errors import ConfigError, SingularCovarianceError
 from .evaluation import prediction_header
 from .schema import Schema
@@ -52,7 +49,6 @@ class DiscriminantModel:
     cov1: np.ndarray | None = None   # per-class (quadratic)
     cov2: np.ndarray | None = None
     dropped_rows: int = 0
-    one_hot_levels: dict[str, list[str]] = field(default_factory=dict)
 
     @property
     def cutoff(self) -> float:
@@ -227,66 +223,29 @@ def score_label(model: DiscriminantModel, X: np.ndarray) -> np.ndarray:
 # -- CSV plumbing ------------------------------------------------------------
 
 
-def _used_columns(schema: Schema, one_hot_levels: dict[str, list[str]]) -> list[str]:
-    """The field columns a baseline reads: continuous and one-hot categorical."""
-    return [spec.name for spec in schema.field_vars
-            if spec.kind == "continuous" or spec.name in one_hot_levels]
-
-
-def _feature_columns(
-    schema: Schema,
-    block: Chunk,
-    one_hot_levels: dict[str, list[str]],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Build a block's (rows, dims) matrix and a per-row any-missing mask."""
-    blocks: list[np.ndarray] = []
-    missing = np.zeros(block.size, dtype=bool)
-    for name in _used_columns(schema, one_hot_levels):
-        col = block.columns[name]
-        if name in one_hot_levels:
-            missing |= missing_mask(col)
-            for level in one_hot_levels[name]:
-                blocks.append(
-                    np.array([1.0 if v == level else 0.0 for v in col])[:, None]
-                )
-        else:
-            vals = parse_float_column(col)
-            missing |= np.isnan(vals)
-            blocks.append(vals[:, None])
-    if not blocks:
+def _features(schema: Schema) -> list[str]:
+    """A baseline's features: the continuous variables, in schema order.
+    Callers ask before they read any row, so a schema without one fails
+    at once."""
+    names = [spec.name for spec in schema.continuous_vars]
+    if not names:
         raise ConfigError("no continuous variables available for the baseline")
-    return np.hstack(blocks), missing
+    return names
 
 
-def _one_hot_training_levels(schema: Schema, data: CsvDataset) -> dict[str, list[str]]:
-    """Observed levels per categorical variable, most common level dropped.
-
-    Dropping one level per variable keeps the indicator block from being
-    perfectly collinear.
-    """
-    if not schema.categorical_vars:
-        return {}
-    counters: dict[str, Counter] = {v.name: Counter() for v in schema.categorical_vars}
-
-    def count(block: Chunk) -> dict:
-        for name, counter in counters.items():
-            counter.update(block.columns[name])
-        return {}
-
-    for _ in data.iter_chunks(list(counters), decode=count):
-        pass
-    levels = {}
-    for name, counter in counters.items():
-        ordered = sorted(counter.keys() - MISSING_CELLS)
-        if len(ordered) >= 2:
-            drop = max(ordered, key=lambda v: (counter[v], v))
-            levels[name] = [v for v in ordered if v != drop]
-    return levels
+def _feature_columns(schema: Schema, block: Chunk) -> tuple[np.ndarray, np.ndarray]:
+    """Build a block's (rows, features) matrix and a per-row any-missing mask."""
+    names = _features(schema)
+    X = np.empty((block.size, len(names)))
+    missing = np.zeros(block.size, dtype=bool)
+    for j, name in enumerate(names):
+        vals = parse_float_column(block.columns[name])
+        missing |= np.isnan(vals)
+        X[:, j] = vals
+    return X, missing
 
 
-def _class_rows(
-    schema: Schema, ds: CsvDataset, one_hot_levels: dict[str, list[str]]
-) -> tuple[dict[str, np.ndarray], int]:
+def _class_rows(schema: Schema, ds: CsvDataset) -> tuple[dict[str, np.ndarray], int]:
     """Each class label's complete rows (no MISSING feature or class cell),
     in file order, and how many rows were dropped.
 
@@ -304,13 +263,12 @@ def _class_rows(
     dropped = 0
 
     def decode(block: Chunk) -> dict:
-        X, miss = _feature_columns(schema, block, one_hot_levels)
+        X, miss = _feature_columns(schema, block)
         cls = coder(block.columns[schema.class_var])
         cls[miss] = -1
         return {"X": X, "codes": cls}
 
-    names = [schema.class_var] + _used_columns(schema, one_hot_levels)
-    for chunk in ds.iter_chunks(names, decode=decode):
+    for chunk in ds.iter_chunks([schema.class_var, *_features(schema)], decode=decode):
         X, codes = chunk.columns["X"], chunk.columns["codes"]
         dropped += int((codes < 0).sum())
         for c in np.unique(codes[codes >= 0]).tolist():
@@ -336,7 +294,6 @@ def fit_from_csv(
     *,
     positive: str | None = None,
     ridge: float = 0.0,
-    one_hot: bool = False,
 ) -> DiscriminantModel:
     """Fit a discriminant baseline from a labeled CSV.
 
@@ -349,8 +306,7 @@ def fit_from_csv(
     _check_args(kind, ridge)
     ds = as_dataset(data)
     ds.require_columns(ds.schema_columns(schema, require_class=True))
-    one_hot_levels = _one_hot_training_levels(schema, ds) if one_hot else {}
-    rows, dropped = _class_rows(schema, ds, one_hot_levels)
+    rows, dropped = _class_rows(schema, ds)
     uniq = sorted(rows)
     if len(uniq) != 2:
         raise ConfigError(f"baseline needs exactly 2 class values, got {uniq}")
@@ -362,16 +318,9 @@ def fit_from_csv(
     elif positive not in uniq:
         raise ConfigError(f"unknown positive class {positive!r}")
     negative = next(u for u in uniq if u != positive)
-    feature_names = [
-        feature
-        for name in _used_columns(schema, one_hot_levels)
-        for feature in ([f"{name}={level}" for level in one_hot_levels[name]]
-                        if name in one_hot_levels else [name])
-    ]
     model = _fit_classes(rows[negative], rows[positive], (negative, positive), kind, ridge,
-                         feature_names)
+                         _features(schema))
     model.dropped_rows = dropped
-    model.one_hot_levels = one_hot_levels
     return model
 
 
@@ -400,13 +349,13 @@ def score_to_csv(
 
     def decode(block: Chunk) -> dict:
         # scored per block, so a block's feature matrix goes with it
-        X, miss = _feature_columns(schema, block, model.one_hot_levels)
+        X, miss = _feature_columns(schema, block)
         to2 = np.zeros(block.size, dtype=np.intp)
         to2[~miss] = score_label(model, X[~miss]) == model.label2
         return {"to2": to2, "missing": miss}
 
     with csv_output(out_path, prediction_header(classes)) as fh:
-        for chunk in ds.iter_chunks(_used_columns(schema, model.one_hot_levels), decode=decode):
+        for chunk in ds.iter_chunks(_features(schema), decode=decode):
             to2, miss = chunk.columns["to2"], chunk.columns["missing"]
             write_rows(fh, [
                 map(str, range(rows, rows + chunk.size)),

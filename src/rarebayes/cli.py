@@ -9,6 +9,7 @@ flags produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import baselines, evaluation, inference, structure, synthgen
@@ -97,6 +98,9 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    # realpath, not Path.resolve, which raises on a symlink loop
+    if args.csv and os.path.realpath(args.csv) == os.path.realpath(args.out):
+        raise ConfigError(f"--csv {args.csv} and --out {args.out} name the same file")
     grid = _parse_grid(args.grid)
     model = structure.load_model(args.model)
     table = inference.count_scores(model, args.data, grid, args.positive)
@@ -130,12 +134,7 @@ def _cmd_baseline(args) -> int:
     schema = parse_schema(read_text(args.schema))
     train_path = args.train or args.data
     model = baselines.fit_from_csv(
-        schema,
-        train_path,
-        args.kind,
-        positive=args.positive,
-        ridge=args.ridge,
-        one_hot=args.one_hot,
+        schema, train_path, args.kind, positive=args.positive, ridge=args.ridge
     )
     summary = baselines.score_to_csv(model, schema, args.data, args.out)
     _say(
@@ -202,8 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--positive", default=None)
     p.add_argument("--ridge", type=float, default=0.0)
-    p.add_argument("--one-hot", action="store_true",
-                   help="expand categorical variables into indicators")
     p.set_defaults(func=_cmd_baseline)
 
     return parser

@@ -73,6 +73,13 @@ field-count rules:
   not) or more than ``csv.field_size_limit()`` characters sends the whole
   file to ``csv.reader``; any other is split on ``,``.
 
+Every line, up to its ``\n`` byte, is read only up to a bound: the
+header's width times the bytes of the longest field ``csv`` accepts,
+quoting and UTF-8 included (:func:`_line_bytes`), or ``_HEADER_BYTES``
+while the header record is read.  No well-formed row is longer, so a
+longer line raises :class:`DatasetError` rather than count as a rejected
+row, and memory stays bounded however long the line is.
+
 Each block's wanted cells go through the caller's decoder as soon as the
 block is split, while they are still in cache, so raw cells never outlive
 their block: a pass holds one block of ``str`` cells and the decoded
@@ -87,9 +94,10 @@ so they and their join are never alive together while the caller works.
 Every file a command reads or writes is opened here: a whole document by
 :func:`read_text`, with the CSV passes' error mapping, and every output by
 :func:`output`, JSON as :func:`json_text`.  An output appears whole, only
-on success: a sibling ``.<name>.<pid>.tmp`` replaces the path once written,
-so a failed command leaves an existing output untouched, a killed one may
-leave the sibling, and a previous file's hard links and mode are not kept.
+on success: a new sibling ``.<name>.<pid>.<random>.tmp`` replaces the path
+once written, so a failed command leaves an existing output untouched, a
+killed one may leave the sibling, which no later run opens or removes, and
+a previous file's hard links and mode are not kept.
 Every output CSV -- ``gen``'s data file, ``sweep --csv``, and the
 prediction files of ``classify`` and ``baseline``, which share one format
 (:func:`rarebayes.evaluation.prediction_header`) -- is opened by
@@ -107,6 +115,7 @@ import csv
 import io
 import json
 import os
+import secrets
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -129,6 +138,10 @@ _CHUNK_ROWS = 65536
 # Bytes per block read; each block is extended to the next line end and
 # decoded once.
 _BLOCK_BYTES = 1 << 17
+
+# Bytes the header's line may take, its line end included: the header of
+# 100,000 columns of 20-byte names fits.
+_HEADER_BYTES = 1 << 21
 
 # Records per piece once csv.reader reads the rest of a file.
 _CSV_ROWS = 1024
@@ -294,16 +307,37 @@ class _ByteReader:
     ``crc`` is the running CRC-32 of every byte read so far.  Each block of
     ``_BLOCK_BYTES`` is extended to the next ``\n`` and decoded once; a
     ``\n`` byte is never part of a multi-byte UTF-8 sequence, so a block
-    of a valid file always decodes whole.
+    of a valid file always decodes whole.  Every line is read up to its
+    bound (:meth:`_rest_of_line`).
     """
 
     def __init__(self, fh):
         self.fh = fh
         self.crc = 0
+        self.width: int | None = None  # the header's field count, once read
 
     def _checked(self, data: bytes) -> str:
         self.crc = zlib.crc32(data, self.crc)
         return data.decode("utf-8")
+
+    def _rest_of_line(self, held: int) -> bytes:
+        """The rest of a line whose first ``held`` bytes are read; raise
+        :class:`DatasetError` rather than read past the line's bound.
+
+        The bound is ``_HEADER_BYTES`` until the header record is read, then
+        :func:`_line_bytes` of its width.  A line longer than ``_BLOCK_BYTES``
+        crosses the end of the block it starts in, so every line past its
+        bound ends up here."""
+        bound = _HEADER_BYTES if self.width is None else _line_bytes(self.width)
+        rest = self.fh.readline(bound - held + 1)
+        if held + len(rest) > bound:
+            what = ("the header" if self.width is None
+                    else f"a well-formed row of {self.width} fields")
+            raise DatasetError(
+                f"{self.fh.name} has a line longer than {bound} bytes, "
+                f"more than {what} can take"
+            )
+        return rest
 
     def header(self) -> tuple[list[str] | None, Iterator[list[str]] | None]:
         r"""The first record as ``csv.reader`` parses it (None if blank or absent),
@@ -311,22 +345,42 @@ class _ByteReader:
         name can span lines), a ``\r`` before its line end (``csv`` ends a
         record there, ``readline`` does not) or more than
         ``csv.field_size_limit()`` characters; any other line is split on ``,``."""
-        head = self._checked(self.fh.readline())
+        head = self._checked(self._rest_of_line(0))
         line = head.removesuffix("\n").removesuffix("\r")
         if '"' in line or "\r" in line or len(line) > csv.field_size_limit():
-            records = csv.reader(_lines(chain([head], self.blocks())))
-            return next(records, None), records
-        return (line.split(",") if line else None), None
+            records = csv.reader(_lines(chain([head], self._after_header())))
+            row = next(records, None)
+        else:
+            row, records = (line.split(",") if line else None), None
+        self.width = len(row or ())
+        return row, records
+
+    def _after_header(self) -> Iterator[str]:
+        """The lines after the first, one at a time while ``csv.reader`` reads
+        the header record, so each has the header's bound; then the blocks."""
+        while self.width is None and (line := self._rest_of_line(0)):
+            yield self._checked(line)
+        yield from self.blocks()
 
     def blocks(self) -> Iterator[str]:
         """The rest of the file, block by block."""
         fh = self.fh
         while data := fh.read(_BLOCK_BYTES):
             if data[-1] != 0x0A:
-                data += fh.readline()
+                data += self._rest_of_line(len(data) - data.rfind(b"\n") - 1)
             text = self._checked(data)
             del data  # the bytes go before the caller splits the text
             yield text
+
+
+def _line_bytes(width: int) -> int:
+    r"""The most bytes a well-formed line of ``width`` fields takes, its line
+    end included, but never less than ``_BLOCK_BYTES``: each field holds at
+    most ``csv.field_size_limit()`` characters of at most 4 UTF-8 bytes (a
+    doubled ``"`` takes 2) inside two quotes, and a ``,`` or ``\r\n`` ends it.
+    A lower bound would miss a long line inside one block, and could give
+    ``readline`` a size below 1, which reads with no bound at all."""
+    return max(width * (4 * csv.field_size_limit() + 3) + 1, _BLOCK_BYTES)
 
 
 _Piece = tuple[int, list[list[str]], int]
@@ -457,11 +511,10 @@ def output_dir(path: str | Path) -> Path:
 def output(path: str | Path) -> Iterator[TextIO]:
     """A new UTF-8 file beside ``path`` that replaces it if the block ends normally."""
     path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     if path.is_dir():  # found now, not at the replace after all the work
         raise DatasetError(f"cannot write {path}: Is a directory")
     with _file_errors(path, "write"):
-        fh = open(tmp, "x", newline="", encoding="utf-8")  # a sibling left by a killed run stays
+        tmp, fh = _sibling(path)
         try:
             with fh:
                 yield fh
@@ -469,6 +522,18 @@ def output(path: str | Path) -> Iterator[TextIO]:
         except BaseException:
             tmp.unlink(missing_ok=True)
             raise
+
+
+def _sibling(path: Path) -> tuple[Path, TextIO]:
+    """A new file ``.<name>.<pid>.<random>.tmp`` beside ``path``, opened for
+    writing.  A name that exists, such as a sibling a killed run left, is
+    neither opened nor removed: another of the 2**32 names is drawn."""
+    while True:
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
+        try:
+            return tmp, open(tmp, "x", newline="", encoding="utf-8")
+        except FileExistsError:
+            continue
 
 
 def json_text(doc: Any) -> str:

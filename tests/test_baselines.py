@@ -15,6 +15,7 @@ from rarebayes import (
     qda_score,
 )
 from rarebayes.baselines import DiscriminantModel, fit_from_csv, score_to_csv
+from rarebayes.cli import run
 
 
 def make_model(kind, mean1, mean2, cov, n1, n2):
@@ -214,19 +215,38 @@ class TestCsvPlumbing:
         assert len(unscored) == summary["unscored"] == 14
         assert all(r["label"] == "good" for r in unscored)
 
-    def test_one_hot_expansion_off_by_default_and_available(self, tmp_path):
+    @pytest.mark.parametrize("kind", ["linear", "quadratic"])
+    def test_features_are_the_continuous_variables_in_schema_order(self, tmp_path, kind):
+        """The categorical column takes no part, and the features follow the
+        schema, not the header (``y,cat,u,v``)."""
+        schema = parse_schema("class y\nvar v continuous\nvar cat categorical\n"
+                              "var u continuous\n")
+        model = fit_from_csv(schema, self.write_data(tmp_path), kind)
+        assert model.feature_names == [spec.name for spec in schema.continuous_vars]
+        assert model.feature_names == ["v", "u"] and model.mean1.shape == (2,)
+
+    def test_one_hot_is_not_an_option(self, tmp_path, capsys):
+        """The categorical expansion is gone: ``--one-hot`` is a usage error."""
         path = self.write_data(tmp_path)
-        plain = fit_from_csv(self.SCHEMA, path, "linear")
-        assert all("cat" not in name for name in plain.feature_names)
-        expanded = fit_from_csv(self.SCHEMA, path, "linear", one_hot=True, ridge=1e-9)
-        assert any(name.startswith("cat=") for name in expanded.feature_names)
+        schema = tmp_path / "schema.txt"
+        schema.write_text("class y\nvar cat categorical\nvar u continuous\n",
+                          encoding="utf-8")
+        assert run(["baseline", "--kind", "linear", "--schema", str(schema),
+                    "--data", str(path), "--out", str(tmp_path / "out.csv"),
+                    "--one-hot"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: rarebayes ")
+        assert "unrecognized arguments: --one-hot" in err and "Traceback" not in err
+        assert not (tmp_path / "out.csv").exists()
 
     def test_no_continuous_vars_rejected(self, tmp_path):
+        """Before any row is read, so a file of no rows gets this error too."""
         schema = parse_schema("class y\nvar cat categorical\n")
         path = tmp_path / "c.csv"
-        path.write_text("y,cat\ngood,m\ngood,f\nbad,m\nbad,f\n", encoding="utf-8")
-        with pytest.raises(ConfigError, match="continuous"):
-            fit_from_csv(schema, path, "linear")
+        for rows in ("good,m\ngood,f\nbad,m\nbad,f\n", ""):
+            path.write_text("y,cat\n" + rows, encoding="utf-8")
+            with pytest.raises(ConfigError, match="continuous"):
+                fit_from_csv(schema, path, "linear")
 
     @pytest.mark.parametrize("kind", ["linear", "quadratic"])
     @pytest.mark.parametrize("chunk_rows", [1, 7, 50])

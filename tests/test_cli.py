@@ -1,16 +1,19 @@
+import argparse
 import contextlib
 import csv
 import io
 import json
 import math
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from rarebayes import DatasetError, parse_schema, structure
-from rarebayes.cli import run
+from rarebayes.cli import build_parser, run
 from rarebayes.synthgen import config_to_doc
 
 from fixture_configs import gen_configs, messy_config
@@ -186,6 +189,46 @@ def test_byte_identical_reruns(workdir, tmp_path):
         "--seed", "9",
     ]) == 0
     assert (tmp_path / "model_again.json").read_bytes() == (workdir / "model.json").read_bytes()
+
+
+@pytest.mark.parametrize("preplaced", [False, True])
+def test_sweep_refuses_one_file_for_both_outputs(tmp_path, monkeypatch, capsys, preplaced):
+    """``--csv`` naming the ``--out`` file, here through another spelling of
+    its path, is refused before the model or the data is read (neither
+    exists): exit 1, one error line naming both flags, and the path is as
+    it was, absent or with its bytes."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    if preplaced:
+        (tmp_path / "both.json").write_bytes(b"previous")
+    code = run(["sweep", "--model", str(tmp_path / "no-model.json"),
+                "--data", str(tmp_path / "no-data.csv"),
+                "--out", "both.json", "--csv", str(tmp_path / "sub" / ".." / "both.json")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: --csv ") and "--out both.json" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["both.json", "sub"][not preplaced:]
+    assert not preplaced or (tmp_path / "both.json").read_bytes() == b"previous"
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_names_every_option():
+    """Each subcommand option of the parser is named in README."""
+    text = README.read_text(encoding="utf-8")
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    missing = [
+        f"{command} {option}"
+        for command, parser in subparsers.choices.items()
+        for action in parser._actions
+        for option in action.option_strings
+        if option not in ("-h", "--help")
+        and not re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])", text)
+    ]
+    assert missing == []
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

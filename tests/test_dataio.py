@@ -4,6 +4,7 @@ import math
 import os
 import re
 import stat
+import tracemalloc
 import weakref
 from dataclasses import replace
 from unittest import mock
@@ -243,6 +244,74 @@ def test_oversized_field_is_dataset_error_quoted_or_not(tmp_path):
     half = "x" * (csv.field_size_limit() // 2 + 1)
     ds = CsvDataset(write(tmp_path, f"y,a,b\ng,{half},{half}\n", name="long.csv"))
     assert read_records(ds) == [{"y": "g", "a": half, "b": half}]
+
+
+def test_a_line_longer_than_any_row_is_an_error(tmp_path):
+    """A line one byte past the header's width times the longest
+    well-formed field, here of short fields that csv would read as one
+    rejected row, is a DatasetError; a line of exactly the bound is still a
+    rejected row.  The header's line has a bound of its own."""
+    bound = dataio._line_bytes(3)
+    line = ("a," * bound)[:bound - 1] + "\n"
+    ds = CsvDataset(write(tmp_path, f"y,a,b\ng,1,2\n{line}g,3,4\n"))
+    assert len(read_records(ds)) == 2 and ds.stats.rejected == 1
+    ds = CsvDataset(write(tmp_path, f"y,a,b\ng,1,2\na{line}g,3,4\n", name="long.csv"))
+    with pytest.raises(DatasetError, match=f"long.csv has a line longer than {bound} bytes"):
+        read_records(ds)
+    header = "y,a,b," + "c," * (dataio._HEADER_BYTES // 2) + "d\n"
+    # a quoted name that spans lines keeps csv reading the header record
+    for name, text in (("head.csv", header), ("quoted.csv", f'"y\n{header}')):
+        with pytest.raises(DatasetError, match=f"{name} has a line longer than "
+                                               f"{dataio._HEADER_BYTES} bytes"):
+            CsvDataset(write(tmp_path, text, name=name)).header()
+
+
+@pytest.mark.parametrize("where", ["header", "row"])
+def test_a_long_line_is_read_in_bounded_memory(tmp_path, where):
+    """The reader stops at a line's bound, so a 16 MB line costs it no more
+    than a few MiB of memory before the DatasetError."""
+    long = b"x" * (16 << 20)
+    path = tmp_path / "long.csv"
+    path.write_bytes(b"y,a," + long + b"\n" if where == "header"
+                     else b"y,a,b\ng,1,2\ng," + long + b",3\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(DatasetError):
+            read_records(CsvDataset(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+
+
+# one character of each UTF-8 width, and the quote, which csv doubles
+WIDE_CHARS = ["x", "\u00e9", "\u20ac", "\U0001d11e", '"']
+
+
+@given(width=st.integers(1, 3), where=st.sampled_from(["header", "row", "last row"]),
+       char=st.sampled_from(WIDE_CHARS), length=st.integers(0, csv.field_size_limit()))
+@example(width=1, where="row", char="\U0001d11e", length=csv.field_size_limit())
+@example(width=1, where="header", char='"', length=csv.field_size_limit())
+@example(width=3, where="last row", char='"', length=csv.field_size_limit())
+@settings(max_examples=20, deadline=None)
+def test_a_field_up_to_the_limit_keeps_its_outcome(tmp_path_factory, width, where, char,
+                                                  length):
+    """A field of any length up to ``csv.field_size_limit()``, in the header
+    or a row, of characters of any UTF-8 width or of quotes, is within its
+    line's bound: the reader reads what csv.reader reads."""
+    header = [f"c{i}" for i in range(width)]
+    rows = [["s"] * width, ["t"] * width]
+    target = header if where == "header" else rows[-1 if where == "last row" else 0]
+    target[-1] = char * length
+    path = tmp_path_factory.mktemp("field") / "data.csv"
+    path.write_text("".join(csv_line(row) + "\r\n" for row in [header, *rows]),
+                    encoding="utf-8", newline="")
+    ds = CsvDataset(path)
+    read = {name: [] for name in header}
+    for chunk in ds.iter_chunks(header):
+        for name in header:
+            read[name] += chunk.columns[name]
+    assert (read, ds.stats.rows, ds.stats.rejected) == oracle(path, header)
 
 
 # --- the block reader against csv.reader --------------------------------
@@ -627,17 +696,23 @@ def test_output_replaces_its_path_once_whole(tmp_path):
     assert stat.S_IMODE(path.stat().st_mode) == stat.S_IMODE(fresh.stat().st_mode)
 
 
-def test_output_leaves_a_sibling_it_did_not_make(tmp_path):
-    """A sibling left by a killed run of the same pid is neither overwritten
-    nor removed: the write fails, naming it, and the path is untouched."""
+def test_output_leaves_a_sibling_it_did_not_make(tmp_path, monkeypatch):
+    """Siblings a killed run of the same pid left, one under the name the
+    next draw gives, are neither opened nor removed: the write draws
+    another name and succeeds, and each stale sibling keeps its bytes."""
     path = tmp_path / "out.csv"
     path.write_bytes(b"previous\r\n")
-    stale = tmp_path / f".out.csv.{os.getpid()}.tmp"
-    stale.write_bytes(b"killed")
-    with pytest.raises(DatasetError, match=f"cannot write .*{re.escape(stale.name)}"):
-        with dataio.output(path) as fh:
-            fh.write("new")
-    assert (path.read_bytes(), stale.read_bytes()) == (b"previous\r\n", b"killed")
+    stale = [tmp_path / f".out.csv.{os.getpid()}.tmp",
+             tmp_path / f".out.csv.{os.getpid()}.00000000.tmp"]
+    for sibling in stale:
+        sibling.write_bytes(b"killed")
+    draws = iter(["00000000", "00000001"])
+    monkeypatch.setattr(dataio.secrets, "token_hex", lambda nbytes: next(draws))
+    with dataio.output(path) as fh:
+        fh.write("new")
+    assert path.read_bytes() == b"new"
+    assert [sibling.read_bytes() for sibling in stale] == [b"killed", b"killed"]
+    assert sorted(os.listdir(tmp_path)) == sorted(["out.csv", *(p.name for p in stale)])
 
 
 @pytest.mark.parametrize("call, bad, message", [
