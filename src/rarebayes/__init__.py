@@ -37,7 +37,6 @@ from .inference import (
     symbolize,
 )
 from .infometrics import (
-    JointCounts,
     MIScore,
     conditional_mutual_information,
     entropy,
@@ -99,7 +98,6 @@ __all__ = [
     "GenConfig",
     "GenResult",
     "GroupSpec",
-    "JointCounts",
     "MIScore",
     "ModelSizeError",
     "NetworkModel",

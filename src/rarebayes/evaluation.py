@@ -289,26 +289,19 @@ def evaluate_files(
                             + [np.array([-1], dtype=act_coder.dtype)])
     # a predicted label is a label, never MISSING
     pred_coder = ClassCodes(missing=())
-    bad: list[str] = []
+    decoded = 0  # rows decoded so far, which number a bad id's row
 
     def decode(block: Chunk) -> dict:
-        return {"rows": _id_rows(block.columns["record_id"], len(actual) - 1, bad),
-                "labels": pred_coder(block.columns["label"])}
+        nonlocal decoded
+        rows = _id_rows(block.columns["record_id"], len(actual) - 1, pred_path, decoded)
+        decoded += block.size
+        return {"rows": rows, "labels": pred_coder(block.columns["label"])}
 
     table = np.zeros((2, 2), dtype=np.int64)
     seen_pred: set[int] = set()
     seen_act: set[int] = set()
-    offset = 0
     for chunk in dataset.iter_chunks(["record_id", "label"], decode=decode):
         rows = chunk.columns["rows"]
-        # the decoder noted the first bad id; it is raised with its chunk,
-        # once every block of that chunk has been read
-        if bad and (rows < 0).any():
-            raise EvaluationError(
-                f"{pred_path} row {offset + int(np.argmax(rows < 0)) + 1}: "
-                f"record_id {bad[0]!r} is not a non-negative integer"
-            )
-        offset += chunk.size
         act = actual[rows]
         keep = act >= 0
         pred, act = chunk.columns["labels"][keep], act[keep]
@@ -329,10 +322,11 @@ def evaluate_files(
     return table_counts(table)[0], records
 
 
-def _id_rows(col: list[str], n: int, bad: list[str]) -> np.ndarray:
+def _id_rows(col: list[str], n: int, path: str, before: int) -> np.ndarray:
     """The class-code row of each record id: the id, or ``n`` for an id past
-    the data, or -1 for a cell that is not a non-negative integer, the first
-    of which is appended to ``bad``."""
+    the data.  A cell that is not a non-negative integer raises
+    :class:`EvaluationError` naming its row of ``path``, ``before`` rows
+    having been decoded ahead of ``col``."""
     try:
         ids = np.array(col, dtype=np.int64)
     except (ValueError, OverflowError):
@@ -346,9 +340,12 @@ def _id_rows(col: list[str], n: int, bad: list[str]) -> np.ndarray:
             rid = int(text)
         except ValueError:
             rid = -1
-        if rid < 0 and not bad:
-            bad.append(text)
-        rows[i] = min(rid, n) if rid >= 0 else -1
+        if rid < 0:  # tested before min(), which would hand -10**30 to int64
+            raise EvaluationError(
+                f"{path} row {before + i + 1}: record_id {text!r} "
+                "is not a non-negative integer"
+            )
+        rows[i] = min(rid, n)
     return rows
 
 

@@ -349,7 +349,11 @@ def classify_file(
 
 def _positive_codes(positive: str):
     """Class-cell coder for :func:`iter_scored`: 1 for ``positive``, 0 for any
-    other label and -1 for MISSING, even when ``positive`` is a MISSING cell."""
+    other label and -1 for MISSING, even when ``positive`` is a MISSING cell.
+
+    Its dict holds three entries however many distinct labels the file has;
+    a :class:`~rarebayes.dataio.ClassCodes` would add one per label, so a
+    hostile file could grow a sweep's memory without bound."""
     lut = {positive: 1} | dict.fromkeys(MISSING_CELLS, -1)
 
     def code(col: list[str]) -> np.ndarray:

@@ -28,35 +28,6 @@ def count_table(columns: Sequence[np.ndarray], shape: Sequence[int]) -> np.ndarr
 
 
 @dataclass(frozen=True)
-class JointCounts:
-    """Nonnegative integer counts over a 2-way or 3-way outcome grid.
-
-    Axis 0 of a 3-way grid is the conditioning (class) variable.
-    ``labels`` names the axes, e.g. ("class", "region") or
-    ("class", "region", "plan").
-    """
-
-    labels: tuple[str, ...]
-    counts: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.counts)
-        if arr.ndim != len(self.labels):
-            raise ValueError(
-                f"counts have {arr.ndim} axes but {len(self.labels)} labels given"
-            )
-        if arr.ndim not in (2, 3):
-            raise ValueError("JointCounts supports 2-way and 3-way grids only")
-        if np.any(arr < 0):
-            raise ValueError("counts must be nonnegative")
-        object.__setattr__(self, "counts", arr.astype(np.int64, copy=False))
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-
-@dataclass(frozen=True)
 class MIScore:
     """A mutual-information score attached to a variable or variable pair."""
 
@@ -88,30 +59,36 @@ def _mi_from_array(counts: np.ndarray) -> float:
     return float((p[mask] * (np.log(ratio) / np.log(2.0))).sum())
 
 
-def mutual_information(joint: JointCounts) -> float:
-    """MI between the two axes of a 2-way joint, from empirical frequencies.
+def _checked_counts(counts: np.ndarray, ndim: int, what: str) -> np.ndarray:
+    """``counts`` as float64, raising unless it is an ``ndim``-way table of
+    nonnegative counts holding at least one count."""
+    arr = np.asarray(counts, dtype=np.float64)
+    if arr.ndim != ndim:
+        raise ValueError(f"{what} expects a {ndim}-way table, got {arr.ndim} axes")
+    if np.any(arr < 0):
+        raise ValueError("counts must be nonnegative")
+    if arr.sum() == 0:
+        raise ValueError(f"{what} of an empty table is undefined")
+    return arr
 
-    Zero-count cells contribute nothing.  Raises on an empty joint.
+
+def mutual_information(counts: np.ndarray) -> float:
+    """MI between the two axes of a 2-way count table, from empirical frequencies.
+
+    Zero-count cells contribute nothing.  Raises on an empty table.
     """
-    if joint.counts.ndim != 2:
-        raise ValueError("mutual_information expects a 2-way joint")
-    if joint.total == 0:
-        raise ValueError("mutual_information of an empty joint is undefined")
-    return _mi_from_array(joint.counts.astype(np.float64))
+    return _mi_from_array(_checked_counts(counts, 2, "mutual_information"))
 
 
-def conditional_mutual_information(joint: JointCounts) -> float:
-    """MI between axes 1 and 2 averaged over the conditioning axis 0.
+def conditional_mutual_information(counts: np.ndarray) -> float:
+    """MI between axes 1 and 2 of a 3-way count table averaged over the
+    conditioning axis 0 (the class).
 
     CMI = sum_c p(c) * MI(axis1; axis2 | c), each inner MI from the
-    conditional slice.  Raises on an empty joint.
+    conditional slice.  Raises on an empty table.
     """
-    if joint.counts.ndim != 3:
-        raise ValueError("conditional_mutual_information expects a 3-way joint")
-    total = joint.total
-    if total == 0:
-        raise ValueError("conditional MI of an empty joint is undefined")
-    counts = joint.counts.astype(np.float64)
+    counts = _checked_counts(counts, 3, "conditional_mutual_information")
+    total = counts.sum()
     cmi = 0.0
     for slice_ in counts:
         slice_total = slice_.sum()

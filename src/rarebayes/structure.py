@@ -17,8 +17,8 @@ count tables as axis tuples: ``("class", node)`` per candidate node in
 pass 2; ``("class", a, b)`` per rank-ordered pair of selected nodes in
 pass 3 (none when ``max_parents`` is 0); and in pass 4 ``("class",)``
 for the prior, ``("class", node)`` per selected node for the fallbacks
-and ``("class", parent, node)`` per edge for the CPTs.  A row of unknown
-class is counted in a discard row past the last class, then cut off.
+and ``("class", parent, node)`` per edge for the CPTs.  A row of MISSING
+or unknown class is counted in a discard row past the last class, then cut off.
 A pass reads through :meth:`Encoder.node_chunks`, the feed batch scoring
 shares: it encodes only the variables the tables name and lags only
 those named at a slot >= 1.
@@ -47,7 +47,6 @@ from .dataio import MISSING_CELLS, Chunk, ClassCodes, CsvDataset, PassStats, as_
 from .dataio import json_text, output, parse_float_column, read_text
 from .errors import ModelSizeError, TrainingError
 from .infometrics import (
-    JointCounts,
     MIScore,
     conditional_mutual_information,
     count_table,
@@ -275,15 +274,15 @@ class Encoder:
     symbols, ``uint16`` up to 65,536), as column stores keep dictionary
     codes (Abadi, Madden & Ferreira, SIGMOD 2006).  ``ascii_tables``
     holds, per categorical variable, a 128-entry table of the code of each
-    ASCII character read as a one-character cell.  Class codes stay
-    ``int64``, since an unknown class codes as -1.  Arithmetic on field
+    ASCII character read as a one-character cell.  Arithmetic on field
     codes must start from an ``int64`` operand: a Python int does not
-    widen a ``uint8`` array, so ``codes * k`` would wrap.
+    widen a ``uint8`` array, so ``codes * k`` would wrap.  ``class_symbols``
+    sizes the class axis of every count table.
     """
 
     def __init__(self, schema: Schema, outcomes: OutcomeTable):
         self.schema = schema
-        self.class_lut = {sym: i for i, sym in enumerate(outcomes.class_symbols)}
+        self.class_symbols = outcomes.class_symbols
         self.sizes = {var: len(vo.symbols) for var, vo in outcomes.variables.items()}
         self.missing = {var: size - 1 for var, size in self.sizes.items()}
         self.dtypes = {var: np.min_scalar_type(miss) for var, miss in self.missing.items()}
@@ -332,11 +331,6 @@ class Encoder:
         codes[np.isnan(values)] = self.missing[name]
         return codes
 
-    def encode_class(self, col: list[str]) -> np.ndarray:
-        return np.fromiter(
-            map(self.class_lut.get, col, repeat(-1)), dtype=np.int64, count=len(col)
-        )
-
     def encode_chunk(
         self,
         chunk: Chunk,
@@ -368,9 +362,10 @@ class Encoder:
         outlives its block; lags are built per chunk.  Group keys become ids
         from one :class:`~rarebayes.dataio.ClassCodes` per pass with no
         missing cell.  The class column is read only when ``labels`` is
-        given, and codes by it: :meth:`encode_class` for the training passes;
-        a threshold sweep codes 1 for its positive class, 0 for any other
-        label and -1 for MISSING.  Without ``labels`` the class codes are None.
+        given, and codes by it: a :class:`~rarebayes.dataio.ClassCodes` in
+        the training passes; a threshold sweep codes 1 for its positive class,
+        0 for any other label and -1 for MISSING.  Without ``labels`` the class
+        codes are None.
         """
         slots = [node_var_slot(node) for node in nodes]
         base = {var for var, _ in slots}
@@ -402,7 +397,7 @@ class Encoder:
 
 def _table_shape(enc: Encoder, table: tuple[str, ...]) -> tuple[int, ...]:
     """Axis sizes of a count table: the class alphabet, then each node's."""
-    return (len(enc.class_lut),) + tuple(
+    return (len(enc.class_symbols),) + tuple(
         enc.sizes[node_var_slot(node)[0]] for node in table[1:]
     )
 
@@ -416,17 +411,23 @@ def _count_pass(
 
     Each table is ``("class", node, ...)`` and comes back keyed by that
     tuple, shaped by its axes' alphabet sizes; each chunk adds one
-    :func:`~rarebayes.infometrics.count_table` to it.  Rows with an unknown
-    class are read but not counted: they go to a discard class ``k`` whose
-    row is cut off.  Only the columns the tables name are read
-    (:meth:`Encoder.node_chunks`).  A pass with no tables still reads every
-    chunk, so each call is exactly one pass.
+    :func:`~rarebayes.infometrics.count_table` to it.  One
+    :class:`~rarebayes.dataio.ClassCodes` codes the class column, the class
+    symbols first so they take codes ``0 .. k-1``.  Rows of MISSING (-1) or
+    unknown (>= k) class are read but not counted: they go to a discard
+    class ``k`` whose row is cut off.  Only the columns the tables name are
+    read (:meth:`Encoder.node_chunks`).  A pass with no tables still reads
+    every chunk, so each call is exactly one pass.
     """
-    k = len(enc.class_lut)
+    k = len(enc.class_symbols)
     counts = {t: np.zeros((k + 1, *_table_shape(enc, t)[1:]), dtype=np.int64) for t in tables}
     nodes = {node for table in tables for node in table[1:]}
-    for _, codes, class_codes in enc.node_chunks(ds, nodes, enc.encode_class):
-        class_codes = np.where(class_codes < 0, k, class_codes)
+    classes = ClassCodes()
+    classes(enc.class_symbols)
+    for _, codes, class_codes in enc.node_chunks(ds, nodes, classes):
+        # widened once here, so count_table does not widen it per table
+        class_codes = class_codes.astype(np.intp)
+        class_codes[(class_codes < 0) | (class_codes >= k)] = k
         for table, table_counts in counts.items():
             columns = [class_codes, *(codes[node] for node in table[1:])]
             table_counts += count_table(columns, table_counts.shape)
@@ -553,7 +554,7 @@ def train(
         )
     enc = Encoder(schema, outcomes)
     # pass 2 counts every field at every window slot; sized before any node is named
-    pass2_cells = len(enc.class_lut) * schema.window * sum(enc.sizes.values())
+    pass2_cells = len(enc.class_symbols) * schema.window * sum(enc.sizes.values())
     if pass2_cells > schema.max_model_cells:
         raise ModelSizeError(
             f"pass-2 class × field tables over window {schema.window} "
@@ -562,7 +563,7 @@ def train(
 
     counts = _count_pass(ds, enc, [("class", node_id(v, s)) for v, s in node_order(schema)])
     scores = [
-        MIScore(subject=table[1], value=mutual_information(JointCounts(table, c)))
+        MIScore(subject=table[1], value=mutual_information(c))
         for table, c in counts.items()
     ]
     selected = select_by_cumulative(scores, schema.t_prime)
@@ -581,7 +582,7 @@ def train(
     _check_budget(schema, enc, pairs)
     counts = _count_pass(ds, enc, list(pairs.values()))
     pair_scores = [
-        MIScore(subject=table[1:], value=conditional_mutual_information(JointCounts(table, c)))
+        MIScore(subject=table[1:], value=conditional_mutual_information(c))
         for table, c in counts.items()
     ]
     edges = select_dependencies(pair_scores, schema.t_field, nodes, schema.max_parents)

@@ -11,6 +11,7 @@ for byte.
 import hashlib
 import json
 import re
+import shlex
 from dataclasses import replace
 from pathlib import Path
 
@@ -165,16 +166,47 @@ def test_unknown_key_is_runtime_error(tmp_path, capsys, where):
     assert not (tmp_path / "out").exists()
 
 
+def readme_block(after: str) -> str:
+    """The body of the first fenced block in README.md after the regex ``after``."""
+    block = re.search(after + r"\s*```\w*\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    assert block, f"README lost the block after {after!r}"
+    return block.group(1)
+
+
+MINIMAL_CONFIG = r"A\s+minimal `gen\.json`:"
+
+
 def test_readme_minimal_config_generates(tmp_path, capsys):
-    text = README.read_text(encoding="utf-8")
-    block = re.search(r"A\s+minimal `gen\.json`:\s*```json\n(.*?)```", text, re.S)
-    assert block, "README lost its minimal gen.json example"
     path = tmp_path / "gen.json"
-    path.write_text(block.group(1), encoding="utf-8")
+    path.write_text(readme_block(MINIMAL_CONFIG), encoding="utf-8")
     assert run(["gen", "--config", str(path), "--out", str(tmp_path / "fixture")]) == 0
     assert capsys.readouterr().err.startswith("gen: wrote")
     truth = load_truth(tmp_path / "fixture" / "truth.json")
     assert truth.config == load_config(path)
+
+
+def test_readme_quickstart_and_library_run_as_written(tmp_path, monkeypatch, capsys):
+    """In one directory holding the minimal ``gen.json``, every Quickstart
+    command, ``rarebayes`` run as ``cli.run``, succeeds and ``train`` prints
+    the summary line the README shows; then the Library surface's code runs
+    and its case is scored on the fixture's fields, none skipped."""
+    monkeypatch.chdir(tmp_path)
+    Path("gen.json").write_text(readme_block(MINIMAL_CONFIG), encoding="utf-8")
+    quickstart = readme_block("## Quickstart")
+    commands = [line for line in re.sub(r"\\\n\s*", "", quickstart).splitlines()
+                if line.startswith("rarebayes ")]
+    summaries = {}
+    for command in commands:
+        args = shlex.split(command)[1:]
+        assert run(args) == 0, command
+        summaries[args[0]] = capsys.readouterr().err
+    assert len(summaries) == 6
+    assert summaries["train"] == re.search(r"# -> (train: .*)", quickstart).group(1) + "\n"
+
+    exec(compile(readme_block("## Library surface"), "README.md", "exec"), {})
+    scored, mi = capsys.readouterr().out.splitlines()
+    assert scored.endswith(" []")  # post.skipped
+    assert float(mi) > 0
 
 
 @pytest.mark.parametrize("text, message", [

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rarebayes import (
-    JointCounts,
     MIScore,
     conditional_mutual_information,
     entropy,
@@ -83,23 +82,23 @@ class TestEntropy:
 class TestMutualInformation:
     def test_product_distribution_is_zero(self):
         # counts proportional to an exact product: 60*(0.5,0.5) x (0.3,0.7)
-        joint = JointCounts(("c", "x"), [[15, 35], [15, 35]])
+        joint = [[15, 35], [15, 35]]
         assert mutual_information(joint) == pytest.approx(0.0, abs=1e-12)
 
     def test_perfect_correlation_is_one_bit(self):
-        joint = JointCounts(("c", "x"), [[30, 0], [0, 30]])
+        joint = [[30, 0], [0, 30]]
         assert mutual_information(joint) == pytest.approx(1.0, abs=1e-12)
 
     def test_known_joint_value(self):
         # frequencies ((0.4, 0.1), (0.1, 0.4)) scaled to counts
-        joint = JointCounts(("c", "x"), [[40, 10], [10, 40]])
+        joint = [[40, 10], [10, 40]]
         expected = mi_oracle([[40, 10], [10, 40]])
         assert expected == pytest.approx(0.278072, abs=1e-6)
         assert mutual_information(joint) == pytest.approx(expected, abs=1e-12)
 
     def test_empty_joint_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            mutual_information(JointCounts(("c", "x"), [[0, 0], [0, 0]]))
+            mutual_information([[0, 0], [0, 0]])
 
     def test_random_joints_match_oracle(self):
         rng = np.random.default_rng(42)
@@ -108,22 +107,22 @@ class TestMutualInformation:
             counts = rng.integers(0, 30, size=shape)
             if counts.sum() == 0:
                 continue
-            got = mutual_information(JointCounts(("a", "b"), counts))
+            got = mutual_information(counts)
             assert got == pytest.approx(mi_oracle(counts), abs=1e-12)
 
     @given(counts_2d)
     @settings(max_examples=150, deadline=None)
     def test_symmetry_under_transpose(self, m):
         counts = np.asarray(m)
-        a = mutual_information(JointCounts(("x", "y"), counts))
-        b = mutual_information(JointCounts(("y", "x"), counts.T))
+        a = mutual_information(counts)
+        b = mutual_information(counts.T)
         assert abs(a - b) <= 1e-12
 
     @given(counts_2d)
     @settings(max_examples=150, deadline=None)
     def test_nonnegative_and_bounded_by_marginal_entropies(self, m):
         counts = np.asarray(m, dtype=float)
-        mi = mutual_information(JointCounts(("x", "y"), np.asarray(m)))
+        mi = mutual_information(np.asarray(m))
         n = counts.sum()
         hx = entropy(counts.sum(axis=1) / n)
         hy = entropy(counts.sum(axis=0) / n)
@@ -149,19 +148,18 @@ class TestMutualInformation:
 class TestConditionalMutualInformation:
     def test_conditionally_independent_slices(self):
         slice_ = np.outer([6, 4], [3, 7])  # product within each class slice
-        joint = JointCounts(("c", "x", "y"), np.stack([slice_, 2 * slice_]))
+        joint = np.stack([slice_, 2 * slice_])
         assert conditional_mutual_information(joint) == pytest.approx(0.0, abs=1e-12)
 
     def test_identical_uniform_within_class(self):
         diag = np.array([[10, 0], [0, 10]])
-        joint = JointCounts(("c", "x", "y"), np.stack([diag, 3 * diag]))
+        joint = np.stack([diag, 3 * diag])
         assert conditional_mutual_information(joint) == pytest.approx(1.0, abs=1e-12)
 
     def test_random_2x2x2_matches_bruteforce(self):
         rng = np.random.default_rng(7)
         counts = rng.integers(1, 20, size=(2, 2, 2))
-        joint = JointCounts(("c", "x", "y"), counts)
-        assert conditional_mutual_information(joint) == pytest.approx(
+        assert conditional_mutual_information(counts) == pytest.approx(
             cmi_oracle(counts), abs=1e-12
         )
 
@@ -172,14 +170,12 @@ class TestConditionalMutualInformation:
             counts = rng.integers(0, 25, size=shape)
             if counts.sum() == 0:
                 continue
-            got = conditional_mutual_information(JointCounts(("c", "x", "y"), counts))
+            got = conditional_mutual_information(counts)
             assert got == pytest.approx(cmi_oracle(counts), abs=1e-12)
 
     def test_empty_joint_rejected(self):
-        with pytest.raises(ValueError):
-            conditional_mutual_information(
-                JointCounts(("c", "x", "y"), np.zeros((2, 2, 2), dtype=int))
-            )
+        with pytest.raises(ValueError, match="empty"):
+            conditional_mutual_information(np.zeros((2, 2, 2), dtype=int))
 
 
 class TestSelectByCumulative:
@@ -217,7 +213,7 @@ class TestSelectByCumulative:
         rng = np.random.default_rng(3)
         joints = [rng.integers(1, 30, size=(2, 3)) for _ in range(12)]
         bits = [
-            MIScore(f"v{i}", mutual_information(JointCounts(("c", "x"), j)))
+            MIScore(f"v{i}", mutual_information(j))
             for i, j in enumerate(joints)
         ]
         # a change of logarithm base scales every score by one constant
@@ -228,13 +224,16 @@ class TestSelectByCumulative:
             assert chosen_bits == chosen_nats
 
 
-def test_joint_counts_validation():
-    with pytest.raises(ValueError):
-        JointCounts(("a", "b"), [[-1, 2], [0, 1]])
-    with pytest.raises(ValueError):
-        JointCounts(("a",), [1, 2])
-    with pytest.raises(ValueError):
-        JointCounts(("a", "b", "c"), [[1, 2], [0, 1]])
+def test_scores_reject_a_malformed_table():
+    for score, counts, message in [
+        (mutual_information, [[-1, 2], [0, 1]], "nonnegative"),
+        (mutual_information, [1, 2], "2-way table, got 1 axes"),
+        (mutual_information, np.ones((2, 2, 2)), "2-way table, got 3 axes"),
+        (conditional_mutual_information, [[[1, -2]], [[0, 1]]], "nonnegative"),
+        (conditional_mutual_information, [[1, 2], [0, 1]], "3-way table, got 2 axes"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            score(counts)
 
 
 # -- the counting engine -----------------------------------------------------

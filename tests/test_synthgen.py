@@ -7,7 +7,6 @@ import pytest
 from rarebayes import (
     ConfigError,
     EvidenceError,
-    JointCounts,
     MISSING,
     SchemaError,
     analytic_posterior,
@@ -76,7 +75,7 @@ class TestGenerate:
                 cells[key] = cells.get(key, 0) + 1
         counts = [[cells.get((c, z), 0) for z in ("u", "v", "w")]
                   for c in ("good", "bad")]
-        mi = mutual_information(JointCounts(("class", "z"), counts))
+        mi = mutual_information(counts)
         assert mi < 0.005
 
     def test_schema_file_matches_columns(self, tmp_path):
