@@ -10,10 +10,10 @@ and Y goes to population 1 when it exceeds 2*ln(n2/n1).  Both boundary
 rules follow the inequalities literally: LDA keeps the boundary in
 population 1, QDA in population 2.
 
-Only the schema's continuous variables take part, in schema order.  The
-fit keeps the complete rows of each class in one growing buffer per
-class, appended as each chunk is read: rows with no feature or class cell
-MISSING by the one rule in :mod:`rarebayes.dataio`.
+Only the schema's continuous variables take part, in schema order; scoring
+reads the columns the model was fit on.  The fit keeps each class's rows
+with no feature or class cell MISSING (the one rule in :mod:`rarebayes.dataio`)
+in one growing buffer per class, appended as each chunk is read.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 from .dataio import Chunk, ClassCodes, CsvDataset, as_dataset, csv_cell, csv_output
 from .dataio import parse_float_column, write_rows
-from .errors import ConfigError, SingularCovarianceError
+from .errors import ConfigError, SingularCovarianceError, few
 from .evaluation import prediction_header
 from .schema import Schema
 
@@ -86,16 +86,14 @@ def fit_discriminant(
     labels: Sequence[str],
     kind: str,
     *,
-    classes: tuple[str, str] | None = None,
+    positive: str | None = None,
     ridge: float = 0.0,
     feature_names: list[str] | None = None,
 ) -> DiscriminantModel:
-    """Fit means and covariances with per-class denominator n-1.
-
-    ``classes`` gives (population 1, population 2); when omitted,
-    population 2 is the rarer label.  Requires at least two samples per
-    class; raises :class:`SingularCovarianceError` on a singular
-    covariance unless a positive ``ridge`` is supplied.
+    """Fit means and covariances with per-class denominator n-1, by the
+    population rule of :func:`fit_from_csv`.  Raises
+    :class:`SingularCovarianceError` on a singular covariance unless a
+    positive ``ridge`` is supplied.
     """
     _check_args(kind, ridge)
     X = np.atleast_2d(np.asarray(features, dtype=np.float64))
@@ -103,40 +101,37 @@ def fit_discriminant(
         raise ValueError("features and labels must have the same length")
     coder = ClassCodes(missing=())
     codes = coder(labels)
-    uniq = sorted(coder.labels)
+    # one stable sort, not a mask per label, so many labels fail fast
+    parts = np.split(np.argsort(codes, kind="stable"), np.cumsum(np.bincount(codes))[:-1])
+    rows = {label: X[part] for label, part in zip(coder.labels, parts)}
+    return _fit(rows, kind, positive, ridge,
+                feature_names or [f"f{i}" for i in range(X.shape[1])])
+
+
+def _fit(rows: dict[str, np.ndarray], kind: str, positive: str | None, ridge: float,
+         feature_names: list[str]) -> DiscriminantModel:
+    """Fit from each class label's own copy of its rows, which the
+    covariances centre in place, by the one population rule: two labels
+    with two rows each, population 2 being ``positive`` or else the rarer
+    label (the first in sorted order on a tie); :class:`ConfigError`
+    otherwise."""
+    uniq = sorted(rows)
     if len(uniq) != 2:
-        raise ValueError(f"need exactly 2 label values, got {uniq}")
-    if classes is None:
-        counts = dict(zip(coder.labels, np.bincount(codes).tolist()))
-        label2 = min(uniq, key=counts.get)
-        label1 = next(u for u in uniq if u != label2)
-    else:
-        label1, label2 = classes
-        if set(classes) != set(uniq):
-            raise ValueError(f"classes {classes} do not match labels {uniq}")
-    rows1 = X[codes == coder.index[label1]]
-    rows2 = X[codes == coder.index[label2]]
-    if rows1.shape[0] < 2 or rows2.shape[0] < 2:
-        raise ValueError("need at least 2 samples per class")
-    return _fit_classes(rows1, rows2, (label1, label2), kind, ridge,
-                        feature_names or [f"f{i}" for i in range(X.shape[1])])
-
-
-def _fit_classes(
-    rows1: np.ndarray,
-    rows2: np.ndarray,
-    classes: tuple[str, str],
-    kind: str,
-    ridge: float,
-    feature_names: list[str],
-) -> DiscriminantModel:
-    """Fit from each population's own copy of its rows, which the
-    covariances centre in place."""
+        raise ConfigError(f"baseline needs exactly 2 class values, got {few(uniq)}")
+    counts = {u: len(rows[u]) for u in uniq}
+    if min(counts.values()) < 2:
+        raise ConfigError(f"baseline needs at least 2 complete rows per class, got {counts}")
+    if positive is None:
+        positive = min(uniq, key=counts.get)
+    elif positive not in uniq:
+        raise ConfigError(f"unknown positive class {positive!r}")
+    negative = next(u for u in uniq if u != positive)
+    rows1, rows2 = rows[negative], rows[positive]
     model = DiscriminantModel(
         kind=kind,
         feature_names=feature_names,
-        label1=classes[0],
-        label2=classes[1],
+        label1=negative,
+        label2=positive,
         mean1=rows1.mean(axis=0),
         mean2=rows2.mean(axis=0),
         n1=rows1.shape[0],
@@ -160,13 +155,17 @@ def _fit_classes(
     return model
 
 
-def _check_query(model: DiscriminantModel, y: np.ndarray) -> np.ndarray:
+def _query(model: DiscriminantModel, y: np.ndarray, kind: str, what: str) -> np.ndarray:
+    """``y`` as a one-row matrix, once ``model`` is a ``kind`` model and ``y``
+    has its dims; ``what`` names the caller."""
+    if model.kind != kind:
+        raise ConfigError(f"{what} requires a {kind} model")
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     if y.shape[0] != model.mean1.shape[0]:
         raise ValueError(
             f"feature vector has {y.shape[0]} dims, model expects {model.mean1.shape[0]}"
         )
-    return y
+    return y[None]
 
 
 def _scores(model: DiscriminantModel, X: np.ndarray) -> np.ndarray:
@@ -182,31 +181,22 @@ def _scores(model: DiscriminantModel, X: np.ndarray) -> np.ndarray:
             - ((d1 @ np.linalg.inv(model.cov1)) * d1).sum(axis=1) + logdet_ratio)
 
 
-def _check_kind(model: DiscriminantModel, kind: str, what: str) -> None:
-    if model.kind != kind:
-        raise ConfigError(f"{what} requires a {kind} model")
-
-
 def lda_score(model: DiscriminantModel, y: np.ndarray) -> float:
     """L(Y) for a linear model; classify into population 2 iff L(Y) < cutoff."""
-    _check_kind(model, LINEAR, "lda_score")
-    return float(_scores(model, _check_query(model, y)[None])[0])
+    return float(_scores(model, _query(model, y, LINEAR, "lda_score"))[0])
 
 
 def lda_label(model: DiscriminantModel, y: np.ndarray) -> str:
-    _check_kind(model, LINEAR, "lda_label")
-    return str(score_label(model, _check_query(model, y)[None])[0])
+    return str(score_label(model, _query(model, y, LINEAR, "lda_label"))[0])
 
 
 def qda_score(model: DiscriminantModel, y: np.ndarray) -> float:
     """Quadratic score; classify into population 1 iff it exceeds 2*cutoff."""
-    _check_kind(model, QUADRATIC, "qda_score")
-    return float(_scores(model, _check_query(model, y)[None])[0])
+    return float(_scores(model, _query(model, y, QUADRATIC, "qda_score"))[0])
 
 
 def qda_label(model: DiscriminantModel, y: np.ndarray) -> str:
-    _check_kind(model, QUADRATIC, "qda_label")
-    return str(score_label(model, _check_query(model, y)[None])[0])
+    return str(score_label(model, _query(model, y, QUADRATIC, "qda_label"))[0])
 
 
 def score_label(model: DiscriminantModel, X: np.ndarray) -> np.ndarray:
@@ -225,7 +215,7 @@ def score_label(model: DiscriminantModel, X: np.ndarray) -> np.ndarray:
 
 def _features(schema: Schema) -> list[str]:
     """A baseline's features: the continuous variables, in schema order.
-    Callers ask before they read any row, so a schema without one fails
+    The fit asks before it reads any row, so a schema without one fails
     at once."""
     names = [spec.name for spec in schema.continuous_vars]
     if not names:
@@ -233,9 +223,8 @@ def _features(schema: Schema) -> list[str]:
     return names
 
 
-def _feature_columns(schema: Schema, block: Chunk) -> tuple[np.ndarray, np.ndarray]:
-    """Build a block's (rows, features) matrix and a per-row any-missing mask."""
-    names = _features(schema)
+def _feature_columns(names: list[str], block: Chunk) -> tuple[np.ndarray, np.ndarray]:
+    """Build a block's (rows, ``names``) matrix and a per-row any-missing mask."""
     X = np.empty((block.size, len(names)))
     missing = np.zeros(block.size, dtype=bool)
     for j, name in enumerate(names):
@@ -245,9 +234,10 @@ def _feature_columns(schema: Schema, block: Chunk) -> tuple[np.ndarray, np.ndarr
     return X, missing
 
 
-def _class_rows(schema: Schema, ds: CsvDataset) -> tuple[dict[str, np.ndarray], int]:
-    """Each class label's complete rows (no MISSING feature or class cell),
-    in file order, and how many rows were dropped.
+def _class_rows(ds: CsvDataset, class_var: str, names: list[str]) -> tuple[dict, int]:
+    """Each class label's complete rows of the ``names`` features (no
+    MISSING feature or class cell), in file order, and how many rows were
+    dropped.
 
     Each class code keeps one buffer.  Its first part, a mask gather that
     owns its data, becomes the buffer, so a class read in one chunk is
@@ -263,12 +253,12 @@ def _class_rows(schema: Schema, ds: CsvDataset) -> tuple[dict[str, np.ndarray], 
     dropped = 0
 
     def decode(block: Chunk) -> dict:
-        X, miss = _feature_columns(schema, block)
-        cls = coder(block.columns[schema.class_var])
+        X, miss = _feature_columns(names, block)
+        cls = coder(block.columns[class_var])
         cls[miss] = -1
         return {"X": X, "codes": cls}
 
-    for chunk in ds.iter_chunks([schema.class_var, *_features(schema)], decode=decode):
+    for chunk in ds.iter_chunks([class_var, *names], decode=decode):
         X, codes = chunk.columns["X"], chunk.columns["codes"]
         dropped += int((codes < 0).sum())
         for c in np.unique(codes[codes >= 0]).tolist():
@@ -306,20 +296,9 @@ def fit_from_csv(
     _check_args(kind, ridge)
     ds = as_dataset(data)
     ds.require_columns(ds.schema_columns(schema, require_class=True))
-    rows, dropped = _class_rows(schema, ds)
-    uniq = sorted(rows)
-    if len(uniq) != 2:
-        raise ConfigError(f"baseline needs exactly 2 class values, got {uniq}")
-    counts = {u: len(rows[u]) for u in uniq}
-    if min(counts.values()) < 2:
-        raise ConfigError(f"baseline needs at least 2 complete rows per class, got {counts}")
-    if positive is None:
-        positive = min(uniq, key=counts.get)
-    elif positive not in uniq:
-        raise ConfigError(f"unknown positive class {positive!r}")
-    negative = next(u for u in uniq if u != positive)
-    model = _fit_classes(rows[negative], rows[positive], (negative, positive), kind, ridge,
-                         _features(schema))
+    names = _features(schema)
+    rows, dropped = _class_rows(ds, schema.class_var, names)
+    model = _fit(rows, kind, positive, ridge, names)
     model.dropped_rows = dropped
     return model
 
@@ -332,9 +311,10 @@ def score_to_csv(
 ) -> dict:
     """Score a CSV with a fitted baseline; same output format as the network.
 
-    Unscorable rows (any missing feature) default to population 1 and are
-    noted in the skipped_nodes column.  Probability columns are hard 1/0
-    indicators since discriminant rules emit labels, not probabilities.
+    Scores the columns the model was fit on (``feature_names``).  Unscorable
+    rows (any missing feature) default to population 1 and are noted in the
+    skipped_nodes column.  Probability columns are hard 1/0 indicators since
+    discriminant rules emit labels, not probabilities.
     """
     ds = as_dataset(data)
     ds.require_columns(schema.var_names)
@@ -349,13 +329,13 @@ def score_to_csv(
 
     def decode(block: Chunk) -> dict:
         # scored per block, so a block's feature matrix goes with it
-        X, miss = _feature_columns(schema, block)
+        X, miss = _feature_columns(model.feature_names, block)
         to2 = np.zeros(block.size, dtype=np.intp)
         to2[~miss] = score_label(model, X[~miss]) == model.label2
         return {"to2": to2, "missing": miss}
 
     with csv_output(out_path, prediction_header(classes)) as fh:
-        for chunk in ds.iter_chunks(_features(schema), decode=decode):
+        for chunk in ds.iter_chunks(model.feature_names, decode=decode):
             to2, miss = chunk.columns["to2"], chunk.columns["missing"]
             write_rows(fh, [
                 map(str, range(rows, rows + chunk.size)),

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and how their messages name a list."""
 
 
 class RareBayesError(Exception):
@@ -45,3 +45,11 @@ class EvaluationError(RareBayesError):
 
 class ConfigError(RareBayesError):
     """Invalid generator or command configuration."""
+
+
+def few(items: list) -> str:
+    """``repr(items)`` when it holds at most five items, else the first five
+    and how many more there are, so an error names a bounded list."""
+    if len(items) <= 5:
+        return repr(items)
+    return f"{repr(items[:5])[:-1]}, ... {len(items) - 5} more]"

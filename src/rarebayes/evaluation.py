@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataio import Chunk, ClassCodes, CsvDataset
-from .errors import EvaluationError
+from .errors import EvaluationError, few
 from .infometrics import count_table
 
 
@@ -100,11 +100,11 @@ def _check_labels(seen: set[str], positive: str, negative: str | None = None) ->
     others = seen - {positive}
     if negative is None:
         if len(others) > 1:
-            raise EvaluationError(f"ambiguous negative label among {sorted(others)}")
+            raise EvaluationError(f"ambiguous negative label among {few(sorted(others))}")
         negative = next(iter(others), None)
     unknown = seen - {positive, negative}
     if unknown:
-        raise EvaluationError(f"unknown label(s): {sorted(unknown)}")
+        raise EvaluationError(f"unknown label(s): {few(sorted(unknown))}")
 
 
 def table_counts(table: np.ndarray) -> list[ConfusionCounts]:

@@ -31,17 +31,12 @@ from typing import Collection
 
 from .errors import SchemaError
 
-DEFAULT_T_PRIME = 0.95
-DEFAULT_T_FIELD = 0.35
-DEFAULT_MAX_PARENTS = 1
-DEFAULT_MAX_BINS = 16
-DEFAULT_MAX_MODEL_CELLS = 10_000_000
-
 _KINDS = ("categorical", "continuous")
 _DISCRETIZERS = ("entropy", "quantile")
 
 # Schema knob -> (file-token parser, rule, the rule in words); the one
-# range check for schema files and model documents alike.
+# range check for schema files and model documents alike, and the order
+# format_schema writes the knobs in.
 _KNOBS = {
     "t_prime": (float, lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"),
     "t_field": (float, lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"),
@@ -125,14 +120,14 @@ class Schema:
 
     class_var: str
     field_vars: tuple[VariableSpec, ...]
-    t_prime: float = DEFAULT_T_PRIME
-    t_field: float = DEFAULT_T_FIELD
+    t_prime: float = 0.95
+    t_field: float = 0.35
     window: int = 1
     group_key: str | None = None
-    max_parents: int = DEFAULT_MAX_PARENTS
-    max_bins: int = DEFAULT_MAX_BINS
+    max_parents: int = 1
+    max_bins: int = 16
     smoothing: float = 0.0
-    max_model_cells: int = DEFAULT_MAX_MODEL_CELLS
+    max_model_cells: int = 10_000_000
 
     def __post_init__(self):
         _check_token("class name", self.class_var)
@@ -256,12 +251,8 @@ def format_schema(schema: Schema) -> str:
             lines.append(f"var {v.name} categorical")
         else:
             lines.append(f"var {v.name} continuous {v.discretizer}")
-    lines.append(f"t_prime {schema.t_prime}")
-    lines.append(f"t_field {schema.t_field}")
-    lines.append(f"window {schema.window}")
-    lines.append(f"max_parents {schema.max_parents}")
-    lines.append(f"max_bins {schema.max_bins}")
-    if schema.smoothing:
-        lines.append(f"smoothing {schema.smoothing}")
-    lines.append(f"max_model_cells {schema.max_model_cells}")
+    for name in _KNOBS:
+        value = getattr(schema, name)
+        if value or name != "smoothing":  # no smoothing line at 0
+            lines.append(f"{name} {value}")
     return "\n".join(lines) + "\n"

@@ -45,7 +45,7 @@ import numpy as np
 
 from .dataio import MISSING_CELLS, Chunk, ClassCodes, CsvDataset, PassStats, as_dataset
 from .dataio import json_text, output, parse_float_column, read_text
-from .errors import ModelSizeError, TrainingError
+from .errors import ModelSizeError, TrainingError, few
 from .infometrics import (
     MIScore,
     conditional_mutual_information,
@@ -190,7 +190,7 @@ def _check_tables(model: NetworkModel) -> None:
     if not all(isinstance(sym, str) for symbols in alphabets for sym in symbols):
         raise TrainingError("model outcome symbols must be strings")
     if len(set(model.class_symbols)) != k:
-        raise TrainingError(f"class symbols {list(model.class_symbols)} are not distinct")
+        raise TrainingError(f"class symbols {few(list(model.class_symbols))} are not distinct")
     for spec in model.schema.continuous_vars:
         vo = model.outcomes.variables[spec.name]
         # an infinite cut is allowed: a legacy model may hold one

@@ -34,7 +34,7 @@ class TestFit:
     def test_hand_computed_1d_fit(self):
         X = np.array([[1.0], [3.0], [-1.0], [1.0]])
         labels = ["g", "g", "b", "b"]
-        model = fit_discriminant(X, labels, "linear", classes=("g", "b"))
+        model = fit_discriminant(X, labels, "linear", positive="b")
         assert model.mean1[0] == 2.0
         assert model.mean2[0] == 0.0
         # each class variance is 2 with denominator n-1; pooled stays 2
@@ -42,7 +42,7 @@ class TestFit:
 
     def test_equal_sizes_zero_cutoff(self):
         X = np.array([[1.0], [3.0], [-1.0], [1.0]])
-        model = fit_discriminant(X, ["g", "g", "b", "b"], "linear", classes=("g", "b"))
+        model = fit_discriminant(X, ["g", "g", "b", "b"], "linear", positive="b")
         assert model.cutoff == 0.0
 
     def test_doubling_population2_raises_cutoff_by_log2(self):
@@ -51,8 +51,8 @@ class TestFit:
         lab1 = ["g"] * 10 + ["b"] * 10
         X2 = np.vstack([X1, rng.normal(2, 1, (10, 2))])
         lab2 = lab1 + ["b"] * 10
-        m1 = fit_discriminant(X1, lab1, "linear", classes=("g", "b"))
-        m2 = fit_discriminant(X2, lab2, "linear", classes=("g", "b"))
+        m1 = fit_discriminant(X1, lab1, "linear", positive="b")
+        m2 = fit_discriminant(X2, lab2, "linear", positive="b")
         assert m2.cutoff - m1.cutoff == pytest.approx(math.log(2), abs=1e-12)
 
     def test_rarer_label_defaults_to_population2(self):
@@ -67,12 +67,12 @@ class TestFit:
         X = np.array([[1.0, 2.0]] * 5 + [[3.0, 4.0]] * 5)
         labels = ["g"] * 5 + ["b"] * 5
         with pytest.raises(SingularCovarianceError):
-            fit_discriminant(X, labels, "linear", classes=("g", "b"))
-        model = fit_discriminant(X, labels, "linear", classes=("g", "b"), ridge=1e-6)
+            fit_discriminant(X, labels, "linear", positive="b")
+        model = fit_discriminant(X, labels, "linear", positive="b", ridge=1e-6)
         assert model.cov is not None
 
     def test_two_samples_per_class_required(self):
-        with pytest.raises(ValueError, match="2 samples"):
+        with pytest.raises(ConfigError, match="2 complete rows"):
             fit_discriminant(np.array([[1.0], [2.0], [3.0]]), ["g", "g", "b"], "linear")
 
     def test_bad_kind(self):
@@ -155,8 +155,8 @@ class TestQuadraticScore:
         A = rng.normal(0, 1, (d, d)) + 2 * np.eye(d)
         b = rng.normal(0, 5, d)
         queries = rng.normal(0.5, 1, (10, d))
-        m_raw = fit_discriminant(X, labels, "linear", classes=("g", "b"))
-        m_aff = fit_discriminant(X @ A.T + b, labels, "linear", classes=("g", "b"))
+        m_raw = fit_discriminant(X, labels, "linear", positive="b")
+        m_aff = fit_discriminant(X @ A.T + b, labels, "linear", positive="b")
         for y in queries:
             assert lda_score(m_raw, y) == pytest.approx(
                 lda_score(m_aff, A @ y + b), abs=1e-6, rel=1e-6
@@ -170,8 +170,8 @@ class TestQuadraticScore:
         perm = rng.permutation(d)
         queries = rng.normal(0.5, 1, (20, d))
         for kind, label_fn in (("linear", lda_label), ("quadratic", qda_label)):
-            m = fit_discriminant(X, labels, kind, classes=("g", "b"))
-            mp = fit_discriminant(X[:, perm], labels, kind, classes=("g", "b"))
+            m = fit_discriminant(X, labels, kind, positive="b")
+            mp = fit_discriminant(X[:, perm], labels, kind, positive="b")
             for y in queries:
                 assert label_fn(m, y) == label_fn(mp, y[perm])
 
@@ -225,6 +225,20 @@ class TestCsvPlumbing:
         assert model.feature_names == [spec.name for spec in schema.continuous_vars]
         assert model.feature_names == ["v", "u"] and model.mean1.shape == (2,)
 
+    def test_scoring_reads_the_columns_the_model_was_fit_on(self, tmp_path):
+        """A model fit with the continuous variables in schema order ``u, v``
+        scores the same rows, to the same bytes, with a schema listing them
+        ``v, u``."""
+        path = self.write_data(tmp_path, n=400)
+        model = fit_from_csv(self.SCHEMA, path, "quadratic")
+        swapped = parse_schema("class y\nvar cat categorical\nvar v continuous\n"
+                               "var u continuous\n")
+        outs = []
+        for name, schema in (("fit-order", self.SCHEMA), ("swapped", swapped)):
+            outs.append(tmp_path / f"{name}.csv")
+            score_to_csv(model, schema, path, outs[-1])
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
     def test_one_hot_is_not_an_option(self, tmp_path, capsys):
         """The categorical expansion is gone: ``--one-hot`` is a usage error."""
         path = self.write_data(tmp_path)
@@ -253,15 +267,19 @@ class TestCsvPlumbing:
     def test_fit_does_not_depend_on_chunk_size(self, tmp_path, sizes, kind, chunk_rows):
         """Each class's rows are appended to one buffer as the chunks come,
         so a fit over many chunks has the rows, in order, and so the bits
-        of the in-memory fit over the complete rows of the whole file."""
+        of the in-memory fit over the complete rows of the whole file, by
+        the same population rule: the rarer label by default, or the
+        common one when it is named."""
         path = self.write_data(tmp_path, n=300, missing_every=10)
         with open(path, newline="", encoding="utf-8") as fh:
             rows = [r for r in csv.DictReader(fh) if r["u"] != "?"]
         features = np.array([[float(r["u"]), float(r["v"])] for r in rows])
-        expected = fit_discriminant(features, [r["y"] for r in rows], kind,
-                                    classes=("good", "bad"), feature_names=["u", "v"])
         sizes(chunk_rows=chunk_rows, block_bytes=1)
-        model = fit_from_csv(self.SCHEMA, path, kind)
-        assert (model.n1, model.n2, model.dropped_rows) == (expected.n1, expected.n2, 30)
-        for name in ("mean1", "mean2", "cov", "cov1", "cov2"):
-            assert np.array_equal(getattr(model, name), getattr(expected, name)), name
+        for positive in (None, "good"):
+            expected = fit_discriminant(features, [r["y"] for r in rows], kind,
+                                        positive=positive, feature_names=["u", "v"])
+            model = fit_from_csv(self.SCHEMA, path, kind, positive=positive)
+            assert model.label2 == expected.label2 == (positive or "bad")
+            assert (model.n1, model.n2, model.dropped_rows) == (expected.n1, expected.n2, 30)
+            for name in ("mean1", "mean2", "cov", "cov1", "cov2"):
+                assert np.array_equal(getattr(model, name), getattr(expected, name)), name

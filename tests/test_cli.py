@@ -685,6 +685,38 @@ def test_malformed_input_is_runtime_error(tmp_path, capsys, command, text, messa
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["evaluate", "baseline", "classify"])
+def test_label_error_names_at_most_five_labels(workdir, tmp_path, capsys, command):
+    """A class label per row, or a model document with 2,000 class symbols
+    of which two repeat, fails in one short ``error:`` line that names five
+    labels and counts the rest."""
+    labels = [f"label{i}" for i in range(2000)]
+    data, out = tmp_path / "data.csv", tmp_path / "out"
+    if command == "evaluate":
+        data.write_text("class\n" + "".join(f"{label}\n" for label in labels), encoding="utf-8")
+        pred = tmp_path / "pred.csv"
+        pred.write_text("record_id,label\n" + "".join(f"{i},bad\n" for i in range(2000)),
+                        encoding="utf-8")
+        argv = ["evaluate", "--pred", str(pred), "--data", str(data), "--positive", "bad"]
+    elif command == "baseline":
+        data.write_text("y,a\n" + "".join(f"{label},{i}\n" for i, label in enumerate(labels)),
+                        encoding="utf-8")
+        schema = tmp_path / "schema.txt"
+        schema.write_text("class y\nvar a continuous\n", encoding="utf-8")
+        argv = ["baseline", "--kind", "linear", "--schema", str(schema), "--data", str(data)]
+    else:
+        doc = json.loads((workdir / "model.json").read_text(encoding="utf-8"))
+        doc["class_symbols"] = [*labels[:-1], labels[0]]
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc), encoding="utf-8")
+        argv = ["classify", "--model", str(model),
+                "--data", str(workdir / "fixture" / "data.csv")]
+    assert run([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and len(err) < 1000, err[:200]
+    assert "', ... 1995 more]" in err
+
+
 def _number_paths(doc, path=()):
     """The key path of every number in a decoded config document."""
     if isinstance(doc, dict | list):

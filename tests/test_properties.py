@@ -10,6 +10,7 @@ traceback, and a failure is one ``error:`` line.
 
 import csv
 import io
+import json
 import random
 import tempfile
 from contextlib import redirect_stderr
@@ -24,7 +25,7 @@ from rarebayes import classify_file, generate, parse_schema, train
 from rarebayes.cli import run
 from rarebayes.outcomes import RESERVOIR_CAPACITY
 
-from fixture_configs import gen_configs, indep_config
+from fixture_configs import gen_configs, indep_config, messy_config
 
 
 def read_csv(path) -> list[list[str]]:
@@ -85,6 +86,54 @@ def test_row_and_column_order_change_no_output_byte(tmp_path_factory, cfg, data)
     assert (root / "pred.csv").read_bytes() == (root / "pred-reversed.csv").read_bytes()
 
 
+def cli_model(root: Path, schema_text: str, rows: list[list[str]]) -> dict:
+    """The model document ``train`` writes in a new directory ``root`` for
+    ``rows`` under ``schema_text``."""
+    root.mkdir()
+    (root / "schema.txt").write_text(schema_text, encoding="utf-8")
+    write_csv(root / "data.csv", rows)
+    assert run(["train", "--schema", str(root / "schema.txt"), "--data",
+                str(root / "data.csv"), "--out", str(root / "model.json")]) == 0
+    return json.loads((root / "model.json").read_text(encoding="utf-8"))
+
+
+def selection(doc: dict) -> tuple[list, dict]:
+    """The ranked nodes and the parent map: the selection, not its MI floats."""
+    return [rf["node"] for rf in doc["ranked_fields"]], doc["parents"]
+
+
+UNGROUPED = [replace(messy_config(n=3000), group=None), indep_config(n=4000, seed=3)]
+
+
+@pytest.mark.parametrize("cfg", UNGROUPED, ids=["messy", "indep"])
+def test_every_row_twice_keeps_the_selection_and_bins(tmp_path, cfg):
+    """Writing every row of an ungrouped ``window 1`` file twice, within the
+    reservoir's capacity, keeps the ranked fields, the parents and every
+    bin edge; the MI floats may differ."""
+    assert 2 * cfg.n < RESERVOIR_CAPACITY
+    result = generate(cfg, tmp_path / "fixture")
+    schema_text = result.schema_path.read_text(encoding="utf-8")
+    rows = read_csv(result.data_path)
+    once = cli_model(tmp_path / "once", schema_text, rows)
+    twice = cli_model(tmp_path / "twice", schema_text, [*rows, *rows[1:]])
+    assert selection(twice) == selection(once)
+    assert twice["outcomes"] == once["outcomes"]
+
+
+@pytest.mark.parametrize("cfg", UNGROUPED, ids=["messy", "indep"])
+def test_constant_column_keeps_the_selection_and_cpts(tmp_path, cfg):
+    """A categorical column holding one value throughout tells nothing of
+    the class: the ranked fields, the parents and every CPT stay."""
+    result = generate(cfg, tmp_path / "fixture")
+    schema_text = result.schema_path.read_text(encoding="utf-8")
+    rows = read_csv(result.data_path)
+    plain = cli_model(tmp_path / "plain", schema_text, rows)
+    constant = cli_model(tmp_path / "constant", schema_text + "var constant categorical\n",
+                         [[*rows[0], "constant"], *([*row, "k"] for row in rows[1:])])
+    assert selection(constant) == selection(plain)
+    assert constant["cpts"] == plain["cpts"] and constant["fallbacks"] == plain["fallbacks"]
+
+
 # Bytes a mutation inserts: CSV structure, MISSING and non-finite cells, a
 # number past float64, and invalid or truncated UTF-8.
 HOSTILE = [b",", b'"', b"\r", b"\n", b"\r\n", b"?", b"nan", b"1e400", b"\xff", b"\xc3",
@@ -106,33 +155,42 @@ def mutations(draw, original: bytes) -> bytes:
 
 @pytest.fixture(scope="module")
 def valid_files(tmp_path_factory) -> dict[str, Path]:
-    """A small generated data file, its schema, and the prediction file of a
-    model trained on it."""
+    """A small generated data file, its schema, a model trained on it and
+    that model's prediction file."""
     root = tmp_path_factory.mktemp("hostile")
     result = generate(indep_config(n=60, seed=11), root / "fixture")
     model = train(parse_schema(result.schema_path.read_text(encoding="utf-8")), result.data_path)
+    model.save(root / "model.json")
     classify_file(model, result.data_path, root / "pred.csv", threshold=0.5)
-    return {"schema": result.schema_path, "data": result.data_path, "pred": root / "pred.csv"}
+    return {"schema": result.schema_path, "data": result.data_path,
+            "model": root / "model.json", "pred": root / "pred.csv"}
+
+
+# (command, the input file that is mutated)
+TARGETS = [("train", "data"), ("evaluate", "pred"), ("evaluate", "data"),
+           ("baseline", "data"), ("baseline", "schema"), ("classify", "data"),
+           ("classify", "model"), ("sweep", "data"), ("sweep", "model")]
 
 
 @given(data=st.data())
-@settings(max_examples=600, deadline=None)
+@settings(max_examples=1800, deadline=None)
 def test_mutated_files_exit_cleanly(valid_files, data):
-    """``train`` on a mutated data file, and ``evaluate`` with a mutated
-    prediction or data file, exit 0, 1 or 2 and never raise; an exit of 1
-    prints exactly one ``error:`` line."""
-    command, target = data.draw(st.sampled_from(
-        [("train", "data"), ("evaluate", "pred"), ("evaluate", "data")]))
+    """``train``, ``evaluate``, ``baseline``, ``classify`` and ``sweep`` on a
+    mutated input file exit 0, 1 or 2 and never raise; an exit of 1 prints
+    exactly one ``error:`` line, under 2,000 bytes."""
+    command, target = data.draw(st.sampled_from(TARGETS))
     with tempfile.TemporaryDirectory() as tmp:
         files = dict(valid_files)
         files[target] = Path(tmp) / valid_files[target].name
         files[target].write_bytes(data.draw(mutations(valid_files[target].read_bytes())))
+        out = str(Path(tmp) / "out")
         argv = {
-            "train": ["train", "--schema", str(files["schema"]), "--data", str(files["data"]),
-                      "--out", str(Path(tmp) / "model.json")],
-            "evaluate": ["evaluate", "--pred", str(files["pred"]), "--data", str(files["data"]),
-                         "--positive", "bad", "--out", str(Path(tmp) / "report.json")],
-        }[command]
+            "train": ["train", "--schema", str(files["schema"])],
+            "evaluate": ["evaluate", "--pred", str(files["pred"]), "--positive", "bad"],
+            "baseline": ["baseline", "--kind", "quadratic", "--schema", str(files["schema"])],
+            "classify": ["classify", "--model", str(files["model"])],
+            "sweep": ["sweep", "--model", str(files["model"])],
+        }[command] + ["--data", str(files["data"]), "--out", out]
         with redirect_stderr(io.StringIO()) as err:
             code = run(argv)  # an exception here is a traceback at the command line
     text = err.getvalue()
@@ -140,3 +198,4 @@ def test_mutated_files_exit_cleanly(valid_files, data):
     assert "Traceback" not in text
     if code == 1:
         assert text.startswith("error:") and text.count("\n") == 1, text
+        assert len(text.encode()) < 2000, text[:200]

@@ -189,6 +189,20 @@ def test_format_schema_round_trip():
     assert parse_schema(format_schema(s)) == s
 
 
+@pytest.mark.parametrize("smoothing, line", [(0.0, ""), (0.5, "smoothing 0.5\n")])
+def test_format_schema_text(smoothing, line):
+    """Every knob is written in one fixed order, the defaults too, except
+    ``smoothing`` at 0."""
+    s = Schema(class_var="y", group_key="g", smoothing=smoothing, window=3,
+               field_vars=(VariableSpec("a", "categorical"),
+                           VariableSpec("b", "continuous", "quantile")))
+    assert format_schema(s) == (
+        "class y\ngroup g\nvar a categorical\nvar b continuous quantile\n"
+        "t_prime 0.95\nt_field 0.35\nwindow 3\nmax_parents 1\nmax_bins 16\n"
+        f"{line}max_model_cells 10000000\n"
+    )
+
+
 @pytest.mark.parametrize("text, line", [
     ("class y\nvar a categorical\nvar b categorical\ngroup a\n", 4),
     ("class y\ngroup b\nvar a categorical\nvar b continuous\n", 4),  # var second
