@@ -51,7 +51,7 @@ def _cmd_train(args) -> int:
     dataset = CsvDataset(args.data)
     model = structure.train(schema, dataset, seed=args.seed)
     model.save(args.out)
-    edges = sum(1 for p in model.parents.values() if p)
+    edges = sum(map(len, model.parents.values()))
     _say(
         f"train: wrote {args.out} passes={model.pass_stats.passes} "
         f"rows={model.pass_stats.rows} rejected={model.pass_stats.rejected} "

@@ -5,7 +5,9 @@ rows at once; :func:`posterior` is a batch of one.  Batch scoring gives
 each row of a chunk a dense id over its ranked nodes' codes
 (:func:`_dense_ids`), scores and formats each distinct configuration
 once, and expands the results through the rows' ids.  Evidence is
-incorporated in descending rank order.  A node is skipped when its value
+incorporated in descending rank order.  A node reads its CPT row for its
+field parents' codes, or its class-only fallback table wherever any of
+those parents is MISSING.  A node is skipped when its value
 is MISSING, when its parent configuration row carries no training data
 (``unseen-config``), or when the renormalized candidate posterior would
 leave some class probability outside the open interval (0, 1)
@@ -122,18 +124,20 @@ def score_codes(
     skip = np.zeros((n, len(model.ranked_fields)), dtype=np.int8)
     for j, rf in enumerate(model.ranked_fields):
         child = codes[rf.node]
-        parent = model.parents[rf.node]
-        cpt = model.cpts[rf.node]
-        if parent is None:
-            likelihood = cpt.probs[:, child]
-            unseen = bool(cpt.unseen.any())
-        else:
+        cpt, fb = model.cpts[rf.node], model.fallbacks[rf.node]
+        # a column per (parent configuration, child), configurations mixed-radix;
+        # the fallback's columns come last, read where any parent is MISSING
+        k, *radices, size = cpt.probs.shape
+        table = np.concatenate([cpt.probs.reshape(k, -1), fb.probs], axis=1)
+        unseen = np.append(cpt.unseen.any(axis=0), fb.unseen.any())
+        config, fallback = np.intp(0), False
+        for parent, radix in zip(model.parents[rf.node], radices):
             pcode = codes[parent]
-            pmiss = pcode == missing[node_var_slot(parent)[0]]
-            fb = model.fallbacks[rf.node]
-            likelihood = np.where(pmiss, fb.probs[:, child], cpt.probs[:, pcode, child])
-            unseen = np.where(pmiss, bool(fb.unseen.any()), cpt.unseen.any(axis=0)[pcode])
-        cand = p * likelihood
+            config = config * radix + pcode
+            fallback = fallback | (pcode == missing[node_var_slot(parent)[0]])
+        config = np.where(fallback, len(unseen) - 1, config)
+        unseen = unseen[config]
+        cand = p * np.take(table, config * size + child, axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
             cand /= _class_sum(cand)
         inside = np.logical_and.reduce((cand > 0.0) & (cand < 1.0), axis=0)

@@ -17,8 +17,9 @@ count tables as axis tuples: ``("class", node)`` per candidate node in
 pass 2; ``("class", a, b)`` per rank-ordered pair of selected nodes in
 pass 3 (none when ``max_parents`` is 0); and in pass 4 ``("class",)``
 for the prior, ``("class", node)`` per selected node for the fallbacks
-and ``("class", parent, node)`` per edge for the CPTs.  A row of MISSING
-or unknown class is counted in a discard row past the last class, then cut off.
+and ``("class", *parents, node)`` per selected node for the CPTs (for a
+parentless node, the same table).  A row of MISSING or unknown class is
+counted in a discard row past the last class, then cut off.
 A pass reads through :meth:`Encoder.node_chunks`, the feed batch scoring
 shares: it encodes only the variables the tables name and lags only
 those named at a slot >= 1.
@@ -62,15 +63,14 @@ MODEL_FORMAT = "rarebayes-model-v1"
 
 @dataclass
 class CPT:
-    """P{child | class (, field parent)}: one probability row per parent config.
+    """P{child | class, field parents}: one probability row per parent config.
 
-    ``probs`` has shape (k, A_child) without a field parent or
-    (k, A_parent, A_child) with one.  ``unseen`` flags rows whose raw
+    ``probs`` has shape (k, A_parent_1, ..., A_parent_m, A_child) for a
+    node's m field parents (``NetworkModel.parents``), so (k, A_child)
+    for a fallback or a parentless node.  ``unseen`` flags rows whose raw
     count total was zero; such rows carry no evidence.
     """
 
-    child: str
-    parent: str | None
     probs: np.ndarray
     unseen: np.ndarray
 
@@ -87,7 +87,7 @@ class RankedField:
 
 @dataclass
 class NetworkModel:
-    """Trained classifier: prior, ranked fields, parent map, CPTs, fallbacks."""
+    """Trained classifier: prior, ranked fields, parent tuples, CPTs, fallbacks."""
 
     schema: Schema
     seed: int
@@ -95,7 +95,7 @@ class NetworkModel:
     prior: np.ndarray
     outcomes: OutcomeTable
     ranked_fields: list[RankedField]
-    parents: dict[str, str | None]
+    parents: dict[str, tuple[str, ...]]
     cpts: dict[str, CPT]
     fallbacks: dict[str, CPT]
     pass_stats: PassStats
@@ -129,12 +129,12 @@ class NetworkModel:
                 var: asdict(vo) for var, vo in self.outcomes.variables.items()
             },
             "ranked_fields": [asdict(rf) for rf in self.ranked_fields],
-            "parents": {node: self.parents[node] for node in self.parents},
+            "parents": {node: _parents_to_doc(ps) for node, ps in self.parents.items()},
             "cpts": {
-                node: _cpt_to_doc(cpt) for node, cpt in self.cpts.items()
+                node: _cpt_to_doc(cpt, self.parents[node]) for node, cpt in self.cpts.items()
             },
             "fallbacks": {
-                node: _cpt_to_doc(cpt) for node, cpt in self.fallbacks.items()
+                node: _cpt_to_doc(cpt, ()) for node, cpt in self.fallbacks.items()
             },
             "pass_stats": asdict(self.pass_stats),
         }
@@ -164,12 +164,17 @@ class NetworkModel:
                 prior=np.array(doc["prior"], dtype=np.float64),
                 outcomes=outcomes,
                 ranked_fields=[RankedField(**rf) for rf in doc["ranked_fields"]],
-                parents=dict(doc["parents"]),
-                cpts={n: _cpt_from_doc(n, d) for n, d in doc["cpts"].items()},
-                fallbacks={n: _cpt_from_doc(n, d) for n, d in doc["fallbacks"].items()},
+                parents={n: _parents_from_doc(n, ps) for n, ps in doc["parents"].items()},
+                cpts={n: _cpt_from_doc(d) for n, d in doc["cpts"].items()},
+                fallbacks={n: _cpt_from_doc(d) for n, d in doc["fallbacks"].items()},
                 pass_stats=PassStats(**doc["pass_stats"]),
             )
             _check_tables(model)
+            for node, parents in model.parents.items():
+                for what, table, named in (("CPT", doc["cpts"], _parents_to_doc(parents)),
+                                           ("fallback", doc["fallbacks"], None)):
+                    if table[node]["parent"] != named:
+                        raise TrainingError(f"{what} for node {node!r} names the wrong parent")
             model.encoder  # built now, so a codebook it cannot hold fails here
         except KeyError as exc:
             raise TrainingError(f"model document lacks field {exc}") from exc
@@ -213,35 +218,49 @@ def _check_tables(model: NetworkModel) -> None:
         var_of[rf.node] = rf.var
     if not set(model.parents) == set(model.cpts) == set(model.fallbacks) == set(var_of):
         raise TrainingError("parents, CPTs and fallbacks must cover exactly the ranked nodes")
-    for node, parent in model.parents.items():
-        if parent is not None and parent not in var_of:
-            raise TrainingError(f"parent {parent!r} of node {node!r} is not a ranked node")
-        axes = () if parent is None else (sizes[var_of[parent]],)
+    for node, parents in model.parents.items():
+        for parent in parents:
+            if parent not in var_of:
+                raise TrainingError(f"parent {parent!r} of node {node!r} is not a ranked node")
+        if len({node, *parents}) != len(parents) + 1:
+            raise TrainingError(f"node {node!r} names itself or one node twice as a parent")
+        axes = tuple(sizes[var_of[n]] for n in (*parents, node))
         for what, cpt, shape in (
-            ("CPT", model.cpts[node], (k, *axes, sizes[var_of[node]])),
-            ("fallback", model.fallbacks[node], (k, sizes[var_of[node]])),
+            ("CPT", model.cpts[node], (k, *axes)),
+            ("fallback", model.fallbacks[node], (k, axes[-1])),
         ):
             if cpt.probs.shape != shape or cpt.unseen.shape != shape[:-1]:
                 raise TrainingError(f"{what} for node {node!r} does not have shape {shape}")
-            if cpt.parent != (parent if what == "CPT" else None):
-                raise TrainingError(f"{what} for node {node!r} names the wrong parent")
     tables = [model.prior, *(c.probs for c in (*model.cpts.values(), *model.fallbacks.values()))]
     if not all(((t >= 0.0) & (t <= 1.0)).all() for t in tables):
         raise TrainingError("model probabilities must be finite and lie in [0, 1]")
 
 
-def _cpt_to_doc(cpt: CPT) -> dict:
+def _parents_to_doc(parents: tuple[str, ...]) -> str | list[str] | None:
+    """A node's parents as the model file spells them: null, a name, or a
+    list of two or more names, so a k <= 1 model keeps its bytes."""
+    return parents[0] if len(parents) == 1 else list(parents) or None
+
+
+def _parents_from_doc(node: str, value) -> tuple[str, ...]:
+    if value is None or isinstance(value, str):
+        return () if value is None else (value,)
+    if not isinstance(value, list) or len(value) < 2:
+        raise TrainingError(f"parents of node {node!r} must be null, a name, "
+                            "or a list of two or more names")
+    return tuple(value)
+
+
+def _cpt_to_doc(cpt: CPT, parents: tuple[str, ...]) -> dict:
     return {
-        "parent": cpt.parent,
+        "parent": _parents_to_doc(parents),
         "probs": cpt.probs.tolist(),
         "unseen": cpt.unseen.tolist(),
     }
 
 
-def _cpt_from_doc(node: str, doc: dict) -> CPT:
+def _cpt_from_doc(doc: dict) -> CPT:
     return CPT(
-        child=node,
-        parent=doc["parent"],
         probs=np.array(doc["probs"], dtype=np.float64),
         unseen=np.array(doc["unseen"], dtype=bool),
     )
@@ -434,11 +453,12 @@ def _count_pass(
     return {table: table_counts[:k] for table, table_counts in counts.items()}
 
 
-def _check_budget(schema: Schema, enc: Encoder, named_tables: dict[str, tuple[str, ...]]):
-    """Raise :class:`ModelSizeError` naming the first of ``named_tables`` that
-    takes the running cell total past ``max_model_cells``."""
+def _check_budget(schema: Schema, enc: Encoder, named_tables: dict[tuple[str, ...], str]):
+    """Raise :class:`ModelSizeError` naming the first of ``named_tables``
+    (table -> name) that takes the running cell total past
+    ``max_model_cells``."""
     cells = 0
-    for name, table in named_tables.items():
+    for table, name in named_tables.items():
         cells += math.prod(_table_shape(enc, table))
         if cells > schema.max_model_cells:
             raise ModelSizeError(
@@ -490,7 +510,7 @@ def select_dependencies(
     return edges
 
 
-def _normalize_rows(child: str, parent: str | None, counts: np.ndarray, alpha: float) -> CPT:
+def _normalize_rows(counts: np.ndarray, alpha: float) -> CPT:
     totals = counts.sum(axis=-1)
     unseen = totals == 0
     a = counts.shape[-1]
@@ -498,32 +518,25 @@ def _normalize_rows(child: str, parent: str | None, counts: np.ndarray, alpha: f
     with np.errstate(divide="ignore", invalid="ignore"):
         probs = (counts + alpha) / denom[..., None]
     probs = np.where(np.isfinite(probs), probs, 0.0)
-    return CPT(child=child, parent=parent, probs=probs, unseen=unseen)
+    return CPT(probs=probs, unseen=unseen)
 
 
 def estimate_cpts(
     cpt_counts: dict[str, np.ndarray],
     fallback_counts: dict[str, np.ndarray],
     class_counts: np.ndarray,
-    parents: dict[str, str | None],
+    parents: dict[str, tuple[str, ...]],
     smoothing: float = 0.0,
 ) -> tuple[dict[str, CPT], dict[str, CPT], np.ndarray]:
     """Turn pass-4 counts into CPTs, fallback tables, and the class prior.
 
-    Each row is (count + alpha) / (rowTotal + alpha * |alphabet|); rows
-    whose raw total is zero are flagged unseen regardless of smoothing.
-    The prior is the unsmoothed empirical class frequency.
+    ``parents`` names the nodes; each has a table in both count dicts.  Each
+    row is (count + alpha) / (rowTotal + alpha * |alphabet|); rows whose raw
+    total is zero are flagged unseen regardless of smoothing.  The prior is
+    the unsmoothed empirical class frequency.
     """
-    fallbacks = {
-        node: _normalize_rows(node, None, fallback_counts[node], smoothing)
-        for node in parents
-    }
-    # a parentless node's CPT is its fallback table
-    cpts = {
-        node: fallbacks[node] if parent is None
-        else _normalize_rows(node, parent, cpt_counts[node], smoothing)
-        for node, parent in parents.items()
-    }
+    fallbacks = {node: _normalize_rows(fallback_counts[node], smoothing) for node in parents}
+    cpts = {node: _normalize_rows(cpt_counts[node], smoothing) for node in parents}
     total = class_counts.sum()
     if total == 0:
         raise TrainingError("no labeled records to estimate the class prior")
@@ -575,33 +588,29 @@ def train(
     nodes = [rf.node for rf in ranked]
 
     pairs = {
-        f"pairwise counts for ({a}, {b})": ("class", a, b)
+        ("class", a, b): f"pairwise counts for ({a}, {b})"
         for i, a in enumerate(nodes)
         for b in nodes[i + 1:]
     } if schema.max_parents > 0 else {}
     _check_budget(schema, enc, pairs)
-    counts = _count_pass(ds, enc, list(pairs.values()))
+    counts = _count_pass(ds, enc, list(pairs))
     pair_scores = [
         MIScore(subject=table[1:], value=conditional_mutual_information(c))
         for table, c in counts.items()
     ]
     edges = select_dependencies(pair_scores, schema.t_field, nodes, schema.max_parents)
-    parents: dict[str, str | None] = {node: None for node in nodes}
-    for parent, child in edges:
-        parents[child] = parent
+    parents = {node: tuple(p for p, child in edges if child == node) for node in nodes}
 
-    # the fallbacks' cells sum to at most pass 2's, so only a CPT can raise
-    fallback_tables = {f"fallback for node {node!r}": ("class", node) for node in nodes}
-    cpt_tables = {
-        f"CPT for node {node!r}": ("class", parent, node)
-        for node, parent in parents.items()
-        if parent is not None
-    }
-    _check_budget(schema, enc, fallback_tables | cpt_tables)
-    counts = _count_pass(ds, enc, [("class",), *fallback_tables.values(), *cpt_tables.values()])
+    # the fallbacks' cells sum to at most pass 2's, so only a CPT can raise;
+    # a parentless node's CPT table is its fallback table, budgeted and counted once
+    tables = {("class", node): f"fallback for node {node!r}" for node in nodes}
+    for node, ps in parents.items():
+        tables.setdefault(("class", *ps, node), f"CPT for node {node!r}")
+    _check_budget(schema, enc, tables)
+    counts = _count_pass(ds, enc, [("class",), *tables])
     cpts, fallbacks, prior = estimate_cpts(
-        {table[2]: counts[table] for table in cpt_tables.values()},
-        {table[1]: counts[table] for table in fallback_tables.values()},
+        {node: counts[("class", *ps, node)] for node, ps in parents.items()},
+        {node: counts[("class", node)] for node in nodes},
         counts[("class",)],
         parents,
         schema.smoothing,

@@ -221,6 +221,8 @@ class GenConfig:
 
     def __post_init__(self):
         _check_count("n", self.n, 1)
+        if self.n > np.iinfo(np.intp).max:  # numpy cannot size an array past it
+            raise ConfigError(f"n must be at most {np.iinfo(np.intp).max}, got {self.n}")
         _check_count("seed", self.seed, 0)
         if self.group is not None:
             _check_count("records_per_group", self.group.records_per_group, 1)

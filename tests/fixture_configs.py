@@ -206,3 +206,12 @@ def gen_configs(draw, sizes=st.integers(1, 10**6)) -> GenConfig:
         noise=tuple(noise),
         group=group,
     )
+
+
+def number_paths(doc, path=()):
+    """The key path of every number in a decoded JSON document."""
+    if isinstance(doc, dict | list):
+        for key, item in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            yield from number_paths(item, path + (key,))
+    elif isinstance(doc, int | float) and not isinstance(doc, bool):
+        yield path

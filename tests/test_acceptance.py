@@ -206,7 +206,7 @@ def test_c06_structure_recovery(recovery_bundle):
         selected = {rf.node for rf in model.ranked_fields}
         assert selected == {"f1", "f2", "f3", "f4", "dep_parent", "dep_child"}
         assert "z1" not in selected and "z2" not in selected
-        assert model.parents["dep_child"] == "dep_parent"
+        assert model.parents["dep_child"] == ("dep_parent",)
 
         # independent check: the planted pair tops the conditional MI of all pairs
         fields = sorted(selected)

@@ -16,7 +16,7 @@ from rarebayes import DatasetError, parse_schema, structure
 from rarebayes.cli import build_parser, run
 from rarebayes.synthgen import config_to_doc
 
-from fixture_configs import gen_configs, messy_config
+from fixture_configs import gen_configs, messy_config, number_paths
 
 
 @pytest.fixture(scope="module")
@@ -717,22 +717,13 @@ def test_label_error_names_at_most_five_labels(workdir, tmp_path, capsys, comman
     assert "', ... 1995 more]" in err
 
 
-def _number_paths(doc, path=()):
-    """The key path of every number in a decoded config document."""
-    if isinstance(doc, dict | list):
-        for key, item in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
-            yield from _number_paths(item, path + (key,))
-    elif isinstance(doc, int | float) and not isinstance(doc, bool):
-        yield path
-
-
 @given(cfg=gen_configs(sizes=st.integers(1, 50)), data=st.data())
 @settings(max_examples=100, deadline=None)
 def test_gen_rejects_a_non_finite_or_negative_number(tmp_path_factory, cfg, data):
     """One number of a valid config made NaN, infinite or, unless it is a
     mean, negative: gen exits 1 with one error line and writes nothing."""
     doc = json.loads(json.dumps(config_to_doc(cfg)))
-    path = data.draw(st.sampled_from(list(_number_paths(doc))))
+    path = data.draw(st.sampled_from(list(number_paths(doc))))
     bad = st.sampled_from([math.nan, math.inf, -math.inf])
     if "mean" not in path:
         bad |= st.floats(max_value=-1e-9, allow_infinity=False)

@@ -266,6 +266,51 @@ def _wrong_parent(doc):
     doc["fallbacks"]["addon"]["parent"] = "plan"
 
 
+def _two_parents(doc):
+    """``addon`` conditioned on ``plan`` and ``hub``: its one-parent CPT
+    repeated along a new ``hub`` axis, parents written as a list."""
+    cpt = doc["cpts"]["addon"]
+    hub = len(doc["outcomes"]["hub"]["symbols"])
+    for key in ("probs", "unseen"):
+        cpt[key] = [[[row] * hub for row in by_class] for by_class in cpt[key]]
+    doc["parents"]["addon"] = ["plan", "hub"]
+    cpt["parent"] = ["plan", "hub"]
+
+
+def _one_parent_list(doc):
+    doc["parents"]["addon"] = doc["cpts"]["addon"]["parent"] = ["plan"]
+
+
+def _repeated_parent(doc):
+    doc["parents"]["addon"] = doc["cpts"]["addon"]["parent"] = ["plan", "plan"]
+
+
+def _self_parent(doc):
+    doc["parents"]["addon"] = doc["cpts"]["addon"]["parent"] = ["plan", "addon"]
+
+
+def _unranked_listed_parent(doc):
+    doc["parents"]["addon"] = doc["cpts"]["addon"]["parent"] = ["plan", "hub@0"]
+
+
+def _cpt_parents_disagree(doc):
+    _two_parents(doc)
+    doc["cpts"]["addon"]["parent"] = ["hub", "plan"]
+
+
+def _fallback_names_parents(doc):
+    _two_parents(doc)
+    doc["fallbacks"]["addon"]["parent"] = ["plan", "hub"]
+
+
+def test_two_parent_document_round_trips(model_path):
+    doc = json.loads(model_path.read_text(encoding="utf-8"))
+    _two_parents(doc)
+    model = NetworkModel.from_doc(json.loads(json.dumps(doc)))
+    assert model.parents["addon"] == ("plan", "hub")
+    assert json.loads(model.to_json_text()) == doc
+
+
 def _probability_above_one(doc):
     doc["cpts"]["addon"]["probs"][0][0][0] = 1.5
 
@@ -320,6 +365,12 @@ def _edges_short_of_symbols(doc):
     (_fallback_shape, "fallback for node 'addon' does not have shape (2, 3)"),
     (_unseen_shape, "CPT for node 'addon' does not have shape (2, 3, 3)"),
     (_wrong_parent, "fallback for node 'addon' names the wrong parent"),
+    (_one_parent_list, "parents of node 'addon' must be null, a name, or a list of two or more"),
+    (_repeated_parent, "node 'addon' names itself or one node twice as a parent"),
+    (_self_parent, "node 'addon' names itself or one node twice as a parent"),
+    (_unranked_listed_parent, "parent 'hub@0' of node 'addon' is not a ranked node"),
+    (_cpt_parents_disagree, "CPT for node 'addon' names the wrong parent"),
+    (_fallback_names_parents, "fallback for node 'addon' names the wrong parent"),
     (_probability_above_one, "finite and lie in [0, 1]"),
     (_nan_probability, "finite and lie in [0, 1]"),
     (_lost_alphabet, "alphabets do not match the schema"),

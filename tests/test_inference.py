@@ -32,9 +32,11 @@ from window_oracle import WindowCase, window_expand
 
 def toy_model(tables, prior=(0.1, 0.9), classes=("bad", "good"), parents=None,
               fallback_tables=None, unseen=None, edges=None):
-    """Hand-built binary model; tables[var] has shape (2, alphabet).
+    """Hand-built model; tables[var] has shape (classes, *parent alphabets,
+    alphabet) for the tuple of field parents ``parents`` gives ``var``.
 
-    A variable named in ``edges`` is continuous, cut at its edges.
+    A variable's fallback defaults to its table averaged over the parent
+    axes.  A variable named in ``edges`` is continuous, cut at its edges.
     """
     variables = {}
     cpts = {}
@@ -51,15 +53,12 @@ def toy_model(tables, prior=(0.1, 0.9), classes=("bad", "good"), parents=None,
             unseen.get(var) if unseen and var in unseen
             else np.zeros(rows.shape[:-1], dtype=bool)
         )
-        cpts[var] = CPT(child=var, parent=parents.get(var), probs=rows, unseen=flags)
+        cpts[var] = CPT(probs=rows, unseen=flags)
         fb_rows = np.asarray(
-            (fallback_tables or {}).get(var, rows if rows.ndim == 2 else rows.mean(axis=1)),
+            (fallback_tables or {}).get(var, rows.mean(axis=tuple(range(1, rows.ndim - 1)))),
             dtype=np.float64,
         )
-        fallbacks[var] = CPT(
-            child=var, parent=None, probs=fb_rows,
-            unseen=np.zeros(fb_rows.shape[:-1], dtype=bool),
-        )
+        fallbacks[var] = CPT(probs=fb_rows, unseen=np.zeros(fb_rows.shape[:-1], dtype=bool))
         ranked.append(RankedField(node=var, var=var, slot=0, mi=1.0 - 0.1 * i))
     schema = parse_schema("class y\n" + "".join(
         f"var {v} {'continuous' if v in edges else 'categorical'}\n" for v in tables
@@ -71,7 +70,7 @@ def toy_model(tables, prior=(0.1, 0.9), classes=("bad", "good"), parents=None,
         prior=np.asarray(prior, dtype=np.float64),
         outcomes=OutcomeTable(class_var="y", class_symbols=classes, variables=variables),
         ranked_fields=ranked,
-        parents={var: parents.get(var) for var in tables},
+        parents={var: parents.get(var, ()) for var in tables},
         cpts=cpts,
         fallbacks=fallbacks,
         pass_stats=PassStats(passes=4),
@@ -130,19 +129,18 @@ def oracle_posterior(model, case):
         if code == oracle_missing(model, rf.var):
             skipped.append((rf.node, "missing"))
             continue
-        parent = model.parents[rf.node]
-        cpt = model.cpts[rf.node]
-        if parent is None:
-            likelihood, row_unseen = cpt.probs[:, code], bool(cpt.unseen.any())
-        else:
+        pcodes = []
+        for parent in model.parents[rf.node]:
             pvar = node_var_slot(parent)[0]
-            pcode = oracle_code(model, pvar, case.get(parent))
-            if pcode == oracle_missing(model, pvar):
-                fb = model.fallbacks[rf.node]
-                likelihood, row_unseen = fb.probs[:, code], bool(fb.unseen.any())
-            else:
-                likelihood = cpt.probs[:, pcode, code]
-                row_unseen = bool(cpt.unseen[:, pcode].any())
+            pcodes.append(oracle_code(model, pvar, case.get(parent)))
+            if pcodes[-1] == oracle_missing(model, pvar):
+                table = model.fallbacks[rf.node]
+                likelihood, row_unseen = table.probs[:, code], bool(table.unseen.any())
+                break
+        else:
+            table = model.cpts[rf.node]
+            likelihood = table.probs[(slice(None), *pcodes, code)]
+            row_unseen = bool(table.unseen[(slice(None), *pcodes)].any())
         if row_unseen:
             skipped.append((rf.node, "unseen-config"))
             continue
@@ -254,7 +252,7 @@ class TestPosterior:
         child_fb = [[0.3, 0.7, 0.0], [0.7, 0.3, 0.0]]
         model = toy_model(
             {"p": parent_table, "c": child_cpt},
-            parents={"c": "p"},
+            parents={"c": ("p",)},
             fallback_tables={"c": child_fb},
         )
         post = posterior(model, CaseRecord(values={"p": MISSING, "c": "1"}))
@@ -272,7 +270,7 @@ class TestPosterior:
         child_cpt[1, 1] = [0.4, 0.6, 0.0]
         child_cpt[:, 2] = [0.5, 0.5, 0.0]
         model = toy_model(
-            {"p": parent_table, "c": child_cpt}, parents={"c": "p"}
+            {"p": parent_table, "c": child_cpt}, parents={"c": ("p",)}
         )
         post = posterior(model, CaseRecord(values={"p": "0", "c": "1"}))
         # parent is uninformative; child likelihood (0.8, 0.2) as in hand Bayes
@@ -476,7 +474,8 @@ EDGE_VALUES = st.floats(-1e6, 1e6, allow_nan=False) | st.sampled_from([-1.5, 0.0
 @st.composite
 def random_models(draw, continuous=False):
     """A toy model with random CPTs (exact zeros and extreme ratios
-    included), random field parents down the ranking, and cases over it.
+    included), up to two distinct random field parents per variable down
+    the ranking, and cases over it.
     With ``continuous``, each variable may be continuous with random edges.
     Up to 10 classes: numpy sums 8 or more terms of a row pairwise, so the
     class-sum order the kernel and the oracle must share only shows there."""
@@ -505,12 +504,10 @@ def random_models(draw, continuous=False):
             sizes[var] = len(cuts) + 2
         else:
             sizes[var] = draw(st.integers(2, 4))
-        parent = draw(st.sampled_from([None] + list(tables)))
-        if parent is None:
-            tables[var], unseen[var] = rows((k, sizes[var]))
-        else:
-            parents[var] = parent
-            tables[var], unseen[var] = rows((k, sizes[parent], sizes[var]))
+        parents[var] = tuple(draw(st.lists(st.sampled_from(list(tables)), max_size=2,
+                                           unique=True))) if tables else ()
+        tables[var], unseen[var] = rows((k, *(sizes[p] for p in parents[var]), sizes[var]))
+        if parents[var]:
             fallbacks[var] = rows((k, sizes[var]))[0]
     model = toy_model(tables, prior=prior / prior.sum(), classes=classes, parents=parents,
                       fallback_tables=fallbacks, unseen=unseen, edges=edges)

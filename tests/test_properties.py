@@ -24,8 +24,11 @@ from hypothesis import strategies as st
 from rarebayes import classify_file, generate, parse_schema, train
 from rarebayes.cli import run
 from rarebayes.outcomes import RESERVOIR_CAPACITY
+from rarebayes.synthgen import config_to_doc
 
-from fixture_configs import gen_configs, indep_config, messy_config
+from fixture_configs import (
+    gen_configs, indep_config, messy_config, number_paths, recovery_config,
+)
 
 
 def read_csv(path) -> list[list[str]]:
@@ -172,6 +175,21 @@ TARGETS = [("train", "data"), ("evaluate", "pred"), ("evaluate", "data"),
            ("classify", "model"), ("sweep", "data"), ("sweep", "model")]
 
 
+def exit_cleanly(argv: list[str]) -> int:
+    """Run ``argv`` through ``cli.run`` and check it exits 0, 1 or 2 with no
+    traceback, an exit of 1 printing exactly one ``error:`` line, under
+    2,000 bytes; return the exit code."""
+    with redirect_stderr(io.StringIO()) as err:
+        code = run(argv)  # an exception here is a traceback at the command line
+    text = err.getvalue()
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in text
+    if code == 1:
+        assert text.startswith("error:") and text.count("\n") == 1, text
+        assert len(text.encode()) < 2000, text[:200]
+    return code
+
+
 @given(data=st.data())
 @settings(max_examples=1800, deadline=None)
 def test_mutated_files_exit_cleanly(valid_files, data):
@@ -191,11 +209,52 @@ def test_mutated_files_exit_cleanly(valid_files, data):
             "classify": ["classify", "--model", str(files["model"])],
             "sweep": ["sweep", "--model", str(files["model"])],
         }[command] + ["--data", str(files["data"]), "--out", out]
-        with redirect_stderr(io.StringIO()) as err:
-            code = run(argv)  # an exception here is a traceback at the command line
-    text = err.getvalue()
-    assert code in (0, 1, 2)
-    assert "Traceback" not in text
-    if code == 1:
-        assert text.startswith("error:") and text.count("\n") == 1, text
-        assert len(text.encode()) < 2000, text[:200]
+        exit_cleanly(argv)
+
+
+# Hostile numbers, as a flag value and as JSON text: NaN, the infinities, a
+# negative, an empty value, a float past float64 and an integer past int64.
+HOSTILE_NUMBERS = ["nan", "inf", "-inf", "-1", "", "1e400", str(10**30)]
+HOSTILE_JSON = ["NaN", "Infinity", "-Infinity", "-1", '""', "1e400", str(10**30)]
+
+# (target, argv before ``--data``) with the hostile value in place of "{}"
+FLAG_TARGETS = {
+    "train --seed": ["train", "--schema", "{schema}", "--seed={}"],
+    "classify --threshold": ["classify", "--model", "{model}", "--threshold={}"],
+    "evaluate --threshold": ["evaluate", "--pred", "{pred}", "--positive", "bad",
+                             "--threshold={}"],
+    "baseline --ridge": ["baseline", "--kind", "quadratic", "--schema", "{schema}",
+                         "--ridge={}"],
+    "sweep --grid start": ["sweep", "--model", "{model}", "--grid={}:0.9:0.05"],
+    "sweep --grid stop": ["sweep", "--model", "{model}", "--grid=0.1:{}:0.05"],
+    "sweep --grid step": ["sweep", "--model", "{model}", "--grid=0.1:0.9:{}"],
+}
+
+
+@pytest.mark.parametrize("target", FLAG_TARGETS)
+def test_hostile_flag_values_exit_cleanly(valid_files, tmp_path, target):
+    """Every numeric flag given each hostile number exits 0, 1 or 2, with no
+    traceback and one ``error:`` line on an exit of 1."""
+    files = {name: str(path) for name, path in valid_files.items()}
+    for value in HOSTILE_NUMBERS:
+        argv = [arg.replace("{}", value).format(**files) for arg in FLAG_TARGETS[target]]
+        exit_cleanly(argv + ["--data", files["data"], "--out", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize("cfg", [messy_config(n=30), recovery_config(n=30)],
+                         ids=["messy", "recovery"])
+def test_hostile_gen_config_numbers_exit_cleanly(tmp_path, cfg):
+    """Each number of a valid gen config, one at a time, made each hostile
+    number: gen exits 0, 1 or 2, with no traceback and one ``error:`` line
+    on an exit of 1."""
+    text = json.dumps(config_to_doc(cfg))
+    for i, path in enumerate(number_paths(json.loads(text))):
+        for j, value in enumerate(HOSTILE_JSON):
+            doc = json.loads(text)
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = "@hostile@"
+            config = tmp_path / f"gen-{i}-{j}.json"
+            config.write_text(json.dumps(doc).replace('"@hostile@"', value), encoding="utf-8")
+            exit_cleanly(["gen", "--config", str(config), "--out", str(tmp_path / f"out-{i}-{j}")])
