@@ -146,7 +146,8 @@ _HEADER_BYTES = 1 << 21
 # Records per piece once csv.reader reads the rest of a file.
 _CSV_ROWS = 1024
 
-# Rows joined per write by write_rows, which bounds the text held at once.
+# Rows joined per write by write_rows, and rows per block synthgen.generate
+# renders; either way it bounds the text held at once.
 _WRITE_ROWS = 4096
 
 

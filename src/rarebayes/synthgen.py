@@ -24,7 +24,12 @@ the schema, the CSV cells and the oracle ask nothing else of it:
   whose parent is missing from ``record`` sums over the parent's outcomes.
 
 Output is byte-identical for identical (config, seed): the dataset CSV,
-a matching schema file, and the truth document.
+a matching schema file, and the truth document.  The CSV is rendered a
+block of rows at a time into one byte matrix, with no Python string per
+cell.  A continuous value's digits come from integer arithmetic on
+rint(|x| * 1e6), which gives ``'%.6f'``'s bytes unless the value lies
+near a rounding tie, has an integer part of 2**32 or more, or is not
+finite; a block's column holding such a value goes through ``'%.6f'``.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import dataio
-from .dataio import MISSING, csv_cell, csv_output, json_text, output, output_dir, read_text, write_rows
+from .dataio import MISSING, csv_cell, csv_output, json_text, output, output_dir, read_text
 from .errors import ConfigError, EvidenceError
 from .schema import Schema, VariableSpec, format_schema, from_json
 
@@ -230,6 +235,9 @@ class GenConfig:
             raise ConfigError(f"positive_rate must lie in (0, 1), got {self.positive_rate}")
         if len(self.class_labels) != 2 or len(set(self.class_labels)) != 2:
             raise ConfigError("class_labels must be two distinct labels")
+        if any(label in dataio.MISSING_CELLS for label in self.class_labels):
+            raise ConfigError(f"class_labels may not include '' or {MISSING!r}, which the "
+                              f"reader takes for a missing cell, got {list(self.class_labels)!r}")
         names = [s.name for s in self.all_vars]
         if len(set(names)) != len(names):
             raise ConfigError("variable names must be unique")
@@ -354,28 +362,136 @@ def _sample_columns(cfg: GenConfig, rng: np.random.Generator):
     return class_codes, columns, missing_masks
 
 
-def _outcome_cells(outcomes: Sequence) -> np.ndarray:
-    """Each outcome's CSV cell, quoted once and shared by every row."""
-    return np.array([csv_cell(str(o)) for o in outcomes], dtype=object)
+# -- writing ----------------------------------------------------------------
+#
+# A block of rows is rendered as one (width, rows) uint8 matrix and a keep
+# mask of the same shape: each column owns a band of matrix rows, and the
+# mask marks the bytes each data row writes.
+
+# y = |x| * 1e6 is the exact |x| * 10**6 rounded once, so the two differ by
+# less than y * 2**-52: farther than that from a tie, both round alike.
+_TIE_MARGIN = 2.0 ** -52
 
 
-def _format_column(spec, values: np.ndarray, missing: np.ndarray) -> list[str]:
-    if spec.continuous:
-        # one %-format over the whole column; the trailing "" is dropped
-        text = ("%.6f\n" * len(values) % tuple(values.tolist())).split("\n")[:-1]
-        out = np.array(text, dtype=object)
-    else:
-        out = _outcome_cells(spec.outcomes)[values]
-    out[missing] = MISSING
-    return out.tolist()
+def _byte_table(cells: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """``cells`` UTF-8 encoded, cell ``i`` left-aligned in column ``i`` of a
+    ``(width, len(cells))`` byte matrix, and the mask of its bytes."""
+    data = [cell.encode() for cell in cells]
+    lengths = np.array([len(b) for b in data])
+    width = max(1, int(lengths.max()))
+    table = np.array(data, dtype=f"S{width}").view(np.uint8).reshape(len(data), width).T
+    return table, np.arange(width)[:, None] < lengths
+
+
+def _outcome_tables(config: GenConfig) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Each categorical variable's and the class's :func:`_byte_table` of
+    its outcomes' CSV cells, with MISSING as the last column (code -1)."""
+    return {name: _byte_table([csv_cell(str(o)) for o in outcomes] + [MISSING])
+            for name, outcomes in [(config.class_var, config.class_labels)] + [
+                (spec.name, spec.outcomes) for spec in config.all_vars
+                if not spec.continuous]}
+
+
+def _decimal(values: np.ndarray, least: int, lead: int,
+             marked: np.ndarray | bool) -> tuple[np.ndarray, np.ndarray]:
+    """Non-negative integers in decimal, zero-padded to ``least`` digits and
+    right-aligned in a byte matrix with one spare row in front, and the
+    mask of each number's digits.  Where ``marked``, the byte ``lead`` just
+    before a number's first digit is kept too."""
+    places = max(least, len(str(values.max())))
+    cells = np.empty((places + 1, len(values)), np.uint8)
+    rest = values
+    for row in range(places, 0, -1):
+        quotient = rest // 10
+        cells[row] = rest - quotient * 10
+        rest = quotient
+    cells += ord("0")
+    # rows 1..top hold the digits past the ``least`` padded ones: each shows
+    # from its number's first digit on, and the lead goes in rows 0..top
+    top = places - least
+    keep = np.ones(cells.shape, bool)
+    keep[0] = False
+    keep[1:top + 1] = values >= 10 ** np.arange(places - 1, least - 1, -1,
+                                                dtype=values.dtype)[:, None]
+    at = keep[1:top + 2] & ~keep[:top + 1] & marked
+    cells[:top + 1][at] = lead
+    keep[:top + 1] |= at
+    return cells, keep
+
+
+def _number_cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``'%.6f'`` of each of ``values`` as a byte matrix and keep mask: the
+    digits of rint(|x| * 1e6), or ``'%.6f'`` itself when some value lies
+    near a tie, has an integer part of 2**32 or more, or is not finite."""
+    magnitude = np.abs(values)
+    if (magnitude < 2.0 ** 32).all():
+        scaled = magnitude * 1e6
+        rounded = np.rint(scaled)
+        if not (np.abs(np.abs(scaled - rounded) - 0.5) <= scaled * _TIE_MARGIN).any():
+            rounded = rounded.astype(np.uint64)
+            whole = rounded // 10 ** 6
+            frac = rounded - whole * 10 ** 6
+            head, head_keep = _decimal(whole.astype(np.uint32), 1, ord("-"), np.signbit(values))
+            tail, tail_keep = _decimal(frac.astype(np.uint32), 6, ord("."), True)
+            return np.concatenate([head, tail]), np.concatenate([head_keep, tail_keep])
+    return _byte_table(("%.6f\n" * len(values) % tuple(values.tolist())).split("\n")[:-1])
+
+
+def _render_block(config: GenConfig, tables: Mapping[str, tuple[np.ndarray, np.ndarray]],
+                  lo: int, class_codes: np.ndarray, columns: Mapping[str, np.ndarray],
+                  missing_masks: Mapping[str, np.ndarray]) -> str:
+    """The CSV lines of one block of rows, the first of them row ``lo``.
+
+    ``class_codes``, ``columns`` and ``missing_masks`` hold just the
+    block's rows; ``tables`` is :func:`_outcome_tables` of ``config``.
+    """
+    rows = len(class_codes)
+    cells = []
+    if config.group is not None:
+        # a group of more rows than these holds all of them: the int64
+        # division takes no larger divisor
+        rpg = min(config.group.records_per_group, lo + rows)
+        ids = np.arange(lo, lo + rows, dtype=np.int64) // rpg
+        cells.append(_decimal(ids, 6, ord("g"), True))
+    table, keep = tables[config.class_var]
+    cells.append((table.take(class_codes, axis=1), keep.take(class_codes, axis=1)))
+    for spec in config.all_vars:
+        missing = missing_masks[spec.name]
+        if spec.continuous:
+            text, keep = _number_cells(columns[spec.name])
+            keep &= ~missing
+            keep[-1] |= missing
+            text[-1] = np.where(missing, ord(MISSING), text[-1])
+        else:
+            codes = np.where(missing, -1, columns[spec.name])
+            table, keep = tables[spec.name]
+            text, keep = table.take(codes, axis=1), keep.take(codes, axis=1)
+        cells.append((text, keep))
+    comma = (np.full((1, rows), ord(","), np.uint8), np.ones((1, rows), bool))
+    end = (np.tile(np.array([[ord("\r")], [ord("\n")]], np.uint8), rows),
+           np.ones((2, rows), bool))
+    pieces = [piece for cell in cells for piece in (cell, comma)]
+    pieces[-1] = end
+    text = np.concatenate([t for t, _ in pieces])
+    keep = np.concatenate([k for _, k in pieces])
+    return text.T[keep.T].tobytes().decode()
 
 
 def generate(config: GenConfig, out_dir: str | Path) -> GenResult:
     """Write data.csv, schema.txt, and truth.json under ``out_dir``.
 
     Every column is drawn first, in one fixed order; the cells are then
-    formatted and written ``dataio._WRITE_ROWS`` rows at a time, so the
-    text of only one block of rows is held at once.
+    rendered and written ``dataio._WRITE_ROWS`` rows at a time, so the
+    text of only one block of rows is held at once.  Each block is one
+    ``(width, rows)`` byte matrix and a keep mask (:func:`_render_block`).
+    Outcome and class cells are gathered by code from byte tables built
+    once per call.  A continuous value x is written from the integer
+    R = rint(|x| * 1e6): its integer part, ``.``, six decimals, and ``-``
+    where x has its sign bit set.  R is ``'%.6f'``'s half-even rounding of
+    the exact |x| * 10**6 unless y = |x| * 1e6 lies within y * 2**-52 of a
+    tie, so a block's column goes through ``'%.6f'`` when any of its
+    values lies that close, has an integer part of 2**32 or more, or is
+    not finite.  Either way the bytes are ``'%.6f'``'s.
     """
     out = output_dir(out_dir)
     rng = np.random.default_rng(config.seed)
@@ -384,7 +500,7 @@ def generate(config: GenConfig, out_dir: str | Path) -> GenResult:
     header = [config.class_var] + [spec.name for spec in config.all_vars]
     if config.group is not None:
         header.insert(0, config.group.name)
-    class_cells = _outcome_cells(config.class_labels)
+    tables = _outcome_tables(config)
     truth = TruthModel(config=config)
     result = GenResult(data_path=out / "data.csv", schema_path=out / "schema.txt",
                        truth_path=out / "truth.json", truth=truth)
@@ -394,16 +510,11 @@ def generate(config: GenConfig, out_dir: str | Path) -> GenResult:
         schema_fh.write(format_schema(config.to_schema()))
         truth_fh.write(json_text(truth.to_doc()))
         for lo in range(0, config.n, dataio._WRITE_ROWS):
-            hi = min(lo + dataio._WRITE_ROWS, config.n)
-            cells = [class_cells[class_codes[lo:hi]].tolist()]
-            if config.group is not None:
-                rpg = config.group.records_per_group
-                cells.insert(0, [f"g{i // rpg:06d}" for i in range(lo, hi)])
-            cells += [
-                _format_column(spec, columns[spec.name][lo:hi], missing_masks[spec.name][lo:hi])
-                for spec in config.all_vars
-            ]
-            write_rows(fh, cells)
+            block = slice(lo, lo + dataio._WRITE_ROWS)
+            fh.write(_render_block(
+                config, tables, lo, class_codes[block],
+                {name: column[block] for name, column in columns.items()},
+                {name: mask[block] for name, mask in missing_masks.items()}))
     return result
 
 

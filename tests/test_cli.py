@@ -4,7 +4,10 @@ import csv
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import rarebayes
 from rarebayes import DatasetError, parse_schema, structure
 from rarebayes.cli import build_parser, run
 from rarebayes.synthgen import config_to_doc
@@ -739,6 +743,33 @@ def test_gen_rejects_a_non_finite_or_negative_number(tmp_path_factory, cfg, data
     assert code == 1
     assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
     assert not (root / "out").exists()
+
+
+@pytest.mark.parametrize("label", ["?", ""])
+def test_gen_rejects_a_missing_class_label(tmp_path, capsys, label):
+    """A class label the reader takes for a missing cell would leave train
+    one observed class: gen exits 1 with one error line naming
+    class_labels, and writes nothing."""
+    doc = {"n": 50, "class_labels": [label, "bad"],
+           "noise": [{"name": "z", "mean": 0.0, "sd": 1.0}]}
+    (tmp_path / "gen.json").write_text(json.dumps(doc), encoding="utf-8")
+    assert run(["gen", "--config", str(tmp_path / "gen.json"),
+                "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "class_labels" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_module_entry_point_runs_the_cli(tmp_path):
+    """``python -m rarebayes.cli`` runs the CLI: gen without its flags is a
+    usage error."""
+    src = str(Path(rarebayes.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "rarebayes.cli", "gen"], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert "--config" in proc.stderr
 
 
 @pytest.mark.parametrize("text, message", [

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rarebayes import (
     ConfigError,
@@ -13,6 +15,7 @@ from rarebayes import (
     generate,
     mutual_information,
 )
+from rarebayes import dataio, synthgen
 from rarebayes.synthgen import (
     CategoricalSpec,
     ContinuousSpec,
@@ -26,7 +29,8 @@ from rarebayes.synthgen import (
     load_truth,
 )
 
-from fixture_configs import indep_config, messy_config, recovery_config
+import gen_oracle
+from fixture_configs import gen_configs, indep_config, messy_config, recovery_config
 
 
 def tiny_config(**overrides):
@@ -139,6 +143,114 @@ class TestGenerate:
                                    for c in ("good", "bad")}),
                 )
             )
+
+
+# -- the block renderer against its cell-at-a-time oracle -------------------
+
+
+def _step(x: float, steps: int) -> float:
+    """``x`` moved ``steps`` floats up, or down when ``steps`` is negative."""
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return x
+
+
+_STEPS = st.integers(-2, 2)
+
+
+def _scaled(top: int):
+    """Floats m * 10**e, with |m| <= 10 and e from -9 to ``top``."""
+    return st.builds(lambda m, e: m * 10.0 ** e, st.floats(-10, 10), st.integers(-9, top))
+
+
+# One family per column: a column of safe values takes the integer path,
+# and one near a tie, past 2**32 or not finite takes '%.6f' itself.
+_VALUE_FAMILIES = (
+    _scaled(8),
+    _scaled(12),
+    # k / 2**7 with k odd is an exact tie at six decimals, and a float next
+    # to one lies within a rounding of it
+    st.builds(lambda k, m, s: _step(k / 2 ** m, s),
+              st.integers(-2 ** 28, 2 ** 28), st.integers(1, 12), _STEPS),
+    # the float nearest a decimal tie (2j + 1) / 2e6
+    st.builds(lambda j, s: _step((2 * j + 1) / 2e6, s), st.integers(-10 ** 12, 10 ** 12), _STEPS),
+    # around an integer part of 2**32, and where y * 2**-52 reaches 0.5
+    st.builds(lambda d, sign: sign * (2.0 ** 32 + d), st.floats(-3, 3), st.sampled_from([1, -1])),
+    st.builds(lambda s: _step(2.0 ** 51 / 1e6, s), st.integers(-3, 3)),
+    # signed zeros and values that round to them
+    st.sampled_from([0.0, -0.0, -1e-9, -4.9e-7, 4.9e-7, -5e-324, 5e-324, -1e-300]),
+    st.sampled_from([math.nan, math.inf, -math.inf]) | _scaled(3),
+)
+# outcome and class names that need quoting, or are not ASCII
+_NAMES = st.text(st.sampled_from(',"\n\r? aé€') | st.characters(codec="utf-8"),
+                 min_size=1, max_size=4)
+
+
+@st.composite
+def _blocks(draw):
+    """A config and one block of its drawn cells: (config, lo, class codes,
+    columns, missing masks)."""
+    rows = draw(st.integers(1, 40))
+    labels = tuple(draw(st.lists(_NAMES.filter(lambda s: s not in dataio.MISSING_CELLS),
+                                 min_size=2, max_size=2, unique=True)))
+    names = iter(f"v{i}" for i in range(100))
+    uniform = lambda k: (1.0 / k,) * k  # noqa: E731
+    categorical = tuple(
+        CategoricalSpec(next(names), outcomes, {c: uniform(len(outcomes)) for c in labels})
+        for outcomes in draw(st.lists(st.lists(
+            _NAMES.filter(lambda s: s not in dataio.MISSING_CELLS),
+            min_size=1, max_size=4, unique=True).map(tuple), min_size=1, max_size=3)))
+    continuous = tuple(ContinuousSpec(next(names), {c: 0.0 for c in labels},
+                                      {c: 1.0 for c in labels})
+                       for _ in range(draw(st.integers(0, 3))))
+    # a group may outnumber any int64 row count
+    group = draw(st.none() | st.builds(GroupSpec, st.just("grp"),
+                                       st.integers(1, 50) | st.just(10 ** 30)))
+    config = GenConfig(n=rows, class_labels=labels, categorical=categorical,
+                       continuous=continuous, group=group)
+    # a block where the group ids widen past 10**k, or anywhere
+    rpg = group.records_per_group if group else 1
+    lo = draw(st.integers(1, 12).map(lambda k: min(10 ** 15, max(0, 10 ** k * rpg - rows // 2)))
+              | st.integers(0, 10 ** 12))
+    columns = {spec.name: np.array(draw(st.lists(st.integers(0, len(spec.outcomes) - 1),
+                                                 min_size=rows, max_size=rows)), np.int64)
+               for spec in categorical}
+    for spec in continuous:
+        family = draw(st.sampled_from(_VALUE_FAMILIES))
+        columns[spec.name] = np.array(draw(st.lists(family, min_size=rows, max_size=rows)),
+                                      np.float64)
+    masks = {spec.name: np.array(draw(st.lists(st.booleans(), min_size=rows, max_size=rows)),
+                                 bool)
+             for spec in config.all_vars}
+    class_codes = np.array(draw(st.lists(st.integers(0, 1), min_size=rows, max_size=rows)),
+                           np.int64)
+    return config, lo, class_codes, columns, masks
+
+
+@given(block=_blocks())
+@settings(max_examples=300, deadline=None)
+def test_rendered_block_matches_the_oracle(block):
+    """The byte-matrix renderer writes the same text as one ``'%.6f'``, one
+    outcome cell and one ``g%06d`` id per cell: ties and near ties, signed
+    zeros, values past 2**32, non-finite values, MISSING cells, names
+    that need quoting, and group ids that change width within a block."""
+    config, lo, class_codes, columns, masks = block
+    tables = synthgen._outcome_tables(config)
+    assert synthgen._render_block(config, tables, lo, class_codes, columns, masks) \
+        == gen_oracle.block_text(config, lo, class_codes, columns, masks)
+
+
+@given(cfg=gen_configs(sizes=st.integers(1, 60)))
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_write_block_size_changes_no_byte(tmp_path_factory, sizes, cfg):
+    """``gen`` writes the same data file in blocks of 1, 7 or 4,096 rows."""
+    out = tmp_path_factory.mktemp("write-rows")
+    files = []
+    for rows in (4096, 7, 1):
+        sizes(write_rows=rows)
+        files.append(generate(cfg, out).data_path.read_bytes())
+    assert files[1] == files[0] and files[2] == files[0]
 
 
 class TestAnalyticPosterior:
