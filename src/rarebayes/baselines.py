@@ -11,17 +11,18 @@ rules follow the inequalities literally: LDA keeps the boundary in
 population 1, QDA in population 2.
 
 Only the schema's continuous variables take part, in schema order; scoring
-reads the columns the model was fit on.  The fit keeps each class's rows
-with no feature or class cell MISSING (the one rule in :mod:`rarebayes.dataio`)
-in one growing buffer per class, appended as each chunk is read.
+reads the columns the model was fit on.  The fit keeps the complete rows (no
+feature or class cell MISSING, the one rule in :mod:`rarebayes.dataio`) of
+two classes at most, each in a growing buffer, and only codes the rest.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -68,6 +69,7 @@ def _class_cov(rows: np.ndarray, ridge: float) -> np.ndarray:
 def _check_spd(cov: np.ndarray, what: str) -> None:
     try:
         np.linalg.cholesky(cov)
+        np.linalg.inv(cov)  # the scorer's inverse: a rank-deficient cov can pass Cholesky
     except np.linalg.LinAlgError:
         raise SingularCovarianceError(
             f"{what} covariance matrix is singular; pass a ridge to regularize"
@@ -100,12 +102,45 @@ def fit_discriminant(
     if X.shape[0] != len(labels):
         raise ValueError("features and labels must have the same length")
     coder = ClassCodes(missing=())
-    codes = coder(labels)
-    # one stable sort, not a mask per label, so many labels fail fast
-    parts = np.split(np.argsort(codes, kind="stable"), np.cumsum(np.bincount(codes))[:-1])
-    rows = {label: X[part] for label, part in zip(coder.labels, parts)}
-    return _fit(rows, kind, positive, ridge,
+    return _fit(_class_rows([(X, coder(labels))], coder.labels), kind, positive, ridge,
                 feature_names or [f"f{i}" for i in range(X.shape[1])])
+
+
+def _class_rows(parts: Iterable[tuple[np.ndarray, np.ndarray]], labels: list[str]) -> dict:
+    """The one gather of both fits: each class's rows from ``parts`` of rows
+    and class codes, in order, keyed by ``labels``, read after the last part.
+
+    A dropped row codes -1, and codes go in first-seen order to the classes
+    with a kept row, so a code of 2 is a third class and the fit must fail:
+    the buffers are dropped, the rest of ``parts`` is run through only to
+    code its labels, and each label comes back with no rows.
+
+    A class's first part, a mask gather that owns its data, becomes its
+    buffer; each later part is appended after growing the buffer by half in
+    place with ``resize``, which a realloc may do without copying.  No view
+    of a buffer is taken before its last resize; each is an array of its
+    own, since the fit centres it in place."""
+    buffers: dict[int, np.ndarray] | None = {}
+    filled: dict[int, int] = {}
+    for X, codes in parts:
+        if buffers is None or codes.max(initial=-1) > 1:
+            buffers = None
+            continue
+        for c in np.flatnonzero(np.bincount(codes[codes >= 0])).tolist():
+            part = X[codes == c]
+            if c not in buffers:
+                buffers[c], filled[c] = part, len(part)
+                continue
+            buf, n = buffers[c], filled[c]
+            if n + len(part) > len(buf):
+                buf.resize((max(n + len(part), len(buf) * 3 // 2), X.shape[1]), refcheck=False)
+            buf[n:n + len(part)] = part
+            filled[c] = n + len(part)
+    if buffers is None:
+        return dict.fromkeys(labels)
+    for c, buf in buffers.items():
+        buf.resize((filled[c], buf.shape[1]), refcheck=False)
+    return {labels[c]: buf for c, buf in buffers.items()}
 
 
 def _fit(rows: dict[str, np.ndarray], kind: str, positive: str | None, ridge: float,
@@ -225,56 +260,8 @@ def _features(schema: Schema) -> list[str]:
 
 def _feature_columns(names: list[str], block: Chunk) -> tuple[np.ndarray, np.ndarray]:
     """Build a block's (rows, ``names``) matrix and a per-row any-missing mask."""
-    X = np.empty((block.size, len(names)))
-    missing = np.zeros(block.size, dtype=bool)
-    for j, name in enumerate(names):
-        vals = parse_float_column(block.columns[name])
-        missing |= np.isnan(vals)
-        X[:, j] = vals
-    return X, missing
-
-
-def _class_rows(ds: CsvDataset, class_var: str, names: list[str]) -> tuple[dict, int]:
-    """Each class label's complete rows of the ``names`` features (no
-    MISSING feature or class cell), in file order, and how many rows were
-    dropped.
-
-    Each class code keeps one buffer.  Its first part, a mask gather that
-    owns its data, becomes the buffer, so a class read in one chunk is
-    never copied again; each later part is appended after growing the
-    buffer by half in place with ``resize``, which a realloc may do without
-    copying.  The buffers are trimmed to their rows at the end.  No view of
-    a buffer is taken before its last resize, which would leave the view
-    dangling; every buffer is an array of its own, since the fit centres it
-    in place."""
-    buffers: dict[int, np.ndarray] = {}
-    filled: dict[int, int] = {}
-    coder = ClassCodes()
-    dropped = 0
-
-    def decode(block: Chunk) -> dict:
-        X, miss = _feature_columns(names, block)
-        cls = coder(block.columns[class_var])
-        cls[miss] = -1
-        return {"X": X, "codes": cls}
-
-    for chunk in ds.iter_chunks([class_var, *names], decode=decode):
-        X, codes = chunk.columns["X"], chunk.columns["codes"]
-        dropped += int((codes < 0).sum())
-        for c in np.unique(codes[codes >= 0]).tolist():
-            part = X[codes == c]
-            if c not in buffers:
-                buffers[c], filled[c] = part, len(part)
-                continue
-            buf, n = buffers[c], filled[c]
-            if n + len(part) > len(buf):
-                buf.resize((max(n + len(part), len(buf) * 3 // 2), X.shape[1]),
-                           refcheck=False)
-            buf[n:n + len(part)] = part
-            filled[c] = n + len(part)
-    for c, buf in buffers.items():
-        buf.resize((filled[c], buf.shape[1]), refcheck=False)
-    return {coder.labels[c]: buf for c, buf in buffers.items()}, dropped
+    X = np.column_stack([parse_float_column(block.columns[name]) for name in names])
+    return X, np.isnan(X).any(axis=1)
 
 
 def fit_from_csv(
@@ -297,7 +284,20 @@ def fit_from_csv(
     ds = as_dataset(data)
     ds.require_columns(ds.schema_columns(schema, require_class=True))
     names = _features(schema)
-    rows, dropped = _class_rows(ds, schema.class_var, names)
+    coder = ClassCodes()
+    dropped = 0
+
+    def decode(block: Chunk) -> dict:
+        nonlocal dropped
+        X, miss = _feature_columns(names, block)
+        # only rows with every feature are coded, so the labels are the classes with a kept row
+        codes = np.full(block.size, -1, dtype=np.intp)
+        codes[~miss] = coder(list(compress(block.columns[schema.class_var], ~miss)))
+        dropped += int((codes < 0).sum())
+        return {"X": X, "codes": codes}
+
+    chunks = ds.iter_chunks([schema.class_var, *names], decode=decode)
+    rows = _class_rows(((c.columns["X"], c.columns["codes"]) for c in chunks), coder.labels)
     model = _fit(rows, kind, positive, ridge, names)
     model.dropped_rows = dropped
     return model

@@ -103,10 +103,10 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(f"--csv {args.csv} and --out {args.out} name the same file")
     grid = _parse_grid(args.grid)
     model = structure.load_model(args.model)
-    table = inference.count_scores(model, args.data, grid, args.positive)
+    positive, _ = inference.positive_index(model, args.positive)
+    table = inference.count_scores(model, args.data, grid, positive)
     rows = evaluation.sweep_rows(table, grid)
     records = int(table.sum())
-    positive = model.rare_class() if args.positive is None else args.positive
     report = evaluation.rows_to_report(
         rows,
         metadata={

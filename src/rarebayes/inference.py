@@ -169,7 +169,7 @@ def posterior(model: NetworkModel, case: CaseRecord) -> ClassPosterior:
     )
 
 
-def _positive_index(model: NetworkModel, positive: str | None) -> tuple[str, int]:
+def positive_index(model: NetworkModel, positive: str | None) -> tuple[str, int]:
     """The positive class (default: the rare class) and its column."""
     if positive is None:
         positive = model.rare_class()
@@ -200,7 +200,7 @@ def classify(
 ) -> tuple[str, ClassPosterior]:
     """Label a case: positive iff P(positive | case) >= threshold."""
     check_threshold(threshold)
-    _, pos_idx = _positive_index(model, positive)
+    _, pos_idx = positive_index(model, positive)
     post = posterior(model, case)
     label = _label_columns(post.probabilities[None], pos_idx, threshold)[0]
     return model.class_symbols[label], post
@@ -324,7 +324,7 @@ def classify_file(
     Returns a summary dict with row and label counts.
     """
     check_threshold(threshold)
-    positive, pos_idx = _positive_index(model, positive)
+    positive, pos_idx = positive_index(model, positive)
     nodes = [rf.node for rf in model.ranked_fields]
     symbols = np.array(list(map(csv_cell, model.class_symbols)), dtype=object)
     rows = 0
@@ -381,7 +381,7 @@ def count_scores(
     the chunk's rows counted through their configuration, so no
     per-record object is held.
     """
-    positive, pos_idx = _positive_index(model, positive)
+    positive, pos_idx = positive_index(model, positive)
     table = np.zeros((len(grid) + 1, 2), dtype=np.int64)
     for scored in iter_scored(model, data, positive=positive):
         buckets = grid_buckets(scored.config_probabilities[:, pos_idx], grid)

@@ -66,7 +66,19 @@ def _claim_names(class_var: str | None, names: list[str], seen: set[str]) -> Non
         seen.add(name)
 
 
+def is_utf8(name: str) -> bool:
+    """Whether ``name`` can be written as UTF-8, which a lone surrogate (a
+    JSON ``\\ud800`` escape, say) cannot."""
+    try:
+        name.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def _check_token(what: str, name: str) -> None:
+    if not is_utf8(name):
+        raise SchemaError(f"{what} {name!r} cannot be written as UTF-8")
     if name.split() != [name]:
         raise SchemaError(f"{what} {name!r} must be one token without whitespace")
     if "#" in name:

@@ -55,7 +55,7 @@ from .infometrics import (
     select_by_cumulative,
 )
 from .outcomes import OutcomeTable, VariableOutcomes, collect_outcomes
-from .schema import Schema, VariableSpec, from_json
+from .schema import Schema, VariableSpec, from_json, is_utf8
 from .windows import WindowState, node_id, node_order, node_var_slot
 
 MODEL_FORMAT = "rarebayes-model-v1"
@@ -194,6 +194,8 @@ def _check_tables(model: NetworkModel) -> None:
     alphabets = [model.class_symbols, *(vo.symbols for vo in model.outcomes.variables.values())]
     if not all(isinstance(sym, str) for symbols in alphabets for sym in symbols):
         raise TrainingError("model outcome symbols must be strings")
+    if bad := [sym for symbols in alphabets for sym in symbols if not is_utf8(sym)]:
+        raise TrainingError(f"model outcome symbols {few(bad)} cannot be written as UTF-8")
     if len(set(model.class_symbols)) != k:
         raise TrainingError(f"class symbols {few(list(model.class_symbols))} are not distinct")
     for spec in model.schema.continuous_vars:

@@ -44,8 +44,8 @@ import numpy as np
 
 from . import dataio
 from .dataio import MISSING, csv_cell, csv_output, json_text, output, output_dir, read_text
-from .errors import ConfigError, EvidenceError
-from .schema import Schema, VariableSpec, format_schema, from_json
+from .errors import ConfigError, EvidenceError, few
+from .schema import Schema, VariableSpec, format_schema, from_json, is_utf8
 
 TRUTH_FORMAT = "rarebayes-truth-v1"
 _PMF_TOL = 1e-9
@@ -71,6 +71,8 @@ def _check_law(spec, what: str, law) -> None:
             or any(o in dataio.MISSING_CELLS for o in outcomes):
         raise ConfigError(f"{spec.name}: outcomes must be a list of distinct names, "
                           f"none of them '' or {MISSING!r}, got {outcomes!r}")
+    if bad := [o for o in outcomes if not is_utf8(o)]:
+        raise ConfigError(f"{spec.name}: outcomes {few(bad)} cannot be written as UTF-8")
     if not isinstance(law, (list, tuple)):
         raise ConfigError(f"{what}: pmf must be a list of probabilities, got {law!r}")
     pmf = tuple(float(x) for x in law)
@@ -239,6 +241,11 @@ class GenConfig:
             raise ConfigError(f"class_labels may not include '' or {MISSING!r}, which the "
                               f"reader takes for a missing cell, got {list(self.class_labels)!r}")
         names = [s.name for s in self.all_vars]
+        texts = [*self.class_labels, self.class_var, *names]
+        if self.group is not None:
+            texts.append(self.group.name)
+        if bad := [text for text in texts if not is_utf8(text)]:
+            raise ConfigError(f"class labels and names {few(bad)} cannot be written as UTF-8")
         if len(set(names)) != len(names):
             raise ConfigError("variable names must be unique")
         if self.class_var in names:

@@ -37,11 +37,14 @@ def _bundle(config, out_dir, **schema_overrides) -> Bundle:
 def sizes(monkeypatch):
     """Set the reader's, the writer's and pass 1's size constants for the
     rest of a test: ``sizes(chunk_rows=7, block_bytes=1)`` and so on.
-    One-byte blocks end at every line, so each block holds at most one row."""
+    One-byte blocks end at every line, so each block holds at most one row;
+    ``csv_rows`` is how many records ``csv.reader`` reads at a time once a
+    quote sends the rest of a file to it."""
     constants = {
         "chunk_rows": (dataio, "_CHUNK_ROWS"),
         "block_bytes": (dataio, "_BLOCK_BYTES"),
         "write_rows": (dataio, "_WRITE_ROWS"),
+        "csv_rows": (dataio, "_CSV_ROWS"),
         "reservoir_capacity": (outcomes, "RESERVOIR_CAPACITY"),
         "max_categories": (outcomes, "MAX_CATEGORIES"),
     }

@@ -1,5 +1,6 @@
 import csv
 import math
+import time
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from rarebayes import (
     qda_label,
     qda_score,
 )
-from rarebayes.baselines import DiscriminantModel, fit_from_csv, score_to_csv
+from rarebayes import baselines
+from rarebayes.baselines import DiscriminantModel, _class_rows, fit_from_csv, score_to_csv
 from rarebayes.cli import run
 
 
@@ -70,6 +72,17 @@ class TestFit:
             fit_discriminant(X, labels, "linear", positive="b")
         model = fit_discriminant(X, labels, "linear", positive="b", ridge=1e-6)
         assert model.cov is not None
+
+    def test_rank_deficient_covariance_that_passes_cholesky_is_singular(self):
+        """Two rows in four dims give a rank-1 covariance, which Cholesky
+        passes in rounding although the scorer cannot invert it: the fit
+        raises SingularCovarianceError, where scoring used to raise numpy's
+        LinAlgError through ``baseline``."""
+        X = np.vstack([np.random.default_rng(5).normal(size=(12, 4)),
+                       [[-319.467938, -0.514902, -0.001043, 0.268417],
+                        [201.537768, 0.661229, -1.4e-05, 1.04184]]])
+        with pytest.raises(SingularCovarianceError, match="population-2"):
+            fit_discriminant(X, ["g"] * 12 + ["b"] * 2, "quadratic")
 
     def test_two_samples_per_class_required(self):
         with pytest.raises(ConfigError, match="2 complete rows"):
@@ -269,7 +282,9 @@ class TestCsvPlumbing:
         so a fit over many chunks has the rows, in order, and so the bits
         of the in-memory fit over the complete rows of the whole file, by
         the same population rule: the rarer label by default, or the
-        common one when it is named."""
+        common one when it is named.  Both fits gather through the one
+        ``_class_rows``, but the array fit hands it the whole array at
+        once, so this compares one gather with many per-chunk ones."""
         path = self.write_data(tmp_path, n=300, missing_every=10)
         with open(path, newline="", encoding="utf-8") as fh:
             rows = [r for r in csv.DictReader(fh) if r["u"] != "?"]
@@ -283,3 +298,105 @@ class TestCsvPlumbing:
             assert (model.n1, model.n2, model.dropped_rows) == (expected.n1, expected.n2, 30)
             for name in ("mean1", "mean2", "cov", "cov1", "cov2"):
                 assert np.array_equal(getattr(model, name), getattr(expected, name)), name
+
+    def test_a_third_label_in_a_later_chunk_drops_the_gathered_rows(self, tmp_path, sizes,
+                                                                    monkeypatch):
+        """With a row per block and seven per chunk, the first complete row
+        of a third label comes chunks after the other two have rows: the
+        gather drops them, so the fit gets each label with no rows, and the
+        error names all three labels."""
+        lines = [f"{'bad' if i % 3 == 0 else 'good'},m,{i}.5,{-i}.25" for i in range(30)]
+        lines.insert(20, "odd,m,1.0,2.0")
+        path = tmp_path / "third.csv"
+        path.write_text("y,cat,u,v\n" + "\n".join(lines) + "\n", encoding="utf-8")
+        sizes(chunk_rows=7, block_bytes=1)
+        given, fit = {}, baselines._fit
+
+        def spy(rows, *args):
+            given.update(rows)
+            return fit(rows, *args)
+
+        monkeypatch.setattr(baselines, "_fit", spy)
+        with pytest.raises(ConfigError) as err:
+            fit_from_csv(self.SCHEMA, path, "linear")
+        assert str(err.value) == ("baseline needs exactly 2 class values, "
+                                  "got ['bad', 'good', 'odd']")
+        assert given == {"good": None, "bad": None, "odd": None}
+
+    def test_the_gather_stops_at_a_third_class_but_reads_every_part(self):
+        """Two classes' rows are kept in order; a code of 2 drops them, and
+        the parts after it are still read, so their labels get coded."""
+        parts = [(np.full((2, 1), float(i)), np.array(codes))
+                 for i, codes in enumerate([[0, 1], [-1, 1], [2, 0], [0, 3]])]
+        labels = ["good", "bad", "odd", "late"]
+        read = []
+
+        def recorded():
+            for i, part in enumerate(parts):
+                read.append(i)
+                yield part
+
+        assert _class_rows(recorded(), labels) == dict.fromkeys(labels)
+        assert read == [0, 1, 2, 3]
+        kept = _class_rows(parts[:2], labels)
+        assert {k: v.ravel().tolist() for k, v in kept.items()} == {"good": [0.0],
+                                                                    "bad": [0.0, 1.0]}
+
+    def test_a_third_label_with_no_complete_row_changes_no_bit(self, tmp_path):
+        """Rows of a third label that each miss a feature are dropped before
+        their label is coded: the two-class fit keeps its bits, and only
+        the drop count grows."""
+        path = self.write_data(tmp_path, n=200, missing_every=10)
+        text = path.read_text(encoding="utf-8")
+        third = tmp_path / "third.csv"
+        third.write_text(text + "odd,m,?,1.0\nodd,f,2.0,?\n", encoding="utf-8")
+        for kind in ("linear", "quadratic"):
+            plain = fit_from_csv(self.SCHEMA, path, kind)
+            model = fit_from_csv(self.SCHEMA, third, kind)
+            assert model.dropped_rows == plain.dropped_rows + 2
+            for name in ("label1", "label2", "n1", "n2", "mean1", "mean2", "cov", "cov1", "cov2"):
+                assert np.array_equal(getattr(model, name), getattr(plain, name)), name
+
+
+# A label per row.  40,000 of them took 5.0 s to fail when each chunk was
+# gathered with one mask per label, and take 0.05 s on a 2-vCPU VM when
+# at most two classes are gathered and the rest only coded; the bound is
+# 10x that.
+MANY_LABELS = 40_000
+MANY_LABELS_BOUND_S = 0.5
+MANY_LABELS_ERROR = ("baseline needs exactly 2 class values, got "
+                     "['L0', 'L1', 'L10', 'L100', 'L1000', ... 39995 more]")
+
+
+def many_labels(tmp_path) -> tuple[np.ndarray, list[str], list[str]]:
+    """``MANY_LABELS`` rows of two features, a label per row, written under
+    ``tmp_path``; the features, the labels, and ``baseline``'s argv."""
+    features = np.random.default_rng(3).normal(size=(MANY_LABELS, 2))
+    labels = [f"L{i}" for i in range(MANY_LABELS)]
+    data = tmp_path / "labels.csv"
+    data.write_text("y,u,v\n" + "".join(f"{y},{u:.6f},{v:.6f}\n" for y, (u, v)
+                                         in zip(labels, features.tolist())), encoding="utf-8")
+    schema = tmp_path / "schema.txt"
+    schema.write_text("class y\nvar u continuous\nvar v continuous\n", encoding="utf-8")
+    return features, labels, ["baseline", "--kind", "linear", "--schema", str(schema),
+                              "--data", str(data), "--out", str(tmp_path / "out.csv")]
+
+
+def test_a_label_per_row_fails_in_linear_time(tmp_path, capsys):
+    """``baseline --kind linear`` on a file whose every row has its own
+    label exits 1 with one error line, within 10x the time one pass of
+    coding takes, and writes nothing."""
+    argv = many_labels(tmp_path)[2]
+    t0 = time.perf_counter()
+    code = run(argv)
+    elapsed = time.perf_counter() - t0
+    assert code == 1 and capsys.readouterr().err == f"error: {MANY_LABELS_ERROR}\n"
+    assert elapsed < MANY_LABELS_BOUND_S, elapsed
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_the_array_fit_names_a_label_per_row_the_same(tmp_path):
+    features, labels, _ = many_labels(tmp_path)
+    with pytest.raises(ConfigError) as err:
+        fit_discriminant(features, labels, "linear")
+    assert str(err.value) == MANY_LABELS_ERROR

@@ -760,6 +760,37 @@ def test_gen_rejects_a_missing_class_label(tmp_path, capsys, label):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("doc", [
+    {"class_labels": ["\ud800", "b"], "noise": [{"name": "z", "mean": 0.0, "sd": 1.0}]},
+    {"noise": [{"name": "z\ud800", "mean": 0.0, "sd": 1.0}]},
+    {"noise": [{"name": "z", "outcomes": ["o\ud800", "p"], "dist": [0.5, 0.5]}]},
+], ids=["class-label", "variable-name", "outcome"])
+def test_gen_rejects_a_name_utf8_cannot_hold(tmp_path, capsys, doc):
+    """A lone surrogate, which a JSON ``\\u`` escape can make, cannot be
+    written to the data file: gen exits 1 with one error line and writes
+    nothing."""
+    (tmp_path / "gen.json").write_text(json.dumps({"n": 50, **doc}), encoding="utf-8")
+    assert run(["gen", "--config", str(tmp_path / "gen.json"),
+                "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "UTF-8" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_model_symbol_utf8_cannot_hold_is_rejected(workdir, tmp_path, capsys):
+    """A model whose class symbol holds a lone surrogate fails to load:
+    classify exits 1 with one error line and writes nothing."""
+    doc = json.loads((workdir / "model.json").read_text(encoding="utf-8"))
+    doc["class_symbols"][0] = "go\ud800od"
+    (tmp_path / "model.json").write_text(json.dumps(doc), encoding="utf-8")
+    assert run(["classify", "--model", str(tmp_path / "model.json"),
+                "--data", str(workdir / "fixture" / "data.csv"),
+                "--out", str(tmp_path / "pred.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "UTF-8" in err
+    assert not (tmp_path / "pred.csv").exists()
+
+
 def test_module_entry_point_runs_the_cli(tmp_path):
     """``python -m rarebayes.cli`` runs the CLI: gen without its flags is a
     usage error."""

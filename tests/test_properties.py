@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import random
+import shutil
 import tempfile
 from contextlib import redirect_stderr
 from dataclasses import replace
@@ -21,10 +22,11 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from rarebayes import classify_file, generate, parse_schema, train
+from rarebayes import classify_file, dataio, generate, parse_schema, train
 from rarebayes.cli import run
 from rarebayes.outcomes import RESERVOIR_CAPACITY
-from rarebayes.synthgen import config_to_doc
+from rarebayes.schema import format_schema
+from rarebayes.synthgen import GroupSpec, NoiseSpec, config_to_doc
 
 from fixture_configs import (
     gen_configs, indep_config, messy_config, number_paths, recovery_config,
@@ -135,6 +137,85 @@ def test_constant_column_keeps_the_selection_and_cpts(tmp_path, cfg):
                          [[*rows[0], "constant"], *([*row, "k"] for row in rows[1:])])
     assert selection(constant) == selection(plain)
     assert constant["cpts"] == plain["cpts"] and constant["fallbacks"] == plain["fallbacks"]
+
+
+# the reader's sizes as the program sets them
+DEFAULT_SIZES = {"chunk_rows": dataio._CHUNK_ROWS, "block_bytes": dataio._BLOCK_BYTES,
+                 "csv_rows": dataio._CSV_ROWS}
+
+
+def quote_first_field(text: str, line: int) -> str:
+    """``text`` with the first field of line ``line`` quoted, which keeps its
+    value but sends the reader to ``csv.reader`` from that line on."""
+    lines = text.split("\r\n")
+    first, comma, rest = lines[line].partition(",")
+    if not first.startswith('"'):
+        lines[line] = f'"{first}"{comma}{rest}'
+    return "\r\n".join(lines)
+
+
+def command_results(root: Path, cfg) -> list[tuple[int, str, list]]:
+    """Each command's exit code, stderr and output bytes (None for an output
+    it did not write) on ``root``'s ``schema.txt`` and ``data.csv``, each
+    output written anew under ``root / "out"``."""
+    files = {name: str(root / name) for name in ("schema.txt", "data.csv")}
+    out = root / "out"
+    shutil.rmtree(out, ignore_errors=True)
+    out.mkdir()
+    o = {name: str(out / name) for name in ("model.json", "pred.csv", "report.json",
+                                            "sweep.json", "sweep.csv", "baseline.csv")}
+    commands = [
+        ["train", "--schema", files["schema.txt"], "--out", o["model.json"]],
+        ["classify", "--model", o["model.json"], "--out", o["pred.csv"]],
+        ["evaluate", "--pred", o["pred.csv"], "--positive", cfg.class_labels[1],
+         "--class-var", cfg.class_var, "--out", o["report.json"]],
+        ["sweep", "--model", o["model.json"], "--out", o["sweep.json"], "--csv", o["sweep.csv"]],
+        ["baseline", "--kind", "quadratic", "--schema", files["schema.txt"],
+         "--out", o["baseline.csv"]],
+    ]
+    results = []
+    for argv in commands:
+        with redirect_stderr(io.StringIO()) as err:
+            code = run(argv + ["--data", files["data.csv"]])
+        written = [Path(o[name]) for name in o if o[name] in argv]
+        results.append((code, err.getvalue(),
+                        [p.read_bytes() if p.exists() else None for p in written]))
+    return results
+
+
+@given(cfg=gen_configs(sizes=st.integers(40, 300)), rate=st.floats(0.2, 0.8),
+       group=st.integers(0, 12), window=st.integers(2, 3),
+       small=st.fixed_dictionaries({"chunk_rows": st.integers(1, 40),
+                                    "block_bytes": st.integers(1, 300),
+                                    "csv_rows": st.integers(1, 5)}),
+       quoted=st.floats(0.0, 1.0))
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+def test_reader_sizes_change_no_output_byte(tmp_path_factory, sizes, cfg, rate, group, window,
+                                            small, quoted):
+    """``train``, ``classify``, ``evaluate``, ``sweep --csv`` and ``baseline
+    --kind quadratic`` give the same exit code, stderr and output bytes at
+    the default chunk, block and ``csv.reader`` sizes and at small ones, on
+    a file with one field quoted, so ``csv.reader`` reads its rest.  A
+    config grouped ``group`` records at a time (0: none) is trained with
+    ``window`` 2 or 3.  Each example sets every size it runs with, so the
+    function-scoped ``sizes`` fixture carries nothing from one example to
+    the next."""
+    # most files train, and the baseline has a feature
+    cfg = replace(cfg, positive_rate=rate, group=GroupSpec("grp", group) if group else None,
+                  noise=(*cfg.noise, NoiseSpec("z", mean=0.0, sd=1.0, missing_rate=0.1)))
+    root = tmp_path_factory.mktemp("sizes")
+    result = generate(cfg, root / "fixture")
+    schema = parse_schema(result.schema_path.read_text(encoding="utf-8"))
+    if cfg.group is not None:
+        schema = replace(schema, window=window)
+    (root / "schema.txt").write_text(format_schema(schema), encoding="utf-8")
+    text = quote_first_field(result.data_path.read_bytes().decode(), 1 + int(quoted * (cfg.n - 1)))
+    (root / "data.csv").write_bytes(text.encode())
+    sizes(**DEFAULT_SIZES)
+    expected = command_results(root, cfg)
+    sizes(**small)
+    assert command_results(root, cfg) == expected
 
 
 # Bytes a mutation inserts: CSV structure, MISSING and non-finite cells, a

@@ -111,6 +111,18 @@ def test_hash_in_names_rejected(name):
         Schema(class_var="y", field_vars=x, group_key=name)
 
 
+@pytest.mark.parametrize("name", ["\ud800", "go\udfffod"])
+def test_names_utf8_cannot_hold_rejected(name):
+    # a lone surrogate, which a model document's JSON escape can make, has no UTF-8 form
+    x = (VariableSpec("x", "categorical"),)
+    with pytest.raises(SchemaError, match="variable name .*UTF-8"):
+        VariableSpec(name, "categorical")
+    with pytest.raises(SchemaError, match="class name .*UTF-8"):
+        Schema(class_var=name, field_vars=x)
+    with pytest.raises(SchemaError, match="group name .*UTF-8"):
+        Schema(class_var="y", field_vars=x, group_key=name)
+
+
 def test_unknown_kind():
     with pytest.raises(SchemaError, match="line 2.*unknown kind"):
         parse_schema("class y\nvar x ordinal\n")
