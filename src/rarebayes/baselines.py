@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -55,6 +56,18 @@ class DiscriminantModel:
     def cutoff(self) -> float:
         return math.log(self.n2 / self.n1)
 
+    @cached_property
+    def inverses(self) -> tuple[np.ndarray, ...]:
+        """Each covariance's inverse, taken once per model: (S^-1,) or (S1^-1, S2^-1)."""
+        if self.kind == LINEAR:
+            return (_inverse(self.cov, "pooled"),)
+        return _inverse(self.cov1, "population-1"), _inverse(self.cov2, "population-2")
+
+    @cached_property
+    def logdet_ratio(self) -> float:
+        """ln(|S1|/|S2|) of a quadratic model, taken once per model."""
+        return np.linalg.slogdet(self.cov1).logabsdet - np.linalg.slogdet(self.cov2).logabsdet
+
 
 def _class_cov(rows: np.ndarray, ridge: float) -> np.ndarray:
     """The covariance of ``rows``, which it centres in place: callers pass
@@ -66,10 +79,11 @@ def _class_cov(rows: np.ndarray, ridge: float) -> np.ndarray:
     return cov
 
 
-def _check_spd(cov: np.ndarray, what: str) -> None:
+def _inverse(cov: np.ndarray, what: str) -> np.ndarray:
+    """``cov``'s inverse, once it passes Cholesky; a rank-deficient one can pass."""
     try:
         np.linalg.cholesky(cov)
-        np.linalg.inv(cov)  # the scorer's inverse: a rank-deficient cov can pass Cholesky
+        return np.linalg.inv(cov)
     except np.linalg.LinAlgError:
         raise SingularCovarianceError(
             f"{what} covariance matrix is singular; pass a ridge to regularize"
@@ -173,20 +187,13 @@ def _fit(rows: dict[str, np.ndarray], kind: str, positive: str | None, ridge: fl
         n2=rows2.shape[0],
     )
     if kind == LINEAR:
-        s1 = _class_cov(rows1, 0.0)
-        s2 = _class_cov(rows2, 0.0)
-        pooled = ((model.n1 - 1) * s1 + (model.n2 - 1) * s2) / (
-            model.n1 + model.n2 - 2
-        )
-        if ridge > 0:
-            pooled = pooled + ridge * np.eye(pooled.shape[0])
-        _check_spd(pooled, "pooled")
-        model.cov = pooled
+        s1, s2 = _class_cov(rows1, 0.0), _class_cov(rows2, 0.0)
+        pooled = ((model.n1 - 1) * s1 + (model.n2 - 1) * s2) / (model.n1 + model.n2 - 2)
+        model.cov = pooled + ridge * np.eye(len(pooled)) if ridge > 0 else pooled
     else:
         model.cov1 = _class_cov(rows1, ridge)
         model.cov2 = _class_cov(rows2, ridge)
-        _check_spd(model.cov1, "population-1")
-        _check_spd(model.cov2, "population-2")
+    model.inverses  # the singularity check, on the inverses the scorer uses
     return model
 
 
@@ -207,13 +214,12 @@ def _scores(model: DiscriminantModel, X: np.ndarray) -> np.ndarray:
     """The model's discriminant score for every row of the (rows, dims) ``X``."""
     if model.kind == LINEAR:
         centered = X - 0.5 * (model.mean1 + model.mean2)
-        return centered @ np.linalg.inv(model.cov) @ (model.mean1 - model.mean2)
+        return centered @ model.inverses[0] @ (model.mean1 - model.mean2)
+    inv1, inv2 = model.inverses
     d1 = X - model.mean1
     d2 = X - model.mean2
-    logdet_ratio = (np.linalg.slogdet(model.cov1).logabsdet
-                    - np.linalg.slogdet(model.cov2).logabsdet)
-    return (((d2 @ np.linalg.inv(model.cov2)) * d2).sum(axis=1)
-            - ((d1 @ np.linalg.inv(model.cov1)) * d1).sum(axis=1) + logdet_ratio)
+    return (((d2 @ inv2) * d2).sum(axis=1)
+            - ((d1 @ inv1) * d1).sum(axis=1) + model.logdet_ratio)
 
 
 def lda_score(model: DiscriminantModel, y: np.ndarray) -> float:

@@ -101,9 +101,12 @@ a previous file's hard links and mode are not kept.
 Every output CSV -- ``gen``'s data file, ``sweep --csv``, and the
 prediction files of ``classify`` and ``baseline``, which share one format
 (:func:`rarebayes.evaluation.prediction_header`) -- is opened by
-:func:`csv_output`, which writes its header row, and its body is written
-by :func:`write_rows`, all in ``csv.writer``'s default dialect (minimal
-quoting, ``\r\n`` line ends).  The cells arrive already formatted:
+:func:`csv_output`, which writes its header row, all in ``csv.writer``'s
+default dialect (minimal quoting, ``\r\n`` line ends).  ``gen``, which
+formats every number itself, renders each block of its body as one byte
+matrix (``synthgen._render_block``); every other body joins ``str`` cells
+in :func:`write_rows`, which is faster for rows like ``classify``'s, whose
+long endings repeat.  Those cells arrive already formatted:
 :func:`csv_cell` quotes a value as ``csv.writer`` would, so callers quote
 each distinct value of a small alphabet once, and numbers, which never
 need quoting, are not scanned.

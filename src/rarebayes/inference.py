@@ -31,23 +31,22 @@ The kernel also returns an ``int8`` skip matrix, one column per ranked
 node, holding the index of the node's reason in :data:`SKIP_REASONS`
 (0 = incorporated).  Every code comes from the model's one codebook,
 ``model.encoder`` (:class:`~rarebayes.structure.Encoder`): symbols for
-:func:`posterior`, raw cells for :func:`symbolize` and batch scoring.
-Batch scoring reads, encodes and lags only the variables the model's
-nodes name.  One batch-only leniency: a
-categorical value never seen in training maps to MISSING instead of
+:func:`posterior`, raw cells for :func:`symbolize` and batch scoring,
+and the actual labels a threshold sweep counts.  Batch scoring reads,
+encodes and lags only the variables the model's nodes name.  One
+batch-only leniency: a categorical value never seen in training maps to MISSING instead of
 raising, since streams routinely grow new outcomes after training.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .dataio import MISSING, MISSING_CELLS, CsvDataset, as_dataset, csv_cell, csv_output, write_rows
+from .dataio import MISSING, CsvDataset, as_dataset, csv_cell, csv_output, write_rows
 from .errors import ConfigError, EvidenceError
 from .evaluation import grid_buckets, prediction_header
 from .infometrics import count_table
@@ -222,7 +221,7 @@ class ScoredChunk:
     config_probabilities: np.ndarray    # (configurations, classes)
     config_skipped: np.ndarray          # (configurations, ranked nodes) int8 skip matrix
     inverse: np.ndarray                 # (rows,) configuration of each row
-    actuals: np.ndarray | None          # (rows,) int8 1 positive, 0 other, -1 MISSING
+    actuals: np.ndarray | None          # (rows,) model.encoder class codes, or None
 
     @property
     def probabilities(self) -> np.ndarray:
@@ -267,33 +266,29 @@ def iter_scored(
     model: NetworkModel,
     data: str | Path | CsvDataset,
     *,
-    positive: str | None = None,
+    labels: bool = False,
 ) -> Iterator[ScoredChunk]:
     """Score every well-formed record of a CSV in file order.
 
     The header must hold every schema column, but only the model's nodes
-    are read, and the class column only with ``positive``: then each
-    chunk's ``actuals`` codes its records' actual labels 1 for
-    ``positive``, 0 for any other label (one never seen in training
-    included) and -1 for MISSING.  Each chunk's distinct node
-    configurations are scored once; the kernel's rows do not depend on
-    their batch, so this changes no result.
+    are read, and the class column only with ``labels``: then each
+    chunk's ``actuals`` holds its records' class codes
+    (:meth:`~rarebayes.structure.Encoder.encode_class`).  Each chunk's
+    distinct node configurations are scored once; the kernel's rows do
+    not depend on their batch, so this changes no result.
     """
     ds = as_dataset(data)
-    schema = model.schema
-    ds.require_columns(ds.schema_columns(schema, require_class=positive is not None))
+    ds.require_columns(ds.schema_columns(model.schema, require_class=labels))
     nodes = [rf.node for rf in model.ranked_fields]
     radices = [model.encoder.sizes[rf.var] for rf in model.ranked_fields]
     offset = 0
-    labels = None if positive is None else _positive_codes(positive)
-    chunks = model.encoder.node_chunks(ds, nodes, labels)
-    for n, codes, raw in chunks:
+    for n, codes, actuals in model.encoder.node_chunks(ds, nodes, labels):
         first, inverse = _dense_ids(n, [codes[node] for node in nodes], radices)
         probs, skip = score_codes(
             model, {node: codes[node][first] for node in nodes}, len(first)
         )
         yield ScoredChunk(offset=offset, config_probabilities=probs,
-                          config_skipped=skip, inverse=inverse, actuals=raw)
+                          config_skipped=skip, inverse=inverse, actuals=actuals)
         offset += n
 
 
@@ -351,21 +346,6 @@ def classify_file(
             "threshold": threshold}
 
 
-def _positive_codes(positive: str):
-    """Class-cell coder for :func:`iter_scored`: 1 for ``positive``, 0 for any
-    other label and -1 for MISSING, even when ``positive`` is a MISSING cell.
-
-    Its dict holds three entries however many distinct labels the file has;
-    a :class:`~rarebayes.dataio.ClassCodes` would add one per label, so a
-    hostile file could grow a sweep's memory without bound."""
-    lut = {positive: 1} | dict.fromkeys(MISSING_CELLS, -1)
-
-    def code(col: list[str]) -> np.ndarray:
-        return np.fromiter(map(lut.get, col, repeat(0)), dtype=np.int8, count=len(col))
-
-    return code
-
-
 def count_scores(
     model: NetworkModel,
     data: str | Path | CsvDataset,
@@ -375,16 +355,18 @@ def count_scores(
     """A threshold sweep's count table: records per (grid bucket, actual is
     positive), ``(len(grid) + 1, 2)``, for :func:`~rarebayes.evaluation.sweep_rows`.
 
-    Requires the class column; records whose actual label is MISSING are
-    not counted.  Each chunk's distinct configurations are bucketed once
-    by their P(positive) (:func:`~rarebayes.evaluation.grid_buckets`) and
-    the chunk's rows counted through their configuration, so no
-    per-record object is held.
+    Requires the class column; a label never seen in training counts as
+    negative, and records whose actual label is MISSING are not counted.
+    Each chunk's distinct configurations are bucketed once by their
+    P(positive) (:func:`~rarebayes.evaluation.grid_buckets`) and the
+    chunk's rows counted through their configuration, so no per-record
+    object is held.
     """
-    positive, pos_idx = positive_index(model, positive)
+    _, pos_idx = positive_index(model, positive)
     table = np.zeros((len(grid) + 1, 2), dtype=np.int64)
-    for scored in iter_scored(model, data, positive=positive):
+    for scored in iter_scored(model, data, labels=True):
         buckets = grid_buckets(scored.config_probabilities[:, pos_idx], grid)
-        keep = scored.actuals >= 0
-        table += count_table([buckets[scored.inverse[keep]], scored.actuals[keep]], table.shape)
+        keep = scored.actuals <= len(model.class_symbols)  # MISSING codes k+1
+        actual = scored.actuals[keep] == pos_idx
+        table += count_table([buckets[scored.inverse[keep]], actual], table.shape)
     return table

@@ -7,9 +7,10 @@ keeps the dependencies whose cumulative conditional-MI share reaches
 ``t_field``.  Pass 4 estimates the class prior, one CPT per selected
 node, and a per-node fallback table conditioned on the class alone.
 
-:class:`Encoder` is the one codebook: training, batch scoring and the
-single-case path (through ``NetworkModel.encoder``) turn every raw cell
-and every outcome symbol into its integer code there.
+:class:`Encoder` is the one codebook: after pass 1, training, batch
+scoring and the single-case path (through ``NetworkModel.encoder``) turn
+every raw cell, class cells included, and every outcome symbol into its
+integer code there.
 
 Passes 2-4 count through :func:`_count_pass` and the one counting engine,
 :func:`~rarebayes.infometrics.count_table`.  Each pass only declares its
@@ -18,8 +19,8 @@ pass 2; ``("class", a, b)`` per rank-ordered pair of selected nodes in
 pass 3 (none when ``max_parents`` is 0); and in pass 4 ``("class",)``
 for the prior, ``("class", node)`` per selected node for the fallbacks
 and ``("class", *parents, node)`` per selected node for the CPTs (for a
-parentless node, the same table).  A row of MISSING or unknown class is
-counted in a discard row past the last class, then cut off.
+parentless node, the same table).  A row of unknown or MISSING class is
+counted in one of two discard rows past the last class, then cut off.
 A pass reads through :meth:`Encoder.node_chunks`, the feed batch scoring
 shares: it encodes only the variables the tables name and lags only
 those named at a slot >= 1.
@@ -298,7 +299,10 @@ class Encoder:
     ASCII character read as a one-character cell.  Arithmetic on field
     codes must start from an ``int64`` operand: a Python int does not
     widen a ``uint8`` array, so ``codes * k`` would wrap.  ``class_symbols``
-    sizes the class axis of every count table.
+    sizes the class axis of every count table, and ``class_codes`` is the
+    one class codebook: a class symbol codes as its index, any other label
+    as k and a MISSING cell as k+1 (even where ``""`` is a symbol), so it
+    holds at most k+2 entries however many labels a file has.
     """
 
     def __init__(self, schema: Schema, outcomes: OutcomeTable):
@@ -307,6 +311,9 @@ class Encoder:
         self.sizes = {var: len(vo.symbols) for var, vo in outcomes.variables.items()}
         self.missing = {var: size - 1 for var, size in self.sizes.items()}
         self.dtypes = {var: np.min_scalar_type(miss) for var, miss in self.missing.items()}
+        self.class_codes = {sym: i for i, sym in enumerate(self.class_symbols)}
+        self.class_codes |= dict.fromkeys(MISSING_CELLS, len(self.class_symbols) + 1)
+        self.class_dtype = np.min_scalar_type(len(self.class_symbols) + 1)
         self.codes = {
             var: {sym: i for i, sym in enumerate(vo.symbols)}
             | dict.fromkeys(MISSING_CELLS, self.missing[var])
@@ -352,18 +359,23 @@ class Encoder:
         codes[np.isnan(values)] = self.missing[name]
         return codes
 
+    def encode_class(self, col: list[str]) -> np.ndarray:
+        """Codes of raw class cells by ``class_codes``."""
+        return np.fromiter(map(self.class_codes.get, col, repeat(len(self.class_symbols))),
+                           dtype=self.class_dtype, count=len(col))
+
     def encode_chunk(
         self,
         chunk: Chunk,
         names: Sequence[str],
-        labels: Callable[[list[str]], np.ndarray] | None,
+        labels: bool,
         groups: Callable[[list[str]], np.ndarray] | None,
     ):
         """Codes for the field variables ``names``, the class column's codes
-        by ``labels`` and the group keys' ids by ``groups`` (each None
-        without its coder)."""
+        when ``labels`` is set and the group keys' ids by ``groups`` (each
+        None when not asked for)."""
         var_codes = {name: self.encode_var(name, chunk.columns[name]) for name in names}
-        class_codes = None if labels is None else labels(chunk.columns[self.schema.class_var])
+        class_codes = self.encode_class(chunk.columns[self.schema.class_var]) if labels else None
         group_ids = None if groups is None else groups(chunk.columns[self.schema.group_key])
         return var_codes, class_codes, group_ids
 
@@ -371,7 +383,7 @@ class Encoder:
         self,
         ds: CsvDataset,
         nodes: Iterable[str],
-        labels: Callable[[list[str]], np.ndarray] | None = None,
+        labels: bool = False,
     ) -> Iterator[tuple[int, dict[str, np.ndarray], np.ndarray | None]]:
         """One pass over ``ds``, yielding ``(rows, codes, class codes)`` per chunk.
 
@@ -383,10 +395,8 @@ class Encoder:
         outlives its block; lags are built per chunk.  Group keys become ids
         from one :class:`~rarebayes.dataio.ClassCodes` per pass with no
         missing cell.  The class column is read only when ``labels`` is
-        given, and codes by it: a :class:`~rarebayes.dataio.ClassCodes` in
-        the training passes; a threshold sweep codes 1 for its positive class,
-        0 for any other label and -1 for MISSING.  Without ``labels`` the class
-        codes are None.
+        set, and coded by :meth:`encode_class`; otherwise the class codes are
+        None.
         """
         slots = [node_var_slot(node) for node in nodes]
         base = {var for var, _ in slots}
@@ -398,7 +408,7 @@ class Encoder:
         groups = ClassCodes(missing=()) if lagged and self.schema.group_key else None
         if groups is not None:
             wanted.append(self.schema.group_key)
-        if labels is not None:
+        if labels:
             wanted.append(self.schema.class_var)
 
         def decode(block: Chunk) -> dict:
@@ -432,23 +442,19 @@ def _count_pass(
 
     Each table is ``("class", node, ...)`` and comes back keyed by that
     tuple, shaped by its axes' alphabet sizes; each chunk adds one
-    :func:`~rarebayes.infometrics.count_table` to it.  One
-    :class:`~rarebayes.dataio.ClassCodes` codes the class column, the class
-    symbols first so they take codes ``0 .. k-1``.  Rows of MISSING (-1) or
-    unknown (>= k) class are read but not counted: they go to a discard
-    class ``k`` whose row is cut off.  Only the columns the tables name are
-    read (:meth:`Encoder.node_chunks`).  A pass with no tables still reads
+    :func:`~rarebayes.infometrics.count_table` to it.  The class axis
+    counts all k+2 codes of the encoder's class codebook and keeps the
+    first k, so rows of unknown (k) or MISSING (k+1) class are read but
+    not counted.  Only the columns the tables name are read
+    (:meth:`Encoder.node_chunks`).  A pass with no tables still reads
     every chunk, so each call is exactly one pass.
     """
     k = len(enc.class_symbols)
-    counts = {t: np.zeros((k + 1, *_table_shape(enc, t)[1:]), dtype=np.int64) for t in tables}
+    counts = {t: np.zeros((k + 2, *_table_shape(enc, t)[1:]), dtype=np.int64) for t in tables}
     nodes = {node for table in tables for node in table[1:]}
-    classes = ClassCodes()
-    classes(enc.class_symbols)
-    for _, codes, class_codes in enc.node_chunks(ds, nodes, classes):
+    for _, codes, class_codes in enc.node_chunks(ds, nodes, labels=True):
         # widened once here, so count_table does not widen it per table
         class_codes = class_codes.astype(np.intp)
-        class_codes[(class_codes < 0) | (class_codes >= k)] = k
         for table, table_counts in counts.items():
             columns = [class_codes, *(codes[node] for node in table[1:])]
             table_counts += count_table(columns, table_counts.shape)

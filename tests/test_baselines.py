@@ -1,6 +1,7 @@
 import csv
 import math
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -298,6 +299,24 @@ class TestCsvPlumbing:
             assert (model.n1, model.n2, model.dropped_rows) == (expected.n1, expected.n2, 30)
             for name in ("mean1", "mean2", "cov", "cov1", "cov2"):
                 assert np.array_equal(getattr(model, name), getattr(expected, name)), name
+
+    @pytest.mark.parametrize("kind, covariances", [("linear", 1), ("quadratic", 2)])
+    def test_each_covariance_is_inverted_once(self, tmp_path, sizes, kind, covariances):
+        """A fit and a score of one block per row invert each covariance
+        once, at the fit, and take each log-determinant at most once, and
+        the scores are those of one block."""
+        path = self.write_data(tmp_path, n=300, missing_every=10)
+        whole = tmp_path / "whole.csv"
+        score_to_csv(fit_from_csv(self.SCHEMA, path, kind), self.SCHEMA, path, whole)
+        sizes(block_bytes=1)
+        with (mock.patch.object(np.linalg, "inv", wraps=np.linalg.inv) as inv,
+              mock.patch.object(np.linalg, "slogdet", wraps=np.linalg.slogdet) as slogdet):
+            model = fit_from_csv(self.SCHEMA, path, kind)
+            assert inv.call_count == covariances
+            score_to_csv(model, self.SCHEMA, path, tmp_path / "blocks.csv")
+        assert inv.call_count == covariances
+        assert slogdet.call_count == (0 if kind == "linear" else 2)
+        assert (tmp_path / "blocks.csv").read_bytes() == whole.read_bytes()
 
     def test_a_third_label_in_a_later_chunk_drops_the_gathered_rows(self, tmp_path, sizes,
                                                                     monkeypatch):

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 from dataclasses import replace
+from itertools import cycle
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 import rarebayes
 from rarebayes import DatasetError, parse_schema, structure
 from rarebayes.cli import build_parser, run
+from rarebayes.inference import count_scores
 from rarebayes.synthgen import config_to_doc
 
 from fixture_configs import gen_configs, messy_config, number_paths
@@ -147,6 +149,30 @@ def test_sweep_drops_blank_actuals_when_the_positive_class_is_blank(
                     "--out", str(tmp_path / "sweep.json"), *positive]) == 1
         assert capsys.readouterr().err == (
             f"error: rates undefined: 0 actual positives, {labelled} actual negatives\n")
+
+
+def test_sweep_of_a_label_per_row_keeps_the_codebook(workdir, tmp_path, capsys):
+    """``sweep`` on 40,000 rows, each with a label of its own and none a
+    class symbol, counts every row a negative, so it exits 1 with one error
+    line; coding the labels adds no entry to the model's codebook of k+2."""
+    with open(workdir / "fixture" / "data.csv", newline="", encoding="utf-8") as fh:
+        header, *rows = list(csv.reader(fh))
+    model = structure.load_model(workdir / "model.json")
+    y = header.index(model.schema.class_var)
+    n = 40_000
+    data = tmp_path / "labels.csv"
+    with open(data, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([header, *([*row[:y], f"L{i}", *row[y + 1:]]
+                                            for i, row in zip(range(n), cycle(rows)))])
+    assert run(["sweep", "--model", str(workdir / "model.json"), "--data", str(data),
+                "--out", str(tmp_path / "sweep.json")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: rates undefined: 0 actual positives, {n} actual negatives\n")
+    codebook = dict(model.encoder.class_codes)
+    assert len(codebook) == len(model.class_symbols) + 2
+    table = count_scores(model, data, [0.5])
+    assert table[:, 1].sum() == 0 and table.sum() == n
+    assert model.encoder.class_codes == codebook
 
 
 def test_sweep_csv_column_layout(workdir):

@@ -20,7 +20,7 @@ from rarebayes import (
     train,
 )
 from rarebayes import dataio
-from rarebayes.dataio import ClassCodes, CsvDataset, PassStats
+from rarebayes.dataio import CsvDataset, PassStats
 from rarebayes.inference import SKIP_REASONS, _dense_ids, iter_scored, score_codes
 from rarebayes.outcomes import OutcomeTable, VariableOutcomes, bin_symbol
 from rarebayes.structure import CPT, Encoder, NetworkModel, RankedField
@@ -345,16 +345,15 @@ def expansions(records, schema, tmp_path):
     enc = Encoder(schema, outcomes)
     for chunk_rows in (1, 65536):
         cases = []
-        classes = ClassCodes()
-        classes(outcomes.class_symbols)  # the classes take codes 0 .. k-1
         with (mock.patch.object(dataio, "_CHUNK_ROWS", chunk_rows),
               mock.patch.object(dataio, "_BLOCK_BYTES", 1)):
-            chunks = list(enc.node_chunks(CsvDataset(path), nodes, classes))
+            chunks = list(enc.node_chunks(CsvDataset(path), nodes, labels=True))
+        k = len(outcomes.class_symbols)
         for n, codes, class_codes in chunks:
             for i in range(n):
                 values = {node: outcomes.symbols(node_var_slot(node)[0])[codes[node][i]]
                           for node in nodes}
-                label = outcomes.class_symbols[class_codes[i]] if class_codes[i] >= 0 else None
+                label = outcomes.class_symbols[class_codes[i]] if class_codes[i] < k else None
                 cases.append(WindowCase(values=values, label=label))
         out[f"node_chunks@{chunk_rows}"] = cases
     return out

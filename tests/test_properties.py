@@ -16,6 +16,8 @@ import shutil
 import tempfile
 from contextlib import redirect_stderr
 from dataclasses import replace
+from itertools import chain, groupby
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -53,6 +55,25 @@ def with_first(rows: list[list[str]], col: int, label: str, rng: random.Random):
     return [rows[0], *body]
 
 
+def assert_same_bytes(root: Path, cfg, schema, variants: dict, seed: int) -> None:
+    """Each of ``variants`` (name -> rows) of the file ``cfg`` generates in
+    ``root / "fixture"`` trains under ``schema`` to the generated file's model
+    bytes, and a held-out file with its columns reversed classifies to the
+    same prediction bytes."""
+    model = train(schema, root / "fixture" / "data.csv", seed=seed)
+    for name, variant in variants.items():
+        path = root / f"{name}.csv"
+        write_csv(path, variant)
+        assert train(schema, path, seed=seed).to_json_text() == model.to_json_text(), name
+
+    held_out = generate(replace(cfg, n=200, seed=cfg.seed ^ 1), root / "held-out")
+    reversed_path = root / "held-out-reversed.csv"
+    write_csv(reversed_path, [row[::-1] for row in read_csv(held_out.data_path)])
+    for path, out in ((held_out.data_path, "pred.csv"), (reversed_path, "pred-reversed.csv")):
+        classify_file(model, path, root / out, threshold=0.5)
+    assert (root / "pred.csv").read_bytes() == (root / "pred-reversed.csv").read_bytes()
+
+
 @given(cfg=gen_configs(sizes=st.integers(20, 1500)), data=st.data())
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_row_and_column_order_change_no_output_byte(tmp_path_factory, cfg, data):
@@ -76,19 +97,42 @@ def test_row_and_column_order_change_no_output_byte(tmp_path_factory, cfg, data)
         "other class on top": with_first(rows, col, classes[1], rng),
         "columns reversed": [row[::-1] for row in rows],
     }
-    seed = data.draw(st.integers(0, 2**31))
-    model = train(schema, result.data_path, seed=seed)
-    for name, variant in variants.items():
-        path = root / f"{name}.csv"
-        write_csv(path, variant)
-        assert train(schema, path, seed=seed).to_json_text() == model.to_json_text(), name
+    assert_same_bytes(root, cfg, schema, variants, data.draw(st.integers(0, 2**31)))
 
-    held_out = generate(replace(cfg, n=200, seed=cfg.seed ^ 1), root / "held-out")
-    reversed_path = root / "held-out-reversed.csv"
-    write_csv(reversed_path, [row[::-1] for row in read_csv(held_out.data_path)])
-    for path, out in ((held_out.data_path, "pred.csv"), (reversed_path, "pred-reversed.csv")):
-        classify_file(model, path, root / out, threshold=0.5)
-    assert (root / "pred.csv").read_bytes() == (root / "pred-reversed.csv").read_bytes()
+
+def with_groups_shuffled(rows: list[list[str]], col: int, rng: random.Random):
+    """``rows``, header first, with the body's groups (runs of one key in
+    column ``col``) shuffled whole, each group's rows kept in order."""
+    groups = [list(run) for _, run in groupby(rows[1:], key=itemgetter(col))]
+    rng.shuffle(groups)
+    return [rows[0], *chain.from_iterable(groups)]
+
+
+@given(cfg=gen_configs(sizes=st.integers(20, 1500)), window=st.integers(2, 3),
+       group=st.builds(GroupSpec, st.sampled_from(["grp", "acct"]), st.integers(1, 50)),
+       data=st.data())
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_group_and_column_order_change_no_output_byte(tmp_path_factory, cfg, window, group,
+                                                      data):
+    """Below the reservoir's capacity, a grouped file trains under ``window``
+    2-3 to the same model bytes as generated, with its groups shuffled whole,
+    each group's rows kept in order, and with its columns reversed; and a
+    column-reversed held-out file classifies to the same prediction bytes."""
+    assert cfg.n < RESERVOIR_CAPACITY
+    cfg = replace(cfg, group=group, positive_rate=data.draw(st.floats(0.2, 0.8)))
+    root = tmp_path_factory.mktemp("metamorphic-grouped")
+    result = generate(cfg, root / "fixture")
+    schema = replace(parse_schema(result.schema_path.read_text(encoding="utf-8")),
+                     window=window)
+    rows = read_csv(result.data_path)
+    col = rows[0].index(cfg.class_var)
+    assume(len({row[col] for row in rows[1:]}) == 2)
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    variants = {
+        "groups shuffled": with_groups_shuffled(rows, rows[0].index(group.name), rng),
+        "columns reversed": [row[::-1] for row in rows],
+    }
+    assert_same_bytes(root, cfg, schema, variants, data.draw(st.integers(0, 2**31)))
 
 
 def cli_model(root: Path, schema_text: str, rows: list[list[str]]) -> dict:

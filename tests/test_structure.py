@@ -28,7 +28,7 @@ from rarebayes.baselines import fit_from_csv, score_to_csv
 from rarebayes.cli import run
 from rarebayes.dataio import MISSING, CsvDataset
 from rarebayes.inference import count_scores, iter_scored
-from rarebayes.outcomes import collect_outcomes
+from rarebayes.outcomes import OutcomeTable, VariableOutcomes, collect_outcomes
 from rarebayes import structure
 from rarebayes.structure import Encoder, _count_pass
 from rarebayes.synthgen import CategoricalSpec, ContinuousSpec, GenConfig, GroupSpec
@@ -450,6 +450,35 @@ def test_codes_at_dtype_boundaries(tmp_path, sizes):
                 cell = (enc.class_symbols.index(case.label),) + tuple(want[n][i] for n in table[1:])
                 expected[cell] += 1
         assert (counts[table] == expected).all(), table
+
+
+def class_encoder(symbols: tuple[str, ...]) -> Encoder:
+    return Encoder(TWO_CAT, OutcomeTable(
+        class_var="y", class_symbols=symbols,
+        variables={v: VariableOutcomes(symbols=("x", MISSING)) for v in ("a", "b")}))
+
+
+@pytest.mark.parametrize("symbols", [("bad", "good"), ("", "bad", "good")],
+                         ids=["plain", "blank-symbol"])
+def test_class_codebook(symbols):
+    """A class symbol codes as its index, any other label as k, and both
+    MISSING cells as k+1, even in a legacy model whose class alphabet holds
+    ``""``; coding a column adds no entry to the codebook."""
+    k = len(symbols)
+    enc = class_encoder(symbols)
+    codebook = dict(enc.class_codes)
+    codes = enc.encode_class(["good", "bad", "weird", "Good", MISSING, ""])
+    assert codes.dtype == np.uint8
+    assert codes.tolist() == [symbols.index("good"), symbols.index("bad"), k, k, k + 1, k + 1]
+    assert enc.class_codes == codebook and len(codebook) <= k + 2
+
+
+@pytest.mark.parametrize("k, dtype", [(254, np.uint8), (255, np.uint16)])
+def test_class_codes_at_dtype_boundary(k, dtype):
+    """Class codes take the narrowest unsigned dtype that holds k+1."""
+    symbols = tuple(f"c{i:03d}" for i in range(k))
+    codes = class_encoder(symbols).encode_class([symbols[-1], "other", MISSING])
+    assert codes.dtype == dtype and codes.tolist() == [k - 1, k, k + 1]
 
 
 class TestModelFile:
