@@ -14,6 +14,8 @@ Only the schema's continuous variables take part, in schema order; scoring
 reads the columns the model was fit on.  The fit keeps the complete rows (no
 feature or class cell MISSING, the one rule in :mod:`rarebayes.dataio`) of
 two classes at most, each in a growing buffer, and only codes the rest.
+Scoring writes the network's prediction format through
+:func:`~rarebayes.evaluation.write_predictions`, four fixed row endings.
 """
 
 from __future__ import annotations
@@ -27,10 +29,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dataio import Chunk, ClassCodes, CsvDataset, as_dataset, csv_cell, csv_output
-from .dataio import parse_float_column, write_rows
+from .dataio import Chunk, ClassCodes, CsvDataset, as_dataset, parse_float_column
 from .errors import ConfigError, SingularCovarianceError, few
-from .evaluation import prediction_header
+from .evaluation import write_predictions
 from .schema import Schema
 
 LINEAR = "linear"
@@ -325,30 +326,23 @@ def score_to_csv(
     ds = as_dataset(data)
     ds.require_columns(schema.var_names)
     classes = sorted([model.label1, model.label2])
-    rows = flagged = unscored = 0
-    # each (label, skipped) row ending rendered once, picked by to2 + 2 * missing
-    tails = np.array([
-        ",".join([*("1.0" if c == label else "0.0" for c in classes), csv_cell(label), skip])
-        for skip in ("", csv_cell("features:missing"))
-        for label in (model.label1, model.label2)
-    ], dtype=object)
+    # the four row endings, picked by to2 + 2 * missing: one-hot
+    # probabilities, labels, skip texts and each ending's skip text
+    labels = np.array([classes.index(model.label1), classes.index(model.label2)] * 2)
+    endings = (np.eye(2)[labels], labels, ["", "features:missing"], np.array([0, 0, 1, 1]))
+    unscored = 0
 
     def decode(block: Chunk) -> dict:
+        nonlocal unscored
         # scored per block, so a block's feature matrix goes with it
         X, miss = _feature_columns(model.feature_names, block)
         to2 = np.zeros(block.size, dtype=np.intp)
         to2[~miss] = score_label(model, X[~miss]) == model.label2
-        return {"to2": to2, "missing": miss}
+        unscored += int(miss.sum())
+        return {"ending": to2 + 2 * miss}
 
-    with csv_output(out_path, prediction_header(classes)) as fh:
-        for chunk in ds.iter_chunks(model.feature_names, decode=decode):
-            to2, miss = chunk.columns["to2"], chunk.columns["missing"]
-            write_rows(fh, [
-                map(str, range(rows, rows + chunk.size)),
-                tails[to2 + 2 * miss].tolist(),
-            ])
-            rows += chunk.size
-            flagged += int(to2.sum())
-            unscored += int(miss.sum())
-    return {"rows": rows, "flagged": flagged, "unscored": unscored,
-            "positive": model.label2}
+    counts = write_predictions(out_path, classes, (
+        (*endings, chunk.columns["ending"])
+        for chunk in ds.iter_chunks(model.feature_names, decode=decode)))
+    return {"rows": int(counts.sum()), "flagged": int(counts[classes.index(model.label2)]),
+            "unscored": unscored, "positive": model.label2}

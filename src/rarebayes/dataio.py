@@ -99,8 +99,8 @@ once written, so a failed command leaves an existing output untouched, a
 killed one may leave the sibling, which no later run opens or removes, and
 a previous file's hard links and mode are not kept.
 Every output CSV -- ``gen``'s data file, ``sweep --csv``, and the
-prediction files of ``classify`` and ``baseline``, which share one format
-(:func:`rarebayes.evaluation.prediction_header`) -- is opened by
+prediction files of ``classify`` and ``baseline``, which share one writer
+(:func:`rarebayes.evaluation.write_predictions`) -- is opened by
 :func:`csv_output`, which writes its header row, all in ``csv.writer``'s
 default dialect (minimal quoting, ``\r\n`` line ends).  ``gen``, which
 formats every number itself, renders each block of its body as one byte

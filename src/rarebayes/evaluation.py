@@ -16,6 +16,8 @@ command (:func:`evaluate_files`) and the ``sweep`` command
 (:func:`~rarebayes.inference.count_scores`) fill the table a chunk at a
 time from small integer class codes, so neither holds an object per
 record; :func:`confusion` and :func:`sweep` fill it from label lists.
+The prediction file's row format lives here too: :func:`write_predictions`
+is its one writer, for ``classify`` and ``baseline`` alike.
 """
 
 from __future__ import annotations
@@ -25,11 +27,12 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from itertools import repeat
 from operator import eq
-from typing import Sequence
+from pathlib import Path
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dataio import Chunk, ClassCodes, CsvDataset
+from .dataio import Chunk, ClassCodes, CsvDataset, csv_cell, csv_output, write_rows
 from .errors import EvaluationError, few
 from .infometrics import count_table
 
@@ -256,10 +259,33 @@ def sweep(
     return sweep_rows(table, grid)
 
 
-def prediction_header(classes: Sequence[str]) -> list[str]:
-    """The prediction file's header, as ``classify`` and ``baseline`` write it
-    and :func:`evaluate_files` reads it."""
-    return ["record_id", *(f"p_{c}" for c in classes), "label", "skipped_nodes"]
+def write_predictions(out_path: str | Path, classes: Sequence[str],
+                      chunks: Iterable[tuple]) -> np.ndarray:
+    """Write the prediction file of ``classify`` and ``baseline``, which
+    :func:`evaluate_files` reads, and return the rows written per label.
+
+    A chunk is the ``(endings, classes)`` probabilities of its distinct row
+    endings, each ending's label as a class index, the distinct skip texts,
+    each ending's skip text as an index into them, and each row's ending.
+    Each ending, class symbol and skip text is rendered once, each
+    probability as its ``repr``; record ids count from 0 in file order.
+    """
+    symbols = [csv_cell(c) for c in classes]
+    counts = np.zeros(len(classes), dtype=np.int64)
+    with csv_output(out_path, ["record_id", *(f"p_{c}" for c in classes),
+                               "label", "skipped_nodes"]) as fh:
+        for probs, labels, skips, skip_index, endings in chunks:
+            quoted = [csv_cell(text) for text in skips]
+            tails = np.array(list(map(",".join, zip(
+                *(map(repr, col) for col in probs.T.tolist()),
+                map(symbols.__getitem__, labels.tolist()),
+                map(quoted.__getitem__, skip_index.tolist()),
+            ))), dtype=object)
+            start = int(counts.sum())  # the rows written so far
+            write_rows(fh, [map(str, range(start, start + len(endings))),
+                            tails[endings].tolist()])
+            counts += np.bincount(labels[endings], minlength=len(classes))
+    return counts
 
 
 def evaluate_files(

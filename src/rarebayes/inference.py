@@ -3,8 +3,9 @@
 One kernel, :func:`score_codes`, applies the update rule to a block of
 rows at once; :func:`posterior` is a batch of one.  Batch scoring gives
 each row of a chunk a dense id over its ranked nodes' codes
-(:func:`_dense_ids`), scores and formats each distinct configuration
-once, and expands the results through the rows' ids.  Evidence is
+(:func:`_dense_ids`) and scores each distinct configuration once, which
+``classify`` writes as one row ending that the rows' ids pick
+(:func:`~rarebayes.evaluation.write_predictions`).  Evidence is
 incorporated in descending rank order.  A node reads its CPT row for its
 field parents' codes, or its class-only fallback table wherever any of
 those parents is MISSING.  A node is skipped when its value
@@ -46,9 +47,9 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .dataio import MISSING, CsvDataset, as_dataset, csv_cell, csv_output, write_rows
+from .dataio import MISSING, CsvDataset, as_dataset
 from .errors import ConfigError, EvidenceError
-from .evaluation import grid_buckets, prediction_header
+from .evaluation import grid_buckets, write_predictions
 from .infometrics import count_table
 from .structure import NetworkModel
 from .windows import CaseRecord, node_var_slot
@@ -210,14 +211,13 @@ def classify(
 
 @dataclass
 class ScoredChunk:
-    """Scores for one block of records, ids starting at ``offset``.
+    """Scores for one block of records, in file order.
 
     The kernel ran once per distinct node configuration; ``inverse``
     gives each row its configuration, and the per-row views expand
     through it.
     """
 
-    offset: int
     config_probabilities: np.ndarray    # (configurations, classes)
     config_skipped: np.ndarray          # (configurations, ranked nodes) int8 skip matrix
     inverse: np.ndarray                 # (rows,) configuration of each row
@@ -281,15 +281,13 @@ def iter_scored(
     ds.require_columns(ds.schema_columns(model.schema, require_class=labels))
     nodes = [rf.node for rf in model.ranked_fields]
     radices = [model.encoder.sizes[rf.var] for rf in model.ranked_fields]
-    offset = 0
     for n, codes, actuals in model.encoder.node_chunks(ds, nodes, labels):
         first, inverse = _dense_ids(n, [codes[node] for node in nodes], radices)
         probs, skip = score_codes(
             model, {node: codes[node][first] for node in nodes}, len(first)
         )
-        yield ScoredChunk(offset=offset, config_probabilities=probs,
-                          config_skipped=skip, inverse=inverse, actuals=actuals)
-        offset += n
+        yield ScoredChunk(config_probabilities=probs, config_skipped=skip,
+                          inverse=inverse, actuals=actuals)
 
 
 def _skip_patterns(nodes: Sequence[str], skipped: np.ndarray) -> tuple[list[str], np.ndarray]:
@@ -312,38 +310,19 @@ def classify_file(
     threshold: float,
     positive: str | None = None,
 ) -> dict:
-    """Score a CSV and write the classification file.
-
-    Output columns: record_id, one ``p_<class>`` per class (full float
-    precision), label, skipped_nodes (semicolon-joined ``name:reason``).
-    Returns a summary dict with row and label counts.
+    """Score a CSV and write its prediction file; return a summary dict with
+    row and label counts.  A skipped_nodes cell joins ``name:reason`` by ``;``.
     """
     check_threshold(threshold)
     positive, pos_idx = positive_index(model, positive)
     nodes = [rf.node for rf in model.ranked_fields]
-    symbols = np.array(list(map(csv_cell, model.class_symbols)), dtype=object)
-    rows = 0
-    flagged = 0
-    with csv_output(out_path, prediction_header(model.class_symbols)) as fh:
-        for scored in iter_scored(model, data):
-            # one "p_…,label,skipped_nodes" tail per distinct configuration
-            labels = _label_columns(scored.config_probabilities, pos_idx, threshold)
-            rendered, pattern = _skip_patterns(nodes, scored.config_skipped)
-            tails = np.array(list(map(",".join, zip(
-                *(map(repr, col) for col in scored.config_probabilities.T.tolist()),
-                symbols[labels].tolist(),
-                np.array(list(map(csv_cell, rendered)), dtype=object)[pattern].tolist(),
-            ))), dtype=object)
-            n = len(scored.inverse)
-            write_rows(fh, [
-                map(str, range(scored.offset, scored.offset + n)),
-                tails[scored.inverse].tolist(),
-            ])
-            rows += n
-            weight = np.bincount(scored.inverse, minlength=len(labels))
-            flagged += int(weight[labels == pos_idx].sum())
-    return {"rows": rows, "positive": positive, "flagged": flagged,
-            "threshold": threshold}
+    counts = write_predictions(out_path, model.class_symbols, (
+        (scored.config_probabilities,
+         _label_columns(scored.config_probabilities, pos_idx, threshold),
+         *_skip_patterns(nodes, scored.config_skipped), scored.inverse)
+        for scored in iter_scored(model, data)))
+    return {"rows": int(counts.sum()), "positive": positive,
+            "flagged": int(counts[pos_idx]), "threshold": threshold}
 
 
 def count_scores(

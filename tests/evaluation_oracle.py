@@ -5,9 +5,11 @@ and a full sort of the scores.
 ``evaluate_oracle`` pairs raw record-id and label cells with the data's
 raw class cells the way the ``evaluate`` command did; ``confusion_oracle``
 and ``sweep_oracle`` are the list-based bodies of ``evaluation.confusion``
-and ``evaluation.sweep``.
+and ``evaluation.sweep``.  ``write_predictions_oracle`` writes a
+prediction file a row at a time through ``csv.writer``.
 """
 
+import csv
 from itertools import compress, repeat
 from operator import eq
 
@@ -92,3 +94,18 @@ def evaluate_oracle(pred_path, id_cells, label_cells, class_cells, positive):
     acts = list(compress(paired, keep))
     preds = list(compress(label_cells, keep))
     return confusion_oracle(preds, acts, positive), len(acts)
+
+
+def write_predictions_oracle(out_path, classes, chunks):
+    """``evaluation.write_predictions``'s file, one ``csv.writer`` row per
+    record: its id, ``repr`` of each probability, its label and its skip
+    text, each looked up through the record's ending."""
+    with open(out_path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["record_id", *(f"p_{c}" for c in classes), "label", "skipped_nodes"])
+        record = 0
+        for probs, labels, skips, skip_index, endings in chunks:
+            for e in endings.tolist():
+                writer.writerow([str(record), *map(repr, probs[e].tolist()),
+                                 classes[labels[e]], skips[skip_index[e]]])
+                record += 1

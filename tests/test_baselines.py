@@ -216,18 +216,28 @@ class TestCsvPlumbing:
         assert model.dropped_rows == 12
         assert model.label2 == "bad"
 
-    def test_score_csv_shares_classification_format(self, tmp_path):
+    def test_score_csv_shares_classification_format(self, tmp_path, sizes):
+        """Also with a chunk every 7 rows and a block per row, so the counts
+        and record ids cross chunks, to the same bytes."""
         path = self.write_data(tmp_path, missing_every=9)
         model = fit_from_csv(self.SCHEMA, path, "quadratic")
-        out = tmp_path / "pred.csv"
-        summary = score_to_csv(model, self.SCHEMA, path, out)
-        with open(out, newline="", encoding="utf-8") as fh:
-            rows = list(csv.DictReader(fh))
-        assert summary["rows"] == len(rows) == 120
-        assert list(rows[0]) == ["record_id", "p_bad", "p_good", "label", "skipped_nodes"]
-        unscored = [r for r in rows if r["skipped_nodes"] == "features:missing"]
-        assert len(unscored) == summary["unscored"] == 14
-        assert all(r["label"] == "good" for r in unscored)
+        outs = []
+        for name in ("default", "small"):
+            if name == "small":
+                sizes(chunk_rows=7, block_bytes=1)
+            outs.append(tmp_path / f"{name}.csv")
+            summary = score_to_csv(model, self.SCHEMA, path, outs[-1])
+            with open(outs[-1], newline="", encoding="utf-8") as fh:
+                rows = list(csv.DictReader(fh))
+            assert summary["rows"] == len(rows) == 120
+            assert list(rows[0]) == ["record_id", "p_bad", "p_good", "label", "skipped_nodes"]
+            assert [r["record_id"] for r in rows] == list(map(str, range(120)))
+            unscored = [r for r in rows if r["skipped_nodes"] == "features:missing"]
+            assert len(unscored) == summary["unscored"] == 14
+            assert all(r["label"] == "good" for r in unscored)
+            flagged = sum(r["label"] == "bad" for r in rows)
+            assert summary["flagged"] == flagged > 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     @pytest.mark.parametrize("kind", ["linear", "quadratic"])
     def test_features_are_the_continuous_variables_in_schema_order(self, tmp_path, kind):

@@ -1,5 +1,6 @@
 import csv
 import tempfile
+from collections import Counter
 from itertools import compress
 from pathlib import Path
 from unittest import mock
@@ -13,10 +14,11 @@ from rarebayes import ConfusionCounts, EvaluationError, confusion, default_grid,
 from rarebayes import dataio
 from rarebayes.dataio import CsvDataset, missing_mask
 from rarebayes.evaluation import evaluate_files, format_pct, rows_to_csv_lines, sweep_rows
-from rarebayes.evaluation import volume_ratio
+from rarebayes.evaluation import volume_ratio, write_predictions
 from rarebayes.inference import count_scores, iter_scored
 
 from evaluation_oracle import confusion_oracle, evaluate_oracle, sweep_oracle
+from evaluation_oracle import write_predictions_oracle
 
 
 class TestConfusion:
@@ -334,6 +336,56 @@ def test_evaluate_files_matches_list_oracle(data, block_chars):
         want = outcome(evaluate_oracle, str(pred_path), [rid for rid, _ in preds],
                        [label for _, label in preds], class_cells, positive)
     assert got == want
+
+
+# -- the one prediction writer against a row-at-a-time csv.writer --------------
+
+# cells csv.writer quotes (a comma, a quote, a leading space, a line end) among plain ones
+CELLS = st.one_of(
+    st.sampled_from(["good", "bad", "a,b", 'say "hi"', " lead", "x:missing;y:pruned"]),
+    st.text(st.sampled_from(["a", ",", '"', " ", "\r", "\n", ":", ";"]), max_size=5),
+)
+PROBABILITIES = st.one_of(
+    st.floats(0.0, 1.0),
+    st.sampled_from([0.0, 1.0, 5e-324, 1e-310, 2.2250738585072014e-308]),
+)
+
+
+@st.composite
+def prediction_chunks(draw, k):
+    """One ``write_predictions`` chunk over ``k`` classes: up to 5 endings,
+    and up to 12 rows that may repeat an ending."""
+    n = draw(st.integers(0, 5))
+
+    def indices(bound, size):
+        return np.array(draw(st.lists(st.integers(0, bound - 1), min_size=size, max_size=size))
+                        if bound else [], dtype=np.intp)
+
+    probs = draw(st.lists(st.lists(PROBABILITIES, min_size=k, max_size=k),
+                          min_size=n, max_size=n))
+    skips = draw(st.lists(CELLS, min_size=1, max_size=4, unique=True))
+    endings = indices(n, draw(st.integers(0, 12 if n else 0)))
+    return (np.array(probs, dtype=np.float64).reshape(n, k), indices(k, n), skips,
+            indices(len(skips), n), endings)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from([1, 3, 4096]))
+def test_write_predictions_matches_row_oracle(data, batch):
+    """Quoted class names and skip texts, 0.0, 1.0 and subnormal
+    probabilities, repeated endings, empty chunks and no chunk at all, with
+    write batches that split chunks."""
+    classes = data.draw(st.lists(CELLS, min_size=1, max_size=4, unique=True))
+    chunks = data.draw(st.lists(prediction_chunks(len(classes)), max_size=4))
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(dataio, "_WRITE_ROWS", batch):
+        got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
+        counts = write_predictions(got, classes, chunks)
+        write_predictions_oracle(want, classes, chunks)
+        assert got.read_bytes() == want.read_bytes()
+    written = Counter(classes[labels[e]] for _, labels, _, _, endings in chunks
+                      for e in endings.tolist())
+    assert dict(zip(classes, counts.tolist())) == {c: written[c] for c in classes}
 
 
 @pytest.mark.parametrize("chunk_rows", [7, 65536])
