@@ -21,7 +21,7 @@ blank lines are ignored.
 
 The one missing-cell rule, which every training pass, scorer and
 baseline applies, lives here.  A class or field cell is MISSING when it
-is ``?`` or empty (:func:`missing_mask`).  A continuous cell is also
+is ``?`` or empty (``MISSING_CELLS``).  A continuous cell is also
 MISSING when it does not parse to a finite float: garbage, ``nan`` and
 ``±inf``; :func:`parse_float_column`, the one float parser, returns NaN
 for each.  Entropy cuts are defined over finite values only (Fayyad &
@@ -40,10 +40,12 @@ cell only when the column also holds garbage.
 file holds no quotes, as in Mühlbauer et al., *Instant Loading for Main
 Memory Databases* (PVLDB 2013), and Ge et al., *Speculative Distributed
 CSV Data Parsing for Big Data Analytics* (SIGMOD 2019).  It opens the
-file in binary and reads blocks of ``_BLOCK_BYTES`` bytes, each extended
-to the next ``\n`` byte and decoded from UTF-8 once; a ``\n`` byte is
-never part of a multi-byte sequence, so every block decodes whole.  A
-block ending in ``\r\n`` is split on ``\r\n``, any other on ``\n``.
+file in binary and reads ``_BLOCK_BYTES`` bytes at a time, in one read
+loop for the header and every block.  It cuts what it holds at the last
+line end, where ``csv`` ends a record (``\r\n``, ``\n`` or a lone
+``\r``), and decodes each block from UTF-8 once; a line end is never part
+of a multi-byte sequence, so every block decodes whole.  A block ending
+in ``\r\n`` is split on ``\r\n``, any other on ``\n``.
 The fast path joins the lines with ``",\n"`` and splits once on ``,``;
 that one split also checks the block's line structure.  Each inserted
 ``\n`` follows an inserted comma, so it starts a cell and no cell holds
@@ -62,18 +64,18 @@ The rest falls back to ``csv.reader`` with the same blank-line and
 field-count rules:
 
 - a quote-free block with a blank, ragged or over-long line, or a stray
-  or mixed line end, is parsed by ``csv.reader`` as one block, so a field
+  or mixed line end (every block of a file whose lines end in a lone
+  ``\r``), is parsed by ``csv.reader`` as one block, so a field
   longer than ``csv.field_size_limit()`` raises :class:`DatasetError` on
   either path;
 - from the line holding the first ``"`` on, because a quoted field can
   span lines, ``csv.reader`` reads the rest of the file, ``_CSV_ROWS``
   records at a time, from the same decoded blocks;
-- the header rule: a header line holding a ``"``, a ``\r`` other than
-  its line end's (``csv`` ends a record there, a byte ``readline`` does
-  not) or more than ``csv.field_size_limit()`` characters sends the whole
-  file to ``csv.reader``; any other is split on ``,``.
+- the header rule: a header line holding a ``"`` or more than
+  ``csv.field_size_limit()`` characters sends the whole file to
+  ``csv.reader``; any other is split on ``,``.
 
-Every line, up to its ``\n`` byte, is read only up to a bound: the
+Every line, up to its line end, is read only up to a bound: the
 header's width times the bytes of the longest field ``csv`` accepts,
 quoting and UTF-8 included (:func:`_line_bytes`), or ``_HEADER_BYTES``
 while the header record is read.  No well-formed row is longer, so a
@@ -138,8 +140,8 @@ MISSING_CELLS = frozenset((MISSING, ""))
 # Rows a reader's chunk holds at least, the last chunk excepted.
 _CHUNK_ROWS = 65536
 
-# Bytes per block read; each block is extended to the next line end and
-# decoded once.
+# Bytes per read; the reader cuts what it holds at the last line end and
+# decodes each cut once.
 _BLOCK_BYTES = 1 << 17
 
 # Bytes the header's line may take, its line end included: the header of
@@ -308,73 +310,76 @@ class CsvDataset:
 class _ByteReader:
     r"""A binary file read as UTF-8 text: its header, then blocks that end on a line end.
 
-    ``crc`` is the running CRC-32 of every byte read so far.  Each block of
-    ``_BLOCK_BYTES`` is extended to the next ``\n`` and decoded once; a
-    ``\n`` byte is never part of a multi-byte UTF-8 sequence, so a block
-    of a valid file always decodes whole.  Every line is read up to its
-    bound (:meth:`_rest_of_line`).
+    A line ends where ``csv`` ends a record: at ``\r\n``, ``\n`` or a lone
+    ``\r``.  One read loop (:meth:`_fill`) serves the header and every
+    block.  A line end is one ASCII byte or two, never part of a multi-byte
+    UTF-8 sequence, so every cut of a valid file decodes whole.  ``crc`` is
+    the running CRC-32 of every byte read so far.
     """
 
     def __init__(self, fh):
         self.fh = fh
         self.crc = 0
         self.width: int | None = None  # the header's field count, once read
+        self.held = bytearray()  # bytes read and not yet handed out
 
-    def _checked(self, data: bytes) -> str:
-        self.crc = zlib.crc32(data, self.crc)
-        return data.decode("utf-8")
-
-    def _rest_of_line(self, held: int) -> bytes:
-        """The rest of a line whose first ``held`` bytes are read; raise
-        :class:`DatasetError` rather than read past the line's bound.
-
-        The bound is ``_HEADER_BYTES`` until the header record is read, then
-        :func:`_line_bytes` of its width.  A line longer than ``_BLOCK_BYTES``
-        crosses the end of the block it starts in, so every line past its
-        bound ends up here."""
+    def _fill(self) -> int:
+        r"""How many held bytes the next cut hands out: up to their last line
+        end, or all at the end of the file.  More bytes are read only while
+        the held bytes hold no line end; a ``\r`` that ends them is none yet,
+        as it may begin a ``\r\n``.  Only the first held line can span reads,
+        so it alone is held to a bound: ``_HEADER_BYTES`` until the header
+        record is read, then :func:`_line_bytes` of its width.  A longer line
+        raises :class:`DatasetError` rather than be read on."""
+        held, start = self.held, 0
         bound = _HEADER_BYTES if self.width is None else _line_bytes(self.width)
-        rest = self.fh.readline(bound - held + 1)
-        if held + len(rest) > bound:
+        while not (cut := max(held.rfind(b"\n", start), held.rfind(b"\r", start, -1)) + 1):
+            if len(held) > bound or not (data := self.fh.read(_BLOCK_BYTES)):
+                break
+            start = max(len(held) - 1, 0)  # a held-back \r is decided by the next byte
+            self.crc = zlib.crc32(data, self.crc)
+            held += data
+        cut = cut or len(held)
+        if _first_end(held, cut) > bound:
             what = ("the header" if self.width is None
                     else f"a well-formed row of {self.width} fields")
-            raise DatasetError(
-                f"{self.fh.name} has a line longer than {bound} bytes, "
-                f"more than {what} can take"
-            )
-        return rest
+            raise DatasetError(f"{self.fh.name} has a line longer than {bound} bytes, "
+                               f"more than {what} can take")
+        return cut
+
+    def _take(self, size: int) -> str:
+        """The first ``size`` held bytes, decoded and no longer held."""
+        text = str(memoryview(self.held)[:size], "utf-8")
+        del self.held[:size]  # the bytes go before the caller splits the text
+        return text
 
     def header(self) -> tuple[list[str] | None, Iterator[list[str]] | None]:
         r"""The first record as ``csv.reader`` parses it (None if blank or absent),
-        and the ``csv.reader`` reading on if the line holds a ``"`` (a quoted
-        name can span lines), a ``\r`` before its line end (``csv`` ends a
-        record there, ``readline`` does not) or more than
-        ``csv.field_size_limit()`` characters; any other line is split on ``,``."""
-        head = self._checked(self._rest_of_line(0))
+        and the ``csv.reader`` reading on if the first line holds a ``"`` (a
+        quoted name can span lines) or more than ``csv.field_size_limit()``
+        characters; any other line is split on ``,``.  Only the first line is
+        decoded; the bytes after it stay held for :meth:`blocks`."""
+        head = self._take(_first_end(self.held, self._fill()))
         line = head.removesuffix("\n").removesuffix("\r")
-        if '"' in line or "\r" in line or len(line) > csv.field_size_limit():
-            records = csv.reader(_lines(chain([head], self._after_header())))
+        if '"' in line or len(line) > csv.field_size_limit():
+            records = csv.reader(_lines(chain([head], self.blocks())))
             row = next(records, None)
         else:
             row, records = (line.split(",") if line else None), None
         self.width = len(row or ())
         return row, records
 
-    def _after_header(self) -> Iterator[str]:
-        """The lines after the first, one at a time while ``csv.reader`` reads
-        the header record, so each has the header's bound; then the blocks."""
-        while self.width is None and (line := self._rest_of_line(0)):
-            yield self._checked(line)
-        yield from self.blocks()
-
     def blocks(self) -> Iterator[str]:
-        """The rest of the file, block by block."""
-        fh = self.fh
-        while data := fh.read(_BLOCK_BYTES):
-            if data[-1] != 0x0A:
-                data += self._rest_of_line(len(data) - data.rfind(b"\n") - 1)
-            text = self._checked(data)
-            del data  # the bytes go before the caller splits the text
-            yield text
+        """The rest of the file, cut by cut."""
+        while cut := self._fill():
+            yield self._take(cut)
+
+
+def _first_end(held: bytearray, cut: int) -> int:
+    r"""The length of the first line of ``held[:cut]``, its line end included:
+    up to its first ``\n``, ``\r\n`` or lone ``\r``, or ``cut`` if it has none."""
+    n, r = held.find(b"\n", 0, cut), held.find(b"\r", 0, cut)
+    return (n if r < 0 or 0 <= n <= r + 1 else r) + 1 or cut
 
 
 def _line_bytes(width: int) -> int:
@@ -382,8 +387,8 @@ def _line_bytes(width: int) -> int:
     end included, but never less than ``_BLOCK_BYTES``: each field holds at
     most ``csv.field_size_limit()`` characters of at most 4 UTF-8 bytes (a
     doubled ``"`` takes 2) inside two quotes, and a ``,`` or ``\r\n`` ends it.
-    A lower bound would miss a long line inside one block, and could give
-    ``readline`` a size below 1, which reads with no bound at all."""
+    A lower bound would miss a long line inside one read, since the reader
+    bounds only the line that spans reads."""
     return max(width * (4 * csv.field_size_limit() + 3) + 1, _BLOCK_BYTES)
 
 
@@ -425,7 +430,8 @@ def _check_header(reader: _ByteReader, row: list[str] | None, header: list[str])
 
 def _lines(texts: Iterable[str]) -> Iterator[str]:
     r"""The lines of ``texts`` as a text file opened with ``newline=""`` reads
-    them; every text but the last ends in ``\n``, so no line spans two."""
+    them; every text but the last ends on a line end and none starts with
+    the ``\n`` of a ``\r\n``, so no line spans two."""
     return chain.from_iterable(io.StringIO(text, newline="") for text in texts)
 
 
@@ -581,11 +587,6 @@ def write_rows(fh, columns: Sequence[Iterable[str]]) -> None:
     while batch := list(islice(lines, _WRITE_ROWS)):
         batch.append("")
         fh.write("\r\n".join(batch))
-
-
-def missing_mask(col: Sequence[str]) -> np.ndarray:
-    """True where a raw class or field cell is MISSING."""
-    return np.fromiter(map(MISSING_CELLS.__contains__, col), dtype=bool, count=len(col))
 
 
 class ClassCodes:

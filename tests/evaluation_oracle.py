@@ -6,7 +6,8 @@ and a full sort of the scores.
 raw class cells the way the ``evaluate`` command did; ``confusion_oracle``
 and ``sweep_oracle`` are the list-based bodies of ``evaluation.confusion``
 and ``evaluation.sweep``.  ``write_predictions_oracle`` writes a
-prediction file a row at a time through ``csv.writer``.
+prediction file a row at a time through ``csv.writer``.  ``missing_mask``
+marks the raw cells that are MISSING.
 """
 
 import csv
@@ -16,7 +17,12 @@ from operator import eq
 import numpy as np
 
 from rarebayes import ConfusionCounts, EvaluationError, default_grid, fcv
-from rarebayes.dataio import MISSING, missing_mask
+from rarebayes.dataio import MISSING, MISSING_CELLS
+
+
+def missing_mask(col):
+    """True where a raw class or field cell is MISSING."""
+    return np.fromiter(map(MISSING_CELLS.__contains__, col), dtype=bool, count=len(col))
 
 
 def confusion_oracle(predictions, actuals, positive, negative=None):

@@ -19,7 +19,7 @@ from rarebayes.baselines import fit_from_csv, score_to_csv
 from rarebayes.dataio import CsvDataset
 from rarebayes.synthgen import CategoricalSpec, ContinuousSpec, GenConfig, load_config, load_truth
 
-from fixture_configs import messy_config
+from fixture_configs import big_config, messy_config
 
 SCHEMA = parse_schema("class y\nvar a categorical\nvar b categorical\n")
 
@@ -246,24 +246,68 @@ def test_oversized_field_is_dataset_error_quoted_or_not(tmp_path):
     assert read_records(ds) == [{"y": "g", "a": half, "b": half}]
 
 
+def header_line(size, end):
+    """A header line of ``size`` bytes, ``end`` included, of 21 names short
+    enough for ``csv.field_size_limit()``."""
+    body = size - len(end)
+    names = ["c" * ((body - 20) // 21)] * 21
+    names[-1] += "c" * (body - 20 - sum(map(len, names)))
+    return ",".join(names) + end
+
+
 def test_a_line_longer_than_any_row_is_an_error(tmp_path):
-    """A line one byte past the header's width times the longest
+    r"""A line one byte past the header's width times the longest
     well-formed field, here of short fields that csv would read as one
     rejected row, is a DatasetError; a line of exactly the bound is still a
-    rejected row.  The header's line has a bound of its own."""
+    rejected row.  The header's line has a bound of its own.  The line end
+    counts towards the bound, and ``\n``, ``\r\n`` and a lone ``\r`` end a
+    line alike."""
     bound = dataio._line_bytes(3)
-    line = ("a," * bound)[:bound - 1] + "\n"
-    ds = CsvDataset(write(tmp_path, f"y,a,b\ng,1,2\n{line}g,3,4\n"))
-    assert len(read_records(ds)) == 2 and ds.stats.rejected == 1
-    ds = CsvDataset(write(tmp_path, f"y,a,b\ng,1,2\na{line}g,3,4\n", name="long.csv"))
-    with pytest.raises(DatasetError, match=f"long.csv has a line longer than {bound} bytes"):
-        read_records(ds)
-    header = "y,a,b," + "c," * (dataio._HEADER_BYTES // 2) + "d\n"
-    # a quoted name that spans lines keeps csv reading the header record
-    for name, text in (("head.csv", header), ("quoted.csv", f'"y\n{header}')):
-        with pytest.raises(DatasetError, match=f"{name} has a line longer than "
-                                               f"{dataio._HEADER_BYTES} bytes"):
-            CsvDataset(write(tmp_path, text, name=name)).header()
+    for end in ("\n", "\r\n", "\r"):
+        line = ("a," * bound)[:bound - len(end)] + end
+        ds = CsvDataset(write(tmp_path, f"y,a,b{end}g,1,2{end}{line}g,3,4{end}"))
+        assert len(read_records(ds)) == 2 and ds.stats.rejected == 1
+        ds = CsvDataset(write(tmp_path, f"y,a,b{end}g,1,2{end}a{line}g,3,4{end}",
+                              name="long.csv"))
+        with pytest.raises(DatasetError, match=f"long.csv has a line longer than {bound} bytes"):
+            read_records(ds)
+        header = header_line(dataio._HEADER_BYTES, end)
+        assert len(CsvDataset(write(tmp_path, header + "g\n", name="fits.csv")).header()) == 21
+        header = "y,a,b," + "c," * (dataio._HEADER_BYTES // 2) + "d" + end
+        # a quoted name that spans lines keeps csv reading the header record
+        for name, text in (("head.csv", header), ("quoted.csv", f'"y{end}{header}'),
+                           ("names.csv", header_line(dataio._HEADER_BYTES + 1, end))):
+            with pytest.raises(DatasetError, match=f"{name} has a line longer than "
+                                                   f"{dataio._HEADER_BYTES} bytes"):
+                CsvDataset(write(tmp_path, text, name=name)).header()
+
+
+def test_a_lone_cr_file_reads_as_its_lf_copy(tmp_path):
+    r"""A generated file past the header's 2 MiB bound, with a ragged row
+    and a blank line, reads the same header, columns, rows and rejected rows
+    with lone ``\r`` line ends as with ``\n``, and trains to the same
+    model bytes: the reader ends a line where csv ends a record."""
+    result = generate(big_config(n=24_000), tmp_path / "fixture")
+    schema = parse_schema(result.schema_path.read_text(encoding="utf-8"))
+    lines = result.data_path.read_bytes().split(b"\r\n")
+    lines[5000:5000] = [b"ragged,row", b""]
+    reads = {}
+    for end in (b"\n", b"\r"):
+        path = tmp_path / f"end{end[0]}" / "data.csv"
+        path.parent.mkdir()
+        path.write_bytes(end.join(lines))
+        assert path.stat().st_size > dataio._HEADER_BYTES
+        ds = CsvDataset(path)
+        header = ds.header()
+        columns = {name: [] for name in header}
+        for chunk in ds.iter_chunks(header):
+            for name in header:
+                columns[name] += chunk.columns[name]
+        train(schema, path, seed=1).save(path.parent / "model.json")
+        reads[end] = (header, columns, ds.stats.rows, ds.stats.rejected,
+                      (path.parent / "model.json").read_bytes())
+    assert reads[b"\n"][2:4] == (24_000, 1)
+    assert reads[b"\r"] == reads[b"\n"]
 
 
 @pytest.mark.parametrize("where", ["header", "row"])
@@ -750,8 +794,8 @@ def test_missing_cell_rule():
     """``?`` and the empty cell are MISSING; nothing else is, not even a
     blank-looking or ``nan`` category."""
     cells = ["?", "", " ", "a", "??", "nan", "inf", "0"]
-    assert dataio.missing_mask(cells).tolist() == [True, True] + [False] * 6
-    assert dataio.missing_mask([]).shape == (0,)
+    assert (dataio.ClassCodes()(cells) == -1).tolist() == [True, True] + [False] * 6
+    assert dataio.ClassCodes()([]).shape == (0,)
 
 
 NUMBER_TEXT = st.one_of(

@@ -12,12 +12,12 @@ from hypothesis import strategies as st
 
 from rarebayes import ConfusionCounts, EvaluationError, confusion, default_grid, fcv, sweep
 from rarebayes import dataio
-from rarebayes.dataio import CsvDataset, missing_mask
+from rarebayes.dataio import CsvDataset
 from rarebayes.evaluation import evaluate_files, format_pct, rows_to_csv_lines, sweep_rows
 from rarebayes.evaluation import volume_ratio, write_predictions
 from rarebayes.inference import count_scores, iter_scored
 
-from evaluation_oracle import confusion_oracle, evaluate_oracle, sweep_oracle
+from evaluation_oracle import confusion_oracle, evaluate_oracle, missing_mask, sweep_oracle
 from evaluation_oracle import write_predictions_oracle
 
 

@@ -21,14 +21,14 @@ from operator import itemgetter
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from rarebayes import classify_file, dataio, generate, parse_schema, train
 from rarebayes.cli import run
 from rarebayes.outcomes import RESERVOIR_CAPACITY
 from rarebayes.schema import format_schema
-from rarebayes.synthgen import GroupSpec, NoiseSpec, config_to_doc
+from rarebayes.synthgen import CategoricalSpec, GenConfig, GroupSpec, NoiseSpec, config_to_doc
 
 from fixture_configs import (
     gen_configs, indep_config, messy_config, number_paths, recovery_config,
@@ -98,6 +98,46 @@ def test_row_and_column_order_change_no_output_byte(tmp_path_factory, cfg, data)
         "columns reversed": [row[::-1] for row in rows],
     }
     assert_same_bytes(root, cfg, schema, variants, data.draw(st.integers(0, 2**31)))
+
+
+# Two categoricals that are always MISSING and a mostly MISSING noise field:
+# 1,024 rows on which first-seen class codes in pass 1 move an entropy edge.
+THREE_CLASS_EXAMPLE = GenConfig(
+    n=1024, seed=0, class_var="class", class_labels=("good", "bad"), positive_rate=0.5,
+    categorical=tuple(CategoricalSpec(name, ("o0",), {"good": (1.0,), "bad": (1.0,)}, 1.0)
+                      for name in ("v0", "v1")),
+    noise=(NoiseSpec("v2", mean=0.0, sd=1.0, missing_rate=0.75),))
+
+
+@given(cfg=gen_configs(sizes=st.integers(20, 1500)), rate=st.floats(0.2, 0.8),
+       source=st.integers(0, 1), shuffle=st.integers(0, 2**32), seed=st.integers(0, 2**31))
+@example(cfg=THREE_CLASS_EXAMPLE, rate=0.78515625, source=1, shuffle=8188447, seed=0)
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_three_class_row_order_changes_no_output_byte(tmp_path_factory, cfg, rate, source,
+                                                      shuffle, seed):
+    """The order relation above on three classes: a seeded share of one
+    class's rows is relabelled to a third class, and the file trains to the
+    same model bytes with each class's row on top in turn and with its
+    columns reversed.  With three classes the order of an entropy sum can
+    reach the bin edges' bits, so first-seen class codes would show."""
+    assert cfg.n < RESERVOIR_CAPACITY
+    cfg = replace(cfg, group=None, positive_rate=rate)
+    root = tmp_path_factory.mktemp("metamorphic-three")
+    result = generate(cfg, root / "fixture")
+    schema = parse_schema(result.schema_path.read_text(encoding="utf-8"))
+    rows = read_csv(result.data_path)
+    col = rows[0].index(cfg.class_var)
+    rng = random.Random(shuffle)
+    share = rng.uniform(0.2, 0.8)
+    for row in rows[1:]:
+        if row[col] == cfg.class_labels[source] and rng.random() < share:
+            row[col] = "third"
+    classes = sorted({row[col] for row in rows[1:]})
+    assume(len(classes) == 3)
+    write_csv(result.data_path, rows)
+    variants = {f"{label} on top": with_first(rows, col, label, rng) for label in classes}
+    variants["columns reversed"] = [row[::-1] for row in rows]
+    assert_same_bytes(root, cfg, schema, variants, seed)
 
 
 def with_groups_shuffled(rows: list[list[str]], col: int, rng: random.Random):
@@ -260,6 +300,33 @@ def test_reader_sizes_change_no_output_byte(tmp_path_factory, sizes, cfg, rate, 
     expected = command_results(root, cfg)
     sizes(**small)
     assert command_results(root, cfg) == expected
+
+
+@given(cfg=gen_configs(sizes=st.integers(40, 300)), rate=st.floats(0.2, 0.8),
+       block_bytes=st.integers(1, 300))
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+def test_line_ends_change_no_output_byte(tmp_path_factory, sizes, cfg, rate, block_bytes):
+    r"""``train``, ``classify``, ``evaluate``, ``sweep --csv`` and ``baseline
+    --kind quadratic`` give the same exit code, stderr and output bytes on a
+    generated file (``\r\n`` line ends) and on its ``\n`` and lone-``\r``
+    copies, at the default block size and at one of 1-300 bytes, at which
+    ``\r\n`` pairs straddle reads."""
+    cfg = replace(cfg, positive_rate=rate,
+                  noise=(*cfg.noise, NoiseSpec("z", mean=0.0, sd=1.0, missing_rate=0.1)))
+    root = tmp_path_factory.mktemp("line-ends")
+    result = generate(cfg, root / "fixture")
+    shutil.copy(result.schema_path, root / "schema.txt")
+    original = result.data_path.read_bytes()
+    (root / "data.csv").write_bytes(original)
+    sizes(**DEFAULT_SIZES)
+    expected = command_results(root, cfg)
+    for size, ends in ((DEFAULT_SIZES["block_bytes"], (b"\n", b"\r")),
+                       (block_bytes, (b"\r\n", b"\n", b"\r"))):
+        sizes(block_bytes=size)
+        for end in ends:
+            (root / "data.csv").write_bytes(original.replace(b"\r\n", end))
+            assert command_results(root, cfg) == expected, (size, end)
 
 
 # Bytes a mutation inserts: CSV structure, MISSING and non-finite cells, a
