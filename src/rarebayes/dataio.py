@@ -44,8 +44,10 @@ file in binary and reads ``_BLOCK_BYTES`` bytes at a time, in one read
 loop for the header and every block.  It cuts what it holds at the last
 line end, where ``csv`` ends a record (``\r\n``, ``\n`` or a lone
 ``\r``), and decodes each block from UTF-8 once; a line end is never part
-of a multi-byte sequence, so every block decodes whole.  A block ending
-in ``\r\n`` is split on ``\r\n``, any other on ``\n``.
+of a multi-byte sequence, so every block decodes whole.  A block is split
+on its own line end: ``\r\n`` when it ends in one, a lone ``\r`` when it
+ends in one, ``\n`` otherwise.  Blank lines are dropped, as ``csv`` skips
+them, so a block of blank lines alone holds no rows.
 The fast path joins the lines with ``",\n"`` and splits once on ``,``;
 that one split also checks the block's line structure.  Each inserted
 ``\n`` follows an inserted comma, so it starts a cell and no cell holds
@@ -54,18 +56,18 @@ cells, the ``n - 1`` inserted ``\n`` are the only ones and all of them
 sit in the cells at ``width, 2 * width, ...``, line ``k`` starts at cell
 ``k * width`` and every line has exactly ``width`` fields.  The block
 takes the fast path when that holds, it has no ``"``, no ``\r`` is left
-after the split, and no line is empty or longer than
-``csv.field_size_limit()``.  It then splits each line as ``csv.reader``
-would.  The wanted columns are sliced out of the one split; column 0
-carries the inserted ``\n`` and is stripped of them only when wanted.
+after the split, and no line is longer than ``csv.field_size_limit()``.
+It then splits each line as ``csv.reader`` would.  The wanted columns
+are sliced out of the one split; column 0 carries the inserted ``\n``
+and is stripped of them only when wanted.
 (``str.splitlines`` is not used: it also breaks on ``\x0c``, ``\u2028``
 and others, which ``csv`` keeps inside a field.)
 The rest falls back to ``csv.reader`` with the same blank-line and
 field-count rules:
 
-- a quote-free block with a blank, ragged or over-long line, or a stray
-  or mixed line end (every block of a file whose lines end in a lone
-  ``\r``), is parsed by ``csv.reader`` as one block, so a field
+- a quote-free block falls back for three reasons only, a ragged line,
+  a line longer than ``csv.field_size_limit()``, or a stray or mixed
+  line end; it is parsed by ``csv.reader`` as one block, so a field
   longer than ``csv.field_size_limit()`` raises :class:`DatasetError` on
   either path;
 - from the line holding the first ``"`` on, because a quoted field can
@@ -412,7 +414,7 @@ def _pieces(reader: _ByteReader, header: list[str], idx: list[int]) -> Iterator[
         if quote < 0:
             yield _block_piece(block, width, idx)
             continue
-        cut = block.rfind("\n", 0, quote) + 1
+        cut = max(block.rfind("\n", 0, quote), block.rfind("\r", 0, quote)) + 1
         yield _block_piece(block[:cut], width, idx)
         records = csv.reader(_lines(chain([block[cut:]], blocks)))
         break
@@ -438,19 +440,25 @@ def _lines(texts: Iterable[str]) -> Iterator[str]:
 def _block_piece(block: str, width: int, idx: list[int]) -> _Piece:
     r"""Split a quote-free block of whole lines; ``csv.reader`` takes odd blocks.
 
-    The lines are joined with ``",\n"`` and split once on ``,``.  Each
-    ``\n`` marker so inserted follows a comma, so it starts a cell and no
-    cell holds two.  The block is accepted when it has ``n * width`` cells,
-    its ``n - 1`` markers are its only ``\n`` and all sit in the cells at
-    ``width, 2 * width, ...``, no ``\r`` is left, and no line is blank or
-    longer than ``csv.field_size_limit()``.  Then line ``k`` starts at cell
-    ``k * width``, so every line has exactly ``width`` fields and ``csv``
-    would split it the same way.  Column 0 carries the markers; it is
-    stripped of them only when it is wanted.
+    The block is split on the line end it ends in (``\r\n``, a lone ``\r``,
+    else ``\n``) and its blank lines are dropped, as ``csv`` skips them; a
+    block of blank lines alone is a piece of no rows.  The ``n`` lines left
+    are joined with ``",\n"`` and split once on ``,``.  Each ``\n`` marker
+    so inserted follows a comma, so it starts a cell and no cell holds two.
+    The block is accepted when it has ``n * width`` cells, its ``n - 1``
+    markers are its only ``\n`` and all sit in the cells at ``width, 2 *
+    width, ...``, no ``\r`` is left, and no line is longer than
+    ``csv.field_size_limit()``.  Then line ``k`` starts at cell ``k *
+    width``, so every line has exactly ``width`` fields and ``csv`` would
+    split it the same way.  So a ragged line, an over-long line or a stray
+    or mixed line end sends the block to ``csv.reader``, and nothing else
+    does.  Column 0 carries the markers; it is stripped of them only when
+    it is wanted.
     """
-    lines = block.split("\r\n" if block.endswith("\r\n") else "\n")
-    if lines[-1] == "":
-        lines.pop()
+    end = "\r\n" if block.endswith("\r\n") else "\r" if block.endswith("\r") else "\n"
+    lines = list(filter(None, block.split(end)))  # csv skips blank lines
+    if not lines:
+        return 0, [[] for _ in idx], 0
     n = len(lines)
     text = ",\n".join(lines)
     flat = text.split(",")
@@ -460,8 +468,7 @@ def _block_piece(block: str, width: int, idx: list[int]) -> _Piece:
         or "\r" in text
         or starts.count("\n") != n - 1
         or text.count("\n") != n - 1
-        or "" in lines
-        or max(map(len, lines), default=0) > csv.field_size_limit()
+        or max(map(len, lines)) > csv.field_size_limit()
     ):
         return _csv_piece(list(csv.reader(io.StringIO(block, newline=""))), width, idx)
     return n, [starts.split("\n") if i == 0 else flat[i::width] for i in idx], 0

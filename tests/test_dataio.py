@@ -477,6 +477,16 @@ def decode_rows(wanted):
 # multi-byte characters cut by 1-byte blocks
 @example(case=("c0,c1\n\u00e9,b\nc,\u20ac\u2028\n", ["c0", "c1"]), chunk_rows=1,
          block_chars=1, csv_rows=1, decoded=False)
+# a lone-\r body with blank lines, ending in one: the last block is the held-back \r
+@example(case=("c0,c1\ra,b\r\rc,d\r\r", ["c0", "c1"]), chunk_rows=1,
+         block_chars=1, csv_rows=1, decoded=False)
+@example(case=("c0,c1\ra,b\r\rc,d\r\r", ["c1"]), chunk_rows=8,
+         block_chars=1 << 20, csv_rows=1024, decoded=True)
+# a body of blank lines only
+@example(case=("c0,c1\r\n\r\n\r\n\r\n", ["c0"]), chunk_rows=1,
+         block_chars=1, csv_rows=1, decoded=False)
+@example(case=("c0,c1\r\n\r\n\r\n\r\n", ["c0", "c1"]), chunk_rows=8,
+         block_chars=1 << 20, csv_rows=1024, decoded=True)
 # a header that starts with a UTF-8 byte order mark, which stays in its first name
 @example(case=("\ufeffc0,c1\r\na,b\r\n", ["c1"]), chunk_rows=8,
          block_chars=1 << 20, csv_rows=1024, decoded=True)
@@ -516,14 +526,23 @@ def test_reader_matches_csv_module(case_dir, case, chunk_rows, block_chars, csv_
     assert (ds.stats.passes, ds.stats.rows, ds.stats.rejected) == (1, rows, rejected)
 
 
-@pytest.mark.parametrize("line_end", ["\r\n", "\n"])
-def test_generated_files_take_the_fast_path(tmp_path, sizes, line_end):
-    r"""A generated file (``\r\n`` line ends) and a ``\n`` copy of it are
-    read without ``csv.reader``, every column as the csv module reads it.
-    The equivalence property cannot see a fast path that never fires."""
+@pytest.mark.parametrize("line_end, blank", [
+    pytest.param(end, blank, id=end + "-blank" * blank)
+    for blank in (False, True) for end in ("\r\n", "\n", "\r")])
+def test_generated_files_take_the_fast_path(tmp_path, sizes, line_end, blank):
+    r"""A generated file (``\r\n`` line ends) and its ``\n`` and lone-``\r``
+    copies, each also with a blank line after every row whose number ends
+    in 0 and two at the end, are read without ``csv.reader``, every column
+    as the csv module reads it.  The equivalence property cannot see a fast
+    path that never fires."""
     data = generate(messy_config(n=3000), tmp_path / "fixture").data_path
     raw = data.read_bytes()
     assert raw.count(b"\r\n") == 3001 and b'"' not in raw
+    if blank:
+        lines = raw.split(b"\r\n")[:-1]  # the header and rows 1-3000
+        raw = b"".join(line + b"\r\n" * (1 + (i > 0 and i % 10 == 0))
+                       for i, line in enumerate(lines)) + b"\r\n\r\n"
+        assert raw.count(b"\r\n") == 3001 + 300 + 2
     path = tmp_path / "data.csv"
     path.write_bytes(raw.replace(b"\r\n", line_end.encode()))
     ds = CsvDataset(path)

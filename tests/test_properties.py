@@ -100,6 +100,17 @@ def test_row_and_column_order_change_no_output_byte(tmp_path_factory, cfg, data)
     assert_same_bytes(root, cfg, schema, variants, data.draw(st.integers(0, 2**31)))
 
 
+def with_third_class(rows: list[list[str]], col: int, label: str,
+                     rng: random.Random) -> list[str]:
+    """Relabel a seeded share of the rows of class ``label`` (column ``col``)
+    to ``third``, in place; return the sorted classes of the body."""
+    share = rng.uniform(0.2, 0.8)
+    for row in rows[1:]:
+        if row[col] == label and rng.random() < share:
+            row[col] = "third"
+    return sorted({row[col] for row in rows[1:]})
+
+
 # Two categoricals that are always MISSING and a mostly MISSING noise field:
 # 1,024 rows on which first-seen class codes in pass 1 move an entropy edge.
 THREE_CLASS_EXAMPLE = GenConfig(
@@ -128,11 +139,7 @@ def test_three_class_row_order_changes_no_output_byte(tmp_path_factory, cfg, rat
     rows = read_csv(result.data_path)
     col = rows[0].index(cfg.class_var)
     rng = random.Random(shuffle)
-    share = rng.uniform(0.2, 0.8)
-    for row in rows[1:]:
-        if row[col] == cfg.class_labels[source] and rng.random() < share:
-            row[col] = "third"
-    classes = sorted({row[col] for row in rows[1:]})
+    classes = with_third_class(rows, col, cfg.class_labels[source], rng)
     assume(len(classes) == 3)
     write_csv(result.data_path, rows)
     variants = {f"{label} on top": with_first(rows, col, label, rng) for label in classes}
@@ -173,6 +180,37 @@ def test_group_and_column_order_change_no_output_byte(tmp_path_factory, cfg, win
         "columns reversed": [row[::-1] for row in rows],
     }
     assert_same_bytes(root, cfg, schema, variants, data.draw(st.integers(0, 2**31)))
+
+
+@given(cfg=gen_configs(sizes=st.integers(20, 1500)), window=st.integers(2, 3),
+       group=st.builds(GroupSpec, st.sampled_from(["grp", "acct"]), st.integers(1, 50)),
+       rate=st.floats(0.2, 0.8), source=st.integers(0, 1), shuffle=st.integers(0, 2**32),
+       seed=st.integers(0, 2**31))
+@example(cfg=THREE_CLASS_EXAMPLE, window=3, group=GroupSpec("grp", 8), rate=0.38671875,
+         source=0, shuffle=6, seed=0)
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_three_class_group_order_changes_no_output_byte(tmp_path_factory, cfg, window, group,
+                                                        rate, source, shuffle, seed):
+    """The grouped relation above on three classes: a seeded share of one
+    class's rows is relabelled to a third class, and the file trains under
+    ``window`` 2-3 to the same model bytes with its groups shuffled whole
+    and with its columns reversed."""
+    assert cfg.n < RESERVOIR_CAPACITY
+    cfg = replace(cfg, group=group, positive_rate=rate)
+    root = tmp_path_factory.mktemp("metamorphic-grouped-three")
+    result = generate(cfg, root / "fixture")
+    schema = replace(parse_schema(result.schema_path.read_text(encoding="utf-8")),
+                     window=window)
+    rows = read_csv(result.data_path)
+    col = rows[0].index(cfg.class_var)
+    rng = random.Random(shuffle)
+    assume(len(with_third_class(rows, col, cfg.class_labels[source], rng)) == 3)
+    write_csv(result.data_path, rows)
+    variants = {
+        "groups shuffled": with_groups_shuffled(rows, rows[0].index(group.name), rng),
+        "columns reversed": [row[::-1] for row in rows],
+    }
+    assert_same_bytes(root, cfg, schema, variants, seed)
 
 
 def cli_model(root: Path, schema_text: str, rows: list[list[str]]) -> dict:
@@ -303,15 +341,18 @@ def test_reader_sizes_change_no_output_byte(tmp_path_factory, sizes, cfg, rate, 
 
 
 @given(cfg=gen_configs(sizes=st.integers(40, 300)), rate=st.floats(0.2, 0.8),
-       block_bytes=st.integers(1, 300))
+       block_bytes=st.integers(1, 300), blanks=st.lists(st.integers(0, 300), max_size=8))
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
-def test_line_ends_change_no_output_byte(tmp_path_factory, sizes, cfg, rate, block_bytes):
+def test_line_ends_change_no_output_byte(tmp_path_factory, sizes, cfg, rate, block_bytes,
+                                         blanks):
     r"""``train``, ``classify``, ``evaluate``, ``sweep --csv`` and ``baseline
     --kind quadratic`` give the same exit code, stderr and output bytes on a
     generated file (``\r\n`` line ends) and on its ``\n`` and lone-``\r``
     copies, at the default block size and at one of 1-300 bytes, at which
-    ``\r\n`` pairs straddle reads."""
+    ``\r\n`` pairs straddle reads.  At that size each line end also has a
+    copy with blank lines, which ``csv`` skips, after drawn rows and two at
+    the end of the file."""
     cfg = replace(cfg, positive_rate=rate,
                   noise=(*cfg.noise, NoiseSpec("z", mean=0.0, sd=1.0, missing_rate=0.1)))
     root = tmp_path_factory.mktemp("line-ends")
@@ -321,12 +362,17 @@ def test_line_ends_change_no_output_byte(tmp_path_factory, sizes, cfg, rate, blo
     (root / "data.csv").write_bytes(original)
     sizes(**DEFAULT_SIZES)
     expected = command_results(root, cfg)
-    for size, ends in ((DEFAULT_SIZES["block_bytes"], (b"\n", b"\r")),
-                       (block_bytes, (b"\r\n", b"\n", b"\r"))):
+    lines = original.split(b"\r\n")  # the header, the rows and the empty rest
+    for at in blanks:
+        lines.insert(1 + at % cfg.n, b"")
+    blank = b"\r\n".join(lines) + b"\r\n\r\n"
+    copies = [(DEFAULT_SIZES["block_bytes"], end, original) for end in (b"\n", b"\r")]
+    copies += [(block_bytes, end, body) for body in (original, blank)
+               for end in (b"\r\n", b"\n", b"\r")]
+    for size, end, body in copies:
         sizes(block_bytes=size)
-        for end in ends:
-            (root / "data.csv").write_bytes(original.replace(b"\r\n", end))
-            assert command_results(root, cfg) == expected, (size, end)
+        (root / "data.csv").write_bytes(body.replace(b"\r\n", end))
+        assert command_results(root, cfg) == expected, (size, end, body is blank)
 
 
 # Bytes a mutation inserts: CSV structure, MISSING and non-finite cells, a
