@@ -289,7 +289,7 @@ def fit_from_csv(
     """
     _check_args(kind, ridge)
     ds = as_dataset(data)
-    ds.require_columns(ds.schema_columns(schema, require_class=True))
+    ds.require_columns(schema.columns())
     names = _features(schema)
     coder = ClassCodes()
     dropped = 0

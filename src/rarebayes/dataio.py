@@ -12,7 +12,9 @@ unchanged file.  :meth:`CsvDataset.header` reads the header row with
 the same byte reader and the same header rule as every pass, and every
 pass raises unless the header it reads equals that one, which the
 wanted columns were indexed by; a column a pass requires may occur only
-once in the header.
+once in the header.  The reader knows no schema: a caller names the
+columns it requires (:meth:`rarebayes.schema.Schema.columns` for a
+schema's).
 
 Data files are RFC-4180-style CSV in UTF-8 with a header row; a file
 whose first line is blank or that is empty has none.  Rows whose field
@@ -133,7 +135,6 @@ from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
 import numpy as np
 
 from .errors import DatasetError
-from .schema import Schema
 
 MISSING = "?"
 # Raw class or field cells that are MISSING: the token and the empty cell.
@@ -217,15 +218,6 @@ class CsvDataset:
             raise DatasetError(
                 f"{self.path} header repeats required column(s): {', '.join(repeated)}"
             )
-
-    def schema_columns(self, schema: Schema, require_class: bool = True) -> list[str]:
-        """Columns a pass needs: fields, group key, and with ``require_class`` the class."""
-        cols = list(schema.var_names)
-        if schema.group_key:
-            cols.append(schema.group_key)
-        if require_class:
-            cols.append(schema.class_var)
-        return cols
 
     def iter_rows(self) -> Iterator[dict[str, str]]:
         """Yield well-formed rows as header-keyed dicts; count one pass at the end.

@@ -16,6 +16,13 @@ command (:func:`evaluate_files`) and the ``sweep`` command
 (:func:`~rarebayes.inference.count_scores`) fill the table a chunk at a
 time from small integer class codes, so neither holds an object per
 record; :func:`confusion` and :func:`sweep` fill it from label lists.
+
+The two commands judge labels differently.  ``sweep`` counts every label
+but the positive as a negative, one the model never saw or each other
+class of a three-class model, and drops a MISSING one.  ``evaluate``
+drops a pair whose actual label is MISSING, and refuses paired rows
+whose predicted and actual labels hold more than one label besides the
+positive (:func:`_check_labels`).
 The prediction file's row format lives here too: :func:`write_predictions`
 is its one writer, for ``classify`` and ``baseline`` alike.
 """

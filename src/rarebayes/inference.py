@@ -278,7 +278,7 @@ def iter_scored(
     not depend on their batch, so this changes no result.
     """
     ds = as_dataset(data)
-    ds.require_columns(ds.schema_columns(model.schema, require_class=labels))
+    ds.require_columns(model.schema.columns(require_class=labels))
     nodes = [rf.node for rf in model.ranked_fields]
     radices = [model.encoder.sizes[rf.var] for rf in model.ranked_fields]
     for n, codes, actuals in model.encoder.node_chunks(ds, nodes, labels):

@@ -21,7 +21,11 @@ nodes (``<var>@<slot>``).  The group column is neither the class nor a
 field variable.  Every check names the offending line.
 
 The JSON documents the package writes store each dataclass as its
-fields (``dataclasses.asdict``); :func:`from_json` is the one step back.
+fields (``dataclasses.asdict``); :func:`from_json` is the one step back,
+and :meth:`Schema.from_doc` the one step from a schema's document back
+to a :class:`Schema`.  :meth:`Schema.columns` names the columns a data
+file must hold for a schema.  Every name rule lives here: a generator
+config is judged by the :class:`Schema` it describes.
 """
 
 from __future__ import annotations
@@ -152,9 +156,25 @@ class Schema:
         for name in _KNOBS:
             _check_knob(name, getattr(self, name))
 
+    @staticmethod
+    def from_doc(doc: dict) -> "Schema":
+        """The inverse of ``asdict``: the schema whose document ``doc`` is."""
+        s = from_json(doc)
+        return Schema(**{**s, "field_vars": tuple(VariableSpec(**v) for v in s["field_vars"])})
+
     @property
     def var_names(self) -> list[str]:
         return [v.name for v in self.field_vars]
+
+    def columns(self, require_class: bool = True) -> list[str]:
+        """Columns a data file must hold: the fields, the group key, and
+        with ``require_class`` the class."""
+        cols = self.var_names
+        if self.group_key is not None:
+            cols.append(self.group_key)
+        if require_class:
+            cols.append(self.class_var)
+        return cols
 
     def variable(self, name: str) -> VariableSpec:
         for v in self.field_vars:

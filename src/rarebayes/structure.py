@@ -31,6 +31,10 @@ the fallback and CPT tables.
 
 The dataset is read exactly four times regardless of variable count or
 alphabet sizes; the model carries its :class:`PassStats` as proof.
+
+The model document holds the schema as ``asdict`` writes it, and
+:meth:`~rarebayes.schema.Schema.from_doc` reads it back; training
+requires the columns :meth:`~rarebayes.schema.Schema.columns` names.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ from .infometrics import (
     select_by_cumulative,
 )
 from .outcomes import OutcomeTable, VariableOutcomes, collect_outcomes
-from .schema import Schema, VariableSpec, from_json, is_utf8
+from .schema import Schema, from_json, is_utf8
 from .windows import WindowState, node_id, node_order, node_var_slot
 
 MODEL_FORMAT = "rarebayes-model-v1"
@@ -148,9 +152,7 @@ class NetworkModel:
         if fmt != MODEL_FORMAT:
             raise TrainingError(f"unrecognized model format {fmt!r}")
         try:
-            s = from_json(doc["schema"])
-            field_vars = tuple(VariableSpec(**v) for v in s["field_vars"])
-            schema = Schema(**{**s, "field_vars": field_vars})
+            schema = Schema.from_doc(doc["schema"])
             outcomes = OutcomeTable(
                 class_var=schema.class_var,
                 class_symbols=tuple(doc["class_symbols"]),
@@ -565,7 +567,7 @@ def train(
     tables would blow the cell budget.
     """
     ds = as_dataset(data)
-    ds.require_columns(ds.schema_columns(schema, require_class=True))
+    ds.require_columns(schema.columns())
 
     outcomes = collect_outcomes(schema, ds, seed=seed)
     if len(outcomes.class_symbols) < 2:

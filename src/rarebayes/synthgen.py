@@ -240,16 +240,9 @@ class GenConfig:
         if any(label in dataio.MISSING_CELLS for label in self.class_labels):
             raise ConfigError(f"class_labels may not include '' or {MISSING!r}, which the "
                               f"reader takes for a missing cell, got {list(self.class_labels)!r}")
-        names = [s.name for s in self.all_vars]
-        texts = [*self.class_labels, self.class_var, *names]
-        if self.group is not None:
-            texts.append(self.group.name)
-        if bad := [text for text in texts if not is_utf8(text)]:
-            raise ConfigError(f"class labels and names {few(bad)} cannot be written as UTF-8")
-        if len(set(names)) != len(names):
-            raise ConfigError("variable names must be unique")
-        if self.class_var in names:
-            raise ConfigError("class_var collides with a variable name")
+        if bad := [label for label in self.class_labels if not is_utf8(label)]:
+            raise ConfigError(f"class labels {few(bad)} cannot be written as UTF-8")
+        self.to_schema()  # the schema's rules judge every name, before any law
         for spec in self.all_vars:
             if not 0.0 <= spec.missing_rate <= 1.0:
                 raise ConfigError(
@@ -258,7 +251,6 @@ class GenConfig:
         for spec in self.all_vars:
             for what, _, law in spec.laws(self):
                 _check_law(spec, what, law)
-        self.to_schema()  # a name the schema file cannot hold raises SchemaError
 
     @property
     def all_vars(self) -> list:

@@ -175,6 +175,43 @@ def test_sweep_of_a_label_per_row_keeps_the_codebook(workdir, tmp_path, capsys):
     assert model.encoder.class_codes == codebook
 
 
+@pytest.mark.parametrize("trained, odd", [("", "bda"), ("ugly", "ugly")],
+                         ids=["unknown-label", "three-class"])
+def test_sweep_counts_other_labels_negative_and_evaluate_refuses_them(
+        tmp_path, capsys, trained, odd):
+    """With ``bad`` positive, ``sweep`` counts every other label a negative:
+    one the model never saw (``bda``) or a third class.  ``evaluate``
+    refuses paired rows that hold more than one non-positive label."""
+    def write(name, labels):
+        rows = [["class", "a"], *([label, label[0]] for label in labels)]
+        with open(tmp_path / name, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(rows)
+        return str(tmp_path / name)
+
+    labels = ["good"] * 12 + ["bad"] * 4
+    train_path = write("train.csv", labels + [trained] * 6 if trained else labels)
+    scored = labels + [odd] * 6
+    data_path = write("data.csv", scored)
+    (tmp_path / "schema.txt").write_text("class class\nvar a categorical\n", encoding="utf-8")
+    assert run(["train", "--schema", str(tmp_path / "schema.txt"), "--data", train_path,
+                "--out", str(tmp_path / "model.json")]) == 0
+    assert run(["sweep", "--model", str(tmp_path / "model.json"), "--data", data_path,
+                "--positive", "bad", "--out", str(tmp_path / "sweep.json")]) == 0
+    sweep = json.loads((tmp_path / "sweep.json").read_text(encoding="utf-8"))
+    assert sweep["metadata"]["records"] == 22
+    assert {(r["TP"] + r["FN"], r["FP"] + r["TN"]) for r in sweep["rows"]} == {(4, 18)}
+
+    with open(tmp_path / "pred.csv", "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([["record_id", "label"], *(
+            [i, "bad" if label == "bad" else "good"] for i, label in enumerate(scored))])
+    capsys.readouterr()
+    assert run(["evaluate", "--pred", str(tmp_path / "pred.csv"), "--data", data_path,
+                "--positive", "bad", "--out", str(tmp_path / "eval.json")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: ambiguous negative label among {sorted(['good', odd])}\n")
+    assert not (tmp_path / "eval.json").exists()
+
+
 def test_sweep_csv_column_layout(workdir):
     assert run([
         "sweep", "--model", str(workdir / "model.json"),
@@ -800,6 +837,22 @@ def test_gen_rejects_a_name_utf8_cannot_hold(tmp_path, capsys, doc):
                 "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1 and "UTF-8" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"noise": [{"name": "z", "mean": 0.0, "sd": 1.0}] * 2},
+     "error: duplicate variable name 'z'\n"),
+    ({"class_var": "z", "noise": [{"name": "z", "mean": 0.0, "sd": 1.0}]},
+     "error: class variable 'z' also declared as a field\n"),
+], ids=["repeated-variable", "class-variable"])
+def test_gen_names_a_name_the_schema_rejects(tmp_path, capsys, doc, message):
+    """The schema's own rules judge a config's names, so gen's one error
+    line names the offending one, and nothing is written."""
+    (tmp_path / "gen.json").write_text(json.dumps({"n": 50, **doc}), encoding="utf-8")
+    assert run(["gen", "--config", str(tmp_path / "gen.json"),
+                "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == message
     assert not (tmp_path / "out").exists()
 
 

@@ -33,7 +33,7 @@ def write(tmp_path, text, name="data.csv"):
 def read_records(ds):
     """One full pass over every column, after checking the header covers
     SCHEMA; returns the rows as header-keyed dicts."""
-    ds.require_columns(ds.schema_columns(SCHEMA))
+    ds.require_columns(SCHEMA.columns())
     header = ds.header()
     records = []
     for chunk in ds.iter_chunks(header):
@@ -41,6 +41,14 @@ def read_records(ds):
             dict(zip(header, row)) for row in zip(*(chunk.columns[c] for c in header))
         )
     return records
+
+
+def test_schema_columns_are_the_fields_then_the_group_then_the_class():
+    grouped = replace(SCHEMA, group_key="g")
+    assert SCHEMA.columns() == ["a", "b", "y"]
+    assert SCHEMA.columns(require_class=False) == ["a", "b"]
+    assert grouped.columns() == ["a", "b", "g", "y"]
+    assert grouped.columns(require_class=False) == ["a", "b", "g"]
 
 
 def test_pass_accounting_clean_file(tmp_path, sizes):

@@ -21,7 +21,7 @@ from operator import itemgetter
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import HealthCheck, Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
 from rarebayes import classify_file, dataio, generate, parse_schema, train
@@ -33,6 +33,13 @@ from rarebayes.synthgen import CategoricalSpec, GenConfig, GroupSpec, NoiseSpec,
 from fixture_configs import (
     gen_configs, indep_config, messy_config, number_paths, recovery_config,
 )
+
+
+# Every phase but shrinking, for the relations that generate and train whole
+# files per example: shrinking one of their failures takes minutes and ends
+# at a file no smaller than a pinned one, so a failure is reported as drawn.
+# The pinned examples, the database replay and generation all still run.
+NO_SHRINK = [phase for phase in Phase if phase is not Phase.shrink]
 
 
 def read_csv(path) -> list[list[str]]:
@@ -75,7 +82,8 @@ def assert_same_bytes(root: Path, cfg, schema, variants: dict, seed: int) -> Non
 
 
 @given(cfg=gen_configs(sizes=st.integers(20, 1500)), data=st.data())
-@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=40, deadline=None, phases=NO_SHRINK,
+          suppress_health_check=[HealthCheck.too_slow])
 def test_row_and_column_order_change_no_output_byte(tmp_path_factory, cfg, data):
     """Below the reservoir's capacity, an ungrouped file trains to the same
     model bytes as generated, with its rows shuffled so a row of the first
@@ -123,7 +131,8 @@ THREE_CLASS_EXAMPLE = GenConfig(
 @given(cfg=gen_configs(sizes=st.integers(20, 1500)), rate=st.floats(0.2, 0.8),
        source=st.integers(0, 1), shuffle=st.integers(0, 2**32), seed=st.integers(0, 2**31))
 @example(cfg=THREE_CLASS_EXAMPLE, rate=0.78515625, source=1, shuffle=8188447, seed=0)
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=150, deadline=None, phases=NO_SHRINK,
+          suppress_health_check=[HealthCheck.too_slow])
 def test_three_class_row_order_changes_no_output_byte(tmp_path_factory, cfg, rate, source,
                                                       shuffle, seed):
     """The order relation above on three classes: a seeded share of one
@@ -158,7 +167,8 @@ def with_groups_shuffled(rows: list[list[str]], col: int, rng: random.Random):
 @given(cfg=gen_configs(sizes=st.integers(20, 1500)), window=st.integers(2, 3),
        group=st.builds(GroupSpec, st.sampled_from(["grp", "acct"]), st.integers(1, 50)),
        data=st.data())
-@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=40, deadline=None, phases=NO_SHRINK,
+          suppress_health_check=[HealthCheck.too_slow])
 def test_group_and_column_order_change_no_output_byte(tmp_path_factory, cfg, window, group,
                                                       data):
     """Below the reservoir's capacity, a grouped file trains under ``window``
@@ -188,7 +198,8 @@ def test_group_and_column_order_change_no_output_byte(tmp_path_factory, cfg, win
        seed=st.integers(0, 2**31))
 @example(cfg=THREE_CLASS_EXAMPLE, window=3, group=GroupSpec("grp", 8), rate=0.38671875,
          source=0, shuffle=6, seed=0)
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=150, deadline=None, phases=NO_SHRINK,
+          suppress_health_check=[HealthCheck.too_slow])
 def test_three_class_group_order_changes_no_output_byte(tmp_path_factory, cfg, window, group,
                                                         rate, source, shuffle, seed):
     """The grouped relation above on three classes: a seeded share of one
@@ -311,7 +322,7 @@ def command_results(root: Path, cfg) -> list[tuple[int, str, list]]:
                                     "block_bytes": st.integers(1, 300),
                                     "csv_rows": st.integers(1, 5)}),
        quoted=st.floats(0.0, 1.0))
-@settings(max_examples=30, deadline=None,
+@settings(max_examples=30, deadline=None, phases=NO_SHRINK,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
 def test_reader_sizes_change_no_output_byte(tmp_path_factory, sizes, cfg, rate, group, window,
                                             small, quoted):
@@ -342,7 +353,7 @@ def test_reader_sizes_change_no_output_byte(tmp_path_factory, sizes, cfg, rate, 
 
 @given(cfg=gen_configs(sizes=st.integers(40, 300)), rate=st.floats(0.2, 0.8),
        block_bytes=st.integers(1, 300), blanks=st.lists(st.integers(0, 300), max_size=8))
-@settings(max_examples=40, deadline=None,
+@settings(max_examples=40, deadline=None, phases=NO_SHRINK,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
 def test_line_ends_change_no_output_byte(tmp_path_factory, sizes, cfg, rate, block_bytes,
                                          blanks):

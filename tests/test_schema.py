@@ -1,7 +1,12 @@
+import json
+from dataclasses import asdict, replace
+
 import pytest
 
 from rarebayes import SchemaError, parse_schema
 from rarebayes.schema import Schema, VariableSpec, format_schema
+
+from fixture_configs import big_config, indep_config, messy_config, recovery_config
 
 MINIMAL = """\
 # minimal schema
@@ -226,3 +231,12 @@ def test_group_named_like_a_field_names_line(text, line):
     with pytest.raises(SchemaError, match="group column 'a' is also a field variable"):
         Schema(class_var="y", field_vars=(VariableSpec("a", "categorical"),),
                group_key="a")
+
+
+@pytest.mark.parametrize("config", [recovery_config, indep_config, messy_config, big_config])
+@pytest.mark.parametrize("window", [1, 3])
+def test_from_doc_inverts_asdict(config, window):
+    """A schema's JSON document, as the model file holds it, reads back
+    equal, grouped (``messy_config``) and windowed ones included."""
+    schema = replace(config(n=1).to_schema(), window=window, smoothing=0.5)
+    assert Schema.from_doc(json.loads(json.dumps(asdict(schema)))) == schema

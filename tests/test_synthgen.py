@@ -129,6 +129,9 @@ class TestGenerate:
         ({"noise": (NoiseSpec("a#b", mean=0.0, sd=1.0),)}, "'a#b' contains '#'"),
         # the data header would hold two columns named "x"
         ({"group": GroupSpec("x", 2)}, "group column 'x' is also a field variable"),
+        # ... or two columns named "x" in any other way
+        ({"noise": (NoiseSpec("x", mean=0.0, sd=1.0),)}, "duplicate variable name 'x'"),
+        ({"class_var": "x"}, "class variable 'x' also declared as a field"),
     ])
     def test_name_the_schema_file_cannot_hold_rejected(self, overrides, message):
         with pytest.raises(SchemaError, match=message):
