@@ -15,7 +15,10 @@ reads the columns the model was fit on.  The fit keeps the complete rows (no
 feature or class cell MISSING, the one rule in :mod:`rarebayes.dataio`) of
 two classes at most, each in a growing buffer, and only codes the rest.
 Scoring writes the network's prediction format through
-:func:`~rarebayes.evaluation.write_predictions`, four fixed row endings.
+:func:`~rarebayes.evaluation.write_predictions`, four fixed row endings
+that carry codes: a class index and one skip code for the features as a
+whole, which the writer spells as ``features:missing`` on a row with a
+feature MISSING.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import numpy as np
 
 from .dataio import Chunk, ClassCodes, CsvDataset, as_dataset, parse_float_column
 from .errors import ConfigError, SingularCovarianceError, few
-from .evaluation import write_predictions
+from .evaluation import _MISSING_CODE, write_predictions
 from .schema import Schema
 
 LINEAR = "linear"
@@ -327,9 +330,10 @@ def score_to_csv(
     ds.require_columns(schema.var_names)
     classes = sorted([model.label1, model.label2])
     # the four row endings, picked by to2 + 2 * missing: one-hot
-    # probabilities, labels, skip texts and each ending's skip text
+    # probabilities, labels and one skip code for the features as a whole
     labels = np.array([classes.index(model.label1), classes.index(model.label2)] * 2)
-    endings = (np.eye(2)[labels], labels, ["", "features:missing"], np.array([0, 0, 1, 1]))
+    endings = (np.eye(2)[labels], labels,
+               np.array([[0], [0], [_MISSING_CODE], [_MISSING_CODE]], dtype=np.int8))
     unscored = 0
 
     def decode(block: Chunk) -> dict:
@@ -341,7 +345,7 @@ def score_to_csv(
         unscored += int(miss.sum())
         return {"ending": to2 + 2 * miss}
 
-    counts = write_predictions(out_path, classes, (
+    counts = write_predictions(out_path, classes, ("features",), (
         (*endings, chunk.columns["ending"])
         for chunk in ds.iter_chunks(model.feature_names, decode=decode)))
     return {"rows": int(counts.sum()), "flagged": int(counts[classes.index(model.label2)]),

@@ -24,7 +24,11 @@ drops a pair whose actual label is MISSING, and refuses paired rows
 whose predicted and actual labels hold more than one label besides the
 positive (:func:`_check_labels`).
 The prediction file's row format lives here too: :func:`write_predictions`
-is its one writer, for ``classify`` and ``baseline`` alike.
+is its one writer, for ``classify`` and ``baseline`` alike, and spells
+every cell of a row from codes.  ``classify`` and ``baseline`` pass
+class indices and ``int8`` skip codes, never text; the skip vocabulary
+(:data:`SKIP_REASONS`) is defined here, and a ``skipped_nodes`` cell
+joins ``node:reason`` by ``;`` for each skipped node.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ import numpy as np
 
 from .dataio import Chunk, ClassCodes, CsvDataset, csv_cell, csv_output, write_rows
 from .errors import EvaluationError, few
-from .infometrics import count_table
+from .infometrics import _dense_ids, count_table
 
 
 @dataclass(frozen=True)
@@ -266,22 +270,44 @@ def sweep(
     return sweep_rows(table, grid)
 
 
-def write_predictions(out_path: str | Path, classes: Sequence[str],
+SKIP_MISSING, SKIP_UNSEEN, SKIP_PRUNED = "missing", "unseen-config", "pruned"
+# Skip-matrix code -> reason; code 0 marks an incorporated node.
+SKIP_REASONS = ("", SKIP_MISSING, SKIP_UNSEEN, SKIP_PRUNED)
+_MISSING_CODE, _UNSEEN_CODE, _PRUNED_CODE = range(1, len(SKIP_REASONS))
+
+
+def _skip_patterns(nodes: Sequence[str], skipped: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """The distinct rows of an ``int8`` skip matrix, each rendered once as
+    semicolon-joined ``node:reason`` for its non-zero entries, and the
+    index of each row's pattern."""
+    n, width = skipped.shape
+    first, ids = _dense_ids(n, skipped.T, [len(SKIP_REASONS)] * width)
+    rendered = [
+        ";".join(f"{node}:{SKIP_REASONS[c]}" for node, c in zip(nodes, row) if c)
+        for row in skipped[first].tolist()
+    ]
+    return rendered, ids
+
+
+def write_predictions(out_path: str | Path, classes: Sequence[str], nodes: Sequence[str],
                       chunks: Iterable[tuple]) -> np.ndarray:
     """Write the prediction file of ``classify`` and ``baseline``, which
     :func:`evaluate_files` reads, and return the rows written per label.
 
     A chunk is the ``(endings, classes)`` probabilities of its distinct row
-    endings, each ending's label as a class index, the distinct skip texts,
-    each ending's skip text as an index into them, and each row's ending.
-    Each ending, class symbol and skip text is rendered once, each
-    probability as its ``repr``; record ids count from 0 in file order.
+    endings, each ending's label as a class index, each ending's ``int8``
+    skip codes over ``nodes`` (:data:`SKIP_REASONS` indices), and each
+    row's ending.  Every cell is spelled here: each ending once, each
+    probability as its ``repr``, each class symbol once, and each distinct
+    skip pattern once as its :func:`_skip_patterns` text; record ids count
+    from 0 in file order.
     """
     symbols = [csv_cell(c) for c in classes]
     counts = np.zeros(len(classes), dtype=np.int64)
     with csv_output(out_path, ["record_id", *(f"p_{c}" for c in classes),
                                "label", "skipped_nodes"]) as fh:
-        for probs, labels, skips, skip_index, endings in chunks:
+        for probs, labels, skipped, endings in chunks:
+            skips, skip_index = _skip_patterns(nodes, skipped)
             quoted = [csv_cell(text) for text in skips]
             tails = np.array(list(map(",".join, zip(
                 *(map(repr, col) for col in probs.T.tolist()),

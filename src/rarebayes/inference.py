@@ -3,9 +3,11 @@
 One kernel, :func:`score_codes`, applies the update rule to a block of
 rows at once; :func:`posterior` is a batch of one.  Batch scoring gives
 each row of a chunk a dense id over its ranked nodes' codes
-(:func:`_dense_ids`) and scores each distinct configuration once, which
-``classify`` writes as one row ending that the rows' ids pick
-(:func:`~rarebayes.evaluation.write_predictions`).  Evidence is
+(:func:`~rarebayes.infometrics._dense_ids`) and scores each distinct
+configuration once.  ``classify`` hands each configuration's
+probabilities, label and skip codes to
+:func:`~rarebayes.evaluation.write_predictions`, which spells every cell
+of the row ending that the rows' ids pick.  Evidence is
 incorporated in descending rank order.  A node reads its CPT row for its
 field parents' codes, or its class-only fallback table wherever any of
 those parents is MISSING.  A node is skipped when its value
@@ -29,8 +31,11 @@ on -- so each row goes through the same arithmetic as when scored alone,
 and posteriors and skip codes do not depend on the batch.
 
 The kernel also returns an ``int8`` skip matrix, one column per ranked
-node, holding the index of the node's reason in :data:`SKIP_REASONS`
-(0 = incorporated).  Every code comes from the model's one codebook,
+node, holding the index of the node's reason in
+:data:`~rarebayes.evaluation.SKIP_REASONS` (0 = incorporated), which
+:func:`posterior` reads into its skip log and the prediction writer
+spells as a ``skipped_nodes`` cell.  Every code of a value comes from
+the model's one codebook,
 ``model.encoder`` (:class:`~rarebayes.structure.Encoder`): symbols for
 :func:`posterior`, raw cells for :func:`symbolize` and batch scoring,
 and the actual labels a threshold sweep counts.  Batch scoring reads,
@@ -43,25 +48,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .dataio import MISSING, CsvDataset, as_dataset
 from .errors import ConfigError, EvidenceError
+from .evaluation import SKIP_REASONS, _MISSING_CODE, _PRUNED_CODE, _UNSEEN_CODE
 from .evaluation import grid_buckets, write_predictions
-from .infometrics import count_table
+from .infometrics import _dense_ids, count_table
 from .structure import NetworkModel
 from .windows import CaseRecord, node_var_slot
-
-SKIP_MISSING = "missing"
-SKIP_PRUNED = "pruned"
-SKIP_UNSEEN = "unseen-config"
-# Skip-matrix code -> reason; code 0 marks an incorporated node.
-SKIP_REASONS = ("", SKIP_MISSING, SKIP_UNSEEN, SKIP_PRUNED)
-_MISSING_CODE, _UNSEEN_CODE, _PRUNED_CODE = map(
-    SKIP_REASONS.index, (SKIP_MISSING, SKIP_UNSEEN, SKIP_PRUNED)
-)
 
 
 @dataclass
@@ -117,7 +114,8 @@ def score_codes(
     """The update rule for ``n`` rows given a code column per ranked node.
 
     Returns the ``(n, classes)`` posteriors and the ``(n, ranked nodes)``
-    ``int8`` skip matrix whose entries index :data:`SKIP_REASONS`.
+    ``int8`` skip matrix whose entries index
+    :data:`~rarebayes.evaluation.SKIP_REASONS`.
     """
     missing = model.encoder.missing
     p = np.repeat(model.prior[:, None], n, axis=1)
@@ -186,10 +184,13 @@ def check_threshold(threshold: float) -> None:
 
 def _label_columns(probs: np.ndarray, pos_idx: int, threshold: float) -> np.ndarray:
     """Class column per row: the positive class when its probability reaches
-    ``threshold``, else the likeliest other class (the first one on ties)."""
+    ``threshold`` by :func:`~rarebayes.evaluation.grid_buckets`, the test
+    ``sweep`` buckets by, else the likeliest other class (the first one on
+    ties)."""
     rest = probs.copy()
     rest[:, pos_idx] = -np.inf
-    return np.where(probs[:, pos_idx] >= threshold, pos_idx, rest.argmax(axis=1))
+    return np.where(grid_buckets(probs[:, pos_idx], [threshold]) == 1, pos_idx,
+                    rest.argmax(axis=1))
 
 
 def classify(
@@ -234,34 +235,6 @@ class ScoredChunk:
         return self.config_skipped[self.inverse]
 
 
-def _dense_ids(
-    n: int, columns: Iterable[np.ndarray], radices: Iterable[int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Dense ids for ``n`` rows given as integer ``columns``, column j holding
-    values in ``range(radices[j])``; each radix times ``n`` must fit in 2**63.
-
-    Returns ``(first, inverse)``: the first row of each distinct row and
-    each row's id, equal rows sharing an id.  The columns fold into one
-    ``int64`` key as mixed-radix digits; whenever the next digit could push
-    the key past 2**63, one ``np.unique`` renumbers the keys densely, so no
-    row-wise sort is needed however wide the rows are.  The final key takes
-    one unstable sort, and each id's first row is the least row index
-    carrying it, by ``np.minimum.at``.
-    """
-    key = np.zeros(n, dtype=np.int64)
-    bound = 1                           # key < bound, in Python ints
-    for col, radix in zip(columns, radices, strict=True):
-        if bound * radix > 2 ** 63:
-            distinct, key = np.unique(key, return_inverse=True)
-            bound = len(distinct)
-        key = key * radix + col
-        bound *= radix
-    distinct, inverse = np.unique(key, return_inverse=True)
-    first = np.full(len(distinct), n, dtype=np.intp)
-    np.minimum.at(first, inverse, np.arange(n))
-    return first, inverse
-
-
 def iter_scored(
     model: NetworkModel,
     data: str | Path | CsvDataset,
@@ -290,19 +263,6 @@ def iter_scored(
                           inverse=inverse, actuals=actuals)
 
 
-def _skip_patterns(nodes: Sequence[str], skipped: np.ndarray) -> tuple[list[str], np.ndarray]:
-    """The distinct rows of an ``int8`` skip matrix, each rendered once as
-    semicolon-joined ``node:reason`` for its non-zero entries, and the
-    index of each row's pattern."""
-    n, width = skipped.shape
-    first, ids = _dense_ids(n, skipped.T, [len(SKIP_REASONS)] * width)
-    rendered = [
-        ";".join(f"{node}:{SKIP_REASONS[c]}" for node, c in zip(nodes, row) if c)
-        for row in skipped[first].tolist()
-    ]
-    return rendered, ids
-
-
 def classify_file(
     model: NetworkModel,
     data: str | Path | CsvDataset,
@@ -311,15 +271,17 @@ def classify_file(
     positive: str | None = None,
 ) -> dict:
     """Score a CSV and write its prediction file; return a summary dict with
-    row and label counts.  A skipped_nodes cell joins ``name:reason`` by ``;``.
+    row and label counts.  Each chunk's configurations go to
+    :func:`~rarebayes.evaluation.write_predictions` as they were scored,
+    skip codes included.
     """
     check_threshold(threshold)
     positive, pos_idx = positive_index(model, positive)
     nodes = [rf.node for rf in model.ranked_fields]
-    counts = write_predictions(out_path, model.class_symbols, (
+    counts = write_predictions(out_path, model.class_symbols, nodes, (
         (scored.config_probabilities,
          _label_columns(scored.config_probabilities, pos_idx, threshold),
-         *_skip_patterns(nodes, scored.config_skipped), scored.inverse)
+         scored.config_skipped, scored.inverse)
         for scored in iter_scored(model, data)))
     return {"rows": int(counts.sum()), "positive": positive,
             "flagged": int(counts[pos_idx]), "threshold": threshold}

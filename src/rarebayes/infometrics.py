@@ -1,4 +1,10 @@
-"""The counting engine, entropy, MI, conditional MI, and cumulative selection.
+"""The counting engine, dense row ids, entropy, MI, conditional MI, and
+cumulative selection.
+
+:func:`count_table` counts rows per cell and :func:`_dense_ids` numbers
+distinct rows: they are the package's two mixed-radix folds of integer
+code columns.  Batch scoring and the prediction writer dedupe rows by
+the second.
 
 All quantities are computed from empirical (maximum-likelihood) cell
 frequencies in bits (log base 2).  Selection depends only on score order
@@ -9,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -25,6 +31,34 @@ def count_table(columns: Sequence[np.ndarray], shape: Sequence[int]) -> np.ndarr
     for col, size in zip(columns[1:], shape[1:], strict=True):
         flat = flat * size + col
     return np.bincount(flat, minlength=math.prod(shape)).reshape(shape)
+
+
+def _dense_ids(
+    n: int, columns: Iterable[np.ndarray], radices: Iterable[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Dense ids for ``n`` rows given as integer ``columns``, column j holding
+    values in ``range(radices[j])``; each radix times ``n`` must fit in 2**63.
+
+    Returns ``(first, inverse)``: the first row of each distinct row and
+    each row's id, equal rows sharing an id.  The columns fold into one
+    ``int64`` key as mixed-radix digits; whenever the next digit could push
+    the key past 2**63, one ``np.unique`` renumbers the keys densely, so no
+    row-wise sort is needed however wide the rows are.  The final key takes
+    one unstable sort, and each id's first row is the least row index
+    carrying it, by ``np.minimum.at``.
+    """
+    key = np.zeros(n, dtype=np.int64)
+    bound = 1                           # key < bound, in Python ints
+    for col, radix in zip(columns, radices, strict=True):
+        if bound * radix > 2 ** 63:
+            distinct, key = np.unique(key, return_inverse=True)
+            bound = len(distinct)
+        key = key * radix + col
+        bound *= radix
+    distinct, inverse = np.unique(key, return_inverse=True)
+    first = np.full(len(distinct), n, dtype=np.intp)
+    np.minimum.at(first, inverse, np.arange(n))
+    return first, inverse
 
 
 @dataclass(frozen=True)

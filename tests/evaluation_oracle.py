@@ -6,8 +6,9 @@ and a full sort of the scores.
 raw class cells the way the ``evaluate`` command did; ``confusion_oracle``
 and ``sweep_oracle`` are the list-based bodies of ``evaluation.confusion``
 and ``evaluation.sweep``.  ``write_predictions_oracle`` writes a
-prediction file a row at a time through ``csv.writer``.  ``missing_mask``
-marks the raw cells that are MISSING.
+prediction file a row at a time through ``csv.writer``, spelling each
+``skipped_nodes`` cell itself from node names and skip codes.
+``missing_mask`` marks the raw cells that are MISSING.
 """
 
 import csv
@@ -102,16 +103,23 @@ def evaluate_oracle(pred_path, id_cells, label_cells, class_cells, positive):
     return confusion_oracle(preds, acts, positive), len(acts)
 
 
-def write_predictions_oracle(out_path, classes, chunks):
+# each skip code's reason, written out here rather than read from the package
+SKIP_REASON_TEXT = ("", "missing", "unseen-config", "pruned")
+
+
+def write_predictions_oracle(out_path, classes, nodes, chunks):
     """``evaluation.write_predictions``'s file, one ``csv.writer`` row per
-    record: its id, ``repr`` of each probability, its label and its skip
-    text, each looked up through the record's ending."""
+    record: its id, ``repr`` of each probability, its label and its
+    ``skipped_nodes`` cell, ``node:reason`` joined by ``;`` for each
+    non-zero skip code, each looked up through the record's ending."""
     with open(out_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["record_id", *(f"p_{c}" for c in classes), "label", "skipped_nodes"])
         record = 0
-        for probs, labels, skips, skip_index, endings in chunks:
+        for probs, labels, skipped, endings in chunks:
             for e in endings.tolist():
+                skips = ";".join(f"{node}:{SKIP_REASON_TEXT[c]}"
+                                 for node, c in zip(nodes, skipped[e].tolist()) if c)
                 writer.writerow([str(record), *map(repr, probs[e].tolist()),
-                                 classes[labels[e]], skips[skip_index[e]]])
+                                 classes[labels[e]], skips])
                 record += 1

@@ -1,9 +1,9 @@
 """Each row's ``skipped_nodes`` cell, expanded from the distinct patterns.
 
-``classify_file`` renders each distinct skip pattern once and writes it
-through the pattern index; :func:`skip_strings` does the expansion the
-same way so the suite can hold the result against a row-wise
-``np.unique``.
+``evaluation.write_predictions`` renders each distinct skip pattern once
+and writes it through the pattern index; :func:`skip_strings` does the
+expansion the same way so the suite can hold the result against a
+row-wise ``np.unique``.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from rarebayes.inference import _skip_patterns
+from rarebayes.evaluation import _skip_patterns
 
 
 def skip_strings(nodes: Sequence[str], skipped: np.ndarray) -> np.ndarray:

@@ -234,6 +234,7 @@ class TestCsvPlumbing:
             assert [r["record_id"] for r in rows] == list(map(str, range(120)))
             unscored = [r for r in rows if r["skipped_nodes"] == "features:missing"]
             assert len(unscored) == summary["unscored"] == 14
+            assert {r["skipped_nodes"] for r in rows} == {"", "features:missing"}
             assert all(r["label"] == "good" for r in unscored)
             flagged = sum(r["label"] == "bad" for r in rows)
             assert summary["flagged"] == flagged > 0

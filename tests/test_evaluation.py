@@ -11,14 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rarebayes import ConfusionCounts, EvaluationError, confusion, default_grid, fcv, sweep
-from rarebayes import dataio
+from rarebayes import dataio, parse_schema
 from rarebayes.dataio import CsvDataset
 from rarebayes.evaluation import evaluate_files, format_pct, rows_to_csv_lines, sweep_rows
 from rarebayes.evaluation import volume_ratio, write_predictions
 from rarebayes.inference import count_scores, iter_scored
+from rarebayes.windows import node_id
 
 from evaluation_oracle import confusion_oracle, evaluate_oracle, missing_mask, sweep_oracle
-from evaluation_oracle import write_predictions_oracle
+from evaluation_oracle import SKIP_REASON_TEXT, write_predictions_oracle
 
 
 class TestConfusion:
@@ -345,6 +346,13 @@ CELLS = st.one_of(
     st.sampled_from(["good", "bad", "a,b", 'say "hi"', " lead", "x:missing;y:pruned"]),
     st.text(st.sampled_from(["a", ",", '"', " ", "\r", "\n", ":", ";"]), max_size=5),
 )
+# variable names the schema accepts, ',' and '"' among them, so that a
+# skipped_nodes cell must be quoted; each is a node at a lag slot
+VARIABLES = st.lists(
+    st.one_of(st.sampled_from(["a,b", 'x"q', "n0"]),
+              st.text(st.sampled_from(["a", ",", '"', ":", ";"]), min_size=1, max_size=4)),
+    max_size=4, unique=True,
+)
 PROBABILITIES = st.one_of(
     st.floats(0.0, 1.0),
     st.sampled_from([0.0, 1.0, 5e-324, 1e-310, 2.2250738585072014e-308]),
@@ -352,9 +360,9 @@ PROBABILITIES = st.one_of(
 
 
 @st.composite
-def prediction_chunks(draw, k):
-    """One ``write_predictions`` chunk over ``k`` classes: up to 5 endings,
-    and up to 12 rows that may repeat an ending."""
+def prediction_chunks(draw, k, width):
+    """One ``write_predictions`` chunk over ``k`` classes and ``width``
+    nodes: up to 5 endings, and up to 12 rows that may repeat an ending."""
     n = draw(st.integers(0, 5))
 
     def indices(bound, size):
@@ -363,27 +371,30 @@ def prediction_chunks(draw, k):
 
     probs = draw(st.lists(st.lists(PROBABILITIES, min_size=k, max_size=k),
                           min_size=n, max_size=n))
-    skips = draw(st.lists(CELLS, min_size=1, max_size=4, unique=True))
+    skipped = indices(len(SKIP_REASON_TEXT), n * width).astype(np.int8).reshape(n, width)
     endings = indices(n, draw(st.integers(0, 12 if n else 0)))
-    return (np.array(probs, dtype=np.float64).reshape(n, k), indices(k, n), skips,
-            indices(len(skips), n), endings)
+    return np.array(probs, dtype=np.float64).reshape(n, k), indices(k, n), skipped, endings
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.data(), st.sampled_from([1, 3, 4096]))
 def test_write_predictions_matches_row_oracle(data, batch):
-    """Quoted class names and skip texts, 0.0, 1.0 and subnormal
-    probabilities, repeated endings, empty chunks and no chunk at all, with
-    write batches that split chunks."""
+    """Quoted class and node names, 0.0, 1.0 and subnormal probabilities,
+    every skip code, repeated endings, empty chunks and no chunk at all,
+    with write batches that split chunks."""
     classes = data.draw(st.lists(CELLS, min_size=1, max_size=4, unique=True))
-    chunks = data.draw(st.lists(prediction_chunks(len(classes)), max_size=4))
+    variables = data.draw(VARIABLES)
+    if variables:
+        parse_schema("class y\n" + "".join(f"var {v} categorical\n" for v in variables))
+    nodes = [node_id(v, data.draw(st.integers(0, 2))) for v in variables]
+    chunks = data.draw(st.lists(prediction_chunks(len(classes), len(nodes)), max_size=4))
     with tempfile.TemporaryDirectory() as tmp, \
             mock.patch.object(dataio, "_WRITE_ROWS", batch):
         got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
-        counts = write_predictions(got, classes, chunks)
-        write_predictions_oracle(want, classes, chunks)
+        counts = write_predictions(got, classes, nodes, chunks)
+        write_predictions_oracle(want, classes, nodes, chunks)
         assert got.read_bytes() == want.read_bytes()
-    written = Counter(classes[labels[e]] for _, labels, _, _, endings in chunks
+    written = Counter(classes[labels[e]] for _, labels, _, endings in chunks
                       for e in endings.tolist())
     assert dict(zip(classes, counts.tolist())) == {c: written[c] for c in classes}
 

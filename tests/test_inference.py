@@ -21,7 +21,9 @@ from rarebayes import (
 )
 from rarebayes import dataio
 from rarebayes.dataio import CsvDataset, PassStats
-from rarebayes.inference import SKIP_REASONS, _dense_ids, iter_scored, score_codes
+from rarebayes.evaluation import SKIP_REASONS, grid_buckets
+from rarebayes.inference import _label_columns, iter_scored, score_codes
+from rarebayes.infometrics import _dense_ids
 from rarebayes.outcomes import OutcomeTable, VariableOutcomes, bin_symbol
 from rarebayes.structure import CPT, Encoder, NetworkModel, RankedField
 from rarebayes.windows import CaseRecord, node_id, node_order, node_var_slot
@@ -312,6 +314,16 @@ class TestClassify:
         model = toy_model({"x": X_TABLE})
         with pytest.raises(ConfigError):
             classify(model, CaseRecord(values={}), 1.5)
+
+    @pytest.mark.parametrize("threshold", [0.5, 0.1 + 0.2, 0.7, 5e-324, 1.0])
+    def test_labels_and_sweep_buckets_agree_at_the_threshold(self, threshold):
+        # P(positive) exactly at the threshold is flagged and one ulp below
+        # it is not, by the label and by the bucket a sweep counts it in
+        below = np.nextafter(threshold, 0.0)
+        probs = np.array([[threshold, 1.0 - threshold], [below, 1.0 - below]])
+        labels = _label_columns(probs, 0, threshold)
+        assert labels.tolist() == [0, 1]
+        assert np.array_equal(labels == 0, grid_buckets(probs[:, 0], [threshold]) == 1)
 
 
 def expansions(records, schema, tmp_path):
