@@ -73,7 +73,6 @@ from .synthgen import (
     analytic_posterior,
     generate,
 )
-from .windows import CaseRecord
 
 __version__ = "0.1.0"
 
@@ -81,7 +80,6 @@ __all__ = [
     "MISSING",
     "CPT",
     "CardinalityError",
-    "CaseRecord",
     "CategoricalSpec",
     "Chunk",
     "ClassPosterior",

@@ -321,13 +321,15 @@ def score_to_csv(
 ) -> dict:
     """Score a CSV with a fitted baseline; same output format as the network.
 
+    The header must hold the columns the schema requires of a file to
+    score (:meth:`~rarebayes.schema.Schema.columns`), as for the network.
     Scores the columns the model was fit on (``feature_names``).  Unscorable
     rows (any missing feature) default to population 1 and are noted in the
     skipped_nodes column.  Probability columns are hard 1/0 indicators since
     discriminant rules emit labels, not probabilities.
     """
     ds = as_dataset(data)
-    ds.require_columns(schema.var_names)
+    ds.require_columns(schema.columns(require_class=False))
     classes = sorted([model.label1, model.label2])
     # the four row endings, picked by to2 + 2 * missing: one-hot
     # probabilities, labels and one skip code for the features as a whole

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -58,7 +58,7 @@ from .evaluation import SKIP_REASONS, _MISSING_CODE, _PRUNED_CODE, _UNSEEN_CODE
 from .evaluation import grid_buckets, write_predictions
 from .infometrics import _dense_ids, count_table
 from .structure import NetworkModel
-from .windows import CaseRecord, node_var_slot
+from .windows import node_var_slot
 
 
 @dataclass
@@ -147,14 +147,16 @@ def score_codes(
     return p.T, skip
 
 
-def posterior(model: NetworkModel, case: CaseRecord) -> ClassPosterior:
+def posterior(model: NetworkModel, case: Mapping[str, str]) -> ClassPosterior:
     """Single-case posterior: :func:`score_codes` on a batch of one.
 
-    Raises :class:`EvidenceError` for the first ranked node, in rank order,
-    whose symbol is not in its variable's alphabet.
+    ``case`` maps node ids to outcome symbols, as :func:`symbolize` returns
+    them; a node it does not name is MISSING.  Raises
+    :class:`EvidenceError` for the first ranked node, in rank order, whose
+    symbol is not in its variable's alphabet.
     """
     codes = {
-        rf.node: np.array([_symbol_code(model, rf.var, case.get(rf.node))])
+        rf.node: np.array([_symbol_code(model, rf.var, case.get(rf.node, MISSING))])
         for rf in model.ranked_fields
     }
     probs, skip = score_codes(model, codes, 1)
@@ -195,11 +197,12 @@ def _label_columns(probs: np.ndarray, pos_idx: int, threshold: float) -> np.ndar
 
 def classify(
     model: NetworkModel,
-    case: CaseRecord,
+    case: Mapping[str, str],
     threshold: float,
     positive: str | None = None,
 ) -> tuple[str, ClassPosterior]:
-    """Label a case: positive iff P(positive | case) >= threshold."""
+    """Label a case (node id -> symbol, as for :func:`posterior`): positive
+    iff P(positive | case) >= threshold."""
     check_threshold(threshold)
     _, pos_idx = positive_index(model, positive)
     post = posterior(model, case)

@@ -53,6 +53,7 @@ from .dataio import MISSING_CELLS, Chunk, ClassCodes, CsvDataset, PassStats, as_
 from .dataio import json_text, output, parse_float_column, read_text
 from .errors import ModelSizeError, TrainingError, few
 from .infometrics import (
+    _SUM_TOL,
     MIScore,
     conditional_mutual_information,
     count_table,
@@ -188,8 +189,10 @@ class NetworkModel:
 
 def _check_tables(model: NetworkModel) -> None:
     """Raise :class:`TrainingError` unless the codebook can hold the
-    alphabets and every table fits the alphabets and nodes it is read with:
-    scoring would otherwise code cells wrongly or broadcast a wrong shape."""
+    alphabets, every table fits the alphabets and nodes it is read with,
+    and the prior is a distribution strictly inside (0, 1): scoring would
+    otherwise code cells wrongly, broadcast a wrong shape, or write a
+    posterior of 0 or 1."""
     k = len(model.class_symbols)
     sizes = {var: len(vo.symbols) for var, vo in model.outcomes.variables.items()}
     if set(sizes) != set(model.schema.var_names):
@@ -239,6 +242,10 @@ def _check_tables(model: NetworkModel) -> None:
     tables = [model.prior, *(c.probs for c in (*model.cpts.values(), *model.fallbacks.values()))]
     if not all(((t >= 0.0) & (t <= 1.0)).all() for t in tables):
         raise TrainingError("model probabilities must be finite and lie in [0, 1]")
+    # a prior entry of 0 or 1 would leave a posterior at 0 or 1 before any evidence
+    prior = model.prior
+    if not (((prior > 0.0) & (prior < 1.0)).all() and abs(prior.sum() - 1.0) <= _SUM_TOL):
+        raise TrainingError("prior entries must lie strictly inside (0, 1) and sum to 1")
 
 
 def _parents_to_doc(parents: tuple[str, ...]) -> str | list[str] | None:

@@ -8,7 +8,9 @@ are MISSING.  The class label always comes from the current record.
 A slot-0 node keeps the bare variable name; a lagged node is named
 ``<var>@<s>``.  :class:`WindowState` builds the lagged code columns one
 chunk at a time from integer group ids, carrying each group's last w-1
-codes across chunks.
+codes across chunks.  A single case needs no type of its own:
+:func:`~rarebayes.inference.posterior` takes any mapping from these node
+ids to outcome symbols and reads a node it lacks as MISSING.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataio import MISSING
 from .schema import Schema
 
 
@@ -39,16 +40,6 @@ def node_order(schema: Schema) -> list[tuple[str, int]]:
         for slot in range(schema.window)
         for v in schema.field_vars
     ]
-
-
-@dataclass
-class CaseRecord:
-    """One classification case: node id -> outcome symbol (absent = MISSING)."""
-
-    values: dict[str, str]
-
-    def get(self, node: str) -> str:
-        return self.values.get(node, MISSING)
 
 
 @dataclass

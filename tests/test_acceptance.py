@@ -32,7 +32,6 @@ from rarebayes.evaluation import volume_ratio
 from rarebayes.inference import iter_scored, posterior
 from rarebayes.structure import load_model
 from rarebayes.synthgen import CategoricalSpec, GenConfig, generate
-from rarebayes.windows import CaseRecord
 
 from fixture_configs import big_config, indep_config, messy_config
 
@@ -252,7 +251,7 @@ def test_c07_pruning_property(tmp_path):
         saw_pruned = 0
         with open(path, newline="", encoding="utf-8") as fh:
             for row in csv.DictReader(fh):
-                post = posterior(model, CaseRecord(values={"x": row["x"], "y": row["y"]}))
+                post = posterior(model, {"x": row["x"], "y": row["y"]})
                 assert np.all(post.probabilities > 0.0)
                 assert np.all(post.probabilities < 1.0)
                 pruned = [node for node, reason in post.skipped if reason == "pruned"]
@@ -283,7 +282,7 @@ def test_c09_prior_fallback(messy_bundle, messy_model):
         with open(messy_bundle.data_path, newline="", encoding="utf-8") as fh:
             counts = Counter(row["class"] for row in csv.DictReader(fh))
         total = sum(counts.values())
-        post = posterior(messy_model, CaseRecord(values={}))
+        post = posterior(messy_model, {})
         for sym, p in zip(post.classes, post.probabilities):
             assert float(p) == counts[sym] / total
         assert time.perf_counter() - t0 < 1.0

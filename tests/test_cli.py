@@ -950,6 +950,25 @@ def test_a_run_that_fails_mid_pass_leaves_its_outputs_as_they_were(
     assert list(root.glob(".*.tmp")) == []
 
 
+def test_both_scorers_refuse_a_file_without_the_group_column(workdir, tmp_path, capsys):
+    """``classify`` and ``baseline`` require the same columns of a file to
+    score: one that lacks the schema's group column fails both with the
+    same error line, and neither writes its output."""
+    with open(workdir / "fixture" / "data.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    drop = rows[0].index("cust")
+    held = tmp_path / "held.csv"
+    with open(held, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([cell for i, cell in enumerate(row) if i != drop]
+                                 for row in rows)
+    out = tmp_path / "out.csv"
+    for command in ("classify", "baseline"):
+        assert run(_command_argv(command, workdir, held) + ["--out", str(out)]) == 1, command
+        assert capsys.readouterr().err == (
+            f"error: {held} header lacks required column(s): cust\n"), command
+        assert not out.exists(), command
+
+
 @pytest.mark.parametrize("command", ["classify", "baseline"])
 def test_output_named_as_its_own_input_replaces_it_after_the_read(workdir, tmp_path, command):
     """``--out`` naming ``--data``: the whole input is read, then replaced by

@@ -319,6 +319,14 @@ def _nan_probability(doc):
     doc["fallbacks"]["bill"]["probs"][1][0] = float("nan")
 
 
+def _certain_prior(doc):
+    doc["prior"] = [1.0, 0.0]
+
+
+def _prior_past_one(doc):
+    doc["prior"] = [0.5, 0.9]
+
+
 def _lost_alphabet(doc):
     del doc["outcomes"]["bill"]
 
@@ -373,6 +381,8 @@ def _edges_short_of_symbols(doc):
     (_fallback_names_parents, "fallback for node 'addon' names the wrong parent"),
     (_probability_above_one, "finite and lie in [0, 1]"),
     (_nan_probability, "finite and lie in [0, 1]"),
+    (_certain_prior, "prior entries must lie strictly inside (0, 1) and sum to 1"),
+    (_prior_past_one, "prior entries must lie strictly inside (0, 1) and sum to 1"),
     (_lost_alphabet, "alphabets do not match the schema"),
     (_unknown_ranked_key, "unexpected keyword argument 'score'"),
     (_unknown_outcomes_key, "unexpected keyword argument 'bins'"),

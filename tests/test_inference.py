@@ -1,5 +1,7 @@
 import csv
 import math
+import re
+import types
 from bisect import bisect_right
 from unittest import mock
 
@@ -26,7 +28,7 @@ from rarebayes.inference import _label_columns, iter_scored, score_codes
 from rarebayes.infometrics import _dense_ids
 from rarebayes.outcomes import OutcomeTable, VariableOutcomes, bin_symbol
 from rarebayes.structure import CPT, Encoder, NetworkModel, RankedField
-from rarebayes.windows import CaseRecord, node_id, node_order, node_var_slot
+from rarebayes.windows import node_id, node_order, node_var_slot
 
 from skip_oracle import skip_strings
 from window_oracle import WindowCase, window_expand
@@ -120,21 +122,22 @@ def oracle_symbols(model, row):
 def oracle_posterior(model, case):
     """Reference update rule: one case, one node at a time, plain floats.
 
-    Written independently of the scoring kernel; returns the probabilities,
+    ``case`` maps node ids to symbols; a node it lacks is MISSING.  Written
+    independently of the scoring kernel; returns the probabilities,
     the ``(node, reason)`` skip log and the incorporated nodes, in rank order.
     """
     p = model.prior.copy()
     skipped = []
     order = []
     for rf in model.ranked_fields:
-        code = oracle_code(model, rf.var, case.get(rf.node))
+        code = oracle_code(model, rf.var, case.get(rf.node, MISSING))
         if code == oracle_missing(model, rf.var):
             skipped.append((rf.node, "missing"))
             continue
         pcodes = []
         for parent in model.parents[rf.node]:
             pvar = node_var_slot(parent)[0]
-            pcodes.append(oracle_code(model, pvar, case.get(parent)))
+            pcodes.append(oracle_code(model, pvar, case.get(parent, MISSING)))
             if pcodes[-1] == oracle_missing(model, pvar):
                 table = model.fallbacks[rf.node]
                 likelihood, row_unseen = table.probs[:, code], bool(table.unseen.any())
@@ -178,9 +181,33 @@ def assert_batch_matches_oracle(model, path):
     cases = list(window_expand(records, schema))
     assert len(cases) == batch.shape[0]
     for i, case in enumerate(cases):
-        probs, skipped, _ = oracle_posterior(model, case)
+        probs, skipped, _ = oracle_posterior(model, case.values)
         assert np.array_equal(batch[i], probs), f"row {i}"
         assert skip_log(model, skips[i]) == skipped, f"row {i}"
+
+
+def windowed_model(tmp_path):
+    """A ``window 2`` model over 120 groups of one to three records, and
+    the CSV it was trained on."""
+    rng = np.random.default_rng(5)
+    lines = ["cust,y,a,v"]
+    for g in range(120):
+        for _ in range(rng.integers(1, 4)):
+            bad = rng.random() < 0.25
+            a = "a1" if rng.random() < (0.8 if bad else 0.3) else "a0"
+            v = rng.normal(1.0 if bad else 0.0, 1.0)
+            miss = rng.random() < 0.15
+            lines.append(
+                f"g{g:03d},{'bad' if bad else 'good'},"
+                f"{'?' if miss else a},{v:.4f}"
+            )
+    path = tmp_path / "w.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    schema = parse_schema(
+        "class y\ngroup cust\nvar a categorical\nvar v continuous\n"
+        "window 2\nt_prime 1.0\n"
+    )
+    return train(schema, CsvDataset(path)), path
 
 
 # P(x=1|good)=0.2, P(x=1|bad)=0.8 over symbols ("0","1",MISSING)
@@ -192,55 +219,55 @@ DEGENERATE_TABLE = [[0.5, 0.5, 0.0], [1.0, 0.0, 0.0]]
 class TestPosterior:
     def test_all_missing_returns_prior_exactly(self):
         model = toy_model({"x": X_TABLE})
-        post = posterior(model, CaseRecord(values={}))
+        post = posterior(model, {})
         assert post.probabilities.tolist() == [0.1, 0.9]
         assert post.skipped == [("x", "missing")]
         assert post.order == []
 
     def test_hand_bayes_single_field(self):
         model = toy_model({"x": X_TABLE})
-        post = posterior(model, CaseRecord(values={"x": "1"}))
+        post = posterior(model, {"x": "1"})
         assert post.prob("bad") == pytest.approx(0.08 / 0.26, abs=1e-12)
         assert post.prob("bad") == pytest.approx(0.307692, abs=1e-6)
 
     def test_degenerate_node_pruned(self):
         model = toy_model({"x": X_TABLE, "z": DEGENERATE_TABLE})
-        post = posterior(model, CaseRecord(values={"x": "1", "z": "1"}))
+        post = posterior(model, {"x": "1", "z": "1"})
         assert post.prob("bad") == pytest.approx(0.08 / 0.26, abs=1e-12)
         assert ("z", "pruned") in post.skipped
         assert post.order == ["x"]
 
     def test_pruned_equals_missing(self):
         model = toy_model({"x": X_TABLE, "z": DEGENERATE_TABLE})
-        pruned = posterior(model, CaseRecord(values={"x": "1", "z": "1"}))
-        missing = posterior(model, CaseRecord(values={"x": "1", "z": MISSING}))
+        pruned = posterior(model, {"x": "1", "z": "1"})
+        missing = posterior(model, {"x": "1", "z": MISSING})
         assert pruned.probabilities.tolist() == missing.probabilities.tolist()
 
     def test_posterior_sums_to_one(self):
         model = toy_model({"x": X_TABLE, "z": DEGENERATE_TABLE})
         for case in ({"x": "0"}, {"x": "1", "z": "0"}, {"z": "1"}):
-            post = posterior(model, CaseRecord(values=case))
+            post = posterior(model, case)
             assert post.probabilities.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_unknown_symbol_names_variable(self):
         model = toy_model({"x": X_TABLE})
         with pytest.raises(EvidenceError, match="'x'"):
-            posterior(model, CaseRecord(values={"x": "purple"}))
+            posterior(model, {"x": "purple"})
         # the first unknown symbol in rank order is the one reported
         model = toy_model({"w": X_TABLE, "x": X_TABLE})
         with pytest.raises(EvidenceError, match="'w'"):
-            posterior(model, CaseRecord(values={"x": "purple", "w": "red"}))
+            posterior(model, {"x": "purple", "w": "red"})
 
     def test_unseen_config_skipped(self):
         model = toy_model({"x": X_TABLE}, unseen={"x": [False, True]})
-        post = posterior(model, CaseRecord(values={"x": "1"}))
+        post = posterior(model, {"x": "1"})
         assert post.skipped == [("x", "unseen-config")]
         assert post.probabilities.tolist() == [0.1, 0.9]
 
     def test_incorporation_follows_rank_not_case_layout(self):
         model = toy_model({"x": X_TABLE, "w": [[0.3, 0.7, 0.0], [0.6, 0.4, 0.0]]})
-        a = posterior(model, CaseRecord(values={"x": "1", "w": "0"}))
-        b = posterior(model, CaseRecord(values={"w": "0", "x": "1"}))
+        a = posterior(model, {"x": "1", "w": "0"})
+        b = posterior(model, {"w": "0", "x": "1"})
         assert a.probabilities.tolist() == b.probabilities.tolist()
         assert a.order == b.order == ["x", "w"]
 
@@ -257,7 +284,7 @@ class TestPosterior:
             parents={"c": ("p",)},
             fallback_tables={"c": child_fb},
         )
-        post = posterior(model, CaseRecord(values={"p": MISSING, "c": "1"}))
+        post = posterior(model, {"p": MISSING, "c": "1"})
         # parent missing: prior odds times the fallback column for c=1
         expect_bad = 0.1 * 0.7 / (0.1 * 0.7 + 0.9 * 0.3)
         assert post.prob("bad") == pytest.approx(expect_bad, abs=1e-12)
@@ -274,7 +301,7 @@ class TestPosterior:
         model = toy_model(
             {"p": parent_table, "c": child_cpt}, parents={"c": ("p",)}
         )
-        post = posterior(model, CaseRecord(values={"p": "0", "c": "1"}))
+        post = posterior(model, {"p": "0", "c": "1"})
         # parent is uninformative; child likelihood (0.8, 0.2) as in hand Bayes
         assert post.prob("bad") == pytest.approx(0.08 / 0.26, abs=1e-12)
 
@@ -282,38 +309,64 @@ class TestPosterior:
 class TestClassify:
     def test_threshold_rules(self):
         model = toy_model({"x": X_TABLE}, prior=(0.51, 0.49))
-        label, post = classify(model, CaseRecord(values={}), 0.5, positive="bad")
+        label, post = classify(model, {}, 0.5, positive="bad")
         assert post.prob("bad") == pytest.approx(0.51)
         assert label == "bad"                      # 0.51 >= 0.5
-        label, _ = classify(model, CaseRecord(values={}), 0.7, positive="bad")
+        label, _ = classify(model, {}, 0.7, positive="bad")
         assert label == "good"                     # 0.51 < 0.7
         model70 = toy_model({"x": X_TABLE}, prior=(0.70, 0.30))
-        label, _ = classify(model70, CaseRecord(values={}), 0.7, positive="bad")
+        label, _ = classify(model70, {}, 0.7, positive="bad")
         assert label == "bad"                      # boundary inclusive
 
     def test_positive_defaults_to_rare_class(self):
         model = toy_model({"x": X_TABLE})
-        label, _ = classify(model, CaseRecord(values={}), 0.05)
+        label, _ = classify(model, {}, 0.05)
         assert label == "bad"
 
     def test_unknown_positive_class(self):
         model = toy_model({"x": X_TABLE})
         with pytest.raises(ConfigError, match="positive"):
-            classify(model, CaseRecord(values={}), 0.5, positive="fraudulent")
+            classify(model, {}, 0.5, positive="fraudulent")
         with pytest.raises(ConfigError, match="unknown positive class ''"):
-            classify(model, CaseRecord(values={}), 0.5, positive="")
+            classify(model, {}, 0.5, positive="")
 
     def test_blank_positive_names_a_blank_class(self):
         # an empty positive is a class name, not "the rare class"
         model = toy_model({"x": X_TABLE}, prior=(0.9, 0.1), classes=("", "good"))
         assert model.rare_class() == "good"
-        label, _ = classify(model, CaseRecord(values={}), 0.05, positive="")
+        label, _ = classify(model, {}, 0.05, positive="")
         assert label == ""
 
     def test_threshold_range_checked(self):
         model = toy_model({"x": X_TABLE})
         with pytest.raises(ConfigError):
-            classify(model, CaseRecord(values={}), 1.5)
+            classify(model, {}, 1.5)
+
+    def test_any_mapping_is_a_case(self, tmp_path):
+        """posterior and classify read any mapping of node id -> symbol: a
+        read-only view scores as the dict it wraps, a lagged node the
+        mapping lacks is skipped as missing, and a symbol outside its
+        alphabet names the first such node in rank order."""
+        model, _ = windowed_model(tmp_path)
+        nodes = [rf.node for rf in model.ranked_fields]
+        lagged = [node for node in nodes if "@" in node]
+        assert lagged and len(lagged) < len(nodes)
+        symbols = symbolize(model, {"a": "a1", "v": "0.8"})
+        view = types.MappingProxyType(symbols)
+        label, post = classify(model, symbols, 0.5, positive="bad")
+        view_label, view_post = classify(model, view, 0.5, positive="bad")
+        assert view_label == label
+        assert np.array_equal(view_post.probabilities, post.probabilities)
+        assert (view_post.skipped, view_post.order) == (post.skipped, post.order)
+        assert np.array_equal(posterior(model, view).probabilities, post.probabilities)
+        assert post.skipped == [(node, "missing") for node in lagged]
+        spelled = posterior(model, {**symbols, **{node: MISSING for node in lagged}})
+        assert np.array_equal(spelled.probabilities, post.probabilities)
+        first = model.ranked_fields[0]
+        unknown = types.MappingProxyType({node: f"bad{k}" for k, node in enumerate(nodes)})
+        with pytest.raises(EvidenceError, match=re.escape(
+                f"value 'bad0' is not in the alphabet of variable {first.var!r}")):
+            posterior(model, unknown)
 
     @pytest.mark.parametrize("threshold", [0.5, 0.1 + 0.2, 0.7, 5e-324, 1.0])
     def test_labels_and_sweep_buckets_agree_at_the_threshold(self, threshold):
@@ -426,25 +479,7 @@ class TestBatchEquivalence:
         assert_batch_matches_oracle(messy_model, messy_bundle.data_path)
 
     def test_batch_matches_single_case_windowed(self, tmp_path):
-        rng = np.random.default_rng(5)
-        lines = ["cust,y,a,v"]
-        for g in range(120):
-            for _ in range(rng.integers(1, 4)):
-                bad = rng.random() < 0.25
-                a = "a1" if rng.random() < (0.8 if bad else 0.3) else "a0"
-                v = rng.normal(1.0 if bad else 0.0, 1.0)
-                miss = rng.random() < 0.15
-                lines.append(
-                    f"g{g:03d},{'bad' if bad else 'good'},"
-                    f"{'?' if miss else a},{v:.4f}"
-                )
-        path = tmp_path / "w.csv"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        schema = parse_schema(
-            "class y\ngroup cust\nvar a categorical\nvar v continuous\n"
-            "window 2\nt_prime 1.0\n"
-        )
-        model = train(schema, CsvDataset(path))
+        model, path = windowed_model(tmp_path)
         assert_batch_matches_oracle(model, path)
 
     def test_lagged_node_without_its_slot_zero(self, tmp_path, sizes):
@@ -527,7 +562,7 @@ def random_models(draw, continuous=False):
         st.fixed_dictionaries({var: st.sampled_from(sym) for var, sym in symbols.items()}),
         min_size=1, max_size=12,
     ))
-    return model, [CaseRecord(values=case) for case in cases]
+    return model, cases
 
 
 GARBAGE = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
@@ -582,7 +617,7 @@ def test_symbolize_matches_oracle_and_batch_scoring(case_dir, drawn, data):
     for i, row in enumerate(rows):
         symbols = symbolize(model, row)
         assert symbols == oracle_symbols(model, row)
-        post = posterior(model, CaseRecord(values=symbols))
+        post = posterior(model, symbols)
         assert np.array_equal(post.probabilities, batch[i])
         assert post.skipped == skip_log(model, skips[i])
 
@@ -596,7 +631,7 @@ def write_cases(path, model, cases):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["y"] + model.schema.var_names)
-        writer.writerows(["?"] + [case.get(var) for var in model.schema.var_names]
+        writer.writerows(["?"] + [case[var] for var in model.schema.var_names]
                          for case in cases)
 
 
@@ -614,7 +649,7 @@ def test_duplicated_rows_score_as_a_batch_of_one(dup_dir, drawn, data):
     every written line equals that case's line in a file without
     duplicates, whatever the chunk size."""
     model, cases = drawn
-    distinct = list({tuple(c.values.items()): c for c in cases}.values())
+    distinct = list({tuple(c.items()): c for c in cases}.values())
     picks = data.draw(st.lists(st.integers(0, len(distinct) - 1),
                                min_size=1, max_size=40))
     chunk_rows = data.draw(st.sampled_from([1, 3, 65536]))
@@ -699,7 +734,7 @@ class TestPruningIsFloatSafe:
         # The fourth b factor rounds P(bad) to exactly 1.0, so it is pruned.
         table = [[0.0, 1.0, 0.0], [19_999 / 20_000, 1 / 20_000, 0.0]]
         model = toy_model({f"x{i}": table for i in range(1, 5)}, prior=(0.5, 0.5))
-        case = CaseRecord(values={f"x{i}": "1" for i in range(1, 5)})
+        case = {f"x{i}": "1" for i in range(1, 5)}
         post = posterior(model, case)
         assert post.skipped == [("x4", "pruned")]
         assert post.order == ["x1", "x2", "x3"]
@@ -717,7 +752,7 @@ class TestPruningIsFloatSafe:
         table = [[1.0, 0.0, 0.0]] + [[1e-16, 1.0 - 1e-16, 0.0]] * 8
         model = toy_model({"x": table}, prior=[1 / 9] * 9,
                           classes=tuple(f"c{i}" for i in range(9)))
-        case = CaseRecord(values={"x": "0"})
+        case = {"x": "0"}
         expect, skipped, _ = oracle_posterior(model, case)
         assert skipped == []
         probs, _ = score_codes(model, {"x": np.array([0, 0])}, 2)
@@ -729,7 +764,7 @@ class TestPruningIsFloatSafe:
     def test_kernel_matches_oracle_and_stays_inside(self, drawn):
         model, cases = drawn
         codes = {
-            rf.node: np.array([oracle_code(model, rf.var, c.get(rf.node)) for c in cases])
+            rf.node: np.array([oracle_code(model, rf.var, c[rf.node]) for c in cases])
             for rf in model.ranked_fields
         }
         probs, skip = score_codes(model, codes, len(cases))

@@ -427,7 +427,7 @@ def test_codes_at_dtype_boundaries(tmp_path, sizes):
 
     nodes = [node_id(var, slot) for var, slot in node_order(BOUNDARY)]
     cases = list(window_expand(records, BOUNDARY))
-    want = {node: [oracle(node_var_slot(node)[0], case.get(node)) for case in cases]
+    want = {node: [oracle(node_var_slot(node)[0], case.values[node]) for case in cases]
             for node in nodes}
     assert max(want["b@1"]) == 255 and max(want["c@1"]) == 256
     for chunk_rows in (700, 65536):

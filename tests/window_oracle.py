@@ -14,13 +14,15 @@ from typing import Iterable, Iterator
 
 from rarebayes.dataio import MISSING
 from rarebayes.schema import Schema
-from rarebayes.windows import CaseRecord, node_id
+from rarebayes.windows import node_id
 
 
 @dataclass
-class WindowCase(CaseRecord):
-    """A window case plus its record's class label (None when MISSING)."""
+class WindowCase:
+    """A window case: node id -> outcome symbol for every node, plus its
+    record's class label (None when MISSING)."""
 
+    values: dict[str, str]
     label: str | None = None
 
 
